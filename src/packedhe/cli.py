@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 verification mismatch.
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -92,24 +93,40 @@ def _cmd_provider_encode(args) -> int:
     return 0
 
 
-def _infer_batches(engine_factory, model_dir, batch_paths, parallel: int):
-    """Run forward over batch files; one engine per worker, meters merged."""
+def _oracle_mismatch(scores: np.ndarray, labels, weights, images) -> str | None:
+    """Compare encrypted scores and labels with the plaintext oracle; return
+    what differs, or None when both agree."""
+    want = oracle_forward(weights, images)
+    if scores.shape != want.shape or not np.allclose(scores, want, rtol=0.0, atol=SCORE_TOLERANCE):
+        return f"score mismatch beyond {SCORE_TOLERANCE}"
+    if not np.array_equal(np.argmax(want, axis=1), labels):
+        return "label mismatch"
+    return None
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> list:
+    """Run forward over batch files against one shared model.
+
+    Each batch gets its own engine, so the meters can be merged afterwards;
+    results come back in batch_paths order.
+    """
 
     def job(path):
-        engine = engine_factory()
-        model = load_model(engine, model_dir)
+        engine = SlotEngine(params)
         ct, layout, valid = load_batch(engine, path)
+        if layout != model.layout:
+            raise SerialError(f"{path}: batch layout {layout} differs from the model's {model.layout}")
         scores = forward_encoded(engine, ct, model)
-        labels = argmax_decide(engine, scores)
-        mat = scores.decode(engine)
-        return path, mat, labels, valid, engine.meter_snapshot()
+        return scores.decode(engine), argmax_decide(engine, scores), valid, engine.meter_snapshot()
 
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(job, batch_paths))
-    else:
-        results = [job(p) for p in batch_paths]
-    return results
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, batch_paths))
 
 
 def _cmd_cloud_infer(args) -> int:
@@ -118,39 +135,35 @@ def _cmd_cloud_infer(args) -> int:
     if not batch_paths:
         print(f"error: no batch files under {args.batch_dir}", file=sys.stderr)
         return 1
-    results = _infer_batches(lambda: SlotEngine(params), args.model_dir, batch_paths, args.parallel)
-
-    verify_images = None
-    verify_weights = None
-    if args.verify:
-        if not (args.images and args.weights_dir):
-            print("error: --verify needs --images and --weights-dir", file=sys.stderr)
-            return 1
-        verify_images, _ = load_mnist_idx(args.images)
-        verify_weights = load_weights_csv(args.weights_dir)
+    if args.verify and not (args.images and args.weights_dir):
+        print("error: --verify needs --images and --weights-dir", file=sys.stderr)
+        return 1
+    model = load_model(SlotEngine(params), args.model_dir)
+    workers = min(len(batch_paths), _available_cpus())
+    results = _infer_batches(params, model, batch_paths, workers)
 
     records = []
-    index = 0
     merged = None
-    for path, mat, labels, valid, meter in results:
+    for mat, labels, valid, meter in results:
         merged = meter if merged is None else merged.merged(meter)
         for row in range(valid):
             records.append(
                 {
-                    "index": index,
+                    "index": len(records),
                     "label": int(labels[row]),
                     "scores": [float(s) for s in mat[row, :10]],
                 }
             )
-            index += 1
-    if verify_images is not None:
-        want = oracle_forward(verify_weights, verify_images[: len(records)])
-        got = np.array([r["scores"] for r in records])
-        if got.shape != want.shape or not np.allclose(got, want, rtol=0.0, atol=SCORE_TOLERANCE):
-            print("verification mismatch: encrypted scores differ from oracle", file=sys.stderr)
-            return 2
-        if not np.array_equal(np.argmax(want, axis=1), [r["label"] for r in records]):
-            print("verification mismatch: labels differ from oracle", file=sys.stderr)
+    if args.verify:
+        images, _ = load_mnist_idx(args.images)
+        problem = _oracle_mismatch(
+            np.array([r["scores"] for r in records]),
+            [r["label"] for r in records],
+            load_weights_csv(args.weights_dir),
+            images[: len(records)],
+        )
+        if problem:
+            print(f"verification mismatch: {problem}", file=sys.stderr)
             return 2
         print(f"verified {len(records)} predictions against the plaintext oracle")
 
@@ -196,13 +209,10 @@ def _cmd_verify(args) -> int:
         chunk = images[b * plan.images_per_ct : (b + 1) * plan.images_per_ct]
         ct = pack_batch(engine, chunk, layout)
         scores = forward_encoded(engine, ct, model).decode(engine)[: chunk.shape[0], :10]
-        want = oracle_forward(weights, chunk)
-        if not np.allclose(scores, want, rtol=0.0, atol=SCORE_TOLERANCE):
+        problem = _oracle_mismatch(scores, np.argmax(scores, axis=1), weights, chunk)
+        if problem:
             mismatches += 1
-            print(f"batch {b}: score mismatch beyond {SCORE_TOLERANCE}", file=sys.stderr)
-        elif not np.array_equal(np.argmax(scores, axis=1), np.argmax(want, axis=1)):
-            mismatches += 1
-            print(f"batch {b}: label mismatch", file=sys.stderr)
+            print(f"batch {b}: {problem}", file=sys.stderr)
         index += chunk.shape[0]
     if mismatches:
         print(f"verification FAILED for {mismatches}/{plan.batch_count} batches", file=sys.stderr)
@@ -261,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", required=True)
     p.add_argument("--out", required=True, help="predictions output (JSON lines)")
     p.add_argument("--report", help="write an op-meter report JSON here")
-    p.add_argument("--parallel", type=int, default=1, metavar="N", help="worker threads")
     p.add_argument("--verify", action="store_true", help="cross-check against the plaintext oracle")
     p.add_argument("--images", help="IDX images for --verify")
     p.add_argument("--weights-dir", help="weight CSVs for --verify")

@@ -6,13 +6,16 @@ image with one span, runs the rotate-and-add window cascade, keeps the
 output positions belonging to that offset class, and accumulates onto a
 bias-seeded result.  Valid (unpadded) stride-1 convolution only; the
 result occupies the top-left (h-k+1) x (w-k+1) block of the h x w layout.
+Spans and the loop are written once over m image blocks of stride f: a
+single image is m = 1 with f the slot count, and virtual.batched_conv
+passes its dataset tiling.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Ciphertext, EngineError, PlainMask, SlotEngine
+from .engine import CapacityError, Ciphertext, EngineError, PlainMask, SlotEngine
 
 __all__ = [
     "ImageShape",
@@ -101,20 +104,35 @@ def bias_matrix(kernel: Kernel, shape: ImageShape) -> np.ndarray:
     return grid
 
 
-def kernel_spanner(engine: SlotEngine, kernel: Kernel, shape: ImageShape) -> KernelSpan:
-    """Encrypt the k*k span matrices and the bias layout for one image."""
+def _tile(block: np.ndarray, m: int, f: int) -> np.ndarray:
+    """Repeat a per-image prefix pattern into each of m blocks of stride f."""
+    if block.size > f:
+        raise CapacityError(f"{block.size}-slot pattern exceeds block stride {f}")
+    full = np.zeros((m, f), dtype=np.float64)
+    full[:, : block.size] = block.reshape(-1)
+    return full.reshape(-1)
+
+
+def _span_blocks(
+    engine: SlotEngine, kernel: Kernel, shape: ImageShape, m: int, f: int, layout: tuple
+) -> KernelSpan:
+    """Encrypt the k*k span matrices and the bias layout into m blocks of stride f."""
     k = kernel.k
     if shape.h < 2 * k - 1 or shape.w < 2 * k - 1:
         raise EngineError(
             f"kernel spanning needs h, w >= 2k-1 = {2 * k - 1}, got {shape.h}x{shape.w}"
         )
-    spans = [
-        engine.enc(span_matrix(kernel, shape, i, j).reshape(-1), layout=("grid", shape.h, shape.w))
-        for i in range(k)
-        for j in range(k)
-    ]
-    bias_ct = engine.enc(bias_matrix(kernel, shape).reshape(-1), layout=("grid", shape.h, shape.w))
-    return KernelSpan(spans, bias_ct, k, shape)
+
+    def enc(grid: np.ndarray) -> Ciphertext:
+        return engine.enc(_tile(grid, m, f), layout=layout)
+
+    spans = [enc(span_matrix(kernel, shape, i, j)) for i in range(k) for j in range(k)]
+    return KernelSpan(spans, enc(bias_matrix(kernel, shape)), k, shape)
+
+
+def kernel_spanner(engine: SlotEngine, kernel: Kernel, shape: ImageShape) -> KernelSpan:
+    """Encrypt the k*k span matrices and the bias layout for one image."""
+    return _span_blocks(engine, kernel, shape, 1, engine.slots, ("grid", shape.h, shape.w))
 
 
 def window_cascade(engine: SlotEngine, ct: Ciphertext, w: int, k: int) -> Ciphertext:
@@ -136,6 +154,13 @@ def window_cascade(engine: SlotEngine, ct: Ciphertext, w: int, k: int) -> Cipher
     return row_acc
 
 
+def _offset_keep(shape: ImageShape, k: int, offset_i: int, offset_j: int) -> np.ndarray:
+    """Boolean h x w grid of the positions build_offset_filter keeps."""
+    ys, xs = np.arange(shape.h)[:, None], np.arange(shape.w)[None, :]
+    on_y = ((ys - offset_j) % k == 0) & (ys + k <= shape.h)
+    return on_y & ((xs - offset_i) % k == 0) & (xs + k <= shape.w)
+
+
 def build_offset_filter(
     engine: SlotEngine, shape: ImageShape, k: int, offset_i: int, offset_j: int
 ) -> PlainMask:
@@ -143,16 +168,7 @@ def build_offset_filter(
     whose k-window stays inside the image."""
     if not (0 <= offset_i < k and 0 <= offset_j < k):
         raise EngineError(f"offsets must be in [0, {k}), got ({offset_i}, {offset_j})")
-    h, w = shape.h, shape.w
-    ys = np.arange(h)[:, None]
-    xs = np.arange(w)[None, :]
-    keep = (
-        ((xs - offset_i) % k == 0)
-        & (xs + k <= w)
-        & ((ys - offset_j) % k == 0)
-        & (ys + k <= h)
-    )
-    return engine.mask(keep.astype(np.float64).reshape(-1), role="filter")
+    return engine.mask(_offset_keep(shape, k, offset_i, offset_j).reshape(-1), role="filter")
 
 
 def sum_for_conv(
@@ -168,29 +184,30 @@ def sum_for_conv(
     out = window_cascade(engine, ct, shape.w, k)
     out = engine.cmul(build_offset_filter(engine, shape, k, 0, 0), out)
     if bias != 0.0:
-        ys = np.arange(shape.h)[:, None]
-        xs = np.arange(shape.w)[None, :]
-        keep = (ys % k == 0) & (ys + k <= shape.h) & (xs % k == 0) & (xs + k <= shape.w)
-        out = engine.add(out, engine.enc((bias * keep).reshape(-1)))
+        out = engine.add(out, engine.enc((bias * _offset_keep(shape, k, 0, 0)).reshape(-1)))
     return out
 
 
-def conv(engine: SlotEngine, ct_image: Ciphertext, span: KernelSpan, shape: ImageShape) -> Ciphertext:
-    """Valid stride-1 convolution of one packed image with a spanned kernel.
-
-    k*k iterations of multiply / cascade / offset filter / accumulate onto
-    the bias-seeded result; iterations are independent, so they could run
-    on parallel workers with the accumulation as the final reduction.
-    """
-    if span.shape != shape:
-        raise EngineError(f"span built for {span.shape}, image is {shape}")
-    k = span.k
-    shape.out(k)  # validates kernel fits
+def _conv_blocks(engine: SlotEngine, ct: Ciphertext, span: KernelSpan, m: int, f: int) -> Ciphertext:
+    """k*k iterations of multiply / cascade / offset filter / accumulate onto
+    the bias-seeded result, for m image blocks of stride f; iterations are
+    independent, so they could run on parallel workers with the
+    accumulation as the final reduction."""
+    k, shape = span.k, span.shape
     acc = span.bias_ct
     for i in range(k):
         for j in range(k):
-            t = engine.mul(ct_image, span.span_cts[i * k + j])
+            t = engine.mul(ct, span.span_cts[i * k + j])
             t = window_cascade(engine, t, shape.w, k)
-            t = engine.cmul(build_offset_filter(engine, shape, k, i, j), t)
-            acc = engine.add(acc, t)
+            keep = engine.mask(_tile(_offset_keep(shape, k, i, j), m, f), role="filter")
+            acc = engine.add(acc, engine.cmul(keep, t))
     return acc
+
+
+def conv(engine: SlotEngine, ct_image: Ciphertext, span: KernelSpan, shape: ImageShape) -> Ciphertext:
+    """Valid stride-1 convolution of one packed image with a spanned kernel:
+    the batched loop with a single image block spanning the ciphertext."""
+    if span.shape != shape:
+        raise EngineError(f"span built for {span.shape}, image is {shape}")
+    shape.out(span.k)  # validates kernel fits
+    return _conv_blocks(engine, ct_image, span, 1, engine.slots)

@@ -41,6 +41,7 @@ __all__ = [
     "ModelWeights",
     "BatchPlan",
     "ChunkedDataset",
+    "FcTiles",
     "EncodedModel",
     "poly_activation",
     "pack_batch",
@@ -151,20 +152,28 @@ class ChunkedDataset:
 
 
 @dataclass(frozen=True, eq=False)
+class FcTiles:
+    """One FC layer in encoded form.
+
+    ``tiles`` is indexed [neuron_block][input_chunk]; ``bias_cts`` holds one
+    accumulator seed per neuron block of width ``block_p``.
+    """
+
+    tiles: list
+    bias_cts: list
+    block_p: int
+
+
+@dataclass(frozen=True, eq=False)
 class EncodedModel:
     """Model parameters in evaluation-ready encrypted form.
 
-    fc tiles are indexed [neuron_block][input_chunk]; activation
-    coefficients stay public plaintext.
+    Activation coefficients stay public plaintext.
     """
 
     kernel_spans: list
-    fc1_tiles: list
-    fc1_bias_cts: list
-    fc1_block: int
-    fc2_tiles: list
-    fc2_bias_cts: list
-    fc2_block: int
+    fc1: FcTiles
+    fc2: FcTiles
     act1: tuple
     act2: tuple
     layout: VirtualLayout
@@ -172,8 +181,8 @@ class EncodedModel:
     @property
     def ciphertext_count(self) -> int:
         n = sum(len(s.span_cts) + 1 for s in self.kernel_spans)
-        n += sum(len(row) for row in self.fc1_tiles) + len(self.fc1_bias_cts)
-        n += sum(len(row) for row in self.fc2_tiles) + len(self.fc2_bias_cts)
+        for fc in (self.fc1, self.fc2):
+            n += sum(len(row) for row in fc.tiles) + len(fc.bias_cts)
         return n
 
 
@@ -259,7 +268,7 @@ def _encode_fc_tiles(
     rows: int,
     chunk_width: int,
     valid_widths,
-) -> tuple[list, list, int]:
+) -> FcTiles:
     """Revolver-encode an FC weight matrix against a chunked input layout.
 
     Tile (b, c): neurons of block b against input chunk c, padded to the
@@ -289,12 +298,10 @@ def _encode_fc_tiles(
             if neuron < out_dim:
                 bias_grid[:, j] = bias[neuron]
         bias_cts.append(engine.enc(bias_grid.reshape(-1)))
-    return tiles, bias_cts, block_p
+    return FcTiles(tiles, bias_cts, block_p)
 
 
-def _fc_from_tiles(
-    engine: SlotEngine, chunks, tiles, bias_cts, block_p: int
-) -> PackedMatrix:
+def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> PackedMatrix:
     """Evaluate an FC layer given encoded weight tiles.
 
     Accumulates over input chunks per neuron block, then concatenates the
@@ -303,16 +310,16 @@ def _fc_from_tiles(
     rows = chunks[0].shape.m
     width = chunks[0].shape.n
     blocks = []
-    for b, row_tiles in enumerate(tiles):
+    for b, row_tiles in enumerate(fc.tiles):
         acc = None
         for c, bbar in enumerate(row_tiles):
-            seeded = bias_cts[b] if c == 0 else None
+            seeded = fc.bias_cts[b] if c == 0 else None
             r = matmul(engine, chunks[c], bbar, init=seeded)
             acc = r.ct if acc is None else engine.add(acc, r.ct)
         blocks.append(acc)
     out = blocks[0]
     for b in range(1, len(blocks)):
-        out = engine.add(out, engine.rot(blocks[b], -b * block_p))
+        out = engine.add(out, engine.rot(blocks[b], -b * fc.block_p))
     return PackedMatrix(out, MatrixShape(rows, width), Encoding.ROW_MAJOR)
 
 
@@ -330,10 +337,8 @@ def fc_layer(engine: SlotEngine, x, weight, bias) -> PackedMatrix:
         data = ChunkedDataset([x], [weight.shape[1]])
     else:
         data = x
-    tiles, bias_cts, block_p = _encode_fc_tiles(
-        engine, weight, bias, data.rows, data.chunk_width, data.valid_widths
-    )
-    return _fc_from_tiles(engine, data.chunks, tiles, bias_cts, block_p)
+    fc = _encode_fc_tiles(engine, weight, bias, data.rows, data.chunk_width, data.valid_widths)
+    return _fc_from_tiles(engine, data.chunks, fc)
 
 
 def encode_model(
@@ -342,30 +347,12 @@ def encode_model(
     """Provider-side encoding: kernel spans plus FC weight tiles."""
     weights.validate()
     spans = [tile_kernel_span(engine, kern, layout) for kern in weights.conv_kernels]
-    fc1_tiles, fc1_bias, fc1_block = _encode_fc_tiles(
-        engine,
-        weights.fc1_weight,
-        weights.fc1_bias,
-        layout.m,
-        layout.f,
-        [MAP_FEATURES] * KERNEL_COUNT,
-    )
-    fc2_tiles, fc2_bias, fc2_block = _encode_fc_tiles(
-        engine,
-        weights.fc2_weight,
-        weights.fc2_bias,
-        layout.m,
-        layout.f,
-        [FC2_IN],
-    )
     return EncodedModel(
         kernel_spans=spans,
-        fc1_tiles=fc1_tiles,
-        fc1_bias_cts=fc1_bias,
-        fc1_block=fc1_block,
-        fc2_tiles=fc2_tiles,
-        fc2_bias_cts=fc2_bias,
-        fc2_block=fc2_block,
+        fc1=_encode_fc_tiles(
+            engine, weights.fc1_weight, weights.fc1_bias, layout.m, layout.f, [MAP_FEATURES] * KERNEL_COUNT
+        ),
+        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, layout.m, layout.f, [FC2_IN]),
         act1=tuple(weights.act1),
         act2=tuple(weights.act2),
         layout=layout,
@@ -402,7 +389,7 @@ def forward_encoded(
     note("flatten", snap)
 
     snap = engine.meter_snapshot()
-    hidden = _fc_from_tiles(engine, data.chunks, model.fc1_tiles, model.fc1_bias_cts, model.fc1_block)
+    hidden = _fc_from_tiles(engine, data.chunks, model.fc1)
     note("fc1", snap)
 
     snap = engine.meter_snapshot()
@@ -411,7 +398,7 @@ def forward_encoded(
     note("act2", snap)
 
     snap = engine.meter_snapshot()
-    scores = _fc_from_tiles(engine, [hidden], model.fc2_tiles, model.fc2_bias_cts, model.fc2_block)
+    scores = _fc_from_tiles(engine, [hidden], model.fc2)
     note("fc2", snap)
     return scores
 

@@ -8,6 +8,7 @@ float64 slots.  Round trips are bit-exact.
 """
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from .conv import ImageShape, KernelSpan
 from .encoding import Encoding, MatrixShape, PackedMatrix
 from .engine import Ciphertext, SlotEngine
-from .pipeline import EncodedModel
+from .pipeline import EncodedModel, FcTiles
 from .virtual import VirtualLayout
 
 __all__ = [
@@ -76,6 +77,9 @@ def read_ciphertext(path) -> tuple[np.ndarray, dict]:
     if slots is None or len(payload) != 8 * slots:
         raise SerialError(f"{path}: payload size mismatch")
     vec = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise SerialError(f"{path}: {bad.size} non-finite slot values (first at slot {bad[0]})")
     return vec, header
 
 
@@ -106,17 +110,68 @@ def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int) ->
     )
 
 
+def _count(path, mapping, key: str) -> int:
+    """mapping[key], which must be a positive integer."""
+    value = mapping.get(key) if isinstance(mapping, dict) else None
+    if type(value) is not int or value < 1:
+        raise SerialError(f"{path}: {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _layout(path, mapping) -> VirtualLayout:
+    return VirtualLayout(*(_count(path, mapping, key) for key in ("m", "f", "h", "w")))
+
+
 def load_batch(engine: SlotEngine, path) -> tuple[Ciphertext, VirtualLayout, int]:
     ct, header = load_ciphertext(engine, path)
     meta = header.get("meta", {})
-    if meta.get("kind") != "image-batch":
+    if not isinstance(meta, dict) or meta.get("kind") != "image-batch":
         raise SerialError(f"{path}: not an image batch file")
-    layout = VirtualLayout(meta["m"], meta["f"], meta["h"], meta["w"])
-    return ct, layout, int(meta["valid_rows"])
+    layout = _layout(path, meta)
+    valid = _count(path, meta, "valid_rows")
+    if valid > layout.m:
+        raise SerialError(f"{path}: {valid} valid rows exceed {layout.m} image blocks")
+    return ct, layout, valid
 
 
 def _span_paths(directory: Path, ki: int, k: int) -> list:
     return [directory / f"kernel{ki}_span{si}{CT_SUFFIX}" for si in range(k * k)]
+
+
+def _write_fc(directory: Path, name: str, fc: FcTiles) -> None:
+    for b, row in enumerate(fc.tiles):
+        for c, tile in enumerate(row):
+            write_ciphertext(
+                directory / f"{name}_w_b{b}_c{c}{CT_SUFFIX}",
+                tile.ct,
+                meta={"revolve_p": tile.revolve_p, "rows": tile.shape.m, "cols": tile.shape.n},
+            )
+        write_ciphertext(directory / f"{name}_bias_b{b}{CT_SUFFIX}", fc.bias_cts[b])
+
+
+def _load_fc(engine: SlotEngine, directory: Path, manifest_path, manifest: dict, name: str) -> FcTiles:
+    blocks, chunks, block_p = (
+        _count(manifest_path, manifest, f"{name}_{key}") for key in ("blocks", "chunks", "block_p")
+    )
+    tiles, bias_cts = [], []
+    for b in range(blocks):
+        row = []
+        for c in range(chunks):
+            path = directory / f"{name}_w_b{b}_c{c}{CT_SUFFIX}"
+            ct, header = load_ciphertext(engine, path)
+            meta = header.get("meta")
+            rows, cols, revolve_p = (_count(path, meta, key) for key in ("rows", "cols", "revolve_p"))
+            row.append(PackedMatrix(ct, MatrixShape(rows, cols), Encoding.REVOLVER, revolve_p=revolve_p))
+        tiles.append(row)
+        bias_cts.append(load_ciphertext(engine, directory / f"{name}_bias_b{b}{CT_SUFFIX}")[0])
+    return FcTiles(tiles, bias_cts, block_p)
+
+
+def _coefficients(path, manifest: dict, key: str) -> tuple:
+    values = manifest.get(key)
+    if not (isinstance(values, list) and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+        raise SerialError(f"{path}: {key!r} must be a list of finite numbers, got {values!r}")
+    return tuple(values)
 
 
 def write_model(directory, model: EncodedModel) -> int:
@@ -126,99 +181,58 @@ def write_model(directory, model: EncodedModel) -> int:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    count = 0
     for ki, span in enumerate(model.kernel_spans):
         for si, ct in enumerate(span.span_cts):
             write_ciphertext(directory / f"kernel{ki}_span{si}{CT_SUFFIX}", ct)
-            count += 1
         write_ciphertext(directory / f"kernel{ki}_bias{CT_SUFFIX}", span.bias_ct)
-        count += 1
-    for b, row in enumerate(model.fc1_tiles):
-        for c, tile in enumerate(row):
-            write_ciphertext(
-                directory / f"fc1_w_b{b}_c{c}{CT_SUFFIX}",
-                tile.ct,
-                meta={"revolve_p": tile.revolve_p, "rows": tile.shape.m, "cols": tile.shape.n},
-            )
-            count += 1
-        write_ciphertext(directory / f"fc1_bias_b{b}{CT_SUFFIX}", model.fc1_bias_cts[b])
-        count += 1
-    for b, row in enumerate(model.fc2_tiles):
-        for c, tile in enumerate(row):
-            write_ciphertext(
-                directory / f"fc2_w_b{b}_c{c}{CT_SUFFIX}",
-                tile.ct,
-                meta={"revolve_p": tile.revolve_p, "rows": tile.shape.m, "cols": tile.shape.n},
-            )
-            count += 1
-        write_ciphertext(directory / f"fc2_bias_b{b}{CT_SUFFIX}", model.fc2_bias_cts[b])
-        count += 1
     manifest = {
         "format": FORMAT_NAME,
         "kernel_count": len(model.kernel_spans),
         "kernel_k": model.kernel_spans[0].k if model.kernel_spans else 0,
-        "fc1_blocks": len(model.fc1_tiles),
-        "fc1_chunks": len(model.fc1_tiles[0]) if model.fc1_tiles else 0,
-        "fc1_block_p": model.fc1_block,
-        "fc2_blocks": len(model.fc2_tiles),
-        "fc2_chunks": len(model.fc2_tiles[0]) if model.fc2_tiles else 0,
-        "fc2_block_p": model.fc2_block,
-        "act1": list(map(float, model.act1)),
-        "act2": list(map(float, model.act2)),
-        "layout": {"m": model.layout.m, "f": model.layout.f, "h": model.layout.h, "w": model.layout.w},
-        "ciphertext_count": count,
     }
+    for name, fc in (("fc1", model.fc1), ("fc2", model.fc2)):
+        _write_fc(directory, name, fc)
+        manifest[f"{name}_blocks"] = len(fc.tiles)
+        manifest[f"{name}_chunks"] = len(fc.tiles[0]) if fc.tiles else 0
+        manifest[f"{name}_block_p"] = fc.block_p
+    manifest.update(
+        act1=list(map(float, model.act1)),
+        act2=list(map(float, model.act2)),
+        layout={"m": model.layout.m, "f": model.layout.f, "h": model.layout.h, "w": model.layout.w},
+        ciphertext_count=model.ciphertext_count,
+    )
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return count
+    return model.ciphertext_count
 
 
 def load_model(engine: SlotEngine, directory) -> EncodedModel:
+    """Load a model directory; a manifest key that is missing or of the
+    wrong type raises SerialError."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise SerialError(f"missing model manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    lay = manifest["layout"]
-    layout = VirtualLayout(lay["m"], lay["f"], lay["h"], lay["w"])
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SerialError(f"{manifest_path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SerialError(f"{manifest_path}: manifest must be a JSON object")
+    layout = _layout(f"{manifest_path}: 'layout'", manifest.get("layout"))
     shape = ImageShape(layout.h, layout.w)
-    k = manifest["kernel_k"]
+    k = _count(manifest_path, manifest, "kernel_k")
 
     spans = []
-    for ki in range(manifest["kernel_count"]):
+    for ki in range(_count(manifest_path, manifest, "kernel_count")):
         cts = [load_ciphertext(engine, p)[0] for p in _span_paths(directory, ki, k)]
         bias_ct, _ = load_ciphertext(engine, directory / f"kernel{ki}_bias{CT_SUFFIX}")
         spans.append(KernelSpan(cts, bias_ct, k, shape))
 
-    def load_fc(prefix: str, blocks: int, chunks: int):
-        tiles, bias_cts = [], []
-        for b in range(blocks):
-            row = []
-            for c in range(chunks):
-                ct, header = load_ciphertext(engine, directory / f"{prefix}_w_b{b}_c{c}{CT_SUFFIX}")
-                meta = header["meta"]
-                row.append(
-                    PackedMatrix(
-                        ct,
-                        MatrixShape(meta["rows"], meta["cols"]),
-                        Encoding.REVOLVER,
-                        revolve_p=meta["revolve_p"],
-                    )
-                )
-            tiles.append(row)
-            bias_cts.append(load_ciphertext(engine, directory / f"{prefix}_bias_b{b}{CT_SUFFIX}")[0])
-        return tiles, bias_cts
-
-    fc1_tiles, fc1_bias = load_fc("fc1", manifest["fc1_blocks"], manifest["fc1_chunks"])
-    fc2_tiles, fc2_bias = load_fc("fc2", manifest["fc2_blocks"], manifest["fc2_chunks"])
     return EncodedModel(
         kernel_spans=spans,
-        fc1_tiles=fc1_tiles,
-        fc1_bias_cts=fc1_bias,
-        fc1_block=manifest["fc1_block_p"],
-        fc2_tiles=fc2_tiles,
-        fc2_bias_cts=fc2_bias,
-        fc2_block=manifest["fc2_block_p"],
-        act1=tuple(manifest["act1"]),
-        act2=tuple(manifest["act2"]),
+        fc1=_load_fc(engine, directory, manifest_path, manifest, "fc1"),
+        fc2=_load_fc(engine, directory, manifest_path, manifest, "fc2"),
+        act1=_coefficients(manifest_path, manifest, "act1"),
+        act2=_coefficients(manifest_path, manifest, "act2"),
         layout=layout,
     )

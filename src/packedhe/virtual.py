@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ImageShape, Kernel, KernelSpan, bias_matrix, span_matrix, window_cascade
+from .conv import ImageShape, Kernel, KernelSpan, _conv_blocks, _span_blocks, _tile
 from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, is_pow2
 
 __all__ = [
@@ -68,9 +68,7 @@ def _require_fit(engine: SlotEngine, layout: VirtualLayout) -> None:
 
 def _tiled_mask(engine: SlotEngine, layout: VirtualLayout, block: np.ndarray, role: str) -> PlainMask:
     """Repeat a per-image prefix pattern into every image block."""
-    full = np.zeros((layout.m, layout.f), dtype=np.float64)
-    full[:, : block.size] = block.reshape(-1)
-    return engine.mask(full.reshape(-1), role=role)
+    return engine.mask(_tile(block, layout.m, layout.f), role=role)
 
 
 def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> Ciphertext:
@@ -113,21 +111,9 @@ def vmul(engine: SlotEngine, a: Ciphertext, b: Ciphertext) -> Ciphertext:
 def tile_kernel_span(engine: SlotEngine, kernel: Kernel, layout: VirtualLayout) -> KernelSpan:
     """Spanned kernel for a batched dataset: every image block carries its
     own copy of each span pattern (and of the bias block)."""
-    k = kernel.k
-    shape = ImageShape(layout.h, layout.w)
-    if shape.h < 2 * k - 1 or shape.w < 2 * k - 1:
-        raise EngineError(
-            f"kernel spanning needs h, w >= 2k-1 = {2 * k - 1}, got {shape.h}x{shape.w}"
-        )
-
-    def tiled(block: np.ndarray) -> Ciphertext:
-        full = np.zeros((layout.m, layout.f), dtype=np.float64)
-        full[:, : block.size] = block.reshape(-1)
-        return engine.enc(full.reshape(-1), layout=layout.tag())
-
-    spans = [tiled(span_matrix(kernel, shape, i, j)) for i in range(k) for j in range(k)]
-    bias_ct = tiled(bias_matrix(kernel, shape))
-    return KernelSpan(spans, bias_ct, k, shape)
+    return _span_blocks(
+        engine, kernel, ImageShape(layout.h, layout.w), layout.m, layout.f, layout.tag()
+    )
 
 
 def batched_conv(
@@ -137,34 +123,19 @@ def batched_conv(
 
     Same loop as the single-image algorithm; rotations act globally, so the
     pad margin (k-1)*(w+1) guarantees no window read of a valid anchor ever
-    crosses into the next image block.
+    crosses into the next image block.  A single block (m = 1) has no next
+    block and needs no margin.
     """
     _require_fit(engine, layout)
     k = span.k
     if (span.shape.h, span.shape.w) != (layout.h, layout.w):
         raise LayoutError(f"span built for {span.shape}, dataset images are {layout.h}x{layout.w}")
-    if layout.pad < (k - 1) * (layout.w + 1):
+    if layout.m > 1 and layout.pad < (k - 1) * (layout.w + 1):
         raise LayoutError(
             f"pad {layout.pad} below the shift-absorption margin "
             f"{(k - 1) * (layout.w + 1)} for k={k}"
         )
-    h, w = layout.h, layout.w
-    ys = np.arange(h)[:, None]
-    xs = np.arange(w)[None, :]
-    acc = span.bias_ct
-    for i in range(k):
-        for j in range(k):
-            t = engine.mul(ct_x, span.span_cts[i * k + j])
-            t = window_cascade(engine, t, w, k)
-            keep = (
-                ((xs - i) % k == 0)
-                & (xs + k <= w)
-                & ((ys - j) % k == 0)
-                & (ys + k <= h)
-            )
-            mask = _tiled_mask(engine, layout, keep.astype(np.float64), "filter")
-            acc = engine.add(acc, engine.cmul(mask, t))
-    return acc
+    return _conv_blocks(engine, ct_x, span, layout.m, layout.f)
 
 
 def reform(

@@ -1,11 +1,19 @@
 import json
+import os
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from packedhe.cli import main
+from packedhe.cli import _infer_batches, main
 from packedhe.datafiles import save_weights_csv
+from packedhe.engine import EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
+from packedhe.pipeline import pack_batch
+from packedhe.serial import load_model, write_batch
+from packedhe.virtual import VirtualLayout
 
 from test_datafiles import write_idx_images
 from test_pipeline import random_weights
@@ -91,25 +99,38 @@ def test_cloud_infer_end_to_end(workspace):
 
 
 def test_cloud_infer_parallel_matches(workspace):
+    # Stress for the shared-model loop: more worker threads than cores and
+    # frequent thread switches must give the one-worker results, in order.
     tmp, idx, weights_dir, _, _ = workspace
-    batches, model = tmp / "b2", tmp / "m2"
-    main(["owner-encode", "--images", str(idx), "--out-dir", str(batches)])
-    main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
-    seq, par = tmp / "seq.jsonl", tmp / "par.jsonl"
-    assert main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(seq)]) == 0
-    assert (
-        main(
-            [
-                "cloud-infer",
-                "--batch-dir", str(batches),
-                "--model-dir", str(model),
-                "--out", str(par),
-                "--parallel", "2",
-            ]
+    batches, model_dir = tmp / "b2", tmp / "m2"
+    small = ["--slots", "8192"]  # 5 batches of 8 images, about 0.3 s each
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches)] + small) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model_dir)] + small) == 0
+    params = EngineParams(slots=8192)
+    model = load_model(SlotEngine(params), model_dir)
+    paths = sorted(batches.glob("*.simct"))
+    workers = (os.cpu_count() or 1) + 2
+    jobs = [paths[i % len(paths)] for i in range(max(workers, len(paths)))]
+    want = _infer_batches(params, model, paths, 1)
+
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(
+            target=lambda: got.extend(_infer_batches(params, model, jobs, workers)), daemon=True
         )
-        == 0
-    )
-    assert seq.read_text() == par.read_text()
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert len(got) == len(jobs)
+    for i, (mat, labels, valid, meter) in enumerate(got):
+        w_mat, w_labels, w_valid, w_meter = want[i % len(paths)]
+        assert mat.tobytes() == w_mat.tobytes()
+        np.testing.assert_array_equal(labels, w_labels)
+        assert (valid, meter) == (w_valid, w_meter)
 
 
 def test_cloud_infer_verify_flag(workspace):
@@ -135,6 +156,60 @@ def test_cloud_infer_corrupt_batch(workspace, capsys):
     rc = main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(tmp / "x.jsonl")])
     assert rc == 1
     assert victim.name in capsys.readouterr().err
+
+
+def test_cloud_infer_rejects_nan_slot(workspace, capsys):
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model = tmp / "b6", tmp / "m6"
+    main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "32"])
+    main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
+    victim = sorted(batches.glob("*.simct"))[0]
+    data = victim.read_bytes()
+    victim.write_bytes(data[:-8] + struct.pack("<d", float("nan")))
+    out = tmp / "nan.jsonl"
+    rc = main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out)])
+    assert rc == 1
+    assert victim.name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("fc2_block_p", None), ("kernel_k", "3"), ("fc1_chunks", True), ("layout", [32, 1024, 28, 28]),
+     ("act1", [0.0, 1.0, float("nan"), 0.0])],
+)
+def test_cloud_infer_rejects_bad_manifest(workspace, capsys, key, value):
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model = tmp / "b7", tmp / "m7"
+    main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "32"])
+    main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
+    manifest_path = model / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    rc = main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(tmp / "z.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert key in err and "manifest.json" in err
+
+
+def test_cloud_infer_rejects_batch_layout_mismatch(workspace, capsys):
+    tmp, idx, weights_dir, _, images = workspace
+    batches, model = tmp / "b8", tmp / "m8"
+    main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
+    # same slot count as the model, but 16 images at stride 2048
+    layout = VirtualLayout(16, 2048, 28, 28)
+    eng = SlotEngine()
+    batches.mkdir()
+    victim = batches / "batch_00000.simct"
+    write_batch(victim, pack_batch(eng, images[:16] / 255.0, layout), layout, valid_rows=16)
+    rc = main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(tmp / "l.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert victim.name in err and "layout" in err
 
 
 def test_verify_command(workspace):

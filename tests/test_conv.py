@@ -9,8 +9,9 @@ from packedhe.conv import (
     kernel_spanner,
     sum_for_conv,
 )
-from packedhe.engine import EngineError, next_pow2
+from packedhe.engine import EngineError, EngineParams, SlotEngine, next_pow2
 from packedhe.oracle import oracle_conv
+from packedhe.virtual import VirtualLayout, batched_conv, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
 
@@ -174,13 +175,30 @@ def test_conv_random_6x6_oracle(rng):
     np.testing.assert_array_equal(out[:4, :4], oracle_conv(img, kern.weights, 1.0))
 
 
+class MaskRecordingEngine(SlotEngine):
+    """Engine that keeps every mask it builds, in order."""
+
+    def __init__(self, slots):
+        super().__init__(EngineParams(slots=slots))
+        self.masks = []
+
+    def mask(self, values, role="constant"):
+        out = super().mask(values, role)
+        self.masks.append(out)
+        return out
+
+
 def test_conv_grid_oracle_and_costs(rng):
-    for h, w, k in [(4, 7, 2), (5, 5, 3), (9, 10, 5), (12, 9, 3)]:
-        eng = make_engine(max(2, next_pow2(h * w)))
+    # (4, 8, 2) and (8, 8, 3) fill the slots exactly (no pad).  Each case also
+    # pins single-image conv as the m = 1 case of the batched loop.
+    for h, w, k in [(4, 7, 2), (5, 5, 3), (9, 10, 5), (12, 9, 3), (4, 8, 2), (8, 8, 3)]:
+        slots = max(2, next_pow2(h * w))
+        shape = ImageShape(h, w)
+        eng = MaskRecordingEngine(slots)
         img = rand_int_matrix(rng, h, w)
         kern, span = spanned(eng, rand_int_matrix(rng, k, k), h, w, bias=float(rng.integers(-2, 3)))
         before = eng.meter_snapshot()
-        ct = conv(eng, eng.enc(img.reshape(-1)), span, ImageShape(h, w))
+        ct = conv(eng, eng.enc(img.reshape(-1)), span, shape)
         delta = eng.meter_snapshot().delta_since(before)
         out = grid_of(eng, ct, h, w)
         np.testing.assert_array_equal(out[: h - k + 1, : w - k + 1],
@@ -188,6 +206,21 @@ def test_conv_grid_oracle_and_costs(rng):
         assert delta.mul_count == k * k
         assert delta.rot_count <= k * k * 2 * k
         assert ct.depth == 2
+
+        loop_masks = [m.values for m in eng.masks]
+        offset_masks = [build_offset_filter(eng, shape, k, i, j).values for i in range(k) for j in range(k)]
+        np.testing.assert_array_equal(loop_masks, offset_masks)
+
+        beng = make_engine(slots)
+        layout = VirtualLayout(1, slots, h, w)
+        bspan = tile_kernel_span(beng, kern, layout)
+        assert [c.slots.tobytes() for c in bspan.span_cts + [bspan.bias_ct]] == [
+            c.slots.tobytes() for c in span.span_cts + [span.bias_ct]
+        ]
+        before = beng.meter_snapshot()
+        bct = batched_conv(beng, beng.enc(img.reshape(-1)), layout, bspan)
+        assert beng.meter_snapshot().delta_since(before) == delta
+        assert bct.slots.tobytes() == ct.slots.tobytes() and bct.depth == ct.depth
 
 
 def test_conv_span_shape_mismatch(rng):
