@@ -1,11 +1,12 @@
 """Operation-count benchmarks for the evaluation algorithms.
 
-Replays the matmul iteration and the convolution inner loop with meter
-snapshots around each step, compares the measured Add/cMult/Rot/Mult
-counts against the documented per-step cost formulas, and flags any
-overruns.  The row-summation step is the known soft spot: its rotation
-count scales with log2 of the row width n, so a budget quoted in terms of
-the output-column count p undercounts whenever p < n.
+Runs one real matmul and one real convolution and reads each loop step's
+Add/cMult/Rot/Mult counts from the engine scopes the loops open, divided
+by the iteration count.  The measured counts are compared against the
+documented per-step cost formulas and any overruns are flagged.  The
+row-summation step is the known soft spot: its rotation count scales with
+log2 of the row width n, so a budget quoted in terms of the output-column
+count p undercounts whenever p < n.
 """
 
 import math
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ImageShape, Kernel, build_offset_filter, kernel_spanner, sum_for_conv, window_cascade
-from .encoding import Encoding, MatrixShape, PackedMatrix, encode_revolver, encode_row_major, sum_col_vec
-from .engine import OpMeter, SlotEngine, EngineParams, next_pow2
-from .matmul import MatmulPlan, build_result_filter, row_shifter
+from .conv import ImageShape, Kernel, conv, kernel_spanner, sum_for_conv
+from .encoding import encode_revolver, encode_row_major
+from .engine import SlotEngine, EngineParams, next_pow2
+from .matmul import MatmulPlan, matmul
 
 __all__ = [
     "StepCost",
@@ -52,13 +53,17 @@ class StepCost:
         )
 
 
-def _delta(engine: SlotEngine, before: OpMeter) -> tuple:
-    d = engine.meter_snapshot().delta_since(before)
-    return d.add_count, d.cmul_count, d.rot_count, d.mul_count
+def _step(label: str, engine: SlotEngine, scope: str, iterations: int, expected: tuple, note: str = "") -> StepCost:
+    """Counts charged to ``scope``, per loop iteration."""
+    spent = engine.scopes[scope]
+    counts = (spent.add_count, spent.cmul_count, spent.rot_count, spent.mul_count)
+    if any(c % iterations for c in counts):
+        raise ValueError(f"{scope} charged {counts} over {iterations} iterations, not a per-iteration constant")
+    return StepCost(label, *(c // iterations for c in counts), expected=expected, note=note)
 
 
 def measure_matmul_steps(m: int, n: int, p: int, slots: int | None = None) -> list:
-    """Instrument one product iteration (idx=0) step by step.
+    """Per-iteration cost of each step of one real p-iteration product.
 
     With ``slots`` omitted the working layout fills the ciphertext, which
     enables the single-rotation row-cycling path when max(m, p) is a
@@ -74,49 +79,20 @@ def measure_matmul_steps(m: int, n: int, p: int, slots: int | None = None) -> li
     bbar = encode_revolver(
         engine, rng.integers(-4, 5, size=(n, p)).astype(float), target_m=plan.layout_m
     )
-    work_shape = MatrixShape(plan.layout_m, n)
+    matmul(engine, a, bbar)
     log_n = int(math.log2(n)) if n > 1 else 0
-    steps = []
-
-    before = engine.meter_snapshot()
-    shifted = row_shifter(engine, bbar, p, 0)
-    prod = engine.mul(a.ct, shifted.ct)
-    expected1 = (0, 0, 1, 1) if plan.fast_path else (1, 2, 2, 1)
-    steps.append(
-        StepCost(
-            "1 row cycle + multiply",
-            *_delta(engine, before),
-            expected=expected1,
-            note="single-rotation path" if plan.fast_path else "masked two-rotation path",
-        )
-    )
-
-    before = engine.meter_snapshot()
-    sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR))
-    steps.append(
-        StepCost(
-            "2 row summation",
-            *_delta(engine, before),
-            expected=(2 * log_n, 1, 2 * log_n, 0),
-            note=SUMMATION_NOTE,
-        )
-    )
-
-    before = engine.meter_snapshot()
-    keep = build_result_filter(engine, plan.layout_m, n, p, 1 % p)
-    filtered = engine.cmul(keep, sums.ct)
-    steps.append(StepCost("3 result filter", *_delta(engine, before), expected=(0, 1, 0, 0)))
-
-    before = engine.meter_snapshot()
-    engine.add(engine.enc([]), filtered)
-    steps.append(
-        StepCost("4 accumulate", *_delta(engine, before), expected=(1, 0, 0, 0), note="plus one seed enc")
-    )
-    return steps
+    cycle = ((0, 0, 1, 1), "single-rotation path") if plan.fast_path else ((1, 2, 2, 1), "masked two-rotation path")
+    return [
+        _step("1 row cycle + multiply", engine, "matmul.row_cycle", p, *cycle),
+        _step("2 row summation", engine, "matmul.row_sum", p, (2 * log_n, 1, 2 * log_n, 0), SUMMATION_NOTE),
+        _step("3 result filter", engine, "matmul.result_filter", p, (0, 1, 0, 0)),
+        _step("4 accumulate", engine, "matmul.accumulate", p, (1, 0, 0, 0), "plus one seed enc per product"),
+    ]
 
 
 def measure_conv_steps(h: int, w: int, k: int) -> list:
-    """Instrument one convolution offset iteration."""
+    """Per-offset cost of each step of one real k*k-iteration convolution,
+    plus the standalone anchor-masked window sum."""
     slots = max(2, next_pow2(h * w))
     engine = SlotEngine(EngineParams(slots=slots))
     rng = np.random.default_rng(11)
@@ -124,60 +100,28 @@ def measure_conv_steps(h: int, w: int, k: int) -> list:
     kernel = Kernel(rng.integers(-3, 4, size=(k, k)).astype(float), bias=1.0)
     span = kernel_spanner(engine, kernel, shape)
     image = engine.enc(rng.integers(0, 7, size=(h, w)).astype(float).reshape(-1))
-    steps = []
-
-    before = engine.meter_snapshot()
-    t = engine.mul(image, span.span_cts[0])
-    steps.append(StepCost("1 span multiply", *_delta(engine, before), expected=(0, 0, 0, 1)))
-
-    before = engine.meter_snapshot()
-    t = window_cascade(engine, t, w, k)
-    steps.append(
-        StepCost("2 window cascade", *_delta(engine, before), expected=(2 * k, 0, 2 * k, 0))
-    )
-
-    before = engine.meter_snapshot()
-    t = engine.cmul(build_offset_filter(engine, shape, k, 0, 0), t)
-    steps.append(StepCost("3 offset filter", *_delta(engine, before), expected=(0, 1, 0, 0)))
-
-    before = engine.meter_snapshot()
-    engine.add(span.bias_ct, t)
-    steps.append(StepCost("4 accumulate", *_delta(engine, before), expected=(1, 0, 0, 0)))
-
-    # standalone aggregate for the anchor-masked summation helper
-    before = engine.meter_snapshot()
-    sum_for_conv(engine, image, shape, k)
-    d = engine.meter_snapshot().delta_since(before)
-    steps.append(
-        StepCost(
-            "window sum (standalone)",
-            d.add_count,
-            d.cmul_count,
-            d.rot_count,
-            d.mul_count,
-            expected=(2 * k, 1, 2 * k, 0),
-        )
-    )
-    return steps
+    conv(engine, image, span, shape)
+    with engine.scope("bench.window_sum"):
+        sum_for_conv(engine, image, shape, k)
+    offsets = k * k
+    return [
+        _step("1 span multiply", engine, "conv.span_multiply", offsets, (0, 0, 0, 1)),
+        _step("2 window cascade", engine, "conv.window_cascade", offsets, (2 * k, 0, 2 * k, 0)),
+        _step("3 offset filter", engine, "conv.offset_filter", offsets, (0, 1, 0, 0)),
+        _step("4 accumulate", engine, "conv.accumulate", offsets, (1, 0, 0, 0)),
+        _step("window sum (standalone)", engine, "bench.window_sum", 1, (2 * k, 1, 2 * k, 0)),
+    ]
 
 
 def format_report(matmul_grid, conv_grid) -> str:
     """Measured-vs-budget table for grids of (m, n, p) and (h, w, k)."""
-    lines = []
+    sections = [(f"matrix product m={m} n={n} p={p}", measure_matmul_steps(m, n, p)) for m, n, p in matmul_grid]
+    sections += [(f"convolution h={h} w={w} k={k}", measure_conv_steps(h, w, k)) for h, w, k in conv_grid]
     header = f"{'step':<28} {'Add':>5} {'cMult':>6} {'Rot':>5} {'Mult':>5}   budget (A,cM,R,M)"
-    for m, n, p in matmul_grid:
-        lines.append(f"matrix product m={m} n={n} p={p}")
-        lines.append(header)
-        for s in measure_matmul_steps(m, n, p):
-            flag = "" if s.within_budget else "  ** EXCEEDS BUDGET"
-            lines.append(
-                f"{s.step:<28} {s.add:>5} {s.cmul:>6} {s.rot:>5} {s.mul:>5}   {s.expected}{flag}"
-            )
-        lines.append("")
-    for h, w, k in conv_grid:
-        lines.append(f"convolution h={h} w={w} k={k}")
-        lines.append(header)
-        for s in measure_conv_steps(h, w, k):
+    lines = []
+    for title, steps in sections:
+        lines += [title, header]
+        for s in steps:
             flag = "" if s.within_budget else "  ** EXCEEDS BUDGET"
             lines.append(
                 f"{s.step:<28} {s.add:>5} {s.cmul:>6} {s.rot:>5} {s.mul:>5}   {s.expected}{flag}"

@@ -197,10 +197,14 @@ def _conv_blocks(engine: SlotEngine, ct: Ciphertext, span: KernelSpan, m: int, f
     acc = span.bias_ct
     for i in range(k):
         for j in range(k):
-            t = engine.mul(ct, span.span_cts[i * k + j])
-            t = window_cascade(engine, t, shape.w, k)
-            keep = engine.mask(_tile(_offset_keep(shape, k, i, j), m, f), role="filter")
-            acc = engine.add(acc, engine.cmul(keep, t))
+            with engine.scope("conv.span_multiply"):
+                t = engine.mul(ct, span.span_cts[i * k + j])
+            with engine.scope("conv.window_cascade"):
+                t = window_cascade(engine, t, shape.w, k)
+            with engine.scope("conv.offset_filter"):
+                t = engine.cmul(engine.mask(_tile(_offset_keep(shape, k, i, j), m, f), role="filter"), t)
+            with engine.scope("conv.accumulate"):
+                acc = engine.add(acc, t)
     return acc
 
 

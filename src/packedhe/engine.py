@@ -164,6 +164,34 @@ class PlainMask:
                 raise EngineError("filter masks may contain only 0.0 and 1.0")
 
 
+class _Scope:
+    """Context manager behind :meth:`SlotEngine.scope`."""
+
+    __slots__ = ("meter", "name", "into", "start")
+
+    def __init__(self, meter: OpMeter, name: str, into: dict):
+        self.meter, self.name, self.into = meter, name, into
+
+    def __enter__(self):
+        m = self.meter
+        self.start = (m.add_count, m.mul_count, m.cmul_count, m.rot_count, m.enc_count)
+
+    def __exit__(self, *exc):
+        m, (add, mul, cmul, rot, enc) = self.meter, self.start
+        spent = self.into.get(self.name)
+        first = spent is None
+        if first:
+            spent = OpMeter()
+        spent.add_count += m.add_count - add
+        spent.mul_count += m.mul_count - mul
+        spent.cmul_count += m.cmul_count - cmul
+        spent.rot_count += m.rot_count - rot
+        spent.enc_count += m.enc_count - enc
+        spent.max_depth = m.max_depth
+        if first:
+            self.into[self.name] = spent
+
+
 class SlotEngine:
     """Metered SIMD engine over ``params.slots`` packed slots.
 
@@ -175,6 +203,7 @@ class SlotEngine:
     def __init__(self, params: EngineParams | None = None):
         self.params = params if params is not None else EngineParams()
         self._meter = OpMeter()
+        self.scopes: dict = {}
 
     @property
     def slots(self) -> int:
@@ -238,6 +267,16 @@ class SlotEngine:
     def meter_snapshot(self) -> OpMeter:
         """Current counters, as an independent copy."""
         return self._meter.copy()
+
+    def scope(self, name: str, into: dict | None = None) -> _Scope:
+        """Charge the ops run inside a ``with`` block to ``into[name]``.
+
+        ``into`` defaults to :attr:`scopes`.  The entry is an OpMeter of
+        counter deltas, inserted when the block first exits; re-entering
+        the same name adds to it.  ``max_depth`` is the engine's value at
+        exit, as in :meth:`OpMeter.delta_since`.
+        """
+        return _Scope(self._meter, name, self.scopes if into is None else into)
 
     # -- helpers ---------------------------------------------------------
 

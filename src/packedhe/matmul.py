@@ -27,6 +27,12 @@ __all__ = [
 _LEFT_TAGS = (Encoding.ROW_MAJOR, Encoding.DATABASE)
 
 
+def _cycle_closes(engine: SlotEngine, rows: int, n: int, p: int) -> bool:
+    """Single-rotation row cycling is exact: rows is a multiple of p and the
+    rows x n layout fills the ciphertext."""
+    return rows % p == 0 and rows * n == engine.slots
+
+
 @dataclass(frozen=True)
 class MatmulPlan:
     """Shape bookkeeping for one product: layout height and fast-path flag.
@@ -58,8 +64,7 @@ class MatmulPlan:
                 f"{layout_m}x{n} working layout needs {layout_m * n} slots, "
                 f"engine has {engine.slots}"
             )
-        fast = (layout_m % p == 0) and (layout_m * n == engine.slots)
-        return cls(m=m, n=n, p=p, layout_m=layout_m, fast_path=fast)
+        return cls(m=m, n=n, p=p, layout_m=layout_m, fast_path=_cycle_closes(engine, layout_m, n, p))
 
 
 def _row_band_mask(engine: SlotEngine, rows: int, n: int, r0: int, r1: int) -> PlainMask:
@@ -89,8 +94,7 @@ def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> Pac
     if rows < p:
         raise LayoutError(f"revolver layout has {rows} rows but needs at least p={p}")
     shift = idx + 1
-    fast = (rows % p == 0) and (rows * n == engine.slots)
-    if fast:
+    if _cycle_closes(engine, rows, n, p):
         out = engine.rot(bbar.ct, n * shift)
     else:
         top = engine.cmul(
@@ -155,11 +159,14 @@ def matmul(
 
     acc = init if init is not None else engine.enc([])
     for idx in range(p):
-        shifted = row_shifter(engine, ct_bbar, p, idx)
-        prod = engine.mul(ct_a.ct, shifted.ct)
-        sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR))
-        keep = build_result_filter(engine, rows, n, p, (idx + 1) % p)
-        acc = engine.add(acc, engine.cmul(keep, sums.ct))
+        with engine.scope("matmul.row_cycle"):
+            prod = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
+        with engine.scope("matmul.row_sum"):
+            sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR))
+        with engine.scope("matmul.result_filter"):
+            kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), sums.ct)
+        with engine.scope("matmul.accumulate"):
+            acc = engine.add(acc, kept)
     return PackedMatrix(acc, work_shape, Encoding.ROW_MAJOR)
 
 

@@ -368,38 +368,23 @@ def forward_encoded(
     """Run the full pipeline on one packed batch of images.
 
     Pass a dict as ``stage_meters`` to collect per-stage operation-count
-    deltas under keys conv/act1/flatten/fc1/act2/fc2.
+    deltas under keys conv/act1/flatten/fc1/act2/fc2; each key is set once,
+    as its stage ends.
     """
     layout = model.layout
-
-    def note(stage, before):
-        if stage_meters is not None:
-            stage_meters[stage] = engine.meter_snapshot().delta_since(before)
-
-    snap = engine.meter_snapshot()
-    maps, _, (out_h, out_w) = conv_layer(engine, ct_x, layout, model.kernel_spans)
-    note("conv", snap)
-
-    snap = engine.meter_snapshot()
-    maps = [poly_activation(engine, ct, model.act1) for ct in maps]
-    note("act1", snap)
-
-    snap = engine.meter_snapshot()
-    data = flatten_maps(engine, maps, layout, out_h, out_w)
-    note("flatten", snap)
-
-    snap = engine.meter_snapshot()
-    hidden = _fc_from_tiles(engine, data.chunks, model.fc1)
-    note("fc1", snap)
-
-    snap = engine.meter_snapshot()
-    activated = poly_activation(engine, hidden.ct, model.act2)
-    hidden = PackedMatrix(activated, hidden.shape, Encoding.DATABASE)
-    note("act2", snap)
-
-    snap = engine.meter_snapshot()
-    scores = _fc_from_tiles(engine, [hidden], model.fc2)
-    note("fc2", snap)
+    with engine.scope("conv", stage_meters):
+        maps, _, (out_h, out_w) = conv_layer(engine, ct_x, layout, model.kernel_spans)
+    with engine.scope("act1", stage_meters):
+        maps = [poly_activation(engine, ct, model.act1) for ct in maps]
+    with engine.scope("flatten", stage_meters):
+        data = flatten_maps(engine, maps, layout, out_h, out_w)
+    with engine.scope("fc1", stage_meters):
+        hidden = _fc_from_tiles(engine, data.chunks, model.fc1)
+    with engine.scope("act2", stage_meters):
+        activated = poly_activation(engine, hidden.ct, model.act2)
+        hidden = PackedMatrix(activated, hidden.shape, Encoding.DATABASE)
+    with engine.scope("fc2", stage_meters):
+        scores = _fc_from_tiles(engine, [hidden], model.fc2)
     return scores
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .conv import ImageShape, KernelSpan
 from .encoding import Encoding, MatrixShape, PackedMatrix
 from .engine import Ciphertext, SlotEngine
-from .pipeline import EncodedModel, FcTiles
+from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcTiles
 from .virtual import VirtualLayout
 
 __all__ = [
@@ -72,9 +72,16 @@ def read_ciphertext(path) -> tuple[np.ndarray, dict]:
         header = json.loads(data[hstart : hstart + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerialError(f"{path}: unreadable header: {exc}") from exc
-    slots = header.get("slots")
+    if not isinstance(header, dict):
+        raise SerialError(f"{path}: header must be a JSON object")
+    slots = _count(path, header, "slots")
+    depth = header.get("depth")
+    if type(depth) is not int or depth < 0:
+        raise SerialError(f"{path}: 'depth' must be a non-negative integer, got {depth!r}")
+    if not isinstance(header.get("layout"), (list, type(None))):
+        raise SerialError(f"{path}: 'layout' must be null or a list, got {header['layout']!r}")
     payload = data[hstart + hlen :]
-    if slots is None or len(payload) != 8 * slots:
+    if len(payload) != 8 * slots:
         raise SerialError(f"{path}: payload size mismatch")
     vec = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     bad = np.flatnonzero(~np.isfinite(vec))
@@ -92,7 +99,7 @@ def load_ciphertext(engine: SlotEngine, path) -> tuple[Ciphertext, dict]:
         )
     layout = tuple(header["layout"]) if header.get("layout") else None
     vec.flags.writeable = False
-    return Ciphertext(vec, depth=int(header.get("depth", 0)), layout=layout), header
+    return Ciphertext(vec, depth=header["depth"], layout=layout), header
 
 
 def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int) -> None:
@@ -110,11 +117,13 @@ def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int) ->
     )
 
 
-def _count(path, mapping, key: str) -> int:
-    """mapping[key], which must be a positive integer."""
+def _count(path, mapping, key: str, want: int | None = None) -> int:
+    """mapping[key], which must be a positive integer (equal to ``want`` if given)."""
     value = mapping.get(key) if isinstance(mapping, dict) else None
     if type(value) is not int or value < 1:
         raise SerialError(f"{path}: {key!r} must be a positive integer, got {value!r}")
+    if want is not None and value != want:
+        raise SerialError(f"{path}: {key!r} is {value}, expected {want}")
     return value
 
 
@@ -206,8 +215,9 @@ def write_model(directory, model: EncodedModel) -> int:
 
 
 def load_model(engine: SlotEngine, directory) -> EncodedModel:
-    """Load a model directory; a manifest key that is missing or of the
-    wrong type raises SerialError."""
+    """Load a model directory; a manifest key that is missing, of the wrong
+    type, or disagrees with the network shape or the loaded file count
+    raises SerialError."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -220,15 +230,15 @@ def load_model(engine: SlotEngine, directory) -> EncodedModel:
         raise SerialError(f"{manifest_path}: manifest must be a JSON object")
     layout = _layout(f"{manifest_path}: 'layout'", manifest.get("layout"))
     shape = ImageShape(layout.h, layout.w)
-    k = _count(manifest_path, manifest, "kernel_k")
+    k = _count(manifest_path, manifest, "kernel_k", KERNEL_SIZE)
 
     spans = []
-    for ki in range(_count(manifest_path, manifest, "kernel_count")):
+    for ki in range(_count(manifest_path, manifest, "kernel_count", KERNEL_COUNT)):
         cts = [load_ciphertext(engine, p)[0] for p in _span_paths(directory, ki, k)]
         bias_ct, _ = load_ciphertext(engine, directory / f"kernel{ki}_bias{CT_SUFFIX}")
         spans.append(KernelSpan(cts, bias_ct, k, shape))
 
-    return EncodedModel(
+    model = EncodedModel(
         kernel_spans=spans,
         fc1=_load_fc(engine, directory, manifest_path, manifest, "fc1"),
         fc2=_load_fc(engine, directory, manifest_path, manifest, "fc2"),
@@ -236,3 +246,5 @@ def load_model(engine: SlotEngine, directory) -> EncodedModel:
         act2=_coefficients(manifest_path, manifest, "act2"),
         layout=layout,
     )
+    _count(manifest_path, manifest, "ciphertext_count", model.ciphertext_count)
+    return model

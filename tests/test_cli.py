@@ -12,7 +12,7 @@ from packedhe.datafiles import save_weights_csv
 from packedhe.engine import EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
 from packedhe.pipeline import pack_batch
-from packedhe.serial import load_model, write_batch
+from packedhe.serial import MAGIC, load_model, write_batch
 from packedhe.virtual import VirtualLayout
 
 from test_datafiles import write_idx_images
@@ -176,7 +176,7 @@ def test_cloud_infer_rejects_nan_slot(workspace, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("fc2_block_p", None), ("kernel_k", "3"), ("fc1_chunks", True), ("layout", [32, 1024, 28, 28]),
-     ("act1", [0.0, 1.0, float("nan"), 0.0])],
+     ("act1", [0.0, 1.0, float("nan"), 0.0]), ("kernel_k", 2), ("ciphertext_count", 51)],
 )
 def test_cloud_infer_rejects_bad_manifest(workspace, capsys, key, value):
     tmp, idx, weights_dir, _, _ = workspace
@@ -194,6 +194,29 @@ def test_cloud_infer_rejects_bad_manifest(workspace, capsys, key, value):
     assert rc == 1
     err = capsys.readouterr().err
     assert key in err and "manifest.json" in err
+
+
+@pytest.mark.parametrize(
+    "header", [[], {"layout": 5}, {"depth": -3}, {"depth": "x"}],
+    ids=["list", "int-layout", "negative-depth", "string-depth"],
+)
+def test_cloud_infer_rejects_bad_ct_header(workspace, capsys, header):
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model = tmp / "b9", tmp / "m9"
+    main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "32"])
+    main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
+    victim = sorted(batches.glob("*.simct"))[0]
+    data = victim.read_bytes()
+    start = len(MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+    if isinstance(header, dict):
+        header = {**json.loads(data[start : start + hlen]), **header}
+    blob = json.dumps(header).encode()
+    victim.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + data[start + hlen :])
+    rc = main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(tmp / "h.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert victim.name in err and "Traceback" not in err
 
 
 def test_cloud_infer_rejects_batch_layout_mismatch(workspace, capsys):

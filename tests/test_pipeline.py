@@ -1,9 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from packedhe.conv import Kernel
 from packedhe.encoding import Encoding, MatrixShape, PackedMatrix, encode_db
-from packedhe.engine import EngineError, LayoutError
+from packedhe.engine import EngineError, LayoutError, OpMeter
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
 from packedhe.pipeline import (
     BatchPlan,
@@ -241,7 +243,9 @@ def test_forward_random_batch_oracle_agreement(rng):
     ct = pack_batch(eng, imgs)
     model = encode_model(eng, weights)
     stage_meters = {}
+    before = eng.meter_snapshot()
     scores = forward_encoded(eng, ct, model, stage_meters=stage_meters)
+    total = eng.meter_snapshot().delta_since(before)
     got = scores.decode(eng)[:, :10]
     want = oracle_forward(weights, imgs)
     assert got.shape == (32, 10)
@@ -251,6 +255,7 @@ def test_forward_random_batch_oracle_agreement(rng):
     assert eng.meter_snapshot().max_depth == PIPELINE_DEPTH
     assert set(stage_meters) == {"conv", "act1", "flatten", "fc1", "act2", "fc2"}
     assert stage_meters["conv"].mul_count == KERNEL_COUNT * 9
+    assert reduce(OpMeter.merged, stage_meters.values()) == total
 
 
 def test_forward_depth_independent_of_content(rng):
