@@ -23,7 +23,7 @@ from .encoding import (
     sum_col_vec,
     sum_row_vec,
 )
-from .matmul import MatmulPlan, build_result_filter, matmul, matmul_tiled, row_shifter
+from .matmul import MatmulPlan, build_result_filter, matmul, matmul_chunked, matmul_tiled, row_shifter
 from .conv import (
     ImageShape,
     Kernel,

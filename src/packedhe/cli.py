@@ -20,7 +20,7 @@ import numpy as np
 
 from .bench import format_report
 from .datafiles import IdxFormatError, load_mnist_idx, load_weights_csv
-from .engine import EngineError, EngineParams, SlotEngine
+from .engine import EngineError, EngineParams, OpMeter, SlotEngine
 from .oracle import oracle_forward
 from .pipeline import (
     BatchPlan,
@@ -113,8 +113,9 @@ def _available_cpus() -> int:
 def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> list:
     """Run forward over batch files against one shared model.
 
-    Each batch gets its own engine, so the meters can be merged afterwards;
-    results come back in batch_paths order.
+    Each batch gets its own engine, so the meters (the pass total and the
+    per-stage ones) can be merged afterwards; results come back in
+    batch_paths order.
     """
 
     def job(path):
@@ -122,11 +123,23 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
         ct, layout, valid = load_batch(engine, path)
         if layout != model.layout:
             raise SerialError(f"{path}: batch layout {layout} differs from the model's {model.layout}")
-        scores = forward_encoded(engine, ct, model)
-        return scores.decode(engine), argmax_decide(engine, scores), valid, engine.meter_snapshot()
+        stages = {}
+        scores = forward_encoded(engine, ct, model, stage_meters=stages)
+        return scores.decode(engine), argmax_decide(engine, scores), valid, engine.meter_snapshot(), stages
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, batch_paths))
+
+
+def _ops_json(meter: OpMeter) -> dict:
+    return {
+        "add": meter.add_count,
+        "mul": meter.mul_count,
+        "cmul": meter.cmul_count,
+        "rot": meter.rot_count,
+        "enc": meter.enc_count,
+        "max_depth": meter.max_depth,
+    }
 
 
 def _cmd_cloud_infer(args) -> int:
@@ -143,9 +156,12 @@ def _cmd_cloud_infer(args) -> int:
     results = _infer_batches(params, model, batch_paths, workers)
 
     records = []
-    merged = None
-    for mat, labels, valid, meter in results:
-        merged = meter if merged is None else merged.merged(meter)
+    merged = OpMeter()
+    stage_totals = {}
+    for mat, labels, valid, meter, stages in results:
+        merged = merged.merged(meter)
+        for name, spent in stages.items():
+            stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
         for row in range(valid):
             records.append(
                 {
@@ -176,14 +192,8 @@ def _cmd_cloud_infer(args) -> int:
         report = {
             "batches": len(results),
             "predictions": len(records),
-            "ops": {
-                "add": merged.add_count,
-                "mul": merged.mul_count,
-                "cmul": merged.cmul_count,
-                "rot": merged.rot_count,
-                "enc": merged.enc_count,
-                "max_depth": merged.max_depth,
-            },
+            "ops": _ops_json(merged),
+            "stages": {name: _ops_json(spent) for name, spent in stage_totals.items()},
         }
         Path(args.report).write_text(json.dumps(report, indent=2))
         print(f"wrote op-meter report to {args.report}")

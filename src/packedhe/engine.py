@@ -75,19 +75,32 @@ class EngineParams:
 
     @classmethod
     def from_config(cls, path) -> "EngineParams":
-        """Load parameters from a JSON file (keys: slots, logq, logn, delta, delta_c)."""
-        raw = json.loads(Path(path).read_text())
+        """Load parameters from a JSON object file (integer keys: slots, logq,
+        logn, delta, delta_c).  Anything else raises EngineError naming the
+        file."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise EngineError(f"{path}: unreadable config: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise EngineError(f"{path}: engine config must be a JSON object, got {type(raw).__name__}")
         known = {"slots", "logq", "logn", "delta", "delta_c"}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise EngineError(f"unknown config keys in {path}: {unknown}")
-        return cls(
-            slots=int(raw.get("slots", 32768)),
-            log_q=int(raw.get("logq", 1200)),
-            log_n=int(raw["logn"]) if "logn" in raw else None,
-            delta=int(raw.get("delta", 45)),
-            delta_c=int(raw.get("delta_c", 20)),
-        )
+        for key, value in raw.items():
+            if type(value) is not int:
+                raise EngineError(f"{path}: config key {key!r} must be an integer, got {value!r}")
+        try:
+            return cls(
+                slots=raw.get("slots", 32768),
+                log_q=raw.get("logq", 1200),
+                log_n=raw.get("logn"),
+                delta=raw.get("delta", 45),
+                delta_c=raw.get("delta_c", 20),
+            )
+        except EngineError as exc:
+            raise EngineError(f"{path}: {exc}") from exc
 
 
 @dataclass

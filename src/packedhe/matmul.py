@@ -5,7 +5,10 @@ in the revolver layout (row r = column r mod p of B); iteration idx cycles
 that layout up by idx+1 rows, multiplies slot-wise with A, collapses each
 row to its sum, and a one-hot-per-row filter keeps exactly the result
 entry that iteration produced.  Rotation/mask costs per iteration are
-constant, and so is the multiplicative depth.
+constant, and so is the multiplicative depth.  A product whose inner
+dimension is split across several ciphertexts adds the chunk products of
+each iteration before the row sum, so it still pays one row sum per
+iteration.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ __all__ = [
     "row_shifter",
     "build_result_filter",
     "matmul",
+    "matmul_chunked",
     "matmul_tiled",
 ]
 
@@ -119,6 +123,79 @@ def build_result_filter(engine: SlotEngine, m: int, n: int, p: int, idx: int) ->
     return engine.mask(grid.reshape(-1), role="filter")
 
 
+def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> MatmulPlan:
+    """Check one (A, revolver B) operand pair and plan its product."""
+    if ct_a.encoding not in _LEFT_TAGS:
+        raise LayoutError("left operand must be row-major/database encoded")
+    if ct_bbar.encoding is not Encoding.REVOLVER or ct_bbar.revolve_p is None:
+        raise LayoutError("right operand must be revolver encoded")
+    m, n = ct_a.shape.m, ct_a.shape.n
+    if ct_bbar.shape.n != n:
+        raise LayoutError(
+            f"operand widths differ: A is {n} wide, encoded B is {ct_bbar.shape.n}"
+        )
+    plan = MatmulPlan.plan(engine, m, n, ct_bbar.revolve_p)
+    if ct_bbar.shape.m != plan.layout_m:
+        raise LayoutError(
+            f"revolver operand tiled to {ct_bbar.shape.m} rows; "
+            f"this product needs target_m={plan.layout_m}"
+        )
+    return plan
+
+
+def matmul_chunked(
+    engine: SlotEngine,
+    a_chunks: Sequence[PackedMatrix],
+    b_chunks: Sequence[PackedMatrix],
+    init: Ciphertext | None = None,
+) -> PackedMatrix:
+    """Sum of products A_c * B_c over inner-dimension chunks, in one loop.
+
+    Row summation and the result filter are linear, so each iteration adds
+    the C chunk products of its row cycle first and then pays for one row
+    sum (2*log2(n) rotations), one filter and one accumulate: only the row
+    cycles and the ct-ct multiplies scale with C.
+
+    Args:
+        a_chunks: C left operands, each m x n (row-major or database layout).
+        b_chunks: C revolver encodings of n x p right operands, tiled to
+            max(m, p) rows; every pair shares m, n and p.
+        init: optional accumulator seed (e.g. a packed bias), added once.
+
+    Returns:
+        PackedMatrix over the working layout; entry (i, j) of the m x p
+        sum sits at slot i*n + j and every slot outside that block decodes
+        to zero.
+    """
+    if not a_chunks or len(a_chunks) != len(b_chunks):
+        raise LayoutError(
+            f"need one right operand per left chunk (at least one), "
+            f"got {len(a_chunks)} and {len(b_chunks)}"
+        )
+    plans = {_plan_product(engine, a, b) for a, b in zip(a_chunks, b_chunks)}
+    if len(plans) != 1:
+        shapes = sorted((pl.m, pl.n, pl.p) for pl in plans)
+        raise LayoutError(f"chunks disagree on (m, n, p): {shapes}")
+    (plan,) = plans
+    p, n, rows = plan.p, plan.n, plan.layout_m
+    work_shape = MatrixShape(rows, n)
+
+    acc = init if init is not None else engine.enc([])
+    for idx in range(p):
+        with engine.scope("matmul.row_cycle"):
+            prod = None
+            for ct_a, ct_bbar in zip(a_chunks, b_chunks):
+                term = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
+                prod = term if prod is None else engine.add(prod, term)
+        with engine.scope("matmul.row_sum"):
+            sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR))
+        with engine.scope("matmul.result_filter"):
+            kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), sums.ct)
+        with engine.scope("matmul.accumulate"):
+            acc = engine.add(acc, kept)
+    return PackedMatrix(acc, work_shape, Encoding.ROW_MAJOR)
+
+
 def matmul(
     engine: SlotEngine,
     ct_a: PackedMatrix,
@@ -126,6 +203,8 @@ def matmul(
     init: Ciphertext | None = None,
 ) -> PackedMatrix:
     """Homomorphic product of a row-major A with a revolver-encoded B.
+
+    The one-chunk case of :func:`matmul_chunked`.
 
     Args:
         ct_a: m x n left operand (row-major or database layout).
@@ -138,36 +217,7 @@ def matmul(
         product sits at slot i*n + j and every slot outside that block
         decodes to zero.
     """
-    if ct_a.encoding not in _LEFT_TAGS:
-        raise LayoutError("left operand must be row-major/database encoded")
-    if ct_bbar.encoding is not Encoding.REVOLVER or ct_bbar.revolve_p is None:
-        raise LayoutError("right operand must be revolver encoded")
-    m, n = ct_a.shape.m, ct_a.shape.n
-    p = ct_bbar.revolve_p
-    if ct_bbar.shape.n != n:
-        raise LayoutError(
-            f"operand widths differ: A is {n} wide, encoded B is {ct_bbar.shape.n}"
-        )
-    plan = MatmulPlan.plan(engine, m, n, p)
-    if ct_bbar.shape.m != plan.layout_m:
-        raise LayoutError(
-            f"revolver operand tiled to {ct_bbar.shape.m} rows; "
-            f"this product needs target_m={plan.layout_m}"
-        )
-    rows = plan.layout_m
-    work_shape = MatrixShape(rows, n)
-
-    acc = init if init is not None else engine.enc([])
-    for idx in range(p):
-        with engine.scope("matmul.row_cycle"):
-            prod = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
-        with engine.scope("matmul.row_sum"):
-            sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR))
-        with engine.scope("matmul.result_filter"):
-            kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), sums.ct)
-        with engine.scope("matmul.accumulate"):
-            acc = engine.add(acc, kept)
-    return PackedMatrix(acc, work_shape, Encoding.ROW_MAJOR)
+    return matmul_chunked(engine, [ct_a], [ct_bbar], init)
 
 
 def matmul_tiled(

@@ -10,8 +10,12 @@ ciphertexts then serve directly as the four inner-dimension chunks of the
 first FC product (weight columns are mapped chunk-wise, preserving the
 map-major flatten order).  FC output neurons are evaluated in
 power-of-two blocks no wider than the batch row count, which keeps every
-matmul on its single-rotation row-cycling path, then block results are
-concatenated with one uniform rotation each.
+product on its single-rotation row-cycling path.  Each block is one
+chunked product (``matmul_chunked``): the chunk products are added before
+a single row summation per iteration, so with B blocks, C chunks, p-wide
+blocks and n-slot rows a layer costs B*p*(C + 2*log2 n) + (B - 1)
+rotations, B*p*C ct-ct multiplies and 2*B*p constant multiplies.  Block
+results are concatenated with one uniform rotation each.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ import numpy as np
 from .conv import Kernel
 from .encoding import Encoding, MatrixShape, PackedMatrix, encode_revolver
 from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, is_pow2, next_pow2
-from .matmul import matmul
+from .matmul import matmul_chunked
 from .virtual import VirtualLayout, batched_conv, reform, tile_kernel_span
 
 __all__ = [
@@ -304,19 +308,18 @@ def _encode_fc_tiles(
 def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> PackedMatrix:
     """Evaluate an FC layer given encoded weight tiles.
 
-    Accumulates over input chunks per neuron block, then concatenates the
-    block results with one uniform right rotation per extra block.
+    One chunked product per neuron block, seeded with the block bias: the
+    input chunks' products are added inside each iteration, so a block
+    pays for one row summation per iteration however many chunks it has.
+    Block results are then concatenated with one uniform right rotation
+    per extra block.
     """
     rows = chunks[0].shape.m
     width = chunks[0].shape.n
-    blocks = []
-    for b, row_tiles in enumerate(fc.tiles):
-        acc = None
-        for c, bbar in enumerate(row_tiles):
-            seeded = fc.bias_cts[b] if c == 0 else None
-            r = matmul(engine, chunks[c], bbar, init=seeded)
-            acc = r.ct if acc is None else engine.add(acc, r.ct)
-        blocks.append(acc)
+    blocks = [
+        matmul_chunked(engine, chunks, row_tiles, init=fc.bias_cts[b]).ct
+        for b, row_tiles in enumerate(fc.tiles)
+    ]
     out = blocks[0]
     for b in range(1, len(blocks)):
         out = engine.add(out, engine.rot(blocks[b], -b * fc.block_p))

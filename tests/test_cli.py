@@ -11,12 +11,12 @@ from packedhe.cli import _infer_batches, main
 from packedhe.datafiles import save_weights_csv
 from packedhe.engine import EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
-from packedhe.pipeline import pack_batch
+from packedhe.pipeline import FC1_OUT, KERNEL_COUNT, pack_batch
 from packedhe.serial import MAGIC, load_model, write_batch
 from packedhe.virtual import VirtualLayout
 
 from test_datafiles import write_idx_images
-from test_pipeline import random_weights
+from test_pipeline import fc_counts, fc_shape, random_weights
 
 
 @pytest.fixture
@@ -94,8 +94,15 @@ def test_cloud_infer_end_to_end(workspace):
     got = np.array([r["scores"] for r in records])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
     assert all(r["label"] == int(np.argmax(want[i])) for i, r in enumerate(records))
-    ops = json.loads(report.read_text())["ops"]
+    summary = json.loads(report.read_text())
+    ops, stages = summary["ops"], summary["stages"]
     assert ops["max_depth"] == 13 and ops["rot"] > 0
+    assert list(stages) == ["conv", "act1", "flatten", "fc1", "act2", "fc2"]
+    for key in ("add", "mul", "cmul", "rot", "enc"):
+        assert sum(s[key] for s in stages.values()) == ops[key]
+    assert max(s["max_depth"] for s in stages.values()) == ops["max_depth"]
+    fc1_rot, _, _ = fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT))
+    assert stages["fc1"]["rot"] == summary["batches"] * fc1_rot
 
 
 def test_cloud_infer_parallel_matches(workspace):
@@ -126,11 +133,11 @@ def test_cloud_infer_parallel_matches(workspace):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert len(got) == len(jobs)
-    for i, (mat, labels, valid, meter) in enumerate(got):
-        w_mat, w_labels, w_valid, w_meter = want[i % len(paths)]
+    for i, (mat, labels, valid, meter, stages) in enumerate(got):
+        w_mat, w_labels, w_valid, w_meter, w_stages = want[i % len(paths)]
         assert mat.tobytes() == w_mat.tobytes()
         np.testing.assert_array_equal(labels, w_labels)
-        assert (valid, meter) == (w_valid, w_meter)
+        assert (valid, meter, stages) == (w_valid, w_meter, w_stages)
 
 
 def test_cloud_infer_verify_flag(workspace):
@@ -281,3 +288,21 @@ def test_cli_engine_config(tmp_path, workspace):
     assert main(["owner-encode", "--images", str(idx), "--out-dir", str(out), "--config", str(cfg)]) == 0
     # 16 images per ciphertext now
     assert len(sorted(out.glob("*.simct"))) == 3
+
+
+@pytest.mark.parametrize(
+    "config", [[], {"slots": 4096.9}, {"slots": True}, {"logq": "12"}],
+    ids=["list", "float-slots", "bool-slots", "string-logq"],
+)
+def test_cli_rejects_bad_engine_config(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(
+        ["cloud-infer", "--config", str(cfg), "--batch-dir", str(tmp_path / "b"),
+         "--model-dir", str(tmp_path / "m"), "--out", str(tmp_path / "o.jsonl")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "Traceback" not in err
+    if config:
+        assert repr(next(iter(config))) in err

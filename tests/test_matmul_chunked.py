@@ -1,0 +1,96 @@
+"""matmul_chunked: one row sum per iteration over C inner-dimension chunks."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from packedhe.encoding import encode_revolver, encode_row_major
+from packedhe.engine import LayoutError, next_pow2
+from packedhe.matmul import matmul, matmul_chunked
+from packedhe.oracle import oracle_matmul
+
+from conftest import make_engine, rand_int_matrix
+from test_matmul import encode_pair
+from test_scopes import MATMUL_SCOPES, matmul_shapes
+
+
+def run_chunked(slots, a_mats, b_mats):
+    """Encode each (A_c, B_c) pair and run one chunked product; returns the
+    engine, the output and the call's meter delta."""
+    eng = make_engine(slots)
+    pairs = [encode_pair(eng, a, b) for a, b in zip(a_mats, b_mats)]
+    before = eng.meter_snapshot()
+    out = matmul_chunked(eng, [a for a, _ in pairs], [b for _, b in pairs])
+    return eng, out, eng.meter_snapshot().delta_since(before)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=matmul_shapes(), chunks=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_matmul_chunked_sums_chunk_products(shape, chunks, seed):
+    m, n, p, slots = shape
+    rng = np.random.default_rng(seed)
+    a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
+    b_mats = [rand_int_matrix(rng, n, p) for _ in range(chunks)]
+    eng, out, call = run_chunked(slots, a_mats, b_mats)
+
+    width = out.shape.n
+    want = np.zeros(slots)
+    block = sum(oracle_matmul(a, b) for a, b in zip(a_mats, b_mats))
+    for i in range(m):
+        want[i * width : i * width + p] = block[i]
+    np.testing.assert_array_equal(eng.dec(out.ct), want)
+
+    # C = 1 is matmul itself: same output, meter delta and scopes.
+    one_eng, one_out, one_call = run_chunked(slots, a_mats[:1], b_mats[:1])
+    ref = make_engine(slots)
+    ct_a, ct_b = encode_pair(ref, a_mats[0], b_mats[0])
+    before = ref.meter_snapshot()
+    ref_out = matmul(ref, ct_a, ct_b)
+    assert one_call == ref.meter_snapshot().delta_since(before)
+    assert one_eng.scopes == ref.scopes and list(ref.scopes) == MATMUL_SCOPES
+    assert one_eng.dec(one_out.ct).tobytes() == ref.dec(ref_out.ct).tobytes()
+
+    # More chunks only widen the row cycle: C shifts and multiplies, C - 1
+    # adds; the row sum, filter and accumulate are paid once per iteration.
+    single = ref.scopes["matmul.row_cycle"]
+    cycle = eng.scopes["matmul.row_cycle"]
+    assert cycle.rot_count == chunks * single.rot_count
+    assert cycle.mul_count == chunks * single.mul_count
+    assert cycle.cmul_count == chunks * single.cmul_count
+    assert cycle.add_count == chunks * single.add_count + (chunks - 1) * p
+    for name in MATMUL_SCOPES[1:]:
+        assert eng.scopes[name] == ref.scopes[name]
+    assert call.max_depth == one_call.max_depth
+
+
+@st.composite
+def mismatches(draw):
+    """A valid (m, n, p) and one way for a second chunk to disagree with it."""
+    n = 1 << draw(st.integers(1, 4))
+    p = draw(st.integers(1, n))
+    m = draw(st.integers(1, 2 * p + 3))
+    kind = draw(st.sampled_from(["count", "empty", "rows", "width", "p"]))
+    other_p = draw(st.integers(1, n).filter(lambda q: q != p)) if kind == "p" else p
+    return m, n, p, kind, other_p
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=mismatches(), seed=st.integers(0, 2**32 - 1))
+def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
+    m, n, p, kind, other_p = case
+    rng = np.random.default_rng(seed)
+    eng = make_engine(next_pow2(max(m + 1, p) * 2 * n))
+    a0, b0 = encode_pair(eng, rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, p))
+    if kind == "count":
+        a_chunks, b_chunks = [a0], [b0, b0]
+    elif kind == "empty":
+        a_chunks, b_chunks = [], []
+    else:
+        rows = m + 1 if kind == "rows" else m
+        width = 2 * n if kind == "width" else n
+        a1 = encode_row_major(eng, rand_int_matrix(rng, rows, width))
+        b1 = encode_revolver(eng, rand_int_matrix(rng, width, other_p), target_m=max(rows, other_p))
+        a_chunks, b_chunks = [a0, a1], [b0, b1]
+    with pytest.raises(LayoutError):
+        matmul_chunked(eng, a_chunks, b_chunks)

@@ -5,11 +5,15 @@ import pytest
 
 from packedhe.conv import Kernel
 from packedhe.encoding import Encoding, MatrixShape, PackedMatrix, encode_db
-from packedhe.engine import EngineError, LayoutError, OpMeter
+from packedhe.engine import EngineError, LayoutError, OpMeter, next_pow2
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
 from packedhe.pipeline import (
     BatchPlan,
     FC1_IN,
+    FC1_OUT,
+    FC2_OUT,
+    IMAGE_SLOTS,
+    IMAGES_PER_CT,
     KERNEL_COUNT,
     PIPELINE_DEPTH,
     ChunkedDataset,
@@ -30,6 +34,23 @@ from conftest import make_engine, rand_int_matrix
 
 ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
+
+
+def fc_shape(out_dim: int, chunks: int) -> tuple:
+    """(blocks B, chunks C, block width p, row width n) of an FC layer at
+    the standard layout: power-of-two neuron blocks no wider than the
+    batch, over image-stride rows."""
+    p = min(next_pow2(out_dim), IMAGES_PER_CT)
+    return next_pow2(out_dim) // p, chunks, p, IMAGE_SLOTS
+
+
+def fc_counts(blocks: int, chunks: int, p: int, n: int) -> tuple:
+    """(rot, mul, cmul) of a fused FC layer: each of the B*p iterations
+    cycles C revolver tiles (one rotation and one multiply each) and pays
+    one 2*log2(n) row sum plus its two filters; B - 1 rotations then
+    concatenate the blocks."""
+    log_n = n.bit_length() - 1
+    return blocks * p * (chunks + 2 * log_n) + blocks - 1, blocks * p * chunks, 2 * blocks * p
 
 
 def random_weights(rng) -> ModelWeights:
@@ -256,6 +277,28 @@ def test_forward_random_batch_oracle_agreement(rng):
     assert set(stage_meters) == {"conv", "act1", "flatten", "fc1", "act2", "fc2"}
     assert stage_meters["conv"].mul_count == KERNEL_COUNT * 9
     assert reduce(OpMeter.merged, stage_meters.values()) == total
+
+
+def test_forward_fused_fc_exact_counts(rng):
+    eng = make_engine(32768)
+    model = encode_model(eng, random_weights(rng))
+    ct = pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28)))
+    stage_meters = {}
+    before = eng.meter_snapshot()
+    forward_encoded(eng, ct, model, stage_meters=stage_meters)
+    total = eng.meter_snapshot().delta_since(before)
+    for name, fc, shape in (
+        ("fc1", model.fc1, fc_shape(FC1_OUT, KERNEL_COUNT)),
+        ("fc2", model.fc2, fc_shape(FC2_OUT, 1)),
+    ):
+        blocks, chunks, p, _ = shape
+        assert (len(fc.tiles), len(fc.tiles[0]), fc.block_p) == (blocks, chunks, p)
+        spent = stage_meters[name]
+        assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
+    assert fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT)) == (1537, 256, 128)
+    assert fc_counts(*fc_shape(FC2_OUT, 1)) == (336, 16, 32)
+    assert (total.rot_count, total.mul_count, total.cmul_count) == (2189, 318, 310)
+    assert total.max_depth == PIPELINE_DEPTH == 13
 
 
 def test_forward_depth_independent_of_content(rng):
