@@ -30,7 +30,7 @@ from .pipeline import (
     forward_encoded,
     pack_batch,
 )
-from .serial import CT_SUFFIX, SerialError, load_batch, load_model, write_batch, write_model
+from .serial import CT_SUFFIX, SerialError, load_indexed_batch, load_model, write_batch, write_model
 from .virtual import VirtualLayout
 
 SCORE_TOLERANCE = 1e-6
@@ -73,9 +73,11 @@ def _cmd_owner_encode(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for b in range(plan.batch_count):
-        chunk = images[b * plan.images_per_ct : (b + 1) * plan.images_per_ct]
+        first = b * plan.images_per_ct
+        chunk = images[first : first + plan.images_per_ct]
         ct = pack_batch(engine, chunk, layout)
-        write_batch(out_dir / f"batch_{b:05d}{CT_SUFFIX}", ct, layout, valid_rows=chunk.shape[0])
+        path = out_dir / f"batch_{b:05d}{CT_SUFFIX}"
+        write_batch(path, ct, layout, valid_rows=chunk.shape[0], first_index=first)
     print(
         f"packed {images.shape[0]} images into {plan.batch_count} batch files "
         f"({plan.images_per_ct} per ciphertext, final batch zero-filled by {plan.zero_fill})"
@@ -115,20 +117,30 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
 
     Each batch gets its own engine, so the meters (the pass total and the
     per-stage ones) can be merged afterwards; results come back in
-    batch_paths order.
+    batch_paths order as (scores, labels, indices, meter, stages), where
+    ``indices`` is the range of dataset image indices of the valid rows.
     """
 
     def job(path):
         engine = SlotEngine(params)
-        ct, layout, valid = load_batch(engine, path)
+        ct, layout, valid, first = load_indexed_batch(engine, path)
         if layout != model.layout:
             raise SerialError(f"{path}: batch layout {layout} differs from the model's {model.layout}")
         stages = {}
         scores = forward_encoded(engine, ct, model, stage_meters=stages)
-        return scores.decode(engine), argmax_decide(engine, scores), valid, engine.meter_snapshot(), stages
+        indices = range(first, first + valid)
+        return scores.decode(engine), argmax_decide(engine, scores), indices, engine.meter_snapshot(), stages
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, batch_paths))
+
+
+def _check_disjoint(batch_paths, index_ranges) -> None:
+    """Reject two batches that claim an overlapping range of image indices."""
+    claims = sorted(zip(index_ranges, batch_paths), key=lambda claim: claim[0].start)
+    for (prev, prev_path), (cur, path) in zip(claims, claims[1:]):
+        if cur.start < prev.stop:
+            raise SerialError(f"{path}: images from index {cur.start} are also claimed by {prev_path}")
 
 
 def _ops_json(meter: OpMeter) -> dict:
@@ -154,30 +166,35 @@ def _cmd_cloud_infer(args) -> int:
     model = load_model(SlotEngine(params), args.model_dir)
     workers = min(len(batch_paths), _available_cpus())
     results = _infer_batches(params, model, batch_paths, workers)
+    _check_disjoint(batch_paths, [indices for _, _, indices, _, _ in results])
 
     records = []
     merged = OpMeter()
     stage_totals = {}
-    for mat, labels, valid, meter, stages in results:
+    for mat, labels, indices, meter, stages in results:
         merged = merged.merged(meter)
         for name, spent in stages.items():
             stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
-        for row in range(valid):
+        for row, index in enumerate(indices):
             records.append(
                 {
-                    "index": len(records),
+                    "index": index,
                     "label": int(labels[row]),
                     "scores": [float(s) for s in mat[row, :10]],
                 }
             )
     if args.verify:
         images, _ = load_mnist_idx(args.images)
-        problem = _oracle_mismatch(
-            np.array([r["scores"] for r in records]),
-            [r["label"] for r in records],
-            load_weights_csv(args.weights_dir),
-            images[: len(records)],
-        )
+        indices = [r["index"] for r in records]
+        if max(indices) >= images.shape[0]:
+            problem = f"predictions reach image {max(indices)} but {args.images} holds {images.shape[0]}"
+        else:
+            problem = _oracle_mismatch(
+                np.array([r["scores"] for r in records]),
+                [r["label"] for r in records],
+                load_weights_csv(args.weights_dir),
+                images[indices],
+            )
         if problem:
             print(f"verification mismatch: {problem}", file=sys.stderr)
             return 2

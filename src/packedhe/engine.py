@@ -72,6 +72,12 @@ class EngineParams:
         if self.log_n is None:
             # ring degree is twice the slot count
             object.__setattr__(self, "log_n", int(math.log2(2 * self.slots)))
+        elif self.log_n < self.slots.bit_length():
+            # 2**log_n >= 2*slots, compared on exponents (slots is a power of two)
+            raise EngineError(
+                f"log_n (config key 'logn') is {self.log_n}, too small for {self.slots} slots: "
+                f"the ring degree 2**log_n must be at least 2*slots, so log_n >= {self.slots.bit_length()}"
+            )
 
     @classmethod
     def from_config(cls, path) -> "EngineParams":
@@ -145,9 +151,23 @@ class OpMeter:
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
-    out.flags.writeable = False
-    return out
+    """Mark a freshly computed float64 array read-only in place.
+
+    Only arrays the engine allocated itself pass through here, so no
+    caller or operand can reach them and no copy is needed.
+    """
+    values.flags.writeable = False
+    return values
+
+
+def _padded(values, slots: int, what: str) -> np.ndarray:
+    """``values`` flattened into the leading slots of a new zero vector."""
+    vec = np.asarray(values, dtype=np.float64).reshape(-1)
+    if vec.size > slots:
+        raise CapacityError(f"{what} {vec.size} exceeds {slots} slots")
+    full = np.zeros(slots, dtype=np.float64)
+    full[: vec.size] = vec
+    return _frozen(full)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,14 +254,10 @@ class SlotEngine:
 
     def enc(self, values, layout: tuple | None = None) -> Ciphertext:
         """Pack ``values`` into the leading slots (zeros elsewhere) at depth 0."""
-        vec = np.asarray(values, dtype=np.float64).reshape(-1)
-        if vec.size > self.slots:
-            raise CapacityError(f"{vec.size} values exceed {self.slots} slots")
-        full = np.zeros(self.slots, dtype=np.float64)
-        full[: vec.size] = vec
+        full = _padded(values, self.slots, "payload")
         self._meter.enc_count += 1
         self._observe(0)
-        return Ciphertext(_frozen(full), depth=0, layout=layout)
+        return Ciphertext(full, depth=0, layout=layout)
 
     def dec(self, ct: Ciphertext) -> np.ndarray:
         """Return the full slot vector (a copy)."""
@@ -275,7 +291,13 @@ class SlotEngine:
         """Cyclic left rotation by ``l`` slots; negative ``l`` rotates right."""
         self._meter.rot_count += 1
         self._observe(ct.depth)
-        return Ciphertext(_frozen(np.roll(ct.slots, -l)), depth=ct.depth, layout=ct.layout)
+        v = ct.slots
+        n = v.size
+        l %= n
+        out = np.empty(n, dtype=np.float64)
+        out[: n - l] = v[l:]
+        out[n - l :] = v[:l]
+        return Ciphertext(_frozen(out), depth=ct.depth, layout=ct.layout)
 
     def meter_snapshot(self) -> OpMeter:
         """Current counters, as an independent copy."""
@@ -295,9 +317,4 @@ class SlotEngine:
 
     def mask(self, values, role: str = "constant") -> PlainMask:
         """Build a full-length PlainMask, zero-padding short inputs."""
-        vec = np.asarray(values, dtype=np.float64).reshape(-1)
-        if vec.size > self.slots:
-            raise CapacityError(f"mask payload {vec.size} exceeds {self.slots} slots")
-        full = np.zeros(self.slots, dtype=np.float64)
-        full[: vec.size] = vec
-        return PlainMask(_frozen(full), role=role)
+        return PlainMask(_padded(values, self.slots, "mask payload"), role=role)

@@ -28,6 +28,7 @@ __all__ = [
     "load_ciphertext",
     "write_batch",
     "load_batch",
+    "load_indexed_batch",
     "write_model",
     "load_model",
 ]
@@ -102,13 +103,16 @@ def load_ciphertext(engine: SlotEngine, path) -> tuple[Ciphertext, dict]:
     return Ciphertext(vec, depth=header["depth"], layout=layout), header
 
 
-def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int) -> None:
+def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int, first_index: int) -> None:
+    """Write an image batch; ``first_index`` is the dataset index of its
+    first image, so the batch's rows are images first_index, first_index+1, ..."""
     write_ciphertext(
         path,
         ct,
         meta={
             "kind": "image-batch",
             "valid_rows": int(valid_rows),
+            "first_index": int(first_index),
             "m": layout.m,
             "f": layout.f,
             "h": layout.h,
@@ -131,7 +135,8 @@ def _layout(path, mapping) -> VirtualLayout:
     return VirtualLayout(*(_count(path, mapping, key) for key in ("m", "f", "h", "w")))
 
 
-def load_batch(engine: SlotEngine, path) -> tuple[Ciphertext, VirtualLayout, int]:
+def load_indexed_batch(engine: SlotEngine, path) -> tuple[Ciphertext, VirtualLayout, int, int]:
+    """Load an image batch as (ct, layout, valid_rows, first_index)."""
     ct, header = load_ciphertext(engine, path)
     meta = header.get("meta", {})
     if not isinstance(meta, dict) or meta.get("kind") != "image-batch":
@@ -140,7 +145,15 @@ def load_batch(engine: SlotEngine, path) -> tuple[Ciphertext, VirtualLayout, int
     valid = _count(path, meta, "valid_rows")
     if valid > layout.m:
         raise SerialError(f"{path}: {valid} valid rows exceed {layout.m} image blocks")
-    return ct, layout, valid
+    first = meta.get("first_index")
+    if type(first) is not int or first < 0:
+        raise SerialError(f"{path}: 'first_index' must be a non-negative integer, got {first!r}")
+    return ct, layout, valid, first
+
+
+def load_batch(engine: SlotEngine, path) -> tuple[Ciphertext, VirtualLayout, int]:
+    """Load an image batch as (ct, layout, valid_rows)."""
+    return load_indexed_batch(engine, path)[:3]
 
 
 def _span_paths(directory: Path, ki: int, k: int) -> list:

@@ -153,6 +153,40 @@ def test_cloud_infer_verify_flag(workspace):
     )
 
 
+def test_cloud_infer_missing_batch_keeps_indices(workspace, rng):
+    # a middle batch file gone: the others keep their own image indices
+    tmp, idx40, weights_dir, _, _ = workspace
+    images = rng.integers(0, 256, size=(72, 28, 28)).astype(np.uint8)
+    idx = tmp / "images72.idx"
+    write_idx_images(idx, images)
+    batches, model = tmp / "b10", tmp / "m10"
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches)]) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)]) == 0
+    (batches / "batch_00001.simct").unlink()
+    out = tmp / "gap.jsonl"
+    args = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out)]
+    assert main(args + ["--verify", "--images", str(idx), "--weights-dir", str(weights_dir)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["index"] for r in records] == list(range(32)) + list(range(64, 72))
+    # the 40-image file lacks images 64..71, so the cross-check cannot pass
+    assert main(args + ["--verify", "--images", str(idx40), "--weights-dir", str(weights_dir)]) == 2
+
+
+def test_cloud_infer_rejects_overlapping_batches(workspace, capsys):
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model = tmp / "b11", tmp / "m11"
+    main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "32"])
+    main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
+    copy = batches / "batch_00007.simct"
+    copy.write_bytes((batches / "batch_00000.simct").read_bytes())
+    out = tmp / "dup.jsonl"
+    rc = main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "batch_00000" in err and copy.name in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cloud_infer_corrupt_batch(workspace, capsys):
     tmp, idx, weights_dir, _, _ = workspace
     batches, model = tmp / "b4", tmp / "m4"
@@ -235,7 +269,7 @@ def test_cloud_infer_rejects_batch_layout_mismatch(workspace, capsys):
     eng = SlotEngine()
     batches.mkdir()
     victim = batches / "batch_00000.simct"
-    write_batch(victim, pack_batch(eng, images[:16] / 255.0, layout), layout, valid_rows=16)
+    write_batch(victim, pack_batch(eng, images[:16] / 255.0, layout), layout, valid_rows=16, first_index=0)
     rc = main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(tmp / "l.jsonl")])
     assert rc == 1
     err = capsys.readouterr().err
@@ -291,8 +325,8 @@ def test_cli_engine_config(tmp_path, workspace):
 
 
 @pytest.mark.parametrize(
-    "config", [[], {"slots": 4096.9}, {"slots": True}, {"logq": "12"}],
-    ids=["list", "float-slots", "bool-slots", "string-logq"],
+    "config", [[], {"slots": 4096.9}, {"slots": True}, {"logq": "12"}, {"logn": 3, "slots": 32768}],
+    ids=["list", "float-slots", "bool-slots", "string-logq", "small-logn"],
 )
 def test_cli_rejects_bad_engine_config(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packedhe.engine import (
     CapacityError,
@@ -186,6 +188,11 @@ def test_params_validation_and_defaults():
     assert (params.slots, params.log_q, params.log_n) == (32768, 1200, 16)
     assert (params.delta, params.delta_c) == (45, 20)
     assert EngineParams(slots=1024).log_n == 11
+    # the ring degree 2**log_n must hold twice the slot count
+    assert EngineParams(slots=1024, log_n=12).log_n == 12
+    for log_n in (10, 3, 0, -1):
+        with pytest.raises(EngineError, match="logn"):
+            EngineParams(slots=1024, log_n=log_n)
 
 
 def test_params_from_config(tmp_path):
@@ -197,3 +204,54 @@ def test_params_from_config(tmp_path):
     cfg.write_text(json.dumps({"slots": 64, "bogus": 1}))
     with pytest.raises(EngineError):
         EngineParams.from_config(cfg)
+    cfg.write_text(json.dumps({"slots": 32768, "logn": 3}))
+    with pytest.raises(EngineError) as err:
+        EngineParams.from_config(cfg)
+    assert str(cfg) in str(err.value) and "'logn'" in str(err.value)
+
+
+@st.composite
+def slots_and_offset(draw):
+    """A power-of-two slot count in [2, 4096] and a rotation offset that
+    may be 0, negative, +-slots or beyond a full turn."""
+    slots = 2 ** draw(st.integers(1, 12))
+    edges = [0, 1, -1, slots, -slots, slots - 1, 1 - slots, slots + 1, -slots - 1, 2 * slots, -3 * slots + 1]
+    l = draw(st.one_of(st.sampled_from(edges), st.integers(-3 * slots, 3 * slots)))
+    return slots, l
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=slots_and_offset(), seed=st.integers(0, 2**32 - 1))
+def test_primitive_results_are_fresh_read_only_values(case, seed):
+    slots, l = case
+    rng = np.random.default_rng(seed)
+    eng = make_engine(slots)
+    payload = rng.integers(-9, 9, slots).astype(np.float64)
+    short = rng.integers(-9, 9, int(rng.integers(0, slots + 1)))  # int, zero-padded by enc
+    bits = rng.integers(0, 2, slots).astype(np.float64)
+    a, b = eng.enc(payload), eng.enc(short)
+    mask = eng.mask(bits, role="filter")
+
+    rotated = eng.rot(a, l)
+    assert rotated.slots.tobytes() == np.roll(payload, -l).tobytes()
+
+    results = [
+        (a.slots, [payload]),
+        (b.slots, [short]),
+        (mask.values, [bits]),
+        (rotated.slots, [a.slots]),
+        (eng.add(a, b).slots, [a.slots, b.slots]),
+        (eng.mul(a, b).slots, [a.slots, b.slots]),
+        (eng.cmul(mask, a).slots, [mask.values, a.slots]),
+    ]
+    for out, operands in results:
+        assert out.dtype == np.float64 and out.shape == (slots,)
+        assert not out.flags.writeable
+        assert not any(np.shares_memory(out, op) for op in operands)
+
+    # the stored vectors are copies: later writes to the inputs do not reach them
+    a_before, mask_before = a.slots.copy(), mask.values.copy()
+    payload += 1.0
+    bits[:] = 1.0 - bits
+    np.testing.assert_array_equal(a.slots, a_before)
+    np.testing.assert_array_equal(mask.values, mask_before)

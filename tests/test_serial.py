@@ -6,6 +6,7 @@ from packedhe.serial import (
     SerialError,
     load_batch,
     load_ciphertext,
+    load_indexed_batch,
     load_model,
     read_ciphertext,
     write_batch,
@@ -63,10 +64,24 @@ def test_batch_round_trip(tmp_path, rng):
     lay = VirtualLayout(4, 16, 3, 4)
     ct = pack_batch(eng, rng.uniform(0, 1, size=(3, 3, 4)), lay)
     path = tmp_path / "batch.simct"
-    write_batch(path, ct, lay, valid_rows=3)
+    write_batch(path, ct, lay, valid_rows=3, first_index=96)
     ct2, lay2, valid = load_batch(eng, path)
     assert lay2 == lay and valid == 3
     np.testing.assert_array_equal(eng.dec(ct2), eng.dec(ct))
+    assert load_indexed_batch(eng, path)[1:] == (lay, 3, 96)
+
+
+@pytest.mark.parametrize("first_index", [None, -1, 2.0, "0", True])
+def test_batch_rejects_bad_first_index(tmp_path, first_index):
+    eng = make_engine(64)
+    lay = VirtualLayout(4, 16, 3, 4)
+    meta = {"kind": "image-batch", "valid_rows": 3, "m": 4, "f": 16, "h": 3, "w": 4}
+    if first_index is not None:
+        meta["first_index"] = first_index
+    path = tmp_path / "batch.simct"
+    write_ciphertext(path, pack_batch(eng, np.zeros((3, 3, 4)), lay), meta=meta)
+    with pytest.raises(SerialError, match="first_index"):
+        load_batch(eng, path)
 
 
 def test_model_round_trip_and_count(tmp_path, rng):

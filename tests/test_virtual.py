@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packedhe.conv import Kernel
-from packedhe.engine import EngineError, LayoutError
+from packedhe.engine import EngineError, LayoutError, OpMeter
 from packedhe.oracle import oracle_conv
 from packedhe.pipeline import pack_batch
 from packedhe.virtual import (
@@ -187,3 +189,89 @@ def test_reform_block_too_large():
     lay = VirtualLayout(1, 16, 3, 3)
     with pytest.raises(EngineError):
         reform(eng, eng.enc(np.ones(9)), lay, 4, 2)
+
+
+@st.composite
+def layouts(draw, min_side=1, margin_k=1):
+    """A VirtualLayout of up to 8 blocks whose images (sides >= min_side)
+    leave the (k-1)*(w+1) pad margin batched convolution needs when m > 1."""
+    m = 2 ** draw(st.integers(0, 3))
+    h = draw(st.integers(min_side, 8))
+    w = draw(st.integers(min_side, 8))
+    need = h * w + (margin_k - 1) * (w + 1) if m > 1 else h * w
+    f = 2 ** draw(st.integers(max(need - 1, 1).bit_length(), 8))
+    return VirtualLayout(m, f, h, w)
+
+
+def junk_padded(rng, layout):
+    """Random integer images with junk in every pad slot: the (m, f) grid
+    and the (m, h, w) images it holds.  Masked junk may come back as -0.0,
+    so results are compared by value."""
+    grid = rng.integers(-9, 10, size=(layout.m, layout.f)).astype(np.float64)
+    return grid, grid[:, : layout.image_slots].reshape(layout.m, layout.h, layout.w)
+
+
+def call_delta(eng, fn, *args):
+    before = eng.meter_snapshot()
+    out = fn(eng, *args)
+    return out, eng.meter_snapshot().delta_since(before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_vrot_property(layout, data, seed):
+    rng = np.random.default_rng(seed)
+    eng = make_engine(layout.m * layout.f)
+    grid, _ = junk_padded(rng, layout)
+    hw = layout.image_slots
+    r = data.draw(st.integers(0, hw - 1), label="r")
+    out, delta = call_delta(eng, vrot, eng.enc(grid.reshape(-1)), layout, r)
+    want = np.zeros_like(grid)
+    want[:, :hw] = np.roll(grid[:, :hw], -r, axis=1)
+    np.testing.assert_array_equal(eng.dec(out), want.reshape(-1))
+    assert delta == OpMeter(add_count=1, cmul_count=2, rot_count=2, max_depth=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_reform_property(layout, data, seed):
+    rng = np.random.default_rng(seed)
+    eng = make_engine(layout.m * layout.f)
+    grid, images = junk_padded(rng, layout)
+    out_h = data.draw(st.integers(1, layout.h), label="out_h")
+    out_w = data.draw(st.integers(1, layout.w), label="out_w")
+    (out, new_layout), delta = call_delta(eng, reform, eng.enc(grid.reshape(-1)), layout, out_h, out_w)
+    want = np.zeros_like(grid)
+    want[:, : out_h * out_w] = images[:, :out_h, :out_w].reshape(layout.m, -1)
+    np.testing.assert_array_equal(eng.dec(out), want.reshape(-1))
+    assert new_layout == VirtualLayout(layout.m, layout.f, out_h, out_w)
+    assert (delta.cmul_count, delta.rot_count, delta.add_count, delta.mul_count) == (out_h, out_h - 1, out_h - 1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_batched_conv_property(k, data, seed):
+    layout = data.draw(layouts(min_side=2 * k - 1, margin_k=k), label="layout")
+    rng = np.random.default_rng(seed)
+    kern = Kernel(rand_int_matrix(rng, k, k), bias=float(rng.integers(-3, 4)))
+    grid, images = junk_padded(rng, layout)
+
+    def run(m):
+        lay = VirtualLayout(m, layout.f, layout.h, layout.w)
+        eng = make_engine(m * layout.f)
+        span = tile_kernel_span(eng, kern, lay)
+        out, delta = call_delta(eng, batched_conv, eng.enc(grid[:m].reshape(-1)), lay, span)
+        return eng.dec(out).reshape(m, layout.f), delta
+
+    got, delta = run(layout.m)
+    out_h, out_w = layout.h - k + 1, layout.w - k + 1
+    for b in range(layout.m):
+        want = np.zeros(layout.f)
+        valid = np.zeros((layout.h, layout.w))
+        valid[:out_h, :out_w] = oracle_conv(images[b], kern.weights, kern.bias)
+        want[: layout.image_slots] = valid.reshape(-1)
+        np.testing.assert_array_equal(got[b], want)
+    # one pass of the k*k loop whatever the batch size
+    assert delta == run(1)[1]
+    kk = k * k
+    assert (delta.mul_count, delta.rot_count, delta.cmul_count, delta.add_count) == (kk, 2 * k * kk, kk, (2 * k - 1) * kk)
