@@ -80,7 +80,7 @@ def mismatches(draw):
 def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
     m, n, p, kind, other_p = case
     rng = np.random.default_rng(seed)
-    eng = make_engine(next_pow2(max(m + 1, p) * 2 * n))
+    eng = make_engine(next_pow2(max(m + 1, p, other_p) * 2 * n))
     a0, b0 = encode_pair(eng, rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, p))
     if kind == "count":
         a_chunks, b_chunks = [a0], [b0, b0]
