@@ -39,15 +39,9 @@ __all__ = ["main"]
 
 
 def _engine_params(args) -> EngineParams:
-    params = EngineParams.from_config(args.config) if args.config else EngineParams()
-    if args.slots is not None:
-        params = EngineParams(
-            slots=args.slots,
-            log_q=params.log_q,
-            delta=params.delta,
-            delta_c=params.delta_c,
-        )
-    return params
+    # --slots is checked on its own first, so a bad value is not blamed on the config file
+    params = EngineParams() if args.slots is None else EngineParams(slots=args.slots)
+    return EngineParams.from_config(args.config, slots=args.slots) if args.config else params
 
 
 def _batch_layout(params: EngineParams) -> VirtualLayout:
@@ -117,8 +111,9 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
 
     Each batch gets its own engine, so the meters (the pass total and the
     per-stage ones) can be merged afterwards; results come back in
-    batch_paths order as (scores, labels, indices, meter, stages), where
-    ``indices`` is the range of dataset image indices of the valid rows.
+    batch_paths order as (scores, labels, indices, meter, stages, offsets),
+    where ``indices`` is the range of dataset image indices of the valid
+    rows and ``offsets`` the engine's distinct rotation offsets.
     """
 
     def job(path):
@@ -129,7 +124,8 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
         stages = {}
         scores = forward_encoded(engine, ct, model, stage_meters=stages)
         indices = range(first, first + valid)
-        return scores.decode(engine), argmax_decide(engine, scores), indices, engine.meter_snapshot(), stages
+        meter = engine.meter_snapshot()
+        return scores.decode(engine), argmax_decide(engine, scores), indices, meter, stages, engine.rot_offsets
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, batch_paths))
@@ -166,13 +162,15 @@ def _cmd_cloud_infer(args) -> int:
     model = load_model(SlotEngine(params), args.model_dir)
     workers = min(len(batch_paths), _available_cpus())
     results = _infer_batches(params, model, batch_paths, workers)
-    _check_disjoint(batch_paths, [indices for _, _, indices, _, _ in results])
+    _check_disjoint(batch_paths, [indices for _, _, indices, *_ in results])
 
     records = []
     merged = OpMeter()
     stage_totals = {}
-    for mat, labels, indices, meter, stages in results:
+    rot_offsets = set()
+    for mat, labels, indices, meter, stages, offsets in results:
         merged = merged.merged(meter)
+        rot_offsets |= offsets
         for name, spent in stages.items():
             stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
         for row, index in enumerate(indices):
@@ -210,6 +208,7 @@ def _cmd_cloud_infer(args) -> int:
             "batches": len(results),
             "predictions": len(records),
             "ops": _ops_json(merged),
+            "rot_keys": len(rot_offsets),
             "stages": {name: _ops_json(spent) for name, spent in stage_totals.items()},
         }
         Path(args.report).write_text(json.dumps(report, indent=2))
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EngineError, SerialError, IdxFormatError, FileNotFoundError, ValueError) as exc:
+    except (EngineError, SerialError, IdxFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ from .engine import (
     CapacityError,
     Ciphertext,
     EngineError,
+    LayoutError,
     SlotEngine,
     is_pow2,
 )
@@ -147,25 +148,38 @@ def sum_row_vec(engine: SlotEngine, pm: PackedMatrix) -> PackedMatrix:
     return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)
 
 
-def sum_col_vec(engine: SlotEngine, pm: PackedMatrix) -> PackedMatrix:
+def sum_col_vec(
+    engine: SlotEngine, pm: PackedMatrix, width: int | None = None, cols: int | None = None
+) -> PackedMatrix:
     """Replace every entry of row i with the sum of row i.
 
     Rotate-and-add cascade leaves the true row sum in column 0 of each row
     (other columns mix across row boundaries); a filter keeps column 0 per
     row block before the replication cascade spreads it back across the
     row.  Costs 2*log2(n) rotations and one cmul.
+
+    FC row sum: ``width`` and ``cols`` cut both cascades to the lanes that
+    matter.  The collapse adds only the first ``width`` entries of each row
+    (ceil(log2 width) steps) and the spread fills only the first ``cols``
+    columns (ceil(log2 cols) steps; columns from next_pow2(cols) on decode
+    to zero).  The sum is exact only if every entry of a row at or past
+    column ``width`` is zero, as in an FC product whose weight tiles are
+    zero past the layer's input width.  Both default to n, the full row sum.
     """
     m, n = pm.shape.m, pm.shape.n
     if not is_pow2(n):
         raise EngineError(f"sum_col_vec requires a power-of-two column count, got {n}")
-    steps = n.bit_length() - 1
+    width = n if width is None else width
+    cols = n if cols is None else cols
+    if not (1 <= width <= n and 1 <= cols <= n):
+        raise LayoutError(f"row sum over width {width} into {cols} columns needs both in [1, {n}]")
     ct = pm.ct
-    for t in range(steps):
+    for t in range((width - 1).bit_length()):
         ct = engine.add(ct, engine.rot(ct, 1 << t))
     col0 = np.zeros((m, n), dtype=np.float64)
     col0[:, 0] = 1.0
     ct = engine.cmul(engine.mask(col0.reshape(-1), role="filter"), ct)
-    for t in range(steps):
+    for t in range((cols - 1).bit_length()):
         ct = engine.add(ct, engine.rot(ct, -(1 << t)))
     return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)
 

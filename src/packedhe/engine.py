@@ -80,13 +80,14 @@ class EngineParams:
             )
 
     @classmethod
-    def from_config(cls, path) -> "EngineParams":
+    def from_config(cls, path, slots: int | None = None) -> "EngineParams":
         """Load parameters from a JSON object file (integer keys: slots, logq,
         logn, delta, delta_c).  Anything else raises EngineError naming the
-        file."""
+        file.  ``slots``, if given, replaces the file's slot count; an absent
+        ``logn`` is then derived from it."""
         try:
             raw = json.loads(Path(path).read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise EngineError(f"{path}: unreadable config: {exc}") from exc
         if not isinstance(raw, dict):
             raise EngineError(f"{path}: engine config must be a JSON object, got {type(raw).__name__}")
@@ -99,7 +100,7 @@ class EngineParams:
                 raise EngineError(f"{path}: config key {key!r} must be an integer, got {value!r}")
         try:
             return cls(
-                slots=raw.get("slots", 32768),
+                slots=raw.get("slots", 32768) if slots is None else slots,
                 log_q=raw.get("logq", 1200),
                 log_n=raw.get("logn"),
                 delta=raw.get("delta", 45),
@@ -230,13 +231,16 @@ class SlotEngine:
 
     Ciphertexts and masks are immutable values and can be shared freely
     between workers; each worker should own its engine and the meters can
-    be combined afterwards with :meth:`OpMeter.merged`.
+    be combined afterwards with :meth:`OpMeter.merged`.  ``rot_offsets`` is
+    the set of distinct rotation offsets (mod slots) used so far: the
+    rotation keys a real backend would need.
     """
 
     def __init__(self, params: EngineParams | None = None):
         self.params = params if params is not None else EngineParams()
         self._meter = OpMeter()
         self.scopes: dict = {}
+        self.rot_offsets: set = set()
 
     @property
     def slots(self) -> int:
@@ -294,6 +298,7 @@ class SlotEngine:
         v = ct.slots
         n = v.size
         l %= n
+        self.rot_offsets.add(l)
         out = np.empty(n, dtype=np.float64)
         out[: n - l] = v[l:]
         out[n - l :] = v[:l]

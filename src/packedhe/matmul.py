@@ -8,7 +8,8 @@ entry that iteration produced.  Rotation/mask costs per iteration are
 constant, and so is the multiplicative depth.  A product whose inner
 dimension is split across several ciphertexts adds the chunk products of
 each iteration before the row sum, so it still pays one row sum per
-iteration.
+iteration; an FC product whose weights are zero past a known input width
+also cuts that row sum to the width and the p result columns.
 """
 
 from dataclasses import dataclass
@@ -148,19 +149,27 @@ def matmul_chunked(
     a_chunks: Sequence[PackedMatrix],
     b_chunks: Sequence[PackedMatrix],
     init: Ciphertext | None = None,
+    width: int | None = None,
 ) -> PackedMatrix:
     """Sum of products A_c * B_c over inner-dimension chunks, in one loop.
 
     Row summation and the result filter are linear, so each iteration adds
     the C chunk products of its row cycle first and then pays for one row
-    sum (2*log2(n) rotations), one filter and one accumulate: only the row
-    cycles and the ct-ct multiplies scale with C.
+    sum, one filter and one accumulate: only the row cycles and the ct-ct
+    multiplies scale with C.  The row sum costs 2*log2(n) rotations, or
+    ceil(log2 width) + ceil(log2 p) with ``width`` (the FC row sum of
+    :func:`sum_col_vec`), so an iteration costs C + 2*log2(n) rotations,
+    or C + ceil(log2 width) + ceil(log2 p).
 
     Args:
         a_chunks: C left operands, each m x n (row-major or database layout).
         b_chunks: C revolver encodings of n x p right operands, tiled to
             max(m, p) rows; every pair shares m, n and p.
         init: optional accumulator seed (e.g. a packed bias), added once.
+        width: FC row sum.  The result is exact only if every B_c is zero
+            from inner index ``width`` on (A_c may hold anything there);
+            the row sum then collapses over ``width`` and spreads only over
+            the p result columns.  1 <= width <= n, else LayoutError.
 
     Returns:
         PackedMatrix over the working layout; entry (i, j) of the m x p
@@ -179,6 +188,7 @@ def matmul_chunked(
     (plan,) = plans
     p, n, rows = plan.p, plan.n, plan.layout_m
     work_shape = MatrixShape(rows, n)
+    cols = None if width is None else p
 
     acc = init if init is not None else engine.enc([])
     for idx in range(p):
@@ -188,7 +198,7 @@ def matmul_chunked(
                 term = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
                 prod = term if prod is None else engine.add(prod, term)
         with engine.scope("matmul.row_sum"):
-            sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR))
+            sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), width, cols)
         with engine.scope("matmul.result_filter"):
             kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), sums.ct)
         with engine.scope("matmul.accumulate"):

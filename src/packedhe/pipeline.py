@@ -12,10 +12,13 @@ map-major flatten order).  FC output neurons are evaluated in
 power-of-two blocks no wider than the batch row count, which keeps every
 product on its single-rotation row-cycling path.  Each block is one
 chunked product (``matmul_chunked``): the chunk products are added before
-a single row summation per iteration, so with B blocks, C chunks, p-wide
-blocks and n-slot rows a layer costs B*p*(C + 2*log2 n) + (B - 1)
-rotations, B*p*C ct-ct multiplies and 2*B*p constant multiplies.  Block
-results are concatenated with one uniform rotation each.
+a single row summation per iteration.  The weight tiles are zero past the
+layer's input width w (676 for FC-1, the 64 FC-1 outputs for FC-2), so
+that row sum collapses over ceil(log2 w) steps and spreads over the
+log2 p result columns.  With B blocks, C chunks and p-wide blocks a layer
+costs B*p*(C + ceil(log2 w) + log2 p) + (B - 1) rotations, B*p*C ct-ct
+multiplies and 2*B*p constant multiplies.  Block results are concatenated
+with one uniform rotation each.
 """
 
 from dataclasses import dataclass
@@ -167,6 +170,11 @@ class FcTiles:
     bias_cts: list
     block_p: int
 
+    @property
+    def out_width(self) -> int:
+        """Leading slots of each row the layer's output may occupy."""
+        return len(self.tiles) * self.block_p
+
 
 @dataclass(frozen=True, eq=False)
 class EncodedModel:
@@ -305,19 +313,21 @@ def _encode_fc_tiles(
     return FcTiles(tiles, bias_cts, block_p)
 
 
-def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> PackedMatrix:
+def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles, in_width: int) -> PackedMatrix:
     """Evaluate an FC layer given encoded weight tiles.
 
     One chunked product per neuron block, seeded with the block bias: the
     input chunks' products are added inside each iteration, so a block
     pays for one row summation per iteration however many chunks it has.
-    Block results are then concatenated with one uniform right rotation
-    per extra block.
+    ``in_width`` is the layer's input width: every weight tile is zero past
+    it (``_encode_fc_tiles`` pads with zeros), so the row sum only folds
+    over it and spreads over the block's p columns.  Block results are then
+    concatenated with one uniform right rotation per extra block.
     """
     rows = chunks[0].shape.m
     width = chunks[0].shape.n
     blocks = [
-        matmul_chunked(engine, chunks, row_tiles, init=fc.bias_cts[b]).ct
+        matmul_chunked(engine, chunks, row_tiles, init=fc.bias_cts[b], width=in_width).ct
         for b, row_tiles in enumerate(fc.tiles)
     ]
     out = blocks[0]
@@ -341,7 +351,7 @@ def fc_layer(engine: SlotEngine, x, weight, bias) -> PackedMatrix:
     else:
         data = x
     fc = _encode_fc_tiles(engine, weight, bias, data.rows, data.chunk_width, data.valid_widths)
-    return _fc_from_tiles(engine, data.chunks, fc)
+    return _fc_from_tiles(engine, data.chunks, fc, max(data.valid_widths))
 
 
 def encode_model(
@@ -382,12 +392,12 @@ def forward_encoded(
     with engine.scope("flatten", stage_meters):
         data = flatten_maps(engine, maps, layout, out_h, out_w)
     with engine.scope("fc1", stage_meters):
-        hidden = _fc_from_tiles(engine, data.chunks, model.fc1)
+        hidden = _fc_from_tiles(engine, data.chunks, model.fc1, max(data.valid_widths))
     with engine.scope("act2", stage_meters):
         activated = poly_activation(engine, hidden.ct, model.act2)
         hidden = PackedMatrix(activated, hidden.shape, Encoding.DATABASE)
     with engine.scope("fc2", stage_meters):
-        scores = _fc_from_tiles(engine, [hidden], model.fc2)
+        scores = _fc_from_tiles(engine, [hidden], model.fc2, model.fc1.out_width)
     return scores
 
 

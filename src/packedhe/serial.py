@@ -71,7 +71,7 @@ def read_ciphertext(path) -> tuple[np.ndarray, dict]:
         raise SerialError(f"{path}: truncated header")
     try:
         header = json.loads(data[hstart : hstart + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SerialError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise SerialError(f"{path}: header must be a JSON object")
@@ -237,7 +237,7 @@ def load_model(engine: SlotEngine, directory) -> EncodedModel:
         raise SerialError(f"missing model manifest: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SerialError(f"{manifest_path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise SerialError(f"{manifest_path}: manifest must be a JSON object")

@@ -7,11 +7,11 @@ import threading
 import numpy as np
 import pytest
 
-from packedhe.cli import _infer_batches, main
+from packedhe.cli import _build_parser, _engine_params, _infer_batches, main
 from packedhe.datafiles import save_weights_csv
 from packedhe.engine import EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
-from packedhe.pipeline import FC1_OUT, KERNEL_COUNT, pack_batch
+from packedhe.pipeline import FC1_OUT, KERNEL_COUNT, MAP_FEATURES, pack_batch
 from packedhe.serial import MAGIC, load_model, write_batch
 from packedhe.virtual import VirtualLayout
 
@@ -68,13 +68,22 @@ def test_provider_encode_missing_file(workspace, capsys):
     assert "fc2_bias.csv" in capsys.readouterr().err
 
 
-def test_cloud_infer_end_to_end(workspace):
+def test_cloud_infer_end_to_end(workspace, monkeypatch):
     tmp, idx, weights_dir, weights, images = workspace
     batches, model = tmp / "b", tmp / "m"
     preds = tmp / "preds.jsonl"
     report = tmp / "report.json"
     assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches)]) == 0
     assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)]) == 0
+    # An independent rotation-key count, taken around the engine's own.
+    seen = set()
+    rot = SlotEngine.rot
+
+    def counting_rot(engine, ct, l):
+        seen.add(l % engine.slots)
+        return rot(engine, ct, l)
+
+    monkeypatch.setattr(SlotEngine, "rot", counting_rot)
     assert (
         main(
             [
@@ -101,8 +110,9 @@ def test_cloud_infer_end_to_end(workspace):
     for key in ("add", "mul", "cmul", "rot", "enc"):
         assert sum(s[key] for s in stages.values()) == ops[key]
     assert max(s["max_depth"] for s in stages.values()) == ops["max_depth"]
-    fc1_rot, _, _ = fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT))
-    assert stages["fc1"]["rot"] == summary["batches"] * fc1_rot
+    fc1_rot, _, _ = fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES))
+    assert stages["fc1"]["rot"] == summary["batches"] * fc1_rot == 2 * 1217
+    assert summary["rot_keys"] == len(seen) == 69
 
 
 def test_cloud_infer_parallel_matches(workspace):
@@ -133,11 +143,11 @@ def test_cloud_infer_parallel_matches(workspace):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert len(got) == len(jobs)
-    for i, (mat, labels, valid, meter, stages) in enumerate(got):
-        w_mat, w_labels, w_valid, w_meter, w_stages = want[i % len(paths)]
+    for i, (mat, labels, valid, meter, stages, offsets) in enumerate(got):
+        w_mat, w_labels, w_valid, w_meter, w_stages, w_offsets = want[i % len(paths)]
         assert mat.tobytes() == w_mat.tobytes()
         np.testing.assert_array_equal(labels, w_labels)
-        assert (valid, meter, stages) == (w_valid, w_meter, w_stages)
+        assert (valid, meter, stages, offsets) == (w_valid, w_meter, w_stages, w_offsets)
 
 
 def test_cloud_infer_verify_flag(workspace):
@@ -340,3 +350,40 @@ def test_cli_rejects_bad_engine_config(tmp_path, capsys, config):
     assert str(cfg) in err and "Traceback" not in err
     if config:
         assert repr(next(iter(config))) in err
+
+
+def _params_for(tmp_path, config, *extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return _engine_params(_build_parser().parse_args(["bench", "--config", str(cfg), *extra]))
+
+
+def test_cli_configured_logn_survives_slots_override(tmp_path):
+    params = _params_for(tmp_path, {"logn": 20, "logq": 800}, "--slots", "1024")
+    assert (params.slots, params.log_n, params.log_q) == (1024, 20, 800)
+
+
+def test_cli_unconfigured_logn_follows_final_slots(tmp_path):
+    params = _params_for(tmp_path, {"slots": 32768, "logq": 800}, "--slots", "1024")
+    assert (params.slots, params.log_n, params.log_q) == (1024, 11, 800)
+
+
+def test_cli_rejects_configured_logn_too_small_for_slots(tmp_path, capsys):
+    # logn 11 holds the file's 1024 slots but not the 32768 asked on the command line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"slots": 1024, "logn": 11}))
+    rc = main(["owner-encode", "--config", str(cfg), "--slots", "32768",
+               "--images", str(tmp_path / "none.idx"), "--out-dir", str(tmp_path / "b")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'logn'" in err and str(cfg) in err and "Traceback" not in err
+
+
+def test_cli_bad_slots_flag_not_blamed_on_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"logq": 800}))
+    rc = main(["owner-encode", "--config", str(cfg), "--slots", "1000",
+               "--images", str(tmp_path / "none.idx"), "--out-dir", str(tmp_path / "b")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "1000" in err and str(cfg) not in err and "Traceback" not in err

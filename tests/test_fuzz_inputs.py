@@ -1,0 +1,151 @@
+"""Fuzzing the trust boundary: corrupted batch ciphertexts and IDX files.
+
+Every corruption must end in SerialError / IdxFormatError from the reader
+and in exit code 1 with no traceback from the CLI command that reads it.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from packedhe.cli import main
+from packedhe.datafiles import IdxFormatError, load_idx_images, load_idx_labels, save_weights_csv
+from packedhe.serial import MAGIC, SerialError, read_ciphertext
+
+from test_datafiles import write_idx_images, write_idx_labels
+from test_pipeline import random_weights
+
+SLOTS = ["--slots", "2048"]  # 2 images per batch keeps each CLI run short
+CORRUPTIONS = ["truncate", "magic", "huge_header", "huge_slots", "deep_header", "non_finite"]
+FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """A valid IDX file, a batch written from it and a model, at 2048 slots."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(7)
+    idx = tmp / "images.idx"
+    write_idx_images(idx, rng.integers(0, 256, size=(3, 28, 28)))
+    save_weights_csv(tmp / "weights", random_weights(rng))
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(tmp / "batches"), "--limit", "2"] + SLOTS) == 0
+    assert main(["provider-encode", "--weights-dir", str(tmp / "weights"), "--out-dir", str(tmp / "model")] + SLOTS) == 0
+    (batch,) = sorted((tmp / "batches").glob("*.simct"))
+    return tmp, idx.read_bytes(), batch.read_bytes()
+
+
+def _exits_cleanly(capsys, argv) -> str:
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def _deep_json(draw) -> bytes:
+    """JSON nested past the decoder's recursion limit."""
+    depth = draw(st.integers(10_000, 200_000))
+    return b"[" * depth + b"]" * draw(st.sampled_from([0, depth]))
+
+
+def _corrupt_ciphertext(data: bytes, kind: str, draw) -> bytes:
+    start = len(MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "magic":
+        magic = draw(st.binary(min_size=len(MAGIC), max_size=len(MAGIC)).filter(lambda m: m != MAGIC))
+        return magic + data[len(MAGIC) :]
+    if kind == "huge_header":
+        return data[: len(MAGIC)] + struct.pack("<I", draw(st.integers(len(data), 2**32 - 1))) + data[start:]
+    payload = data[start + hlen :]
+    if kind in ("huge_slots", "deep_header"):
+        header = json.loads(data[start : start + hlen])
+        header["slots"] = draw(st.integers(len(payload) // 8 + 1, 2**62))
+        blob = json.dumps(header).encode() if kind == "huge_slots" else _deep_json(draw)
+        return MAGIC + struct.pack("<I", len(blob)) + blob + payload
+    slot = draw(st.integers(0, len(payload) // 8 - 1))
+    value = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    return data[: start + hlen + 8 * slot] + struct.pack("<d", value) + data[start + hlen + 8 * (slot + 1) :]
+
+
+@FUZZ
+@given(kind=st.sampled_from(CORRUPTIONS), data=st.data())
+def test_corrupt_batch_ciphertext_fails_cleanly(pipeline_files, tmp_path, capsys, kind, data):
+    tmp, _, batch = pipeline_files
+    bad = _corrupt_ciphertext(batch, kind, data.draw)
+    batch_dir = tmp_path / kind
+    batch_dir.mkdir(exist_ok=True)
+    path = batch_dir / "batch_00000.simct"
+    path.write_bytes(bad)
+    with pytest.raises(SerialError, match="batch_00000"):
+        read_ciphertext(path)
+    out = tmp_path / "preds.jsonl"
+    err = _exits_cleanly(
+        capsys,
+        ["cloud-infer", "--batch-dir", str(batch_dir), "--model-dir", str(tmp / "model"), "--out", str(out)] + SLOTS,
+    )
+    assert path.name in err
+    assert not out.exists()
+
+
+def _corrupt_idx(data: bytes, kind: str, fields: int, draw) -> bytes:
+    """Truncate, break the magic or blow up one header count (far past the
+    bytes the file holds) of an IDX file with ``fields`` u32 header words."""
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != data[:4]))
+        return magic + data[4:]
+    field = draw(st.integers(1, fields - 1))
+    count = draw(st.integers(len(data), 2**32 - 1))
+    return data[: 4 * field] + struct.pack(">I", count) + data[4 * (field + 1) :]
+
+
+@FUZZ
+@given(kind=st.sampled_from(["truncate", "magic", "huge_count"]), data=st.data())
+def test_corrupt_idx_images_fail_cleanly(pipeline_files, tmp_path, capsys, kind, data):
+    tmp, idx, _ = pipeline_files
+    path = tmp_path / "images.idx"
+    path.write_bytes(_corrupt_idx(idx, kind, 4, data.draw))
+    with pytest.raises(IdxFormatError, match="images.idx"):
+        load_idx_images(path)
+    _exits_cleanly(capsys, ["owner-encode", "--images", str(path), "--out-dir", str(tmp_path / "b")] + SLOTS)
+    assert not (tmp_path / "b").exists()
+
+
+@FUZZ
+@given(kind=st.sampled_from(["truncate", "magic", "huge_count"]), data=st.data())
+def test_corrupt_idx_labels_fail_cleanly(tmp_path, kind, data):
+    path = tmp_path / "labels.idx"
+    write_idx_labels(path, np.arange(5, dtype=np.uint8))
+    path.write_bytes(_corrupt_idx(path.read_bytes(), kind, 2, data.draw))
+    with pytest.raises(IdxFormatError, match="labels.idx"):
+        load_idx_labels(path)
+
+
+def test_cli_rejects_unreadable_inputs(pipeline_files, tmp_path, capsys):
+    """A directory where a file belongs, and JSON nested past the decoder's
+    recursion limit in a config or a model manifest."""
+    tmp, _, batch = pipeline_files
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 200_000)
+    batches = tmp_path / "batches"
+    batches.mkdir()
+    (batches / "batch_00000.simct").write_bytes(batch)
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "manifest.json").write_bytes(deep.read_bytes())
+    encode = ["owner-encode", "--images", str(tmp / "images.idx"), "--out-dir", str(tmp_path / "b")]
+    infer = ["cloud-infer", "--batch-dir", str(batches), "--out", str(tmp_path / "p.jsonl")] + SLOTS
+    for argv, named in (
+        (["owner-encode", "--images", str(tmp_path), "--out-dir", str(tmp_path / "b")], tmp_path),
+        (encode + ["--config", str(tmp_path)], tmp_path),
+        (encode + ["--config", str(deep)], deep),
+        (infer + ["--model-dir", str(model)], model / "manifest.json"),
+    ):
+        assert str(named) in _exits_cleanly(capsys, argv)

@@ -1,13 +1,14 @@
-"""matmul_chunked: one row sum per iteration over C inner-dimension chunks."""
+"""matmul_chunked: one row sum per iteration over C inner-dimension chunks,
+and the FC row sum over the input width and the p result columns."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packedhe.encoding import encode_revolver, encode_row_major
+from packedhe.encoding import encode_db, encode_revolver, encode_row_major, sum_col_vec
 from packedhe.engine import LayoutError, next_pow2
-from packedhe.matmul import matmul, matmul_chunked
+from packedhe.matmul import MatmulPlan, matmul, matmul_chunked
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -94,3 +95,71 @@ def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
         a_chunks, b_chunks = [a0, a1], [b0, b1]
     with pytest.raises(LayoutError):
         matmul_chunked(eng, a_chunks, b_chunks)
+
+
+@st.composite
+def fc_shapes(draw):
+    """(m, n, p, w, slots): FC-like products with p <= min(m, n), an input
+    width w <= n, and a ciphertext that fits the layout exactly or has
+    slack, so both row-cycle paths occur."""
+    n = 1 << draw(st.integers(0, 5))
+    m = draw(st.integers(1, 9))
+    p = draw(st.integers(1, min(m, n)))
+    w = draw(st.integers(1, n))
+    slack = draw(st.integers(0, 1))
+    return m, n, p, w, next_pow2(max(2, m * n)) << slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=fc_shapes(), chunks=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
+    m, n, p, w, slots = shape
+    rng = np.random.default_rng(seed)
+    # A holds junk past w; B is zero from inner index w on, as FC tiles are.
+    a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
+    b_mats = [rand_int_matrix(rng, n, p) for _ in range(chunks)]
+    for b in b_mats:
+        b[w:] = 0.0
+    eng = make_engine(slots)
+    a_cts = [encode_row_major(eng, a) for a in a_mats]
+    b_cts = [encode_revolver(eng, b, target_m=m) for b in b_mats]
+    before = eng.meter_snapshot()
+    out = matmul_chunked(eng, a_cts, b_cts, width=w)
+    call = eng.meter_snapshot().delta_since(before)
+
+    want = np.zeros(slots)
+    block = sum(oracle_matmul(a, b) for a, b in zip(a_mats, b_mats))
+    for i in range(m):
+        want[i * n : i * n + p] = block[i]
+    np.testing.assert_array_equal(eng.dec(out.ct), want)
+
+    # ceil(log2 w) collapse steps plus ceil(log2 p) spread steps per
+    # iteration; the row cycle costs one rotation per chunk on the fast
+    # path and two on the general path, which also adds a level.
+    fast = MatmulPlan.plan(eng, m, n, p).fast_path
+    row_sum = (w - 1).bit_length() + (p - 1).bit_length()
+    assert eng.scopes["matmul.row_sum"].rot_count == p * row_sum
+    assert call.rot_count == p * (chunks * (1 if fast else 2) + row_sum)
+    assert call.max_depth == (3 if fast else 4)
+
+    # matmul on the same operands keeps the paper's 2*log2(n) row sum.
+    ref = make_engine(slots)
+    ref_out = matmul(ref, encode_row_major(ref, a_mats[0]), encode_revolver(ref, b_mats[0], target_m=m))
+    assert ref.scopes["matmul.row_sum"].rot_count == p * 2 * (n.bit_length() - 1)
+    np.testing.assert_array_equal(ref_out.decode(ref)[:m, :p], oracle_matmul(a_mats[0], b_mats[0]))
+
+
+def test_fc_row_sum_rejects_widths_outside_the_row():
+    eng = make_engine(64)
+    pm = encode_db(eng, np.ones((4, 8)))
+    for width, cols in ((0, 4), (9, 4), (8, 0), (8, 9)):
+        with pytest.raises(LayoutError):
+            sum_col_vec(eng, pm, width, cols)
+    a = encode_row_major(eng, np.ones((4, 8)))
+    b = encode_revolver(eng, np.ones((8, 4)), target_m=4)
+    for width in (0, 9):
+        with pytest.raises(LayoutError):
+            matmul_chunked(eng, [a], [b], width=width)
+    narrow = encode_row_major(eng, np.ones((2, 2)))
+    with pytest.raises(LayoutError):  # p = 4 > n = 2
+        matmul_chunked(eng, [narrow], [encode_revolver(eng, np.ones((2, 4)), target_m=4)], width=2)

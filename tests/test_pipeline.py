@@ -15,6 +15,7 @@ from packedhe.pipeline import (
     IMAGE_SLOTS,
     IMAGES_PER_CT,
     KERNEL_COUNT,
+    MAP_FEATURES,
     PIPELINE_DEPTH,
     ChunkedDataset,
     ModelWeights,
@@ -36,21 +37,23 @@ ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
 
 
-def fc_shape(out_dim: int, chunks: int) -> tuple:
-    """(blocks B, chunks C, block width p, row width n) of an FC layer at
-    the standard layout: power-of-two neuron blocks no wider than the
-    batch, over image-stride rows."""
+def fc_shape(out_dim: int, chunks: int, in_width: int) -> tuple:
+    """(blocks B, chunks C, block width p, row width n, input width w) of an
+    FC layer at the standard layout: power-of-two neuron blocks no wider
+    than the batch, over image-stride rows."""
     p = min(next_pow2(out_dim), IMAGES_PER_CT)
-    return next_pow2(out_dim) // p, chunks, p, IMAGE_SLOTS
+    return next_pow2(out_dim) // p, chunks, p, IMAGE_SLOTS, in_width
 
 
-def fc_counts(blocks: int, chunks: int, p: int, n: int) -> tuple:
+def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int) -> tuple:
     """(rot, mul, cmul) of a fused FC layer: each of the B*p iterations
     cycles C revolver tiles (one rotation and one multiply each) and pays
-    one 2*log2(n) row sum plus its two filters; B - 1 rotations then
+    one FC row sum, ceil(log2 w) collapse steps over the input width plus
+    log2(p) spread steps, and its two filters; B - 1 rotations then
     concatenate the blocks."""
-    log_n = n.bit_length() - 1
-    return blocks * p * (chunks + 2 * log_n) + blocks - 1, blocks * p * chunks, 2 * blocks * p
+    assert w <= n and p <= n
+    row_sum = (w - 1).bit_length() + (p - 1).bit_length()
+    return blocks * p * (chunks + row_sum) + blocks - 1, blocks * p * chunks, 2 * blocks * p
 
 
 def random_weights(rng) -> ModelWeights:
@@ -287,17 +290,18 @@ def test_forward_fused_fc_exact_counts(rng):
     before = eng.meter_snapshot()
     forward_encoded(eng, ct, model, stage_meters=stage_meters)
     total = eng.meter_snapshot().delta_since(before)
-    for name, fc, shape in (
-        ("fc1", model.fc1, fc_shape(FC1_OUT, KERNEL_COUNT)),
-        ("fc2", model.fc2, fc_shape(FC2_OUT, 1)),
-    ):
-        blocks, chunks, p, _ = shape
+    # fc1 reads the 676-slot map prefixes; fc2 reads fc1's B*p outputs.
+    fc1_shape = fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES)
+    fc2_shape = fc_shape(FC2_OUT, 1, model.fc1.out_width)
+    for name, fc, shape in (("fc1", model.fc1, fc1_shape), ("fc2", model.fc2, fc2_shape)):
+        blocks, chunks, p, _, _ = shape
         assert (len(fc.tiles), len(fc.tiles[0]), fc.block_p) == (blocks, chunks, p)
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
-    assert fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT)) == (1537, 256, 128)
-    assert fc_counts(*fc_shape(FC2_OUT, 1)) == (336, 16, 32)
-    assert (total.rot_count, total.mul_count, total.cmul_count) == (2189, 318, 310)
+    assert model.fc1.out_width == next_pow2(FC1_OUT) == 64
+    assert fc_counts(*fc1_shape) == (1217, 256, 128)
+    assert fc_counts(*fc2_shape) == (176, 16, 32)
+    assert (total.rot_count, total.mul_count, total.cmul_count) == (1709, 318, 310)
     assert total.max_depth == PIPELINE_DEPTH == 13
 
 
