@@ -18,12 +18,11 @@ from .encoding import (
     encode_revolver,
     encode_row_major,
     incomplete_col_shift,
-    matrix_from_csv,
     row_shift,
     sum_col_vec,
     sum_row_vec,
 )
-from .matmul import MatmulPlan, build_result_filter, matmul, matmul_chunked, matmul_tiled, row_shifter
+from .matmul import MatmulPlan, build_result_filter, matmul, matmul_chunked, row_shifter
 from .conv import (
     ImageShape,
     Kernel,
@@ -33,7 +32,7 @@ from .conv import (
     kernel_spanner,
     sum_for_conv,
 )
-from .virtual import VirtualLayout, batched_conv, reform, tile_kernel_span, vadd, vmul, vrot
+from .virtual import VirtualLayout, batched_conv, reform, tile_kernel_span, vrot
 from .multicipher import (
     ColumnEncodedImage,
     ColumnEncodedMatrix,
@@ -46,13 +45,11 @@ from .multicipher import (
 )
 from .pipeline import (
     BatchPlan,
-    ChunkedDataset,
     EncodedModel,
     ModelWeights,
     PIPELINE_DEPTH,
     argmax_decide,
     encode_model,
-    fc_layer,
     flatten_maps,
     forward,
     forward_encoded,

@@ -2,9 +2,9 @@
 
 Three roles share the toolkit: the data owner packs and "encrypts"
 (simulated) image batches, the model provider encodes kernels and FC
-weights, and the cloud side runs inference over the packed files.  A
-verify mode recomputes everything with the plaintext oracles and fails
-hard on any mismatch.
+weights, and the cloud side runs inference over the packed files.
+``verify`` runs the three roles in a scratch directory and checks every
+prediction against the plaintext oracle.
 
 Exit codes: 0 success, 1 validation error, 2 verification mismatch.
 """
@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -54,6 +55,8 @@ def _batch_layout(params: EngineParams) -> VirtualLayout:
 
 
 def _cmd_owner_encode(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be non-negative, got {args.limit}")
     params = _engine_params(args)
     engine = SlotEngine(params)
     layout = _batch_layout(params)
@@ -217,33 +220,26 @@ def _cmd_cloud_infer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = _engine_params(args)
-    engine = SlotEngine(params)
-    layout = _batch_layout(params)
-    images, _ = load_mnist_idx(args.images)
-    if args.limit is not None:
-        images = images[: args.limit]
-    if images.shape[0] == 0:
-        print("error: no images to verify", file=sys.stderr)
-        return 1
-    weights = load_weights_csv(args.weights_dir)
-    model = encode_model(engine, weights, layout)
-    plan = BatchPlan.for_dataset(images.shape[0], slots=params.slots, image_slots=layout.f)
-    mismatches = 0
-    index = 0
-    for b in range(plan.batch_count):
-        chunk = images[b * plan.images_per_ct : (b + 1) * plan.images_per_ct]
-        ct = pack_batch(engine, chunk, layout)
-        scores = forward_encoded(engine, ct, model).decode(engine)[: chunk.shape[0], :10]
-        problem = _oracle_mismatch(scores, np.argmax(scores, axis=1), weights, chunk)
-        if problem:
-            mismatches += 1
-            print(f"batch {b}: {problem}", file=sys.stderr)
-        index += chunk.shape[0]
-    if mismatches:
-        print(f"verification FAILED for {mismatches}/{plan.batch_count} batches", file=sys.stderr)
-        return 2
-    print(f"verified {index} images across {plan.batch_count} batches: all scores within {SCORE_TOLERANCE}")
+    """Run the three roles end to end in a scratch directory: owner-encode,
+    provider-encode, then cloud-infer checking every prediction against the
+    plaintext oracle."""
+    # "--flag=value" keeps a value that starts with "-" from reading as a flag
+    engine_flags = [f"--config={args.config}"] if args.config else []
+    engine_flags += [f"--slots={args.slots}"] if args.slots is not None else []
+    limit = [f"--limit={args.limit}"] if args.limit is not None else []
+    with tempfile.TemporaryDirectory(prefix="packedhe-verify-") as tmp:
+        batches, model, out = (Path(tmp) / name for name in ("batches", "model", "predictions.jsonl"))
+        images, weights = f"--images={args.images}", f"--weights-dir={args.weights_dir}"
+        roles = [
+            ["owner-encode", images, f"--out-dir={batches}", *limit],
+            ["provider-encode", weights, f"--out-dir={model}"],
+            ["cloud-infer", f"--batch-dir={batches}", f"--model-dir={model}", f"--out={out}", "--verify", images, weights],
+        ]
+        for argv in roles:
+            step = _build_parser().parse_args(argv + engine_flags)
+            code = step.func(step)
+            if code:
+                return code
     return 0
 
 
@@ -302,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-dir", help="weight CSVs for --verify")
     p.set_defaults(func=_cmd_cloud_infer)
 
-    p = sub.add_parser("verify", help="run both paths end to end and compare")
+    p = sub.add_parser("verify", help="run the three roles end to end against the plaintext oracle")
     common(p)
     p.add_argument("--images", required=True)
     p.add_argument("--weights-dir", required=True)

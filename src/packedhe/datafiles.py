@@ -11,7 +11,8 @@ fixed weights-directory CSV schema:
     fc2_bias.csv                 10 values
     act1.csv, act2.csv           4 coefficients, constant term first
 
-All CSVs are row-major plain decimal.  Pixels are scaled to [0, 1].
+All CSVs are row-major plain decimal and every entry must be finite.
+Pixels are scaled to [0, 1].
 """
 
 import struct
@@ -103,13 +104,16 @@ def _load_csv(directory: Path, name: str, shape: tuple) -> np.ndarray:
     path = directory / name
     if not path.exists():
         raise FileNotFoundError(f"missing weight file: {path}")
-    arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if shape is not None:
-        flat_want = int(np.prod(shape))
-        if arr.size != flat_want:
-            raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")
-        arr = arr.reshape(shape)
-    return arr
+    try:
+        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value {arr.flat[bad[0]]} at entry {bad[0]}")
+    if arr.size != int(np.prod(shape)):
+        raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")
+    return arr.reshape(shape)
 
 
 def load_weights_csv(directory) -> ModelWeights:

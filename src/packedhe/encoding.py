@@ -33,7 +33,6 @@ __all__ = [
     "row_shift",
     "sum_row_vec",
     "sum_col_vec",
-    "matrix_from_csv",
 ]
 
 
@@ -183,7 +182,3 @@ def sum_col_vec(
         ct = engine.add(ct, engine.rot(ct, -(1 << t)))
     return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)
 
-
-def matrix_from_csv(path) -> np.ndarray:
-    """Read a dense matrix from CSV: one row per line, '.' decimal point."""
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)

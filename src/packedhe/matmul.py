@@ -26,7 +26,6 @@ __all__ = [
     "build_result_filter",
     "matmul",
     "matmul_chunked",
-    "matmul_tiled",
 ]
 
 _LEFT_TAGS = (Encoding.ROW_MAJOR, Encoding.DATABASE)
@@ -229,30 +228,3 @@ def matmul(
     """
     return matmul_chunked(engine, [ct_a], [ct_bbar], init)
 
-
-def matmul_tiled(
-    engine: SlotEngine,
-    a_tiles: Sequence[PackedMatrix],
-    b_tiles: Sequence[PackedMatrix],
-    grid: tuple[int, int] | None = None,
-) -> list[PackedMatrix]:
-    """Blockwise product: A split into row blocks, B into column blocks.
-
-    Output tile (i, j) = a_tiles[i] * b_tiles[j]; the list is returned in
-    row-major tile order.  Tiles are independent, so a caller may fan them
-    out to workers and merge the per-worker meters afterwards.
-    """
-    if not a_tiles or not b_tiles:
-        raise LayoutError("tiling needs at least one block per operand")
-    if grid is not None and grid != (len(a_tiles), len(b_tiles)):
-        raise LayoutError(
-            f"tiling descriptor {grid} does not match "
-            f"({len(a_tiles)}, {len(b_tiles)}) blocks"
-        )
-    widths = {t.shape.n for t in a_tiles} | {t.shape.n for t in b_tiles}
-    if len(widths) != 1:
-        raise LayoutError(f"tiles disagree on the shared inner width: {sorted(widths)}")
-    heights = {t.shape.m for t in a_tiles}
-    if len(heights) != 1:
-        raise LayoutError("A row blocks must share one height")
-    return [matmul(engine, a, b) for a in a_tiles for b in b_tiles]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import Kernel
 from .encoding import Encoding, MatrixShape, PackedMatrix, encode_revolver
 from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, is_pow2, next_pow2
 from .matmul import matmul_chunked
@@ -47,14 +46,12 @@ __all__ = [
     "MNIST_LAYOUT",
     "ModelWeights",
     "BatchPlan",
-    "ChunkedDataset",
     "FcTiles",
     "EncodedModel",
     "poly_activation",
     "pack_batch",
     "conv_layer",
     "flatten_maps",
-    "fc_layer",
     "encode_model",
     "forward",
     "forward_encoded",
@@ -135,27 +132,6 @@ class BatchPlan:
             batch_count=batches,
             zero_fill=batches * per_ct - n_images,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class ChunkedDataset:
-    """Dataset rows split column-wise across several packed ciphertexts.
-
-    ``valid_widths[c]`` is the number of meaningful leading slots in each
-    row of chunk c; the logical feature vector is the concatenation of the
-    valid prefixes in chunk order.
-    """
-
-    chunks: list
-    valid_widths: list
-
-    @property
-    def rows(self) -> int:
-        return self.chunks[0].shape.m
-
-    @property
-    def chunk_width(self) -> int:
-        return self.chunks[0].shape.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +221,12 @@ def conv_layer(engine: SlotEngine, ct_x: Ciphertext, layout: VirtualLayout, span
 
 def flatten_maps(
     engine: SlotEngine, map_cts, layout: VirtualLayout, out_h: int, out_w: int
-) -> ChunkedDataset:
+) -> list[PackedMatrix]:
     """Compact each feature map to a contiguous per-image prefix.
 
     The compacted map ciphertexts are the inner-dimension chunks of the
     following FC layer, in map-major order (row-major within a map); the
-    slots after each 676-value prefix are zero padding inside the chunk.
+    slots after each out_h*out_w prefix are zero padding inside the chunk.
     """
     chunks = []
     for ct in map_cts:
@@ -258,7 +234,7 @@ def flatten_maps(
         chunks.append(
             PackedMatrix(flat_ct, MatrixShape(layout.m, layout.f), Encoding.DATABASE)
         )
-    return ChunkedDataset(chunks, [out_h * out_w] * len(map_cts))
+    return chunks
 
 
 def _fc_blocking(m: int, out_dim: int) -> tuple[int, int]:
@@ -336,24 +312,6 @@ def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles, in_width: int) -> Pa
     return PackedMatrix(out, MatrixShape(rows, width), Encoding.ROW_MAJOR)
 
 
-def fc_layer(engine: SlotEngine, x, weight, bias) -> PackedMatrix:
-    """Affine layer: decodes to X @ weight.T + bias per dataset row.
-
-    ``x`` is a single PackedMatrix (row width = weight input count) or a
-    ChunkedDataset whose valid prefixes concatenate to the input vector.
-    """
-    weight = np.atleast_2d(np.asarray(weight, dtype=np.float64))
-    bias = np.asarray(bias, dtype=np.float64).reshape(-1)
-    if bias.shape[0] != weight.shape[0]:
-        raise LayoutError(f"bias has {bias.shape[0]} entries for {weight.shape[0]} outputs")
-    if isinstance(x, PackedMatrix):
-        data = ChunkedDataset([x], [weight.shape[1]])
-    else:
-        data = x
-    fc = _encode_fc_tiles(engine, weight, bias, data.rows, data.chunk_width, data.valid_widths)
-    return _fc_from_tiles(engine, data.chunks, fc, max(data.valid_widths))
-
-
 def encode_model(
     engine: SlotEngine, weights: ModelWeights, layout: VirtualLayout = MNIST_LAYOUT
 ) -> EncodedModel:
@@ -390,9 +348,9 @@ def forward_encoded(
     with engine.scope("act1", stage_meters):
         maps = [poly_activation(engine, ct, model.act1) for ct in maps]
     with engine.scope("flatten", stage_meters):
-        data = flatten_maps(engine, maps, layout, out_h, out_w)
+        chunks = flatten_maps(engine, maps, layout, out_h, out_w)
     with engine.scope("fc1", stage_meters):
-        hidden = _fc_from_tiles(engine, data.chunks, model.fc1, max(data.valid_widths))
+        hidden = _fc_from_tiles(engine, chunks, model.fc1, out_h * out_w)
     with engine.scope("act2", stage_meters):
         activated = poly_activation(engine, hidden.ct, model.act2)
         hidden = PackedMatrix(activated, hidden.shape, Encoding.DATABASE)

@@ -19,8 +19,6 @@ from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine,
 __all__ = [
     "VirtualLayout",
     "vrot",
-    "vadd",
-    "vmul",
     "tile_kernel_span",
     "batched_conv",
     "reform",
@@ -89,23 +87,6 @@ def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> C
     t1 = engine.cmul(_tiled_mask(engine, layout, head, "filter"), engine.rot(ct, r))
     t2 = engine.cmul(_tiled_mask(engine, layout, tail, "filter"), engine.rot(ct, r - hw))
     return engine.add(t1, t2)
-
-
-def _check_same_layout(a: Ciphertext, b: Ciphertext) -> None:
-    if a.layout is not None and b.layout is not None and a.layout != b.layout:
-        raise LayoutError(f"virtual layouts differ: {a.layout} vs {b.layout}")
-
-
-def vadd(engine: SlotEngine, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    """Per-image element-wise sum (the real add already is one)."""
-    _check_same_layout(a, b)
-    return engine.add(a, b)
-
-
-def vmul(engine: SlotEngine, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    """Per-image element-wise product (the real mul already is one)."""
-    _check_same_layout(a, b)
-    return engine.mul(a, b)
 
 
 def tile_kernel_span(engine: SlotEngine, kernel: Kernel, layout: VirtualLayout) -> KernelSpan:

@@ -315,6 +315,53 @@ def test_verify_detects_tampered_weights(workspace):
     assert rc == 2
 
 
+def test_verify_reports_mismatch(workspace, monkeypatch, capsys):
+    tmp, idx, weights_dir, _, _ = workspace
+    monkeypatch.setattr("packedhe.cli.oracle_forward", lambda w, x: oracle_forward(w, x) + 1e-3)
+    assert main(["verify", "--images", str(idx), "--weights-dir", str(weights_dir), "--limit", "32"]) == 2
+    assert "verification mismatch" in capsys.readouterr().err
+
+
+def test_verify_passes_flags_to_the_roles(workspace, capsys):
+    tmp, idx, weights_dir, _, _ = workspace
+    argv = ["verify", "--images", str(idx), "--weights-dir", str(weights_dir), "--slots", "16384", "--limit", "40"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "packed 40 images into 3 batch files (16 per ciphertext" in out
+    assert "verified 40 predictions" in out
+
+
+@pytest.mark.parametrize("command", ["owner-encode", "verify"])
+def test_negative_limit_rejected(workspace, capsys, command):
+    tmp, idx, weights_dir, _, _ = workspace
+    out = tmp / "negative"
+    role = ["--out-dir", str(out)] if command == "owner-encode" else ["--weights-dir", str(weights_dir)]
+    assert main([command, "--images", str(idx), "--limit", "-3", *role]) == 1
+    captured = capsys.readouterr()
+    assert "--limit" in captured.err and "Traceback" not in captured.err
+    assert "packed" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+def test_non_finite_weights_rejected(workspace, capsys, value):
+    """A non-finite weight is a bad input (exit 1), not a failed verification."""
+    tmp, idx, weights_dir, _, _ = workspace
+    bias = weights_dir / "fc2_bias.csv"
+    vals = bias.read_text().strip().split(",")
+    vals[3] = value
+    bias.write_text(",".join(vals) + "\n")
+    model = tmp / "model"
+    for argv in (
+        ["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)],
+        ["verify", "--images", str(idx), "--weights-dir", str(weights_dir), "--limit", "32"],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "fc2_bias.csv" in err and "non-finite" in err and "Traceback" not in err
+    assert not model.exists()
+
+
 def test_bench_report(tmp_path, capsys):
     report = tmp_path / "bench.txt"
     assert main(["bench", "--matmul-grid", "4,4,2;3,4,2", "--conv-grid", "4,4,2", "--report", str(report)]) == 0

@@ -7,7 +7,6 @@ from packedhe.encoding import (
     encode_revolver,
     encode_row_major,
     incomplete_col_shift,
-    matrix_from_csv,
     row_shift,
     sum_col_vec,
     sum_row_vec,
@@ -218,8 +217,3 @@ def test_sum_col_vec_rejects_non_pow2():
     with pytest.raises(EngineError):
         sum_col_vec(eng, encode_db(eng, np.ones((2, 3))))
 
-
-def test_matrix_from_csv(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("1.5,2\n-3,4.25\n")
-    np.testing.assert_array_equal(matrix_from_csv(path), [[1.5, 2], [-3, 4.25]])

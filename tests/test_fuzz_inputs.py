@@ -1,10 +1,13 @@
-"""Fuzzing the trust boundary: corrupted batch ciphertexts and IDX files.
+"""Fuzzing the trust boundary: corrupted batch ciphertexts, IDX files and
+weight CSVs.
 
-Every corruption must end in SerialError / IdxFormatError from the reader
-and in exit code 1 with no traceback from the CLI command that reads it.
+Every corruption must end in SerialError / IdxFormatError / ValueError from
+the reader and in exit code 1 with no traceback from the CLI command that
+reads it.
 """
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -13,7 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from packedhe.cli import main
-from packedhe.datafiles import IdxFormatError, load_idx_images, load_idx_labels, save_weights_csv
+from packedhe.datafiles import (
+    IdxFormatError,
+    load_idx_images,
+    load_idx_labels,
+    load_weights_csv,
+    save_weights_csv,
+)
 from packedhe.serial import MAGIC, SerialError, read_ciphertext
 
 from test_datafiles import write_idx_images, write_idx_labels
@@ -126,6 +135,51 @@ def test_corrupt_idx_labels_fail_cleanly(tmp_path, kind, data):
     path.write_bytes(_corrupt_idx(path.read_bytes(), kind, 2, data.draw))
     with pytest.raises(IdxFormatError, match="labels.idx"):
         load_idx_labels(path)
+
+
+WEIGHT_FILES = [
+    "conv_k0.csv", "conv_bias.csv", "fc1_weight.csv", "fc1_bias.csv",
+    "fc2_weight.csv", "fc2_bias.csv", "act1.csv", "act2.csv",
+]
+NON_FINITE = ["nan", "NaN", "+nan", "inf", "-inf", "Infinity", "1e999", "-1e400"]
+# No digit, no letter of "nan"/"inf", no delimiter, comment mark or blank.
+NON_NUMERIC = "bcdghjklmopqrsuvwxz@$%?!"
+
+
+def _corrupt_weights(text: str, kind: str, draw) -> str:
+    """Drop or add one value of a row, or replace one value with a
+    non-finite or a non-numeric token."""
+    rows = [line.split(",") for line in text.splitlines()]
+    r = draw(st.integers(0, len(rows) - 1))
+    if kind == "drop_value":
+        rows[r].pop()
+    elif kind == "extra_value":
+        rows[r].append(repr(draw(st.floats(-10, 10))))
+    else:
+        c = draw(st.integers(0, len(rows[r]) - 1))
+        token = st.sampled_from(NON_FINITE) if kind == "non_finite" else st.text(NON_NUMERIC, min_size=1, max_size=8)
+        rows[r][c] = draw(token)
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(WEIGHT_FILES),
+    kind=st.sampled_from(["drop_value", "extra_value", "non_finite", "non_numeric"]),
+    data=st.data(),
+)
+def test_corrupt_weight_csv_fails_cleanly(pipeline_files, tmp_path, capsys, name, kind, data):
+    tmp, _, _ = pipeline_files
+    weights = tmp_path / "weights"
+    shutil.copytree(tmp / "weights", weights, dirs_exist_ok=True)
+    victim = weights / name
+    victim.write_text(_corrupt_weights(victim.read_text(), kind, data.draw))
+    with pytest.raises(ValueError, match=name):
+        load_weights_csv(weights)
+    model = tmp_path / "model"
+    err = _exits_cleanly(capsys, ["provider-encode", "--weights-dir", str(weights), "--out-dir", str(model)] + SLOTS)
+    assert name in err
+    assert not model.exists()
 
 
 def test_cli_rejects_unreadable_inputs(pipeline_files, tmp_path, capsys):

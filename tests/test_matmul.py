@@ -3,7 +3,7 @@ import pytest
 
 from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import EngineError, LayoutError
-from packedhe.matmul import MatmulPlan, build_result_filter, matmul, matmul_tiled, row_shifter
+from packedhe.matmul import MatmulPlan, build_result_filter, matmul, row_shifter
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -192,44 +192,3 @@ def test_plan_fast_requires_full_pack():
     eng = make_engine(16)
     assert MatmulPlan.plan(eng, 4, 4, 2).fast_path
     assert not MatmulPlan.plan(eng, 3, 4, 2).fast_path  # 3 % 2 != 0 at any fill
-
-
-def test_matmul_tiled_degenerate_equals_matmul(rng):
-    eng = make_engine(16)
-    a = rand_int_matrix(rng, 4, 4)
-    b = rand_int_matrix(rng, 4, 2)
-    ca, cb = encode_pair(eng, a, b)
-    tiles = matmul_tiled(eng, [ca], [cb], grid=(1, 1))
-    np.testing.assert_array_equal(tiles[0].decode(eng), matmul(eng, ca, cb).decode(eng))
-
-
-def test_matmul_tiled_row_blocks(rng):
-    a = rand_int_matrix(rng, 8, 4)
-    b = rand_int_matrix(rng, 4, 2)
-    eng = make_engine(16)
-    tops = encode_pair(eng, a[:4], b)
-    bots = encode_pair(eng, a[4:], b)
-    out = matmul_tiled(eng, [tops[0], bots[0]], [tops[1]])
-    stacked = np.vstack([out[0].decode(eng)[:4, :2], out[1].decode(eng)[:4, :2]])
-    np.testing.assert_array_equal(stacked, oracle_matmul(a, b))
-
-
-def test_matmul_tiled_col_blocks(rng):
-    a = rand_int_matrix(rng, 4, 4)
-    b = rand_int_matrix(rng, 4, 4)
-    eng = make_engine(16)
-    ca, cb_left = encode_pair(eng, a, b[:, :2])
-    _, cb_right = encode_pair(eng, a, b[:, 2:])
-    out = matmul_tiled(eng, [ca], [cb_left, cb_right])
-    joined = np.hstack([out[0].decode(eng)[:4, :2], out[1].decode(eng)[:4, :2]])
-    np.testing.assert_array_equal(joined, oracle_matmul(a, b))
-
-
-def test_matmul_tiled_rejects_nonconformal(rng):
-    eng = make_engine(64)
-    ca = encode_row_major(eng, rand_int_matrix(rng, 2, 4))
-    cb = encode_revolver(eng, rand_int_matrix(rng, 8, 2), target_m=2)
-    with pytest.raises(LayoutError):
-        matmul_tiled(eng, [ca], [cb])
-    with pytest.raises(LayoutError):
-        matmul_tiled(eng, [ca], [], grid=(1, 0))

@@ -17,12 +17,12 @@ from packedhe.pipeline import (
     KERNEL_COUNT,
     MAP_FEATURES,
     PIPELINE_DEPTH,
-    ChunkedDataset,
     ModelWeights,
+    _encode_fc_tiles,
+    _fc_from_tiles,
     argmax_decide,
     conv_layer,
     encode_model,
-    fc_layer,
     flatten_maps,
     forward,
     forward_encoded,
@@ -166,24 +166,32 @@ def test_flatten_maps_matches_oracle_order(rng):
             img[:6, :6] = maps_plain[c, b]
             grid[b, :64] = img.reshape(-1)
         map_cts.append(eng.enc(grid.reshape(-1)))
-    data = flatten_maps(eng, map_cts, lay, 6, 6)
-    assert data.valid_widths == [36, 36]
+    chunks = flatten_maps(eng, map_cts, lay, 6, 6)
+    assert [chunk.shape for chunk in chunks] == [MatrixShape(4, 128)] * 2
     for b in range(4):
         want = oracle_flatten([maps_plain[0, b], maps_plain[1, b]])
         got = np.concatenate(
-            [chunk.decode(eng)[b, :36] for chunk in data.chunks]
+            [chunk.decode(eng)[b, :36] for chunk in chunks]
         )
         np.testing.assert_array_equal(got, want)
         # bijection: nothing outside the valid prefixes
-        for chunk in data.chunks:
+        for chunk in chunks:
             assert np.count_nonzero(chunk.decode(eng)[b, 36:]) == 0
+
+
+def fc_apply(eng, chunks, widths, weight, bias):
+    """Encode an FC layer against chunks with the given valid prefix widths
+    and evaluate it, as the pipeline does for FC-1 and FC-2."""
+    rows, chunk_width = chunks[0].shape.m, chunks[0].shape.n
+    fc = _encode_fc_tiles(eng, weight, bias, rows, chunk_width, widths)
+    return _fc_from_tiles(eng, chunks, fc, max(widths))
 
 
 def test_fc_layer_identity(rng):
     eng = make_engine(32)
     x = rand_int_matrix(rng, 4, 8)
     pm = encode_db(eng, x)
-    out = fc_layer(eng, pm, np.eye(8), np.zeros(8)).decode(eng)
+    out = fc_apply(eng, [pm], [8], np.eye(8), np.zeros(8)).decode(eng)
     np.testing.assert_array_equal(out[:, :8], x)
 
 
@@ -192,7 +200,7 @@ def test_fc_layer_random_affine(rng):
     x = rand_int_matrix(rng, 4, 8)
     w = rng.uniform(-1, 1, size=(4, 8))
     b = rng.uniform(-1, 1, size=4)
-    out = fc_layer(eng, encode_db(eng, x), w, b).decode(eng)
+    out = fc_apply(eng, [encode_db(eng, x)], [8], w, b).decode(eng)
     np.testing.assert_allclose(out[:, :4], x @ w.T + b, rtol=1e-12, atol=1e-12)
 
 
@@ -205,10 +213,9 @@ def test_fc_layer_chunked_input(rng):
         grid = np.zeros((4, 8))
         grid[:, :width] = part
         chunks.append(PackedMatrix(eng.enc(grid.reshape(-1)), MatrixShape(4, 8), Encoding.DATABASE))
-    data = ChunkedDataset(chunks, [5, 3])
     w = rng.uniform(-1, 1, size=(4, 8))
     b = rng.uniform(-1, 1, size=4)
-    out = fc_layer(eng, data, w, b).decode(eng)
+    out = fc_apply(eng, chunks, [5, 3], w, b).decode(eng)
     x = np.hstack([left, right])
     np.testing.assert_allclose(out[:, :4], x @ w.T + b, rtol=1e-12, atol=1e-12)
 
@@ -219,14 +226,8 @@ def test_fc_layer_blocks_wider_than_rows(rng):
     x = rand_int_matrix(rng, 4, 16)
     w = rng.uniform(-1, 1, size=(8, 16))
     b = rng.uniform(-1, 1, size=8)
-    out = fc_layer(eng, encode_db(eng, x), w, b).decode(eng)
+    out = fc_apply(eng, [encode_db(eng, x)], [16], w, b).decode(eng)
     np.testing.assert_allclose(out[:, :8], x @ w.T + b, rtol=1e-12, atol=1e-12)
-
-
-def test_fc_layer_bias_width_check(rng):
-    eng = make_engine(32)
-    with pytest.raises(LayoutError):
-        fc_layer(eng, encode_db(eng, np.ones((4, 8))), np.ones((4, 8)), np.ones(3))
 
 
 def test_model_weights_validation(rng):
@@ -243,6 +244,17 @@ def test_model_weights_validation(rng):
     )
     with pytest.raises(EngineError):
         bad.validate()
+    short_bias = ModelWeights(
+        conv_kernels=weights.conv_kernels,
+        fc1_weight=weights.fc1_weight,
+        fc1_bias=weights.fc1_bias,
+        fc2_weight=weights.fc2_weight,
+        fc2_bias=np.ones(3),
+        act1=ACT1,
+        act2=ACT2,
+    )
+    with pytest.raises(EngineError, match="fc2 bias"):
+        short_bias.validate()
 
 
 def test_encode_model_ciphertext_count(rng):

