@@ -235,8 +235,9 @@ def _cmd_verify(args) -> int:
             ["provider-encode", weights, f"--out-dir={model}"],
             ["cloud-infer", f"--batch-dir={batches}", f"--model-dir={model}", f"--out={out}", "--verify", images, weights],
         ]
+        parser = _build_parser()
         for argv in roles:
-            step = _build_parser().parse_args(argv + engine_flags)
+            step = parser.parse_args(argv + engine_flags)
             code = step.func(step)
             if code:
                 return code
