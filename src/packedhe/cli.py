@@ -68,11 +68,13 @@ def _cmd_owner_encode(args) -> int:
         return 1
     plan = BatchPlan.for_dataset(images.shape[0], slots=params.slots, image_slots=layout.f)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for b in range(plan.batch_count):
         first = b * plan.images_per_ct
         chunk = images[first : first + plan.images_per_ct]
         ct = pack_batch(engine, chunk, layout)
+        # created once the first batch has packed, so images of the wrong
+        # shape leave no output directory behind
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"batch_{b:05d}{CT_SUFFIX}"
         write_batch(path, ct, layout, valid_rows=chunk.shape[0], first_index=first)
     print(

@@ -16,6 +16,7 @@ Pixels are scaled to [0, 1].
 """
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +106,12 @@ def _load_csv(directory: Path, name: str, shape: tuple) -> np.ndarray:
     if not path.exists():
         raise FileNotFoundError(f"missing weight file: {path}")
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy only warns on a file with no data; make that an error here
+            warnings.simplefilter("error", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except UserWarning:
+        raise ValueError(f"{path}: expected shape {shape}, got no data") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     bad = np.flatnonzero(~np.isfinite(arr))

@@ -6,11 +6,22 @@ multiplicative-depth bookkeeping.  Arithmetic is exact, so every
 higher-level algorithm can be checked against a plaintext reference
 bit-for-bit on integer inputs; a real lattice backend could later satisfy
 the same surface, at which point depth counters map onto rescale levels.
+
+Rotation is lazy.  A ciphertext stores a vector plus a pending left
+offset; ``rot`` meters the rotation and its key at the call, then returns
+a ciphertext that shares the stored vector with the offset advanced, so
+no slot data moves.  ``add``, ``mul`` and ``cmul`` compute in the first
+ciphertext operand's stored frame and read the other operand through the
+relative offset, which pairs every slot with the same two values as an
+eager rotation would, so results are bitwise identical.  This is the
+simulator's form of rotation hoisting (Halevi-Shoup, CRYPTO 2018): the
+rotation's data movement is folded into the operation that consumes it.
 """
 
 import json
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -171,17 +182,66 @@ def _padded(values, slots: int, what: str) -> np.ndarray:
     return _frozen(full)
 
 
-@dataclass(frozen=True, eq=False)
 class Ciphertext:
     """Immutable slot vector plus multiplicative-depth counter.
 
-    ``layout`` is an informational tag (e.g. ("grid", m, n)) set by the
-    packing helpers; it never affects arithmetic.
+    The stored vector holds logical slot j at index ``(j + offset) % n``;
+    ``offset`` is the left rotation still pending from :meth:`SlotEngine.rot`,
+    and ``Ciphertext(vec, depth=..., layout=...)`` builds one with offset 0.
+    ``slots`` is the logical (rotated) vector, read-only and built at most
+    once per ciphertext; it never shares memory with another ciphertext's
+    ``slots``.  ``layout`` is an informational tag (e.g. ("grid", m, n)) set
+    by the packing helpers; it never affects arithmetic.  The public fields
+    are read-only properties; the engine reads the underscored ones, which
+    are plain slots and so cheap to set on every primitive result.
     """
 
-    slots: np.ndarray
-    depth: int = 0
-    layout: tuple | None = None
+    __slots__ = ("_vec", "_offset", "_depth", "_layout", "_view")
+
+    def __init__(self, slots: np.ndarray, depth: int = 0, layout: tuple | None = None):
+        self._vec = slots
+        self._offset = 0
+        self._depth = depth
+        self._layout = layout
+        self._view = slots
+
+    @classmethod
+    def _stored(cls, vec: np.ndarray, offset: int, depth: int, layout, owned: bool) -> "Ciphertext":
+        """A ciphertext over ``vec`` with a pending ``offset``.  ``owned``
+        says ``vec`` is a fresh engine result no other ciphertext stores, so
+        at offset 0 it can serve as ``slots`` itself."""
+        ct = cls(vec, depth, layout)
+        ct._offset = offset
+        ct._view = vec if owned and offset == 0 else None
+        return ct
+
+    offset = property(attrgetter("_offset"), doc="Pending left rotation of the stored vector.")
+    depth = property(attrgetter("_depth"), doc="Multiplicative depth.")
+    layout = property(attrgetter("_layout"), doc="Informational layout tag.")
+
+    @property
+    def slots(self) -> np.ndarray:
+        view = self._view
+        if view is None:
+            v, k = self._vec, self._offset
+            view = _frozen(np.concatenate((v[k:], v[:k])))  # always a new array, even at k = 0
+            # two threads racing here each build an equal view; either may stay
+            self._view = view
+        return view
+
+    def __repr__(self) -> str:
+        return f"Ciphertext(slots={self.slots!r}, depth={self._depth}, layout={self._layout!r})"
+
+
+def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """Fresh read-only ``out[i] = ufunc(x[i], y[(i + d) % n])``."""
+    if d == 0:
+        return _frozen(ufunc(x, y))
+    n = x.size
+    out = np.empty(n, dtype=np.float64)
+    ufunc(x[: n - d], y[d:], out=out[: n - d])
+    ufunc(x[n - d :], y[:d], out=out[n - d :])
+    return _frozen(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +311,7 @@ class SlotEngine:
             self._meter.max_depth = depth
 
     def _check_pair(self, a: Ciphertext, b: Ciphertext) -> None:
-        if a.slots.shape != b.slots.shape or a.slots.size != self.slots:
+        if a._vec.shape != b._vec.shape or a._vec.size != self.slots:
             raise EngineError("operands come from engines with different slot counts")
 
     # -- primitive API -------------------------------------------------
@@ -269,40 +329,45 @@ class SlotEngine:
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_pair(a, b)
-        depth = max(a.depth, b.depth)
+        depth = max(a._depth, b._depth)
         self._meter.add_count += 1
         self._observe(depth)
-        return Ciphertext(_frozen(a.slots + b.slots), depth=depth, layout=a.layout)
+        vec = _combine(np.add, a._vec, b._vec, (b._offset - a._offset) % self.slots)
+        return Ciphertext._stored(vec, a._offset, depth, a._layout, owned=True)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_pair(a, b)
-        depth = max(a.depth, b.depth) + 1
+        depth = max(a._depth, b._depth) + 1
         self._meter.mul_count += 1
         self._observe(depth)
-        return Ciphertext(_frozen(a.slots * b.slots), depth=depth, layout=a.layout)
+        vec = _combine(np.multiply, a._vec, b._vec, (b._offset - a._offset) % self.slots)
+        return Ciphertext._stored(vec, a._offset, depth, a._layout, owned=True)
 
     def cmul(self, mask: PlainMask, ct: Ciphertext) -> Ciphertext:
         if mask.values.size != self.slots:
             raise EngineError(
                 f"mask length {mask.values.size} != slot count {self.slots}"
             )
-        depth = ct.depth + 1  # constant-scale consumption
+        depth = ct._depth + 1  # constant-scale consumption
         self._meter.cmul_count += 1
         self._observe(depth)
-        return Ciphertext(_frozen(mask.values * ct.slots), depth=depth, layout=ct.layout)
+        # in ct's stored frame the mask is read -offset slots along; IEEE
+        # multiplication commutes, so ct * mask equals mask * ct bitwise
+        vec = _combine(np.multiply, ct._vec, mask.values, -ct._offset % self.slots)
+        return Ciphertext._stored(vec, ct._offset, depth, ct._layout, owned=True)
 
     def rot(self, ct: Ciphertext, l: int) -> Ciphertext:
-        """Cyclic left rotation by ``l`` slots; negative ``l`` rotates right."""
+        """Cyclic left rotation by ``l`` slots; negative ``l`` rotates right.
+
+        Metered and keyed here; the result shares ``ct``'s stored vector
+        and only advances the pending offset.
+        """
         self._meter.rot_count += 1
-        self._observe(ct.depth)
-        v = ct.slots
-        n = v.size
+        self._observe(ct._depth)
+        n = ct._vec.size
         l %= n
         self.rot_offsets.add(l)
-        out = np.empty(n, dtype=np.float64)
-        out[: n - l] = v[l:]
-        out[n - l :] = v[:l]
-        return Ciphertext(_frozen(out), depth=ct.depth, layout=ct.layout)
+        return Ciphertext._stored(ct._vec, (ct._offset + l) % n, ct._depth, ct._layout, owned=False)
 
     def meter_snapshot(self) -> OpMeter:
         """Current counters, as an independent copy."""

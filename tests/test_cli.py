@@ -53,6 +53,16 @@ def test_owner_encode_empty_input_fails(workspace):
     assert not out.exists()
 
 
+def test_owner_encode_wrong_image_shape_leaves_no_output(tmp_path, rng, capsys):
+    idx = tmp_path / "small.idx"
+    write_idx_images(idx, rng.integers(0, 256, size=(5, 16, 16)).astype(np.uint8))
+    out = tmp_path / "batches"
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "images are 16x16, layout expects 28x28" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_provider_encode_counts(workspace, capsys):
     tmp, _, weights_dir, _, _ = workspace
     out = tmp / "model"

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from packedhe.engine import (
     OpMeter,
     PlainMask,
 )
+from packedhe.serial import read_ciphertext, write_ciphertext
 
 from conftest import make_engine
 
@@ -255,3 +257,86 @@ def test_primitive_results_are_fresh_read_only_values(case, seed):
     bits[:] = 1.0 - bits
     np.testing.assert_array_equal(a.slots, a_before)
     np.testing.assert_array_equal(mask.values, mask_before)
+
+
+@st.composite
+def lazy_programs(draw):
+    """A slot count in [2, 4096] and up to 12 steps of rot/add/mul/cmul over
+    a growing pool of ciphertexts.  A step names its operands by pool index;
+    "unrot" rotates by minus the operand's pending offset (plus a whole
+    number of turns), so rotation chains that net to 0 come up often."""
+    slots = 2 ** draw(st.integers(1, 12))
+    edges = [0, 1, -1, slots, -slots, 2 * slots, -2 * slots, slots - 1, 1 - slots]
+    offsets = st.one_of(st.sampled_from(edges), st.integers(-2 * slots, 2 * slots))
+    steps, pool = [], 3
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(["rot", "rot", "unrot", "add", "mul", "cmul"]))
+        i, j = draw(st.integers(0, pool - 1)), draw(st.integers(0, pool - 1))
+        arg = draw(offsets) if op == "rot" else draw(st.integers(-1, 1))
+        steps.append((op, i, j, arg, draw(st.booleans())))
+        pool += 1
+    return slots, steps
+
+
+@settings(max_examples=120, deadline=None)
+@given(program=lazy_programs(), seed=st.integers(0, 2**32 - 1))
+def test_lazy_rotation_equals_eager_rotation(program, seed, tmp_path_factory):
+    """Every result, count and rotation key equals a model that rotates
+    eagerly with np.roll; ``slots`` views are read-only and private."""
+    slots, steps = program
+    rng = np.random.default_rng(seed)
+    eng = make_engine(slots)
+    start = [rng.uniform(-1.0, 1.0, slots) for _ in range(3)]
+    pool = [eng.enc(v) for v in start]
+    model = [(v, 0) for v in start]  # (eager slot vector, depth)
+    counts = {"rot": 0, "add": 0, "mul": 0, "cmul": 0}
+    keys = set()
+    for op, i, j, arg, peek in steps:
+        (x, dx), (y, dy) = model[i], model[j]
+        if op in ("rot", "unrot"):
+            l = arg if op == "rot" else -pool[i].offset + arg * slots
+            pool.append(eng.rot(pool[i], l))
+            model.append((np.roll(x, -l), dx))
+            keys.add(l % slots)
+            op = "rot"
+        elif op == "add":
+            pool.append(eng.add(pool[i], pool[j]))
+            model.append((x + y, max(dx, dy)))
+        elif op == "mul":
+            pool.append(eng.mul(pool[i], pool[j]))
+            model.append((x * y, max(dx, dy) + 1))
+        else:
+            consts = rng.integers(-2, 3, slots).astype(np.float64)
+            pool.append(eng.cmul(eng.mask(consts), pool[i]))
+            model.append((consts * x, dx + 1))
+        counts[op] += 1
+        if peek:  # build some views mid-program, so later steps read cached ones
+            assert pool[-1].slots.tobytes() == model[-1][0].tobytes()
+
+    for ct, (want, depth) in zip(pool, model):
+        assert eng.dec(ct).tobytes() == want.tobytes()
+        assert ct.slots.tobytes() == want.tobytes() and ct.depth == depth
+        assert not ct.slots.flags.writeable
+    views = [ct.slots for ct in pool]
+    for a in range(len(views)):
+        for b in range(a + 1, len(views)):
+            assert not np.shares_memory(views[a], views[b])
+    meter = eng.meter_snapshot()
+    assert (meter.rot_count, meter.add_count, meter.mul_count, meter.cmul_count) == (
+        counts["rot"], counts["add"], counts["mul"], counts["cmul"]
+    )
+    assert meter.enc_count == 3 and meter.max_depth == max(d for _, d in model)
+    assert eng.rot_offsets == keys
+
+    # a rotated-then-added result serializes as its rotated slot vector
+    l = int(rng.integers(-2 * slots, 2 * slots + 1))
+    summed = eng.add(eng.rot(pool[0], l), pool[1])
+    path = tmp_path_factory.mktemp("lazy") / "sum.simct"
+    write_ciphertext(path, summed)
+    vec, header = read_ciphertext(path)
+    assert vec.tobytes() == (np.roll(start[0], -l) + start[1]).tobytes()
+    assert header["slots"] == slots and header["depth"] == 0
+    copied = pickle.loads(pickle.dumps(summed))
+    assert copied.slots.tobytes() == vec.tobytes() and copied.depth == summed.depth
+    with pytest.raises(AttributeError):
+        summed.depth = 0  # the public fields are read-only

@@ -9,6 +9,7 @@ reads it.
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,25 @@ def test_corrupt_weight_csv_fails_cleanly(pipeline_files, tmp_path, capsys, name
     model = tmp_path / "model"
     err = _exits_cleanly(capsys, ["provider-encode", "--weights-dir", str(weights), "--out-dir", str(model)] + SLOTS)
     assert name in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("name", WEIGHT_FILES)
+@pytest.mark.parametrize("text", ["", "\n\n", "# no values\n"], ids=["empty", "blank_lines", "comment_only"])
+def test_weight_csv_without_data_fails_cleanly(pipeline_files, tmp_path, capsys, name, text):
+    """A weight file with no values is one error line, not a numpy warning."""
+    tmp, _, _ = pipeline_files
+    weights = tmp_path / "weights"
+    shutil.copytree(tmp / "weights", weights)
+    (weights / name).write_text(text)
+    model = tmp_path / "model"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=name):
+            load_weights_csv(weights)
+        err = _exits_cleanly(capsys, ["provider-encode", "--weights-dir", str(weights), "--out-dir", str(model)] + SLOTS)
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1 and name in err and "expected shape" in err
     assert not model.exists()
 
 
