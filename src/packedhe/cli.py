@@ -4,9 +4,12 @@ Three roles share the toolkit: the data owner packs and "encrypts"
 (simulated) image batches, the model provider encodes kernels and FC
 weights, and the cloud side runs inference over the packed files.
 ``verify`` runs the three roles in a scratch directory and checks every
-prediction against the plaintext oracle.
+prediction against the plaintext oracle.  The one engine parameter is
+``--slots``, the slot count per ciphertext, taken by every role and by
+``verify``.
 
-Exit codes: 0 success, 1 validation error, 2 verification mismatch.
+Exit codes: 0 success, 1 bad input (a usage error or a file or value that
+fails validation), 2 verification mismatch.
 """
 
 import argparse
@@ -25,6 +28,7 @@ from .engine import EngineError, EngineParams, OpMeter, SlotEngine
 from .oracle import oracle_forward
 from .pipeline import (
     BatchPlan,
+    FC2_OUT,
     MNIST_LAYOUT,
     argmax_decide,
     encode_model,
@@ -40,9 +44,7 @@ __all__ = ["main"]
 
 
 def _engine_params(args) -> EngineParams:
-    # --slots is checked on its own first, so a bad value is not blamed on the config file
-    params = EngineParams() if args.slots is None else EngineParams(slots=args.slots)
-    return EngineParams.from_config(args.config, slots=args.slots) if args.config else params
+    return EngineParams() if args.slots is None else EngineParams(slots=args.slots)
 
 
 def _batch_layout(params: EngineParams) -> VirtualLayout:
@@ -183,7 +185,7 @@ def _cmd_cloud_infer(args) -> int:
                 {
                     "index": index,
                     "label": int(labels[row]),
-                    "scores": [float(s) for s in mat[row, :10]],
+                    "scores": [float(s) for s in mat[row, :FC2_OUT]],
                 }
             )
     if args.verify:
@@ -226,8 +228,7 @@ def _cmd_verify(args) -> int:
     provider-encode, then cloud-infer checking every prediction against the
     plaintext oracle."""
     # "--flag=value" keeps a value that starts with "-" from reading as a flag
-    engine_flags = [f"--config={args.config}"] if args.config else []
-    engine_flags += [f"--slots={args.slots}"] if args.slots is not None else []
+    engine_flags = [f"--slots={args.slots}"] if args.slots is not None else []
     limit = [f"--limit={args.limit}"] if args.limit is not None else []
     with tempfile.TemporaryDirectory(prefix="packedhe-verify-") as tmp:
         batches, model, out = (Path(tmp) / name for name in ("batches", "model", "predictions.jsonl"))
@@ -266,32 +267,42 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like any other bad input; 2 is kept for a
+    verification mismatch.  Subparsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="packedhe",
         description="packed-slot homomorphic evaluation toolkit (simulated backend)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="engine parameter JSON (slots, logq, logn, delta, delta_c)")
-        p.add_argument("--slots", type=int, help="override the slot count")
+    def slots(p):
+        p.add_argument(
+            "--slots", type=int, help=f"slots per ciphertext, a power of two >= 2 (default {EngineParams.slots})"
+        )
 
     p = sub.add_parser("owner-encode", help="pack images into simulated batch ciphertext files")
-    common(p)
+    slots(p)
     p.add_argument("--images", required=True, help="IDX image file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--limit", type=int, help="encode only the first N images")
     p.set_defaults(func=_cmd_owner_encode)
 
     p = sub.add_parser("provider-encode", help="encode model weights for evaluation")
-    common(p)
+    slots(p)
     p.add_argument("--weights-dir", required=True, help="directory of weight CSV files")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_provider_encode)
 
     p = sub.add_parser("cloud-infer", help="run inference over packed batches")
-    common(p)
+    slots(p)
     p.add_argument("--batch-dir", required=True)
     p.add_argument("--model-dir", required=True)
     p.add_argument("--out", required=True, help="predictions output (JSON lines)")
@@ -302,14 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cloud_infer)
 
     p = sub.add_parser("verify", help="run the three roles end to end against the plaintext oracle")
-    common(p)
+    slots(p)
     p.add_argument("--images", required=True)
     p.add_argument("--weights-dir", required=True)
     p.add_argument("--limit", type=int)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="measured vs budgeted operation counts")
-    common(p)
     p.add_argument("--matmul-grid", help='semicolon-separated "m,n,p" triples')
     p.add_argument("--conv-grid", help='semicolon-separated "h,w,k" triples')
     p.add_argument("--report", help="also write the table to this file")

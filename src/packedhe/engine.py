@@ -18,11 +18,8 @@ simulator's form of rotation hoisting (Halevi-Shoup, CRYPTO 2018): the
 rotation's data movement is folded into the operation that consumes it.
 """
 
-import json
-import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -64,61 +61,16 @@ def next_pow2(x: int) -> int:
 
 @dataclass(frozen=True)
 class EngineParams:
-    """Engine configuration.
-
-    Only ``slots`` affects simulated arithmetic; the remaining fields are
-    budget metadata mirroring a packed-lattice parameterization (log2
-    ciphertext modulus, log2 ring degree, scale exponents).
+    """Engine configuration: the number of plaintext slots per ciphertext,
+    a power of two >= 2.  It is the only parameter the simulated arithmetic
+    reads; a real lattice backend would take its ring degree as 2 * slots.
     """
 
     slots: int = 32768
-    log_q: int = 1200
-    log_n: int | None = None
-    delta: int = 45
-    delta_c: int = 20
 
     def __post_init__(self):
         if not is_pow2(self.slots) or self.slots < 2:
             raise EngineError(f"slots must be a power of two >= 2, got {self.slots}")
-        if self.log_n is None:
-            # ring degree is twice the slot count
-            object.__setattr__(self, "log_n", int(math.log2(2 * self.slots)))
-        elif self.log_n < self.slots.bit_length():
-            # 2**log_n >= 2*slots, compared on exponents (slots is a power of two)
-            raise EngineError(
-                f"log_n (config key 'logn') is {self.log_n}, too small for {self.slots} slots: "
-                f"the ring degree 2**log_n must be at least 2*slots, so log_n >= {self.slots.bit_length()}"
-            )
-
-    @classmethod
-    def from_config(cls, path, slots: int | None = None) -> "EngineParams":
-        """Load parameters from a JSON object file (integer keys: slots, logq,
-        logn, delta, delta_c).  Anything else raises EngineError naming the
-        file.  ``slots``, if given, replaces the file's slot count; an absent
-        ``logn`` is then derived from it."""
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise EngineError(f"{path}: unreadable config: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise EngineError(f"{path}: engine config must be a JSON object, got {type(raw).__name__}")
-        known = {"slots", "logq", "logn", "delta", "delta_c"}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise EngineError(f"unknown config keys in {path}: {unknown}")
-        for key, value in raw.items():
-            if type(value) is not int:
-                raise EngineError(f"{path}: config key {key!r} must be an integer, got {value!r}")
-        try:
-            return cls(
-                slots=raw.get("slots", 32768) if slots is None else slots,
-                log_q=raw.get("logq", 1200),
-                log_n=raw.get("logn"),
-                delta=raw.get("delta", 45),
-                delta_c=raw.get("delta_c", 20),
-            )
-        except EngineError as exc:
-            raise EngineError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from packedhe.cli import _build_parser, _engine_params, _infer_batches, main
+from packedhe.cli import _infer_batches, main
 from packedhe.datafiles import save_weights_csv
 from packedhe.engine import EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
@@ -381,66 +381,51 @@ def test_bench_report(tmp_path, capsys):
     assert "undercounts" in report.read_text()
 
 
-def test_cli_engine_config(tmp_path, workspace):
-    tmp, idx, _, _, _ = workspace
-    cfg = tmp_path / "engine.json"
-    cfg.write_text(json.dumps({"slots": 16384}))
-    out = tmp_path / "half"
-    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(out), "--config", str(cfg)]) == 0
-    # 16 images per ciphertext now
-    assert len(sorted(out.glob("*.simct"))) == 3
+@pytest.mark.parametrize("value", ["1000", "0", "-4"])
+def test_cli_rejects_bad_slots_flag(tmp_path, capsys, value):
+    out = tmp_path / "b"
+    rc = main(["owner-encode", f"--slots={value}", "--images", str(tmp_path / "none.idx"), "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"got {value}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# the least each subcommand takes, so an extra flag is the only usage error
+REQUIRED = {
+    "owner-encode": ["--images", "i.idx", "--out-dir", "b"],
+    "provider-encode": ["--weights-dir", "w", "--out-dir", "m"],
+    "cloud-infer": ["--batch-dir", "b", "--model-dir", "m", "--out", "p.jsonl"],
+    "verify": ["--images", "i.idx", "--weights-dir", "w"],
+    "bench": [],
+}
 
 
 @pytest.mark.parametrize(
-    "config", [[], {"slots": 4096.9}, {"slots": True}, {"logq": "12"}, {"logn": 3, "slots": 32768}],
-    ids=["list", "float-slots", "bool-slots", "string-logq", "small-logn"],
+    "argv",
+    [
+        ["owner-encode", "--images", "x"],
+        *([command, *required, "--config", "engine.json"] for command, required in REQUIRED.items()),
+        ["bench", "--slots", "1024"],
+        [],
+    ],
+    ids=["missing-out-dir", *(f"{command}-config" for command in REQUIRED), "bench-slots", "no-command"],
 )
-def test_cli_rejects_bad_engine_config(tmp_path, capsys, config):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    rc = main(
-        ["cloud-infer", "--config", str(cfg), "--batch-dir", str(tmp_path / "b"),
-         "--model-dir", str(tmp_path / "m"), "--out", str(tmp_path / "o.jsonl")]
-    )
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert str(cfg) in err and "Traceback" not in err
-    if config:
-        assert repr(next(iter(config))) in err
+def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
+    """A usage error is a bad input (exit 1), not a verification mismatch (2)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: packedhe") and "error:" in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
-def _params_for(tmp_path, config, *extra):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    return _engine_params(_build_parser().parse_args(["bench", "--config", str(cfg), *extra]))
-
-
-def test_cli_configured_logn_survives_slots_override(tmp_path):
-    params = _params_for(tmp_path, {"logn": 20, "logq": 800}, "--slots", "1024")
-    assert (params.slots, params.log_n, params.log_q) == (1024, 20, 800)
-
-
-def test_cli_unconfigured_logn_follows_final_slots(tmp_path):
-    params = _params_for(tmp_path, {"slots": 32768, "logq": 800}, "--slots", "1024")
-    assert (params.slots, params.log_n, params.log_q) == (1024, 11, 800)
-
-
-def test_cli_rejects_configured_logn_too_small_for_slots(tmp_path, capsys):
-    # logn 11 holds the file's 1024 slots but not the 32768 asked on the command line
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"slots": 1024, "logn": 11}))
-    rc = main(["owner-encode", "--config", str(cfg), "--slots", "32768",
-               "--images", str(tmp_path / "none.idx"), "--out-dir", str(tmp_path / "b")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "'logn'" in err and str(cfg) in err and "Traceback" not in err
-
-
-def test_cli_bad_slots_flag_not_blamed_on_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"logq": 800}))
-    rc = main(["owner-encode", "--config", str(cfg), "--slots", "1000",
-               "--images", str(tmp_path / "none.idx"), "--out-dir", str(tmp_path / "b")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "1000" in err and str(cfg) not in err and "Traceback" not in err
+@pytest.mark.parametrize("command", [[], ["owner-encode"]])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([*command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: packedhe")

@@ -204,8 +204,8 @@ def test_weight_csv_without_data_fails_cleanly(pipeline_files, tmp_path, capsys,
 
 def test_cli_rejects_unreadable_inputs(pipeline_files, tmp_path, capsys):
     """A directory where a file belongs, and JSON nested past the decoder's
-    recursion limit in a config or a model manifest."""
-    tmp, _, batch = pipeline_files
+    recursion limit in a model manifest."""
+    _, _, batch = pipeline_files
     deep = tmp_path / "deep.json"
     deep.write_bytes(b"[" * 200_000)
     batches = tmp_path / "batches"
@@ -214,12 +214,9 @@ def test_cli_rejects_unreadable_inputs(pipeline_files, tmp_path, capsys):
     model = tmp_path / "model"
     model.mkdir()
     (model / "manifest.json").write_bytes(deep.read_bytes())
-    encode = ["owner-encode", "--images", str(tmp / "images.idx"), "--out-dir", str(tmp_path / "b")]
     infer = ["cloud-infer", "--batch-dir", str(batches), "--out", str(tmp_path / "p.jsonl")] + SLOTS
     for argv, named in (
         (["owner-encode", "--images", str(tmp_path), "--out-dir", str(tmp_path / "b")], tmp_path),
-        (encode + ["--config", str(tmp_path)], tmp_path),
-        (encode + ["--config", str(deep)], deep),
         (infer + ["--model-dir", str(model)], model / "manifest.json"),
     ):
         assert str(named) in _exits_cleanly(capsys, argv)
