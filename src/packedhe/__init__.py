@@ -19,6 +19,7 @@ from .encoding import (
     encode_row_major,
     incomplete_col_shift,
     row_shift,
+    column0_filter,
     sum_col_vec,
     sum_row_vec,
 )
@@ -32,7 +33,15 @@ from .conv import (
     kernel_spanner,
     sum_for_conv,
 )
-from .virtual import VirtualLayout, batched_conv, reform, tile_kernel_span, vrot
+from .virtual import (
+    VirtualLayout,
+    batched_conv,
+    batched_conv_layer,
+    reform,
+    reform_maps,
+    tile_kernel_span,
+    vrot,
+)
 from .multicipher import (
     ColumnEncodedImage,
     ColumnEncodedMatrix,

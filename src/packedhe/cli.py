@@ -5,8 +5,9 @@ Three roles share the toolkit: the data owner packs and "encrypts"
 weights, and the cloud side runs inference over the packed files.
 ``verify`` runs the three roles in a scratch directory and checks every
 prediction against the plaintext oracle.  The one engine parameter is
-``--slots``, the slot count per ciphertext, taken by every role and by
-``verify``.
+``--slots``, the slot count per ciphertext, taken by ``owner-encode``,
+``provider-encode`` and ``verify``; ``cloud-infer`` reads it from the
+model manifest's layout and rejects batch files that hold another count.
 
 Exit codes: 0 success, 1 bad input (a usage error or a file or value that
 fails validation), 2 verification mismatch.
@@ -35,7 +36,7 @@ from .pipeline import (
     forward_encoded,
     pack_batch,
 )
-from .serial import CT_SUFFIX, SerialError, load_indexed_batch, load_model, write_batch, write_model
+from .serial import CT_SUFFIX, SerialError, load_indexed_batch, load_model, model_params, write_batch, write_model
 from .virtual import VirtualLayout
 
 SCORE_TOLERANCE = 1e-6
@@ -158,7 +159,6 @@ def _ops_json(meter: OpMeter) -> dict:
 
 
 def _cmd_cloud_infer(args) -> int:
-    params = _engine_params(args)
     batch_paths = sorted(Path(args.batch_dir).glob(f"*{CT_SUFFIX}"))
     if not batch_paths:
         print(f"error: no batch files under {args.batch_dir}", file=sys.stderr)
@@ -166,6 +166,7 @@ def _cmd_cloud_infer(args) -> int:
     if args.verify and not (args.images and args.weights_dir):
         print("error: --verify needs --images and --weights-dir", file=sys.stderr)
         return 1
+    params = model_params(args.model_dir)
     model = load_model(SlotEngine(params), args.model_dir)
     workers = min(len(batch_paths), _available_cpus())
     results = _infer_batches(params, model, batch_paths, workers)
@@ -227,20 +228,21 @@ def _cmd_verify(args) -> int:
     """Run the three roles end to end in a scratch directory: owner-encode,
     provider-encode, then cloud-infer checking every prediction against the
     plaintext oracle."""
-    # "--flag=value" keeps a value that starts with "-" from reading as a flag
+    # "--flag=value" keeps a value that starts with "-" from reading as a flag;
+    # cloud-infer takes its slot count from the model the provider wrote
     engine_flags = [f"--slots={args.slots}"] if args.slots is not None else []
     limit = [f"--limit={args.limit}"] if args.limit is not None else []
     with tempfile.TemporaryDirectory(prefix="packedhe-verify-") as tmp:
         batches, model, out = (Path(tmp) / name for name in ("batches", "model", "predictions.jsonl"))
         images, weights = f"--images={args.images}", f"--weights-dir={args.weights_dir}"
         roles = [
-            ["owner-encode", images, f"--out-dir={batches}", *limit],
-            ["provider-encode", weights, f"--out-dir={model}"],
+            ["owner-encode", images, f"--out-dir={batches}", *limit, *engine_flags],
+            ["provider-encode", weights, f"--out-dir={model}", *engine_flags],
             ["cloud-infer", f"--batch-dir={batches}", f"--model-dir={model}", f"--out={out}", "--verify", images, weights],
         ]
         parser = _build_parser()
         for argv in roles:
-            step = parser.parse_args(argv + engine_flags)
+            step = parser.parse_args(argv)
             code = step.func(step)
             if code:
                 return code
@@ -302,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_provider_encode)
 
     p = sub.add_parser("cloud-infer", help="run inference over packed batches")
-    slots(p)
     p.add_argument("--batch-dir", required=True)
     p.add_argument("--model-dir", required=True)
     p.add_argument("--out", required=True, help="predictions output (JSON lines)")

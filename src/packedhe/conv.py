@@ -6,9 +6,14 @@ image with one span, runs the rotate-and-add window cascade, keeps the
 output positions belonging to that offset class, and accumulates onto a
 bias-seeded result.  Valid (unpadded) stride-1 convolution only; the
 result occupies the top-left (h-k+1) x (w-k+1) block of the h x w layout.
-Spans and the loop are written once over m image blocks of stride f: a
-single image is m = 1 with f the slot count, and virtual.batched_conv
-passes its dataset tiling.
+Spans and the loop are written once over m image blocks of stride f and
+over the kernels of a layer: a single image is m = 1 with f the slot
+count, virtual.batched_conv_layer passes its dataset tiling, and a single
+kernel is a layer of one.  The offset filter depends only on the offset
+class and the layout, so the loop runs the offset classes outside and the
+kernels inside and builds each filter once for all kernels.  The loop
+stays serial: even whole batches on 2 threads side by side ran only
+1.04-1.24x faster than one thread on a 2-CPU host.
 """
 
 from dataclasses import dataclass
@@ -105,10 +110,11 @@ def bias_matrix(kernel: Kernel, shape: ImageShape) -> np.ndarray:
 
 
 def _tile(block: np.ndarray, m: int, f: int) -> np.ndarray:
-    """Repeat a per-image prefix pattern into each of m blocks of stride f."""
+    """Repeat a per-image prefix pattern into each of m blocks of stride f,
+    keeping the pattern's dtype (boolean for filters)."""
     if block.size > f:
         raise CapacityError(f"{block.size}-slot pattern exceeds block stride {f}")
-    full = np.zeros((m, f), dtype=np.float64)
+    full = np.zeros((m, f), dtype=block.dtype)
     full[:, : block.size] = block.reshape(-1)
     return full.reshape(-1)
 
@@ -188,30 +194,37 @@ def sum_for_conv(
     return out
 
 
-def _conv_blocks(engine: SlotEngine, ct: Ciphertext, span: KernelSpan, m: int, f: int) -> Ciphertext:
-    """k*k iterations of multiply / cascade / offset filter / accumulate onto
-    the bias-seeded result, for m image blocks of stride f; iterations are
-    independent, so they could run on parallel workers with the
-    accumulation as the final reduction."""
-    k, shape = span.k, span.shape
-    acc = span.bias_ct
+def _conv_blocks(engine: SlotEngine, ct: Ciphertext, spans, m: int, f: int) -> list:
+    """Convolve ``ct`` with every kernel of a layer, for m image blocks of
+    stride f; the spans must share k and the image shape.
+
+    k*k iterations over the offset classes; each builds its offset filter
+    once, then for every kernel multiplies by the span, runs the cascade,
+    applies the filter and accumulates onto that kernel's bias-seeded
+    result.  Returns one result per span, in order.
+    """
+    k, shape = spans[0].k, spans[0].shape
+    accs = [span.bias_ct for span in spans]
     for i in range(k):
         for j in range(k):
-            with engine.scope("conv.span_multiply"):
-                t = engine.mul(ct, span.span_cts[i * k + j])
-            with engine.scope("conv.window_cascade"):
-                t = window_cascade(engine, t, shape.w, k)
-            with engine.scope("conv.offset_filter"):
-                t = engine.cmul(engine.mask(_tile(_offset_keep(shape, k, i, j), m, f), role="filter"), t)
-            with engine.scope("conv.accumulate"):
-                acc = engine.add(acc, t)
-    return acc
+            keep = engine.mask(_tile(_offset_keep(shape, k, i, j), m, f), role="filter")
+            for s, span in enumerate(spans):
+                with engine.scope("conv.span_multiply"):
+                    t = engine.mul(ct, span.span_cts[i * k + j])
+                with engine.scope("conv.window_cascade"):
+                    t = window_cascade(engine, t, shape.w, k)
+                with engine.scope("conv.offset_filter"):
+                    t = engine.cmul(keep, t)
+                with engine.scope("conv.accumulate"):
+                    accs[s] = engine.add(accs[s], t)
+    return accs
 
 
 def conv(engine: SlotEngine, ct_image: Ciphertext, span: KernelSpan, shape: ImageShape) -> Ciphertext:
     """Valid stride-1 convolution of one packed image with a spanned kernel:
-    the batched loop with a single image block spanning the ciphertext."""
+    the layer loop with one kernel and a single image block spanning the
+    ciphertext."""
     if span.shape != shape:
         raise EngineError(f"span built for {span.shape}, image is {shape}")
     shape.out(span.k)  # validates kernel fits
-    return _conv_blocks(engine, ct_image, span, 1, engine.slots)
+    return _conv_blocks(engine, ct_image, [span], 1, engine.slots)[0]

@@ -18,6 +18,7 @@ from .engine import (
     Ciphertext,
     EngineError,
     LayoutError,
+    PlainMask,
     SlotEngine,
     is_pow2,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "incomplete_col_shift",
     "row_shift",
     "sum_row_vec",
+    "column0_filter",
     "sum_col_vec",
 ]
 
@@ -147,15 +149,29 @@ def sum_row_vec(engine: SlotEngine, pm: PackedMatrix) -> PackedMatrix:
     return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)
 
 
+def column0_filter(engine: SlotEngine, m: int, n: int) -> PlainMask:
+    """0/1 filter keeping column 0 of every row of an m x n layout."""
+    keep = np.zeros((m, n), dtype=bool)
+    keep[:, 0] = True
+    return engine.mask(keep.reshape(-1), role="filter")
+
+
 def sum_col_vec(
-    engine: SlotEngine, pm: PackedMatrix, width: int | None = None, cols: int | None = None
+    engine: SlotEngine,
+    pm: PackedMatrix,
+    width: int | None = None,
+    cols: int | None = None,
+    col0: PlainMask | None = None,
 ) -> PackedMatrix:
     """Replace every entry of row i with the sum of row i.
 
     Rotate-and-add cascade leaves the true row sum in column 0 of each row
     (other columns mix across row boundaries); a filter keeps column 0 per
     row block before the replication cascade spreads it back across the
-    row.  Costs 2*log2(n) rotations and one cmul.
+    row.  Costs 2*log2(n) rotations and one cmul.  The filter depends only
+    on the layout, so a caller summing many products of one shape builds it
+    once with :func:`column0_filter` and passes it as ``col0``; by default
+    it is built here.
 
     FC row sum: ``width`` and ``cols`` cut both cascades to the lanes that
     matter.  The collapse adds only the first ``width`` entries of each row
@@ -175,10 +191,7 @@ def sum_col_vec(
     ct = pm.ct
     for t in range((width - 1).bit_length()):
         ct = engine.add(ct, engine.rot(ct, 1 << t))
-    col0 = np.zeros((m, n), dtype=np.float64)
-    col0[:, 0] = 1.0
-    ct = engine.cmul(engine.mask(col0.reshape(-1), role="filter"), ct)
+    ct = engine.cmul(column0_filter(engine, m, n) if col0 is None else col0, ct)
     for t in range((cols - 1).bit_length()):
         ct = engine.add(ct, engine.rot(ct, -(1 << t)))
     return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)
-

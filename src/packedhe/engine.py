@@ -125,13 +125,18 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 
 def _padded(values, slots: int, what: str) -> np.ndarray:
-    """``values`` flattened into the leading slots of a new zero vector."""
-    vec = np.asarray(values, dtype=np.float64).reshape(-1)
+    """``values`` flattened into the leading slots of a new read-only vector,
+    zeros after them.  A full-length input costs one converting copy."""
+    vec = np.array(values, dtype=np.float64)  # always a fresh array, never the caller's
+    if vec.ndim != 1:
+        vec = vec.reshape(-1)
     if vec.size > slots:
         raise CapacityError(f"{what} {vec.size} exceeds {slots} slots")
-    full = np.zeros(slots, dtype=np.float64)
-    full[: vec.size] = vec
-    return _frozen(full)
+    if vec.size < slots:
+        full = np.zeros(slots, dtype=np.float64)
+        full[: vec.size] = vec
+        vec = full
+    return _frozen(vec)
 
 
 class Ciphertext:
@@ -196,18 +201,37 @@ def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
     return _frozen(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PlainMask:
-    """Plaintext constant vector for cmul.  Filter-role masks are 0/1 only."""
+    """Plaintext constant vector for cmul.  Filter-role masks are 0/1 only.
+
+    ``values`` is a read-only 1-D float64 array the mask owns: the
+    constructor copies its input, so no later write to the caller's array
+    reaches a validated mask and one mask can serve any number of cmuls.
+    Input of any other shape raises EngineError.
+    """
 
     values: np.ndarray
     role: str = "constant"
 
-    def __post_init__(self):
-        if self.role == "filter":
-            vals = self.values
-            if not np.all((vals == 0.0) | (vals == 1.0)):
-                raise EngineError("filter masks may contain only 0.0 and 1.0")
+    def __init__(self, values, role: str = "constant"):
+        self._adopt(_frozen(np.array(values, dtype=np.float64)), role)
+
+    @classmethod
+    def _owned(cls, vec: np.ndarray, role: str) -> "PlainMask":
+        """A mask over a fresh read-only engine vector (see ``_frozen``),
+        validated like any other but not copied."""
+        mask = cls.__new__(cls)
+        mask._adopt(vec, role)
+        return mask
+
+    def _adopt(self, vec: np.ndarray, role: str) -> None:
+        if vec.ndim != 1:
+            raise EngineError(f"mask values must be a 1-D vector, got shape {vec.shape}")
+        if role == "filter" and not np.all((vec == 0.0) | (vec == 1.0)):
+            raise EngineError("filter masks may contain only 0.0 and 1.0")
+        object.__setattr__(self, "values", vec)
+        object.__setattr__(self, "role", role)
 
 
 class _Scope:
@@ -338,5 +362,9 @@ class SlotEngine:
     # -- helpers ---------------------------------------------------------
 
     def mask(self, values, role: str = "constant") -> PlainMask:
-        """Build a full-length PlainMask, zero-padding short inputs."""
-        return PlainMask(_padded(values, self.slots, "mask payload"), role=role)
+        """Build a full-length PlainMask, zero-padding short inputs.
+
+        ``values`` may be a boolean pattern; it is converted to 0.0/1.0 in
+        the one copy the mask makes.
+        """
+        return PlainMask._owned(_padded(values, self.slots, "mask payload"), role)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import Encoding, MatrixShape, PackedMatrix, sum_col_vec
+from .encoding import Encoding, MatrixShape, PackedMatrix, column0_filter, sum_col_vec
 from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine
 
 __all__ = [
@@ -72,10 +72,9 @@ class MatmulPlan:
 
 
 def _row_band_mask(engine: SlotEngine, rows: int, n: int, r0: int, r1: int) -> PlainMask:
-    grid = np.zeros((rows, n), dtype=np.float64)
-    if r1 > r0:
-        grid[r0:r1, :] = 1.0
-    return engine.mask(grid.reshape(-1), role="filter")
+    keep = np.zeros((rows, n), dtype=bool)
+    keep[r0:r1, :] = True
+    return engine.mask(keep.reshape(-1), role="filter")
 
 
 def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> PackedMatrix:
@@ -117,10 +116,10 @@ def build_result_filter(engine: SlotEngine, m: int, n: int, p: int, idx: int) ->
     """One-hot row filter: row i keeps column (i + idx) mod p."""
     if not 0 <= idx < p:
         raise EngineError(f"idx must be in [0, {p}), got {idx}")
-    grid = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        grid[i, (i + idx) % p] = 1.0
-    return engine.mask(grid.reshape(-1), role="filter")
+    rows = np.arange(m)
+    keep = np.zeros((m, n), dtype=bool)
+    keep[rows, (rows + idx) % p] = True
+    return engine.mask(keep.reshape(-1), role="filter")
 
 
 def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> MatmulPlan:
@@ -188,6 +187,7 @@ def matmul_chunked(
     p, n, rows = plan.p, plan.n, plan.layout_m
     work_shape = MatrixShape(rows, n)
     cols = None if width is None else p
+    col0 = column0_filter(engine, rows, n)  # one layout, so one filter for every row sum
 
     acc = init if init is not None else engine.enc([])
     for idx in range(p):
@@ -197,7 +197,7 @@ def matmul_chunked(
                 term = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
                 prod = term if prod is None else engine.add(prod, term)
         with engine.scope("matmul.row_sum"):
-            sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), width, cols)
+            sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), width, cols, col0)
         with engine.scope("matmul.result_filter"):
             kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), sums.ct)
         with engine.scope("matmul.accumulate"):

@@ -28,7 +28,7 @@ import numpy as np
 from .encoding import Encoding, MatrixShape, PackedMatrix, encode_revolver
 from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, is_pow2, next_pow2
 from .matmul import matmul_chunked
-from .virtual import VirtualLayout, batched_conv, reform, tile_kernel_span
+from .virtual import VirtualLayout, batched_conv_layer, reform_maps, tile_kernel_span
 
 __all__ = [
     "IMAGE_SIDE",
@@ -210,11 +210,12 @@ def pack_batch(engine: SlotEngine, images, layout: VirtualLayout = MNIST_LAYOUT)
 
 
 def conv_layer(engine: SlotEngine, ct_x: Ciphertext, layout: VirtualLayout, spans):
-    """One batched convolution per kernel; kernel branches are independent.
+    """Batched convolution with every kernel, in one loop that builds each
+    offset filter once for all kernels.
 
     Returns (map ciphertexts, layout, (out_h, out_w)).
     """
-    outs = [batched_conv(engine, ct_x, layout, span) for span in spans]
+    outs = batched_conv_layer(engine, ct_x, layout, spans)
     k = spans[0].k
     return outs, layout, (layout.h - k + 1, layout.w - k + 1)
 
@@ -227,14 +228,10 @@ def flatten_maps(
     The compacted map ciphertexts are the inner-dimension chunks of the
     following FC layer, in map-major order (row-major within a map); the
     slots after each out_h*out_w prefix are zero padding inside the chunk.
+    One reform pass covers all the maps, so each row mask is built once.
     """
-    chunks = []
-    for ct in map_cts:
-        flat_ct, _ = reform(engine, ct, layout, out_h, out_w)
-        chunks.append(
-            PackedMatrix(flat_ct, MatrixShape(layout.m, layout.f), Encoding.DATABASE)
-        )
-    return chunks
+    flat_cts, _ = reform_maps(engine, map_cts, layout, out_h, out_w)
+    return [PackedMatrix(ct, MatrixShape(layout.m, layout.f), Encoding.DATABASE) for ct in flat_cts]
 
 
 def _fc_blocking(m: int, out_dim: int) -> tuple[int, int]:

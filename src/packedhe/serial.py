@@ -16,7 +16,7 @@ import numpy as np
 
 from .conv import ImageShape, KernelSpan
 from .encoding import Encoding, MatrixShape, PackedMatrix
-from .engine import Ciphertext, SlotEngine
+from .engine import Ciphertext, EngineError, EngineParams, SlotEngine
 from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcTiles
 from .virtual import VirtualLayout
 
@@ -30,6 +30,7 @@ __all__ = [
     "load_batch",
     "load_indexed_batch",
     "write_model",
+    "model_params",
     "load_model",
 ]
 
@@ -227,11 +228,8 @@ def write_model(directory, model: EncodedModel) -> int:
     return model.ciphertext_count
 
 
-def load_model(engine: SlotEngine, directory) -> EncodedModel:
-    """Load a model directory; a manifest key that is missing, of the wrong
-    type, or disagrees with the network shape or the loaded file count
-    raises SerialError."""
-    directory = Path(directory)
+def _read_manifest(directory: Path) -> tuple[Path, dict, VirtualLayout]:
+    """The model manifest as (path, parsed JSON object, image layout)."""
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise SerialError(f"missing model manifest: {manifest_path}")
@@ -241,7 +239,25 @@ def load_model(engine: SlotEngine, directory) -> EncodedModel:
         raise SerialError(f"{manifest_path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise SerialError(f"{manifest_path}: manifest must be a JSON object")
-    layout = _layout(f"{manifest_path}: 'layout'", manifest.get("layout"))
+    return manifest_path, manifest, _layout(f"{manifest_path}: 'layout'", manifest.get("layout"))
+
+
+def model_params(directory) -> EngineParams:
+    """Engine parameters of a model directory: every ciphertext in it holds
+    m * f slots, from the manifest's image layout."""
+    manifest_path, _, layout = _read_manifest(Path(directory))
+    try:
+        return EngineParams(slots=layout.m * layout.f)
+    except EngineError as exc:
+        raise SerialError(f"{manifest_path}: 'layout' {layout.m} x {layout.f} is no slot count: {exc}") from exc
+
+
+def load_model(engine: SlotEngine, directory) -> EncodedModel:
+    """Load a model directory; a manifest key that is missing, of the wrong
+    type, or disagrees with the network shape or the loaded file count
+    raises SerialError."""
+    directory = Path(directory)
+    manifest_path, manifest, layout = _read_manifest(directory)
     shape = ImageShape(layout.h, layout.w)
     k = _count(manifest_path, manifest, "kernel_k", KERNEL_SIZE)
 

@@ -6,7 +6,10 @@ add/mul act per image for free; per-image cyclic rotation (vrot) costs two
 real rotations plus two filters; batched convolution runs the single-image
 loop once and every image block rides along, so real-operation cost is
 independent of m.  reform compacts a valid sub-block into a contiguous
-prefix after a convolution shrinks the spatial dims.
+prefix after a convolution shrinks the spatial dims.  The convolution and
+reform loops each take all the kernels or maps of a layer, so every
+plaintext filter is built once and serves them all; batched_conv and
+reform are their one-kernel and one-map cases.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,9 @@ __all__ = [
     "VirtualLayout",
     "vrot",
     "tile_kernel_span",
+    "batched_conv_layer",
     "batched_conv",
+    "reform_maps",
     "reform",
 ]
 
@@ -80,10 +85,10 @@ def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> C
     hw = layout.image_slots
     if not 0 <= r < hw:
         raise EngineError(f"rotation must be in [0, {hw}), got {r}")
-    head = np.zeros(layout.f, dtype=np.float64)
-    head[: hw - r] = 1.0
-    tail = np.zeros(layout.f, dtype=np.float64)
-    tail[hw - r : hw] = 1.0
+    head = np.zeros(layout.f, dtype=bool)
+    head[: hw - r] = True
+    tail = np.zeros(layout.f, dtype=bool)
+    tail[hw - r : hw] = True
     t1 = engine.cmul(_tiled_mask(engine, layout, head, "filter"), engine.rot(ct, r))
     t2 = engine.cmul(_tiled_mask(engine, layout, tail, "filter"), engine.rot(ct, r - hw))
     return engine.add(t1, t2)
@@ -97,49 +102,75 @@ def tile_kernel_span(engine: SlotEngine, kernel: Kernel, layout: VirtualLayout) 
     )
 
 
-def batched_conv(
-    engine: SlotEngine, ct_x: Ciphertext, layout: VirtualLayout, span: KernelSpan
-) -> Ciphertext:
-    """Valid convolution of every image in the dataset simultaneously.
+def batched_conv_layer(
+    engine: SlotEngine, ct_x: Ciphertext, layout: VirtualLayout, spans
+) -> list[Ciphertext]:
+    """Valid convolution of every image in the dataset with each kernel of
+    a layer, one result per span; the spans must share k.
 
     Same loop as the single-image algorithm; rotations act globally, so the
     pad margin (k-1)*(w+1) guarantees no window read of a valid anchor ever
     crosses into the next image block.  A single block (m = 1) has no next
-    block and needs no margin.
+    block and needs no margin.  Each offset filter is built once for all
+    the kernels.
     """
     _require_fit(engine, layout)
-    k = span.k
-    if (span.shape.h, span.shape.w) != (layout.h, layout.w):
-        raise LayoutError(f"span built for {span.shape}, dataset images are {layout.h}x{layout.w}")
+    if not spans:
+        raise EngineError("a convolution layer needs at least one kernel")
+    k = spans[0].k
+    for span in spans:
+        if span.k != k:
+            raise LayoutError(f"kernels of one layer must share their size, got k={k} and k={span.k}")
+        if (span.shape.h, span.shape.w) != (layout.h, layout.w):
+            raise LayoutError(f"span built for {span.shape}, dataset images are {layout.h}x{layout.w}")
     if layout.m > 1 and layout.pad < (k - 1) * (layout.w + 1):
         raise LayoutError(
             f"pad {layout.pad} below the shift-absorption margin "
             f"{(k - 1) * (layout.w + 1)} for k={k}"
         )
-    return _conv_blocks(engine, ct_x, span, layout.m, layout.f)
+    return _conv_blocks(engine, ct_x, spans, layout.m, layout.f)
 
 
-def reform(
-    engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, out_h: int, out_w: int
-) -> tuple[Ciphertext, VirtualLayout]:
-    """Compact each image's top-left out_h x out_w block into a contiguous
-    prefix of out_h*out_w slots (row-major order preserved).
+def batched_conv(
+    engine: SlotEngine, ct_x: Ciphertext, layout: VirtualLayout, span: KernelSpan
+) -> Ciphertext:
+    """Valid convolution of every image in the dataset simultaneously: the
+    one-kernel case of :func:`batched_conv_layer`."""
+    return batched_conv_layer(engine, ct_x, layout, [span])[0]
 
-    Row r of the block is masked out and rotated left by r*(w - out_w);
-    costs at most out_h rotations, cmuls and adds.
+
+def reform_maps(
+    engine: SlotEngine, cts, layout: VirtualLayout, out_h: int, out_w: int
+) -> tuple[list[Ciphertext], VirtualLayout]:
+    """Compact each map's per-image top-left out_h x out_w block into a
+    contiguous prefix of out_h*out_w slots (row-major order preserved).
+
+    Row r of the block is masked out and rotated left by r*(w - out_w); per
+    map this costs at most out_h rotations, cmuls and adds.  The row loop
+    runs once over all the maps, so each row mask is built once.
     """
     _require_fit(engine, layout)
     if out_h > layout.h or out_w > layout.w:
         raise EngineError(
             f"{out_h}x{out_w} block exceeds the {layout.h}x{layout.w} image prefix"
         )
-    acc = None
+    accs = [None] * len(cts)
     for r in range(out_h):
-        row = np.zeros(layout.f, dtype=np.float64)
-        row[r * layout.w : r * layout.w + out_w] = 1.0
-        t = engine.cmul(_tiled_mask(engine, layout, row, "filter"), ct)
-        if r > 0:
-            t = engine.rot(t, r * (layout.w - out_w))
-        acc = t if acc is None else engine.add(acc, t)
-    new_layout = VirtualLayout(layout.m, layout.f, out_h, out_w)
-    return acc, new_layout
+        row = np.zeros(layout.f, dtype=bool)
+        row[r * layout.w : r * layout.w + out_w] = True
+        keep = _tiled_mask(engine, layout, row, "filter")
+        for s, ct in enumerate(cts):
+            t = engine.cmul(keep, ct)
+            if r > 0:
+                t = engine.rot(t, r * (layout.w - out_w))
+            accs[s] = t if accs[s] is None else engine.add(accs[s], t)
+    return accs, VirtualLayout(layout.m, layout.f, out_h, out_w)
+
+
+def reform(
+    engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, out_h: int, out_w: int
+) -> tuple[Ciphertext, VirtualLayout]:
+    """Compact each image's top-left out_h x out_w block into a contiguous
+    prefix: the one-map case of :func:`reform_maps`."""
+    (out,), new_layout = reform_maps(engine, [ct], layout, out_h, out_w)
+    return out, new_layout

@@ -3,6 +3,7 @@ import os
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,7 +238,8 @@ def test_cloud_infer_rejects_nan_slot(workspace, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("fc2_block_p", None), ("kernel_k", "3"), ("fc1_chunks", True), ("layout", [32, 1024, 28, 28]),
-     ("act1", [0.0, 1.0, float("nan"), 0.0]), ("kernel_k", 2), ("ciphertext_count", 51)],
+     ("act1", [0.0, 1.0, float("nan"), 0.0]), ("kernel_k", 2), ("ciphertext_count", 51),
+     ("layout", {"m": 3, "f": 1024, "h": 28, "w": 28})],
 )
 def test_cloud_infer_rejects_bad_manifest(workspace, capsys, key, value):
     tmp, idx, weights_dir, _, _ = workspace
@@ -294,6 +296,28 @@ def test_cloud_infer_rejects_batch_layout_mismatch(workspace, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert victim.name in err and "layout" in err
+
+
+def test_cloud_infer_takes_slots_from_the_model(workspace, capsys):
+    """cloud-infer sizes its engine from the model manifest, so a 16384-slot
+    run needs no flag; a batch with another slot count is rejected by name."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model, wide = tmp / "b16", tmp / "m16", tmp / "b32"
+    small = ["--slots", "16384"]
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches)] + small) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + small) == 0
+    infer = ["cloud-infer", "--model-dir", str(model), "--verify", "--images", str(idx), "--weights-dir", str(weights_dir)]
+    out = tmp / "p16.jsonl"
+    assert main(infer + ["--batch-dir", str(batches), "--out", str(out)]) == 0
+    assert "verified 40 predictions" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 40
+
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(wide), "--limit", "32"]) == 0
+    capsys.readouterr()
+    assert main(infer + ["--batch-dir", str(wide), "--out", str(tmp / "p32.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "batch_00000.simct: file has 32768 slots, engine expects 16384" in err and "Traceback" not in err
+    assert not (tmp / "p32.jsonl").exists()
 
 
 def test_verify_command(workspace):
@@ -381,6 +405,13 @@ def test_bench_report(tmp_path, capsys):
     assert "undercounts" in report.read_text()
 
 
+def test_bench_default_output_is_golden(capsys):
+    """The default table, byte for byte: a change to the loops whose scopes
+    bench reads must leave every per-step count where it was."""
+    assert main(["bench"]) == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "data" / "bench_default.txt").read_text()
+
+
 @pytest.mark.parametrize("value", ["1000", "0", "-4"])
 def test_cli_rejects_bad_slots_flag(tmp_path, capsys, value):
     out = tmp_path / "b"
@@ -408,8 +439,9 @@ REQUIRED = {
         *([command, *required, "--config", "engine.json"] for command, required in REQUIRED.items()),
         ["bench", "--slots", "1024"],
         [],
+        ["cloud-infer", *REQUIRED["cloud-infer"], "--slots", "16384"],
     ],
-    ids=["missing-out-dir", *(f"{command}-config" for command in REQUIRED), "bench-slots", "no-command"],
+    ids=["missing-out-dir", *(f"{command}-config" for command in REQUIRED), "bench-slots", "no-command", "cloud-infer-slots"],
 )
 def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     """A usage error is a bad input (exit 1), not a verification mismatch (2)."""

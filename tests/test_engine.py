@@ -87,6 +87,32 @@ def test_filter_mask_rejects_non_binary():
         PlainMask(np.array([0.5, 1.0]), role="filter")
 
 
+def test_plain_mask_keeps_its_own_read_only_copy():
+    arr = np.array([0.0, 1.0, 1.0, 0.0])
+    mask = PlainMask(arr, role="filter")
+    arr[1] = 0.5  # after validation; the mask must not see it
+    eng = make_engine(4)
+    np.testing.assert_array_equal(eng.dec(eng.cmul(mask, eng.enc([2, 2, 2, 2]))), [0, 2, 2, 0])
+    with pytest.raises(ValueError):
+        mask.values[0] = 0.5
+    pattern = np.array([False, True, True, False])
+    built = eng.mask(pattern, role="filter")
+    pattern[0] = True
+    assert built.values.dtype == np.float64 and built.values.tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert not built.values.flags.writeable
+
+
+def test_plain_mask_accepts_a_list():
+    mask = PlainMask([0.0, 1.0, 1.0, 0.0], role="filter")
+    assert mask.values.dtype == np.float64 and mask.values.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("values", [np.ones((2, 2)), 1.0], ids=["2-D", "scalar"])
+def test_plain_mask_rejects_non_vectors(values):
+    with pytest.raises(EngineError, match="1-D"):
+        PlainMask(values)
+
+
 def test_rot_cyclic_left():
     eng = make_engine(4)
     ct = eng.enc([1, 2, 3, 4])

@@ -97,7 +97,7 @@ def test_corrupt_batch_ciphertext_fails_cleanly(pipeline_files, tmp_path, capsys
     out = tmp_path / "preds.jsonl"
     err = _exits_cleanly(
         capsys,
-        ["cloud-infer", "--batch-dir", str(batch_dir), "--model-dir", str(tmp / "model"), "--out", str(out)] + SLOTS,
+        ["cloud-infer", "--batch-dir", str(batch_dir), "--model-dir", str(tmp / "model"), "--out", str(out)],
     )
     assert path.name in err
     assert not out.exists()
@@ -214,7 +214,7 @@ def test_cli_rejects_unreadable_inputs(pipeline_files, tmp_path, capsys):
     model = tmp_path / "model"
     model.mkdir()
     (model / "manifest.json").write_bytes(deep.read_bytes())
-    infer = ["cloud-infer", "--batch-dir", str(batches), "--out", str(tmp_path / "p.jsonl")] + SLOTS
+    infer = ["cloud-infer", "--batch-dir", str(batches), "--out", str(tmp_path / "p.jsonl")]
     for argv, named in (
         (["owner-encode", "--images", str(tmp_path), "--out-dir", str(tmp_path / "b")], tmp_path),
         (infer + ["--model-dir", str(model)], model / "manifest.json"),

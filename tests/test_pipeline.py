@@ -5,7 +5,7 @@ import pytest
 
 from packedhe.conv import Kernel
 from packedhe.encoding import Encoding, MatrixShape, PackedMatrix, encode_db
-from packedhe.engine import EngineError, LayoutError, OpMeter, next_pow2
+from packedhe.engine import EngineError, LayoutError, OpMeter, SlotEngine, next_pow2
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
 from packedhe.pipeline import (
     BatchPlan,
@@ -15,7 +15,9 @@ from packedhe.pipeline import (
     IMAGE_SLOTS,
     IMAGES_PER_CT,
     KERNEL_COUNT,
+    KERNEL_SIZE,
     MAP_FEATURES,
+    MAP_SIDE,
     PIPELINE_DEPTH,
     ModelWeights,
     _encode_fc_tiles,
@@ -315,6 +317,31 @@ def test_forward_fused_fc_exact_counts(rng):
     assert fc_counts(*fc2_shape) == (176, 16, 32)
     assert (total.rot_count, total.mul_count, total.cmul_count) == (1709, 318, 310)
     assert total.max_depth == PIPELINE_DEPTH == 13
+
+
+def test_forward_builds_each_mask_once(rng, monkeypatch):
+    """One pass builds every plaintext mask once for all its consumers: k*k
+    offset filters shared by the kernels, out_h reform row masks shared by
+    the maps, per FC block one column-0 filter plus p result filters, and
+    two constant masks per activation call."""
+    eng = make_engine(32768)
+    model = encode_model(eng, random_weights(rng))
+    ct = pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28)))
+    roles = []
+    build = SlotEngine.mask
+
+    def counting_mask(engine, values, role="constant"):
+        roles.append(role)
+        return build(engine, values, role)
+
+    monkeypatch.setattr(SlotEngine, "mask", counting_mask)
+    forward_encoded(eng, ct, model)
+    fc_shapes = (fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES), fc_shape(FC2_OUT, 1, model.fc1.out_width))
+    fc_masks = sum(blocks * (1 + p) for blocks, _, p, _, _ in fc_shapes)
+    activation_calls = KERNEL_COUNT + 1
+    filters = KERNEL_SIZE**2 + MAP_SIDE + fc_masks
+    assert (roles.count("filter"), roles.count("constant")) == (filters, 2 * activation_calls)
+    assert len(roles) == 9 + 26 + 66 + 17 + 10 == 128
 
 
 def test_forward_depth_independent_of_content(rng):

@@ -10,7 +10,9 @@ from packedhe.pipeline import pack_batch
 from packedhe.virtual import (
     VirtualLayout,
     batched_conv,
+    batched_conv_layer,
     reform,
+    reform_maps,
     tile_kernel_span,
     vrot,
 )
@@ -266,3 +268,75 @@ def test_batched_conv_property(k, data, seed):
     assert delta == run(1)[1]
     kk = k * k
     assert (delta.mul_count, delta.rot_count, delta.cmul_count, delta.add_count) == (kk, 2 * k * kk, kk, (2 * k - 1) * kk)
+
+
+def shared_vs_one_call_each(slots, run_shared, run_one):
+    """Run a layer both ways inside a scope on fresh engines: (result slot
+    bytes and depths, meter delta, scope entries, rotation keys)."""
+
+    def outcome(run):
+        eng = make_engine(slots)
+        with eng.scope("layer"):
+            outs, delta = call_delta(eng, run)
+        return [(o.slots.tobytes(), o.depth) for o in outs], delta, eng.scopes, eng.rot_offsets
+
+    return outcome(run_shared), outcome(run_one)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 3), kernels=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_batched_conv_layer_matches_one_call_per_kernel(k, kernels, data, seed):
+    layout = data.draw(layouts(min_side=2 * k - 1, margin_k=k), label="layout")
+    rng = np.random.default_rng(seed)
+    kerns = [Kernel(rand_int_matrix(rng, k, k), bias=float(rng.integers(-3, 4))) for _ in range(kernels)]
+    grid, _ = junk_padded(rng, layout)
+
+    def operands(eng):
+        return eng.enc(grid.reshape(-1)), [tile_kernel_span(eng, kern, layout) for kern in kerns]
+
+    def shared(eng):
+        ct, spans = operands(eng)
+        return batched_conv_layer(eng, ct, layout, spans)
+
+    def one_each(eng):
+        ct, spans = operands(eng)
+        return [batched_conv(eng, ct, layout, span) for span in spans]
+
+    got, want = shared_vs_one_call_each(layout.m * layout.f, shared, one_each)
+    assert got == want
+    assert len(got[0]) == kernels
+
+
+@settings(max_examples=30, deadline=None)
+@given(layout=layouts(), maps=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_reform_maps_matches_one_call_per_map(layout, maps, data, seed):
+    rng = np.random.default_rng(seed)
+    grids = [junk_padded(rng, layout)[0] for _ in range(maps)]
+    out_h = data.draw(st.integers(1, layout.h), label="out_h")
+    out_w = data.draw(st.integers(1, layout.w), label="out_w")
+    new_layout = VirtualLayout(layout.m, layout.f, out_h, out_w)
+
+    def shared(eng):
+        outs, lay = reform_maps(eng, [eng.enc(g.reshape(-1)) for g in grids], layout, out_h, out_w)
+        assert lay == new_layout
+        return outs
+
+    def one_each(eng):
+        pairs = [reform(eng, eng.enc(g.reshape(-1)), layout, out_h, out_w) for g in grids]
+        assert all(lay == new_layout for _, lay in pairs)
+        return [out for out, _ in pairs]
+
+    got, want = shared_vs_one_call_each(layout.m * layout.f, shared, one_each)
+    assert got == want
+    assert len(got[0]) == maps
+
+
+def test_batched_conv_layer_rejects_mixed_or_missing_kernels(rng):
+    eng = make_engine(512)
+    lay = VirtualLayout(4, 128, 8, 8)
+    ct = pack_batch(eng, rng.integers(0, 4, size=(4, 8, 8)).astype(float), lay)
+    spans = [tile_kernel_span(eng, Kernel(np.ones((k, k))), lay) for k in (2, 3)]
+    with pytest.raises(LayoutError, match="share"):
+        batched_conv_layer(eng, ct, lay, spans)
+    with pytest.raises(EngineError, match="at least one kernel"):
+        batched_conv_layer(eng, ct, lay, [])
