@@ -14,14 +14,10 @@ from .encoding import (
     Encoding,
     MatrixShape,
     PackedMatrix,
-    encode_db,
     encode_revolver,
     encode_row_major,
-    incomplete_col_shift,
-    row_shift,
     column0_filter,
     sum_col_vec,
-    sum_row_vec,
 )
 from .matmul import MatmulPlan, build_result_filter, matmul, matmul_chunked, row_shifter
 from .conv import (
@@ -60,7 +56,6 @@ from .pipeline import (
     argmax_decide,
     encode_model,
     flatten_maps,
-    forward,
     forward_encoded,
     pack_batch,
     poly_activation,

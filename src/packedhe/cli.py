@@ -49,8 +49,6 @@ def _engine_params(args) -> EngineParams:
 
 
 def _batch_layout(params: EngineParams) -> VirtualLayout:
-    if params.slots == MNIST_LAYOUT.m * MNIST_LAYOUT.f:
-        return MNIST_LAYOUT
     m = params.slots // MNIST_LAYOUT.f
     if m < 1:
         raise EngineError(f"{params.slots} slots cannot hold a {MNIST_LAYOUT.f}-slot image block")
@@ -121,7 +119,9 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
     per-stage ones) can be merged afterwards; results come back in
     batch_paths order as (scores, labels, indices, meter, stages, offsets),
     where ``indices`` is the range of dataset image indices of the valid
-    rows and ``offsets`` the engine's distinct rotation offsets.
+    rows and ``offsets`` the engine's distinct rotation offsets.  A batch
+    whose scores are not all finite (its values or the model's overflowed
+    float64) raises SerialError naming the batch file.
     """
 
     def job(path):
@@ -130,10 +130,15 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
         if layout != model.layout:
             raise SerialError(f"{path}: batch layout {layout} differs from the model's {model.layout}")
         stages = {}
-        scores = forward_encoded(engine, ct, model, stage_meters=stages)
+        # an overflow is reported once below, as bad input, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = forward_encoded(engine, ct, model, stage_meters=stages)
+        mat = scores.decode(engine)
+        if not np.isfinite(mat[:valid, :FC2_OUT]).all():
+            raise SerialError(f"{path}: non-finite scores: the batch or model values overflow float64")
         indices = range(first, first + valid)
         meter = engine.meter_snapshot()
-        return scores.decode(engine), argmax_decide(engine, scores), indices, meter, stages, engine.rot_offsets
+        return mat, argmax_decide(engine, scores), indices, meter, stages, engine.rot_offsets
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, batch_paths))

@@ -119,9 +119,7 @@ def _tile(block: np.ndarray, m: int, f: int) -> np.ndarray:
     return full.reshape(-1)
 
 
-def _span_blocks(
-    engine: SlotEngine, kernel: Kernel, shape: ImageShape, m: int, f: int, layout: tuple
-) -> KernelSpan:
+def _span_blocks(engine: SlotEngine, kernel: Kernel, shape: ImageShape, m: int, f: int) -> KernelSpan:
     """Encrypt the k*k span matrices and the bias layout into m blocks of stride f."""
     k = kernel.k
     if shape.h < 2 * k - 1 or shape.w < 2 * k - 1:
@@ -130,7 +128,7 @@ def _span_blocks(
         )
 
     def enc(grid: np.ndarray) -> Ciphertext:
-        return engine.enc(_tile(grid, m, f), layout=layout)
+        return engine.enc(_tile(grid, m, f))
 
     spans = [enc(span_matrix(kernel, shape, i, j)) for i in range(k) for j in range(k)]
     return KernelSpan(spans, enc(bias_matrix(kernel, shape)), k, shape)
@@ -138,7 +136,7 @@ def _span_blocks(
 
 def kernel_spanner(engine: SlotEngine, kernel: Kernel, shape: ImageShape) -> KernelSpan:
     """Encrypt the k*k span matrices and the bias layout for one image."""
-    return _span_blocks(engine, kernel, shape, 1, engine.slots, ("grid", shape.h, shape.w))
+    return _span_blocks(engine, kernel, shape, 1, engine.slots)
 
 
 def window_cascade(engine: SlotEngine, ct: Ciphertext, w: int, k: int) -> Ciphertext:
@@ -177,21 +175,16 @@ def build_offset_filter(
     return engine.mask(_offset_keep(shape, k, offset_i, offset_j).reshape(-1), role="filter")
 
 
-def sum_for_conv(
-    engine: SlotEngine, ct: Ciphertext, shape: ImageShape, k: int, bias: float = 0.0
-) -> Ciphertext:
+def sum_for_conv(engine: SlotEngine, ct: Ciphertext, shape: ImageShape, k: int) -> Ciphertext:
     """Window cascade plus the stride-k anchor mask.
 
     Anchors (i, j) with i, j = 0 mod k and the window inside the image end
-    up holding bias + the k x k window sum; every other slot is zero.
+    up holding the k x k window sum; every other slot is zero.
     """
     if k > shape.h or k > shape.w:
         raise EngineError(f"window {k} exceeds image {shape.h}x{shape.w}")
     out = window_cascade(engine, ct, shape.w, k)
-    out = engine.cmul(build_offset_filter(engine, shape, k, 0, 0), out)
-    if bias != 0.0:
-        out = engine.add(out, engine.enc((bias * _offset_keep(shape, k, 0, 0)).reshape(-1)))
-    return out
+    return engine.cmul(build_offset_filter(engine, shape, k, 0, 0), out)
 
 
 def _conv_blocks(engine: SlotEngine, ct: Ciphertext, spans, m: int, f: int) -> list:

@@ -1,11 +1,13 @@
 """Plaintext <-> slot layout transformations.
 
-A matrix is packed row-major into the leading slots of a ciphertext.  The
-left matmul operand keeps that layout; the right operand is transposed and
-vertically tiled ("revolver" layout) so each layout row carries one column
-of the original matrix and the rows can be cycled with rotations.  Also
-provides the row/column shifting primitives and the rotate-and-add
-aggregations used by the evaluation algorithms.
+A matrix is packed row-major into the leading slots of a ciphertext (the
+database layout of Volley Revolver).  The left matmul operand keeps that
+layout; the right operand is transposed and vertically tiled ("revolver"
+layout) so each layout row carries one column of the original matrix and
+the rows can be cycled with rotations.  On the row-major pack the paper's
+column and row shifts are single rotations (by 1 and by the row width),
+so they need no function of their own.  Also provides the rotate-and-add
+row summation used by the evaluation algorithms.
 """
 
 from dataclasses import dataclass
@@ -27,19 +29,14 @@ __all__ = [
     "Encoding",
     "MatrixShape",
     "PackedMatrix",
-    "encode_db",
     "encode_row_major",
     "encode_revolver",
-    "incomplete_col_shift",
-    "row_shift",
-    "sum_row_vec",
     "column0_filter",
     "sum_col_vec",
 ]
 
 
 class Encoding(str, Enum):
-    DATABASE = "database"
     ROW_MAJOR = "row-major"
     REVOLVER = "revolver"
 
@@ -71,30 +68,19 @@ class PackedMatrix:
         m, n = self.shape.m, self.shape.n
         return engine.dec(self.ct)[: m * n].reshape(m, n)
 
-    def with_ct(self, ct: Ciphertext) -> "PackedMatrix":
-        return PackedMatrix(ct, self.shape, self.encoding, self.revolve_p)
-
 
 def _check_fit(engine: SlotEngine, m: int, n: int) -> None:
     if m * n > engine.slots:
         raise CapacityError(f"{m}x{n} matrix needs {m * n} slots, engine has {engine.slots}")
 
 
-def encode_db(engine: SlotEngine, z) -> PackedMatrix:
-    """Pack a matrix row-wise into one ciphertext (database layout)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    m, n = z.shape
-    _check_fit(engine, m, n)
-    ct = engine.enc(z.reshape(-1), layout=("grid", m, n))
-    return PackedMatrix(ct, MatrixShape(m, n), Encoding.DATABASE)
-
-
 def encode_row_major(engine: SlotEngine, a) -> PackedMatrix:
-    """Encode the left matmul operand: plain row-major packing."""
+    """Pack a matrix row-wise into one ciphertext: the left matmul operand
+    and the database layout."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     m, n = a.shape
     _check_fit(engine, m, n)
-    ct = engine.enc(a.reshape(-1), layout=("grid", m, n))
+    ct = engine.enc(a.reshape(-1))
     return PackedMatrix(ct, MatrixShape(m, n), Encoding.ROW_MAJOR)
 
 
@@ -114,39 +100,8 @@ def encode_revolver(engine: SlotEngine, b, target_m: int) -> PackedMatrix:
     grid = np.empty((target_m, n), dtype=np.float64)
     for r in range(target_m):
         grid[r] = b[:, r % p]
-    ct = engine.enc(grid.reshape(-1), layout=("grid", target_m, n))
+    ct = engine.enc(grid.reshape(-1))
     return PackedMatrix(ct, MatrixShape(target_m, n), Encoding.REVOLVER, revolve_p=p)
-
-
-def incomplete_col_shift(engine: SlotEngine, pm: PackedMatrix) -> PackedMatrix:
-    """Shift the packed entry stream left by one slot (rotation by 1).
-
-    On a matrix that fills the ciphertext exactly this moves every entry to
-    the previous column with row wrap-around in the last column, and the
-    first entry to the last position.
-    """
-    return pm.with_ct(engine.rot(pm.ct, 1))
-
-
-def row_shift(engine: SlotEngine, pm: PackedMatrix) -> PackedMatrix:
-    """Move every row up one position (rotation by the row width)."""
-    return pm.with_ct(engine.rot(pm.ct, pm.shape.n))
-
-
-def sum_row_vec(engine: SlotEngine, pm: PackedMatrix) -> PackedMatrix:
-    """Replace every row with the vector of column sums.
-
-    log2(m) rotate-and-add steps.  Full replication into all m rows relies
-    on the matrix filling the ciphertext exactly (the database setting);
-    with trailing free slots only the top row carries complete sums.
-    """
-    m, n = pm.shape.m, pm.shape.n
-    if not is_pow2(m):
-        raise EngineError(f"sum_row_vec requires a power-of-two row count, got {m}")
-    ct = pm.ct
-    for t in range(m.bit_length() - 1):
-        ct = engine.add(ct, engine.rot(ct, n * (1 << t)))
-    return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)
 
 
 def column0_filter(engine: SlotEngine, m: int, n: int) -> PlainMask:

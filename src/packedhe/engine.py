@@ -144,37 +144,36 @@ class Ciphertext:
 
     The stored vector holds logical slot j at index ``(j + offset) % n``;
     ``offset`` is the left rotation still pending from :meth:`SlotEngine.rot`,
-    and ``Ciphertext(vec, depth=..., layout=...)`` builds one with offset 0.
+    and ``Ciphertext(vec, depth=...)`` builds one with offset 0.
     ``slots`` is the logical (rotated) vector, read-only and built at most
     once per ciphertext; it never shares memory with another ciphertext's
-    ``slots``.  ``layout`` is an informational tag (e.g. ("grid", m, n)) set
-    by the packing helpers; it never affects arithmetic.  The public fields
-    are read-only properties; the engine reads the underscored ones, which
-    are plain slots and so cheap to set on every primitive result.
+    ``slots``.  A ciphertext carries no layout: what its slots mean is
+    recorded by the operand that holds it (``PackedMatrix``,
+    ``VirtualLayout``, ``ColumnEncodedImage``).  The public fields are
+    read-only properties; the engine reads the underscored ones, which are
+    plain slots and so cheap to set on every primitive result.
     """
 
-    __slots__ = ("_vec", "_offset", "_depth", "_layout", "_view")
+    __slots__ = ("_vec", "_offset", "_depth", "_view")
 
-    def __init__(self, slots: np.ndarray, depth: int = 0, layout: tuple | None = None):
+    def __init__(self, slots: np.ndarray, depth: int = 0):
         self._vec = slots
         self._offset = 0
         self._depth = depth
-        self._layout = layout
         self._view = slots
 
     @classmethod
-    def _stored(cls, vec: np.ndarray, offset: int, depth: int, layout, owned: bool) -> "Ciphertext":
+    def _stored(cls, vec: np.ndarray, offset: int, depth: int, owned: bool) -> "Ciphertext":
         """A ciphertext over ``vec`` with a pending ``offset``.  ``owned``
         says ``vec`` is a fresh engine result no other ciphertext stores, so
         at offset 0 it can serve as ``slots`` itself."""
-        ct = cls(vec, depth, layout)
+        ct = cls(vec, depth)
         ct._offset = offset
         ct._view = vec if owned and offset == 0 else None
         return ct
 
     offset = property(attrgetter("_offset"), doc="Pending left rotation of the stored vector.")
     depth = property(attrgetter("_depth"), doc="Multiplicative depth.")
-    layout = property(attrgetter("_layout"), doc="Informational layout tag.")
 
     @property
     def slots(self) -> np.ndarray:
@@ -187,7 +186,7 @@ class Ciphertext:
         return view
 
     def __repr__(self) -> str:
-        return f"Ciphertext(slots={self.slots!r}, depth={self._depth}, layout={self._layout!r})"
+        return f"Ciphertext(slots={self.slots!r}, depth={self._depth})"
 
 
 def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
@@ -292,12 +291,13 @@ class SlotEngine:
 
     # -- primitive API -------------------------------------------------
 
-    def enc(self, values, layout: tuple | None = None) -> Ciphertext:
-        """Pack ``values`` into the leading slots (zeros elsewhere) at depth 0."""
+    def enc(self, values) -> Ciphertext:
+        """Pack ``values`` into the leading slots (zeros elsewhere) at depth 0;
+        the caller's operand record, not the ciphertext, says what they mean."""
         full = _padded(values, self.slots, "payload")
         self._meter.enc_count += 1
         self._observe(0)
-        return Ciphertext(full, depth=0, layout=layout)
+        return Ciphertext(full, depth=0)
 
     def dec(self, ct: Ciphertext) -> np.ndarray:
         """Return the full slot vector (a copy)."""
@@ -309,7 +309,7 @@ class SlotEngine:
         self._meter.add_count += 1
         self._observe(depth)
         vec = _combine(np.add, a._vec, b._vec, (b._offset - a._offset) % self.slots)
-        return Ciphertext._stored(vec, a._offset, depth, a._layout, owned=True)
+        return Ciphertext._stored(vec, a._offset, depth, owned=True)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_pair(a, b)
@@ -317,7 +317,7 @@ class SlotEngine:
         self._meter.mul_count += 1
         self._observe(depth)
         vec = _combine(np.multiply, a._vec, b._vec, (b._offset - a._offset) % self.slots)
-        return Ciphertext._stored(vec, a._offset, depth, a._layout, owned=True)
+        return Ciphertext._stored(vec, a._offset, depth, owned=True)
 
     def cmul(self, mask: PlainMask, ct: Ciphertext) -> Ciphertext:
         if mask.values.size != self.slots:
@@ -330,7 +330,7 @@ class SlotEngine:
         # in ct's stored frame the mask is read -offset slots along; IEEE
         # multiplication commutes, so ct * mask equals mask * ct bitwise
         vec = _combine(np.multiply, ct._vec, mask.values, -ct._offset % self.slots)
-        return Ciphertext._stored(vec, ct._offset, depth, ct._layout, owned=True)
+        return Ciphertext._stored(vec, ct._offset, depth, owned=True)
 
     def rot(self, ct: Ciphertext, l: int) -> Ciphertext:
         """Cyclic left rotation by ``l`` slots; negative ``l`` rotates right.
@@ -343,7 +343,7 @@ class SlotEngine:
         n = ct._vec.size
         l %= n
         self.rot_offsets.add(l)
-        return Ciphertext._stored(ct._vec, (ct._offset + l) % n, ct._depth, ct._layout, owned=False)
+        return Ciphertext._stored(ct._vec, (ct._offset + l) % n, ct._depth, owned=False)
 
     def meter_snapshot(self) -> OpMeter:
         """Current counters, as an independent copy."""

@@ -28,9 +28,6 @@ __all__ = [
     "matmul_chunked",
 ]
 
-_LEFT_TAGS = (Encoding.ROW_MAJOR, Encoding.DATABASE)
-
-
 def _cycle_closes(engine: SlotEngine, rows: int, n: int, p: int) -> bool:
     """Single-rotation row cycling is exact: rows is a multiple of p and the
     rows x n layout fills the ciphertext."""
@@ -124,8 +121,8 @@ def build_result_filter(engine: SlotEngine, m: int, n: int, p: int, idx: int) ->
 
 def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> MatmulPlan:
     """Check one (A, revolver B) operand pair and plan its product."""
-    if ct_a.encoding not in _LEFT_TAGS:
-        raise LayoutError("left operand must be row-major/database encoded")
+    if ct_a.encoding is not Encoding.ROW_MAJOR:
+        raise LayoutError("left operand must be row-major encoded")
     if ct_bbar.encoding is not Encoding.REVOLVER or ct_bbar.revolve_p is None:
         raise LayoutError("right operand must be revolver encoded")
     m, n = ct_a.shape.m, ct_a.shape.n
@@ -160,7 +157,7 @@ def matmul_chunked(
     or C + ceil(log2 width) + ceil(log2 p).
 
     Args:
-        a_chunks: C left operands, each m x n (row-major or database layout).
+        a_chunks: C left operands, each m x n and row-major encoded.
         b_chunks: C revolver encodings of n x p right operands, tiled to
             max(m, p) rows; every pair shares m, n and p.
         init: optional accumulator seed (e.g. a packed bias), added once.
@@ -205,26 +202,20 @@ def matmul_chunked(
     return PackedMatrix(acc, work_shape, Encoding.ROW_MAJOR)
 
 
-def matmul(
-    engine: SlotEngine,
-    ct_a: PackedMatrix,
-    ct_bbar: PackedMatrix,
-    init: Ciphertext | None = None,
-) -> PackedMatrix:
+def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> PackedMatrix:
     """Homomorphic product of a row-major A with a revolver-encoded B.
 
-    The one-chunk case of :func:`matmul_chunked`.
+    The one-chunk case of :func:`matmul_chunked`, with no accumulator seed.
 
     Args:
-        ct_a: m x n left operand (row-major or database layout).
+        ct_a: m x n row-major left operand.
         ct_bbar: revolver encoding of the n x p right operand, tiled to
             max(m, p) rows.
-        init: optional accumulator seed (e.g. a packed bias), added once.
 
     Returns:
         PackedMatrix over the working layout; entry (i, j) of the m x p
         product sits at slot i*n + j and every slot outside that block
         decodes to zero.
     """
-    return matmul_chunked(engine, [ct_a], [ct_bbar], init)
+    return matmul_chunked(engine, [ct_a], [ct_bbar])
 

@@ -68,7 +68,7 @@ def encode_left(engine: SlotEngine, a, p: int) -> ColumnEncodedMatrix:
     cts = []
     for k in range(n):
         grid = np.repeat(a[:, k], p)
-        cts.append(engine.enc(grid, layout=("grid", m, p)))
+        cts.append(engine.enc(grid))
     return ColumnEncodedMatrix(cts, "left", m, n, p)
 
 
@@ -81,7 +81,7 @@ def encode_right(engine: SlotEngine, b, m: int) -> ColumnEncodedMatrix:
     cts = []
     for k in range(n):
         grid = np.tile(b[k, :], m)
-        cts.append(engine.enc(grid, layout=("grid", m, p)))
+        cts.append(engine.enc(grid))
     return ColumnEncodedMatrix(cts, "right", m, n, p)
 
 
@@ -116,7 +116,7 @@ def encode_image_columns(engine: SlotEngine, images) -> ColumnEncodedImage:
     cts = []
     for j in range(w):
         stacked = arr[:, :, j].reshape(-1)
-        cts.append(engine.enc(stacked, layout=("column", h, m)))
+        cts.append(engine.enc(stacked))
     return ColumnEncodedImage(cts, h, w, m, stride=h)
 
 
@@ -150,7 +150,7 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
     for jp in range(out_w):
         bias = np.zeros((img.m, img.stride), dtype=np.float64)
         bias[:, :out_h] = kernel.bias
-        acc = engine.enc(bias.reshape(-1), layout=("column", out_h, img.m))
+        acc = engine.enc(bias.reshape(-1))
         for q in range(k):
             for p in range(k):
                 wgt = kernel.weights[p, q]

@@ -53,7 +53,6 @@ __all__ = [
     "conv_layer",
     "flatten_maps",
     "encode_model",
-    "forward",
     "forward_encoded",
     "argmax_decide",
 ]
@@ -206,7 +205,7 @@ def pack_batch(engine: SlotEngine, images, layout: VirtualLayout = MNIST_LAYOUT)
         raise LayoutError(f"{b} images exceed {layout.m} blocks per ciphertext")
     grid = np.zeros((layout.m, layout.f), dtype=np.float64)
     grid[:b, : h * w] = arr.reshape(b, h * w)
-    return engine.enc(grid.reshape(-1), layout=layout.tag())
+    return engine.enc(grid.reshape(-1))
 
 
 def conv_layer(engine: SlotEngine, ct_x: Ciphertext, layout: VirtualLayout, spans):
@@ -231,7 +230,7 @@ def flatten_maps(
     One reform pass covers all the maps, so each row mask is built once.
     """
     flat_cts, _ = reform_maps(engine, map_cts, layout, out_h, out_w)
-    return [PackedMatrix(ct, MatrixShape(layout.m, layout.f), Encoding.DATABASE) for ct in flat_cts]
+    return [PackedMatrix(ct, MatrixShape(layout.m, layout.f), Encoding.ROW_MAJOR) for ct in flat_cts]
 
 
 def _fc_blocking(m: int, out_dim: int) -> tuple[int, int]:
@@ -350,24 +349,14 @@ def forward_encoded(
         hidden = _fc_from_tiles(engine, chunks, model.fc1, out_h * out_w)
     with engine.scope("act2", stage_meters):
         activated = poly_activation(engine, hidden.ct, model.act2)
-        hidden = PackedMatrix(activated, hidden.shape, Encoding.DATABASE)
+        hidden = PackedMatrix(activated, hidden.shape, Encoding.ROW_MAJOR)
     with engine.scope("fc2", stage_meters):
         scores = _fc_from_tiles(engine, [hidden], model.fc2, model.fc1.out_width)
     return scores
 
 
-def forward(
-    engine: SlotEngine,
-    ct_x: Ciphertext,
-    weights: ModelWeights,
-    layout: VirtualLayout = MNIST_LAYOUT,
-) -> PackedMatrix:
-    """Encode the model inline and run one batch (testing convenience)."""
-    model = encode_model(engine, weights, layout)
-    return forward_encoded(engine, ct_x, model)
-
-
-def argmax_decide(engine: SlotEngine, scores: PackedMatrix, n_classes: int = FC2_OUT) -> np.ndarray:
-    """Pick the highest-scoring class per row; ties go to the lowest index."""
+def argmax_decide(engine: SlotEngine, scores: PackedMatrix) -> np.ndarray:
+    """Pick the highest-scoring of the FC2_OUT classes per row; ties go to
+    the lowest index."""
     mat = scores.decode(engine)
-    return np.argmax(mat[:, :n_classes], axis=1)
+    return np.argmax(mat[:, :FC2_OUT], axis=1)

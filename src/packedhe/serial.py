@@ -2,9 +2,12 @@
 
 A "ciphertext" file here is a SIMULATED plaintext slot vector, named and
 tagged as such so nobody mistakes the artifact for real encryption:
-magic, a little-endian uint32 header length, a JSON header (layout tag,
-dims, depth, slot count, arbitrary metadata) and raw little-endian
-float64 slots.  Round trips are bit-exact.
+magic, a little-endian uint32 header length, a JSON header (format name,
+slot count, depth, metadata) and raw little-endian float64 slots.  Round
+trips are bit-exact.  The header holds no layout of its own: a batch
+records its image layout (m, f, h, w) in its metadata, an FC weight tile
+its revolver grid (rows, cols, revolve_p), and a model its image layout
+in the manifest.
 """
 
 import json
@@ -48,7 +51,6 @@ def write_ciphertext(path, ct: Ciphertext, meta: dict | None = None) -> None:
         "format": FORMAT_NAME,
         "slots": int(ct.slots.size),
         "depth": int(ct.depth),
-        "layout": list(ct.layout) if ct.layout is not None else None,
         "meta": meta or {},
     }
     blob = json.dumps(header).encode("utf-8")
@@ -80,8 +82,6 @@ def read_ciphertext(path) -> tuple[np.ndarray, dict]:
     depth = header.get("depth")
     if type(depth) is not int or depth < 0:
         raise SerialError(f"{path}: 'depth' must be a non-negative integer, got {depth!r}")
-    if not isinstance(header.get("layout"), (list, type(None))):
-        raise SerialError(f"{path}: 'layout' must be null or a list, got {header['layout']!r}")
     payload = data[hstart + hlen :]
     if len(payload) != 8 * slots:
         raise SerialError(f"{path}: payload size mismatch")
@@ -99,9 +99,8 @@ def load_ciphertext(engine: SlotEngine, path) -> tuple[Ciphertext, dict]:
         raise SerialError(
             f"{path}: file has {vec.size} slots, engine expects {engine.slots}"
         )
-    layout = tuple(header["layout"]) if header.get("layout") else None
     vec.flags.writeable = False
-    return Ciphertext(vec, depth=header["depth"], layout=layout), header
+    return Ciphertext(vec, depth=header["depth"]), header
 
 
 def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int, first_index: int) -> None:
@@ -183,7 +182,8 @@ def _load_fc(engine: SlotEngine, directory: Path, manifest_path, manifest: dict,
             path = directory / f"{name}_w_b{b}_c{c}{CT_SUFFIX}"
             ct, header = load_ciphertext(engine, path)
             meta = header.get("meta")
-            rows, cols, revolve_p = (_count(path, meta, key) for key in ("rows", "cols", "revolve_p"))
+            rows, cols = (_count(path, meta, key) for key in ("rows", "cols"))
+            revolve_p = _count(path, meta, "revolve_p", block_p)
             row.append(PackedMatrix(ct, MatrixShape(rows, cols), Encoding.REVOLVER, revolve_p=revolve_p))
         tiles.append(row)
         bias_cts.append(load_ciphertext(engine, directory / f"{name}_bias_b{b}{CT_SUFFIX}")[0])

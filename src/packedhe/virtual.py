@@ -42,6 +42,8 @@ class VirtualLayout:
     def __post_init__(self):
         if self.m < 1:
             raise EngineError("layout needs at least one image block")
+        if self.h < 1 or self.w < 1:
+            raise EngineError(f"image shape must be positive, got {self.h}x{self.w}")
         if not is_pow2(self.f):
             raise EngineError(f"block stride must be a power of two, got {self.f}")
         if self.h * self.w > self.f:
@@ -56,9 +58,6 @@ class VirtualLayout:
     @property
     def image_slots(self) -> int:
         return self.h * self.w
-
-    def tag(self) -> tuple:
-        return ("dataset", self.m, self.f, self.h, self.w)
 
 
 def _require_fit(engine: SlotEngine, layout: VirtualLayout) -> None:
@@ -97,9 +96,7 @@ def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> C
 def tile_kernel_span(engine: SlotEngine, kernel: Kernel, layout: VirtualLayout) -> KernelSpan:
     """Spanned kernel for a batched dataset: every image block carries its
     own copy of each span pattern (and of the bias block)."""
-    return _span_blocks(
-        engine, kernel, ImageShape(layout.h, layout.w), layout.m, layout.f, layout.tag()
-    )
+    return _span_blocks(engine, kernel, ImageShape(layout.h, layout.w), layout.m, layout.f)
 
 
 def batched_conv_layer(
@@ -150,9 +147,9 @@ def reform_maps(
     runs once over all the maps, so each row mask is built once.
     """
     _require_fit(engine, layout)
-    if out_h > layout.h or out_w > layout.w:
+    if not (1 <= out_h <= layout.h and 1 <= out_w <= layout.w):
         raise EngineError(
-            f"{out_h}x{out_w} block exceeds the {layout.h}x{layout.w} image prefix"
+            f"{out_h}x{out_w} block must be non-empty and within the {layout.h}x{layout.w} image prefix"
         )
     accs = [None] * len(cts)
     for r in range(out_h):

@@ -12,7 +12,7 @@ import pytest
 
 from packedhe.bench import SUMMATION_NOTE, format_report, measure_matmul_steps
 from packedhe.conv import ImageShape, Kernel, conv, kernel_spanner, sum_for_conv
-from packedhe.encoding import encode_db, sum_col_vec
+from packedhe.encoding import encode_row_major, sum_col_vec
 from packedhe.engine import next_pow2
 from packedhe.matmul import matmul
 from packedhe.multicipher import (
@@ -179,7 +179,7 @@ def test_criterion_6_cost_table_conformance(rng):
         # row summation stays within 2*log2(n) rotations for any n
         for n in (2, 4, 16, 64):
             eng = make_engine(256)
-            pm = encode_db(eng, rand_int_matrix(rng, 2, n))
+            pm = encode_row_major(eng, rand_int_matrix(rng, 2, n))
             before = eng.meter_snapshot()
             sum_col_vec(eng, pm)
             assert eng.meter_snapshot().delta_since(before).rot_count <= 2 * (n.bit_length() - 1)

@@ -260,8 +260,8 @@ def test_cloud_infer_rejects_bad_manifest(workspace, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "header", [[], {"layout": 5}, {"depth": -3}, {"depth": "x"}],
-    ids=["list", "int-layout", "negative-depth", "string-depth"],
+    "header", [[], {"depth": -3}, {"depth": "x"}],
+    ids=["list", "negative-depth", "string-depth"],
 )
 def test_cloud_infer_rejects_bad_ct_header(workspace, capsys, header):
     tmp, idx, weights_dir, _, _ = workspace

@@ -91,15 +91,6 @@ def test_sum_for_conv_window_sums(rng):
     assert np.count_nonzero(out) == 0
 
 
-def test_sum_for_conv_bias_on_zero_image():
-    eng = make_engine(64)
-    ct = eng.enc(np.zeros(48))
-    out = grid_of(eng, sum_for_conv(eng, ct, ImageShape(6, 8), 2, bias=3.0), 6, 8)
-    ys, xs = np.nonzero(out)
-    assert np.all(out[ys, xs] == 3.0)
-    assert np.all(ys % 2 == 0) and np.all(xs % 2 == 0)
-
-
 def test_sum_for_conv_rotation_count(rng):
     for k in (1, 2, 3):
         eng = make_engine(64)
@@ -111,11 +102,11 @@ def test_sum_for_conv_rotation_count(rng):
         assert delta.cmul_count == 1
 
 
-def test_sum_for_conv_k1_identity_plus_bias(rng):
+def test_sum_for_conv_k1_identity(rng):
     z = rand_int_matrix(rng, 3, 4)
     eng = make_engine(16)
-    out = grid_of(eng, sum_for_conv(eng, eng.enc(z.reshape(-1)), ImageShape(3, 4), 1, bias=2.0), 3, 4)
-    np.testing.assert_array_equal(out, z + 2.0)
+    out = grid_of(eng, sum_for_conv(eng, eng.enc(z.reshape(-1)), ImageShape(3, 4), 1), 3, 4)
+    np.testing.assert_array_equal(out, z)
 
 
 def test_offset_filter_zero_offsets_match_anchor_mask(rng):

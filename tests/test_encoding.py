@@ -1,31 +1,30 @@
 import numpy as np
 import pytest
 
-from packedhe.encoding import (
-    Encoding,
-    encode_db,
-    encode_revolver,
-    encode_row_major,
-    incomplete_col_shift,
-    row_shift,
-    sum_col_vec,
-    sum_row_vec,
-)
+from packedhe.encoding import Encoding, PackedMatrix, encode_revolver, encode_row_major, sum_col_vec
 from packedhe.engine import CapacityError, EngineError
 
 from conftest import make_engine, rand_int_matrix
 
 
+def shifted(eng, pm, l):
+    """The matrix held by ``pm`` after its ciphertext is rotated left by l."""
+    return PackedMatrix(eng.rot(pm.ct, l), pm.shape, pm.encoding).decode(eng)
+
+
+# Volley Revolver's database encoding is the row-major pack.
+
+
 def test_encode_db_row_major_stream():
     eng = make_engine(8)
-    pm = encode_db(eng, [[1, 2], [3, 4]])
+    pm = encode_row_major(eng, [[1, 2], [3, 4]])
     np.testing.assert_array_equal(eng.dec(pm.ct), [1, 2, 3, 4, 0, 0, 0, 0])
-    assert pm.encoding is Encoding.DATABASE
+    assert pm.encoding is Encoding.ROW_MAJOR
 
 
 def test_encode_db_vector_row():
     eng = make_engine(8)
-    pm = encode_db(eng, [5, 6, 7])
+    pm = encode_row_major(eng, [5, 6, 7])
     np.testing.assert_array_equal(eng.dec(pm.ct)[:3], [5, 6, 7])
     assert (pm.shape.m, pm.shape.n) == (1, 3)
 
@@ -33,14 +32,14 @@ def test_encode_db_vector_row():
 def test_encode_db_full_dataset_block(rng):
     eng = make_engine(32768)
     z = rand_int_matrix(rng, 32, 1024, 0, 9)
-    pm = encode_db(eng, z)
+    pm = encode_row_major(eng, z)
     np.testing.assert_array_equal(eng.dec(pm.ct), z.reshape(-1))
 
 
 def test_encode_db_capacity():
     eng = make_engine(4)
     with pytest.raises(CapacityError):
-        encode_db(eng, np.ones((2, 4)))
+        encode_row_major(eng, np.ones((2, 4)))
 
 
 def test_row_major_matches_flat_index_map(rng):
@@ -93,18 +92,20 @@ def test_revolver_property_grid(rng):
                     np.testing.assert_array_equal(got[r], b[:, r % p])
 
 
+# The paper's IncompleteColShift and RowShift are single rotations of the
+# database (row-major) pack: by one slot and by the row width.
+
+
 def test_incomplete_col_shift_stream():
     eng = make_engine(4)
-    pm = encode_db(eng, [[1, 2], [3, 4]])
-    out = incomplete_col_shift(eng, pm)
-    np.testing.assert_array_equal(eng.dec(out.ct), [2, 3, 4, 1])
+    pm = encode_row_major(eng, [[1, 2], [3, 4]])
+    np.testing.assert_array_equal(eng.dec(eng.rot(pm.ct, 1)), [2, 3, 4, 1])
 
 
 def test_incomplete_col_shift_equals_rot_one(rng):
     eng = make_engine(32)
-    pm = encode_db(eng, rand_int_matrix(rng, 3, 5))
-    out = incomplete_col_shift(eng, pm)
-    np.testing.assert_array_equal(eng.dec(out.ct), np.roll(eng.dec(pm.ct), -1))
+    pm = encode_row_major(eng, rand_int_matrix(rng, 3, 5))
+    np.testing.assert_array_equal(eng.dec(eng.rot(pm.ct, 1)), np.roll(eng.dec(pm.ct), -1))
 
 
 def test_incomplete_col_shift_display_pattern(rng):
@@ -112,7 +113,7 @@ def test_incomplete_col_shift_display_pattern(rng):
     # the next row's first entry, and the first entry wraps to the end
     eng = make_engine(16)
     z = rand_int_matrix(rng, 4, 4)
-    got = incomplete_col_shift(eng, encode_db(eng, z)).decode(eng)
+    got = shifted(eng, encode_row_major(eng, z), 1)
     for i in range(4):
         for j in range(3):
             assert got[i, j] == z[i, j + 1]
@@ -121,72 +122,34 @@ def test_incomplete_col_shift_display_pattern(rng):
 
 def test_row_shift_cycles_rows():
     eng = make_engine(4)
-    pm = encode_db(eng, [[1, 2], [3, 4]])
-    np.testing.assert_array_equal(row_shift(eng, pm).decode(eng), [[3, 4], [1, 2]])
+    pm = encode_row_major(eng, [[1, 2], [3, 4]])
+    np.testing.assert_array_equal(shifted(eng, pm, 2), [[3, 4], [1, 2]])
 
 
 def test_row_shift_single_row_and_full_cycle(rng):
     eng = make_engine(4)
-    pm = encode_db(eng, [[9, 8, 7, 6]])
-    np.testing.assert_array_equal(row_shift(eng, pm).decode(eng), [[9, 8, 7, 6]])
+    pm = encode_row_major(eng, [[9, 8, 7, 6]])
+    np.testing.assert_array_equal(shifted(eng, pm, 4), [[9, 8, 7, 6]])
     eng = make_engine(8)
-    pm = encode_db(eng, rand_int_matrix(rng, 4, 2))
-    out = pm
+    pm = encode_row_major(eng, rand_int_matrix(rng, 4, 2))
+    ct = pm.ct
     for _ in range(4):
-        out = row_shift(eng, out)
-    np.testing.assert_array_equal(out.decode(eng), pm.decode(eng))
-
-
-def test_sum_row_vec_small():
-    eng = make_engine(4)
-    out = sum_row_vec(eng, encode_db(eng, [[1, 2], [3, 4]]))
-    np.testing.assert_array_equal(out.decode(eng), [[4, 6], [4, 6]])
-
-
-def test_sum_row_vec_identity_and_zero(rng):
-    eng = make_engine(4)
-    row = encode_db(eng, [[1, 2, 3, 4]])
-    np.testing.assert_array_equal(sum_row_vec(eng, row).decode(eng), [[1, 2, 3, 4]])
-    eng = make_engine(8)
-    zero = encode_db(eng, np.zeros((2, 4)))
-    assert np.count_nonzero(sum_row_vec(eng, zero).decode(eng)) == 0
-
-
-def test_sum_row_vec_oracle_full_pack(rng):
-    for m, n in [(2, 8), (4, 4), (8, 2)]:
-        eng = make_engine(m * n)
-        z = rand_int_matrix(rng, m, n)
-        got = sum_row_vec(eng, encode_db(eng, z)).decode(eng)
-        want = np.tile(z.sum(axis=0), (m, 1))
-        np.testing.assert_array_equal(got, want)
-
-
-def test_sum_row_vec_rotation_count(rng):
-    eng = make_engine(32)
-    pm = encode_db(eng, rand_int_matrix(rng, 8, 4))
-    before = eng.meter_snapshot().rot_count
-    sum_row_vec(eng, pm)
-    assert eng.meter_snapshot().rot_count - before == 3  # log2(8)
-
-
-def test_sum_row_vec_rejects_non_pow2():
-    eng = make_engine(32)
-    with pytest.raises(EngineError):
-        sum_row_vec(eng, encode_db(eng, np.ones((3, 4))))
+        ct = eng.rot(ct, 2)
+    np.testing.assert_array_equal(eng.dec(ct), eng.dec(pm.ct))
 
 
 def test_sum_col_vec_small():
     eng = make_engine(4)
-    out = sum_col_vec(eng, encode_db(eng, [[1, 2], [3, 4]]))
+    out = sum_col_vec(eng, encode_row_major(eng, [[1, 2], [3, 4]]))
     np.testing.assert_array_equal(out.decode(eng), [[3, 3], [7, 7]])
 
 
 def test_sum_col_vec_single_column_and_ones():
     eng = make_engine(8)
-    col = encode_db(eng, [[5], [6], [7]])
+    col = encode_row_major(eng, [[5], [6], [7]])
     np.testing.assert_array_equal(sum_col_vec(eng, col).decode(eng), [[5], [6], [7]])
     eng = make_engine(4)
-    ones = encode_db(eng, np.ones((1, 4)))
+    ones = encode_row_major(eng, np.ones((1, 4)))
     np.testing.assert_array_equal(sum_col_vec(eng, ones).decode(eng), [[4, 4, 4, 4]])
 
 
@@ -196,7 +159,7 @@ def test_sum_col_vec_oracle_and_isolation(rng):
     for m, n, slots in [(2, 4, 8), (3, 8, 32), (5, 2, 64)]:
         eng = make_engine(slots)
         z = rand_int_matrix(rng, m, n)
-        got = sum_col_vec(eng, encode_db(eng, z)).decode(eng)
+        got = sum_col_vec(eng, encode_row_major(eng, z)).decode(eng)
         want = np.tile(z.sum(axis=1)[:, None], (1, n))
         np.testing.assert_array_equal(got, want)
 
@@ -204,7 +167,7 @@ def test_sum_col_vec_oracle_and_isolation(rng):
 def test_sum_col_vec_rotation_budget(rng):
     for n in (2, 4, 8, 16):
         eng = make_engine(64)
-        pm = encode_db(eng, rand_int_matrix(rng, 2, n))
+        pm = encode_row_major(eng, rand_int_matrix(rng, 2, n))
         before = eng.meter_snapshot()
         sum_col_vec(eng, pm)
         delta = eng.meter_snapshot().delta_since(before)
@@ -215,5 +178,5 @@ def test_sum_col_vec_rotation_budget(rng):
 def test_sum_col_vec_rejects_non_pow2():
     eng = make_engine(32)
     with pytest.raises(EngineError):
-        sum_col_vec(eng, encode_db(eng, np.ones((2, 3))))
+        sum_col_vec(eng, encode_row_major(eng, np.ones((2, 3))))
 

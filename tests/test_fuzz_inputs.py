@@ -1,5 +1,5 @@
-"""Fuzzing the trust boundary: corrupted batch ciphertexts, IDX files and
-weight CSVs.
+"""Fuzzing the trust boundary: corrupted batch ciphertexts, IDX files,
+weight CSVs and model manifests.
 
 Every corruption must end in SerialError / IdxFormatError / ValueError from
 the reader and in exit code 1 with no traceback from the CLI command that
@@ -220,3 +220,67 @@ def test_cli_rejects_unreadable_inputs(pipeline_files, tmp_path, capsys):
         (infer + ["--model-dir", str(model)], model / "manifest.json"),
     ):
         assert str(named) in _exits_cleanly(capsys, argv)
+
+
+MANIFEST_KEYS = [
+    "kernel_count", "kernel_k", "fc1_blocks", "fc1_chunks", "fc1_block_p",
+    "fc2_blocks", "fc2_chunks", "fc2_block_p", "ciphertext_count",
+    "layout.m", "layout.f", "layout.h", "layout.w",
+]
+MANIFEST_VALUES = st.one_of(
+    st.integers(-2, 40), st.integers(-(2**64), 2**64), st.booleans(), st.text(max_size=4),
+    st.lists(st.integers(0, 4), max_size=3), st.none(),
+)
+
+
+@FUZZ
+@given(key=st.sampled_from(MANIFEST_KEYS), delete=st.booleans(), data=st.data())
+def test_tampered_manifest_fails_cleanly(pipeline_files, tmp_path, capsys, key, delete, data):
+    """One structural manifest key replaced by a different value, or deleted."""
+    tmp, _, _ = pipeline_files
+    model = tmp_path / "model"
+    if not model.exists():
+        shutil.copytree(tmp / "model", model)
+    manifest = json.loads((tmp / "model" / "manifest.json").read_text())
+    *parents, name = key.split(".")
+    owner = manifest[parents[0]] if parents else manifest
+    if delete:
+        del owner[name]
+    else:
+        old = owner[name]
+        owner[name] = data.draw(MANIFEST_VALUES.filter(lambda v: type(v) is not type(old) or v != old))
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "preds.jsonl"
+    out.unlink(missing_ok=True)  # tmp_path is shared by every example
+    _exits_cleanly(
+        capsys, ["cloud-infer", "--batch-dir", str(tmp / "batches"), "--model-dir", str(model), "--out", str(out)]
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overflow", ["manifest-act1", "csv-1e300"])
+def test_overflowing_model_fails_cleanly(pipeline_files, tmp_path, capsys, overflow):
+    """Finite model values whose products overflow float64 end in one error
+    line naming the batch: no numpy warning and no NaN predictions."""
+    tmp, _, _ = pipeline_files
+    model = tmp_path / "model"
+    if overflow == "manifest-act1":
+        shutil.copytree(tmp / "model", model)
+        manifest = json.loads((model / "manifest.json").read_text())
+        manifest["act1"] = [0.0, 1e300, 0.0, 0.0]
+        (model / "manifest.json").write_text(json.dumps(manifest))
+    else:
+        weights = tmp_path / "weights"
+        shutil.copytree(tmp / "weights", weights)
+        (weights / "conv_k0.csv").write_text("1e300,1e300,1e300\n" * 3)
+        assert main(["provider-encode", "--weights-dir", str(weights), "--out-dir", str(model)] + SLOTS) == 0
+    (batch,) = sorted((tmp / "batches").glob("*.simct"))
+    out = tmp_path / "preds.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _exits_cleanly(
+            capsys, ["cloud-infer", "--batch-dir", str(tmp / "batches"), "--model-dir", str(model), "--out", str(out)]
+        )
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == 1 and batch.name in err and "non-finite" in err
+    assert not out.exists()

@@ -3,7 +3,7 @@ import pytest
 
 from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import EngineError, LayoutError
-from packedhe.matmul import MatmulPlan, build_result_filter, matmul, row_shifter
+from packedhe.matmul import MatmulPlan, build_result_filter, matmul, matmul_chunked, row_shifter
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -168,7 +168,7 @@ def test_matmul_bias_init_hook(rng):
     seed = np.zeros((4, 4))
     seed[:, :2] = bias
     ca, cb = encode_pair(eng, a, b)
-    got = matmul(eng, ca, cb, init=eng.enc(seed.reshape(-1))).decode(eng)
+    got = matmul_chunked(eng, [ca], [cb], init=eng.enc(seed.reshape(-1))).decode(eng)
     np.testing.assert_array_equal(got[:4, :2], oracle_matmul(a, b) + bias)
 
 

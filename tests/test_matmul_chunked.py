@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packedhe.encoding import encode_db, encode_revolver, encode_row_major, sum_col_vec
+from packedhe.encoding import encode_revolver, encode_row_major, sum_col_vec
 from packedhe.engine import LayoutError, next_pow2
 from packedhe.matmul import MatmulPlan, matmul, matmul_chunked
 from packedhe.oracle import oracle_matmul
@@ -151,7 +151,7 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
 
 def test_fc_row_sum_rejects_widths_outside_the_row():
     eng = make_engine(64)
-    pm = encode_db(eng, np.ones((4, 8)))
+    pm = encode_row_major(eng, np.ones((4, 8)))
     for width, cols in ((0, 4), (9, 4), (8, 0), (8, 9)):
         with pytest.raises(LayoutError):
             sum_col_vec(eng, pm, width, cols)

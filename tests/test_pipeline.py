@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from packedhe.conv import Kernel
-from packedhe.encoding import Encoding, MatrixShape, PackedMatrix, encode_db
+from packedhe.encoding import Encoding, MatrixShape, PackedMatrix, encode_row_major
 from packedhe.engine import EngineError, LayoutError, OpMeter, SlotEngine, next_pow2
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
 from packedhe.pipeline import (
@@ -26,7 +26,6 @@ from packedhe.pipeline import (
     conv_layer,
     encode_model,
     flatten_maps,
-    forward,
     forward_encoded,
     pack_batch,
     poly_activation,
@@ -192,7 +191,7 @@ def fc_apply(eng, chunks, widths, weight, bias):
 def test_fc_layer_identity(rng):
     eng = make_engine(32)
     x = rand_int_matrix(rng, 4, 8)
-    pm = encode_db(eng, x)
+    pm = encode_row_major(eng, x)
     out = fc_apply(eng, [pm], [8], np.eye(8), np.zeros(8)).decode(eng)
     np.testing.assert_array_equal(out[:, :8], x)
 
@@ -202,7 +201,7 @@ def test_fc_layer_random_affine(rng):
     x = rand_int_matrix(rng, 4, 8)
     w = rng.uniform(-1, 1, size=(4, 8))
     b = rng.uniform(-1, 1, size=4)
-    out = fc_apply(eng, [encode_db(eng, x)], [8], w, b).decode(eng)
+    out = fc_apply(eng, [encode_row_major(eng, x)], [8], w, b).decode(eng)
     np.testing.assert_allclose(out[:, :4], x @ w.T + b, rtol=1e-12, atol=1e-12)
 
 
@@ -214,7 +213,7 @@ def test_fc_layer_chunked_input(rng):
     for part, width in ((left, 5), (right, 3)):
         grid = np.zeros((4, 8))
         grid[:, :width] = part
-        chunks.append(PackedMatrix(eng.enc(grid.reshape(-1)), MatrixShape(4, 8), Encoding.DATABASE))
+        chunks.append(PackedMatrix(eng.enc(grid.reshape(-1)), MatrixShape(4, 8), Encoding.ROW_MAJOR))
     w = rng.uniform(-1, 1, size=(4, 8))
     b = rng.uniform(-1, 1, size=4)
     out = fc_apply(eng, chunks, [5, 3], w, b).decode(eng)
@@ -228,7 +227,7 @@ def test_fc_layer_blocks_wider_than_rows(rng):
     x = rand_int_matrix(rng, 4, 16)
     w = rng.uniform(-1, 1, size=(8, 16))
     b = rng.uniform(-1, 1, size=8)
-    out = fc_apply(eng, [encode_db(eng, x)], [16], w, b).decode(eng)
+    out = fc_apply(eng, [encode_row_major(eng, x)], [16], w, b).decode(eng)
     np.testing.assert_allclose(out[:, :8], x @ w.T + b, rtol=1e-12, atol=1e-12)
 
 
@@ -268,7 +267,7 @@ def test_encode_model_ciphertext_count(rng):
 def test_forward_zero_images_matches_oracle_constants(rng):
     eng = make_engine(32768)
     weights = random_weights(rng)
-    scores = forward(eng, pack_batch(eng, np.zeros((32, 28, 28))), weights)
+    scores = forward_encoded(eng, pack_batch(eng, np.zeros((32, 28, 28))), encode_model(eng, weights))
     got = scores.decode(eng)[:, :10]
     want = oracle_forward(weights, np.zeros((32, 28, 28)))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
@@ -347,10 +346,10 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
 def test_forward_depth_independent_of_content(rng):
     eng = make_engine(32768)
     weights = random_weights(rng)
-    forward(eng, pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28))), weights)
+    forward_encoded(eng, pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28))), encode_model(eng, weights))
     d1 = eng.meter_snapshot().max_depth
     eng2 = make_engine(32768)
-    forward(eng2, pack_batch(eng2, np.zeros((32, 28, 28))), weights)
+    forward_encoded(eng2, pack_batch(eng2, np.zeros((32, 28, 28))), encode_model(eng2, weights))
     assert d1 == eng2.meter_snapshot().max_depth == PIPELINE_DEPTH
 
 

@@ -23,7 +23,7 @@ def test_ciphertext_round_trip_bit_exact(tmp_path, rng):
     eng = make_engine(64)
     vals = rng.uniform(-1e9, 1e9, size=64)
     vals[0] = 1.0 / 3.0  # non-representable decimal, must survive exactly
-    ct = eng.enc(vals, layout=("grid", 8, 8))
+    ct = eng.enc(vals)
     ct = eng.mul(ct, ct)
     path = tmp_path / "a.simct"
     write_ciphertext(path, ct, meta={"kind": "test"})
@@ -31,7 +31,7 @@ def test_ciphertext_round_trip_bit_exact(tmp_path, rng):
     assert vec.tobytes() == np.asarray(ct.slots).tobytes()
     assert header["depth"] == 1 and header["meta"]["kind"] == "test"
     loaded, _ = load_ciphertext(eng, path)
-    assert loaded.depth == 1 and loaded.layout == ("grid", 8, 8)
+    assert loaded.depth == 1 and "layout" not in header
 
 
 def test_read_rejects_garbage(tmp_path):

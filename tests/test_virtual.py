@@ -23,7 +23,7 @@ from conftest import make_engine, rand_int_matrix
 def pack_rows(eng, layout, rows):
     grid = np.zeros((layout.m, layout.f))
     grid[:, : rows.shape[1]] = rows
-    return eng.enc(grid.reshape(-1), layout=layout.tag())
+    return eng.enc(grid.reshape(-1))
 
 
 def test_layout_validation():
@@ -31,6 +31,9 @@ def test_layout_validation():
         VirtualLayout(2, 12, 3, 4)  # stride not a power of two
     with pytest.raises(EngineError):
         VirtualLayout(2, 8, 3, 3)  # image exceeds stride
+    for h, w in ((0, 4), (3, 0), (0, 0)):
+        with pytest.raises(EngineError):
+            VirtualLayout(2, 16, h, w)  # empty image
     lay = VirtualLayout(2, 16, 3, 4)
     assert lay.pad == 4 and lay.image_slots == 12
 
@@ -182,6 +185,11 @@ def test_reform_block_too_large():
     lay = VirtualLayout(1, 16, 3, 3)
     with pytest.raises(EngineError):
         reform(eng, eng.enc(np.ones(9)), lay, 4, 2)
+    for out_h, out_w in ((0, 2), (2, 0), (0, 0)):  # empty block
+        with pytest.raises(EngineError):
+            reform(eng, eng.enc(np.ones(9)), lay, out_h, out_w)
+        with pytest.raises(EngineError):
+            reform_maps(eng, [eng.enc(np.ones(9))] * 2, lay, out_h, out_w)
 
 
 @st.composite
