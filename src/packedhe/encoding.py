@@ -32,6 +32,7 @@ __all__ = [
     "encode_row_major",
     "encode_revolver",
     "column0_filter",
+    "spread_column0",
     "sum_col_vec",
 ]
 
@@ -111,6 +112,20 @@ def column0_filter(engine: SlotEngine, m: int, n: int) -> PlainMask:
     return engine.mask(keep.reshape(-1), role="filter")
 
 
+def spread_column0(engine: SlotEngine, ct: Ciphertext, cols: int) -> Ciphertext:
+    """Copy column 0 of each row into its first ``cols`` columns.
+
+    ceil(log2 cols) rotate-and-add steps, with right rotations by 1, 2,
+    4, ...: lane j ends up as the sum of lanes j - s, 0 <= s < P with
+    P = next_pow2(cols).  The copy is exact when the P - 1 lanes after
+    every nonzero lane are zero, so values P lanes apart (FC neuron blocks
+    at lanes b*p, p a power of two) are each copied into their own P lanes.
+    """
+    for t in range((cols - 1).bit_length()):
+        ct = engine.add(ct, engine.rot(ct, -(1 << t)))
+    return ct
+
+
 def sum_col_vec(
     engine: SlotEngine,
     pm: PackedMatrix,
@@ -147,6 +162,4 @@ def sum_col_vec(
     for t in range((width - 1).bit_length()):
         ct = engine.add(ct, engine.rot(ct, 1 << t))
     ct = engine.cmul(column0_filter(engine, m, n) if col0 is None else col0, ct)
-    for t in range((cols - 1).bit_length()):
-        ct = engine.add(ct, engine.rot(ct, -(1 << t)))
-    return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)
+    return PackedMatrix(spread_column0(engine, ct, cols), pm.shape, pm.encoding, pm.revolve_p)

@@ -9,7 +9,8 @@ constant, and so is the multiplicative depth.  A product whose inner
 dimension is split across several ciphertexts adds the chunk products of
 each iteration before the row sum, so it still pays one row sum per
 iteration; an FC product whose weights are zero past a known input width
-also cuts that row sum to the width and the p result columns.
+also cuts that row sum to the width and the p result columns, and its
+neuron blocks share one spread and one result filter per iteration.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import Encoding, MatrixShape, PackedMatrix, column0_filter, sum_col_vec
-from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine
+from .encoding import Encoding, MatrixShape, PackedMatrix, column0_filter, spread_column0, sum_col_vec
+from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, is_pow2
 
 __all__ = [
     "MatmulPlan",
@@ -109,13 +110,21 @@ def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> Pac
     return PackedMatrix(out, bbar.shape, Encoding.REVOLVER, bbar.revolve_p)
 
 
-def build_result_filter(engine: SlotEngine, m: int, n: int, p: int, idx: int) -> PlainMask:
-    """One-hot row filter: row i keeps column (i + idx) mod p."""
+def build_result_filter(
+    engine: SlotEngine, m: int, n: int, p: int, idx: int, blocks: int = 1
+) -> PlainMask:
+    """One-hot row filter: row i keeps column (i + idx) mod p.
+
+    With ``blocks`` side-by-side p-wide blocks, row i keeps lane
+    b*p + (i + idx) mod p of every block b; blocks * p <= n.
+    """
     if not 0 <= idx < p:
         raise EngineError(f"idx must be in [0, {p}), got {idx}")
-    rows = np.arange(m)
+    if not 1 <= blocks <= n // p:
+        raise LayoutError(f"{blocks} blocks of {p} columns do not fit rows {n} wide")
+    rows = np.arange(m)[:, None]
     keep = np.zeros((m, n), dtype=bool)
-    keep[rows, (rows + idx) % p] = True
+    keep[rows, (rows + idx) % p + p * np.arange(blocks)] = True
     return engine.mask(keep.reshape(-1), role="filter")
 
 
@@ -142,61 +151,87 @@ def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix)
 def matmul_chunked(
     engine: SlotEngine,
     a_chunks: Sequence[PackedMatrix],
-    b_chunks: Sequence[PackedMatrix],
+    *b_blocks: Sequence[PackedMatrix],
     init: Ciphertext | None = None,
     width: int | None = None,
 ) -> PackedMatrix:
-    """Sum of products A_c * B_c over inner-dimension chunks, in one loop.
+    """Products A_c * B_bc summed over inner-dimension chunks c, for every
+    neuron block b, in one loop.
 
     Row summation and the result filter are linear, so each iteration adds
-    the C chunk products of its row cycle first and then pays for one row
-    sum, one filter and one accumulate: only the row cycles and the ct-ct
-    multiplies scale with C.  The row sum costs 2*log2(n) rotations, or
-    ceil(log2 width) + ceil(log2 p) with ``width`` (the FC row sum of
-    :func:`sum_col_vec`), so an iteration costs C + 2*log2(n) rotations,
-    or C + ceil(log2 width) + ceil(log2 p).
+    the C chunk products of a block's row cycle, collapses them to one row
+    sum per row, moves block b's sums to lane b*p and adds the blocks; one
+    spread and one result filter then serve all B blocks, and one add
+    accumulates.  Only the row cycles, the ct-ct multiplies and the
+    collapse scale with B*C.  Without ``width`` (one block only) the row
+    sum is the paper's, 2*log2(n) rotations, so an iteration costs
+    C + 2*log2(n).  With ``width`` (the FC row sum of :func:`sum_col_vec`)
+    the collapse takes ceil(log2 width) steps and the spread
+    ceil(log2 p), so on the single-rotation row-cycle path the call costs
+    B*p*(C + ceil(log2 width)) + p*(B - 1 + ceil(log2 p)) rotations,
+    B*p*C ct-ct multiplies and p*(B + 1) constant multiplies.
 
     Args:
         a_chunks: C left operands, each m x n and row-major encoded.
-        b_chunks: C revolver encodings of n x p right operands, tiled to
-            max(m, p) rows; every pair shares m, n and p.
-        init: optional accumulator seed (e.g. a packed bias), added once.
-        width: FC row sum.  The result is exact only if every B_c is zero
+        b_blocks: one sequence per neuron block of C revolver encodings of
+            n x p right operands (one per left chunk), tiled to max(m, p)
+            rows; every pair shares m, n and p.
+        init: optional accumulator seed (e.g. a packed bias) in the output
+            lanes, added once.
+        width: FC row sum.  The result is exact only if every B_bc is zero
             from inner index ``width`` on (A_c may hold anything there);
             the row sum then collapses over ``width`` and spreads only over
-            the p result columns.  1 <= width <= n, else LayoutError.
+            the p result columns.  1 <= width <= n, else LayoutError.  More
+            than one block needs it, a power-of-two p and B*p <= n: a
+            full-row spread would smear the blocks together.
 
     Returns:
-        PackedMatrix over the working layout; entry (i, j) of the m x p
-        sum sits at slot i*n + j and every slot outside that block decodes
-        to zero.
+        PackedMatrix over the working layout; entry (i, j) of block b's
+        m x p sum sits at slot i*n + b*p + j, so row i's outputs fill
+        lanes 0..B*p-1, and every slot outside them decodes to zero.
     """
-    if not a_chunks or len(a_chunks) != len(b_chunks):
+    counts = sorted({len(b_chunks) for b_chunks in b_blocks})
+    if not a_chunks or counts != [len(a_chunks)]:
         raise LayoutError(
-            f"need one right operand per left chunk (at least one), "
-            f"got {len(a_chunks)} and {len(b_chunks)}"
+            f"need one right operand per left chunk (at least one) in every block, "
+            f"got {len(a_chunks)} left chunks and blocks of {counts}"
         )
-    plans = {_plan_product(engine, a, b) for a, b in zip(a_chunks, b_chunks)}
+    plans = {_plan_product(engine, a, b) for b_chunks in b_blocks for a, b in zip(a_chunks, b_chunks)}
     if len(plans) != 1:
         shapes = sorted((pl.m, pl.n, pl.p) for pl in plans)
         raise LayoutError(f"chunks disagree on (m, n, p): {shapes}")
     (plan,) = plans
     p, n, rows = plan.p, plan.n, plan.layout_m
+    blocks = len(b_blocks)
+    if blocks > 1 and (width is None or not is_pow2(p) or blocks * p > n):
+        raise LayoutError(
+            f"{blocks} neuron blocks of p={p} need the FC row sum (width), "
+            f"a power-of-two p and {blocks}*{p} <= row width {n}"
+        )
     work_shape = MatrixShape(rows, n)
-    cols = None if width is None else p
+    spread = n if width is None else p
     col0 = column0_filter(engine, rows, n)  # one layout, so one filter for every row sum
 
     acc = init if init is not None else engine.enc([])
     for idx in range(p):
-        with engine.scope("matmul.row_cycle"):
-            prod = None
-            for ct_a, ct_bbar in zip(a_chunks, b_chunks):
-                term = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
-                prod = term if prod is None else engine.add(prod, term)
+        sums = None
+        for b, b_chunks in enumerate(b_blocks):
+            with engine.scope("matmul.row_cycle"):
+                prod = None
+                for ct_a, ct_bbar in zip(a_chunks, b_chunks):
+                    term = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
+                    prod = term if prod is None else engine.add(prod, term)
+            with engine.scope("matmul.row_sum"):
+                col = sum_col_vec(  # row sums into column 0, no spread yet
+                    engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), width, cols=1, col0=col0
+                ).ct
+                if b:
+                    col = engine.rot(col, -b * p)  # block b's sums to lane b*p
+                sums = col if sums is None else engine.add(sums, col)
         with engine.scope("matmul.row_sum"):
-            sums = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), width, cols, col0)
+            sums = spread_column0(engine, sums, spread)
         with engine.scope("matmul.result_filter"):
-            kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), sums.ct)
+            kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p, blocks), sums)
         with engine.scope("matmul.accumulate"):
             acc = engine.add(acc, kept)
     return PackedMatrix(acc, work_shape, Encoding.ROW_MAJOR)
@@ -205,7 +240,8 @@ def matmul_chunked(
 def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> PackedMatrix:
     """Homomorphic product of a row-major A with a revolver-encoded B.
 
-    The one-chunk case of :func:`matmul_chunked`, with no accumulator seed.
+    The one-block, one-chunk case of :func:`matmul_chunked`, with no
+    accumulator seed.
 
     Args:
         ct_a: m x n row-major left operand.

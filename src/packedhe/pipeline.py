@@ -10,15 +10,18 @@ ciphertexts then serve directly as the four inner-dimension chunks of the
 first FC product (weight columns are mapped chunk-wise, preserving the
 map-major flatten order).  FC output neurons are evaluated in
 power-of-two blocks no wider than the batch row count, which keeps every
-product on its single-rotation row-cycling path.  Each block is one
-chunked product (``matmul_chunked``): the chunk products are added before
-a single row summation per iteration.  The weight tiles are zero past the
-layer's input width w (676 for FC-1, the 64 FC-1 outputs for FC-2), so
-that row sum collapses over ceil(log2 w) steps and spreads over the
-log2 p result columns.  With B blocks, C chunks and p-wide blocks a layer
-costs B*p*(C + ceil(log2 w) + log2 p) + (B - 1) rotations, B*p*C ct-ct
-multiplies and 2*B*p constant multiplies.  Block results are concatenated
-with one uniform rotation each.
+product on its single-rotation row-cycling path.  A layer is one chunked
+product (``matmul_chunked``) over all its neuron blocks: the chunk
+products are added before a single row summation per block and
+iteration.  The weight tiles are zero past the layer's input width w
+(676 for FC-1, the 64 FC-1 outputs for FC-2), so that row sum collapses
+over ceil(log2 w) steps; block b's sums then move to lane b*p, and one
+spread over the log2 p result columns and one one-hot filter serve every
+block.  With B blocks, C chunks and p-wide blocks a layer costs
+B*p*(C + ceil(log2 w)) + p*(B - 1 + log2 p) + (B - 1) rotations (the
+last term places the block biases), B*p*C ct-ct multiplies and
+p*(B + 1) constant multiplies.  Its outputs land in lanes 0..B*p-1 of
+each row.
 """
 
 from dataclasses import dataclass
@@ -173,24 +176,28 @@ class EncodedModel:
         return n
 
 
-def poly_activation(engine: SlotEngine, ct: Ciphertext, coeffs) -> Ciphertext:
-    """Slot-wise c0 + c1 x + c2 x^2 + c3 x^3 in two multiplicative levels.
+def poly_activation(engine: SlotEngine, cts, coeffs) -> list[Ciphertext]:
+    """Slot-wise c0 + c1 x + c2 x^2 + c3 x^3 of each ciphertext of one stage,
+    in two multiplicative levels.
 
     x^2 is squared once; the cubic and quadratic terms share it through
-    x^2 * (c3 x + c2).  Two ct-ct products, two constant products.
+    x^2 * (c3 x + c2).  Two ct-ct products and two constant products per
+    ciphertext; the two constant masks and the two constant encodings are
+    built once for the whole stage.
     """
     if len(coeffs) != 4:
         raise EngineError(f"expected 4 coefficients, got {len(coeffs)}")
     c0, c1, c2, c3 = (float(c) for c in coeffs)
     slots = engine.slots
-    x2 = engine.mul(ct, ct)
-    inner = engine.add(
-        engine.cmul(engine.mask(np.full(slots, c3)), ct),
-        engine.enc(np.full(slots, c2)),
-    )
-    out = engine.mul(x2, inner)
-    out = engine.add(out, engine.cmul(engine.mask(np.full(slots, c1)), ct))
-    return engine.add(out, engine.enc(np.full(slots, c0)))
+    mask_c3, mask_c1 = engine.mask(np.full(slots, c3)), engine.mask(np.full(slots, c1))
+    enc_c2, enc_c0 = engine.enc(np.full(slots, c2)), engine.enc(np.full(slots, c0))
+    outs = []
+    for ct in cts:
+        x2 = engine.mul(ct, ct)
+        out = engine.mul(x2, engine.add(engine.cmul(mask_c3, ct), enc_c2))
+        out = engine.add(out, engine.cmul(mask_c1, ct))
+        outs.append(engine.add(out, enc_c0))
+    return outs
 
 
 def pack_batch(engine: SlotEngine, images, layout: VirtualLayout = MNIST_LAYOUT) -> Ciphertext:
@@ -288,24 +295,19 @@ def _encode_fc_tiles(
 def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles, in_width: int) -> PackedMatrix:
     """Evaluate an FC layer given encoded weight tiles.
 
-    One chunked product per neuron block, seeded with the block bias: the
-    input chunks' products are added inside each iteration, so a block
-    pays for one row summation per iteration however many chunks it has.
+    One chunked product over every neuron block, seeded with the block
+    biases: the input chunks' products are added inside each iteration, so
+    a block pays for one row collapse per iteration however many chunks it
+    has, and the blocks share one spread and one result filter.
     ``in_width`` is the layer's input width: every weight tile is zero past
     it (``_encode_fc_tiles`` pads with zeros), so the row sum only folds
-    over it and spreads over the block's p columns.  Block results are then
-    concatenated with one uniform right rotation per extra block.
+    over it and spreads over the block's p columns.  Block b's outputs land
+    in lanes b*p..b*p+p-1, where its bias seed is rotated once.
     """
-    rows = chunks[0].shape.m
-    width = chunks[0].shape.n
-    blocks = [
-        matmul_chunked(engine, chunks, row_tiles, init=fc.bias_cts[b], width=in_width).ct
-        for b, row_tiles in enumerate(fc.tiles)
-    ]
-    out = blocks[0]
-    for b in range(1, len(blocks)):
-        out = engine.add(out, engine.rot(blocks[b], -b * fc.block_p))
-    return PackedMatrix(out, MatrixShape(rows, width), Encoding.ROW_MAJOR)
+    seed = fc.bias_cts[0]
+    for b in range(1, len(fc.bias_cts)):
+        seed = engine.add(seed, engine.rot(fc.bias_cts[b], -b * fc.block_p))
+    return matmul_chunked(engine, chunks, *fc.tiles, init=seed, width=in_width)
 
 
 def encode_model(
@@ -342,13 +344,13 @@ def forward_encoded(
     with engine.scope("conv", stage_meters):
         maps, _, (out_h, out_w) = conv_layer(engine, ct_x, layout, model.kernel_spans)
     with engine.scope("act1", stage_meters):
-        maps = [poly_activation(engine, ct, model.act1) for ct in maps]
+        maps = poly_activation(engine, maps, model.act1)
     with engine.scope("flatten", stage_meters):
         chunks = flatten_maps(engine, maps, layout, out_h, out_w)
     with engine.scope("fc1", stage_meters):
         hidden = _fc_from_tiles(engine, chunks, model.fc1, out_h * out_w)
     with engine.scope("act2", stage_meters):
-        activated = poly_activation(engine, hidden.ct, model.act2)
+        (activated,) = poly_activation(engine, [hidden.ct], model.act2)
         hidden = PackedMatrix(activated, hidden.shape, Encoding.ROW_MAJOR)
     with engine.scope("fc2", stage_meters):
         scores = _fc_from_tiles(engine, [hidden], model.fc2, model.fc1.out_width)

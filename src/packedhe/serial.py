@@ -171,7 +171,11 @@ def _write_fc(directory: Path, name: str, fc: FcTiles) -> None:
         write_ciphertext(directory / f"{name}_bias_b{b}{CT_SUFFIX}", fc.bias_cts[b])
 
 
-def _load_fc(engine: SlotEngine, directory: Path, manifest_path, manifest: dict, name: str) -> FcTiles:
+def _load_fc(
+    engine: SlotEngine, directory: Path, manifest_path, manifest: dict, layout: VirtualLayout, name: str
+) -> FcTiles:
+    """Load one FC layer; every weight tile is a revolver grid of the
+    layout's m rows by f columns."""
     blocks, chunks, block_p = (
         _count(manifest_path, manifest, f"{name}_{key}") for key in ("blocks", "chunks", "block_p")
     )
@@ -182,7 +186,7 @@ def _load_fc(engine: SlotEngine, directory: Path, manifest_path, manifest: dict,
             path = directory / f"{name}_w_b{b}_c{c}{CT_SUFFIX}"
             ct, header = load_ciphertext(engine, path)
             meta = header.get("meta")
-            rows, cols = (_count(path, meta, key) for key in ("rows", "cols"))
+            rows, cols = _count(path, meta, "rows", layout.m), _count(path, meta, "cols", layout.f)
             revolve_p = _count(path, meta, "revolve_p", block_p)
             row.append(PackedMatrix(ct, MatrixShape(rows, cols), Encoding.REVOLVER, revolve_p=revolve_p))
         tiles.append(row)
@@ -269,8 +273,8 @@ def load_model(engine: SlotEngine, directory) -> EncodedModel:
 
     model = EncodedModel(
         kernel_spans=spans,
-        fc1=_load_fc(engine, directory, manifest_path, manifest, "fc1"),
-        fc2=_load_fc(engine, directory, manifest_path, manifest, "fc2"),
+        fc1=_load_fc(engine, directory, manifest_path, manifest, layout, "fc1"),
+        fc2=_load_fc(engine, directory, manifest_path, manifest, layout, "fc2"),
         act1=_coefficients(manifest_path, manifest, "act1"),
         act2=_coefficients(manifest_path, manifest, "act2"),
         layout=layout,

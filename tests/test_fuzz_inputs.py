@@ -258,6 +258,29 @@ def test_tampered_manifest_fails_cleanly(pipeline_files, tmp_path, capsys, key, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("rows", 4), ("cols", 512)])
+def test_fc_tile_grid_must_match_the_layout(pipeline_files, tmp_path, capsys, key, value):
+    """An FC weight tile whose meta grid is not the manifest layout's m rows
+    by f columns fails at load, in one error line naming the tile file."""
+    tmp, _, _ = pipeline_files
+    model = tmp_path / "model"
+    shutil.copytree(tmp / "model", model)
+    tile = model / "fc1_w_b3_c2.simct"
+    data = tile.read_bytes()
+    start = len(MAGIC) + 4
+    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+    header = json.loads(data[start : start + hlen])
+    header["meta"][key] = value
+    blob = json.dumps(header).encode()
+    tile.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + data[start + hlen :])
+    out = tmp_path / "preds.jsonl"
+    err = _exits_cleanly(
+        capsys, ["cloud-infer", "--batch-dir", str(tmp / "batches"), "--model-dir", str(model), "--out", str(out)]
+    )
+    assert len(err.splitlines()) == 1 and str(tile) in err and repr(key) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overflow", ["manifest-act1", "csv-1e300"])
 def test_overflowing_model_fails_cleanly(pipeline_files, tmp_path, capsys, overflow):
     """Finite model values whose products overflow float64 end in one error

@@ -1,9 +1,10 @@
 """matmul_chunked: one row sum per iteration over C inner-dimension chunks,
-and the FC row sum over the input width and the p result columns."""
+the FC row sum over the input width and the p result columns, and B
+neuron blocks sharing one spread and one result filter per iteration."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from packedhe.encoding import encode_revolver, encode_row_major, sum_col_vec
@@ -163,3 +164,86 @@ def test_fc_row_sum_rejects_widths_outside_the_row():
     narrow = encode_row_major(eng, np.ones((2, 2)))
     with pytest.raises(LayoutError):  # p = 4 > n = 2
         matmul_chunked(eng, [narrow], [encode_revolver(eng, np.ones((2, 4)), target_m=4)], width=2)
+
+
+@st.composite
+def fused_shapes(draw):
+    """(m, B, C, n, p, w, slots): B neuron blocks of C chunks each.  B > 1
+    needs a power-of-two p with B*p <= n, so p is drawn as a power of two
+    whenever B may exceed 1; B*p = n, p = 1 and B > m all occur, and the
+    ciphertext fits the layout exactly or has slack, so both row-cycle
+    paths occur."""
+    n = 1 << draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        p = 1 << draw(st.integers(0, n.bit_length() - 1))
+        blocks = draw(st.one_of(st.just(n // p), st.integers(1, n // p)))
+    else:
+        p, blocks = draw(st.integers(1, n)), 1
+    m = draw(st.integers(1, 9))
+    chunks = draw(st.integers(1, 3))
+    w = draw(st.integers(1, n))
+    slack = draw(st.integers(0, 1))
+    return m, blocks, chunks, n, p, w, next_pow2(max(2, max(m, p) * n)) << slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=fused_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(4, 2, 2, 8, 4, 5, 32), seed=1)  # B*p = n, fast path
+@example(shape=(3, 4, 1, 4, 1, 4, 16), seed=2)  # p = 1, B > m, general path
+@example(shape=(2, 8, 2, 8, 1, 8, 16), seed=3)  # B > m and B*p = n, fast path
+def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
+    m, blocks, chunks, n, p, w, slots = shape
+    rng = np.random.default_rng(seed)
+    # A holds junk past w; every B is zero from inner index w on.
+    a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
+    b_mats = [[rand_int_matrix(rng, n, p) for _ in range(chunks)] for _ in range(blocks)]
+    for row in b_mats:
+        for b in row:
+            b[w:] = 0.0
+    seed_grid = np.zeros((max(m, p), n))
+    seed_grid[:m, : blocks * p] = rand_int_matrix(rng, m, blocks * p)
+    eng = make_engine(slots)
+    a_cts = [encode_row_major(eng, a) for a in a_mats]
+    b_cts = [[encode_revolver(eng, b, target_m=max(m, p)) for b in row] for row in b_mats]
+    init = eng.enc(seed_grid.reshape(-1))
+    before = eng.meter_snapshot()
+    out = matmul_chunked(eng, a_cts, *b_cts, init=init, width=w)
+    call = eng.meter_snapshot().delta_since(before)
+
+    want = seed_grid.copy()
+    for b, row in enumerate(b_mats):
+        want[:m, b * p : (b + 1) * p] += sum(a @ bm for a, bm in zip(a_mats, row))
+    got = np.zeros(slots)
+    got[: want.size] = want.reshape(-1)
+    np.testing.assert_array_equal(eng.dec(out.ct), got)
+
+    # Per iteration: B*C row cycles (one rotation on the fast path, two
+    # masked ones otherwise), B collapses of ceil(log2 w), B - 1 moves to
+    # lane b*p, one spread of ceil(log2 p); B column-0 filters and one
+    # result filter.
+    fast = MatmulPlan.plan(eng, m, n, p).fast_path
+    cycle = 1 if fast else 2
+    rot = blocks * p * (chunks * cycle + (w - 1).bit_length()) + p * (blocks - 1 + (p - 1).bit_length())
+    cmul = p * (blocks + 1) + (0 if fast else 2 * blocks * p * chunks)
+    assert (call.rot_count, call.mul_count, call.cmul_count) == (rot, blocks * p * chunks, cmul)
+    assert call.max_depth == (3 if fast else 4)
+    assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
+
+
+@pytest.mark.parametrize(
+    "blocks, n, p, width",
+    [(3, 8, 4, 8), (2, 8, 2, None), (2, 16, 3, 16)],
+    ids=["blocks-wider-than-row", "no-width", "non-pow2-p"],
+)
+def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
+    """B*p > n would wrap blocks into the next row, and the full-row or
+    next_pow2(p) spread would add one block's sums into the next block's
+    lanes."""
+    eng = make_engine(4 * n)
+    a = encode_row_major(eng, np.ones((4, n)))
+    b = encode_revolver(eng, np.ones((n, p)), target_m=4)
+    with pytest.raises(LayoutError, match="neuron blocks"):
+        matmul_chunked(eng, [a], *[[b]] * blocks, width=width)
+    for bad in ([], [[b], [b, b]]):  # no block; blocks of unequal chunk counts
+        with pytest.raises(LayoutError, match="one right operand per left chunk"):
+            matmul_chunked(eng, [a], *bad, width=width)

@@ -47,14 +47,15 @@ def fc_shape(out_dim: int, chunks: int, in_width: int) -> tuple:
 
 
 def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int) -> tuple:
-    """(rot, mul, cmul) of a fused FC layer: each of the B*p iterations
-    cycles C revolver tiles (one rotation and one multiply each) and pays
-    one FC row sum, ceil(log2 w) collapse steps over the input width plus
-    log2(p) spread steps, and its two filters; B - 1 rotations then
-    concatenate the blocks."""
-    assert w <= n and p <= n
-    row_sum = (w - 1).bit_length() + (p - 1).bit_length()
-    return blocks * p * (chunks + row_sum) + blocks - 1, blocks * p * chunks, 2 * blocks * p
+    """(rot, mul, cmul) of a fused FC layer: in each of the p iterations
+    every block cycles its C revolver tiles (one rotation and one multiply
+    each), collapses over the input width (ceil(log2 w) rotations) and
+    applies the column-0 filter, and blocks b > 0 move to lane b*p (one
+    rotation each); one spread over log2(p) and one result filter serve
+    all blocks.  B - 1 rotations place the block biases once."""
+    assert w <= n and blocks * p <= n
+    rot = blocks * p * (chunks + (w - 1).bit_length()) + p * (blocks - 1 + (p - 1).bit_length()) + blocks - 1
+    return rot, blocks * p * chunks, p * (blocks + 1)
 
 
 def random_weights(rng) -> ModelWeights:
@@ -76,31 +77,34 @@ def random_weights(rng) -> ModelWeights:
 def test_poly_activation_identity_coeffs(rng):
     eng = make_engine(8)
     ct = eng.enc(rng.uniform(-2, 2, size=8))
-    out = poly_activation(eng, ct, (0.0, 1.0, 0.0, 0.0))
+    (out,) = poly_activation(eng, [ct], (0.0, 1.0, 0.0, 0.0))
     np.testing.assert_allclose(eng.dec(out), eng.dec(ct), atol=1e-15)
 
 
 def test_poly_activation_constant_at_zero():
     eng = make_engine(8)
-    out = poly_activation(eng, eng.enc([]), ACT1)
+    (out,) = poly_activation(eng, [eng.enc([])], ACT1)
     np.testing.assert_allclose(eng.dec(out), np.full(8, ACT1[0]), atol=1e-18)
 
 
 def test_poly_activation_act2_at_one():
     eng = make_engine(4)
-    out = poly_activation(eng, eng.enc(np.ones(4)), ACT2)
+    (out,) = poly_activation(eng, [eng.enc(np.ones(4))], ACT2)
     np.testing.assert_allclose(eng.dec(out), np.full(4, -0.3449455), atol=1e-12)
 
 
 def test_poly_activation_meter_and_depth(rng):
     eng = make_engine(8)
-    ct = eng.enc(rng.uniform(-1, 1, size=8))
+    cts = [eng.enc(rng.uniform(-1, 1, size=8)) for _ in range(3)]
     before = eng.meter_snapshot()
-    out = poly_activation(eng, ct, ACT1)
+    outs = poly_activation(eng, cts, ACT1)
     delta = eng.meter_snapshot().delta_since(before)
-    assert delta.mul_count <= 2 and delta.cmul_count <= 2
-    assert out.depth == ct.depth + 2
-    np.testing.assert_allclose(eng.dec(out), oracle_poly(eng.dec(ct), ACT1), rtol=1e-12, atol=1e-12)
+    # per ciphertext two ct-ct and two constant products; the two constant
+    # encodings are shared by the stage
+    assert (delta.mul_count, delta.cmul_count, delta.enc_count) == (2 * 3, 2 * 3, 2)
+    for ct, out in zip(cts, outs, strict=True):
+        assert out.depth == ct.depth + 2
+        np.testing.assert_allclose(eng.dec(out), oracle_poly(eng.dec(ct), ACT1), rtol=1e-12, atol=1e-12)
 
 
 def test_batch_plan_mnist_figures():
@@ -312,17 +316,17 @@ def test_forward_fused_fc_exact_counts(rng):
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
     assert model.fc1.out_width == next_pow2(FC1_OUT) == 64
-    assert fc_counts(*fc1_shape) == (1217, 256, 128)
+    assert fc_counts(*fc1_shape) == (1089, 256, 96)
     assert fc_counts(*fc2_shape) == (176, 16, 32)
-    assert (total.rot_count, total.mul_count, total.cmul_count) == (1709, 318, 310)
+    assert (total.rot_count, total.mul_count, total.cmul_count) == (1581, 318, 278)
     assert total.max_depth == PIPELINE_DEPTH == 13
 
 
 def test_forward_builds_each_mask_once(rng, monkeypatch):
     """One pass builds every plaintext mask once for all its consumers: k*k
     offset filters shared by the kernels, out_h reform row masks shared by
-    the maps, per FC block one column-0 filter plus p result filters, and
-    two constant masks per activation call."""
+    the maps, per FC layer one column-0 filter plus p result filters shared
+    by its blocks, and two constant masks per activation stage."""
     eng = make_engine(32768)
     model = encode_model(eng, random_weights(rng))
     ct = pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28)))
@@ -336,11 +340,11 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
     monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     forward_encoded(eng, ct, model)
     fc_shapes = (fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES), fc_shape(FC2_OUT, 1, model.fc1.out_width))
-    fc_masks = sum(blocks * (1 + p) for blocks, _, p, _, _ in fc_shapes)
-    activation_calls = KERNEL_COUNT + 1
+    fc_masks = sum(1 + p for _, _, p, _, _ in fc_shapes)
+    activation_stages = 2
     filters = KERNEL_SIZE**2 + MAP_SIDE + fc_masks
-    assert (roles.count("filter"), roles.count("constant")) == (filters, 2 * activation_calls)
-    assert len(roles) == 9 + 26 + 66 + 17 + 10 == 128
+    assert (roles.count("filter"), roles.count("constant")) == (filters, 2 * activation_stages)
+    assert len(roles) == 9 + 26 + 33 + 17 + 4 == 89
 
 
 def test_forward_depth_independent_of_content(rng):
