@@ -23,6 +23,7 @@ from .engine import (
     PlainMask,
     SlotEngine,
     is_pow2,
+    next_pow2,
 )
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "encode_row_major",
     "encode_revolver",
     "column0_filter",
-    "spread_column0",
     "sum_col_vec",
 ]
 
@@ -105,25 +105,12 @@ def encode_revolver(engine: SlotEngine, b, target_m: int) -> PackedMatrix:
     return PackedMatrix(ct, MatrixShape(target_m, n), Encoding.REVOLVER, revolve_p=p)
 
 
-def column0_filter(engine: SlotEngine, m: int, n: int) -> PlainMask:
-    """0/1 filter keeping column 0 of every row of an m x n layout."""
+def column0_filter(engine: SlotEngine, m: int, n: int, lanes: int = 1) -> PlainMask:
+    """0/1 filter keeping the first ``lanes`` columns (by default column 0)
+    of every row of an m x n layout."""
     keep = np.zeros((m, n), dtype=bool)
-    keep[:, 0] = True
+    keep[:, :lanes] = True
     return engine.mask(keep.reshape(-1), role="filter")
-
-
-def spread_column0(engine: SlotEngine, ct: Ciphertext, cols: int) -> Ciphertext:
-    """Copy column 0 of each row into its first ``cols`` columns.
-
-    ceil(log2 cols) rotate-and-add steps, with right rotations by 1, 2,
-    4, ...: lane j ends up as the sum of lanes j - s, 0 <= s < P with
-    P = next_pow2(cols).  The copy is exact when the P - 1 lanes after
-    every nonzero lane are zero, so values P lanes apart (FC neuron blocks
-    at lanes b*p, p a power of two) are each copied into their own P lanes.
-    """
-    for t in range((cols - 1).bit_length()):
-        ct = engine.add(ct, engine.rot(ct, -(1 << t)))
-    return ct
 
 
 def sum_col_vec(
@@ -132,6 +119,7 @@ def sum_col_vec(
     width: int | None = None,
     cols: int | None = None,
     col0: PlainMask | None = None,
+    stride: int = 1,
 ) -> PackedMatrix:
     """Replace every entry of row i with the sum of row i.
 
@@ -150,16 +138,34 @@ def sum_col_vec(
     to zero).  The sum is exact only if every entry of a row at or past
     column ``width`` is zero, as in an FC product whose weight tiles are
     zero past the layer's input width.  Both default to n, the full row sum.
+
+    Interleaved sums: with ``stride`` s every step moves s times as far,
+    so lane j < s of a row collapses the row's lanes j, j + s, j + 2s, ...
+    below ``width`` (ceil(log2 ceil(width / s)) steps), the filter (then
+    ``column0_filter(..., lanes=s)``) keeps lanes 0..s-1, and the spread
+    copies lane j to lanes j + k*s for k < next_pow2(cols).  Every step
+    stays inside the row when s * next_pow2(ceil(width / s)) <= n and
+    s * next_pow2(cols) <= n, else LayoutError.
     """
     m, n = pm.shape.m, pm.shape.n
     if not is_pow2(n):
         raise EngineError(f"sum_col_vec requires a power-of-two column count, got {n}")
     width = n if width is None else width
     cols = n if cols is None else cols
-    if not (1 <= width <= n and 1 <= cols <= n):
-        raise LayoutError(f"row sum over width {width} into {cols} columns needs both in [1, {n}]")
+    if not (
+        stride >= 1
+        and width >= 1
+        and cols >= 1
+        and stride * max(next_pow2(-(-width // stride)), next_pow2(cols)) <= n
+    ):
+        raise LayoutError(
+            f"row sum over width {width} into {cols} columns at stride {stride} "
+            f"does not fit rows {n} wide"
+        )
     ct = pm.ct
-    for t in range((width - 1).bit_length()):
-        ct = engine.add(ct, engine.rot(ct, 1 << t))
-    ct = engine.cmul(column0_filter(engine, m, n) if col0 is None else col0, ct)
-    return PackedMatrix(spread_column0(engine, ct, cols), pm.shape, pm.encoding, pm.revolve_p)
+    for t in range((-(-width // stride) - 1).bit_length()):
+        ct = engine.add(ct, engine.rot(ct, stride << t))
+    ct = engine.cmul(column0_filter(engine, m, n, stride) if col0 is None else col0, ct)
+    for t in range((cols - 1).bit_length()):
+        ct = engine.add(ct, engine.rot(ct, -(stride << t)))
+    return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)

@@ -10,7 +10,8 @@ dimension is split across several ciphertexts adds the chunk products of
 each iteration before the row sum, so it still pays one row sum per
 iteration; an FC product whose weights are zero past a known input width
 also cuts that row sum to the width and the p result columns, and its
-neuron blocks share one spread and one result filter per iteration.
+neuron blocks, interleaved across the spare lanes of each row, share
+that row sum, one spread and one result filter per iteration.
 """
 
 from dataclasses import dataclass
@@ -18,13 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import Encoding, MatrixShape, PackedMatrix, column0_filter, spread_column0, sum_col_vec
-from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, is_pow2
+from .encoding import Encoding, MatrixShape, PackedMatrix, column0_filter, sum_col_vec
+from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, next_pow2
 
 __all__ = [
     "MatmulPlan",
     "row_shifter",
     "build_result_filter",
+    "encode_interleaved",
     "matmul",
     "matmul_chunked",
 ]
@@ -115,8 +117,9 @@ def build_result_filter(
 ) -> PlainMask:
     """One-hot row filter: row i keeps column (i + idx) mod p.
 
-    With ``blocks`` side-by-side p-wide blocks, row i keeps lane
-    b*p + (i + idx) mod p of every block b; blocks * p <= n.
+    With ``blocks`` interleaved neuron blocks (output q at lane q, q = B*g + j
+    for group g < p and block j < B), row i keeps lanes B*((i + idx) mod p) + j
+    for every j < B; blocks * p <= n.
     """
     if not 0 <= idx < p:
         raise EngineError(f"idx must be in [0, {p}), got {idx}")
@@ -124,8 +127,40 @@ def build_result_filter(
         raise LayoutError(f"{blocks} blocks of {p} columns do not fit rows {n} wide")
     rows = np.arange(m)[:, None]
     keep = np.zeros((m, n), dtype=bool)
-    keep[rows, (rows + idx) % p + p * np.arange(blocks)] = True
+    keep[rows, blocks * ((rows + idx) % p) + np.arange(blocks)] = True
     return engine.mask(keep.reshape(-1), role="filter")
+
+
+def encode_interleaved(engine: SlotEngine, b, blocks: int, target_m: int, n: int) -> list[PackedMatrix]:
+    """Encode a w x (blocks*p) right operand as ``blocks`` interleaved
+    revolver tiles for :func:`matmul_chunked`.
+
+    Output q = blocks*g + j (group g < p, block j < blocks) is to land at
+    lane q.  Tile d (the d-th "diagonal") holds in its layout row r, at
+    lane l + d for l < w, the weight b[l, blocks*(r mod p) + (l + d) mod
+    blocks], and zero everywhere else; the left operand it meets is shifted
+    right by d lanes.  blocks = 1 is :func:`encode_revolver` of b padded with
+    zero rows to n.  Needs w + blocks - 1 <= n, else LayoutError.
+    """
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    w, q = b.shape
+    if blocks < 1 or q % blocks:
+        raise LayoutError(f"{q} outputs do not split into {blocks} interleaved blocks")
+    if w + blocks - 1 > n:
+        raise LayoutError(
+            f"{blocks} interleaved blocks over inner width {w} need rows of "
+            f"w + B - 1 = {w + blocks - 1} lanes, rows are {n} wide"
+        )
+    p = q // blocks
+    lanes = np.arange(w)
+    groups = np.arange(target_m)[:, None] % p
+    tiles = []
+    for d in range(blocks):
+        grid = np.zeros((target_m, n), dtype=np.float64)
+        grid[:, lanes + d] = b[lanes, blocks * groups + (lanes + d) % blocks]
+        ct = engine.enc(grid.reshape(-1))
+        tiles.append(PackedMatrix(ct, MatrixShape(target_m, n), Encoding.REVOLVER, revolve_p=p))
+    return tiles
 
 
 def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> MatmulPlan:
@@ -155,40 +190,53 @@ def matmul_chunked(
     init: Ciphertext | None = None,
     width: int | None = None,
 ) -> PackedMatrix:
-    """Products A_c * B_bc summed over inner-dimension chunks c, for every
-    neuron block b, in one loop.
+    """Products A_c * B_c summed over inner-dimension chunks c, with B
+    neuron blocks interleaved across the lanes of one row sum.
 
     Row summation and the result filter are linear, so each iteration adds
-    the C chunk products of a block's row cycle, collapses them to one row
-    sum per row, moves block b's sums to lane b*p and adds the blocks; one
-    spread and one result filter then serve all B blocks, and one add
-    accumulates.  Only the row cycles, the ct-ct multiplies and the
-    collapse scale with B*C.  Without ``width`` (one block only) the row
-    sum is the paper's, 2*log2(n) rotations, so an iteration costs
-    C + 2*log2(n).  With ``width`` (the FC row sum of :func:`sum_col_vec`)
-    the collapse takes ceil(log2 width) steps and the spread
-    ceil(log2 p), so on the single-rotation row-cycle path the call costs
-    B*p*(C + ceil(log2 width)) + p*(B - 1 + ceil(log2 p)) rotations,
-    B*p*C ct-ct multiplies and p*(B + 1) constant multiplies.
+    the chunk products of its row cycle and collapses them to one row sum
+    per row; one filter, one spread and one result filter follow, and one
+    add accumulates.  With one block (``b_blocks`` = one sequence of C
+    revolver encodings) and no ``width`` the row sum is the paper's,
+    2*log2(n) rotations, so an iteration costs C + 2*log2(n).
+
+    B > 1 blocks are stored interleaved (:func:`encode_interleaved`): output
+    q = B*g + j sits at lane q, and ``b_blocks[d]`` holds diagonal d of
+    every chunk, which meets A_c shifted right by d lanes.  The shifts are
+    chained (shift d = rotation of shift d-1 by -1, C*(B-1) rotations per
+    call) and hoisted out of the iteration loop.  After the B*C products of
+    an iteration are added, lane j < B of each row holds the lanes of that
+    row congruent to j mod B; the products stay inside their row because
+    w + B - 1 <= n, and a shift reads the previous row only in lanes below
+    d, where diagonal d is zero.  So one fold at stride B over
+    ceil(log2 ceil((w+B-1)/B)) steps, one filter keeping lanes 0..B-1, one
+    spread at stride B over ceil(log2 p) steps and one result filter
+    (:func:`build_result_filter` with ``blocks``) serve all blocks.  With
+    ``width`` w, on the single-rotation row-cycle path the call costs
+    p*(B*C + ceil(log2 ceil((w+B-1)/B)) + ceil(log2 p)) + C*(B-1)
+    rotations, B*p*C ct-ct multiplies and 2p constant multiplies; the
+    general path pays two rotations and two masked multiplies per row
+    cycle and one level more.
 
     Args:
         a_chunks: C left operands, each m x n and row-major encoded.
-        b_blocks: one sequence per neuron block of C revolver encodings of
-            n x p right operands (one per left chunk), tiled to max(m, p)
-            rows; every pair shares m, n and p.
+        b_blocks: B sequences of C revolver tiles (one per left chunk),
+            tiled to max(m, p) rows; every pair shares m, n and p.  One
+            sequence is a plain revolver encoding of each n x p B_c; more
+            are the diagonals of :func:`encode_interleaved`.
         init: optional accumulator seed (e.g. a packed bias) in the output
             lanes, added once.
-        width: FC row sum.  The result is exact only if every B_bc is zero
+        width: FC row sum.  The result is exact only if every B_c is zero
             from inner index ``width`` on (A_c may hold anything there);
-            the row sum then collapses over ``width`` and spreads only over
-            the p result columns.  1 <= width <= n, else LayoutError.  More
-            than one block needs it, a power-of-two p and B*p <= n: a
-            full-row spread would smear the blocks together.
+            the row sum then collapses over ``width`` (+ B - 1 lanes) and
+            spreads only over the p result columns.  More than one block
+            needs it, with w + B - 1 <= n and B*next_pow2(p) <= n;
+            otherwise, or outside 1 <= width <= n, LayoutError.
 
     Returns:
-        PackedMatrix over the working layout; entry (i, j) of block b's
-        m x p sum sits at slot i*n + b*p + j, so row i's outputs fill
-        lanes 0..B*p-1, and every slot outside them decodes to zero.
+        PackedMatrix over the working layout; output (i, q) of the m x B*p
+        sum sits at slot i*n + q, so row i's outputs fill lanes 0..B*p-1,
+        and every slot outside them decodes to zero.
     """
     counts = sorted({len(b_chunks) for b_chunks in b_blocks})
     if not a_chunks or counts != [len(a_chunks)]:
@@ -203,33 +251,33 @@ def matmul_chunked(
     (plan,) = plans
     p, n, rows = plan.p, plan.n, plan.layout_m
     blocks = len(b_blocks)
-    if blocks > 1 and (width is None or not is_pow2(p) or blocks * p > n):
+    if blocks > 1 and (width is None or not 1 <= width <= n - blocks + 1 or blocks * next_pow2(p) > n):
         raise LayoutError(
-            f"{blocks} neuron blocks of p={p} need the FC row sum (width), "
-            f"a power-of-two p and {blocks}*{p} <= row width {n}"
+            f"{blocks} interleaved neuron blocks of p={p} need the FC row sum over a width w "
+            f"with 1 <= w and w + {blocks - 1} <= row width {n}, and {blocks}*next_pow2({p}) <= {n}; "
+            f"got width {width}"
         )
     work_shape = MatrixShape(rows, n)
+    fold = n if width is None else width + blocks - 1
     spread = n if width is None else p
-    col0 = column0_filter(engine, rows, n)  # one layout, so one filter for every row sum
+    lanes = column0_filter(engine, rows, n, blocks)  # one layout, so one filter for every row sum
 
+    with engine.scope("matmul.row_cycle"):
+        shifted = [[a.ct for a in a_chunks]]
+        for _ in range(1, blocks):
+            shifted.append([engine.rot(ct, -1) for ct in shifted[-1]])
     acc = init if init is not None else engine.enc([])
     for idx in range(p):
-        sums = None
-        for b, b_chunks in enumerate(b_blocks):
-            with engine.scope("matmul.row_cycle"):
-                prod = None
-                for ct_a, ct_bbar in zip(a_chunks, b_chunks):
-                    term = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
+        with engine.scope("matmul.row_cycle"):
+            prod = None
+            for a_cts, b_chunks in zip(shifted, b_blocks):
+                for ct_a, ct_bbar in zip(a_cts, b_chunks):
+                    term = engine.mul(ct_a, row_shifter(engine, ct_bbar, p, idx).ct)
                     prod = term if prod is None else engine.add(prod, term)
-            with engine.scope("matmul.row_sum"):
-                col = sum_col_vec(  # row sums into column 0, no spread yet
-                    engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), width, cols=1, col0=col0
-                ).ct
-                if b:
-                    col = engine.rot(col, -b * p)  # block b's sums to lane b*p
-                sums = col if sums is None else engine.add(sums, col)
         with engine.scope("matmul.row_sum"):
-            sums = spread_column0(engine, sums, spread)
+            sums = sum_col_vec(
+                engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), fold, spread, lanes, blocks
+            ).ct
         with engine.scope("matmul.result_filter"):
             kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p, blocks), sums)
         with engine.scope("matmul.accumulate"):

@@ -11,26 +11,29 @@ first FC product (weight columns are mapped chunk-wise, preserving the
 map-major flatten order).  FC output neurons are evaluated in
 power-of-two blocks no wider than the batch row count, which keeps every
 product on its single-rotation row-cycling path.  A layer is one chunked
-product (``matmul_chunked``) over all its neuron blocks: the chunk
-products are added before a single row summation per block and
-iteration.  The weight tiles are zero past the layer's input width w
-(676 for FC-1, the 64 FC-1 outputs for FC-2), so that row sum collapses
-over ceil(log2 w) steps; block b's sums then move to lane b*p, and one
-spread over the log2 p result columns and one one-hot filter serve every
-block.  With B blocks, C chunks and p-wide blocks a layer costs
-B*p*(C + ceil(log2 w)) + p*(B - 1 + log2 p) + (B - 1) rotations (the
-last term places the block biases), B*p*C ct-ct multiplies and
-p*(B + 1) constant multiplies.  Its outputs land in lanes 0..B*p-1 of
-each row.
+product (``matmul_chunked``) whose B neuron blocks are interleaved across
+the lanes of each row: neuron q = B*g + j of group g lands at lane q, and
+diagonal d of every weight tile meets its input chunk shifted right by d
+lanes (C*(B - 1) chained rotations per layer).  The weight tiles are zero
+past the layer's input width w (676 for FC-1, the 64 FC-1 outputs for
+FC-2) and w + B - 1 <= n, so every product stays in its row and each
+iteration adds all B*C chunk products into one row sum: a fold at stride
+B over ceil(log2 ceil((w + B - 1)/B)) steps, one filter keeping lanes
+0..B-1, one spread at stride B over ceil(log2 p) steps and one one-hot
+result filter.  With B blocks, C chunks and p groups a layer costs
+p*(B*C + ceil(log2 ceil((w + B - 1)/B)) + ceil(log2 p)) + C*(B - 1)
+rotations, B*p*C ct-ct multiplies and 2p constant multiplies; its B
+bias seeds already sit at their output lanes and are only added.  Its
+outputs land in lanes 0..B*p-1 of each row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import Encoding, MatrixShape, PackedMatrix, encode_revolver
+from .encoding import Encoding, MatrixShape, PackedMatrix
 from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, is_pow2, next_pow2
-from .matmul import matmul_chunked
+from .matmul import encode_interleaved, matmul_chunked
 from .virtual import VirtualLayout, batched_conv_layer, reform_maps, tile_kernel_span
 
 __all__ = [
@@ -140,8 +143,9 @@ class BatchPlan:
 class FcTiles:
     """One FC layer in encoded form.
 
-    ``tiles`` is indexed [neuron_block][input_chunk]; ``bias_cts`` holds one
-    accumulator seed per neuron block of width ``block_p``.
+    ``tiles`` is indexed [diagonal][input_chunk], one diagonal per
+    interleaved neuron block; ``bias_cts`` holds one bias seed per neuron
+    block of width ``block_p``, already at its output lanes.
     """
 
     tiles: list
@@ -260,10 +264,12 @@ def _encode_fc_tiles(
     chunk_width: int,
     valid_widths,
 ) -> FcTiles:
-    """Revolver-encode an FC weight matrix against a chunked input layout.
+    """Encode an FC weight matrix against a chunked input layout.
 
-    Tile (b, c): neurons of block b against input chunk c, padded to the
-    chunk width.  Block bias is packed as the matmul accumulator seed.
+    Tile (d, c) is diagonal d of input chunk c in the interleaved layout
+    of :func:`encode_interleaved`, so neuron q lands at lane q.  Bias seed
+    b holds neurons b*p..b*p+p-1 at their output lanes; the seeds are the
+    matmul accumulator seed once added.
     """
     out_dim, in_dim = weight.shape
     if in_dim != sum(valid_widths):
@@ -271,42 +277,36 @@ def _encode_fc_tiles(
             f"weight expects {in_dim} inputs, chunks provide {sum(valid_widths)}"
         )
     block_p, n_blocks = _fc_blocking(rows, out_dim)
+    padded = np.zeros((n_blocks * block_p, in_dim), dtype=np.float64)
+    padded[:out_dim] = weight
     starts = np.concatenate([[0], np.cumsum(valid_widths)])[:-1]
-    tiles, bias_cts = [], []
+    per_chunk = [
+        encode_interleaved(engine, padded[:, start : start + width].T, n_blocks, rows, chunk_width)
+        for start, width in zip(starts, valid_widths)
+    ]
+    bias_cts = []
     for b in range(n_blocks):
-        row_tiles = []
-        for c, width in enumerate(valid_widths):
-            bmat = np.zeros((chunk_width, block_p), dtype=np.float64)
-            for j in range(block_p):
-                neuron = b * block_p + j
-                if neuron < out_dim:
-                    bmat[:width, j] = weight[neuron, starts[c] : starts[c] + width]
-            row_tiles.append(encode_revolver(engine, bmat, target_m=rows))
-        tiles.append(row_tiles)
         bias_grid = np.zeros((rows, chunk_width), dtype=np.float64)
-        for j in range(block_p):
-            neuron = b * block_p + j
-            if neuron < out_dim:
-                bias_grid[:, j] = bias[neuron]
+        lanes = slice(b * block_p, min((b + 1) * block_p, out_dim))
+        bias_grid[:, lanes] = bias[lanes]
         bias_cts.append(engine.enc(bias_grid.reshape(-1)))
-    return FcTiles(tiles, bias_cts, block_p)
+    return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], bias_cts, block_p)
 
 
 def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles, in_width: int) -> PackedMatrix:
     """Evaluate an FC layer given encoded weight tiles.
 
-    One chunked product over every neuron block, seeded with the block
-    biases: the input chunks' products are added inside each iteration, so
-    a block pays for one row collapse per iteration however many chunks it
-    has, and the blocks share one spread and one result filter.
-    ``in_width`` is the layer's input width: every weight tile is zero past
-    it (``_encode_fc_tiles`` pads with zeros), so the row sum only folds
-    over it and spreads over the block's p columns.  Block b's outputs land
-    in lanes b*p..b*p+p-1, where its bias seed is rotated once.
+    One chunked product over the interleaved neuron blocks, seeded with the
+    sum of the block biases: the input chunks' products are added inside
+    each iteration, so the layer pays one row collapse per iteration
+    however many chunks and blocks it has.  ``in_width`` is the layer's
+    input width: every weight tile is zero past it (``_encode_fc_tiles``
+    pads with zeros), so the row sum only folds over it and spreads over
+    the p neuron groups.  Neuron q lands at lane q.
     """
     seed = fc.bias_cts[0]
-    for b in range(1, len(fc.bias_cts)):
-        seed = engine.add(seed, engine.rot(fc.bias_cts[b], -b * fc.block_p))
+    for bias_ct in fc.bias_cts[1:]:
+        seed = engine.add(seed, bias_ct)
     return matmul_chunked(engine, chunks, *fc.tiles, init=seed, width=in_width)
 
 

@@ -39,6 +39,11 @@ __all__ = [
 
 MAGIC = b"SIMCT\x01"
 FORMAT_NAME = "simulated-plaintext-slots-v1"
+# The model manifest's own format: FC weight tiles hold interleaved neuron
+# blocks (neuron q at lane q) and each bias seed sits at its output lanes.
+# A model written in an older layout would load and score wrong, so the
+# name changes whenever the tile or bias layout does.
+MODEL_FORMAT = "simulated-model-interleaved-fc-v2"
 CT_SUFFIX = ".simct"  # SIMulated CipherText; contents are NOT encrypted
 
 
@@ -213,7 +218,7 @@ def write_model(directory, model: EncodedModel) -> int:
             write_ciphertext(directory / f"kernel{ki}_span{si}{CT_SUFFIX}", ct)
         write_ciphertext(directory / f"kernel{ki}_bias{CT_SUFFIX}", span.bias_ct)
     manifest = {
-        "format": FORMAT_NAME,
+        "format": MODEL_FORMAT,
         "kernel_count": len(model.kernel_spans),
         "kernel_k": model.kernel_spans[0].k if model.kernel_spans else 0,
     }
@@ -243,6 +248,11 @@ def _read_manifest(directory: Path) -> tuple[Path, dict, VirtualLayout]:
         raise SerialError(f"{manifest_path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise SerialError(f"{manifest_path}: manifest must be a JSON object")
+    if manifest.get("format") != MODEL_FORMAT:
+        raise SerialError(
+            f"{manifest_path}: 'format' is {manifest.get('format')!r}, expected {MODEL_FORMAT!r}; "
+            f"re-run provider-encode to write the model in this layout"
+        )
     return manifest_path, manifest, _layout(f"{manifest_path}: 'layout'", manifest.get("layout"))
 
 

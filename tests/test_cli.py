@@ -122,7 +122,7 @@ def test_cloud_infer_end_to_end(workspace, monkeypatch):
         assert sum(s[key] for s in stages.values()) == ops[key]
     assert max(s["max_depth"] for s in stages.values()) == ops["max_depth"]
     fc1_rot, _, _ = fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES))
-    assert stages["fc1"]["rot"] == summary["batches"] * fc1_rot == 2 * 1089
+    assert summary["batches"] == 2 and stages["fc1"]["rot"] == 2 * fc1_rot
     assert summary["rot_keys"] == len(seen) == 69
 
 

@@ -223,7 +223,7 @@ def test_cli_rejects_unreadable_inputs(pipeline_files, tmp_path, capsys):
 
 
 MANIFEST_KEYS = [
-    "kernel_count", "kernel_k", "fc1_blocks", "fc1_chunks", "fc1_block_p",
+    "format", "kernel_count", "kernel_k", "fc1_blocks", "fc1_chunks", "fc1_block_p",
     "fc2_blocks", "fc2_chunks", "fc2_block_p", "ciphertext_count",
     "layout.m", "layout.f", "layout.h", "layout.w",
 ]
@@ -255,6 +255,30 @@ def test_tampered_manifest_fails_cleanly(pipeline_files, tmp_path, capsys, key, 
     _exits_cleanly(
         capsys, ["cloud-infer", "--batch-dir", str(tmp / "batches"), "--model-dir", str(model), "--out", str(out)]
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fmt", [None, "simulated-plaintext-slots-v1"], ids=["missing", "block-separated-fc"]
+)
+def test_model_in_an_older_layout_is_rejected(pipeline_files, tmp_path, capsys, fmt):
+    """A manifest without this layout's format name (one written before the
+    FC neuron blocks were interleaved, whose tiles would load and score
+    wrong) fails at load, in one line that says to re-encode the model."""
+    tmp, _, _ = pipeline_files
+    model = tmp_path / "model"
+    shutil.copytree(tmp / "model", model)
+    manifest = json.loads((model / "manifest.json").read_text())
+    if fmt is None:
+        del manifest["format"]
+    else:
+        manifest["format"] = fmt
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "preds.jsonl"
+    err = _exits_cleanly(
+        capsys, ["cloud-infer", "--batch-dir", str(tmp / "batches"), "--model-dir", str(model), "--out", str(out)]
+    )
+    assert len(err.splitlines()) == 1 and "'format'" in err and "re-run provider-encode" in err
     assert not out.exists()
 
 

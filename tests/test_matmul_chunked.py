@@ -1,6 +1,6 @@
 """matmul_chunked: one row sum per iteration over C inner-dimension chunks,
 the FC row sum over the input width and the p result columns, and B
-neuron blocks sharing one spread and one result filter per iteration."""
+neuron blocks interleaved across the lanes of that one row sum."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from packedhe.encoding import encode_revolver, encode_row_major, sum_col_vec
 from packedhe.engine import LayoutError, next_pow2
-from packedhe.matmul import MatmulPlan, matmul, matmul_chunked
+from packedhe.matmul import MatmulPlan, encode_interleaved, matmul, matmul_chunked
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -166,22 +166,32 @@ def test_fc_row_sum_rejects_widths_outside_the_row():
         matmul_chunked(eng, [narrow], [encode_revolver(eng, np.ones((2, 4)), target_m=4)], width=2)
 
 
+def interleaved_counts(blocks: int, chunks: int, p: int, w: int, fast: bool = True) -> tuple:
+    """(rot, mul, cmul) of one interleaved product: C*(B-1) chained lane
+    shifts once; in each of the p iterations B*C row cycles (one rotation
+    on the fast path, two masked ones otherwise) and multiplies, one fold at
+    stride B over ceil(log2 ceil((w+B-1)/B)), the lane filter, one spread at
+    stride B over ceil(log2 p) and the result filter."""
+    cycle = 1 if fast else 2
+    fold = (-(-(w + blocks - 1) // blocks) - 1).bit_length()
+    rot = p * (blocks * chunks * cycle + fold + (p - 1).bit_length()) + chunks * (blocks - 1)
+    cmul = 2 * p + (0 if fast else 2 * blocks * p * chunks)
+    return rot, blocks * p * chunks, cmul
+
+
 @st.composite
 def fused_shapes(draw):
-    """(m, B, C, n, p, w, slots): B neuron blocks of C chunks each.  B > 1
-    needs a power-of-two p with B*p <= n, so p is drawn as a power of two
-    whenever B may exceed 1; B*p = n, p = 1 and B > m all occur, and the
-    ciphertext fits the layout exactly or has slack, so both row-cycle
-    paths occur."""
+    """(m, B, C, n, p, w, slots): B interleaved neuron blocks of C chunks
+    each, B a power of two with w + B - 1 <= n and B*next_pow2(p) <= n.
+    p need not be a power of two; w + B - 1 = n, B*p = n, p = 1 and B > m
+    all occur, and the ciphertext fits the layout exactly or has slack, so
+    both row-cycle paths occur."""
     n = 1 << draw(st.integers(0, 5))
-    if draw(st.booleans()):
-        p = 1 << draw(st.integers(0, n.bit_length() - 1))
-        blocks = draw(st.one_of(st.just(n // p), st.integers(1, n // p)))
-    else:
-        p, blocks = draw(st.integers(1, n)), 1
+    blocks = 1 << draw(st.integers(0, n.bit_length() - 1))
+    p = draw(st.one_of(st.just(n // blocks), st.integers(1, n // blocks)))
+    w = draw(st.one_of(st.just(n - blocks + 1), st.integers(1, n - blocks + 1)))
     m = draw(st.integers(1, 9))
     chunks = draw(st.integers(1, 3))
-    w = draw(st.integers(1, n))
     slack = draw(st.integers(0, 1))
     return m, blocks, chunks, n, p, w, next_pow2(max(2, max(m, p) * n)) << slack
 
@@ -189,61 +199,68 @@ def fused_shapes(draw):
 @settings(max_examples=40, deadline=None)
 @given(shape=fused_shapes(), seed=st.integers(0, 2**32 - 1))
 @example(shape=(4, 2, 2, 8, 4, 5, 32), seed=1)  # B*p = n, fast path
-@example(shape=(3, 4, 1, 4, 1, 4, 16), seed=2)  # p = 1, B > m, general path
-@example(shape=(2, 8, 2, 8, 1, 8, 16), seed=3)  # B > m and B*p = n, fast path
+@example(shape=(3, 4, 1, 4, 1, 1, 16), seed=2)  # p = 1, B > m, w + B - 1 = n, general path
+@example(shape=(2, 8, 2, 8, 1, 1, 16), seed=3)  # B > m and B*p = n, fast path
+@example(shape=(6, 2, 3, 16, 3, 15, 128), seed=4)  # non-power-of-two p, general path
 def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
     m, blocks, chunks, n, p, w, slots = shape
     rng = np.random.default_rng(seed)
-    # A holds junk past w; every B is zero from inner index w on.
+    # A holds junk past w; the weights cover only the w inputs.
     a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
-    b_mats = [[rand_int_matrix(rng, n, p) for _ in range(chunks)] for _ in range(blocks)]
-    for row in b_mats:
-        for b in row:
-            b[w:] = 0.0
+    b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
     seed_grid = np.zeros((max(m, p), n))
     seed_grid[:m, : blocks * p] = rand_int_matrix(rng, m, blocks * p)
     eng = make_engine(slots)
     a_cts = [encode_row_major(eng, a) for a in a_mats]
-    b_cts = [[encode_revolver(eng, b, target_m=max(m, p)) for b in row] for row in b_mats]
+    per_chunk = [encode_interleaved(eng, b, blocks, max(m, p), n) for b in b_mats]
+    for tiles, b in zip(per_chunk, b_mats):  # the per-lane layout rule, as a loop
+        for d, tile in enumerate(tiles):
+            grid = np.zeros((max(m, p), n))
+            for r in range(max(m, p)):
+                for lane in range(w):
+                    grid[r, lane + d] = b[lane, blocks * (r % p) + (lane + d) % blocks]
+            assert eng.dec(tile.ct).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
+    if blocks == 1:  # one block is the revolver encoding of B padded to n rows
+        for (tile,), b in zip(per_chunk, b_mats):
+            padded = np.zeros((n, p))
+            padded[:w] = b
+            assert eng.dec(tile.ct).tobytes() == eng.dec(encode_revolver(eng, padded, max(m, p)).ct).tobytes()
+    diagonals = [list(d) for d in zip(*per_chunk)]
     init = eng.enc(seed_grid.reshape(-1))
     before = eng.meter_snapshot()
-    out = matmul_chunked(eng, a_cts, *b_cts, init=init, width=w)
+    out = matmul_chunked(eng, a_cts, *diagonals, init=init, width=w)
     call = eng.meter_snapshot().delta_since(before)
 
     want = seed_grid.copy()
-    for b, row in enumerate(b_mats):
-        want[:m, b * p : (b + 1) * p] += sum(a @ bm for a, bm in zip(a_mats, row))
+    want[:m, : blocks * p] += sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
     got = np.zeros(slots)
     got[: want.size] = want.reshape(-1)
     np.testing.assert_array_equal(eng.dec(out.ct), got)
 
-    # Per iteration: B*C row cycles (one rotation on the fast path, two
-    # masked ones otherwise), B collapses of ceil(log2 w), B - 1 moves to
-    # lane b*p, one spread of ceil(log2 p); B column-0 filters and one
-    # result filter.
     fast = MatmulPlan.plan(eng, m, n, p).fast_path
-    cycle = 1 if fast else 2
-    rot = blocks * p * (chunks * cycle + (w - 1).bit_length()) + p * (blocks - 1 + (p - 1).bit_length())
-    cmul = p * (blocks + 1) + (0 if fast else 2 * blocks * p * chunks)
-    assert (call.rot_count, call.mul_count, call.cmul_count) == (rot, blocks * p * chunks, cmul)
+    assert (call.rot_count, call.mul_count, call.cmul_count) == interleaved_counts(blocks, chunks, p, w, fast)
     assert call.max_depth == (3 if fast else 4)
     assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
 
 
 @pytest.mark.parametrize(
     "blocks, n, p, width",
-    [(3, 8, 4, 8), (2, 8, 2, None), (2, 16, 3, 16)],
-    ids=["blocks-wider-than-row", "no-width", "non-pow2-p"],
+    [(3, 8, 4, 2), (2, 8, 2, None), (3, 16, 5, 4), (2, 8, 2, 8)],
+    ids=["blocks-wider-than-row", "no-width", "non-pow2-p", "full-row"],
 )
 def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
-    """B*p > n would wrap blocks into the next row, and the full-row or
-    next_pow2(p) spread would add one block's sums into the next block's
-    lanes."""
-    eng = make_engine(4 * n)
-    a = encode_row_major(eng, np.ones((4, n)))
-    b = encode_revolver(eng, np.ones((n, p)), target_m=4)
+    """B*p > n would wrap blocks into the next row; a full-row spread, or a
+    spread over next_pow2(p) groups wider than the row, would carry one
+    row's sums into the next; and with w + B - 1 > n the last diagonal's
+    products would leave the row."""
+    eng = make_engine(8 * n)
+    a = encode_row_major(eng, np.ones((8, n)))
+    b = encode_revolver(eng, np.ones((n, p)), target_m=8)
     with pytest.raises(LayoutError, match="neuron blocks"):
         matmul_chunked(eng, [a], *[[b]] * blocks, width=width)
     for bad in ([], [[b], [b, b]]):  # no block; blocks of unequal chunk counts
         with pytest.raises(LayoutError, match="one right operand per left chunk"):
             matmul_chunked(eng, [a], *bad, width=width)
+    if width is not None and width + blocks - 1 > n:
+        with pytest.raises(LayoutError, match="w \\+ B - 1"):
+            encode_interleaved(eng, np.ones((width, blocks * p)), blocks, 8, n)

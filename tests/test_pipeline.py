@@ -12,6 +12,7 @@ from packedhe.pipeline import (
     FC1_IN,
     FC1_OUT,
     FC2_OUT,
+    IMAGE_SIDE,
     IMAGE_SLOTS,
     IMAGES_PER_CT,
     KERNEL_COUNT,
@@ -33,29 +34,30 @@ from packedhe.pipeline import (
 from packedhe.virtual import VirtualLayout, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
+from test_matmul_chunked import interleaved_counts
 
 ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
 
 
-def fc_shape(out_dim: int, chunks: int, in_width: int) -> tuple:
+def fc_shape(out_dim: int, chunks: int, in_width: int, rows: int = IMAGES_PER_CT) -> tuple:
     """(blocks B, chunks C, block width p, row width n, input width w) of an
-    FC layer at the standard layout: power-of-two neuron blocks no wider
-    than the batch, over image-stride rows."""
-    p = min(next_pow2(out_dim), IMAGES_PER_CT)
+    FC layer over ``rows`` images of image-stride rows: power-of-two neuron
+    blocks no wider than the batch."""
+    p = min(next_pow2(out_dim), rows)
     return next_pow2(out_dim) // p, chunks, p, IMAGE_SLOTS, in_width
 
 
 def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int) -> tuple:
-    """(rot, mul, cmul) of a fused FC layer: in each of the p iterations
-    every block cycles its C revolver tiles (one rotation and one multiply
-    each), collapses over the input width (ceil(log2 w) rotations) and
-    applies the column-0 filter, and blocks b > 0 move to lane b*p (one
-    rotation each); one spread over log2(p) and one result filter serve
-    all blocks.  B - 1 rotations place the block biases once."""
-    assert w <= n and blocks * p <= n
-    rot = blocks * p * (chunks + (w - 1).bit_length()) + p * (blocks - 1 + (p - 1).bit_length()) + blocks - 1
-    return rot, blocks * p * chunks, p * (blocks + 1)
+    """(rot, mul, cmul) of an FC layer: one interleaved product on the
+    single-rotation row-cycle path; the B bias seeds are only added."""
+    assert w + blocks - 1 <= n and blocks * p <= n
+    return interleaved_counts(blocks, chunks, p, w)
+
+
+# (rot, mul, cmul) per batch of conv, act1, flatten and act2, which do not
+# depend on the FC layout: conv 216 + flatten 100 rotations.
+NON_FC_COUNTS = (316, 46, 150)
 
 
 def random_weights(rng) -> ModelWeights:
@@ -193,11 +195,15 @@ def fc_apply(eng, chunks, widths, weight, bias):
 
 
 def test_fc_layer_identity(rng):
+    # 7 outputs with 4 rows: two interleaved blocks, which need a spare
+    # lane (w + B - 1 <= n); lane 7 holds junk the weights never read.
     eng = make_engine(32)
     x = rand_int_matrix(rng, 4, 8)
     pm = encode_row_major(eng, x)
-    out = fc_apply(eng, [pm], [8], np.eye(8), np.zeros(8)).decode(eng)
-    np.testing.assert_array_equal(out[:, :8], x)
+    out = fc_apply(eng, [pm], [7], np.eye(7), np.zeros(7)).decode(eng)
+    np.testing.assert_array_equal(out[:, :7], x[:, :7])
+    with pytest.raises(LayoutError, match="w \\+ B - 1"):  # the full-row shape
+        fc_apply(eng, [pm], [8], np.eye(8), np.zeros(8))
 
 
 def test_fc_layer_random_affine(rng):
@@ -226,13 +232,17 @@ def test_fc_layer_chunked_input(rng):
 
 
 def test_fc_layer_blocks_wider_than_rows(rng):
-    # out_dim 8 with 4 rows: two 4-wide neuron blocks concatenated
+    # out_dim 8 with 4 rows: two 4-wide neuron blocks interleaved, over 15
+    # of the 16 lanes so the second diagonal stays inside the row
     eng = make_engine(64)
     x = rand_int_matrix(rng, 4, 16)
-    w = rng.uniform(-1, 1, size=(8, 16))
+    pm = encode_row_major(eng, x)
+    w = rng.uniform(-1, 1, size=(8, 15))
     b = rng.uniform(-1, 1, size=8)
-    out = fc_apply(eng, [encode_row_major(eng, x)], [16], w, b).decode(eng)
-    np.testing.assert_allclose(out[:, :8], x @ w.T + b, rtol=1e-12, atol=1e-12)
+    out = fc_apply(eng, [pm], [15], w, b).decode(eng)
+    np.testing.assert_allclose(out[:, :8], x[:, :15] @ w.T + b, rtol=1e-12, atol=1e-12)
+    with pytest.raises(LayoutError, match="w \\+ B - 1"):  # the full-row shape
+        fc_apply(eng, [pm], [16], rng.uniform(-1, 1, size=(8, 16)), b)
 
 
 def test_model_weights_validation(rng):
@@ -316,10 +326,34 @@ def test_forward_fused_fc_exact_counts(rng):
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
     assert model.fc1.out_width == next_pow2(FC1_OUT) == 64
-    assert fc_counts(*fc1_shape) == (1089, 256, 96)
-    assert fc_counts(*fc2_shape) == (176, 16, 32)
-    assert (total.rot_count, total.mul_count, total.cmul_count) == (1581, 318, 278)
+    want = np.add(NON_FC_COUNTS, np.add(fc_counts(*fc1_shape), fc_counts(*fc2_shape)))
+    assert (total.rot_count, total.mul_count, total.cmul_count) == tuple(want)
     assert total.max_depth == PIPELINE_DEPTH == 13
+
+
+@pytest.mark.parametrize("slots, parent_keys", [(1024, 95), (2048, 65), (16384, 54), (32768, 69)])
+def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
+    """One to 32 images per ciphertext: oracle agreement, both FC layers at
+    their cost formula (fc1 has 64 blocks of width 1 at 1024 slots), and no
+    more rotation keys than the block-separated FC layout needed."""
+    layout = VirtualLayout(slots // IMAGE_SLOTS, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
+    eng = make_engine(slots)
+    weights = random_weights(rng)
+    imgs = rng.uniform(0, 1, size=(layout.m, IMAGE_SIDE, IMAGE_SIDE))
+    model = encode_model(eng, weights, layout)
+    stage_meters = {}
+    scores = forward_encoded(eng, pack_batch(eng, imgs, layout), model, stage_meters=stage_meters)
+    want = oracle_forward(weights, imgs)
+    np.testing.assert_allclose(scores.decode(eng)[:, :FC2_OUT], want, rtol=0.0, atol=1e-6)
+    np.testing.assert_array_equal(argmax_decide(eng, scores), np.argmax(want, axis=1))
+    for name, shape in (
+        ("fc1", fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES, layout.m)),
+        ("fc2", fc_shape(FC2_OUT, 1, model.fc1.out_width, layout.m)),
+    ):
+        spent = stage_meters[name]
+        assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
+    assert eng.meter_snapshot().max_depth == PIPELINE_DEPTH
+    assert len(eng.rot_offsets) <= parent_keys
 
 
 def test_forward_builds_each_mask_once(rng, monkeypatch):
