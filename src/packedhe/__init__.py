@@ -19,7 +19,15 @@ from .encoding import (
     column0_filter,
     sum_col_vec,
 )
-from .matmul import MatmulPlan, build_result_filter, encode_interleaved, matmul, matmul_chunked, row_shifter
+from .matmul import (
+    FcFold,
+    MatmulPlan,
+    build_result_filter,
+    encode_interleaved,
+    matmul,
+    matmul_chunked,
+    row_shifter,
+)
 from .conv import (
     ImageShape,
     Kernel,

@@ -15,16 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .engine import (
-    CapacityError,
-    Ciphertext,
-    EngineError,
-    LayoutError,
-    PlainMask,
-    SlotEngine,
-    is_pow2,
-    next_pow2,
-)
+from .engine import CapacityError, Ciphertext, EngineError, PlainMask, SlotEngine, is_pow2
 
 __all__ = [
     "Encoding",
@@ -105,22 +96,14 @@ def encode_revolver(engine: SlotEngine, b, target_m: int) -> PackedMatrix:
     return PackedMatrix(ct, MatrixShape(target_m, n), Encoding.REVOLVER, revolve_p=p)
 
 
-def column0_filter(engine: SlotEngine, m: int, n: int, lanes: int = 1) -> PlainMask:
-    """0/1 filter keeping the first ``lanes`` columns (by default column 0)
-    of every row of an m x n layout."""
+def column0_filter(engine: SlotEngine, m: int, n: int) -> PlainMask:
+    """0/1 filter keeping column 0 of every row of an m x n layout."""
     keep = np.zeros((m, n), dtype=bool)
-    keep[:, :lanes] = True
+    keep[:, 0] = True
     return engine.mask(keep.reshape(-1), role="filter")
 
 
-def sum_col_vec(
-    engine: SlotEngine,
-    pm: PackedMatrix,
-    width: int | None = None,
-    cols: int | None = None,
-    col0: PlainMask | None = None,
-    stride: int = 1,
-) -> PackedMatrix:
+def sum_col_vec(engine: SlotEngine, pm: PackedMatrix, col0: PlainMask | None = None) -> PackedMatrix:
     """Replace every entry of row i with the sum of row i.
 
     Rotate-and-add cascade leaves the true row sum in column 0 of each row
@@ -130,42 +113,15 @@ def sum_col_vec(
     on the layout, so a caller summing many products of one shape builds it
     once with :func:`column0_filter` and passes it as ``col0``; by default
     it is built here.
-
-    FC row sum: ``width`` and ``cols`` cut both cascades to the lanes that
-    matter.  The collapse adds only the first ``width`` entries of each row
-    (ceil(log2 width) steps) and the spread fills only the first ``cols``
-    columns (ceil(log2 cols) steps; columns from next_pow2(cols) on decode
-    to zero).  The sum is exact only if every entry of a row at or past
-    column ``width`` is zero, as in an FC product whose weight tiles are
-    zero past the layer's input width.  Both default to n, the full row sum.
-
-    Interleaved sums: with ``stride`` s every step moves s times as far,
-    so lane j < s of a row collapses the row's lanes j, j + s, j + 2s, ...
-    below ``width`` (ceil(log2 ceil(width / s)) steps), the filter (then
-    ``column0_filter(..., lanes=s)``) keeps lanes 0..s-1, and the spread
-    copies lane j to lanes j + k*s for k < next_pow2(cols).  Every step
-    stays inside the row when s * next_pow2(ceil(width / s)) <= n and
-    s * next_pow2(cols) <= n, else LayoutError.
     """
     m, n = pm.shape.m, pm.shape.n
     if not is_pow2(n):
         raise EngineError(f"sum_col_vec requires a power-of-two column count, got {n}")
-    width = n if width is None else width
-    cols = n if cols is None else cols
-    if not (
-        stride >= 1
-        and width >= 1
-        and cols >= 1
-        and stride * max(next_pow2(-(-width // stride)), next_pow2(cols)) <= n
-    ):
-        raise LayoutError(
-            f"row sum over width {width} into {cols} columns at stride {stride} "
-            f"does not fit rows {n} wide"
-        )
+    steps = n.bit_length() - 1
     ct = pm.ct
-    for t in range((-(-width // stride) - 1).bit_length()):
-        ct = engine.add(ct, engine.rot(ct, stride << t))
-    ct = engine.cmul(column0_filter(engine, m, n, stride) if col0 is None else col0, ct)
-    for t in range((cols - 1).bit_length()):
-        ct = engine.add(ct, engine.rot(ct, -(stride << t)))
+    for t in range(steps):
+        ct = engine.add(ct, engine.rot(ct, 1 << t))
+    ct = engine.cmul(column0_filter(engine, m, n) if col0 is None else col0, ct)
+    for t in range(steps):
+        ct = engine.add(ct, engine.rot(ct, -(1 << t)))
     return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)

@@ -8,10 +8,11 @@ entry that iteration produced.  Rotation/mask costs per iteration are
 constant, and so is the multiplicative depth.  A product whose inner
 dimension is split across several ciphertexts adds the chunk products of
 each iteration before the row sum, so it still pays one row sum per
-iteration; an FC product whose weights are zero past a known input width
-also cuts that row sum to the width and the p result columns, and its
-neuron blocks, interleaved across the spare lanes of each row, share
-that row sum, one spread and one result filter per iteration.
+iteration.  An FC product, whose weights are zero past a known input
+width, interleaves its neuron blocks across the spare lanes of each row
+and lets a group of iterations share one row fold: each iteration folds
+part way and keeps one phase class of lanes, and the group pays one fold
+to the output lanes and one result filter.
 """
 
 from dataclasses import dataclass
@@ -20,10 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import Encoding, MatrixShape, PackedMatrix, column0_filter, sum_col_vec
-from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, next_pow2
+from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine
 
 __all__ = [
     "MatmulPlan",
+    "FcFold",
     "row_shifter",
     "build_result_filter",
     "encode_interleaved",
@@ -113,51 +115,125 @@ def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> Pac
 
 
 def build_result_filter(
-    engine: SlotEngine, m: int, n: int, p: int, idx: int, blocks: int = 1
+    engine: SlotEngine, m: int, n: int, p: int, idx: int, blocks: int = 1, group: int = 1
 ) -> PlainMask:
     """One-hot row filter: row i keeps column (i + idx) mod p.
 
     With ``blocks`` interleaved neuron blocks (output q at lane q, q = B*g + j
     for group g < p and block j < B), row i keeps lanes B*((i + idx) mod p) + j
-    for every j < B; blocks * p <= n.
+    for every j < B; blocks * p <= n.  With a ``group`` of G iterations
+    idx, idx + 1, ..., idx + G - 1 sharing one filter, row i keeps lanes
+    B*((i + idx + k) mod p) + j for every k < G.
     """
     if not 0 <= idx < p:
         raise EngineError(f"idx must be in [0, {p}), got {idx}")
     if not 1 <= blocks <= n // p:
         raise LayoutError(f"{blocks} blocks of {p} columns do not fit rows {n} wide")
-    rows = np.arange(m)[:, None]
+    if not 1 <= group <= p:
+        raise EngineError(f"group must be in [1, {p}], got {group}")
+    rows = np.arange(m)[:, None, None]
+    groups = (rows + idx + np.arange(group)[:, None]) % p
     keep = np.zeros((m, n), dtype=bool)
-    keep[rows, blocks * ((rows + idx) % p) + np.arange(blocks)] = True
+    keep[rows, blocks * groups + np.arange(blocks)] = True
     return engine.mask(keep.reshape(-1), role="filter")
+
+
+@dataclass(frozen=True)
+class FcFold:
+    """Lane layout of the grouped FC row fold of :func:`matmul_chunked`.
+
+    B = ``blocks`` interleaved neuron blocks of ``p`` groups over an inner
+    ``width`` w.  The weight tiles start at lane ``offset`` L of each row,
+    so an iteration's products fill lanes [L, L + w + B - 1).  ``group`` G
+    iterations, a power of two dividing p, share one fold.  L is B*p when
+    G > 1 and B*(p - 1) when G = 1, so every output lane B*g + j lies at or
+    below the first lane its iteration keeps.
+    """
+
+    blocks: int
+    p: int
+    width: int
+    group: int
+    offset: int
+
+    @classmethod
+    def derive(cls, width: int, blocks: int, p: int, n: int) -> "FcFold":
+        """The layout for rows ``n`` wide, shared by the encoder and the
+        evaluator: of the groups whose fold window fits the row, the one
+        with the fewest fold rotations, ties going to the larger group.
+        LayoutError if none fits."""
+        folds = [
+            cls(blocks, p, width, 1 << t, blocks * p if t else blocks * (p - 1))
+            for t in range((p & -p).bit_length())
+        ]
+        fits = [fold for fold in folds if width >= 1 and fold.window <= n]
+        if not fits:
+            raise LayoutError(
+                f"{blocks} interleaved neuron blocks of p={p} over inner width {width} do not fit "
+                f"rows {n} wide: the tiles need w + B - 1 = {width + blocks - 1} lanes after an "
+                f"offset of at least B*(p - 1) = {blocks * (p - 1)}"
+            )
+        return min(reversed(fits), key=lambda fold: fold.fold_rotations)
+
+    @property
+    def span(self) -> int:
+        """L + w + B - 1: the lanes of a row an iteration's products reach."""
+        return self.offset + self.width + self.blocks - 1
+
+    @property
+    def steps(self) -> int:
+        """Fold steps at stride B*G per group, ceil(log2 ceil(span / (B*G)))."""
+        return (-(-self.span // (self.blocks * self.group)) - 1).bit_length()
+
+    @property
+    def window(self) -> int:
+        """The lanes the group fold sums into each output lane, B*G*2**steps."""
+        return (self.blocks * self.group) << self.steps
+
+    @property
+    def fold_rotations(self) -> int:
+        """Rotations of one call's folds: log2 G per iteration plus
+        ``steps`` per group."""
+        return self.p * (self.group.bit_length() - 1) + self.p // self.group * self.steps
+
+    def phase_masks(self, engine: SlotEngine, rows: int, n: int) -> list[PlainMask]:
+        """Mask e (for iterations idx = e mod G) keeps, in row i, the lanes
+        x in [B*(p - G), span) with x = B*((i + e + 1) mod G) + j mod B*G,
+        j < B."""
+        lane = np.arange(n)
+        inside = (lane >= self.blocks * (self.p - self.group)) & (lane < self.span)
+        phase = (lane // self.blocks) % self.group
+        row = np.arange(rows)[:, None]
+        return [
+            engine.mask((inside & (phase == (row + e + 1) % self.group)).reshape(-1), role="filter")
+            for e in range(self.group)
+        ]
 
 
 def encode_interleaved(engine: SlotEngine, b, blocks: int, target_m: int, n: int) -> list[PackedMatrix]:
     """Encode a w x (blocks*p) right operand as ``blocks`` interleaved
-    revolver tiles for :func:`matmul_chunked`.
+    revolver tiles for :func:`matmul_chunked` with ``width`` w.
 
     Output q = blocks*g + j (group g < p, block j < blocks) is to land at
     lane q.  Tile d (the d-th "diagonal") holds in its layout row r, at
-    lane l + d for l < w, the weight b[l, blocks*(r mod p) + (l + d) mod
-    blocks], and zero everywhere else; the left operand it meets is shifted
-    right by d lanes.  blocks = 1 is :func:`encode_revolver` of b padded with
-    zero rows to n.  Needs w + blocks - 1 <= n, else LayoutError.
+    lane L + l + d for l < w, the weight b[l, blocks*(r mod p) + (l + d) mod
+    blocks], and zero everywhere else; L is the offset of
+    :meth:`FcFold.derive`, and the left operand the tile meets is shifted
+    right by L + d lanes.  LayoutError if that layout does not fit rows n
+    wide.
     """
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     w, q = b.shape
     if blocks < 1 or q % blocks:
         raise LayoutError(f"{q} outputs do not split into {blocks} interleaved blocks")
-    if w + blocks - 1 > n:
-        raise LayoutError(
-            f"{blocks} interleaved blocks over inner width {w} need rows of "
-            f"w + B - 1 = {w + blocks - 1} lanes, rows are {n} wide"
-        )
     p = q // blocks
     lanes = np.arange(w)
+    offset = FcFold.derive(w, blocks, p, n).offset
     groups = np.arange(target_m)[:, None] % p
     tiles = []
     for d in range(blocks):
         grid = np.zeros((target_m, n), dtype=np.float64)
-        grid[:, lanes + d] = b[lanes, blocks * groups + (lanes + d) % blocks]
+        grid[:, offset + lanes + d] = b[lanes, blocks * groups + (lanes + d) % blocks]
         ct = engine.enc(grid.reshape(-1))
         tiles.append(PackedMatrix(ct, MatrixShape(target_m, n), Encoding.REVOLVER, revolve_p=p))
     return tiles
@@ -183,6 +259,29 @@ def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix)
     return plan
 
 
+def _grouped_fold(engine: SlotEngine, fold: FcFold, prods, phases) -> Ciphertext:
+    """Sum the products of a group of G iterations into their output lanes.
+
+    Each product folds log2 G steps at stride B, so lane x holds lanes x,
+    x + B, ..., x + (G-1)*B, and keeps its phase class (``phases[k]`` for
+    the k-th iteration of the group).  In every row the G iterations keep
+    distinct classes mod B*G, so their sum folds once at stride B*G over
+    ``fold.steps`` steps; output lane B*g + j of a row then holds the sum
+    of its class over the iteration that targets group g.  The products are
+    zero outside [L, span) because the tiles are, and the fold window stops
+    before the next row's kept lanes, so nothing crosses a row.
+    """
+    total = None
+    for prod, phase in zip(prods, phases):
+        for t in range(fold.group.bit_length() - 1):
+            prod = engine.add(prod, engine.rot(prod, fold.blocks << t))
+        kept = engine.cmul(phase, prod)
+        total = kept if total is None else engine.add(total, kept)
+    for t in range(fold.steps):
+        total = engine.add(total, engine.rot(total, (fold.blocks * fold.group) << t))
+    return total
+
+
 def matmul_chunked(
     engine: SlotEngine,
     a_chunks: Sequence[PackedMatrix],
@@ -190,48 +289,45 @@ def matmul_chunked(
     init: Ciphertext | None = None,
     width: int | None = None,
 ) -> PackedMatrix:
-    """Products A_c * B_c summed over inner-dimension chunks c, with B
-    neuron blocks interleaved across the lanes of one row sum.
+    """Products A_c * B_c summed over inner-dimension chunks c; with
+    ``width``, B neuron blocks interleaved across the lanes of each row and
+    groups of iterations sharing one row fold.
 
     Row summation and the result filter are linear, so each iteration adds
-    the chunk products of its row cycle and collapses them to one row sum
-    per row; one filter, one spread and one result filter follow, and one
-    add accumulates.  With one block (``b_blocks`` = one sequence of C
-    revolver encodings) and no ``width`` the row sum is the paper's,
-    2*log2(n) rotations, so an iteration costs C + 2*log2(n).
+    the chunk products of its row cycle before any row sum.  With one block
+    (``b_blocks`` = one sequence of C revolver encodings) and no ``width``
+    each iteration pays the paper's row sum, 2*log2(n) rotations, one
+    result filter and one add, so an iteration costs C + 2*log2(n).
 
-    B > 1 blocks are stored interleaved (:func:`encode_interleaved`): output
-    q = B*g + j sits at lane q, and ``b_blocks[d]`` holds diagonal d of
-    every chunk, which meets A_c shifted right by d lanes.  The shifts are
-    chained (shift d = rotation of shift d-1 by -1, C*(B-1) rotations per
-    call) and hoisted out of the iteration loop.  After the B*C products of
-    an iteration are added, lane j < B of each row holds the lanes of that
-    row congruent to j mod B; the products stay inside their row because
-    w + B - 1 <= n, and a shift reads the previous row only in lanes below
-    d, where diagonal d is zero.  So one fold at stride B over
-    ceil(log2 ceil((w+B-1)/B)) steps, one filter keeping lanes 0..B-1, one
-    spread at stride B over ceil(log2 p) steps and one result filter
-    (:func:`build_result_filter` with ``blocks``) serve all blocks.  With
-    ``width`` w, on the single-rotation row-cycle path the call costs
-    p*(B*C + ceil(log2 ceil((w+B-1)/B)) + ceil(log2 p)) + C*(B-1)
-    rotations, B*p*C ct-ct multiplies and 2p constant multiplies; the
-    general path pays two rotations and two masked multiplies per row
-    cycle and one level more.
+    With ``width`` w the B blocks are stored interleaved
+    (:func:`encode_interleaved`): output q = B*g + j sits at lane q, and
+    ``b_blocks[d]`` holds diagonal d of every chunk from lane L on, which
+    meets A_c shifted right by L + d lanes.  The shifts are made once per
+    call: rot(A_c, -L) (skipped when L = 0), then chained rotations by -1,
+    C*[L > 0] + C*(B-1) rotations.  The iterations run in groups of G
+    (:class:`FcFold`); each iteration adds its B*C products, folds log2 G
+    steps at stride B and keeps one phase class of lanes, and each group
+    adds its G masked sums, folds at stride B*G up to the window F, applies
+    one result filter (:func:`build_result_filter` with ``blocks`` and
+    ``group``) and accumulates once.  On the single-rotation row-cycle path
+    the call costs C*(B-1) + C*[L > 0] + p*(B*C + log2 G) +
+    (p/G)*log2(F/(B*G)) rotations, B*C*p ct-ct multiplies, p + p/G
+    constant multiplies and depth 3; the general path pays two rotations
+    and two masked multiplies per row cycle and one level more.
 
     Args:
         a_chunks: C left operands, each m x n and row-major encoded.
         b_blocks: B sequences of C revolver tiles (one per left chunk),
-            tiled to max(m, p) rows; every pair shares m, n and p.  One
-            sequence is a plain revolver encoding of each n x p B_c; more
-            are the diagonals of :func:`encode_interleaved`.
+            tiled to max(m, p) rows; every pair shares m, n and p.  Without
+            ``width``, one sequence of plain revolver encodings of each
+            n x p B_c; with it, the diagonals of :func:`encode_interleaved`.
         init: optional accumulator seed (e.g. a packed bias) in the output
             lanes, added once.
-        width: FC row sum.  The result is exact only if every B_c is zero
-            from inner index ``width`` on (A_c may hold anything there);
-            the row sum then collapses over ``width`` (+ B - 1 lanes) and
-            spreads only over the p result columns.  More than one block
-            needs it, with w + B - 1 <= n and B*next_pow2(p) <= n;
-            otherwise, or outside 1 <= width <= n, LayoutError.
+        width: FC row fold.  The result is exact only if the tiles come
+            from :func:`encode_interleaved` of w x (B*p) weights (A_c may
+            hold anything past w).  More than one block needs it; the
+            layout must fit the row (:meth:`FcFold.derive`), else
+            LayoutError.
 
     Returns:
         PackedMatrix over the working layout; output (i, q) of the m x B*p
@@ -251,35 +347,39 @@ def matmul_chunked(
     (plan,) = plans
     p, n, rows = plan.p, plan.n, plan.layout_m
     blocks = len(b_blocks)
-    if blocks > 1 and (width is None or not 1 <= width <= n - blocks + 1 or blocks * next_pow2(p) > n):
-        raise LayoutError(
-            f"{blocks} interleaved neuron blocks of p={p} need the FC row sum over a width w "
-            f"with 1 <= w and w + {blocks - 1} <= row width {n}, and {blocks}*next_pow2({p}) <= {n}; "
-            f"got width {width}"
-        )
     work_shape = MatrixShape(rows, n)
-    fold = n if width is None else width + blocks - 1
-    spread = n if width is None else p
-    lanes = column0_filter(engine, rows, n, blocks)  # one layout, so one filter for every row sum
+    if width is not None:
+        fold = FcFold.derive(width, blocks, p, n)
+        group, offset = fold.group, fold.offset
+        phases = fold.phase_masks(engine, rows, n)
+    elif blocks > 1:
+        raise LayoutError(f"{blocks} interleaved neuron blocks need the FC row fold over a width")
+    else:
+        fold, group, offset = None, 1, 0
+        col0 = column0_filter(engine, rows, n)  # one layout, so one filter for every row sum
 
     with engine.scope("matmul.row_cycle"):
-        shifted = [[a.ct for a in a_chunks]]
+        shifted = [[engine.rot(a.ct, -offset) if offset else a.ct for a in a_chunks]]
         for _ in range(1, blocks):
             shifted.append([engine.rot(ct, -1) for ct in shifted[-1]])
     acc = init if init is not None else engine.enc([])
-    for idx in range(p):
-        with engine.scope("matmul.row_cycle"):
-            prod = None
-            for a_cts, b_chunks in zip(shifted, b_blocks):
-                for ct_a, ct_bbar in zip(a_cts, b_chunks):
-                    term = engine.mul(ct_a, row_shifter(engine, ct_bbar, p, idx).ct)
-                    prod = term if prod is None else engine.add(prod, term)
+    for first in range(0, p, group):
+        prods = []
+        for idx in range(first, first + group):
+            with engine.scope("matmul.row_cycle"):
+                prod = None
+                for a_cts, b_chunks in zip(shifted, b_blocks):
+                    for ct_a, ct_bbar in zip(a_cts, b_chunks):
+                        term = engine.mul(ct_a, row_shifter(engine, ct_bbar, p, idx).ct)
+                        prod = term if prod is None else engine.add(prod, term)
+            prods.append(prod)
         with engine.scope("matmul.row_sum"):
-            sums = sum_col_vec(
-                engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), fold, spread, lanes, blocks
-            ).ct
+            if fold is None:
+                sums = sum_col_vec(engine, PackedMatrix(prods[0], work_shape, Encoding.ROW_MAJOR), col0).ct
+            else:
+                sums = _grouped_fold(engine, fold, prods, phases)
         with engine.scope("matmul.result_filter"):
-            kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p, blocks), sums)
+            kept = engine.cmul(build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, group), sums)
         with engine.scope("matmul.accumulate"):
             acc = engine.add(acc, kept)
     return PackedMatrix(acc, work_shape, Encoding.ROW_MAJOR)

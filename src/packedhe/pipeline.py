@@ -12,19 +12,21 @@ map-major flatten order).  FC output neurons are evaluated in
 power-of-two blocks no wider than the batch row count, which keeps every
 product on its single-rotation row-cycling path.  A layer is one chunked
 product (``matmul_chunked``) whose B neuron blocks are interleaved across
-the lanes of each row: neuron q = B*g + j of group g lands at lane q, and
-diagonal d of every weight tile meets its input chunk shifted right by d
-lanes (C*(B - 1) chained rotations per layer).  The weight tiles are zero
-past the layer's input width w (676 for FC-1, the 64 FC-1 outputs for
-FC-2) and w + B - 1 <= n, so every product stays in its row and each
-iteration adds all B*C chunk products into one row sum: a fold at stride
-B over ceil(log2 ceil((w + B - 1)/B)) steps, one filter keeping lanes
-0..B-1, one spread at stride B over ceil(log2 p) steps and one one-hot
-result filter.  With B blocks, C chunks and p groups a layer costs
-p*(B*C + ceil(log2 ceil((w + B - 1)/B)) + ceil(log2 p)) + C*(B - 1)
-rotations, B*p*C ct-ct multiplies and 2p constant multiplies; its B
-bias seeds already sit at their output lanes and are only added.  Its
-outputs land in lanes 0..B*p-1 of each row.
+the lanes of each row: neuron q = B*g + j of group g lands at lane q.
+The weight tiles are zero past the layer's input width w (676 for FC-1,
+the 64 FC-1 outputs for FC-2) and start at lane L of each row, and
+diagonal d of every tile meets its input chunk shifted right by L + d
+lanes (rot by -L, then chained rotations by -1, once per layer).  The p
+iterations run in groups of G (``matmul.FcFold``: G = 8 and L = 64 for
+FC-1, G = 4 and L = 16 for FC-2 at 32768 slots).  Each iteration adds
+its B*C chunk products, folds log2 G steps at stride B and keeps one
+phase class of lanes; each group folds its G masked sums once at stride
+B*G up to F = next_pow2(L + w + B - 1) lanes and pays one result
+filter.  With C chunks a layer costs C*(B - 1) + C*[L > 0] +
+p*(B*C + log2 G) + (p/G)*log2(F/(B*G)) rotations, B*p*C ct-ct
+multiplies and p + p/G constant multiplies; its B bias seeds already
+sit at their output lanes and are only added.  Its outputs land in lanes
+0..B*p-1 of each row.
 """
 
 from dataclasses import dataclass
@@ -77,7 +79,7 @@ FC2_OUT = 10
 
 # Multiplicative levels on the critical path at the standard layout:
 # conv 2 (mul + offset filter), activation 2, reform 1, fc 3 each
-# (mul + row-sum filter + result filter; the row cycle is rotation-only),
+# (mul + phase filter + result filter; the row cycle is rotation-only),
 # activation 2.
 PIPELINE_DEPTH = 2 + 2 + 1 + 3 + 2 + 3
 
@@ -267,9 +269,11 @@ def _encode_fc_tiles(
     """Encode an FC weight matrix against a chunked input layout.
 
     Tile (d, c) is diagonal d of input chunk c in the interleaved layout
-    of :func:`encode_interleaved`, so neuron q lands at lane q.  Bias seed
-    b holds neurons b*p..b*p+p-1 at their output lanes; the seeds are the
-    matmul accumulator seed once added.
+    of :func:`encode_interleaved`, so neuron q lands at lane q.  Every
+    chunk is encoded over the widest chunk's width, zero past its own, so
+    all tiles share the lane offset the layer is evaluated with.  Bias
+    seed b holds neurons b*p..b*p+p-1 at their output lanes; the seeds are
+    the matmul accumulator seed once added.
     """
     out_dim, in_dim = weight.shape
     if in_dim != sum(valid_widths):
@@ -280,10 +284,11 @@ def _encode_fc_tiles(
     padded = np.zeros((n_blocks * block_p, in_dim), dtype=np.float64)
     padded[:out_dim] = weight
     starts = np.concatenate([[0], np.cumsum(valid_widths)])[:-1]
-    per_chunk = [
-        encode_interleaved(engine, padded[:, start : start + width].T, n_blocks, rows, chunk_width)
-        for start, width in zip(starts, valid_widths)
-    ]
+    per_chunk = []
+    for start, width in zip(starts, valid_widths):
+        chunk = np.zeros((max(valid_widths), n_blocks * block_p), dtype=np.float64)
+        chunk[:width] = padded[:, start : start + width].T
+        per_chunk.append(encode_interleaved(engine, chunk, n_blocks, rows, chunk_width))
     bias_cts = []
     for b in range(n_blocks):
         bias_grid = np.zeros((rows, chunk_width), dtype=np.float64)
@@ -298,11 +303,12 @@ def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles, in_width: int) -> Pa
 
     One chunked product over the interleaved neuron blocks, seeded with the
     sum of the block biases: the input chunks' products are added inside
-    each iteration, so the layer pays one row collapse per iteration
-    however many chunks and blocks it has.  ``in_width`` is the layer's
-    input width: every weight tile is zero past it (``_encode_fc_tiles``
-    pads with zeros), so the row sum only folds over it and spreads over
-    the p neuron groups.  Neuron q lands at lane q.
+    each iteration, so the layer pays one partial fold per iteration and
+    one row fold per group of iterations however many chunks and blocks it
+    has.  ``in_width`` is the layer's input width, the widest chunk's:
+    every weight tile is zero past it (``_encode_fc_tiles`` pads with
+    zeros) and starts at the lane offset it derives, so the row fold only
+    covers it.  Neuron q lands at lane q.
     """
     seed = fc.bias_cts[0]
     for bias_ct in fc.bias_cts[1:]:

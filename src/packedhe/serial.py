@@ -40,10 +40,11 @@ __all__ = [
 MAGIC = b"SIMCT\x01"
 FORMAT_NAME = "simulated-plaintext-slots-v1"
 # The model manifest's own format: FC weight tiles hold interleaved neuron
-# blocks (neuron q at lane q) and each bias seed sits at its output lanes.
-# A model written in an older layout would load and score wrong, so the
-# name changes whenever the tile or bias layout does.
-MODEL_FORMAT = "simulated-model-interleaved-fc-v2"
+# blocks (neuron q at lane q) from the lane offset of their grouped row
+# fold, and each bias seed sits at its output lanes.  A model written in
+# an older layout would load and score wrong, so the name changes whenever
+# the tile or bias layout does.
+MODEL_FORMAT = "simulated-model-grouped-fc-v3"
 CT_SUFFIX = ".simct"  # SIMulated CipherText; contents are NOT encrypted
 
 

@@ -259,12 +259,15 @@ def test_tampered_manifest_fails_cleanly(pipeline_files, tmp_path, capsys, key, 
 
 
 @pytest.mark.parametrize(
-    "fmt", [None, "simulated-plaintext-slots-v1"], ids=["missing", "block-separated-fc"]
+    "fmt",
+    [None, "simulated-plaintext-slots-v1", "simulated-model-interleaved-fc-v2"],
+    ids=["missing", "block-separated-fc", "ungrouped-fc"],
 )
 def test_model_in_an_older_layout_is_rejected(pipeline_files, tmp_path, capsys, fmt):
     """A manifest without this layout's format name (one written before the
-    FC neuron blocks were interleaved, whose tiles would load and score
-    wrong) fails at load, in one line that says to re-encode the model."""
+    FC neuron blocks were interleaved, or before their tiles moved to the
+    grouped fold's lane offset, whose tiles would load and score wrong)
+    fails at load, in one line that says to re-encode the model."""
     tmp, _, _ = pipeline_files
     model = tmp_path / "model"
     shutil.copytree(tmp / "model", model)

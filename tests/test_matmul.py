@@ -80,6 +80,14 @@ def test_result_filter_placement():
     eng = make_engine(16)
     f = build_result_filter(eng, 3, 4, 1, 0)
     np.testing.assert_array_equal(f.values.reshape(-1)[:12].reshape(3, 4)[:, 0], [1, 1, 1])
+    # two interleaved blocks, a group of two of p = 4 iterations from idx 1:
+    # row i keeps lanes 2*((i + 1 + k) mod 4) + j for k, j < 2
+    eng = make_engine(32)
+    f = build_result_filter(eng, 3, 10, 4, 1, blocks=2, group=2)
+    np.testing.assert_array_equal(
+        f.values[:30].reshape(3, 10),
+        [[0, 0, 1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 1, 1, 0, 0]],
+    )
 
 
 def test_matmul_selector_example():

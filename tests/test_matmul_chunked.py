@@ -1,15 +1,18 @@
 """matmul_chunked: one row sum per iteration over C inner-dimension chunks,
-the FC row sum over the input width and the p result columns, and B
-neuron blocks interleaved across the lanes of that one row sum."""
+and the FC row fold: B neuron blocks interleaved across the lanes of each
+row, and groups of G iterations sharing one fold."""
+
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from packedhe.encoding import encode_revolver, encode_row_major, sum_col_vec
+from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import LayoutError, next_pow2
-from packedhe.matmul import MatmulPlan, encode_interleaved, matmul, matmul_chunked
+from packedhe.matmul import FcFold, MatmulPlan, encode_interleaved, matmul, matmul_chunked
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -98,15 +101,79 @@ def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
         matmul_chunked(eng, a_chunks, b_chunks)
 
 
+def fold_layout(blocks: int, p: int, w: int, group: int) -> tuple:
+    """(L, F) of a group of G iterations: the tiles' lane offset, B*p when
+    G > 1 and B*(p - 1) when G = 1, and the fold window next_pow2(L + w + B - 1)."""
+    offset = blocks * p if group > 1 else blocks * (p - 1)
+    return offset, next_pow2(offset + w + blocks - 1)
+
+
+def grouped_counts(blocks: int, chunks: int, p: int, w: int, group: int, fast: bool = True) -> tuple:
+    """(rot, mul, cmul) of one FC product: C*(B-1) chained lane shifts and
+    C shifts by -L (none when L = 0) once; in each of the p iterations B*C
+    row cycles (one rotation on the fast path, two masked ones otherwise)
+    and multiplies, log2 G fold steps at stride B and the phase mask; in
+    each of the p/G groups log2(F/(B*G)) fold steps and the result filter."""
+    offset, window = fold_layout(blocks, p, w, group)
+    steps = (window // (blocks * group)).bit_length() - 1
+    cycle = 1 if fast else 2
+    rot = (
+        chunks * (blocks - 1)
+        + chunks * (offset > 0)
+        + p * (blocks * chunks * cycle + group.bit_length() - 1)
+        + p // group * steps
+    )
+    cmul = p + p // group + (0 if fast else 2 * blocks * p * chunks)
+    return rot, blocks * p * chunks, cmul
+
+
+def fitting_groups(blocks: int, p: int, w: int, n: int) -> list:
+    """Every power of two G dividing p whose fold window fits rows n wide."""
+    return [g for g in (1 << t for t in range(p.bit_length())) if p % g == 0 and fold_layout(blocks, p, w, g)[1] <= n]
+
+
+def formula_group(blocks: int, chunks: int, p: int, w: int, n: int):
+    """The G that minimises the rotation formula, ties going to the larger
+    G; None when no G fits."""
+    return max(
+        fitting_groups(blocks, p, w, n),
+        key=lambda g: (-grouped_counts(blocks, chunks, p, w, g)[0], g),
+        default=None,
+    )
+
+
+@contextmanager
+def forced_group(group: int):
+    """Make the encoder and the evaluator, which both ask FcFold.derive,
+    use ``group``."""
+    def derive(cls, width, blocks, p, n):
+        offset, _ = fold_layout(blocks, p, width, group)
+        return cls(blocks, p, width, group, offset)
+
+    with patch.object(FcFold, "derive", classmethod(derive)):
+        yield
+
+
+def test_fc_fold_group_minimises_the_rotation_formula():
+    """fc1 (B = 2, C = 4, p = 32, w = 676) and fc2 (B = 1, C = 1, p = 16,
+    w = 64) at 32768 slots."""
+    for (blocks, chunks, p, w), group, rot in (((2, 4, 32, 676), 8, 384), ((1, 1, 16, 64), 4, 69)):
+        fold = FcFold.derive(w, blocks, p, 1024)
+        assert fold.group == formula_group(blocks, chunks, p, w, 1024) == group
+        assert fold.offset == fold_layout(blocks, p, w, group)[0] == blocks * p
+        assert grouped_counts(blocks, chunks, p, w, group)[0] == rot
+
+
 @st.composite
 def fc_shapes(draw):
-    """(m, n, p, w, slots): FC-like products with p <= min(m, n), an input
-    width w <= n, and a ciphertext that fits the layout exactly or has
-    slack, so both row-cycle paths occur."""
+    """(m, n, p, w, slots): one-block FC products with p <= min(m, n), an
+    input width w that fits beside the p outputs (w + p - 1 <= n), and a
+    ciphertext that fits the layout exactly or has slack, so both
+    row-cycle paths occur."""
     n = 1 << draw(st.integers(0, 5))
     m = draw(st.integers(1, 9))
     p = draw(st.integers(1, min(m, n)))
-    w = draw(st.integers(1, n))
+    w = draw(st.integers(1, n - p + 1))
     slack = draw(st.integers(0, 1))
     return m, n, p, w, next_pow2(max(2, m * n)) << slack
 
@@ -116,80 +183,68 @@ def fc_shapes(draw):
 def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     m, n, p, w, slots = shape
     rng = np.random.default_rng(seed)
-    # A holds junk past w; B is zero from inner index w on, as FC tiles are.
+    # A holds junk past w; the weights cover only the w inputs.
     a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
-    b_mats = [rand_int_matrix(rng, n, p) for _ in range(chunks)]
-    for b in b_mats:
-        b[w:] = 0.0
+    b_mats = [rand_int_matrix(rng, w, p) for _ in range(chunks)]
     eng = make_engine(slots)
     a_cts = [encode_row_major(eng, a) for a in a_mats]
-    b_cts = [encode_revolver(eng, b, target_m=m) for b in b_mats]
+    b_cts = [encode_interleaved(eng, b, 1, m, n)[0] for b in b_mats]
     before = eng.meter_snapshot()
     out = matmul_chunked(eng, a_cts, b_cts, width=w)
     call = eng.meter_snapshot().delta_since(before)
 
     want = np.zeros(slots)
-    block = sum(oracle_matmul(a, b) for a, b in zip(a_mats, b_mats))
+    block = sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
     for i in range(m):
         want[i * n : i * n + p] = block[i]
     np.testing.assert_array_equal(eng.dec(out.ct), want)
 
-    # ceil(log2 w) collapse steps plus ceil(log2 p) spread steps per
-    # iteration; the row cycle costs one rotation per chunk on the fast
-    # path and two on the general path, which also adds a level.
+    # log2 G fold steps per iteration and log2(F/G) per group, at the G
+    # the formula picks; the row cycle costs one rotation per chunk on the
+    # fast path and two on the general path, which also adds a level.
     fast = MatmulPlan.plan(eng, m, n, p).fast_path
-    row_sum = (w - 1).bit_length() + (p - 1).bit_length()
-    assert eng.scopes["matmul.row_sum"].rot_count == p * row_sum
-    assert call.rot_count == p * (chunks * (1 if fast else 2) + row_sum)
+    group = formula_group(1, chunks, p, w, n)
+    window = fold_layout(1, p, w, group)[1]
+    folds = p * (group.bit_length() - 1) + p // group * ((window // group).bit_length() - 1)
+    assert eng.scopes["matmul.row_sum"].rot_count == folds
+    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, fast)
     assert call.max_depth == (3 if fast else 4)
 
-    # matmul on the same operands keeps the paper's 2*log2(n) row sum.
+    # matmul on the same weights keeps the paper's 2*log2(n) row sum.
+    padded = np.zeros((n, p))
+    padded[:w] = b_mats[0]
     ref = make_engine(slots)
-    ref_out = matmul(ref, encode_row_major(ref, a_mats[0]), encode_revolver(ref, b_mats[0], target_m=m))
+    ref_out = matmul(ref, encode_row_major(ref, a_mats[0]), encode_revolver(ref, padded, target_m=m))
     assert ref.scopes["matmul.row_sum"].rot_count == p * 2 * (n.bit_length() - 1)
-    np.testing.assert_array_equal(ref_out.decode(ref)[:m, :p], oracle_matmul(a_mats[0], b_mats[0]))
+    np.testing.assert_array_equal(ref_out.decode(ref)[:m, :p], oracle_matmul(a_mats[0], padded))
 
 
 def test_fc_row_sum_rejects_widths_outside_the_row():
     eng = make_engine(64)
-    pm = encode_row_major(eng, np.ones((4, 8)))
-    for width, cols in ((0, 4), (9, 4), (8, 0), (8, 9)):
-        with pytest.raises(LayoutError):
-            sum_col_vec(eng, pm, width, cols)
     a = encode_row_major(eng, np.ones((4, 8)))
-    b = encode_revolver(eng, np.ones((8, 4)), target_m=4)
-    for width in (0, 9):
-        with pytest.raises(LayoutError):
-            matmul_chunked(eng, [a], [b], width=width)
+    tiles = encode_interleaved(eng, np.ones((5, 4)), 1, 4, 8)  # L = 3: 3 + 5 lanes fill the row
+    for width in (0, 6, 9):  # widths no fold fits, or whose tiles would leave the row
+        with pytest.raises(LayoutError, match="neuron blocks"):
+            matmul_chunked(eng, [a], tiles, width=width)
+    with pytest.raises(LayoutError, match="w \\+ B - 1"):
+        encode_interleaved(eng, np.ones((6, 4)), 1, 4, 8)
     narrow = encode_row_major(eng, np.ones((2, 2)))
     with pytest.raises(LayoutError):  # p = 4 > n = 2
         matmul_chunked(eng, [narrow], [encode_revolver(eng, np.ones((2, 4)), target_m=4)], width=2)
 
 
-def interleaved_counts(blocks: int, chunks: int, p: int, w: int, fast: bool = True) -> tuple:
-    """(rot, mul, cmul) of one interleaved product: C*(B-1) chained lane
-    shifts once; in each of the p iterations B*C row cycles (one rotation
-    on the fast path, two masked ones otherwise) and multiplies, one fold at
-    stride B over ceil(log2 ceil((w+B-1)/B)), the lane filter, one spread at
-    stride B over ceil(log2 p) and the result filter."""
-    cycle = 1 if fast else 2
-    fold = (-(-(w + blocks - 1) // blocks) - 1).bit_length()
-    rot = p * (blocks * chunks * cycle + fold + (p - 1).bit_length()) + chunks * (blocks - 1)
-    cmul = 2 * p + (0 if fast else 2 * blocks * p * chunks)
-    return rot, blocks * p * chunks, cmul
-
-
 @st.composite
 def fused_shapes(draw):
     """(m, B, C, n, p, w, slots): B interleaved neuron blocks of C chunks
-    each, B a power of two with w + B - 1 <= n and B*next_pow2(p) <= n.
-    p need not be a power of two; w + B - 1 = n, B*p = n, p = 1 and B > m
-    all occur, and the ciphertext fits the layout exactly or has slack, so
-    both row-cycle paths occur."""
+    each, B a power of two and B*p <= n.  p need not be a power of two;
+    B*p + w - 1 = n (the widest w that fits), wider w that no group fits,
+    p = 1 and B > m all occur, and the ciphertext fits the layout exactly
+    or has slack, so both row-cycle paths occur."""
     n = 1 << draw(st.integers(0, 5))
     blocks = 1 << draw(st.integers(0, n.bit_length() - 1))
     p = draw(st.one_of(st.just(n // blocks), st.integers(1, n // blocks)))
-    w = draw(st.one_of(st.just(n - blocks + 1), st.integers(1, n - blocks + 1)))
+    widest = n - blocks * p + 1
+    w = draw(st.one_of(st.just(widest), st.integers(1, widest), st.integers(1, n - blocks + 1)))
     m = draw(st.integers(1, 9))
     chunks = draw(st.integers(1, 3))
     slack = draw(st.integers(0, 1))
@@ -198,11 +253,16 @@ def fused_shapes(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(shape=fused_shapes(), seed=st.integers(0, 2**32 - 1))
-@example(shape=(4, 2, 2, 8, 4, 5, 32), seed=1)  # B*p = n, fast path
-@example(shape=(3, 4, 1, 4, 1, 1, 16), seed=2)  # p = 1, B > m, w + B - 1 = n, general path
+@example(shape=(4, 2, 2, 16, 4, 9, 64), seed=1)  # B*p + w - 1 = n, fast path
+@example(shape=(3, 4, 1, 4, 1, 1, 16), seed=2)  # p = 1, B > m, L = 0, general path
 @example(shape=(2, 8, 2, 8, 1, 1, 16), seed=3)  # B > m and B*p = n, fast path
-@example(shape=(6, 2, 3, 16, 3, 15, 128), seed=4)  # non-power-of-two p, general path
+@example(shape=(6, 2, 3, 16, 3, 11, 128), seed=4)  # non-power-of-two p, general path
+@example(shape=(8, 2, 2, 32, 8, 10, 256), seed=5)  # every G of 1..8 fits, fast path
+@example(shape=(4, 2, 2, 8, 4, 5, 32), seed=6)  # w + B - 1 fits the row, but not beside the outputs
 def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
+    """Every G dividing p whose window fits: exact against numpy, and the
+    rotation, multiply and depth counts of the formula.  The derived G is
+    the formula's minimiser, and a shape no G fits is rejected."""
     m, blocks, chunks, n, p, w, slots = shape
     rng = np.random.default_rng(seed)
     # A holds junk past w; the weights cover only the w inputs.
@@ -210,37 +270,52 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
     b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
     seed_grid = np.zeros((max(m, p), n))
     seed_grid[:m, : blocks * p] = rand_int_matrix(rng, m, blocks * p)
-    eng = make_engine(slots)
-    a_cts = [encode_row_major(eng, a) for a in a_mats]
-    per_chunk = [encode_interleaved(eng, b, blocks, max(m, p), n) for b in b_mats]
-    for tiles, b in zip(per_chunk, b_mats):  # the per-lane layout rule, as a loop
-        for d, tile in enumerate(tiles):
-            grid = np.zeros((max(m, p), n))
-            for r in range(max(m, p)):
-                for lane in range(w):
-                    grid[r, lane + d] = b[lane, blocks * (r % p) + (lane + d) % blocks]
-            assert eng.dec(tile.ct).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
-    if blocks == 1:  # one block is the revolver encoding of B padded to n rows
-        for (tile,), b in zip(per_chunk, b_mats):
-            padded = np.zeros((n, p))
-            padded[:w] = b
-            assert eng.dec(tile.ct).tobytes() == eng.dec(encode_revolver(eng, padded, max(m, p)).ct).tobytes()
-    diagonals = [list(d) for d in zip(*per_chunk)]
-    init = eng.enc(seed_grid.reshape(-1))
-    before = eng.meter_snapshot()
-    out = matmul_chunked(eng, a_cts, *diagonals, init=init, width=w)
-    call = eng.meter_snapshot().delta_since(before)
-
     want = seed_grid.copy()
     want[:m, : blocks * p] += sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
-    got = np.zeros(slots)
-    got[: want.size] = want.reshape(-1)
-    np.testing.assert_array_equal(eng.dec(out.ct), got)
+    expected = np.zeros(slots)
+    expected[: want.size] = want.reshape(-1)
 
-    fast = MatmulPlan.plan(eng, m, n, p).fast_path
-    assert (call.rot_count, call.mul_count, call.cmul_count) == interleaved_counts(blocks, chunks, p, w, fast)
-    assert call.max_depth == (3 if fast else 4)
-    assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
+    groups = fitting_groups(blocks, p, w, n)
+    if not groups:
+        eng = make_engine(slots)
+        with pytest.raises(LayoutError, match="w \\+ B - 1"):
+            encode_interleaved(eng, b_mats[0], blocks, max(m, p), n)
+        tiles = [encode_revolver(eng, np.zeros((n, p)), max(m, p))] * chunks
+        with pytest.raises(LayoutError, match="neuron blocks"):
+            matmul_chunked(eng, [encode_row_major(eng, a) for a in a_mats], *[tiles] * blocks, width=w)
+        return
+    assert FcFold.derive(w, blocks, p, n).group == formula_group(blocks, chunks, p, w, n)
+    for group in groups:
+        eng = make_engine(slots)
+        with forced_group(group):
+            a_cts = [encode_row_major(eng, a) for a in a_mats]
+            per_chunk = [encode_interleaved(eng, b, blocks, max(m, p), n) for b in b_mats]
+            offset, _ = fold_layout(blocks, p, w, group)
+            for tiles, b in zip(per_chunk, b_mats):  # the per-lane layout rule, as a loop
+                for d, tile in enumerate(tiles):
+                    grid = np.zeros((max(m, p), n))
+                    for r in range(max(m, p)):
+                        for lane in range(w):
+                            grid[r, offset + lane + d] = b[lane, blocks * (r % p) + (lane + d) % blocks]
+                    assert eng.dec(tile.ct).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
+            if blocks == 1:  # one block is the revolver encoding of B placed at lanes L..L+w-1
+                for (tile,), b in zip(per_chunk, b_mats):
+                    placed = np.zeros((n, p))
+                    placed[offset : offset + w] = b
+                    revolver = encode_revolver(eng, placed, max(m, p))
+                    assert eng.dec(tile.ct).tobytes() == eng.dec(revolver.ct).tobytes()
+            diagonals = [list(d) for d in zip(*per_chunk)]
+            init = eng.enc(seed_grid.reshape(-1))
+            before = eng.meter_snapshot()
+            out = matmul_chunked(eng, a_cts, *diagonals, init=init, width=w)
+            call = eng.meter_snapshot().delta_since(before)
+
+        np.testing.assert_array_equal(eng.dec(out.ct), expected)
+        fast = MatmulPlan.plan(eng, m, n, p).fast_path
+        counts = (call.rot_count, call.mul_count, call.cmul_count)
+        assert counts == grouped_counts(blocks, chunks, p, w, group, fast)
+        assert call.max_depth == (3 if fast else 4)
+        assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
 
 
 @pytest.mark.parametrize(
@@ -249,10 +324,9 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
     ids=["blocks-wider-than-row", "no-width", "non-pow2-p", "full-row"],
 )
 def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
-    """B*p > n would wrap blocks into the next row; a full-row spread, or a
-    spread over next_pow2(p) groups wider than the row, would carry one
-    row's sums into the next; and with w + B - 1 > n the last diagonal's
-    products would leave the row."""
+    """B*p > n would wrap blocks into the next row; without a width there
+    is no FC fold to share; and with B*(p - 1) + w + B - 1 > n the tiles,
+    shifted past the p output groups, would leave the row."""
     eng = make_engine(8 * n)
     a = encode_row_major(eng, np.ones((8, n)))
     b = encode_revolver(eng, np.ones((n, p)), target_m=8)
@@ -261,6 +335,6 @@ def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
     for bad in ([], [[b], [b, b]]):  # no block; blocks of unequal chunk counts
         with pytest.raises(LayoutError, match="one right operand per left chunk"):
             matmul_chunked(eng, [a], *bad, width=width)
-    if width is not None and width + blocks - 1 > n:
+    if width is not None:
         with pytest.raises(LayoutError, match="w \\+ B - 1"):
             encode_interleaved(eng, np.ones((width, blocks * p)), blocks, 8, n)

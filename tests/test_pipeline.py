@@ -34,7 +34,7 @@ from packedhe.pipeline import (
 from packedhe.virtual import VirtualLayout, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
-from test_matmul_chunked import interleaved_counts
+from test_matmul_chunked import formula_group, grouped_counts
 
 ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
@@ -50,9 +50,9 @@ def fc_shape(out_dim: int, chunks: int, in_width: int, rows: int = IMAGES_PER_CT
 
 def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int) -> tuple:
     """(rot, mul, cmul) of an FC layer: one interleaved product on the
-    single-rotation row-cycle path; the B bias seeds are only added."""
-    assert w + blocks - 1 <= n and blocks * p <= n
-    return interleaved_counts(blocks, chunks, p, w)
+    single-rotation row-cycle path, at the group G that minimises the
+    rotation formula; the B bias seeds are only added."""
+    return grouped_counts(blocks, chunks, p, w, formula_group(blocks, chunks, p, w, n))
 
 
 # (rot, mul, cmul) per batch of conv, act1, flatten and act2, which do not
@@ -195,24 +195,25 @@ def fc_apply(eng, chunks, widths, weight, bias):
 
 
 def test_fc_layer_identity(rng):
-    # 7 outputs with 4 rows: two interleaved blocks, which need a spare
-    # lane (w + B - 1 <= n); lane 7 holds junk the weights never read.
-    eng = make_engine(32)
-    x = rand_int_matrix(rng, 4, 8)
+    # 7 outputs with 4 rows: two interleaved blocks of p = 4, whose tiles
+    # start at lane B*(p - 1) = 6 and need w + B - 1 lanes after it; lanes
+    # 7..15 of the input hold junk the weights never read.
+    eng = make_engine(64)
+    x = rand_int_matrix(rng, 4, 16)
     pm = encode_row_major(eng, x)
     out = fc_apply(eng, [pm], [7], np.eye(7), np.zeros(7)).decode(eng)
     np.testing.assert_array_equal(out[:, :7], x[:, :7])
-    with pytest.raises(LayoutError, match="w \\+ B - 1"):  # the full-row shape
-        fc_apply(eng, [pm], [8], np.eye(8), np.zeros(8))
+    with pytest.raises(LayoutError, match="w \\+ B - 1"):  # 6 + 10 + 1 lanes > 16
+        fc_apply(eng, [pm], [10], np.eye(7, 10), np.zeros(7))
 
 
 def test_fc_layer_random_affine(rng):
-    eng = make_engine(32)
-    x = rand_int_matrix(rng, 4, 8)
+    eng = make_engine(64)
+    x = rand_int_matrix(rng, 4, 16)
     w = rng.uniform(-1, 1, size=(4, 8))
     b = rng.uniform(-1, 1, size=4)
     out = fc_apply(eng, [encode_row_major(eng, x)], [8], w, b).decode(eng)
-    np.testing.assert_allclose(out[:, :4], x @ w.T + b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out[:, :4], x[:, :8] @ w.T + b, rtol=1e-12, atol=1e-12)
 
 
 def test_fc_layer_chunked_input(rng):
@@ -232,15 +233,15 @@ def test_fc_layer_chunked_input(rng):
 
 
 def test_fc_layer_blocks_wider_than_rows(rng):
-    # out_dim 8 with 4 rows: two 4-wide neuron blocks interleaved, over 15
-    # of the 16 lanes so the second diagonal stays inside the row
+    # out_dim 8 with 4 rows: two 4-wide neuron blocks interleaved over 9
+    # inputs, whose tiles fill lanes 6..15 of each row
     eng = make_engine(64)
     x = rand_int_matrix(rng, 4, 16)
     pm = encode_row_major(eng, x)
-    w = rng.uniform(-1, 1, size=(8, 15))
+    w = rng.uniform(-1, 1, size=(8, 9))
     b = rng.uniform(-1, 1, size=8)
-    out = fc_apply(eng, [pm], [15], w, b).decode(eng)
-    np.testing.assert_allclose(out[:, :8], x[:, :15] @ w.T + b, rtol=1e-12, atol=1e-12)
+    out = fc_apply(eng, [pm], [9], w, b).decode(eng)
+    np.testing.assert_allclose(out[:, :8], x[:, :9] @ w.T + b, rtol=1e-12, atol=1e-12)
     with pytest.raises(LayoutError, match="w \\+ B - 1"):  # the full-row shape
         fc_apply(eng, [pm], [16], rng.uniform(-1, 1, size=(8, 16)), b)
 
@@ -331,11 +332,17 @@ def test_forward_fused_fc_exact_counts(rng):
     assert total.max_depth == PIPELINE_DEPTH == 13
 
 
+# Rotation keys per forward pass with one row sum per FC iteration
+# (before the iterations were grouped), by slot count.
+UNGROUPED_FC_KEYS = {1024: 33, 2048: 36, 16384: 53, 32768: 69}
+
+
 @pytest.mark.parametrize("slots, parent_keys", [(1024, 95), (2048, 65), (16384, 54), (32768, 69)])
 def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
     """One to 32 images per ciphertext: oracle agreement, both FC layers at
     their cost formula (fc1 has 64 blocks of width 1 at 1024 slots), and no
-    more rotation keys than the block-separated FC layout needed."""
+    more rotation keys than the block-separated FC layout (``parent_keys``)
+    or the ungrouped FC row sum needed."""
     layout = VirtualLayout(slots // IMAGE_SLOTS, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
     eng = make_engine(slots)
     weights = random_weights(rng)
@@ -353,13 +360,13 @@ def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
     assert eng.meter_snapshot().max_depth == PIPELINE_DEPTH
-    assert len(eng.rot_offsets) <= parent_keys
+    assert len(eng.rot_offsets) <= UNGROUPED_FC_KEYS[slots] <= parent_keys
 
 
 def test_forward_builds_each_mask_once(rng, monkeypatch):
     """One pass builds every plaintext mask once for all its consumers: k*k
     offset filters shared by the kernels, out_h reform row masks shared by
-    the maps, per FC layer one column-0 filter plus p result filters shared
+    the maps, per FC layer G phase masks plus p/G result filters shared
     by its blocks, and two constant masks per activation stage."""
     eng = make_engine(32768)
     model = encode_model(eng, random_weights(rng))
@@ -374,11 +381,13 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
     monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     forward_encoded(eng, ct, model)
     fc_shapes = (fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES), fc_shape(FC2_OUT, 1, model.fc1.out_width))
-    fc_masks = sum(1 + p for _, _, p, _, _ in fc_shapes)
+    groups = [(formula_group(blocks, chunks, p, w, n), p) for blocks, chunks, p, n, w in fc_shapes]
+    assert groups == [(8, 32), (4, 16)]
+    fc_masks = sum(g + p // g for g, p in groups)
     activation_stages = 2
     filters = KERNEL_SIZE**2 + MAP_SIDE + fc_masks
     assert (roles.count("filter"), roles.count("constant")) == (filters, 2 * activation_stages)
-    assert len(roles) == 9 + 26 + 33 + 17 + 4 == 89
+    assert len(roles) == 9 + 26 + 12 + 8 + 4 == 59
 
 
 def test_forward_depth_independent_of_content(rng):
