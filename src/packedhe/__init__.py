@@ -1,6 +1,7 @@
 """Packed-slot homomorphic evaluation toolkit (exact simulated backend)."""
 
 from .engine import (
+    Accumulator,
     CapacityError,
     Ciphertext,
     EngineError,

@@ -147,15 +147,14 @@ def window_cascade(engine: SlotEngine, ct: Ciphertext, w: int, k: int) -> Cipher
     cost profile).  Slots off the window grid accumulate garbage that the
     caller masks away.
     """
-    col_acc = None
+    col_acc = engine.accumulator()
     for pos in range(k):
-        t = engine.rot(ct, pos)
-        col_acc = t if col_acc is None else engine.add(col_acc, t)
-    row_acc = None
+        col_acc.add(engine.rot(ct, pos))
+    cols = col_acc.result()
+    row_acc = engine.accumulator()
     for pos in range(k):
-        t = engine.rot(col_acc, pos * w)
-        row_acc = t if row_acc is None else engine.add(row_acc, t)
-    return row_acc
+        row_acc.add(engine.rot(cols, pos * w))
+    return row_acc.result()
 
 
 def _offset_keep(shape: ImageShape, k: int, offset_i: int, offset_j: int) -> np.ndarray:
@@ -197,7 +196,7 @@ def _conv_blocks(engine: SlotEngine, ct: Ciphertext, spans, m: int, f: int) -> l
     result.  Returns one result per span, in order.
     """
     k, shape = spans[0].k, spans[0].shape
-    accs = [span.bias_ct for span in spans]
+    accs = [engine.accumulator(span.bias_ct) for span in spans]
     for i in range(k):
         for j in range(k):
             keep = engine.mask(_tile(_offset_keep(shape, k, i, j), m, f), role="filter")
@@ -209,8 +208,8 @@ def _conv_blocks(engine: SlotEngine, ct: Ciphertext, spans, m: int, f: int) -> l
                 with engine.scope("conv.offset_filter"):
                     t = engine.cmul(keep, t)
                 with engine.scope("conv.accumulate"):
-                    accs[s] = engine.add(accs[s], t)
-    return accs
+                    accs[s].add(t)
+    return [acc.result() for acc in accs]
 
 
 def conv(engine: SlotEngine, ct_image: Ciphertext, span: KernelSpan, shape: ImageShape) -> Ciphertext:

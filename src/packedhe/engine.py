@@ -16,6 +16,15 @@ relative offset, which pairs every slot with the same two values as an
 eager rotation would, so results are bitwise identical.  This is the
 simulator's form of rotation hoisting (Halevi-Shoup, CRYPTO 2018): the
 rotation's data movement is folded into the operation that consumes it.
+
+Running sums accumulate in place.  :meth:`SlotEngine.accumulator` returns
+an :class:`Accumulator` that owns one running-sum vector and one scratch
+vector; each term is computed into the scratch vector and added into the
+sum through the ``mul``/``cmul``/``add`` primitives, in the
+multiply-then-add-into-an-accumulator form lattice libraries offer (e.g.
+Lattigo's ``MulRelinThenAdd``).  Every step is metered, depth-observed and
+traced as the unfused chain ``acc = add(acc, mul(a, b))`` would be, and
+gives the same bits, but writes no fresh vector per term.
 """
 
 from dataclasses import dataclass, replace
@@ -31,6 +40,7 @@ __all__ = [
     "OpMeter",
     "Ciphertext",
     "PlainMask",
+    "Accumulator",
     "SlotEngine",
     "is_pow2",
     "next_pow2",
@@ -100,17 +110,6 @@ class OpMeter:
             rot_count=self.rot_count + other.rot_count,
             enc_count=self.enc_count + other.enc_count,
             max_depth=max(self.max_depth, other.max_depth),
-        )
-
-    def delta_since(self, earlier: "OpMeter") -> "OpMeter":
-        """Counter deltas for a metered section.  max_depth is the current value."""
-        return OpMeter(
-            add_count=self.add_count - earlier.add_count,
-            mul_count=self.mul_count - earlier.mul_count,
-            cmul_count=self.cmul_count - earlier.cmul_count,
-            rot_count=self.rot_count - earlier.rot_count,
-            enc_count=self.enc_count - earlier.enc_count,
-            max_depth=self.max_depth,
         )
 
 
@@ -189,15 +188,20 @@ class Ciphertext:
         return f"Ciphertext(slots={self.slots!r}, depth={self._depth})"
 
 
-def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
-    """Fresh read-only ``out[i] = ufunc(x[i], y[(i + d) % n])``."""
+def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``out[i] = ufunc(x[i], y[(i + d) % n])``: a fresh read-only vector,
+    or written into an accumulator's ``out`` (which may be ``x``, never
+    ``y``)."""
+    fresh = out is None
+    if fresh:
+        out = np.empty(x.size, dtype=np.float64)
     if d == 0:
-        return _frozen(ufunc(x, y))
-    n = x.size
-    out = np.empty(n, dtype=np.float64)
-    ufunc(x[: n - d], y[d:], out=out[: n - d])
-    ufunc(x[n - d :], y[:d], out=out[n - d :])
-    return _frozen(out)
+        ufunc(x, y, out=out)
+    else:
+        n = x.size
+        ufunc(x[: n - d], y[d:], out=out[: n - d])
+        ufunc(x[n - d :], y[:d], out=out[n - d :])
+    return _frozen(out) if fresh else out
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -217,17 +221,18 @@ class PlainMask:
         self._adopt(_frozen(np.array(values, dtype=np.float64)), role)
 
     @classmethod
-    def _owned(cls, vec: np.ndarray, role: str) -> "PlainMask":
+    def _owned(cls, vec: np.ndarray, role: str, zero_one: bool = False) -> "PlainMask":
         """A mask over a fresh read-only engine vector (see ``_frozen``),
-        validated like any other but not copied."""
+        validated like any other but not copied.  ``zero_one`` says ``vec``
+        was converted from a boolean array, so it needs no 0/1 check."""
         mask = cls.__new__(cls)
-        mask._adopt(vec, role)
+        mask._adopt(vec, role, zero_one)
         return mask
 
-    def _adopt(self, vec: np.ndarray, role: str) -> None:
+    def _adopt(self, vec: np.ndarray, role: str, zero_one: bool = False) -> None:
         if vec.ndim != 1:
             raise EngineError(f"mask values must be a 1-D vector, got shape {vec.shape}")
-        if role == "filter" and not np.all((vec == 0.0) | (vec == 1.0)):
+        if role == "filter" and not zero_one and not np.all((vec == 0.0) | (vec == 1.0)):
             raise EngineError("filter masks may contain only 0.0 and 1.0")
         object.__setattr__(self, "values", vec)
         object.__setattr__(self, "role", role)
@@ -261,6 +266,79 @@ class _Scope:
             self.into[self.name] = spent
 
 
+class Accumulator:
+    """Running sum of ciphertexts, built in place: see :meth:`SlotEngine.accumulator`.
+
+    The sum starts as ``init`` (or the first added ciphertext, unchanged);
+    from the first computed step on it lives in a vector the accumulator
+    owns.  A product is written into the scratch vector and then added into
+    the sum, each through the engine primitive, so ``mul(a, b)`` meters,
+    observes and traces one ``mul`` and one ``add`` as ``sum = add(sum,
+    mul(a, b))`` would, and every slot gets the same value.  ``init`` and
+    the operands are only read.
+    """
+
+    __slots__ = ("_engine", "_sum", "_vec", "_scratch")
+
+    def __init__(self, engine: "SlotEngine", init: Ciphertext | None):
+        if init is not None:
+            engine._check_slots(init)
+        self._engine = engine
+        self._sum = init
+        self._vec = None
+        self._scratch = None
+
+    def _live(self) -> "SlotEngine":
+        if self._engine is None:
+            raise EngineError("accumulator is closed: result() was already taken")
+        return self._engine
+
+    def _running(self) -> np.ndarray:
+        if self._vec is None:
+            self._vec = np.empty(self._engine.slots, dtype=np.float64)
+        return self._vec
+
+    def _spare(self) -> np.ndarray:
+        if self._scratch is None:
+            self._scratch = np.empty(self._engine.slots, dtype=np.float64)
+        return self._scratch
+
+    def add(self, ct: Ciphertext) -> None:
+        engine = self._live()
+        if self._sum is None:
+            engine._check_slots(ct)  # no primitive sees a first term, so check it here
+            self._sum = ct
+        else:
+            self._sum = engine.add(self._sum, ct, _out=self._running())
+
+    def mul(self, a: Ciphertext, b: Ciphertext) -> None:
+        self._add_product(self._live().mul, a, b)
+
+    def cmul(self, mask: PlainMask, ct: Ciphertext) -> None:
+        self._add_product(self._live().cmul, mask, ct)
+
+    def _add_product(self, product, *operands) -> None:
+        """A first term is written straight into the running vector; any
+        later one into the scratch vector, then added into the sum."""
+        if self._sum is None:
+            self._sum = product(*operands, _out=self._running())
+        else:
+            term = product(*operands, _out=self._spare())
+            self._sum = self._engine.add(self._sum, term, _out=self._running())
+
+    def result(self) -> Ciphertext:
+        """The sum as a read-only ciphertext that shares no vector with
+        ``init`` or an operand (a lone term is copied); closes the
+        accumulator."""
+        self._live()
+        total = self._sum
+        if total is None:
+            raise EngineError("accumulator has no terms")
+        vec = total._vec if total._vec is self._vec else total._vec.copy()
+        self._engine = self._sum = self._vec = self._scratch = None
+        return Ciphertext._stored(_frozen(vec), total._offset, total._depth, owned=True)
+
+
 class SlotEngine:
     """Metered SIMD engine over ``params.slots`` packed slots.
 
@@ -285,6 +363,10 @@ class SlotEngine:
         if depth > self._meter.max_depth:
             self._meter.max_depth = depth
 
+    def _check_slots(self, ct: Ciphertext) -> None:
+        if ct._vec.size != self.slots:
+            raise EngineError("operands come from engines with different slot counts")
+
     def _check_pair(self, a: Ciphertext, b: Ciphertext) -> None:
         if a._vec.shape != b._vec.shape or a._vec.size != self.slots:
             raise EngineError("operands come from engines with different slot counts")
@@ -303,34 +385,38 @@ class SlotEngine:
         """Return the full slot vector (a copy)."""
         return np.array(ct.slots, dtype=np.float64)
 
-    def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
+    # ``_out`` is passed only by Accumulator: the result is written into
+    # that vector, which the accumulator owns and keeps writable.
+
+    def add(self, a: Ciphertext, b: Ciphertext, _out: np.ndarray | None = None) -> Ciphertext:
         self._check_pair(a, b)
         depth = max(a._depth, b._depth)
         self._meter.add_count += 1
         self._observe(depth)
-        vec = _combine(np.add, a._vec, b._vec, (b._offset - a._offset) % self.slots)
-        return Ciphertext._stored(vec, a._offset, depth, owned=True)
+        vec = _combine(np.add, a._vec, b._vec, (b._offset - a._offset) % self.slots, _out)
+        return Ciphertext._stored(vec, a._offset, depth, owned=_out is None)
 
-    def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
+    def mul(self, a: Ciphertext, b: Ciphertext, _out: np.ndarray | None = None) -> Ciphertext:
         self._check_pair(a, b)
         depth = max(a._depth, b._depth) + 1
         self._meter.mul_count += 1
         self._observe(depth)
-        vec = _combine(np.multiply, a._vec, b._vec, (b._offset - a._offset) % self.slots)
-        return Ciphertext._stored(vec, a._offset, depth, owned=True)
+        vec = _combine(np.multiply, a._vec, b._vec, (b._offset - a._offset) % self.slots, _out)
+        return Ciphertext._stored(vec, a._offset, depth, owned=_out is None)
 
-    def cmul(self, mask: PlainMask, ct: Ciphertext) -> Ciphertext:
+    def cmul(self, mask: PlainMask, ct: Ciphertext, _out: np.ndarray | None = None) -> Ciphertext:
         if mask.values.size != self.slots:
             raise EngineError(
                 f"mask length {mask.values.size} != slot count {self.slots}"
             )
+        self._check_slots(ct)
         depth = ct._depth + 1  # constant-scale consumption
         self._meter.cmul_count += 1
         self._observe(depth)
         # in ct's stored frame the mask is read -offset slots along; IEEE
         # multiplication commutes, so ct * mask equals mask * ct bitwise
-        vec = _combine(np.multiply, ct._vec, mask.values, -ct._offset % self.slots)
-        return Ciphertext._stored(vec, ct._offset, depth, owned=True)
+        vec = _combine(np.multiply, ct._vec, mask.values, -ct._offset % self.slots, _out)
+        return Ciphertext._stored(vec, ct._offset, depth, owned=_out is None)
 
     def rot(self, ct: Ciphertext, l: int) -> Ciphertext:
         """Cyclic left rotation by ``l`` slots; negative ``l`` rotates right.
@@ -338,9 +424,10 @@ class SlotEngine:
         Metered and keyed here; the result shares ``ct``'s stored vector
         and only advances the pending offset.
         """
+        self._check_slots(ct)
         self._meter.rot_count += 1
         self._observe(ct._depth)
-        n = ct._vec.size
+        n = self.slots
         l %= n
         self.rot_offsets.add(l)
         return Ciphertext._stored(ct._vec, (ct._offset + l) % n, ct._depth, owned=False)
@@ -355,9 +442,16 @@ class SlotEngine:
         ``into`` defaults to :attr:`scopes`.  The entry is an OpMeter of
         counter deltas, inserted when the block first exits; re-entering
         the same name adds to it.  ``max_depth`` is the engine's value at
-        exit, as in :meth:`OpMeter.delta_since`.
+        exit.
         """
         return _Scope(self._meter, name, self.scopes if into is None else into)
+
+    def accumulator(self, init: Ciphertext | None = None) -> Accumulator:
+        """A running sum seeded with ``init`` (or empty), written in place:
+        ``acc.mul(a, b)`` costs and equals ``acc = add(acc, mul(a, b))``,
+        ``acc.cmul(mask, ct)`` and ``acc.add(ct)`` likewise, and
+        ``acc.result()`` returns the sum as a ciphertext."""
+        return Accumulator(self, init)
 
     # -- helpers ---------------------------------------------------------
 
@@ -365,6 +459,8 @@ class SlotEngine:
         """Build a full-length PlainMask, zero-padding short inputs.
 
         ``values`` may be a boolean pattern; it is converted to 0.0/1.0 in
-        the one copy the mask makes.
+        the one copy the mask makes, which is then 0/1 by construction and
+        not checked again.
         """
-        return PlainMask._owned(_padded(values, self.slots, "mask payload"), role)
+        zero_one = isinstance(values, np.ndarray) and values.dtype == np.bool_
+        return PlainMask._owned(_padded(values, self.slots, "mask payload"), role, zero_one)

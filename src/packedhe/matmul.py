@@ -201,13 +201,14 @@ class FcFold:
         x in [B*(p - G), span) with x = B*((i + e + 1) mod G) + j mod B*G,
         j < B."""
         lane = np.arange(n)
-        inside = (lane >= self.blocks * (self.p - self.group)) & (lane < self.span)
-        phase = (lane // self.blocks) % self.group
         row = np.arange(rows)[:, None]
-        return [
-            engine.mask((inside & (phase == (row + e + 1) % self.group)).reshape(-1), role="filter")
-            for e in range(self.group)
-        ]
+        phase = np.arange(self.group)[:, None, None]
+        keep = (
+            (lane >= self.blocks * (self.p - self.group))
+            & (lane < self.span)
+            & ((lane // self.blocks) % self.group == (row + phase + 1) % self.group)
+        )
+        return [engine.mask(pattern.reshape(-1), role="filter") for pattern in keep]
 
 
 def encode_interleaved(engine: SlotEngine, b, blocks: int, target_m: int, n: int) -> list[PackedMatrix]:
@@ -271,12 +272,12 @@ def _grouped_fold(engine: SlotEngine, fold: FcFold, prods, phases) -> Ciphertext
     zero outside [L, span) because the tiles are, and the fold window stops
     before the next row's kept lanes, so nothing crosses a row.
     """
-    total = None
+    kept = engine.accumulator()
     for prod, phase in zip(prods, phases):
         for t in range(fold.group.bit_length() - 1):
             prod = engine.add(prod, engine.rot(prod, fold.blocks << t))
-        kept = engine.cmul(phase, prod)
-        total = kept if total is None else engine.add(total, kept)
+        kept.cmul(phase, prod)
+    total = kept.result()
     for t in range(fold.steps):
         total = engine.add(total, engine.rot(total, (fold.blocks * fold.group) << t))
     return total
@@ -362,17 +363,16 @@ def matmul_chunked(
         shifted = [[engine.rot(a.ct, -offset) if offset else a.ct for a in a_chunks]]
         for _ in range(1, blocks):
             shifted.append([engine.rot(ct, -1) for ct in shifted[-1]])
-    acc = init if init is not None else engine.enc([])
+    acc = engine.accumulator(init if init is not None else engine.enc([]))
     for first in range(0, p, group):
         prods = []
         for idx in range(first, first + group):
             with engine.scope("matmul.row_cycle"):
-                prod = None
+                prod = engine.accumulator()
                 for a_cts, b_chunks in zip(shifted, b_blocks):
                     for ct_a, ct_bbar in zip(a_cts, b_chunks):
-                        term = engine.mul(ct_a, row_shifter(engine, ct_bbar, p, idx).ct)
-                        prod = term if prod is None else engine.add(prod, term)
-            prods.append(prod)
+                        prod.mul(ct_a, row_shifter(engine, ct_bbar, p, idx).ct)
+            prods.append(prod.result())
         with engine.scope("matmul.row_sum"):
             if fold is None:
                 sums = sum_col_vec(engine, PackedMatrix(prods[0], work_shape, Encoding.ROW_MAJOR), col0).ct
@@ -381,8 +381,8 @@ def matmul_chunked(
         with engine.scope("matmul.result_filter"):
             kept = engine.cmul(build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, group), sums)
         with engine.scope("matmul.accumulate"):
-            acc = engine.add(acc, kept)
-    return PackedMatrix(acc, work_shape, Encoding.ROW_MAJOR)
+            acc.add(kept)
+    return PackedMatrix(acc.result(), work_shape, Encoding.ROW_MAJOR)
 
 
 def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> PackedMatrix:

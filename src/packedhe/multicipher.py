@@ -96,11 +96,10 @@ def matmul_outer(
             f"operand dims differ: left {(left.m, left.n, left.p)}, "
             f"right {(right.m, right.n, right.p)}"
         )
-    acc = None
+    acc = engine.accumulator()
     for lk, rk in zip(left.cts, right.cts):
-        term = engine.mul(lk, rk)
-        acc = term if acc is None else engine.add(acc, term)
-    return PackedMatrix(acc, MatrixShape(left.m, left.p), Encoding.ROW_MAJOR)
+        acc.mul(lk, rk)
+    return PackedMatrix(acc.result(), MatrixShape(left.m, left.p), Encoding.ROW_MAJOR)
 
 
 def encode_image_columns(engine: SlotEngine, images) -> ColumnEncodedImage:
@@ -150,15 +149,14 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
     for jp in range(out_w):
         bias = np.zeros((img.m, img.stride), dtype=np.float64)
         bias[:, :out_h] = kernel.bias
-        acc = engine.enc(bias.reshape(-1))
+        acc = engine.accumulator(engine.enc(bias.reshape(-1)))
         for q in range(k):
             for p in range(k):
                 wgt = kernel.weights[p, q]
                 if wgt == 0.0:
                     continue
-                term = engine.cmul(engine.mask(wgt * valid), shifted(jp + q, p))
-                acc = engine.add(acc, term)
-        out_cts.append(acc)
+                acc.cmul(engine.mask(wgt * valid), shifted(jp + q, p))
+        out_cts.append(acc.result())
     return ColumnEncodedImage(out_cts, out_h, out_w, img.m, img.stride)
 
 

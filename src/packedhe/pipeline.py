@@ -200,9 +200,11 @@ def poly_activation(engine: SlotEngine, cts, coeffs) -> list[Ciphertext]:
     outs = []
     for ct in cts:
         x2 = engine.mul(ct, ct)
-        out = engine.mul(x2, engine.add(engine.cmul(mask_c3, ct), enc_c2))
-        out = engine.add(out, engine.cmul(mask_c1, ct))
-        outs.append(engine.add(out, enc_c0))
+        out = engine.accumulator()
+        out.mul(x2, engine.add(engine.cmul(mask_c3, ct), enc_c2))
+        out.cmul(mask_c1, ct)
+        out.add(enc_c0)
+        outs.append(out.result())
     return outs
 
 
@@ -310,10 +312,10 @@ def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles, in_width: int) -> Pa
     zeros) and starts at the lane offset it derives, so the row fold only
     covers it.  Neuron q lands at lane q.
     """
-    seed = fc.bias_cts[0]
-    for bias_ct in fc.bias_cts[1:]:
-        seed = engine.add(seed, bias_ct)
-    return matmul_chunked(engine, chunks, *fc.tiles, init=seed, width=in_width)
+    seed = engine.accumulator()
+    for bias_ct in fc.bias_cts:
+        seed.add(bias_ct)
+    return matmul_chunked(engine, chunks, *fc.tiles, init=seed.result(), width=in_width)
 
 
 def encode_model(

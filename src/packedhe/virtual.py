@@ -142,26 +142,28 @@ def reform_maps(
     """Compact each map's per-image top-left out_h x out_w block into a
     contiguous prefix of out_h*out_w slots (row-major order preserved).
 
-    Row r of the block is masked out and rotated left by r*(w - out_w); per
-    map this costs at most out_h rotations, cmuls and adds.  The row loop
-    runs once over all the maps, so each row mask is built once.
+    Row r of the block is rotated left by r*(w - out_w), which brings it to
+    its destination lanes [r*out_w, (r+1)*out_w) of each image block, then
+    masked to those lanes and added; per map this costs at most out_h
+    rotations, cmuls and adds.  Every slot pairs the same mask and
+    ciphertext values as masking before the rotation would, so the result
+    is the same bits.  The row loop runs once over all the maps, so each
+    row mask is built once.
     """
     _require_fit(engine, layout)
     if not (1 <= out_h <= layout.h and 1 <= out_w <= layout.w):
         raise EngineError(
             f"{out_h}x{out_w} block must be non-empty and within the {layout.h}x{layout.w} image prefix"
         )
-    accs = [None] * len(cts)
-    for r in range(out_h):
-        row = np.zeros(layout.f, dtype=bool)
-        row[r * layout.w : r * layout.w + out_w] = True
-        keep = _tiled_mask(engine, layout, row, "filter")
-        for s, ct in enumerate(cts):
-            t = engine.cmul(keep, ct)
-            if r > 0:
-                t = engine.rot(t, r * (layout.w - out_w))
-            accs[s] = t if accs[s] is None else engine.add(accs[s], t)
-    return accs, VirtualLayout(layout.m, layout.f, out_h, out_w)
+    lane = np.arange(engine.slots) % layout.f
+    first = np.arange(out_h)[:, None] * out_w
+    dests = (lane >= first) & (lane < first + out_w)
+    accs = [engine.accumulator() for _ in cts]
+    for r, dest in enumerate(dests):
+        keep = engine.mask(dest, role="filter")
+        for acc, ct in zip(accs, cts):
+            acc.cmul(keep, engine.rot(ct, r * (layout.w - out_w)) if r else ct)
+    return [acc.result() for acc in accs], VirtualLayout(layout.m, layout.f, out_h, out_w)
 
 
 def reform(

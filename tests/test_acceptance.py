@@ -88,9 +88,10 @@ def test_criterion_2_multi_ciphertext_agreement(rng):
 
                         left = encode_left(eng_outer, a, p)
                         right = encode_right(eng_outer, b, m)
-                        before = eng_outer.meter_snapshot()
-                        outer = matmul_outer(eng_outer, left, right).decode(eng_outer)
-                        delta = eng_outer.meter_snapshot().delta_since(before)
+                        spent = {}
+                        with eng_outer.scope("call", spent):
+                            outer = matmul_outer(eng_outer, left, right).decode(eng_outer)
+                        delta = spent["call"]
 
                         np.testing.assert_array_equal(rotation_based, want)
                         np.testing.assert_array_equal(outer, want)
@@ -130,9 +131,10 @@ def test_criterion_4_batched_amortization(rng):
             span = tile_kernel_span(eng, kern, layout)
             imgs = rng.uniform(0, 1, size=(m, 28, 28))
             ct = pack_batch(eng, imgs, layout)
-            before = eng.meter_snapshot()
-            batched_conv(eng, ct, layout, span)
-            return eng.meter_snapshot().delta_since(before)
+            spent = {}
+            with eng.scope("call", spent):
+                batched_conv(eng, ct, layout, span)
+            return spent["call"]
 
         assert run(1) == run(32)
 
@@ -172,17 +174,19 @@ def test_criterion_6_cost_table_conformance(rng):
         for h, w, k in [(4, 4, 2), (8, 8, 3), (12, 12, 5)]:
             eng = make_engine(next_pow2(h * w))
             ct = eng.enc(rand_int_matrix(rng, h, w).reshape(-1))
-            before = eng.meter_snapshot()
-            sum_for_conv(eng, ct, ImageShape(h, w), k)
-            assert eng.meter_snapshot().delta_since(before).rot_count == 2 * k
+            spent = {}
+            with eng.scope("call", spent):
+                sum_for_conv(eng, ct, ImageShape(h, w), k)
+            assert spent["call"].rot_count == 2 * k
 
         # row summation stays within 2*log2(n) rotations for any n
         for n in (2, 4, 16, 64):
             eng = make_engine(256)
             pm = encode_row_major(eng, rand_int_matrix(rng, 2, n))
-            before = eng.meter_snapshot()
-            sum_col_vec(eng, pm)
-            assert eng.meter_snapshot().delta_since(before).rot_count <= 2 * (n.bit_length() - 1)
+            spent = {}
+            with eng.scope("call", spent):
+                sum_col_vec(eng, pm)
+            assert spent["call"].rot_count <= 2 * (n.bit_length() - 1)
 
         # the p-vs-n rotation deviation is recorded in the bench report
         report = format_report([(4, 4, 2)], [(4, 4, 2)])

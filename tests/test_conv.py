@@ -95,9 +95,10 @@ def test_sum_for_conv_rotation_count(rng):
     for k in (1, 2, 3):
         eng = make_engine(64)
         ct = eng.enc(rand_int_matrix(rng, 6, 8).reshape(-1))
-        before = eng.meter_snapshot()
-        sum_for_conv(eng, ct, ImageShape(6, 8), k)
-        delta = eng.meter_snapshot().delta_since(before)
+        spent = {}
+        with eng.scope("call", spent):
+            sum_for_conv(eng, ct, ImageShape(6, 8), k)
+        delta = spent["call"]
         assert delta.rot_count == 2 * k
         assert delta.cmul_count == 1
 
@@ -188,9 +189,10 @@ def test_conv_grid_oracle_and_costs(rng):
         eng = MaskRecordingEngine(slots)
         img = rand_int_matrix(rng, h, w)
         kern, span = spanned(eng, rand_int_matrix(rng, k, k), h, w, bias=float(rng.integers(-2, 3)))
-        before = eng.meter_snapshot()
-        ct = conv(eng, eng.enc(img.reshape(-1)), span, shape)
-        delta = eng.meter_snapshot().delta_since(before)
+        spent = {}
+        with eng.scope("call", spent):
+            ct = conv(eng, eng.enc(img.reshape(-1)), span, shape)
+        delta = spent["call"]
         out = grid_of(eng, ct, h, w)
         np.testing.assert_array_equal(out[: h - k + 1, : w - k + 1],
                                       oracle_conv(img, kern.weights, kern.bias))
@@ -208,9 +210,10 @@ def test_conv_grid_oracle_and_costs(rng):
         assert [c.slots.tobytes() for c in bspan.span_cts + [bspan.bias_ct]] == [
             c.slots.tobytes() for c in span.span_cts + [span.bias_ct]
         ]
-        before = beng.meter_snapshot()
-        bct = batched_conv(beng, beng.enc(img.reshape(-1)), layout, bspan)
-        assert beng.meter_snapshot().delta_since(before) == delta
+        spent = {}
+        with beng.scope("call", spent):
+            bct = batched_conv(beng, beng.enc(img.reshape(-1)), layout, bspan)
+        assert spent["call"] == delta
         assert bct.slots.tobytes() == ct.slots.tobytes() and bct.depth == ct.depth
 
 

@@ -168,9 +168,10 @@ def test_sum_col_vec_rotation_budget(rng):
     for n in (2, 4, 8, 16):
         eng = make_engine(64)
         pm = encode_row_major(eng, rand_int_matrix(rng, 2, n))
-        before = eng.meter_snapshot()
-        sum_col_vec(eng, pm)
-        delta = eng.meter_snapshot().delta_since(before)
+        spent = {}
+        with eng.scope("call", spent):
+            sum_col_vec(eng, pm)
+        delta = spent["call"]
         assert delta.rot_count <= 2 * (n.bit_length() - 1)
         assert delta.cmul_count == 1
 

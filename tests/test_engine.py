@@ -206,6 +206,54 @@ def test_mismatched_slot_counts_error():
         eng4.cmul(eng8.mask(np.ones(8)), eng4.enc([1]))
 
 
+SLOT_MISMATCH = "operands come from engines with different slot counts"
+
+
+def test_cmul_and_rot_reject_another_engines_ciphertext():
+    """A 2048-slot ciphertext on a 1024-slot engine fails with the add/mul
+    message, before anything is metered or keyed."""
+    eng, wide = make_engine(1024), make_engine(2048)
+    ct = wide.enc(np.arange(2048.0))
+    with pytest.raises(EngineError, match=SLOT_MISMATCH):
+        eng.cmul(eng.mask(np.ones(1024)), ct)
+    with pytest.raises(EngineError, match=SLOT_MISMATCH):
+        eng.rot(ct, 1500)
+    assert eng.meter_snapshot() == OpMeter() and eng.rot_offsets == set()
+
+
+def test_accumulator_rejects_another_engines_ciphertext():
+    eng, wide = make_engine(1024), make_engine(2048)
+    ct, own = wide.enc(np.ones(2048)), eng.enc(np.ones(1024))
+    mask = eng.mask(np.ones(1024))
+    with pytest.raises(EngineError, match=SLOT_MISMATCH):
+        eng.accumulator(ct)
+    for started in (False, True):
+        acc = eng.accumulator(own if started else None)
+        for call in (lambda: acc.add(ct), lambda: acc.mul(own, ct), lambda: acc.cmul(mask, ct)):
+            with pytest.raises(EngineError, match=SLOT_MISMATCH):
+                call()
+        if started:  # the seed alone is still a valid sum
+            np.testing.assert_array_equal(acc.result().slots, np.ones(1024))
+        else:
+            with pytest.raises(EngineError, match="no terms"):
+                acc.result()
+    assert eng.meter_snapshot() == OpMeter(enc_count=1)
+
+
+def test_mask_checks_non_boolean_filters_and_trusts_boolean_patterns(rng):
+    eng = make_engine(16)
+    for values in (np.array([0.0, 1.0, 2.0]), [1, 0, -1], np.array([0, 1, 3], dtype=np.int64), [0.5]):
+        with pytest.raises(EngineError, match="only 0.0 and 1.0"):
+            eng.mask(values, role="filter")
+    for size in (16, 11):
+        pattern = rng.integers(0, 2, size).astype(bool)
+        built = eng.mask(pattern, role="filter")
+        want = PlainMask(np.pad(pattern, (0, 16 - size)).astype(float), "filter")
+        assert built.role == want.role == "filter"
+        assert built.values.dtype == np.float64 and built.values.tobytes() == want.values.tobytes()
+        assert not built.values.flags.writeable
+
+
 def test_params_validation_and_defaults():
     with pytest.raises(EngineError):
         EngineParams(slots=3)
@@ -342,3 +390,83 @@ def test_lazy_rotation_equals_eager_rotation(program, seed, tmp_path_factory):
     assert copied.slots.tobytes() == vec.tobytes() and copied.depth == summed.depth
     with pytest.raises(AttributeError):
         summed.depth = 0  # the public fields are read-only
+
+
+@st.composite
+def accumulations(draw):
+    """A slot count, an optional seed and 1-8 terms of add/mul/cmul.  Every
+    ciphertext operand gets a lazy offset (often 0, so its ``slots`` is its
+    stored vector) and a depth of 0-2."""
+    slots = 2 ** draw(st.integers(1, 10))
+    offsets = st.one_of(st.just(0), st.integers(-2 * slots, 2 * slots))
+    operand = st.tuples(offsets, st.integers(0, 2))
+    init = draw(st.none() | operand)
+    ops = draw(st.lists(st.sampled_from(["add", "mul", "cmul"]), min_size=1, max_size=8))
+    terms = [(op, [draw(operand) for _ in range(2 if op == "mul" else 1)]) for op in ops]
+    return slots, init, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=accumulations(), seed=st.integers(0, 2**32 - 1))
+def test_accumulator_equals_the_unfused_chain(case, seed):
+    """``acc.mul(a, b)`` equals ``acc = add(acc, mul(a, b))`` bit for bit,
+    with the same meter, depth and keys, and writes no operand."""
+    slots, init_spec, terms = case
+    rng = np.random.default_rng(seed)
+    values = {}
+
+    def operand(eng, key, offset, depth):
+        if key not in values:
+            values[key] = rng.integers(-9, 10, slots) * rng.uniform(0.5, 2.0)
+        ct = eng.enc(values[key])
+        for _ in range(depth):
+            ct = eng.mul(ct, eng.enc(np.ones(slots)))  # times one: same values, one level deeper
+        return eng.rot(ct, offset) if offset else ct  # unrotated, ``slots`` is the stored vector
+
+    def build(eng):
+        """(init, [(op, args)], [(ct, key, offset)] of every ciphertext operand)."""
+        init = None if init_spec is None else operand(eng, "init", *init_spec)
+        made = [] if init is None else [(init, "init", init_spec[0])]
+        steps = []
+        for t, (op, specs) in enumerate(terms):
+            cts = [operand(eng, (t, i), *spec) for i, spec in enumerate(specs)]
+            made += [(ct, (t, i), spec[0]) for i, (ct, spec) in enumerate(zip(cts, specs))]
+            if op == "cmul":
+                values.setdefault((t, "mask"), rng.integers(-2, 3, slots).astype(np.float64))
+                cts.insert(0, eng.mask(values[(t, "mask")]))
+            steps.append((op, cts))
+        return init, steps, made
+
+    fused, chain = make_engine(slots), make_engine(slots)
+    f_init, f_steps, operands = build(fused)
+    c_init, c_steps, _ = build(chain)
+
+    f_spent, c_spent = {}, {}
+    with fused.scope("sum", f_spent):
+        acc = fused.accumulator(f_init)
+        for op, args in f_steps:
+            getattr(acc, op)(*args)
+        out = acc.result()
+    with chain.scope("sum", c_spent):
+        want = c_init
+        for op, args in c_steps:
+            term = args[0] if op == "add" else getattr(chain, op)(*args)
+            want = term if want is None else chain.add(want, term)
+
+    assert out.slots.tobytes() == want.slots.tobytes() and out.depth == want.depth
+    assert f_spent == c_spent
+    assert fused.meter_snapshot() == chain.meter_snapshot() and fused.rot_offsets == chain.rot_offsets
+
+    assert not out.slots.flags.writeable
+    for ct, key, offset in operands:
+        assert ct.slots.tobytes() == np.roll(values[key], -offset).tobytes()
+        assert not np.shares_memory(out.slots, ct.slots)
+    for t, (op, args) in enumerate(f_steps):
+        if op == "cmul":
+            assert args[0].values.tobytes() == values[(t, "mask")].tobytes()
+            assert not np.shares_memory(out.slots, args[0].values)
+
+    ct = operands[0][0]
+    for call in (lambda: acc.add(ct), lambda: acc.mul(ct, ct), lambda: acc.cmul(fused.mask(np.ones(slots)), ct), acc.result):
+        with pytest.raises(EngineError, match="closed"):
+            call()

@@ -37,9 +37,10 @@ def test_row_shifter_fast_path_is_single_rotation(rng):
     eng = make_engine(16)  # 4x4 layout fills the ciphertext
     b = rand_int_matrix(rng, 4, 2)
     bbar = encode_revolver(eng, b, target_m=4)
-    before = eng.meter_snapshot()
-    out = row_shifter(eng, bbar, p=2, idx=0)
-    delta = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out = row_shifter(eng, bbar, p=2, idx=0)
+    delta = spent["call"]
     assert (delta.rot_count, delta.cmul_count, delta.add_count) == (1, 0, 0)
     np.testing.assert_array_equal(eng.dec(out.ct), np.roll(eng.dec(bbar.ct), -4))
 
@@ -48,9 +49,10 @@ def test_row_shifter_general_path_costs(rng):
     eng = make_engine(64)  # slack slots force the masked path
     b = rand_int_matrix(rng, 4, 3)
     bbar = encode_revolver(eng, b, target_m=3)
-    before = eng.meter_snapshot()
-    row_shifter(eng, bbar, p=3, idx=1)
-    delta = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        row_shifter(eng, bbar, p=3, idx=1)
+    delta = spent["call"]
     assert (delta.rot_count, delta.cmul_count, delta.add_count) == (2, 2, 1)
 
 
@@ -135,9 +137,10 @@ def test_matmul_fast_path_rotation_total(rng):
     m = n = p = 4
     eng = make_engine(16)
     ca, cb = encode_pair(eng, rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, p))
-    before = eng.meter_snapshot()
-    matmul(eng, ca, cb)
-    delta = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        matmul(eng, ca, cb)
+    delta = spent["call"]
     r_sc = 2 * (n.bit_length() - 1)
     assert delta.rot_count == p * (1 + r_sc)
     assert delta.mul_count == p
@@ -147,9 +150,10 @@ def test_matmul_general_path_per_iteration_costs(rng):
     m, n, p = 3, 4, 2
     eng = make_engine(32)
     ca, cb = encode_pair(eng, rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, p))
-    before = eng.meter_snapshot()
-    matmul(eng, ca, cb)
-    delta = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        matmul(eng, ca, cb)
+    delta = spent["call"]
     r_sc = 2 * (n.bit_length() - 1)
     assert delta.rot_count == p * (2 + r_sc)
     # per iteration: 2 row-cycle cmuls + 1 summation cmul + 1 result filter

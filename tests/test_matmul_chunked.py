@@ -25,9 +25,10 @@ def run_chunked(slots, a_mats, b_mats):
     engine, the output and the call's meter delta."""
     eng = make_engine(slots)
     pairs = [encode_pair(eng, a, b) for a, b in zip(a_mats, b_mats)]
-    before = eng.meter_snapshot()
-    out = matmul_chunked(eng, [a for a, _ in pairs], [b for _, b in pairs])
-    return eng, out, eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out = matmul_chunked(eng, [a for a, _ in pairs], [b for _, b in pairs])
+    return eng, out, spent["call"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -50,9 +51,10 @@ def test_matmul_chunked_sums_chunk_products(shape, chunks, seed):
     one_eng, one_out, one_call = run_chunked(slots, a_mats[:1], b_mats[:1])
     ref = make_engine(slots)
     ct_a, ct_b = encode_pair(ref, a_mats[0], b_mats[0])
-    before = ref.meter_snapshot()
-    ref_out = matmul(ref, ct_a, ct_b)
-    assert one_call == ref.meter_snapshot().delta_since(before)
+    spent = {}
+    with ref.scope("call", spent):
+        ref_out = matmul(ref, ct_a, ct_b)
+    assert one_call == spent["call"]
     assert one_eng.scopes == ref.scopes and list(ref.scopes) == MATMUL_SCOPES
     assert one_eng.dec(one_out.ct).tobytes() == ref.dec(ref_out.ct).tobytes()
 
@@ -189,9 +191,10 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     eng = make_engine(slots)
     a_cts = [encode_row_major(eng, a) for a in a_mats]
     b_cts = [encode_interleaved(eng, b, 1, m, n)[0] for b in b_mats]
-    before = eng.meter_snapshot()
-    out = matmul_chunked(eng, a_cts, b_cts, width=w)
-    call = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out = matmul_chunked(eng, a_cts, b_cts, width=w)
+    call = spent["call"]
 
     want = np.zeros(slots)
     block = sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
@@ -306,9 +309,10 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
                     assert eng.dec(tile.ct).tobytes() == eng.dec(revolver.ct).tobytes()
             diagonals = [list(d) for d in zip(*per_chunk)]
             init = eng.enc(seed_grid.reshape(-1))
-            before = eng.meter_snapshot()
-            out = matmul_chunked(eng, a_cts, *diagonals, init=init, width=w)
-            call = eng.meter_snapshot().delta_since(before)
+            spent = {}
+            with eng.scope("call", spent):
+                out = matmul_chunked(eng, a_cts, *diagonals, init=init, width=w)
+            call = spent["call"]
 
         np.testing.assert_array_equal(eng.dec(out.ct), expected)
         fast = MatmulPlan.plan(eng, m, n, p).fast_path

@@ -80,9 +80,10 @@ def test_matmul_outer_meter_and_oracle(rng):
     b = rand_int_matrix(rng, 16, 4)
     left = encode_left(eng, a, p=4)
     right = encode_right(eng, b, m=8)
-    before = eng.meter_snapshot()
-    out = matmul_outer(eng, left, right)
-    delta = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out = matmul_outer(eng, left, right)
+    delta = spent["call"]
     np.testing.assert_array_equal(out.decode(eng), oracle_matmul(a, b))
     assert delta.rot_count == 0
     assert delta.mul_count == 16
@@ -170,9 +171,10 @@ def test_conv_columns_batch_oracle_and_costs(rng):
     imgs = rng.integers(-2, 5, size=(2, 16, 16)).astype(float)
     kern = Kernel(rand_int_matrix(rng, 3, 3), bias=0.5)
     cei = encode_image_columns(eng, imgs)
-    before = eng.meter_snapshot()
-    out = conv_columns(eng, cei, kern)
-    delta = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out = conv_columns(eng, cei, kern)
+    delta = spent["call"]
     re = reassemble_columns(eng, out)
     for b in range(2):
         np.testing.assert_array_equal(re[b], oracle_conv(imgs[b], kern.weights, 0.5))

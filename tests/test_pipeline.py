@@ -98,9 +98,10 @@ def test_poly_activation_act2_at_one():
 def test_poly_activation_meter_and_depth(rng):
     eng = make_engine(8)
     cts = [eng.enc(rng.uniform(-1, 1, size=8)) for _ in range(3)]
-    before = eng.meter_snapshot()
-    outs = poly_activation(eng, cts, ACT1)
-    delta = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        outs = poly_activation(eng, cts, ACT1)
+    delta = spent["call"]
     # per ciphertext two ct-ct and two constant products; the two constant
     # encodings are shared by the stage
     assert (delta.mul_count, delta.cmul_count, delta.enc_count) == (2 * 3, 2 * 3, 2)
@@ -295,9 +296,10 @@ def test_forward_random_batch_oracle_agreement(rng):
     ct = pack_batch(eng, imgs)
     model = encode_model(eng, weights)
     stage_meters = {}
-    before = eng.meter_snapshot()
-    scores = forward_encoded(eng, ct, model, stage_meters=stage_meters)
-    total = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        scores = forward_encoded(eng, ct, model, stage_meters=stage_meters)
+    total = spent["call"]
     got = scores.decode(eng)[:, :10]
     want = oracle_forward(weights, imgs)
     assert got.shape == (32, 10)
@@ -315,9 +317,10 @@ def test_forward_fused_fc_exact_counts(rng):
     model = encode_model(eng, random_weights(rng))
     ct = pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28)))
     stage_meters = {}
-    before = eng.meter_snapshot()
-    forward_encoded(eng, ct, model, stage_meters=stage_meters)
-    total = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        forward_encoded(eng, ct, model, stage_meters=stage_meters)
+    total = spent["call"]
     # fc1 reads the 676-slot map prefixes; fc2 reads fc1's B*p outputs.
     fc1_shape = fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES)
     fc2_shape = fc_shape(FC2_OUT, 1, model.fc1.out_width)

@@ -1,0 +1,95 @@
+"""Every metered op is a call of its SlotEngine primitive.
+
+perfbench's tracer and any outside observer see the engine only through
+``SlotEngine.add/mul/cmul/rot``.  Wrapping them in counting shims (as the
+tracer does) must therefore see exactly the counts the engine meters, also
+where the program sums in place through an accumulator.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from packedhe.conv import ImageShape, Kernel, conv, kernel_spanner
+from packedhe.engine import SlotEngine
+from packedhe.multicipher import conv_columns, encode_image_columns, encode_left, encode_right, matmul_outer
+from packedhe.pipeline import MNIST_LAYOUT, encode_model, forward_encoded, pack_batch
+from packedhe.virtual import VirtualLayout
+
+from conftest import make_engine, rand_int_matrix
+from test_pipeline import random_weights
+
+PRIMITIVES = ("add", "mul", "cmul", "rot")
+
+# (add, mul, cmul, rot) of each stage of one 32-image batch at 32768 slots.
+# add is no end-to-end benchmark metric, so this table is what guards it.
+MNIST_STAGE_COUNTS = {
+    "conv": (180, 36, 36, 216),
+    "act1": (12, 8, 8, 0),
+    "flatten": (100, 0, 104, 100),
+    "fc1": (377, 256, 36, 384),
+    "act2": (3, 2, 2, 0),
+    "fc2": (68, 16, 20, 69),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch) -> Counter:
+    """Calls of each primitive made through the SlotEngine class."""
+    counted = Counter()
+    for name in PRIMITIVES:
+        orig = getattr(SlotEngine, name)
+
+        def shim(engine, *args, _name=name, _orig=orig, **kwargs):
+            counted[_name] += 1
+            return _orig(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SlotEngine, name, shim)
+    return counted
+
+
+def metered(eng) -> Counter:
+    m = eng.meter_snapshot()
+    return Counter(add=m.add_count, mul=m.mul_count, cmul=m.cmul_count, rot=m.rot_count)
+
+
+@pytest.mark.parametrize(
+    "layout", [MNIST_LAYOUT, VirtualLayout(1, 1024, 28, 28)], ids=["32768-slots", "1024-slots"]
+)
+def test_forward_pass_calls_equal_meter(rng, calls, layout):
+    eng = make_engine(layout.m * layout.f)
+    model = encode_model(eng, random_weights(rng), layout)
+    ct = pack_batch(eng, rng.uniform(0, 1, size=(layout.m, 28, 28)), layout)
+    stage_meters = {}
+    forward_encoded(eng, ct, model, stage_meters=stage_meters)
+    assert calls == metered(eng)
+    assert sum(calls.values()) > 0
+    if layout == MNIST_LAYOUT:
+        got = {k: (v.add_count, v.mul_count, v.cmul_count, v.rot_count) for k, v in stage_meters.items()}
+        assert got == MNIST_STAGE_COUNTS
+
+
+def test_matmul_outer_calls_equal_meter(rng, calls):
+    eng = make_engine(64)
+    a, b = rand_int_matrix(rng, 4, 5), rand_int_matrix(rng, 5, 8)
+    out = matmul_outer(eng, encode_left(eng, a, 8), encode_right(eng, b, 4))
+    np.testing.assert_array_equal(out.decode(eng), a @ b)
+    assert calls == metered(eng) == Counter(mul=5, add=4)
+
+
+def test_conv_columns_calls_equal_meter(rng, calls):
+    eng = make_engine(32)
+    cei = encode_image_columns(eng, rng.integers(-2, 5, size=(2, 8, 8)).astype(float))
+    conv_columns(eng, cei, Kernel(rand_int_matrix(rng, 3, 3), bias=0.5))
+    assert calls == metered(eng)
+    assert calls["add"] == calls["cmul"] > 0
+
+
+def test_conv_calls_equal_meter(rng, calls):
+    eng = make_engine(64)
+    shape = ImageShape(7, 8)
+    span = kernel_spanner(eng, Kernel(rand_int_matrix(rng, 3, 3), bias=1.0), shape)
+    conv(eng, eng.enc(rand_int_matrix(rng, 7, 8).reshape(-1)), span, shape)
+    assert calls == metered(eng)
+    assert calls == Counter(mul=9, add=9 * 5, cmul=9, rot=9 * 6)

@@ -81,9 +81,10 @@ def test_matmul_scopes_cover_the_call(shape, seed):
     eng = make_engine(slots)
     a, b = rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, p)
     ct_a, ct_b = encode_pair(eng, a, b)
-    before = eng.meter_snapshot()
-    out = matmul(eng, ct_a, ct_b)
-    call = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out = matmul(eng, ct_a, ct_b)
+    call = spent["call"]
     np.testing.assert_array_equal(out.decode(eng)[:m, :p], oracle_matmul(a, b))
 
     assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
@@ -115,9 +116,10 @@ def test_conv_scopes_cover_the_call(shape, seed):
     kernel = Kernel(rand_int_matrix(rng, k, k, -3, 4), bias=float(rng.integers(-3, 4)))
     span = kernel_spanner(eng, kernel, ImageShape(h, w))
     ct = eng.enc(image.reshape(-1))
-    before = eng.meter_snapshot()
-    out = conv(eng, ct, span, ImageShape(h, w))
-    call = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out = conv(eng, ct, span, ImageShape(h, w))
+    call = spent["call"]
     out_h, out_w = h - k + 1, w - k + 1
     got = eng.dec(out)[: h * w].reshape(h, w)[:out_h, :out_w]
     np.testing.assert_array_equal(got, oracle_conv(image, kernel.weights, kernel.bias))

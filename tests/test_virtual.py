@@ -137,9 +137,10 @@ def test_batched_conv_amortization_meters(rng):
         kern = Kernel(np.ones((3, 3)), bias=1.0)
         span = tile_kernel_span(eng, kern, lay)
         ct = pack_batch(eng, imgs, lay)
-        before = eng.meter_snapshot()
-        batched_conv(eng, ct, lay, span)
-        return eng.meter_snapshot().delta_since(before)
+        spent = {}
+        with eng.scope("call", spent):
+            batched_conv(eng, ct, lay, span)
+        return spent["call"]
 
     assert meters_for(1) == meters_for(8)
 
@@ -169,9 +170,10 @@ def test_reform_per_image_and_costs(rng):
     rows = np.zeros((2, 32))
     rows[:, :25] = rand_int_matrix(rng, 2, 25)
     ct = eng.enc(rows.reshape(-1))
-    before = eng.meter_snapshot()
-    out, _ = reform(eng, ct, lay, 3, 3)
-    delta = eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out, _ = reform(eng, ct, lay, 3, 3)
+    delta = spent["call"]
     got = eng.dec(out).reshape(2, 32)
     for b in range(2):
         want = rows[b, :25].reshape(5, 5)[:3, :3].reshape(-1)
@@ -213,9 +215,10 @@ def junk_padded(rng, layout):
 
 
 def call_delta(eng, fn, *args):
-    before = eng.meter_snapshot()
-    out = fn(eng, *args)
-    return out, eng.meter_snapshot().delta_since(before)
+    spent = {}
+    with eng.scope("call", spent):
+        out = fn(eng, *args)
+    return out, spent["call"]
 
 
 @settings(max_examples=60, deadline=None)
