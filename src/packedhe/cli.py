@@ -117,9 +117,9 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
 
     Each batch gets its own engine, so the meters (the pass total and the
     per-stage ones) can be merged afterwards; results come back in
-    batch_paths order as (scores, labels, indices, meter, stages, offsets),
-    where ``indices`` is the range of dataset image indices of the valid
-    rows and ``offsets`` the engine's distinct rotation offsets.  A batch
+    batch_paths order as (scores, labels, indices, meter, stages), where
+    ``indices`` is the range of dataset image indices of the valid rows;
+    every meter carries its distinct rotation offsets.  A batch
     whose scores are not all finite (its values or the model's overflowed
     float64) raises SerialError naming the batch file.
     """
@@ -138,7 +138,7 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
             raise SerialError(f"{path}: non-finite scores: the batch or model values overflow float64")
         indices = range(first, first + valid)
         meter = engine.meter_snapshot()
-        return mat, argmax_decide(engine, scores), indices, meter, stages, engine.rot_offsets
+        return mat, argmax_decide(engine, scores), indices, meter, stages
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, batch_paths))
@@ -160,6 +160,7 @@ def _ops_json(meter: OpMeter) -> dict:
         "rot": meter.rot_count,
         "enc": meter.enc_count,
         "max_depth": meter.max_depth,
+        "rot_keys": len(meter.rot_offsets),
     }
 
 
@@ -180,10 +181,8 @@ def _cmd_cloud_infer(args) -> int:
     records = []
     merged = OpMeter()
     stage_totals = {}
-    rot_offsets = set()
-    for mat, labels, indices, meter, stages, offsets in results:
+    for mat, labels, indices, meter, stages in results:
         merged = merged.merged(meter)
-        rot_offsets |= offsets
         for name, spent in stages.items():
             stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
         for row, index in enumerate(indices):
@@ -221,7 +220,7 @@ def _cmd_cloud_infer(args) -> int:
             "batches": len(results),
             "predictions": len(records),
             "ops": _ops_json(merged),
-            "rot_keys": len(rot_offsets),
+            "rot_keys": len(merged.rot_offsets),
             "stages": {name: _ops_json(spent) for name, spent in stage_totals.items()},
         }
         Path(args.report).write_text(json.dumps(report, indent=2))

@@ -27,7 +27,7 @@ traced as the unfused chain ``acc = add(acc, mul(a, b))`` would be, and
 gives the same bits, but writes no fresh vector per term.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
@@ -87,9 +87,11 @@ class EngineParams:
 class OpMeter:
     """Homomorphic-operation counters.
 
-    Counters only ever increase.  Two meters combine by summing counters
-    and taking the max of depths, which is associative and commutative, so
-    per-worker meters can be merged in any order.
+    Counters only ever increase.  ``rot_offsets`` is the set of distinct
+    rotation offsets (mod slots) used: the rotation keys a real backend
+    would need.  Two meters combine by summing counters, taking the max of
+    depths and the union of offsets, which is associative and commutative,
+    so per-worker meters can be merged in any order.
     """
 
     add_count: int = 0
@@ -98,9 +100,10 @@ class OpMeter:
     rot_count: int = 0
     enc_count: int = 0
     max_depth: int = 0
+    rot_offsets: set = field(default_factory=set)
 
     def copy(self) -> "OpMeter":
-        return replace(self)
+        return replace(self, rot_offsets=set(self.rot_offsets))
 
     def merged(self, other: "OpMeter") -> "OpMeter":
         return OpMeter(
@@ -110,6 +113,7 @@ class OpMeter:
             rot_count=self.rot_count + other.rot_count,
             enc_count=self.enc_count + other.enc_count,
             max_depth=max(self.max_depth, other.max_depth),
+            rot_offsets=self.rot_offsets | other.rot_offsets,
         )
 
 
@@ -239,18 +243,26 @@ class PlainMask:
 
 
 class _Scope:
-    """Context manager behind :meth:`SlotEngine.scope`."""
+    """Context manager behind :meth:`SlotEngine.scope`.
 
-    __slots__ = ("meter", "name", "into", "start")
+    While open, its offset set sits on the engine's list of key sets, so
+    every rotation adds its offset to it; ``with`` blocks nest, so the set
+    an exit takes off is the last one.
+    """
 
-    def __init__(self, meter: OpMeter, name: str, into: dict):
-        self.meter, self.name, self.into = meter, name, into
+    __slots__ = ("meter", "key_sets", "name", "into", "start", "offsets")
+
+    def __init__(self, meter: OpMeter, key_sets: list, name: str, into: dict):
+        self.meter, self.key_sets, self.name, self.into = meter, key_sets, name, into
 
     def __enter__(self):
         m = self.meter
         self.start = (m.add_count, m.mul_count, m.cmul_count, m.rot_count, m.enc_count)
+        self.offsets = set()
+        self.key_sets.append(self.offsets)
 
     def __exit__(self, *exc):
+        self.key_sets.pop()
         m, (add, mul, cmul, rot, enc) = self.meter, self.start
         spent = self.into.get(self.name)
         first = spent is None
@@ -262,6 +274,7 @@ class _Scope:
         spent.rot_count += m.rot_count - rot
         spent.enc_count += m.enc_count - enc
         spent.max_depth = m.max_depth
+        spent.rot_offsets |= self.offsets
         if first:
             self.into[self.name] = spent
 
@@ -346,18 +359,18 @@ class SlotEngine:
     between workers; each worker should own its engine and the meters can
     be combined afterwards with :meth:`OpMeter.merged`.  ``rot_offsets`` is
     the set of distinct rotation offsets (mod slots) used so far: the
-    rotation keys a real backend would need.
+    rotation keys a real backend would need, and the meter's own set.
+    ``slots`` is ``params.slots``, read once here.
     """
 
     def __init__(self, params: EngineParams | None = None):
         self.params = params if params is not None else EngineParams()
+        self.slots: int = self.params.slots
         self._meter = OpMeter()
         self.scopes: dict = {}
-        self.rot_offsets: set = set()
-
-    @property
-    def slots(self) -> int:
-        return self.params.slots
+        self.rot_offsets: set = self._meter.rot_offsets
+        # the engine's offset set, then one per open scope, innermost last
+        self._key_sets: list = [self.rot_offsets]
 
     def _observe(self, depth: int) -> None:
         if depth > self._meter.max_depth:
@@ -429,7 +442,8 @@ class SlotEngine:
         self._observe(ct._depth)
         n = self.slots
         l %= n
-        self.rot_offsets.add(l)
+        for keys in self._key_sets:
+            keys.add(l)
         return Ciphertext._stored(ct._vec, (ct._offset + l) % n, ct._depth, owned=False)
 
     def meter_snapshot(self) -> OpMeter:
@@ -442,9 +456,10 @@ class SlotEngine:
         ``into`` defaults to :attr:`scopes`.  The entry is an OpMeter of
         counter deltas, inserted when the block first exits; re-entering
         the same name adds to it.  ``max_depth`` is the engine's value at
-        exit.
+        exit, and ``rot_offsets`` the distinct offsets the block's
+        rotations used.
         """
-        return _Scope(self._meter, name, self.scopes if into is None else into)
+        return _Scope(self._meter, self._key_sets, name, self.scopes if into is None else into)
 
     def accumulator(self, init: Ciphertext | None = None) -> Accumulator:
         """A running sum seeded with ``init`` (or empty), written in place:

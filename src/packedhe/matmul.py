@@ -12,7 +12,12 @@ iteration.  An FC product, whose weights are zero past a known input
 width, interleaves its neuron blocks across the spare lanes of each row
 and lets a group of iterations share one row fold: each iteration folds
 part way and keeps one phase class of lanes, and the group pays one fold
-to the output lanes and one result filter.
+to the output lanes and one result filter.  Its row cycle takes baby and
+giant steps: with s = idx + 1 = g*s2 + s1, the B*C weight tiles are
+rotated once per baby step s1 in 1..g, the inputs once per giant step
+s2, and each giant step's sum is rotated back once, so an FC call pays
+B*C*g + (B*C + 1)*(p/g - 1) row-cycle rotations rather than B*C*p (g = 8
+for FC-1 and 4 for FC-2 at 32768 slots).
 """
 
 from dataclasses import dataclass
@@ -119,8 +124,8 @@ def build_result_filter(
 ) -> PlainMask:
     """One-hot row filter: row i keeps column (i + idx) mod p.
 
-    With ``blocks`` interleaved neuron blocks (output q at lane q, q = B*g + j
-    for group g < p and block j < B), row i keeps lanes B*((i + idx) mod p) + j
+    With ``blocks`` interleaved neuron blocks (output q at lane q, q = B*t + j
+    for group t < p and block j < B), row i keeps lanes B*((i + idx) mod p) + j
     for every j < B; blocks * p <= n.  With a ``group`` of G iterations
     idx, idx + 1, ..., idx + G - 1 sharing one filter, row i keeps lanes
     B*((i + idx + k) mod p) + j for every k < G.
@@ -146,8 +151,10 @@ class FcFold:
     ``width`` w.  The weight tiles start at lane ``offset`` L of each row,
     so an iteration's products fill lanes [L, L + w + B - 1).  ``group`` G
     iterations, a power of two dividing p, share one fold.  L is B*p when
-    G > 1 and B*(p - 1) when G = 1, so every output lane B*g + j lies at or
-    below the first lane its iteration keeps.
+    G > 1 and B*(p - 1) when G = 1, so every output lane B*t + j lies at or
+    below the first lane its iteration keeps.  The row cycle's giant step g
+    (:meth:`giant_step`) is a multiple of G, so a group never straddles
+    two giant steps.
     """
 
     blocks: int
@@ -196,6 +203,18 @@ class FcFold:
         ``steps`` per group."""
         return self.p * (self.group.bit_length() - 1) + self.p // self.group * self.steps
 
+    def giant_step(self, chunks: int, closes: bool) -> int:
+        """The row cycle's giant step g for ``chunks`` input chunks: the
+        multiple of G dividing p with the fewest row-cycle rotations,
+        B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g.  g is p
+        (no giant steps) when the row cycle does not close on one rotation
+        (``closes`` false, see :class:`MatmulPlan`)."""
+        if not closes:
+            return self.p
+        tiles = self.blocks * chunks
+        giants = [g for g in range(self.group, self.p + 1, self.group) if self.p % g == 0]
+        return min(giants, key=lambda g: tiles * g + (tiles + 1) * (self.p // g - 1))
+
     def phase_masks(self, engine: SlotEngine, rows: int, n: int) -> list[PlainMask]:
         """Mask e (for iterations idx = e mod G) keeps, in row i, the lanes
         x in [B*(p - G), span) with x = B*((i + e + 1) mod G) + j mod B*G,
@@ -215,7 +234,7 @@ def encode_interleaved(engine: SlotEngine, b, blocks: int, target_m: int, n: int
     """Encode a w x (blocks*p) right operand as ``blocks`` interleaved
     revolver tiles for :func:`matmul_chunked` with ``width`` w.
 
-    Output q = blocks*g + j (group g < p, block j < blocks) is to land at
+    Output q = blocks*t + j (group t < p, block j < blocks) is to land at
     lane q.  Tile d (the d-th "diagonal") holds in its layout row r, at
     lane L + l + d for l < w, the weight b[l, blocks*(r mod p) + (l + d) mod
     blocks], and zero everywhere else; L is the offset of
@@ -267,8 +286,8 @@ def _grouped_fold(engine: SlotEngine, fold: FcFold, prods, phases) -> Ciphertext
     x + B, ..., x + (G-1)*B, and keeps its phase class (``phases[k]`` for
     the k-th iteration of the group).  In every row the G iterations keep
     distinct classes mod B*G, so their sum folds once at stride B*G over
-    ``fold.steps`` steps; output lane B*g + j of a row then holds the sum
-    of its class over the iteration that targets group g.  The products are
+    ``fold.steps`` steps; output lane B*t + j of a row then holds the sum
+    of its class over the iteration that targets group t.  The products are
     zero outside [L, span) because the tiles are, and the fold window stops
     before the next row's kept lanes, so nothing crosses a row.
     """
@@ -301,7 +320,7 @@ def matmul_chunked(
     result filter and one add, so an iteration costs C + 2*log2(n).
 
     With ``width`` w the B blocks are stored interleaved
-    (:func:`encode_interleaved`): output q = B*g + j sits at lane q, and
+    (:func:`encode_interleaved`): output q = B*t + j sits at lane q, and
     ``b_blocks[d]`` holds diagonal d of every chunk from lane L on, which
     meets A_c shifted right by L + d lanes.  The shifts are made once per
     call: rot(A_c, -L) (skipped when L = 0), then chained rotations by -1,
@@ -310,11 +329,25 @@ def matmul_chunked(
     steps at stride B and keeps one phase class of lanes, and each group
     adds its G masked sums, folds at stride B*G up to the window F, applies
     one result filter (:func:`build_result_filter` with ``blocks`` and
-    ``group``) and accumulates once.  On the single-rotation row-cycle path
-    the call costs C*(B-1) + C*[L > 0] + p*(B*C + log2 G) +
-    (p/G)*log2(F/(B*G)) rotations, B*C*p ct-ct multiplies, p + p/G
-    constant multiplies and depth 3; the general path pays two rotations
-    and two masked multiplies per row cycle and one level more.
+    ``group``) and accumulates once.
+
+    The row cycle takes baby and giant steps (Halevi-Shoup, CRYPTO 2018).
+    Iteration idx shifts by s = idx + 1 = g*s2 + s1 with s1 in 1..g, and
+    A (*) rot(B, n*s) = rot(rot(A, -n*g*s2) (*) rot(B, n*s1), n*g*s2).  So
+    the B*C baby tiles rot(B, n*s1) are made once per call (B*C*g
+    rotations, with :func:`row_shifter`), each giant step s2 > 0 shifts
+    the B*C shifted inputs by -n*g*s2 (B*C*(p/g - 1)), runs its groups in
+    that rotated frame and rotates their sum back once (p/g - 1).  The
+    phase masks hold in the rotated frame because G divides g; the result
+    filter of the group at ``first`` is the one for (first + 1 - g*s2)
+    mod p, that is, the first giant step's filter, reused.  The giant step
+    g is :meth:`FcFold.giant_step`; it is p (one giant step, the plain row
+    cycle) without ``width`` and on the general path.  On the
+    single-rotation row-cycle path the call costs C*(B-1) + C*[L > 0] +
+    B*C*g + B*C*(p/g - 1) + (p/g - 1) + p*log2 G + (p/G)*log2(F/(B*G))
+    rotations, B*C*p ct-ct multiplies, p + p/G constant multiplies and
+    depth 3; the general path pays two rotations and two masked
+    multiplies per row cycle and one level more.
 
     Args:
         a_chunks: C left operands, each m x n and row-major encoded.
@@ -352,36 +385,66 @@ def matmul_chunked(
     if width is not None:
         fold = FcFold.derive(width, blocks, p, n)
         group, offset = fold.group, fold.offset
+        giant = fold.giant_step(len(a_chunks), plan.fast_path)
         phases = fold.phase_masks(engine, rows, n)
     elif blocks > 1:
         raise LayoutError(f"{blocks} interleaved neuron blocks need the FC row fold over a width")
     else:
-        fold, group, offset = None, 1, 0
+        fold, group, offset, giant = None, 1, 0, p
         col0 = column0_filter(engine, rows, n)  # one layout, so one filter for every row sum
 
     with engine.scope("matmul.row_cycle"):
-        shifted = [[engine.rot(a.ct, -offset) if offset else a.ct for a in a_chunks]]
+        shifted = [engine.rot(a.ct, -offset) if offset else a.ct for a in a_chunks]
+        lefts = list(shifted)  # block-major, as ``tiles``
         for _ in range(1, blocks):
-            shifted.append([engine.rot(ct, -1) for ct in shifted[-1]])
+            shifted = [engine.rot(ct, -1) for ct in shifted]
+            lefts += shifted
+    tiles = [tile for b_chunks in b_blocks for tile in b_chunks]
+    # The first giant step makes the baby tiles and the result filters;
+    # later ones reuse them, so they are kept only when there are later ones.
+    reuse = giant < p
+    babies, filters = [], []
     acc = engine.accumulator(init if init is not None else engine.enc([]))
-    for first in range(0, p, group):
-        prods = []
-        for idx in range(first, first + group):
+    for base in range(0, p, giant):
+        if base:
+            # rot(A, -n*base) * rot(B, n*s1) is rot(A * rot(B, n*(base + s1)), -n*base)
             with engine.scope("matmul.row_cycle"):
-                prod = engine.accumulator()
-                for a_cts, b_chunks in zip(shifted, b_blocks):
-                    for ct_a, ct_bbar in zip(a_cts, b_chunks):
-                        prod.mul(ct_a, row_shifter(engine, ct_bbar, p, idx).ct)
-            prods.append(prod.result())
-        with engine.scope("matmul.row_sum"):
-            if fold is None:
-                sums = sum_col_vec(engine, PackedMatrix(prods[0], work_shape, Encoding.ROW_MAJOR), col0).ct
-            else:
-                sums = _grouped_fold(engine, fold, prods, phases)
-        with engine.scope("matmul.result_filter"):
-            kept = engine.cmul(build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, group), sums)
-        with engine.scope("matmul.accumulate"):
-            acc.add(kept)
+                inputs = [engine.rot(ct, -n * base) for ct in lefts]
+            frame = engine.accumulator()
+        else:
+            inputs, frame = lefts, acc
+        for first in range(base, base + giant, group):
+            prods = []
+            for idx in range(first, first + group):
+                with engine.scope("matmul.row_cycle"):
+                    prod = engine.accumulator()
+                    for j, ct_a in enumerate(inputs):
+                        if base:
+                            baby = babies[(idx - base) * len(tiles) + j]
+                        else:
+                            baby = row_shifter(engine, tiles[j], p, idx).ct
+                            if reuse:
+                                babies.append(baby)
+                        prod.mul(ct_a, baby)
+                prods.append(prod.result())
+            with engine.scope("matmul.row_sum"):
+                if fold is None:
+                    sums = sum_col_vec(engine, PackedMatrix(prods[0], work_shape, Encoding.ROW_MAJOR), col0).ct
+                else:
+                    sums = _grouped_fold(engine, fold, prods, phases)
+            with engine.scope("matmul.result_filter"):
+                if base:
+                    keep = filters[(first - base) // group]
+                else:
+                    keep = build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, group)
+                    if reuse:
+                        filters.append(keep)
+                kept = engine.cmul(keep, sums)
+            with engine.scope("matmul.accumulate"):
+                frame.add(kept)
+        if base:
+            with engine.scope("matmul.accumulate"):
+                acc.add(engine.rot(frame.result(), n * base))
     return PackedMatrix(acc.result(), work_shape, Encoding.ROW_MAJOR)
 
 

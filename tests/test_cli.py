@@ -18,6 +18,7 @@ from packedhe.virtual import VirtualLayout
 
 from test_datafiles import write_idx_images
 from test_pipeline import fc_counts, fc_shape, random_weights
+from test_primitive_calls import MNIST_STAGE_KEYS
 
 
 @pytest.fixture
@@ -123,7 +124,8 @@ def test_cloud_infer_end_to_end(workspace, monkeypatch):
     assert max(s["max_depth"] for s in stages.values()) == ops["max_depth"]
     fc1_rot, _, _ = fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES))
     assert summary["batches"] == 2 and stages["fc1"]["rot"] == 2 * fc1_rot
-    assert summary["rot_keys"] == len(seen) == 66
+    assert summary["rot_keys"] == ops["rot_keys"] == len(seen) == 48
+    assert {name: s["rot_keys"] for name, s in stages.items()} == MNIST_STAGE_KEYS
 
 
 def test_cloud_infer_parallel_matches(workspace):
@@ -154,11 +156,11 @@ def test_cloud_infer_parallel_matches(workspace):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert len(got) == len(jobs)
-    for i, (mat, labels, valid, meter, stages, offsets) in enumerate(got):
-        w_mat, w_labels, w_valid, w_meter, w_stages, w_offsets = want[i % len(paths)]
+    for i, (mat, labels, valid, meter, stages) in enumerate(got):
+        w_mat, w_labels, w_valid, w_meter, w_stages = want[i % len(paths)]
         assert mat.tobytes() == w_mat.tobytes()
         np.testing.assert_array_equal(labels, w_labels)
-        assert (valid, meter, stages, offsets) == (w_valid, w_meter, w_stages, w_offsets)
+        assert (valid, meter, stages) == (w_valid, w_meter, w_stages)
 
 
 def test_cloud_infer_verify_flag(workspace):

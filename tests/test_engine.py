@@ -183,19 +183,24 @@ def test_meter_counts_and_snapshot_isolation():
     assert snap.mul_count == 1 and snap.enc_count == 2
     snap.mul_count = 99  # mutating the snapshot must not touch the engine
     assert eng.meter_snapshot().mul_count == 1
+    eng.rot(eng.enc([1]), 1)
+    snap = eng.meter_snapshot()
+    snap.rot_offsets.add(2)  # nor adding to its offset set
+    assert eng.meter_snapshot().rot_offsets == eng.rot_offsets == {1}
 
 
 def test_meter_merge_assoc_comm(rng):
     def random_meter():
         vals = rng.integers(0, 20, 6)
-        return OpMeter(*[int(v) for v in vals])
+        offsets = {int(v) for v in rng.integers(0, 8, rng.integers(0, 4))}
+        return OpMeter(*[int(v) for v in vals], rot_offsets=offsets)
 
     for _ in range(20):
         a, b, c = random_meter(), random_meter(), random_meter()
         assert a.merged(b) == b.merged(a)
         assert a.merged(b).merged(c) == a.merged(b.merged(c))
-    merged = OpMeter(max_depth=3).merged(OpMeter(add_count=2, max_depth=5))
-    assert merged.max_depth == 5 and merged.add_count == 2
+    merged = OpMeter(max_depth=3, rot_offsets={1}).merged(OpMeter(add_count=2, max_depth=5, rot_offsets={1, 4}))
+    assert merged.max_depth == 5 and merged.add_count == 2 and merged.rot_offsets == {1, 4}
 
 
 def test_mismatched_slot_counts_error():

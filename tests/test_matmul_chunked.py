@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from packedhe.encoding import encode_revolver, encode_row_major
@@ -110,23 +110,36 @@ def fold_layout(blocks: int, p: int, w: int, group: int) -> tuple:
     return offset, next_pow2(offset + w + blocks - 1)
 
 
-def grouped_counts(blocks: int, chunks: int, p: int, w: int, group: int, fast: bool = True) -> tuple:
-    """(rot, mul, cmul) of one FC product: C*(B-1) chained lane shifts and
-    C shifts by -L (none when L = 0) once; in each of the p iterations B*C
-    row cycles (one rotation on the fast path, two masked ones otherwise)
-    and multiplies, log2 G fold steps at stride B and the phase mask; in
-    each of the p/G groups log2(F/(B*G)) fold steps and the result filter."""
-    offset, window = fold_layout(blocks, p, w, group)
+def fold_rotations(blocks: int, p: int, w: int, group: int) -> int:
+    """Rotations of a call's folds: log2 G per iteration and log2(F/(B*G))
+    per group of G iterations."""
+    _, window = fold_layout(blocks, p, w, group)
     steps = (window // (blocks * group)).bit_length() - 1
+    return p * (group.bit_length() - 1) + p // group * steps
+
+
+def grouped_counts(blocks: int, chunks: int, p: int, w: int, group: int, giant: int, fast: bool = True) -> tuple:
+    """(rot, mul, cmul) of one FC product with groups of G iterations and
+    giant steps of g: C*(B-1) chained lane shifts and C shifts by -L (none
+    when L = 0) once; B*C*g baby row cycles (one rotation on the fast path,
+    two masked ones otherwise), B*C*(p/g - 1) giant shifts of the inputs
+    and p/g - 1 rotations back; in each of the p iterations B*C multiplies,
+    log2 G fold steps at stride B and the phase mask; in each of the p/G
+    groups log2(F/(B*G)) fold steps and the result filter."""
+    offset, _ = fold_layout(blocks, p, w, group)
+    tiles = blocks * chunks
     cycle = 1 if fast else 2
+    giants = p // giant - 1
     rot = (
         chunks * (blocks - 1)
         + chunks * (offset > 0)
-        + p * (blocks * chunks * cycle + group.bit_length() - 1)
-        + p // group * steps
+        + tiles * giant * cycle
+        + tiles * giants
+        + giants
+        + fold_rotations(blocks, p, w, group)
     )
-    cmul = p + p // group + (0 if fast else 2 * blocks * p * chunks)
-    return rot, blocks * p * chunks, cmul
+    cmul = p + p // group + (0 if fast else 2 * tiles * p)
+    return rot, tiles * p, cmul
 
 
 def fitting_groups(blocks: int, p: int, w: int, n: int) -> list:
@@ -135,35 +148,56 @@ def fitting_groups(blocks: int, p: int, w: int, n: int) -> list:
 
 
 def formula_group(blocks: int, chunks: int, p: int, w: int, n: int):
-    """The G that minimises the rotation formula, ties going to the larger
-    G; None when no G fits."""
+    """The G that minimises the fold rotations, ties going to the larger G;
+    None when no G fits.  (The row cycle's rotations are then minimised
+    over the giant step, see ``formula_giant``.)"""
     return max(
         fitting_groups(blocks, p, w, n),
-        key=lambda g: (-grouped_counts(blocks, chunks, p, w, g)[0], g),
+        key=lambda g: (-fold_rotations(blocks, p, w, g), g),
         default=None,
     )
 
 
+def formula_giant(blocks: int, chunks: int, p: int, group: int, fast: bool = True) -> int:
+    """The multiple g of G dividing p with the fewest row-cycle rotations,
+    B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g; p off the
+    single-rotation path."""
+    if not fast:
+        return p
+    tiles = blocks * chunks
+    costs = {g: tiles * g + (tiles + 1) * (p // g - 1) for g in range(group, p + 1, group) if p % g == 0}
+    return min(sorted(costs), key=costs.get)
+
+
 @contextmanager
-def forced_group(group: int):
+def forced_group(group: int, giant: int | None = None):
     """Make the encoder and the evaluator, which both ask FcFold.derive,
-    use ``group``."""
+    use ``group``, and the evaluator the giant step ``giant`` (when given)."""
     def derive(cls, width, blocks, p, n):
         offset, _ = fold_layout(blocks, p, width, group)
         return cls(blocks, p, width, group, offset)
 
     with patch.object(FcFold, "derive", classmethod(derive)):
-        yield
+        if giant is None:
+            yield
+        else:
+            with patch.object(FcFold, "giant_step", lambda fold, chunks, closes: giant):
+                yield
 
 
 def test_fc_fold_group_minimises_the_rotation_formula():
     """fc1 (B = 2, C = 4, p = 32, w = 676) and fc2 (B = 1, C = 1, p = 16,
-    w = 64) at 32768 slots."""
-    for (blocks, chunks, p, w), group, rot in (((2, 4, 32, 676), 8, 384), ((1, 1, 16, 64), 4, 69)):
+    w = 64) at 32768 slots: G = 8 and g = 8 for fc1, G = 4 and g = 4 for
+    fc2, whose g = 4 and g = 8 tie at 10 row-cycle rotations."""
+    for (blocks, chunks, p, w), group, giant, rot in (((2, 4, 32, 676), 8, 8, 219), ((1, 1, 16, 64), 4, 4, 63)):
         fold = FcFold.derive(w, blocks, p, 1024)
         assert fold.group == formula_group(blocks, chunks, p, w, 1024) == group
+        assert fold.giant_step(chunks, True) == formula_giant(blocks, chunks, p, group) == giant
+        assert fold.giant_step(chunks, False) == p
         assert fold.offset == fold_layout(blocks, p, w, group)[0] == blocks * p
-        assert grouped_counts(blocks, chunks, p, w, group)[0] == rot
+        assert grouped_counts(blocks, chunks, p, w, group, giant)[0] == rot
+        assert grouped_counts(blocks, chunks, p, w, group, p)[0] == {219: 384, 63: 69}[rot]
+    assert grouped_counts(1, 1, 16, 64, 4, 8)[0] == 63
 
 
 @st.composite
@@ -207,10 +241,9 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     # fast path and two on the general path, which also adds a level.
     fast = MatmulPlan.plan(eng, m, n, p).fast_path
     group = formula_group(1, chunks, p, w, n)
-    window = fold_layout(1, p, w, group)[1]
-    folds = p * (group.bit_length() - 1) + p // group * ((window // group).bit_length() - 1)
-    assert eng.scopes["matmul.row_sum"].rot_count == folds
-    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, fast)
+    giant = formula_giant(1, chunks, p, group, fast)
+    assert eng.scopes["matmul.row_sum"].rot_count == fold_rotations(1, p, w, group)
+    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, giant, fast)
     assert call.max_depth == (3 if fast else 4)
 
     # matmul on the same weights keeps the paper's 2*log2(n) row sum.
@@ -317,7 +350,8 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
         np.testing.assert_array_equal(eng.dec(out.ct), expected)
         fast = MatmulPlan.plan(eng, m, n, p).fast_path
         counts = (call.rot_count, call.mul_count, call.cmul_count)
-        assert counts == grouped_counts(blocks, chunks, p, w, group, fast)
+        giant = formula_giant(blocks, chunks, p, group, fast)
+        assert counts == grouped_counts(blocks, chunks, p, w, group, giant, fast)
         assert call.max_depth == (3 if fast else 4)
         assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
 
@@ -342,3 +376,101 @@ def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
     if width is not None:
         with pytest.raises(LayoutError, match="w \\+ B - 1"):
             encode_interleaved(eng, np.ones((width, blocks * p)), blocks, 8, n)
+
+
+def run_fc(slots, a_mats, b_mats, blocks, w, init_grid=None):
+    """Encode and run one FC product; returns the engine, the decoded output
+    and the call's meter."""
+    m, n = a_mats[0].shape
+    p = b_mats[0].shape[1] // blocks
+    eng = make_engine(slots)
+    a_cts = [encode_row_major(eng, a) for a in a_mats]
+    diagonals = [list(d) for d in zip(*[encode_interleaved(eng, b, blocks, max(m, p), n) for b in b_mats])]
+    init = None if init_grid is None else eng.enc(init_grid.reshape(-1))
+    spent = {}
+    with eng.scope("call", spent):
+        out = matmul_chunked(eng, a_cts, *diagonals, init=init, width=w)
+    return eng, eng.dec(out.ct), spent["call"]
+
+
+@st.composite
+def closing_shapes(draw):
+    """(m, B, C, n, p, w, G, g): a row cycle that closes on one rotation
+    (rows = max(m, p) a multiple of p and rows * n the slot count), p >= 2,
+    a fold group G < p that fits and a giant step g, a multiple of G
+    dividing p, below p, so there are p/g > 1 giant steps."""
+    n = 1 << draw(st.integers(1, 5))
+    blocks = 1 << draw(st.integers(0, n.bit_length() - 2))
+    p = 1 << draw(st.integers(1, (n // blocks).bit_length() - 1))
+    w = draw(st.integers(1, n - blocks * p + 1))
+    groups = [g for g in fitting_groups(blocks, p, w, n) if g < p]
+    assume(groups)
+    group = draw(st.sampled_from(groups))
+    giant = draw(st.sampled_from([g for g in range(group, p, group) if p % g == 0]))
+    rows = p << draw(st.integers(0, 2))
+    m = rows if rows > p else draw(st.integers(1, p))
+    chunks = draw(st.integers(1, 3))
+    return m, blocks, chunks, n, p, w, group, giant
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=closing_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(32, 2, 3, 64, 16, 20, 2, 8), seed=1)  # two giant steps of four groups each
+@example(shape=(4, 1, 1, 2, 2, 1, 1, 1), seed=2)  # g = 1: every step but the first is giant
+def test_giant_steps_match_numpy_and_the_plain_row_cycle(shape, seed):
+    """With p/g > 1 giant steps the product is exact against numpy on
+    integer operands, bitwise equal to the plain row cycle (g = p) on
+    float ones, costs the formula in (B, C, p, G, g), and rotates by no
+    offset that is 0 mod slots."""
+    m, blocks, chunks, n, p, w, group, giant = shape
+    rows = max(m, p)
+    slots = rows * n
+    rng = np.random.default_rng(seed)
+    a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
+    b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
+    init_grid = np.zeros((rows, n))
+    init_grid[:m, : blocks * p] = rand_int_matrix(rng, m, blocks * p)
+    with forced_group(group, giant):
+        eng, got, call = run_fc(slots, a_mats, b_mats, blocks, w, init_grid)
+    assert MatmulPlan.plan(eng, m, n, p).fast_path
+    want = init_grid.copy()
+    want[:m, : blocks * p] += sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
+    np.testing.assert_array_equal(got, want.reshape(-1))
+    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(blocks, chunks, p, w, group, giant)
+    assert call.max_depth == 3
+    assert 0 not in call.rot_offsets
+
+    a_mats = [rng.standard_normal((m, n)) for _ in range(chunks)]
+    b_mats = [rng.standard_normal((w, blocks * p)) for _ in range(chunks)]
+    with forced_group(group, giant):
+        _, stepped, _ = run_fc(slots, a_mats, b_mats, blocks, w)
+    with forced_group(group, p):
+        _, plain, _ = run_fc(slots, a_mats, b_mats, blocks, w)
+    assert stepped.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize(
+    "m, blocks, chunks, n, p, w",
+    [(8, 1, 1, 16, 8, 5), (8, 2, 2, 32, 8, 9), (16, 1, 2, 16, 16, 1)],
+)
+def test_general_row_cycle_takes_no_giant_steps(m, blocks, chunks, n, p, w):
+    """A layout with slack slots cycles its rows with two masked rotations,
+    which no giant step can share, so g = p there, although the same shape
+    takes g < p when its layout fills the ciphertext."""
+    rng = np.random.default_rng(7)
+    a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
+    b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
+    group = formula_group(blocks, chunks, p, w, n)
+    fold = FcFold.derive(w, blocks, p, n)
+    assert fold.giant_step(chunks, False) == formula_giant(blocks, chunks, p, group, False) == p
+    assert fold.giant_step(chunks, True) == formula_giant(blocks, chunks, p, group) < p
+    want = sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
+    for slots, fast in ((max(m, p) * n, True), (2 * max(m, p) * n, False)):
+        eng, got, call = run_fc(slots, a_mats, b_mats, blocks, w)
+        assert MatmulPlan.plan(eng, m, n, p).fast_path == fast
+        np.testing.assert_array_equal(got.reshape(-1, n)[:m, : blocks * p], want)
+        giant = formula_giant(blocks, chunks, p, group, fast)
+        assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(
+            blocks, chunks, p, w, group, giant, fast
+        )
+        assert call.max_depth == (3 if fast else 4)

@@ -34,7 +34,7 @@ from packedhe.pipeline import (
 from packedhe.virtual import VirtualLayout, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
-from test_matmul_chunked import formula_group, grouped_counts
+from test_matmul_chunked import formula_giant, formula_group, grouped_counts
 
 ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
@@ -50,9 +50,10 @@ def fc_shape(out_dim: int, chunks: int, in_width: int, rows: int = IMAGES_PER_CT
 
 def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int) -> tuple:
     """(rot, mul, cmul) of an FC layer: one interleaved product on the
-    single-rotation row-cycle path, at the group G that minimises the
-    rotation formula; the B bias seeds are only added."""
-    return grouped_counts(blocks, chunks, p, w, formula_group(blocks, chunks, p, w, n))
+    single-rotation row-cycle path, at the group G and the giant step g
+    that minimise the rotation formula; the B bias seeds are only added."""
+    group = formula_group(blocks, chunks, p, w, n)
+    return grouped_counts(blocks, chunks, p, w, group, formula_giant(blocks, chunks, p, group))
 
 
 # (rot, mul, cmul) per batch of conv, act1, flatten and act2, which do not
@@ -366,11 +367,25 @@ def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
     assert len(eng.rot_offsets) <= UNGROUPED_FC_KEYS[slots] <= parent_keys
 
 
+@pytest.mark.parametrize("slots", [32768, 16384, 8192])
+def test_fc_stages_make_no_rotation_by_zero(rng, slots):
+    """Where the FC row cycle takes giant steps, no FC rotation is by an
+    offset of 0 mod slots: the plain cycle's last shift, by n*p, was one."""
+    layout = VirtualLayout(slots // IMAGE_SLOTS, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
+    eng = make_engine(slots)
+    model = encode_model(eng, random_weights(rng), layout)
+    stage_meters = {}
+    forward_encoded(eng, pack_batch(eng, np.zeros((layout.m, IMAGE_SIDE, IMAGE_SIDE)), layout), model, stage_meters)
+    for name in ("fc1", "fc2"):
+        assert stage_meters[name].rot_offsets and 0 not in stage_meters[name].rot_offsets
+
+
 def test_forward_builds_each_mask_once(rng, monkeypatch):
     """One pass builds every plaintext mask once for all its consumers: k*k
     offset filters shared by the kernels, out_h reform row masks shared by
-    the maps, per FC layer G phase masks plus p/G result filters shared
-    by its blocks, and two constant masks per activation stage."""
+    the maps, per FC layer G phase masks plus g/G result filters shared
+    by its blocks and its p/g giant steps, and two constant masks per
+    activation stage."""
     eng = make_engine(32768)
     model = encode_model(eng, random_weights(rng))
     ct = pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28)))
@@ -384,13 +399,14 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
     monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     forward_encoded(eng, ct, model)
     fc_shapes = (fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES), fc_shape(FC2_OUT, 1, model.fc1.out_width))
-    groups = [(formula_group(blocks, chunks, p, w, n), p) for blocks, chunks, p, n, w in fc_shapes]
-    assert groups == [(8, 32), (4, 16)]
-    fc_masks = sum(g + p // g for g, p in groups)
+    groups = [formula_group(blocks, chunks, p, w, n) for blocks, chunks, p, n, w in fc_shapes]
+    giants = [formula_giant(blocks, chunks, p, group) for (blocks, chunks, p, _, _), group in zip(fc_shapes, groups)]
+    assert groups == [8, 4] and giants == [8, 4]
+    fc_masks = sum(group + giant // group for group, giant in zip(groups, giants))
     activation_stages = 2
     filters = KERNEL_SIZE**2 + MAP_SIDE + fc_masks
     assert (roles.count("filter"), roles.count("constant")) == (filters, 2 * activation_stages)
-    assert len(roles) == 9 + 26 + 12 + 8 + 4 == 59
+    assert len(roles) == 9 + 26 + 9 + 5 + 4 == 53
 
 
 def test_forward_depth_independent_of_content(rng):

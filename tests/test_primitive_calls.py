@@ -28,10 +28,14 @@ MNIST_STAGE_COUNTS = {
     "conv": (180, 36, 36, 216),
     "act1": (12, 8, 8, 0),
     "flatten": (100, 0, 104, 100),
-    "fc1": (377, 256, 36, 384),
+    "fc1": (377, 256, 36, 219),
     "act2": (3, 2, 2, 0),
-    "fc2": (68, 16, 20, 69),
+    "fc2": (68, 16, 20, 63),
 }
+
+# Distinct rotation offsets (rotation keys) of each stage of that batch;
+# their union is the batch's 48 keys.
+MNIST_STAGE_KEYS = {"conv": 5, "act1": 0, "flatten": 25, "fc1": 21, "act2": 0, "fc2": 17}
 
 
 @pytest.fixture
@@ -68,6 +72,9 @@ def test_forward_pass_calls_equal_meter(rng, calls, layout):
     if layout == MNIST_LAYOUT:
         got = {k: (v.add_count, v.mul_count, v.cmul_count, v.rot_count) for k, v in stage_meters.items()}
         assert got == MNIST_STAGE_COUNTS
+        assert {k: len(v.rot_offsets) for k, v in stage_meters.items()} == MNIST_STAGE_KEYS
+        union = set().union(*(v.rot_offsets for v in stage_meters.values()))
+        assert union == eng.rot_offsets and len(union) == 48
 
 
 def test_matmul_outer_calls_equal_meter(rng, calls):

@@ -29,10 +29,11 @@ def test_scope_charges_block_and_accumulates_on_reentry():
     ct = eng.enc([1.0, 2.0])
     with eng.scope("a"):
         eng.rot(eng.mul(ct, ct), 1)
-    assert eng.scopes["a"] == OpMeter(rot_count=1, mul_count=1, max_depth=1)
+    assert eng.scopes["a"] == OpMeter(rot_count=1, mul_count=1, max_depth=1, rot_offsets={1})
     with eng.scope("a"):
         eng.add(ct, ct)
-    assert eng.scopes["a"] == OpMeter(add_count=1, rot_count=1, mul_count=1, max_depth=1)
+        eng.rot(ct, -1)
+    assert eng.scopes["a"] == OpMeter(add_count=1, rot_count=2, mul_count=1, max_depth=1, rot_offsets={1, 7})
 
 
 def test_scope_into_dict_sets_key_once_at_first_exit():
@@ -56,9 +57,32 @@ def test_scope_into_dict_sets_key_once_at_first_exit():
     with eng.scope("outer", into):
         eng.rot(ct, 2)
     assert into.sets == ["inner", "outer"]
-    assert into["outer"] == OpMeter(cmul_count=1, rot_count=2, max_depth=1)
+    assert into["outer"] == OpMeter(cmul_count=1, rot_count=2, max_depth=1, rot_offsets={1, 2})
     assert into["inner"] == OpMeter(cmul_count=1, max_depth=1)
     assert eng.scopes == {}
+
+
+def test_scope_records_the_offsets_of_its_own_rotations():
+    """Each open scope, nested or not, gets the offsets (mod slots) its
+    block used, an offset used before the block included; the engine's set
+    is their union with the rotations outside any scope."""
+    eng = make_engine(16)
+    ct = eng.enc([1.0])
+    eng.rot(ct, 3)
+    stages = {}
+    with eng.scope("outer", stages):
+        eng.rot(ct, 3)
+        with eng.scope("inner", stages):
+            eng.rot(ct, -2)
+            eng.rot(ct, 30)
+        eng.rot(ct, 16)
+    with eng.scope("after", stages):
+        eng.add(ct, ct)
+    assert stages["inner"].rot_offsets == {14}
+    assert stages["outer"].rot_offsets == {0, 3, 14}
+    assert stages["after"].rot_offsets == set()
+    assert eng.rot_offsets == eng.meter_snapshot().rot_offsets == {0, 3, 14}
+    assert reduce(OpMeter.merged, stages.values()).rot_offsets == {0, 3, 14}
 
 
 @st.composite

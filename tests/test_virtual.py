@@ -233,7 +233,8 @@ def test_vrot_property(layout, data, seed):
     want = np.zeros_like(grid)
     want[:, :hw] = np.roll(grid[:, :hw], -r, axis=1)
     np.testing.assert_array_equal(eng.dec(out), want.reshape(-1))
-    assert delta == OpMeter(add_count=1, cmul_count=2, rot_count=2, max_depth=1)
+    keys = {r % eng.slots, (r - hw) % eng.slots}
+    assert delta == OpMeter(add_count=1, cmul_count=2, rot_count=2, max_depth=1, rot_offsets=keys)
 
 
 @settings(max_examples=60, deadline=None)
