@@ -1,15 +1,16 @@
 """Single-ciphertext homomorphic matrix multiplication.
 
-C = A * B is accumulated over p iterations.  The right operand is packed
-in the revolver layout (row r = column r mod p of B); iteration idx cycles
-that layout up by idx+1 rows, multiplies slot-wise with A, collapses each
-row to its sum, and a one-hot-per-row filter keeps exactly the result
-entry that iteration produced.  Rotation/mask costs per iteration are
-constant, and so is the multiplicative depth.  A product whose inner
-dimension is split across several ciphertexts adds the chunk products of
-each iteration before the row sum, so it still pays one row sum per
-iteration.  An FC product, whose weights are zero past a known input
-width, interleaves its neuron blocks across the spare lanes of each row
+:func:`matmul` is the paper's revolver product: C = A * B is accumulated
+over p iterations.  The right operand is packed in the revolver layout
+(row r = column r mod p of B); iteration idx cycles that layout up by
+idx+1 rows, multiplies slot-wise with A, collapses each row to its sum,
+and a one-hot-per-row filter keeps exactly the result entry that
+iteration produced.  Rotation/mask costs per iteration are constant, and
+so is the multiplicative depth.
+
+:func:`matmul_chunked` is the FC product.  Its weights are zero past a
+known input width, so it adds the products of C input chunks in each
+iteration, interleaves B neuron blocks across the spare lanes of each row
 and lets a group of iterations share one row fold: each iteration folds
 part way and keeps one phase class of lanes, and the group pays one fold
 to the output lanes and one result filter.  Its row cycle takes baby and
@@ -64,6 +65,8 @@ class MatmulPlan:
 
     @classmethod
     def plan(cls, engine: SlotEngine, m: int, n: int, p: int) -> "MatmulPlan":
+        if p < 1:
+            raise LayoutError(f"result needs at least one column, got p={p}")
         layout_m = max(m, p)
         if p > n:
             raise LayoutError(
@@ -306,43 +309,39 @@ def matmul_chunked(
     engine: SlotEngine,
     a_chunks: Sequence[PackedMatrix],
     *b_blocks: Sequence[PackedMatrix],
+    width: int,
     init: Ciphertext | None = None,
-    width: int | None = None,
 ) -> PackedMatrix:
-    """Products A_c * B_c summed over inner-dimension chunks c; with
-    ``width``, B neuron blocks interleaved across the lanes of each row and
-    groups of iterations sharing one row fold.
+    """FC product: sum over C input chunks c of A_c * W_c, with B neuron
+    blocks interleaved across the lanes of each row and groups of
+    iterations sharing one row fold.
 
-    Row summation and the result filter are linear, so each iteration adds
-    the chunk products of its row cycle before any row sum.  With one block
-    (``b_blocks`` = one sequence of C revolver encodings) and no ``width``
-    each iteration pays the paper's row sum, 2*log2(n) rotations, one
-    result filter and one add, so an iteration costs C + 2*log2(n).
-
-    With ``width`` w the B blocks are stored interleaved
-    (:func:`encode_interleaved`): output q = B*t + j sits at lane q, and
-    ``b_blocks[d]`` holds diagonal d of every chunk from lane L on, which
-    meets A_c shifted right by L + d lanes.  The shifts are made once per
-    call: rot(A_c, -L) (skipped when L = 0), then chained rotations by -1,
-    C*[L > 0] + C*(B-1) rotations.  The iterations run in groups of G
-    (:class:`FcFold`); each iteration adds its B*C products, folds log2 G
-    steps at stride B and keeps one phase class of lanes, and each group
-    adds its G masked sums, folds at stride B*G up to the window F, applies
-    one result filter (:func:`build_result_filter` with ``blocks`` and
-    ``group``) and accumulates once.
+    The B blocks are stored interleaved (:func:`encode_interleaved`):
+    output q = B*t + j sits at lane q, and ``b_blocks[d]`` holds diagonal d
+    of every chunk from lane L on, which meets A_c shifted right by L + d
+    lanes.  The shifts are made once per call: rot(A_c, -L) (skipped when
+    L = 0), then chained rotations by -1, C*[L > 0] + C*(B-1) rotations.
+    The iterations run in groups of G (:class:`FcFold`); each iteration
+    adds its B*C products, folds log2 G steps at stride B and keeps one
+    phase class of lanes, and each group adds its G masked sums, folds at
+    stride B*G up to the window F, applies one result filter
+    (:func:`build_result_filter` with ``blocks`` and ``group``) and
+    accumulates once.  Row summation and the result filter are linear, so
+    the chunk products of an iteration are added before any fold.
 
     The row cycle takes baby and giant steps (Halevi-Shoup, CRYPTO 2018).
     Iteration idx shifts by s = idx + 1 = g*s2 + s1 with s1 in 1..g, and
     A (*) rot(B, n*s) = rot(rot(A, -n*g*s2) (*) rot(B, n*s1), n*g*s2).  So
-    the B*C baby tiles rot(B, n*s1) are made once per call (B*C*g
-    rotations, with :func:`row_shifter`), each giant step s2 > 0 shifts
-    the B*C shifted inputs by -n*g*s2 (B*C*(p/g - 1)), runs its groups in
-    that rotated frame and rotates their sum back once (p/g - 1).  The
-    phase masks hold in the rotated frame because G divides g; the result
-    filter of the group at ``first`` is the one for (first + 1 - g*s2)
-    mod p, that is, the first giant step's filter, reused.  The giant step
-    g is :meth:`FcFold.giant_step`; it is p (one giant step, the plain row
-    cycle) without ``width`` and on the general path.  On the
+    each giant step s2 > 0 shifts the B*C shifted inputs by -n*g*s2 once
+    (B*C*(p/g - 1) rotations) and sums its groups in that rotated frame.
+    Each group of the first giant step makes its B*C*G baby tiles
+    rot(B, n*s1) (B*C*g rotations in all, with :func:`row_shifter`) and
+    its result filter once and runs in every frame: the phase masks hold
+    in a rotated frame because G divides g, and the group at ``first``
+    needs the filter for (first + 1 - g*s2) mod p, the first giant step's.
+    Each frame but the first is rotated back once at the end (p/g - 1).
+    The giant step g is :meth:`FcFold.giant_step`; it is p (one giant
+    step, the plain row cycle) on the general path.  On the
     single-rotation row-cycle path the call costs C*(B-1) + C*[L > 0] +
     B*C*g + B*C*(p/g - 1) + (p/g - 1) + p*log2 G + (p/G)*log2(F/(B*G))
     rotations, B*C*p ct-ct multiplies, p + p/G constant multiplies and
@@ -351,17 +350,15 @@ def matmul_chunked(
 
     Args:
         a_chunks: C left operands, each m x n and row-major encoded.
-        b_blocks: B sequences of C revolver tiles (one per left chunk),
-            tiled to max(m, p) rows; every pair shares m, n and p.  Without
-            ``width``, one sequence of plain revolver encodings of each
-            n x p B_c; with it, the diagonals of :func:`encode_interleaved`.
+        b_blocks: B sequences of C tiles (one per left chunk), the
+            diagonals of :func:`encode_interleaved` tiled to max(m, p)
+            rows; every pair shares m, n and p.
+        width: the inner width w.  The result is exact only if the tiles
+            come from :func:`encode_interleaved` of w x (B*p) weights (A_c
+            may hold anything past w); the layout must fit the row
+            (:meth:`FcFold.derive`), else LayoutError.
         init: optional accumulator seed (e.g. a packed bias) in the output
             lanes, added once.
-        width: FC row fold.  The result is exact only if the tiles come
-            from :func:`encode_interleaved` of w x (B*p) weights (A_c may
-            hold anything past w).  More than one block needs it; the
-            layout must fit the row (:meth:`FcFold.derive`), else
-            LayoutError.
 
     Returns:
         PackedMatrix over the working layout; output (i, q) of the m x B*p
@@ -381,78 +378,59 @@ def matmul_chunked(
     (plan,) = plans
     p, n, rows = plan.p, plan.n, plan.layout_m
     blocks = len(b_blocks)
-    work_shape = MatrixShape(rows, n)
-    if width is not None:
-        fold = FcFold.derive(width, blocks, p, n)
-        group, offset = fold.group, fold.offset
-        giant = fold.giant_step(len(a_chunks), plan.fast_path)
-        phases = fold.phase_masks(engine, rows, n)
-    elif blocks > 1:
-        raise LayoutError(f"{blocks} interleaved neuron blocks need the FC row fold over a width")
-    else:
-        fold, group, offset, giant = None, 1, 0, p
-        col0 = column0_filter(engine, rows, n)  # one layout, so one filter for every row sum
+    fold = FcFold.derive(width, blocks, p, n)
+    giant = fold.giant_step(len(a_chunks), plan.fast_path)
+    phases = fold.phase_masks(engine, rows, n)
 
+    bases = range(0, p, giant)
     with engine.scope("matmul.row_cycle"):
-        shifted = [engine.rot(a.ct, -offset) if offset else a.ct for a in a_chunks]
+        shifted = [engine.rot(a.ct, -fold.offset) if fold.offset else a.ct for a in a_chunks]
         lefts = list(shifted)  # block-major, as ``tiles``
         for _ in range(1, blocks):
             shifted = [engine.rot(ct, -1) for ct in shifted]
             lefts += shifted
+        # rot(A, -n*base) * rot(B, n*s1) is rot(A * rot(B, n*(base + s1)), -n*base)
+        inputs = [lefts] + [[engine.rot(ct, -n * base) for ct in lefts] for base in bases[1:]]
     tiles = [tile for b_chunks in b_blocks for tile in b_chunks]
-    # The first giant step makes the baby tiles and the result filters;
-    # later ones reuse them, so they are kept only when there are later ones.
-    reuse = giant < p
-    babies, filters = [], []
     acc = engine.accumulator(init if init is not None else engine.enc([]))
-    for base in range(0, p, giant):
-        if base:
-            # rot(A, -n*base) * rot(B, n*s1) is rot(A * rot(B, n*(base + s1)), -n*base)
-            with engine.scope("matmul.row_cycle"):
-                inputs = [engine.rot(ct, -n * base) for ct in lefts]
-            frame = engine.accumulator()
-        else:
-            inputs, frame = lefts, acc
-        for first in range(base, base + giant, group):
+    frames = [acc] + [engine.accumulator() for _ in bases[1:]]
+    for first in range(0, giant, fold.group):
+        with engine.scope("matmul.row_cycle"):
+            shifts = range(first, first + fold.group)
+            babies = [[row_shifter(engine, tile, p, idx).ct for tile in tiles] for idx in shifts]
+        keep = build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, fold.group)
+        for frame_inputs, frame in zip(inputs, frames):
             prods = []
-            for idx in range(first, first + group):
+            for baby_tiles in babies:
                 with engine.scope("matmul.row_cycle"):
                     prod = engine.accumulator()
-                    for j, ct_a in enumerate(inputs):
-                        if base:
-                            baby = babies[(idx - base) * len(tiles) + j]
-                        else:
-                            baby = row_shifter(engine, tiles[j], p, idx).ct
-                            if reuse:
-                                babies.append(baby)
+                    for ct_a, baby in zip(frame_inputs, baby_tiles):
                         prod.mul(ct_a, baby)
                 prods.append(prod.result())
             with engine.scope("matmul.row_sum"):
-                if fold is None:
-                    sums = sum_col_vec(engine, PackedMatrix(prods[0], work_shape, Encoding.ROW_MAJOR), col0).ct
-                else:
-                    sums = _grouped_fold(engine, fold, prods, phases)
+                sums = _grouped_fold(engine, fold, prods, phases)
             with engine.scope("matmul.result_filter"):
-                if base:
-                    keep = filters[(first - base) // group]
-                else:
-                    keep = build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, group)
-                    if reuse:
-                        filters.append(keep)
                 kept = engine.cmul(keep, sums)
             with engine.scope("matmul.accumulate"):
                 frame.add(kept)
-        if base:
-            with engine.scope("matmul.accumulate"):
-                acc.add(engine.rot(frame.result(), n * base))
-    return PackedMatrix(acc.result(), work_shape, Encoding.ROW_MAJOR)
+    with engine.scope("matmul.accumulate"):
+        for base, frame in zip(bases[1:], frames[1:]):
+            acc.add(engine.rot(frame.result(), n * base))
+    return PackedMatrix(acc.result(), MatrixShape(rows, n), Encoding.ROW_MAJOR)
 
 
 def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> PackedMatrix:
     """Homomorphic product of a row-major A with a revolver-encoded B.
 
-    The one-block, one-chunk case of :func:`matmul_chunked`, with no
-    accumulator seed.
+    The paper's p-iteration loop: C = sum over idx < p of
+    F_idx (*) S(A (*) R_idx(B)), where R_idx cycles the revolver layout up
+    by idx + 1 rows (:func:`row_shifter`), S replaces each row by its sum
+    (:func:`sum_col_vec`, 2*log2(n) rotations, with one column-0 filter
+    built for every iteration) and F_idx keeps, in row i, column
+    (i + idx + 1) mod p (:func:`build_result_filter`).  Each iteration
+    costs one row cycle, one multiply, the row sum, one filter and one
+    add, charged to the ``matmul.row_cycle``, ``matmul.row_sum``,
+    ``matmul.result_filter`` and ``matmul.accumulate`` scopes.
 
     Args:
         ct_a: m x n row-major left operand.
@@ -464,5 +442,18 @@ def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> Pac
         product sits at slot i*n + j and every slot outside that block
         decodes to zero.
     """
-    return matmul_chunked(engine, [ct_a], [ct_bbar])
-
+    plan = _plan_product(engine, ct_a, ct_bbar)
+    p, n, rows = plan.p, plan.n, plan.layout_m
+    work_shape = MatrixShape(rows, n)
+    col0 = column0_filter(engine, rows, n)
+    acc = engine.accumulator(engine.enc([]))
+    for idx in range(p):
+        with engine.scope("matmul.row_cycle"):
+            prod = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
+        with engine.scope("matmul.row_sum"):
+            summed = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), col0).ct
+        with engine.scope("matmul.result_filter"):
+            kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), summed)
+        with engine.scope("matmul.accumulate"):
+            acc.add(kept)
+    return PackedMatrix(acc.result(), work_shape, Encoding.ROW_MAJOR)

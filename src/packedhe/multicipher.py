@@ -125,7 +125,8 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
     Output column j' = sum over (p, q) of K[p][q] times source column
     j'+q shifted up by p rows.  Shifts are plain rotations; the kernel
     weight is folded into the per-block validity mask, so each term costs
-    one cmul and the rotations are shared across output columns.
+    one cmul.  The rotations, the k*k weighted masks and the bias
+    ciphertext are shared across output columns.
     """
     k = kernel.k
     if k > img.h or k > img.w:
@@ -145,17 +146,21 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
             rotated[key] = engine.rot(img.cts[j], p)
         return rotated[key]
 
+    bias = np.zeros((img.m, img.stride), dtype=np.float64)
+    bias[:, :out_h] = kernel.bias
+    bias_ct = engine.enc(bias.reshape(-1))
+    weighted = {
+        (q, p): engine.mask(kernel.weights[p, q] * valid)
+        for q in range(k)
+        for p in range(k)
+        if kernel.weights[p, q] != 0.0
+    }
+
     out_cts = []
     for jp in range(out_w):
-        bias = np.zeros((img.m, img.stride), dtype=np.float64)
-        bias[:, :out_h] = kernel.bias
-        acc = engine.accumulator(engine.enc(bias.reshape(-1)))
-        for q in range(k):
-            for p in range(k):
-                wgt = kernel.weights[p, q]
-                if wgt == 0.0:
-                    continue
-                acc.cmul(engine.mask(wgt * valid), shifted(jp + q, p))
+        acc = engine.accumulator(bias_ct)
+        for (q, p), mask in weighted.items():
+            acc.cmul(mask, shifted(jp + q, p))
         out_cts.append(acc.result())
     return ColumnEncodedImage(out_cts, out_h, out_w, img.m, img.stride)
 

@@ -14,24 +14,13 @@ product on its single-rotation row-cycling path.  A layer is one chunked
 product (``matmul_chunked``) whose B neuron blocks are interleaved across
 the lanes of each row: neuron q = B*t + j of group t lands at lane q.
 The weight tiles are zero past the layer's input width w (676 for FC-1,
-the 64 FC-1 outputs for FC-2) and start at lane L of each row, and
-diagonal d of every tile meets its input chunk shifted right by L + d
-lanes (rot by -L, then chained rotations by -1, once per layer).  The p
-iterations run in groups of G (``matmul.FcFold``: G = 8 and L = 64 for
-FC-1, G = 4 and L = 16 for FC-2 at 32768 slots).  Each iteration adds
-its B*C chunk products, folds log2 G steps at stride B and keeps one
-phase class of lanes; each group folds its G masked sums once at stride
-B*G up to F = next_pow2(L + w + B - 1) lanes and pays one result
-filter.  The row cycle takes baby and giant steps of g rows
-(``FcFold.giant_step``: g = 8 for FC-1 and 4 for FC-2 at 32768 slots):
-the B*C weight tiles are rotated once per baby step, the inputs once per
-giant step, and each giant step's groups run in that rotated frame and
-are rotated back once.  With C chunks a layer costs C*(B - 1) +
-C*[L > 0] + B*C*g + B*C*(p/g - 1) + (p/g - 1) + p*log2 G +
-(p/G)*log2(F/(B*G)) rotations (219 for FC-1 and 63 for FC-2 at 32768
-slots), B*p*C ct-ct multiplies and p + p/G constant multiplies; its B
-bias seeds already sit at their output lanes and are only added.  Its
-outputs land in lanes 0..B*p-1 of each row.
+the 64 FC-1 outputs for FC-2), the p iterations run in groups of G that
+share one row fold (``matmul.FcFold``: G = 8 for FC-1 and 4 for FC-2 at
+32768 slots), and the row cycle takes baby and giant steps of g rows
+(g = 8 for FC-1 and 4 for FC-2).  ``matmul_chunked`` gives the cost
+formula: 219 rotations for FC-1 and 63 for FC-2 at 32768 slots.  A
+layer's B bias seeds already sit at their output lanes and are only
+added, and its outputs land in lanes 0..B*p-1 of each row.
 """
 
 from dataclasses import dataclass

@@ -414,6 +414,14 @@ def test_bench_default_output_is_golden(capsys):
     assert capsys.readouterr().out == (Path(__file__).parent / "data" / "bench_default.txt").read_text()
 
 
+def test_bench_rejects_a_product_with_no_columns(capsys):
+    """p = 0 is bad input: one error line and exit 1, not a traceback."""
+    assert main(["bench", "--matmul-grid", "4,4,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: result needs at least one column, got p=0\n"
+
+
 @pytest.mark.parametrize("value", ["1000", "0", "-4"])
 def test_cli_rejects_bad_slots_flag(tmp_path, capsys, value):
     out = tmp_path / "b"

@@ -3,7 +3,7 @@ import pytest
 
 from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import EngineError, LayoutError
-from packedhe.matmul import MatmulPlan, build_result_filter, matmul, matmul_chunked, row_shifter
+from packedhe.matmul import MatmulPlan, build_result_filter, matmul, row_shifter
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -172,18 +172,6 @@ def test_matmul_depth_constant_in_p(rng):
         assert matmul(eng, ca, cb).ct.depth == 4
 
 
-def test_matmul_bias_init_hook(rng):
-    eng = make_engine(16)
-    a = rand_int_matrix(rng, 4, 4)
-    b = rand_int_matrix(rng, 4, 2)
-    bias = np.array([10.0, 20.0])
-    seed = np.zeros((4, 4))
-    seed[:, :2] = bias
-    ca, cb = encode_pair(eng, a, b)
-    got = matmul_chunked(eng, [ca], [cb], init=eng.enc(seed.reshape(-1))).decode(eng)
-    np.testing.assert_array_equal(got[:4, :2], oracle_matmul(a, b) + bias)
-
-
 def test_matmul_requires_matching_width(rng):
     eng = make_engine(64)
     ca = encode_row_major(eng, rand_int_matrix(rng, 2, 4))
@@ -196,6 +184,13 @@ def test_matmul_rejects_width_smaller_than_p(rng):
     eng = make_engine(64)
     with pytest.raises(LayoutError):
         MatmulPlan.plan(eng, m=2, n=2, p=4)
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_plan_rejects_fewer_than_one_column(p):
+    eng = make_engine(64)
+    with pytest.raises(LayoutError, match="at least one column"):
+        MatmulPlan.plan(eng, m=4, n=4, p=p)
 
 
 def test_plan_fast_requires_full_pack():

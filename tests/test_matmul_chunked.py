@@ -1,6 +1,6 @@
-"""matmul_chunked: one row sum per iteration over C inner-dimension chunks,
-and the FC row fold: B neuron blocks interleaved across the lanes of each
-row, and groups of G iterations sharing one fold."""
+"""matmul_chunked, the FC product: C input chunks, B neuron blocks
+interleaved across the lanes of each row, groups of G iterations sharing
+one row fold, and a row cycle in baby and giant steps."""
 
 from contextlib import contextmanager
 from unittest.mock import patch
@@ -17,58 +17,7 @@ from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
 from test_matmul import encode_pair
-from test_scopes import MATMUL_SCOPES, matmul_shapes
-
-
-def run_chunked(slots, a_mats, b_mats):
-    """Encode each (A_c, B_c) pair and run one chunked product; returns the
-    engine, the output and the call's meter delta."""
-    eng = make_engine(slots)
-    pairs = [encode_pair(eng, a, b) for a, b in zip(a_mats, b_mats)]
-    spent = {}
-    with eng.scope("call", spent):
-        out = matmul_chunked(eng, [a for a, _ in pairs], [b for _, b in pairs])
-    return eng, out, spent["call"]
-
-
-@settings(max_examples=30, deadline=None)
-@given(shape=matmul_shapes(), chunks=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_matmul_chunked_sums_chunk_products(shape, chunks, seed):
-    m, n, p, slots = shape
-    rng = np.random.default_rng(seed)
-    a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
-    b_mats = [rand_int_matrix(rng, n, p) for _ in range(chunks)]
-    eng, out, call = run_chunked(slots, a_mats, b_mats)
-
-    width = out.shape.n
-    want = np.zeros(slots)
-    block = sum(oracle_matmul(a, b) for a, b in zip(a_mats, b_mats))
-    for i in range(m):
-        want[i * width : i * width + p] = block[i]
-    np.testing.assert_array_equal(eng.dec(out.ct), want)
-
-    # C = 1 is matmul itself: same output, meter delta and scopes.
-    one_eng, one_out, one_call = run_chunked(slots, a_mats[:1], b_mats[:1])
-    ref = make_engine(slots)
-    ct_a, ct_b = encode_pair(ref, a_mats[0], b_mats[0])
-    spent = {}
-    with ref.scope("call", spent):
-        ref_out = matmul(ref, ct_a, ct_b)
-    assert one_call == spent["call"]
-    assert one_eng.scopes == ref.scopes and list(ref.scopes) == MATMUL_SCOPES
-    assert one_eng.dec(one_out.ct).tobytes() == ref.dec(ref_out.ct).tobytes()
-
-    # More chunks only widen the row cycle: C shifts and multiplies, C - 1
-    # adds; the row sum, filter and accumulate are paid once per iteration.
-    single = ref.scopes["matmul.row_cycle"]
-    cycle = eng.scopes["matmul.row_cycle"]
-    assert cycle.rot_count == chunks * single.rot_count
-    assert cycle.mul_count == chunks * single.mul_count
-    assert cycle.cmul_count == chunks * single.cmul_count
-    assert cycle.add_count == chunks * single.add_count + (chunks - 1) * p
-    for name in MATMUL_SCOPES[1:]:
-        assert eng.scopes[name] == ref.scopes[name]
-    assert call.max_depth == one_call.max_depth
+from test_scopes import MATMUL_SCOPES
 
 
 @st.composite
@@ -85,6 +34,7 @@ def mismatches(draw):
 @settings(max_examples=25, deadline=None)
 @given(case=mismatches(), seed=st.integers(0, 2**32 - 1))
 def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
+    """Checked before the FC fold is derived, so any width will do."""
     m, n, p, kind, other_p = case
     rng = np.random.default_rng(seed)
     eng = make_engine(next_pow2(max(m + 1, p, other_p) * 2 * n))
@@ -99,8 +49,8 @@ def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
         a1 = encode_row_major(eng, rand_int_matrix(rng, rows, width))
         b1 = encode_revolver(eng, rand_int_matrix(rng, width, other_p), target_m=max(rows, other_p))
         a_chunks, b_chunks = [a0, a1], [b0, b1]
-    with pytest.raises(LayoutError):
-        matmul_chunked(eng, a_chunks, b_chunks)
+    with pytest.raises(LayoutError, match="one right operand per left chunk|chunks disagree"):
+        matmul_chunked(eng, a_chunks, b_chunks, width=1)
 
 
 def fold_layout(blocks: int, p: int, w: int, group: int) -> tuple:
@@ -358,13 +308,13 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
 
 @pytest.mark.parametrize(
     "blocks, n, p, width",
-    [(3, 8, 4, 2), (2, 8, 2, None), (3, 16, 5, 4), (2, 8, 2, 8)],
-    ids=["blocks-wider-than-row", "no-width", "non-pow2-p", "full-row"],
+    [(3, 8, 4, 2), (3, 16, 5, 4), (2, 8, 2, 8)],
+    ids=["blocks-wider-than-row", "non-pow2-p", "full-row"],
 )
 def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
-    """B*p > n would wrap blocks into the next row; without a width there
-    is no FC fold to share; and with B*(p - 1) + w + B - 1 > n the tiles,
-    shifted past the p output groups, would leave the row."""
+    """B*p > n would wrap blocks into the next row, and with
+    B*(p - 1) + w + B - 1 > n the tiles, shifted past the p output groups,
+    would leave the row."""
     eng = make_engine(8 * n)
     a = encode_row_major(eng, np.ones((8, n)))
     b = encode_revolver(eng, np.ones((n, p)), target_m=8)
@@ -373,9 +323,8 @@ def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
     for bad in ([], [[b], [b, b]]):  # no block; blocks of unequal chunk counts
         with pytest.raises(LayoutError, match="one right operand per left chunk"):
             matmul_chunked(eng, [a], *bad, width=width)
-    if width is not None:
-        with pytest.raises(LayoutError, match="w \\+ B - 1"):
-            encode_interleaved(eng, np.ones((width, blocks * p)), blocks, 8, n)
+    with pytest.raises(LayoutError, match="w \\+ B - 1"):
+        encode_interleaved(eng, np.ones((width, blocks * p)), blocks, 8, n)
 
 
 def run_fc(slots, a_mats, b_mats, blocks, w, init_grid=None):

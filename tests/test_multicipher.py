@@ -3,7 +3,7 @@ import pytest
 
 from packedhe.conv import Kernel
 from packedhe.encoding import encode_revolver, encode_row_major
-from packedhe.engine import CapacityError, LayoutError
+from packedhe.engine import CapacityError, LayoutError, SlotEngine
 from packedhe.matmul import matmul
 from packedhe.multicipher import (
     conv_columns,
@@ -166,11 +166,19 @@ def test_conv_columns_k1_scales(rng):
     np.testing.assert_array_equal(re, 2.0 * img + 1.0)
 
 
-def test_conv_columns_batch_oracle_and_costs(rng):
+def test_conv_columns_batch_oracle_and_costs(rng, monkeypatch):
     eng = make_engine(32)
     imgs = rng.integers(-2, 5, size=(2, 16, 16)).astype(float)
     kern = Kernel(rand_int_matrix(rng, 3, 3), bias=0.5)
     cei = encode_image_columns(eng, imgs)
+    masks = []
+    build = SlotEngine.mask
+
+    def counting_mask(engine, values, role="constant"):
+        masks.append(role)
+        return build(engine, values, role)
+
+    monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     spent = {}
     with eng.scope("call", spent):
         out = conv_columns(eng, cei, kern)
@@ -182,6 +190,9 @@ def test_conv_columns_batch_oracle_and_costs(rng):
     assert delta.cmul_count <= k * k * out_w
     assert delta.rot_count <= (k - 1) * w
     assert delta.mul_count == 0
+    # one weighted mask per nonzero weight and one bias ciphertext, shared by the out_w columns
+    assert len(masks) == np.count_nonzero(kern.weights)
+    assert delta.enc_count == 1
 
 
 def test_conv_columns_image_larger_than_ciphertext(rng):

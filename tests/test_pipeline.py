@@ -1,3 +1,4 @@
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -407,6 +408,27 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
     filters = KERNEL_SIZE**2 + MAP_SIDE + fc_masks
     assert (roles.count("filter"), roles.count("constant")) == (filters, 2 * activation_stages)
     assert len(roles) == 9 + 26 + 9 + 5 + 4 == 53
+
+
+# SHA-256 of the decoded score ciphertext of one forward pass over the
+# seeded fixture of ``test_forward_scores_keep_their_bits``.  Every sum in
+# the pipeline adds its terms in a fixed order, so a loop change that keeps
+# that order keeps these bytes.  At 8192 slots fc1 takes two giant steps.
+SCORE_SHA256 = {
+    32768: "f072e14c1d4cbcfeb0950a34dcfd377a74e30accbb1d893f01cda2a897cf56e1",
+    8192: "7fe18f0faf37ca2e9642884d4c98193ce74946f4ee1abb1eb6d57362c3422f0f",
+}
+
+
+@pytest.mark.parametrize("slots", sorted(SCORE_SHA256, reverse=True))
+def test_forward_scores_keep_their_bits(slots):
+    rng = np.random.default_rng(17)
+    layout = VirtualLayout(slots // IMAGE_SLOTS, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
+    weights = random_weights(rng)
+    imgs = rng.uniform(0, 1, size=(layout.m, IMAGE_SIDE, IMAGE_SIDE))
+    eng = make_engine(slots)
+    scores = forward_encoded(eng, pack_batch(eng, imgs, layout), encode_model(eng, weights, layout))
+    assert hashlib.sha256(eng.dec(scores.ct).tobytes()).hexdigest() == SCORE_SHA256[slots]
 
 
 def test_forward_depth_independent_of_content(rng):
