@@ -12,7 +12,6 @@ from .engine import (
     SlotEngine,
 )
 from .encoding import (
-    Encoding,
     MatrixShape,
     PackedMatrix,
     encode_revolver,
@@ -58,11 +57,11 @@ from .multicipher import (
     reassemble_columns,
 )
 from .pipeline import (
-    BatchPlan,
     EncodedModel,
     ModelWeights,
     PIPELINE_DEPTH,
     argmax_decide,
+    batch_layout,
     encode_model,
     flatten_maps,
     forward_encoded,

@@ -27,17 +27,8 @@ from .bench import format_report
 from .datafiles import IdxFormatError, load_mnist_idx, load_weights_csv
 from .engine import EngineError, EngineParams, OpMeter, SlotEngine
 from .oracle import oracle_forward
-from .pipeline import (
-    BatchPlan,
-    FC2_OUT,
-    MNIST_LAYOUT,
-    argmax_decide,
-    encode_model,
-    forward_encoded,
-    pack_batch,
-)
+from .pipeline import FC2_OUT, argmax_decide, batch_layout, encode_model, forward_encoded, pack_batch
 from .serial import CT_SUFFIX, SerialError, load_indexed_batch, load_model, model_params, write_batch, write_model
-from .virtual import VirtualLayout
 
 SCORE_TOLERANCE = 1e-6
 
@@ -48,30 +39,22 @@ def _engine_params(args) -> EngineParams:
     return EngineParams() if args.slots is None else EngineParams(slots=args.slots)
 
 
-def _batch_layout(params: EngineParams) -> VirtualLayout:
-    m = params.slots // MNIST_LAYOUT.f
-    if m < 1:
-        raise EngineError(f"{params.slots} slots cannot hold a {MNIST_LAYOUT.f}-slot image block")
-    return VirtualLayout(m, MNIST_LAYOUT.f, MNIST_LAYOUT.h, MNIST_LAYOUT.w)
-
-
 def _cmd_owner_encode(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
-    params = _engine_params(args)
-    engine = SlotEngine(params)
-    layout = _batch_layout(params)
+    engine = SlotEngine(_engine_params(args))
+    layout = batch_layout(engine.slots)
     images, _ = load_mnist_idx(args.images)
     if args.limit is not None:
         images = images[: args.limit]
-    if images.shape[0] == 0:
+    n = images.shape[0]
+    if n == 0:
         print("error: no images to encode", file=sys.stderr)
         return 1
-    plan = BatchPlan.for_dataset(images.shape[0], slots=params.slots, image_slots=layout.f)
     out_dir = Path(args.out_dir)
-    for b in range(plan.batch_count):
-        first = b * plan.images_per_ct
-        chunk = images[first : first + plan.images_per_ct]
+    firsts = range(0, n, layout.m)
+    for b, first in enumerate(firsts):
+        chunk = images[first : first + layout.m]
         ct = pack_batch(engine, chunk, layout)
         # created once the first batch has packed, so images of the wrong
         # shape leave no output directory behind
@@ -79,17 +62,16 @@ def _cmd_owner_encode(args) -> int:
         path = out_dir / f"batch_{b:05d}{CT_SUFFIX}"
         write_batch(path, ct, layout, valid_rows=chunk.shape[0], first_index=first)
     print(
-        f"packed {images.shape[0]} images into {plan.batch_count} batch files "
-        f"({plan.images_per_ct} per ciphertext, final batch zero-filled by {plan.zero_fill})"
+        f"packed {n} images into {len(firsts)} batch files "
+        f"({layout.m} per ciphertext, final batch zero-filled by {len(firsts) * layout.m - n})"
     )
     return 0
 
 
 def _cmd_provider_encode(args) -> int:
-    params = _engine_params(args)
-    engine = SlotEngine(params)
+    engine = SlotEngine(_engine_params(args))
     weights = load_weights_csv(args.weights_dir)
-    model = encode_model(engine, weights, _batch_layout(params))
+    model = encode_model(engine, weights)
     count = write_model(args.out_dir, model)
     print(f"encoded model into {count} ciphertext files at {args.out_dir}")
     return 0
@@ -126,9 +108,7 @@ def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> li
 
     def job(path):
         engine = SlotEngine(params)
-        ct, layout, valid, first = load_indexed_batch(engine, path)
-        if layout != model.layout:
-            raise SerialError(f"{path}: batch layout {layout} differs from the model's {model.layout}")
+        ct, _, valid, first = load_indexed_batch(engine, path)
         stages = {}
         # an overflow is reported once below, as bad input, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):

@@ -11,14 +11,12 @@ row summation used by the evaluation algorithms.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .engine import CapacityError, Ciphertext, EngineError, PlainMask, SlotEngine, is_pow2
 
 __all__ = [
-    "Encoding",
     "MatrixShape",
     "PackedMatrix",
     "encode_row_major",
@@ -26,11 +24,6 @@ __all__ = [
     "column0_filter",
     "sum_col_vec",
 ]
-
-
-class Encoding(str, Enum):
-    ROW_MAJOR = "row-major"
-    REVOLVER = "revolver"
 
 
 @dataclass(frozen=True)
@@ -47,13 +40,13 @@ class MatrixShape:
 class PackedMatrix:
     """A ciphertext holding an m x n matrix in its leading m*n slots.
 
-    ``revolve_p`` records the source column count for revolver-encoded
-    operands (the layout itself only shows the tiled m x n grid).
+    The matrix is row-major unless ``revolve_p`` is set: a revolver-encoded
+    operand records its source column count there (the layout itself only
+    shows the tiled m x n grid).
     """
 
     ct: Ciphertext
     shape: MatrixShape
-    encoding: Encoding
     revolve_p: int | None = None
 
     def decode(self, engine: SlotEngine) -> np.ndarray:
@@ -73,7 +66,7 @@ def encode_row_major(engine: SlotEngine, a) -> PackedMatrix:
     m, n = a.shape
     _check_fit(engine, m, n)
     ct = engine.enc(a.reshape(-1))
-    return PackedMatrix(ct, MatrixShape(m, n), Encoding.ROW_MAJOR)
+    return PackedMatrix(ct, MatrixShape(m, n))
 
 
 def encode_revolver(engine: SlotEngine, b, target_m: int) -> PackedMatrix:
@@ -93,7 +86,7 @@ def encode_revolver(engine: SlotEngine, b, target_m: int) -> PackedMatrix:
     for r in range(target_m):
         grid[r] = b[:, r % p]
     ct = engine.enc(grid.reshape(-1))
-    return PackedMatrix(ct, MatrixShape(target_m, n), Encoding.REVOLVER, revolve_p=p)
+    return PackedMatrix(ct, MatrixShape(target_m, n), revolve_p=p)
 
 
 def column0_filter(engine: SlotEngine, m: int, n: int) -> PlainMask:
@@ -124,4 +117,4 @@ def sum_col_vec(engine: SlotEngine, pm: PackedMatrix, col0: PlainMask | None = N
     ct = engine.cmul(column0_filter(engine, m, n) if col0 is None else col0, ct)
     for t in range(steps):
         ct = engine.add(ct, engine.rot(ct, -(1 << t)))
-    return PackedMatrix(ct, pm.shape, pm.encoding, pm.revolve_p)
+    return PackedMatrix(ct, pm.shape, pm.revolve_p)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import Encoding, MatrixShape, PackedMatrix, column0_filter, sum_col_vec
+from .encoding import MatrixShape, PackedMatrix, column0_filter, sum_col_vec
 from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine
 
 __all__ = [
@@ -97,9 +97,9 @@ def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> Pac
     rows refills the freed bottom rows with the columns that wrapped
     around, each side isolated by a 0/1 row-band filter.
     """
-    if bbar.encoding is not Encoding.REVOLVER:
+    if bbar.revolve_p is None:
         raise LayoutError("row_shifter needs a revolver-encoded operand")
-    if bbar.revolve_p is not None and bbar.revolve_p != p:
+    if bbar.revolve_p != p:
         raise EngineError(f"operand was encoded for p={bbar.revolve_p}, got p={p}")
     if not 0 <= idx < p:
         raise EngineError(f"idx must be in [0, {p}), got {idx}")
@@ -119,7 +119,7 @@ def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> Pac
             engine.rot(bbar.ct, n * (shift - p)),
         )
         out = engine.add(top, bottom)
-    return PackedMatrix(out, bbar.shape, Encoding.REVOLVER, bbar.revolve_p)
+    return PackedMatrix(out, bbar.shape, bbar.revolve_p)
 
 
 def build_result_filter(
@@ -258,15 +258,15 @@ def encode_interleaved(engine: SlotEngine, b, blocks: int, target_m: int, n: int
         grid = np.zeros((target_m, n), dtype=np.float64)
         grid[:, offset + lanes + d] = b[lanes, blocks * groups + (lanes + d) % blocks]
         ct = engine.enc(grid.reshape(-1))
-        tiles.append(PackedMatrix(ct, MatrixShape(target_m, n), Encoding.REVOLVER, revolve_p=p))
+        tiles.append(PackedMatrix(ct, MatrixShape(target_m, n), revolve_p=p))
     return tiles
 
 
 def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> MatmulPlan:
     """Check one (A, revolver B) operand pair and plan its product."""
-    if ct_a.encoding is not Encoding.ROW_MAJOR:
+    if ct_a.revolve_p is not None:
         raise LayoutError("left operand must be row-major encoded")
-    if ct_bbar.encoding is not Encoding.REVOLVER or ct_bbar.revolve_p is None:
+    if ct_bbar.revolve_p is None:
         raise LayoutError("right operand must be revolver encoded")
     m, n = ct_a.shape.m, ct_a.shape.n
     if ct_bbar.shape.n != n:
@@ -416,7 +416,7 @@ def matmul_chunked(
     with engine.scope("matmul.accumulate"):
         for base, frame in zip(bases[1:], frames[1:]):
             acc.add(engine.rot(frame.result(), n * base))
-    return PackedMatrix(acc.result(), MatrixShape(rows, n), Encoding.ROW_MAJOR)
+    return PackedMatrix(acc.result(), MatrixShape(rows, n))
 
 
 def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> PackedMatrix:
@@ -451,9 +451,9 @@ def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> Pac
         with engine.scope("matmul.row_cycle"):
             prod = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
         with engine.scope("matmul.row_sum"):
-            summed = sum_col_vec(engine, PackedMatrix(prod, work_shape, Encoding.ROW_MAJOR), col0).ct
+            summed = sum_col_vec(engine, PackedMatrix(prod, work_shape), col0).ct
         with engine.scope("matmul.result_filter"):
             kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), summed)
         with engine.scope("matmul.accumulate"):
             acc.add(kept)
-    return PackedMatrix(acc.result(), work_shape, Encoding.ROW_MAJOR)
+    return PackedMatrix(acc.result(), work_shape)

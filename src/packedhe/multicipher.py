@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import Encoding, MatrixShape, PackedMatrix
+from .encoding import MatrixShape, PackedMatrix
 from .conv import Kernel
 from .engine import CapacityError, Ciphertext, EngineError, LayoutError, SlotEngine
 
@@ -99,7 +99,7 @@ def matmul_outer(
     acc = engine.accumulator()
     for lk, rk in zip(left.cts, right.cts):
         acc.mul(lk, rk)
-    return PackedMatrix(acc.result(), MatrixShape(left.m, left.p), Encoding.ROW_MAJOR)
+    return PackedMatrix(acc.result(), MatrixShape(left.m, left.p))
 
 
 def encode_image_columns(engine: SlotEngine, images) -> ColumnEncodedImage:

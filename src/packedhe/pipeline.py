@@ -1,8 +1,11 @@
 """End-to-end encrypted CNN inference.
 
 Network: CONV (4 kernels 3x3 over 28x28 inputs) -> degree-3 polynomial
-activation -> FC 2704->64 -> activation -> FC 64->10.  A batch of 32
-images rides in one 32768-slot ciphertext (stride 1024 per image).
+activation -> FC 2704->64 -> activation -> FC 64->10.  How images map
+onto a ciphertext is decided in one place, :func:`batch_layout`: a
+ciphertext of S slots holds S // 1024 images at a stride of 1024 slots,
+32 of them at 32768 slots.  The batch packer, the model encoder and the
+file loaders in ``serial`` all take their layout from it.
 
 Layout strategy after the convolution: each activated feature map is
 compacted to a contiguous 676-slot prefix per image, and the four map
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import Encoding, MatrixShape, PackedMatrix
+from .encoding import MatrixShape, PackedMatrix
 from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, is_pow2, next_pow2
 from .matmul import encode_interleaved, matmul_chunked
 from .virtual import VirtualLayout, batched_conv_layer, reform_maps, tile_kernel_span
@@ -45,14 +48,12 @@ __all__ = [
     "FC2_IN",
     "FC2_OUT",
     "PIPELINE_DEPTH",
-    "MNIST_LAYOUT",
     "ModelWeights",
-    "BatchPlan",
     "FcTiles",
     "EncodedModel",
+    "batch_layout",
     "poly_activation",
     "pack_batch",
-    "conv_layer",
     "flatten_maps",
     "encode_model",
     "forward_encoded",
@@ -77,7 +78,19 @@ FC2_OUT = 10
 # activation 2.
 PIPELINE_DEPTH = 2 + 2 + 1 + 3 + 2 + 3
 
-MNIST_LAYOUT = VirtualLayout(IMAGES_PER_CT, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
+
+def batch_layout(slots: int) -> VirtualLayout:
+    """The batch geometry of a ``slots``-slot ciphertext: slots // IMAGE_SLOTS
+    blocks of IMAGE_SLOTS slots, each holding one IMAGE_SIDE x IMAGE_SIDE
+    image (IMAGES_PER_CT of them at 32768 slots).
+
+    The only place the geometry is fixed: the owner packs batches in it,
+    the provider encodes the model against it, and the loaders reject a
+    batch or model that records another.
+    """
+    if slots < IMAGE_SLOTS:
+        raise EngineError(f"{slots} slots cannot hold a {IMAGE_SLOTS}-slot image block")
+    return VirtualLayout(slots // IMAGE_SLOTS, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,31 +121,6 @@ class ModelWeights:
             raise EngineError(f"fc2 bias must have {FC2_OUT} entries")
         if len(self.act1) != 4 or len(self.act2) != 4:
             raise EngineError("activation polynomials take exactly 4 coefficients")
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """How a dataset maps onto batch ciphertexts."""
-
-    images_per_ct: int
-    image_slots: int
-    batch_count: int
-    zero_fill: int
-
-    @classmethod
-    def for_dataset(
-        cls, n_images: int, slots: int = 32768, image_slots: int = IMAGE_SLOTS
-    ) -> "BatchPlan":
-        if slots % image_slots != 0:
-            raise EngineError(f"{slots} slots not divisible by image stride {image_slots}")
-        per_ct = slots // image_slots
-        batches = -(-n_images // per_ct) if n_images else 0
-        return cls(
-            images_per_ct=per_ct,
-            image_slots=image_slots,
-            batch_count=batches,
-            zero_fill=batches * per_ct - n_images,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +190,11 @@ def poly_activation(engine: SlotEngine, cts, coeffs) -> list[Ciphertext]:
     return outs
 
 
-def pack_batch(engine: SlotEngine, images, layout: VirtualLayout = MNIST_LAYOUT) -> Ciphertext:
-    """Pack up to layout.m images row-wise at the layout stride."""
+def pack_batch(engine: SlotEngine, images, layout: VirtualLayout | None = None) -> Ciphertext:
+    """Pack up to layout.m images row-wise at the layout stride; the layout
+    defaults to the engine's :func:`batch_layout`."""
+    if layout is None:
+        layout = batch_layout(engine.slots)
     arr = np.asarray(images, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None, :, :]
@@ -217,17 +208,6 @@ def pack_batch(engine: SlotEngine, images, layout: VirtualLayout = MNIST_LAYOUT)
     return engine.enc(grid.reshape(-1))
 
 
-def conv_layer(engine: SlotEngine, ct_x: Ciphertext, layout: VirtualLayout, spans):
-    """Batched convolution with every kernel, in one loop that builds each
-    offset filter once for all kernels.
-
-    Returns (map ciphertexts, layout, (out_h, out_w)).
-    """
-    outs = batched_conv_layer(engine, ct_x, layout, spans)
-    k = spans[0].k
-    return outs, layout, (layout.h - k + 1, layout.w - k + 1)
-
-
 def flatten_maps(
     engine: SlotEngine, map_cts, layout: VirtualLayout, out_h: int, out_w: int
 ) -> list[PackedMatrix]:
@@ -239,7 +219,7 @@ def flatten_maps(
     One reform pass covers all the maps, so each row mask is built once.
     """
     flat_cts, _ = reform_maps(engine, map_cts, layout, out_h, out_w)
-    return [PackedMatrix(ct, MatrixShape(layout.m, layout.f), Encoding.ROW_MAJOR) for ct in flat_cts]
+    return [PackedMatrix(ct, MatrixShape(layout.m, layout.f)) for ct in flat_cts]
 
 
 def _fc_blocking(m: int, out_dim: int) -> tuple[int, int]:
@@ -312,11 +292,11 @@ def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles, in_width: int) -> Pa
     return matmul_chunked(engine, chunks, *fc.tiles, init=seed.result(), width=in_width)
 
 
-def encode_model(
-    engine: SlotEngine, weights: ModelWeights, layout: VirtualLayout = MNIST_LAYOUT
-) -> EncodedModel:
-    """Provider-side encoding: kernel spans plus FC weight tiles."""
+def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
+    """Provider-side encoding: kernel spans plus FC weight tiles, against
+    the engine's :func:`batch_layout`."""
     weights.validate()
+    layout = batch_layout(engine.slots)
     spans = [tile_kernel_span(engine, kern, layout) for kern in weights.conv_kernels]
     return EncodedModel(
         kernel_spans=spans,
@@ -343,8 +323,10 @@ def forward_encoded(
     as its stage ends.
     """
     layout = model.layout
+    k = model.kernel_spans[0].k
+    out_h, out_w = layout.h - k + 1, layout.w - k + 1
     with engine.scope("conv", stage_meters):
-        maps, _, (out_h, out_w) = conv_layer(engine, ct_x, layout, model.kernel_spans)
+        maps = batched_conv_layer(engine, ct_x, layout, model.kernel_spans)
     with engine.scope("act1", stage_meters):
         maps = poly_activation(engine, maps, model.act1)
     with engine.scope("flatten", stage_meters):
@@ -353,7 +335,7 @@ def forward_encoded(
         hidden = _fc_from_tiles(engine, chunks, model.fc1, out_h * out_w)
     with engine.scope("act2", stage_meters):
         (activated,) = poly_activation(engine, [hidden.ct], model.act2)
-        hidden = PackedMatrix(activated, hidden.shape, Encoding.ROW_MAJOR)
+        hidden = PackedMatrix(activated, hidden.shape)
     with engine.scope("fc2", stage_meters):
         scores = _fc_from_tiles(engine, [hidden], model.fc2, model.fc1.out_width)
     return scores

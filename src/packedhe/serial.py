@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .conv import ImageShape, KernelSpan
-from .encoding import Encoding, MatrixShape, PackedMatrix
+from .encoding import MatrixShape, PackedMatrix
 from .engine import Ciphertext, EngineError, EngineParams, SlotEngine
-from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcTiles
+from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcTiles, batch_layout
 from .virtual import VirtualLayout
 
 __all__ = [
@@ -137,8 +137,18 @@ def _count(path, mapping, key: str, want: int | None = None) -> int:
     return value
 
 
-def _layout(path, mapping) -> VirtualLayout:
-    return VirtualLayout(*(_count(path, mapping, key) for key in ("m", "f", "h", "w")))
+def _layout(path, mapping, slots: int | None = None) -> VirtualLayout:
+    """The image layout recorded under mapping's m, f, h and w, which must be
+    the batch layout of ``slots`` slots (by default of its own m * f)."""
+    recorded = tuple(_count(path, mapping, key) for key in ("m", "f", "h", "w"))
+    slots = recorded[0] * recorded[1] if slots is None else slots
+    try:
+        layout = batch_layout(slots)
+    except EngineError as exc:
+        raise SerialError(f"{path}: {exc}") from exc
+    if recorded != (layout.m, layout.f, layout.h, layout.w):
+        raise SerialError(f"{path}: (m, f, h, w) is {recorded}, not {layout}, the batch layout of {slots} slots")
+    return layout
 
 
 def load_indexed_batch(engine: SlotEngine, path) -> tuple[Ciphertext, VirtualLayout, int, int]:
@@ -147,7 +157,7 @@ def load_indexed_batch(engine: SlotEngine, path) -> tuple[Ciphertext, VirtualLay
     meta = header.get("meta", {})
     if not isinstance(meta, dict) or meta.get("kind") != "image-batch":
         raise SerialError(f"{path}: not an image batch file")
-    layout = _layout(path, meta)
+    layout = _layout(path, meta, engine.slots)
     valid = _count(path, meta, "valid_rows")
     if valid > layout.m:
         raise SerialError(f"{path}: {valid} valid rows exceed {layout.m} image blocks")
@@ -194,7 +204,7 @@ def _load_fc(
             meta = header.get("meta")
             rows, cols = _count(path, meta, "rows", layout.m), _count(path, meta, "cols", layout.f)
             revolve_p = _count(path, meta, "revolve_p", block_p)
-            row.append(PackedMatrix(ct, MatrixShape(rows, cols), Encoding.REVOLVER, revolve_p=revolve_p))
+            row.append(PackedMatrix(ct, MatrixShape(rows, cols), revolve_p=revolve_p))
         tiles.append(row)
         bias_cts.append(load_ciphertext(engine, directory / f"{name}_bias_b{b}{CT_SUFFIX}")[0])
     return FcTiles(tiles, bias_cts, block_p)

@@ -4,16 +4,19 @@ Each test prints a PASS/FAIL line (run with ``pytest -s`` to see them all)
 and enforces both exact-equivalence tolerances and runtime limits.
 """
 
+import io
+import shutil
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 import pytest
 
 from packedhe.bench import SUMMATION_NOTE, format_report, measure_matmul_steps
+from packedhe.cli import main
 from packedhe.conv import ImageShape, Kernel, conv, kernel_spanner, sum_for_conv
 from packedhe.encoding import encode_row_major, sum_col_vec
-from packedhe.engine import next_pow2
+from packedhe.engine import EngineParams, SlotEngine, next_pow2
 from packedhe.matmul import matmul
 from packedhe.multicipher import (
     conv_columns,
@@ -25,16 +28,19 @@ from packedhe.multicipher import (
 )
 from packedhe.oracle import oracle_conv, oracle_forward, oracle_matmul
 from packedhe.pipeline import (
-    BatchPlan,
+    IMAGES_PER_CT,
     PIPELINE_DEPTH,
     argmax_decide,
+    batch_layout,
     encode_model,
     forward_encoded,
     pack_batch,
 )
+from packedhe.serial import load_indexed_batch
 from packedhe.virtual import VirtualLayout, batched_conv, tile_kernel_span, vrot
 
 from conftest import make_engine, rand_int_matrix
+from test_datafiles import write_idx_images
 from test_matmul import encode_pair
 from test_pipeline import random_weights
 
@@ -126,7 +132,7 @@ def test_criterion_4_batched_amortization(rng):
     with criterion(4, "batched convolution cost independent of batch size", 30):
         def run(m):
             eng = make_engine(m * 1024)
-            layout = VirtualLayout(m, 1024, 28, 28)
+            layout = batch_layout(m * 1024)
             kern = Kernel(rand_int_matrix(rng, 3, 3), bias=0.5)
             span = tile_kernel_span(eng, kern, layout)
             imgs = rng.uniform(0, 1, size=(m, 28, 28))
@@ -212,14 +218,24 @@ def test_criterion_7_end_to_end_pipeline(rng):
             assert eng.meter_snapshot().max_depth == PIPELINE_DEPTH
 
 
-def test_criterion_8_packing_arithmetic():
-    with criterion(8, "batch-plan arithmetic", 10):
-        plan = BatchPlan.for_dataset(10000, slots=32768, image_slots=1024)
-        assert plan.images_per_ct == 32
-        assert plan.batch_count == 313
-        assert plan.zero_fill == 16
-        assert next_pow2(28 * 28) == 1024
-        assert 32 * 1024 == 32768
+def test_criterion_8_packing_arithmetic(tmp_path):
+    with criterion(8, "owner-encode packs 10000 images into 313 ciphertexts", 10):
+        idx = tmp_path / "zeros.idx"
+        write_idx_images(idx, np.zeros((10000, 28, 28)))
+        out = tmp_path / "batches"
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert main(["owner-encode", "--images", str(idx), "--out-dir", str(out), "--slots", "32768"]) == 0
+        assert stdout.getvalue() == (
+            "packed 10000 images into 313 batch files (32 per ciphertext, final batch zero-filled by 16)\n"
+        )
+        paths = sorted(out.glob("*.simct"))
+        assert len(paths) == 313
+        eng = SlotEngine(EngineParams(slots=32768))
+        _, layout, valid, first = load_indexed_batch(eng, paths[-1])
+        assert layout.m == IMAGES_PER_CT == 32 and layout.f == next_pow2(28 * 28) == 1024
+        assert (valid, first) == (32 - 16, 312 * 32)
+        shutil.rmtree(out)  # 313 files of 256 KiB each
 
 
 @pytest.mark.skip(

@@ -300,6 +300,34 @@ def test_cloud_infer_rejects_batch_layout_mismatch(workspace, capsys):
     assert victim.name in err and "layout" in err
 
 
+def test_cloud_infer_rejects_a_model_and_batches_that_agree_on_another_image_size(workspace, capsys):
+    """A 2048-slot model manifest and batch files that all record 30x30
+    images agree with each other, but not with the batch layout the
+    pipeline runs: cloud-infer fails on the first file it loads."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model, out = tmp / "b30", tmp / "m30", tmp / "p30.jsonl"
+    slots = ["--slots", "2048"]
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "4"] + slots) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + slots) == 0
+    manifest = json.loads((model / "manifest.json").read_text())
+    manifest["layout"].update(h=30, w=30)
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    start = len(MAGIC) + 4
+    for batch in sorted(batches.glob("*.simct")):
+        data = batch.read_bytes()
+        (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+        header = json.loads(data[start : start + hlen])
+        header["meta"].update(h=30, w=30)
+        blob = json.dumps(header).encode()
+        batch.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + data[start + hlen :])
+    capsys.readouterr()
+    assert main(["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {model / 'manifest.json'}: 'layout': ")
+    assert "(m, f, h, w) is (2, 1024, 30, 30)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cloud_infer_takes_slots_from_the_model(workspace, capsys):
     """cloud-infer sizes its engine from the model manifest, so a 16384-slot
     run needs no flag; a batch with another slot count is rejected by name."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from packedhe.encoding import Encoding, PackedMatrix, encode_revolver, encode_row_major, sum_col_vec
+from packedhe.encoding import PackedMatrix, encode_revolver, encode_row_major, sum_col_vec
 from packedhe.engine import CapacityError, EngineError
 
 from conftest import make_engine, rand_int_matrix
@@ -9,7 +9,7 @@ from conftest import make_engine, rand_int_matrix
 
 def shifted(eng, pm, l):
     """The matrix held by ``pm`` after its ciphertext is rotated left by l."""
-    return PackedMatrix(eng.rot(pm.ct, l), pm.shape, pm.encoding).decode(eng)
+    return PackedMatrix(eng.rot(pm.ct, l), pm.shape, pm.revolve_p).decode(eng)
 
 
 # Volley Revolver's database encoding is the row-major pack.
@@ -19,7 +19,7 @@ def test_encode_db_row_major_stream():
     eng = make_engine(8)
     pm = encode_row_major(eng, [[1, 2], [3, 4]])
     np.testing.assert_array_equal(eng.dec(pm.ct), [1, 2, 3, 4, 0, 0, 0, 0])
-    assert pm.encoding is Encoding.ROW_MAJOR
+    assert pm.revolve_p is None  # row-major
 
 
 def test_encode_db_vector_row():
@@ -60,7 +60,7 @@ def test_revolver_rows_are_cycled_columns():
     b = np.array([[1, 2], [3, 4], [5, 6], [7, 8]], dtype=float)
     pm = encode_revolver(eng, b, target_m=2)
     np.testing.assert_array_equal(pm.decode(eng), [[1, 3, 5, 7], [2, 4, 6, 8]])
-    assert pm.revolve_p == 2 and pm.encoding is Encoding.REVOLVER
+    assert pm.revolve_p == 2  # revolver
 
 
 def test_revolver_single_column_tiles_everywhere(rng):

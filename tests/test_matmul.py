@@ -180,6 +180,16 @@ def test_matmul_requires_matching_width(rng):
         matmul(eng, ca, cb)
 
 
+def test_matmul_checks_operand_roles(rng):
+    """An operand is revolver encoded exactly when it records revolve_p."""
+    eng = make_engine(64)
+    ca, cb = encode_pair(eng, rand_int_matrix(rng, 4, 4), rand_int_matrix(rng, 4, 4))
+    with pytest.raises(LayoutError, match="left operand must be row-major encoded"):
+        matmul(eng, cb, cb)
+    with pytest.raises(LayoutError, match="right operand must be revolver encoded"):
+        matmul(eng, ca, ca)
+
+
 def test_matmul_rejects_width_smaller_than_p(rng):
     eng = make_engine(64)
     with pytest.raises(LayoutError):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from packedhe.conv import Kernel
-from packedhe.encoding import Encoding, MatrixShape, PackedMatrix, encode_row_major
+from packedhe.encoding import MatrixShape, PackedMatrix, encode_row_major
 from packedhe.engine import EngineError, LayoutError, OpMeter, SlotEngine, next_pow2
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
 from packedhe.pipeline import (
-    BatchPlan,
     FC1_IN,
     FC1_OUT,
     FC2_OUT,
@@ -25,14 +24,14 @@ from packedhe.pipeline import (
     _encode_fc_tiles,
     _fc_from_tiles,
     argmax_decide,
-    conv_layer,
+    batch_layout,
     encode_model,
     flatten_maps,
     forward_encoded,
     pack_batch,
     poly_activation,
 )
-from packedhe.virtual import VirtualLayout, tile_kernel_span
+from packedhe.virtual import VirtualLayout, batched_conv_layer, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
 from test_matmul_chunked import formula_giant, formula_group, grouped_counts
@@ -112,17 +111,16 @@ def test_poly_activation_meter_and_depth(rng):
         np.testing.assert_allclose(eng.dec(out), oracle_poly(eng.dec(ct), ACT1), rtol=1e-12, atol=1e-12)
 
 
-def test_batch_plan_mnist_figures():
-    plan = BatchPlan.for_dataset(10000)
-    assert plan.images_per_ct == 32
-    assert plan.batch_count == 313
-    assert plan.zero_fill == 16
-    assert plan.images_per_ct * plan.image_slots == 32768
+@pytest.mark.parametrize("slots", [1024, 2048, 16384, 32768])
+def test_batch_layout_fills_the_ciphertext_with_image_blocks(slots):
+    layout = batch_layout(slots)
+    assert (layout.m, layout.f, layout.h, layout.w) == (slots // 1024, 1024, 28, 28)
 
 
-def test_batch_plan_validation():
-    with pytest.raises(EngineError):
-        BatchPlan.for_dataset(10, slots=100, image_slots=32)
+@pytest.mark.parametrize("slots", [512, 2, 1])
+def test_batch_layout_rejects_fewer_slots_than_an_image_block(slots):
+    with pytest.raises(EngineError, match=f"^{slots} slots cannot hold a 1024-slot image block$"):
+        batch_layout(slots)
 
 
 def test_pack_batch_layout(rng):
@@ -144,8 +142,7 @@ def test_conv_layer_constant_bias_blocks(rng):
     lay = VirtualLayout(4, 128, 8, 8)
     spans = [tile_kernel_span(eng, Kernel(np.zeros((3, 3)), bias=b), lay) for b in (1.0, -2.0)]
     ct = pack_batch(eng, rng.uniform(0, 1, size=(4, 8, 8)), lay)
-    outs, _, (oh, ow) = conv_layer(eng, ct, lay, spans)
-    assert (oh, ow) == (6, 6)
+    outs = batched_conv_layer(eng, ct, lay, spans)
     for out, bias in zip(outs, (1.0, -2.0)):
         grid = eng.dec(out).reshape(4, 128)[:, :64].reshape(4, 8, 8)
         np.testing.assert_array_equal(grid[:, :6, :6], np.full((4, 6, 6), bias))
@@ -156,7 +153,7 @@ def test_conv_layer_oracle_per_image(rng):
     lay = VirtualLayout(4, 128, 8, 8)
     kern = Kernel(rand_int_matrix(rng, 3, 3), bias=0.25)
     imgs = rng.integers(0, 4, size=(4, 8, 8)).astype(float)
-    outs, _, _ = conv_layer(eng, pack_batch(eng, imgs, lay), lay, [tile_kernel_span(eng, kern, lay)])
+    outs = batched_conv_layer(eng, pack_batch(eng, imgs, lay), lay, [tile_kernel_span(eng, kern, lay)])
     grid = eng.dec(outs[0]).reshape(4, 128)
     for b in range(4):
         block = grid[b, :64].reshape(8, 8)[:6, :6]
@@ -227,7 +224,7 @@ def test_fc_layer_chunked_input(rng):
     for part, width in ((left, 5), (right, 3)):
         grid = np.zeros((4, 8))
         grid[:, :width] = part
-        chunks.append(PackedMatrix(eng.enc(grid.reshape(-1)), MatrixShape(4, 8), Encoding.ROW_MAJOR))
+        chunks.append(PackedMatrix(eng.enc(grid.reshape(-1)), MatrixShape(4, 8)))
     w = rng.uniform(-1, 1, size=(4, 8))
     b = rng.uniform(-1, 1, size=4)
     out = fc_apply(eng, chunks, [5, 3], w, b).decode(eng)
@@ -291,6 +288,24 @@ def test_forward_zero_images_matches_oracle_constants(rng):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
 
+def test_pack_batch_and_encode_model_take_the_engine_layout(rng):
+    """With no layout given, both sides of a 2048-slot batch use
+    ``batch_layout(2048)``: two images per ciphertext."""
+    eng = make_engine(2048)
+    weights = random_weights(rng)
+    imgs = rng.uniform(0, 1, size=(2, IMAGE_SIDE, IMAGE_SIDE))
+    ct = pack_batch(eng, imgs)
+    grid = eng.dec(ct).reshape(2, 1024)
+    np.testing.assert_array_equal(grid[:, :784], imgs.reshape(2, 784))
+    assert not grid[:, 784:].any()
+    model = encode_model(eng, weights)
+    assert model.layout == batch_layout(2048)
+    scores = forward_encoded(eng, ct, model)
+    want = oracle_forward(weights, imgs)
+    np.testing.assert_allclose(scores.decode(eng)[:, :FC2_OUT], want, rtol=0.0, atol=1e-6)
+    np.testing.assert_array_equal(argmax_decide(eng, scores), np.argmax(want, axis=1))
+
+
 def test_forward_random_batch_oracle_agreement(rng):
     eng = make_engine(32768)
     weights = random_weights(rng)
@@ -348,11 +363,11 @@ def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
     their cost formula (fc1 has 64 blocks of width 1 at 1024 slots), and no
     more rotation keys than the block-separated FC layout (``parent_keys``)
     or the ungrouped FC row sum needed."""
-    layout = VirtualLayout(slots // IMAGE_SLOTS, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
+    layout = batch_layout(slots)
     eng = make_engine(slots)
     weights = random_weights(rng)
     imgs = rng.uniform(0, 1, size=(layout.m, IMAGE_SIDE, IMAGE_SIDE))
-    model = encode_model(eng, weights, layout)
+    model = encode_model(eng, weights)
     stage_meters = {}
     scores = forward_encoded(eng, pack_batch(eng, imgs, layout), model, stage_meters=stage_meters)
     want = oracle_forward(weights, imgs)
@@ -372,9 +387,9 @@ def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
 def test_fc_stages_make_no_rotation_by_zero(rng, slots):
     """Where the FC row cycle takes giant steps, no FC rotation is by an
     offset of 0 mod slots: the plain cycle's last shift, by n*p, was one."""
-    layout = VirtualLayout(slots // IMAGE_SLOTS, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
+    layout = batch_layout(slots)
     eng = make_engine(slots)
-    model = encode_model(eng, random_weights(rng), layout)
+    model = encode_model(eng, random_weights(rng))
     stage_meters = {}
     forward_encoded(eng, pack_batch(eng, np.zeros((layout.m, IMAGE_SIDE, IMAGE_SIDE)), layout), model, stage_meters)
     for name in ("fc1", "fc2"):
@@ -423,11 +438,11 @@ SCORE_SHA256 = {
 @pytest.mark.parametrize("slots", sorted(SCORE_SHA256, reverse=True))
 def test_forward_scores_keep_their_bits(slots):
     rng = np.random.default_rng(17)
-    layout = VirtualLayout(slots // IMAGE_SLOTS, IMAGE_SLOTS, IMAGE_SIDE, IMAGE_SIDE)
+    layout = batch_layout(slots)
     weights = random_weights(rng)
     imgs = rng.uniform(0, 1, size=(layout.m, IMAGE_SIDE, IMAGE_SIDE))
     eng = make_engine(slots)
-    scores = forward_encoded(eng, pack_batch(eng, imgs, layout), encode_model(eng, weights, layout))
+    scores = forward_encoded(eng, pack_batch(eng, imgs, layout), encode_model(eng, weights))
     assert hashlib.sha256(eng.dec(scores.ct).tobytes()).hexdigest() == SCORE_SHA256[slots]
 
 
@@ -445,7 +460,7 @@ def test_argmax_rules():
     eng = make_engine(32)
     grid = np.zeros((2, 16))
     grid[0, 9] = 1.0  # scores [0,...,0,1] -> label 9
-    pm = PackedMatrix(eng.enc(grid.reshape(-1)), MatrixShape(2, 16), Encoding.ROW_MAJOR)
+    pm = PackedMatrix(eng.enc(grid.reshape(-1)), MatrixShape(2, 16))
     labels = argmax_decide(eng, pm)
     assert labels[0] == 9
     assert labels[1] == 0  # all-equal scores tie-break to the lowest index

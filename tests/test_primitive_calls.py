@@ -14,8 +14,7 @@ import pytest
 from packedhe.conv import ImageShape, Kernel, conv, kernel_spanner
 from packedhe.engine import SlotEngine
 from packedhe.multicipher import conv_columns, encode_image_columns, encode_left, encode_right, matmul_outer
-from packedhe.pipeline import MNIST_LAYOUT, encode_model, forward_encoded, pack_batch
-from packedhe.virtual import VirtualLayout
+from packedhe.pipeline import batch_layout, encode_model, forward_encoded, pack_batch
 
 from conftest import make_engine, rand_int_matrix
 from test_pipeline import random_weights
@@ -58,18 +57,16 @@ def metered(eng) -> Counter:
     return Counter(add=m.add_count, mul=m.mul_count, cmul=m.cmul_count, rot=m.rot_count)
 
 
-@pytest.mark.parametrize(
-    "layout", [MNIST_LAYOUT, VirtualLayout(1, 1024, 28, 28)], ids=["32768-slots", "1024-slots"]
-)
-def test_forward_pass_calls_equal_meter(rng, calls, layout):
-    eng = make_engine(layout.m * layout.f)
-    model = encode_model(eng, random_weights(rng), layout)
-    ct = pack_batch(eng, rng.uniform(0, 1, size=(layout.m, 28, 28)), layout)
+@pytest.mark.parametrize("slots", [32768, 1024], ids=["32768-slots", "1024-slots"])
+def test_forward_pass_calls_equal_meter(rng, calls, slots):
+    eng = make_engine(slots)
+    model = encode_model(eng, random_weights(rng))
+    ct = pack_batch(eng, rng.uniform(0, 1, size=(batch_layout(slots).m, 28, 28)))
     stage_meters = {}
     forward_encoded(eng, ct, model, stage_meters=stage_meters)
     assert calls == metered(eng)
     assert sum(calls.values()) > 0
-    if layout == MNIST_LAYOUT:
+    if slots == 32768:
         got = {k: (v.add_count, v.mul_count, v.cmul_count, v.rot_count) for k, v in stage_meters.items()}
         assert got == MNIST_STAGE_COUNTS
         assert {k: len(v.rot_offsets) for k, v in stage_meters.items()} == MNIST_STAGE_KEYS

@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
-from packedhe.pipeline import encode_model, forward_encoded, pack_batch
+from packedhe.pipeline import batch_layout, encode_model, forward_encoded, pack_batch
 from packedhe.serial import (
     SerialError,
     load_batch,
     load_ciphertext,
     load_indexed_batch,
     load_model,
+    model_params,
     read_ciphertext,
     write_batch,
     write_ciphertext,
@@ -60,28 +63,49 @@ def test_slot_count_mismatch(tmp_path, rng):
 
 
 def test_batch_round_trip(tmp_path, rng):
-    eng = make_engine(64)
-    lay = VirtualLayout(4, 16, 3, 4)
-    ct = pack_batch(eng, rng.uniform(0, 1, size=(3, 3, 4)), lay)
+    eng = make_engine(1024)
+    lay = batch_layout(1024)
+    ct = pack_batch(eng, rng.uniform(0, 1, size=(1, 28, 28)))
     path = tmp_path / "batch.simct"
-    write_batch(path, ct, lay, valid_rows=3, first_index=96)
+    write_batch(path, ct, lay, valid_rows=1, first_index=96)
     ct2, lay2, valid = load_batch(eng, path)
-    assert lay2 == lay and valid == 3
+    assert lay2 == lay and valid == 1
     np.testing.assert_array_equal(eng.dec(ct2), eng.dec(ct))
-    assert load_indexed_batch(eng, path)[1:] == (lay, 3, 96)
+    assert load_indexed_batch(eng, path)[1:] == (lay, 1, 96)
+
+
+def batch_meta(layout, **fields) -> dict:
+    return {"kind": "image-batch", "valid_rows": 1, "first_index": 0, **vars(layout), **fields}
 
 
 @pytest.mark.parametrize("first_index", [None, -1, 2.0, "0", True])
 def test_batch_rejects_bad_first_index(tmp_path, first_index):
-    eng = make_engine(64)
-    lay = VirtualLayout(4, 16, 3, 4)
-    meta = {"kind": "image-batch", "valid_rows": 3, "m": 4, "f": 16, "h": 3, "w": 4}
+    eng = make_engine(1024)
+    meta = batch_meta(batch_layout(1024))
+    del meta["first_index"]
     if first_index is not None:
         meta["first_index"] = first_index
     path = tmp_path / "batch.simct"
-    write_ciphertext(path, pack_batch(eng, np.zeros((3, 3, 4)), lay), meta=meta)
+    write_ciphertext(path, pack_batch(eng, np.zeros((1, 28, 28))), meta=meta)
     with pytest.raises(SerialError, match="first_index"):
         load_batch(eng, path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"h": 30, "w": 30}, {"h": 27}, {"m": 2, "f": 512}, {"m": 1, "f": 2048}],
+    ids=["30x30", "27x28", "stride-512", "half-filled"],
+)
+def test_batch_must_record_the_batch_layout(tmp_path, fields):
+    """A batch whose recorded layout is not ``batch_layout`` of its slot
+    count fails at load, naming the file and both layouts."""
+    eng = make_engine(2048)
+    path = tmp_path / "batch.simct"
+    write_ciphertext(path, pack_batch(eng, np.zeros((2, 28, 28))), meta=batch_meta(batch_layout(2048), **fields))
+    with pytest.raises(SerialError) as caught:
+        load_indexed_batch(eng, path)
+    msg = str(caught.value)
+    assert msg.startswith(f"{path}: (m, f, h, w) is ") and repr(batch_layout(2048)) in msg
 
 
 def test_model_round_trip_and_count(tmp_path, rng):
@@ -100,6 +124,23 @@ def test_model_round_trip_and_count(tmp_path, rng):
     s1 = forward_encoded(eng, ct1, model).decode(eng)
     s2 = forward_encoded(eng2, ct2, loaded).decode(eng2)
     np.testing.assert_array_equal(s1, s2)
+
+
+@pytest.mark.parametrize(
+    "fields", [{"h": 30, "w": 30}, {"m": 1, "f": 2048}, {"m": 1, "f": 512}], ids=["30x30", "stride-2048", "512-slots"]
+)
+def test_model_must_record_the_batch_layout(tmp_path, rng, fields):
+    """A model manifest whose layout is not ``batch_layout`` of its m * f
+    slots fails in ``model_params`` and ``load_model``, naming the manifest."""
+    eng = make_engine(2048)
+    write_model(tmp_path, encode_model(eng, random_weights(rng)))
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["layout"].update(fields)
+    manifest_path.write_text(json.dumps(manifest))
+    for load in (model_params, lambda d: load_model(eng, d)):
+        with pytest.raises(SerialError, match=f"^{manifest_path}: 'layout': "):
+            load(tmp_path)
 
 
 def test_model_missing_manifest(tmp_path):
