@@ -11,7 +11,9 @@ fixed weights-directory CSV schema:
     fc2_bias.csv                 10 values
     act1.csv, act2.csv           4 coefficients, constant term first
 
-All CSVs are row-major plain decimal and every entry must be finite.
+All CSVs are row-major plain decimal and every entry must be finite.  A
+matrix must have exactly its rows and columns (a transposed or reflowed
+file is rejected, not reshaped); a vector may be one row or one column.
 Pixels are scaled to [0, 1].
 """
 
@@ -117,9 +119,16 @@ def _load_csv(directory: Path, name: str, shape: tuple) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise ValueError(f"{path}: non-finite value {arr.flat[bad[0]]} at entry {bad[0]}")
-    if arr.size != int(np.prod(shape)):
-        raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")
-    return arr.reshape(shape)
+    if len(shape) == 1:
+        # a vector may be written as one row or as one column
+        if arr.shape not in ((1, shape[0]), (shape[0], 1)):
+            raise ValueError(
+                f"{path}: expected {shape[0]} values in one row or one column, got shape {arr.shape}"
+            )
+        return arr.reshape(shape)
+    if arr.shape != shape:
+        raise ValueError(f"{path}: expected shape {shape}, got shape {arr.shape}")
+    return arr
 
 
 def load_weights_csv(directory) -> ModelWeights:

@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 
+_new = object.__new__
+_MIXED_SLOTS = "operands come from engines with different slot counts"
+
+
 class EngineError(ValueError):
     """Malformed engine input: incompatible operands or bad parameters."""
 
@@ -123,7 +127,7 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     Only arrays the engine allocated itself pass through here, so no
     caller or operand can reach them and no copy is needed.
     """
-    values.flags.writeable = False
+    values.setflags(write=False)
     return values
 
 
@@ -147,7 +151,8 @@ class Ciphertext:
 
     The stored vector holds logical slot j at index ``(j + offset) % n``;
     ``offset`` is the left rotation still pending from :meth:`SlotEngine.rot`,
-    and ``Ciphertext(vec, depth=...)`` builds one with offset 0.
+    and ``Ciphertext(vec, depth=...)`` builds one with offset 0 over ``vec``
+    as float64 (converted if it has another dtype).
     ``slots`` is the logical (rotated) vector, read-only and built at most
     once per ciphertext; it never shares memory with another ciphertext's
     ``slots``.  A ciphertext carries no layout: what its slots mean is
@@ -160,6 +165,7 @@ class Ciphertext:
     __slots__ = ("_vec", "_offset", "_depth", "_view")
 
     def __init__(self, slots: np.ndarray, depth: int = 0):
+        slots = np.asarray(slots, dtype=np.float64)  # the primitives combine float64 vectors
         self._vec = slots
         self._offset = 0
         self._depth = depth
@@ -170,8 +176,8 @@ class Ciphertext:
         """A ciphertext over ``vec`` with a pending ``offset``.  ``owned``
         says ``vec`` is a fresh engine result no other ciphertext stores, so
         at offset 0 it can serve as ``slots`` itself."""
-        ct = cls(vec, depth)
-        ct._offset = offset
+        ct = _new(cls)
+        ct._vec, ct._offset, ct._depth = vec, offset, depth
         ct._view = vec if owned and offset == 0 else None
         return ct
 
@@ -192,20 +198,25 @@ class Ciphertext:
         return f"Ciphertext(slots={self.slots!r}, depth={self._depth})"
 
 
-def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int, out: np.ndarray | None) -> np.ndarray:
     """``out[i] = ufunc(x[i], y[(i + d) % n])``: a fresh read-only vector,
     or written into an accumulator's ``out`` (which may be ``x``, never
-    ``y``)."""
-    fresh = out is None
-    if fresh:
-        out = np.empty(x.size, dtype=np.float64)
-    if d == 0:
+    ``y``).  A fresh result with ``d != 0`` is ``y`` rotated into a new
+    vector and combined with ``x`` in place, one copy and one ufunc."""
+    if out is None:
+        if d == 0:
+            out = ufunc(x, y)
+        else:
+            out = np.concatenate((y[d:], y[:d]))
+            ufunc(x, out, out=out)
+        out.setflags(write=False)
+    elif d == 0:
         ufunc(x, y, out=out)
     else:
         n = x.size
         ufunc(x[: n - d], y[d:], out=out[: n - d])
         ufunc(x[n - d :], y[:d], out=out[n - d :])
-    return _frozen(out) if fresh else out
+    return out
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -340,16 +351,22 @@ class Accumulator:
             self._sum = self._engine.add(self._sum, term, _out=self._running())
 
     def result(self) -> Ciphertext:
-        """The sum as a read-only ciphertext that shares no vector with
-        ``init`` or an operand (a lone term is copied); closes the
-        accumulator."""
+        """The sum as a read-only ciphertext; closes the accumulator.
+
+        A computed sum is returned over the accumulator's own vector.  A
+        lone term (``init`` or one added ciphertext, never combined) is not
+        copied: the result shares its stored vector, which no primitive
+        writes, and builds its own ``slots`` on demand, so ``slots`` shares
+        no memory with ``init``'s or an operand's."""
         self._live()
         total = self._sum
         if total is None:
             raise EngineError("accumulator has no terms")
-        vec = total._vec if total._vec is self._vec else total._vec.copy()
+        owned = total._vec is self._vec
+        if owned:
+            _frozen(self._vec)
         self._engine = self._sum = self._vec = self._scratch = None
-        return Ciphertext._stored(_frozen(vec), total._offset, total._depth, owned=True)
+        return Ciphertext._stored(total._vec, total._offset, total._depth, owned)
 
 
 class SlotEngine:
@@ -372,26 +389,21 @@ class SlotEngine:
         # the engine's offset set, then one per open scope, innermost last
         self._key_sets: list = [self.rot_offsets]
 
-    def _observe(self, depth: int) -> None:
-        if depth > self._meter.max_depth:
-            self._meter.max_depth = depth
-
     def _check_slots(self, ct: Ciphertext) -> None:
         if ct._vec.size != self.slots:
-            raise EngineError("operands come from engines with different slot counts")
-
-    def _check_pair(self, a: Ciphertext, b: Ciphertext) -> None:
-        if a._vec.shape != b._vec.shape or a._vec.size != self.slots:
-            raise EngineError("operands come from engines with different slot counts")
+            raise EngineError(_MIXED_SLOTS)
 
     # -- primitive API -------------------------------------------------
+    #
+    # add/mul/cmul/rot are the hot path: each checks, meters, observes the
+    # depth and builds its result inline (``_new`` plus slot assignment);
+    # the only call add/mul/cmul make is ``_combine`` for the numpy work.
 
     def enc(self, values) -> Ciphertext:
         """Pack ``values`` into the leading slots (zeros elsewhere) at depth 0;
         the caller's operand record, not the ciphertext, says what they mean."""
         full = _padded(values, self.slots, "payload")
         self._meter.enc_count += 1
-        self._observe(0)
         return Ciphertext(full, depth=0)
 
     def dec(self, ct: Ciphertext) -> np.ndarray:
@@ -402,34 +414,61 @@ class SlotEngine:
     # that vector, which the accumulator owns and keeps writable.
 
     def add(self, a: Ciphertext, b: Ciphertext, _out: np.ndarray | None = None) -> Ciphertext:
-        self._check_pair(a, b)
-        depth = max(a._depth, b._depth)
-        self._meter.add_count += 1
-        self._observe(depth)
-        vec = _combine(np.add, a._vec, b._vec, (b._offset - a._offset) % self.slots, _out)
-        return Ciphertext._stored(vec, a._offset, depth, owned=_out is None)
+        x, y, n = a._vec, b._vec, self.slots
+        if x.shape != y.shape or x.size != n:
+            raise EngineError(_MIXED_SLOTS)
+        depth, db = a._depth, b._depth
+        if db > depth:
+            depth = db
+        meter = self._meter
+        meter.add_count += 1
+        if depth > meter.max_depth:
+            meter.max_depth = depth
+        k = a._offset
+        res = _new(Ciphertext)
+        res._vec = vec = _combine(np.add, x, y, (b._offset - k) % n, _out)
+        res._offset, res._depth = k, depth
+        res._view = vec if k == 0 and _out is None else None
+        return res
 
     def mul(self, a: Ciphertext, b: Ciphertext, _out: np.ndarray | None = None) -> Ciphertext:
-        self._check_pair(a, b)
-        depth = max(a._depth, b._depth) + 1
-        self._meter.mul_count += 1
-        self._observe(depth)
-        vec = _combine(np.multiply, a._vec, b._vec, (b._offset - a._offset) % self.slots, _out)
-        return Ciphertext._stored(vec, a._offset, depth, owned=_out is None)
+        x, y, n = a._vec, b._vec, self.slots
+        if x.shape != y.shape or x.size != n:
+            raise EngineError(_MIXED_SLOTS)
+        depth, db = a._depth, b._depth
+        if db > depth:
+            depth = db
+        depth += 1
+        meter = self._meter
+        meter.mul_count += 1
+        if depth > meter.max_depth:
+            meter.max_depth = depth
+        k = a._offset
+        res = _new(Ciphertext)
+        res._vec = vec = _combine(np.multiply, x, y, (b._offset - k) % n, _out)
+        res._offset, res._depth = k, depth
+        res._view = vec if k == 0 and _out is None else None
+        return res
 
     def cmul(self, mask: PlainMask, ct: Ciphertext, _out: np.ndarray | None = None) -> Ciphertext:
-        if mask.values.size != self.slots:
-            raise EngineError(
-                f"mask length {mask.values.size} != slot count {self.slots}"
-            )
-        self._check_slots(ct)
+        y, x, n = mask.values, ct._vec, self.slots
+        if y.size != n:
+            raise EngineError(f"mask length {y.size} != slot count {n}")
+        if x.size != n:
+            raise EngineError(_MIXED_SLOTS)
         depth = ct._depth + 1  # constant-scale consumption
-        self._meter.cmul_count += 1
-        self._observe(depth)
+        meter = self._meter
+        meter.cmul_count += 1
+        if depth > meter.max_depth:
+            meter.max_depth = depth
+        k = ct._offset
+        res = _new(Ciphertext)
         # in ct's stored frame the mask is read -offset slots along; IEEE
         # multiplication commutes, so ct * mask equals mask * ct bitwise
-        vec = _combine(np.multiply, ct._vec, mask.values, -ct._offset % self.slots, _out)
-        return Ciphertext._stored(vec, ct._offset, depth, owned=_out is None)
+        res._vec = vec = _combine(np.multiply, x, y, -k % n, _out)
+        res._offset, res._depth = k, depth
+        res._view = vec if k == 0 and _out is None else None
+        return res
 
     def rot(self, ct: Ciphertext, l: int) -> Ciphertext:
         """Cyclic left rotation by ``l`` slots; negative ``l`` rotates right.
@@ -437,14 +476,20 @@ class SlotEngine:
         Metered and keyed here; the result shares ``ct``'s stored vector
         and only advances the pending offset.
         """
-        self._check_slots(ct)
-        self._meter.rot_count += 1
-        self._observe(ct._depth)
-        n = self.slots
+        vec, n = ct._vec, self.slots
+        if vec.size != n:
+            raise EngineError(_MIXED_SLOTS)
+        depth = ct._depth
+        meter = self._meter
+        meter.rot_count += 1
+        if depth > meter.max_depth:
+            meter.max_depth = depth
         l %= n
         for keys in self._key_sets:
             keys.add(l)
-        return Ciphertext._stored(ct._vec, (ct._offset + l) % n, ct._depth, owned=False)
+        res = _new(Ciphertext)
+        res._vec, res._offset, res._depth, res._view = vec, (ct._offset + l) % n, depth, None
+        return res
 
     def meter_snapshot(self) -> OpMeter:
         """Current counters, as an independent copy."""

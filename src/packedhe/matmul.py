@@ -81,10 +81,11 @@ class MatmulPlan:
         return cls(m=m, n=n, p=p, layout_m=layout_m, fast_path=_cycle_closes(engine, layout_m, n, p))
 
 
-def _row_band_mask(engine: SlotEngine, rows: int, n: int, r0: int, r1: int) -> PlainMask:
-    keep = np.zeros((rows, n), dtype=bool)
-    keep[r0:r1, :] = True
-    return engine.mask(keep.reshape(-1), role="filter")
+def _row_band_mask(engine: SlotEngine, n: int, r0: int, r1: int) -> PlainMask:
+    """0/1 filter keeping rows r0..r1-1 of a layout n wide: one slot range."""
+    keep = np.zeros(engine.slots, dtype=bool)
+    keep[r0 * n : r1 * n] = True
+    return engine.mask(keep, role="filter")
 
 
 def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> PackedMatrix:
@@ -95,7 +96,8 @@ def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> Pac
     the cycle closes, see MatmulPlan).  General path: one left rotation
     brings rows shift..m-1 into place, one right rotation by (p-shift)
     rows refills the freed bottom rows with the columns that wrapped
-    around, each side isolated by a 0/1 row-band filter.
+    around, each side isolated by a 0/1 row-band filter (a contiguous
+    slot range, filled directly).
     """
     if bbar.revolve_p is None:
         raise LayoutError("row_shifter needs a revolver-encoded operand")
@@ -111,15 +113,27 @@ def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> Pac
         out = engine.rot(bbar.ct, n * shift)
     else:
         top = engine.cmul(
-            _row_band_mask(engine, rows, n, 0, rows - shift),
+            _row_band_mask(engine, n, 0, rows - shift),
             engine.rot(bbar.ct, n * shift),
         )
         bottom = engine.cmul(
-            _row_band_mask(engine, rows, n, rows - shift, rows),
+            _row_band_mask(engine, n, rows - shift, rows),
             engine.rot(bbar.ct, n * (shift - p)),
         )
         out = engine.add(top, bottom)
     return PackedMatrix(out, bbar.shape, bbar.revolve_p)
+
+
+def _result_patterns(
+    slots: int, m: int, n: int, p: int, starts: np.ndarray, blocks: int = 1, group: int = 1
+) -> np.ndarray:
+    """The boolean slot patterns of the result filters for idx = ``starts[s]``,
+    one row each, built in one numpy pass (see :func:`build_result_filter`)."""
+    rows = np.arange(m)[:, None, None]
+    groups = (rows + starts[:, None, None, None] + np.arange(group)[:, None]) % p
+    keep = np.zeros((starts.size, slots), dtype=bool)
+    keep[np.arange(starts.size)[:, None, None, None], rows * n + blocks * groups + np.arange(blocks)] = True
+    return keep
 
 
 def build_result_filter(
@@ -139,11 +153,8 @@ def build_result_filter(
         raise LayoutError(f"{blocks} blocks of {p} columns do not fit rows {n} wide")
     if not 1 <= group <= p:
         raise EngineError(f"group must be in [1, {p}], got {group}")
-    rows = np.arange(m)[:, None, None]
-    groups = (rows + idx + np.arange(group)[:, None]) % p
-    keep = np.zeros((m, n), dtype=bool)
-    keep[rows, blocks * groups + np.arange(blocks)] = True
-    return engine.mask(keep.reshape(-1), role="filter")
+    (keep,) = _result_patterns(engine.slots, m, n, p, np.array([idx]), blocks, group)
+    return engine.mask(keep, role="filter")
 
 
 @dataclass(frozen=True)
@@ -425,12 +436,15 @@ def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> Pac
     The paper's p-iteration loop: C = sum over idx < p of
     F_idx (*) S(A (*) R_idx(B)), where R_idx cycles the revolver layout up
     by idx + 1 rows (:func:`row_shifter`), S replaces each row by its sum
-    (:func:`sum_col_vec`, 2*log2(n) rotations, with one column-0 filter
-    built for every iteration) and F_idx keeps, in row i, column
-    (i + idx + 1) mod p (:func:`build_result_filter`).  Each iteration
-    costs one row cycle, one multiply, the row sum, one filter and one
-    add, charged to the ``matmul.row_cycle``, ``matmul.row_sum``,
-    ``matmul.result_filter`` and ``matmul.accumulate`` scopes.
+    (:func:`sum_col_vec`, 2*log2(n) rotations, with one column-0 filter,
+    built once, for every iteration) and F_idx keeps, in row i, column
+    (i + idx + 1) mod p (the filter of :func:`build_result_filter`).  The
+    0/1 patterns of all p result filters are built once per call, in one
+    numpy pass before the loop; iteration idx makes its pattern a mask
+    through :meth:`SlotEngine.mask`.  Each iteration costs one row cycle,
+    one multiply, the row sum, one filter and one add, charged to the
+    ``matmul.row_cycle``, ``matmul.row_sum``, ``matmul.result_filter`` and
+    ``matmul.accumulate`` scopes.
 
     Args:
         ct_a: m x n row-major left operand.
@@ -446,6 +460,7 @@ def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> Pac
     p, n, rows = plan.p, plan.n, plan.layout_m
     work_shape = MatrixShape(rows, n)
     col0 = column0_filter(engine, rows, n)
+    filters = _result_patterns(engine.slots, rows, n, p, np.arange(1, p + 1) % p)
     acc = engine.accumulator(engine.enc([]))
     for idx in range(p):
         with engine.scope("matmul.row_cycle"):
@@ -453,7 +468,7 @@ def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> Pac
         with engine.scope("matmul.row_sum"):
             summed = sum_col_vec(engine, PackedMatrix(prod, work_shape), col0).ct
         with engine.scope("matmul.result_filter"):
-            kept = engine.cmul(build_result_filter(engine, rows, n, p, (idx + 1) % p), summed)
+            kept = engine.cmul(engine.mask(filters[idx], role="filter"), summed)
         with engine.scope("matmul.accumulate"):
             acc.add(kept)
     return PackedMatrix(acc.result(), work_shape)

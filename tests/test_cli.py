@@ -426,6 +426,22 @@ def test_non_finite_weights_rejected(workspace, capsys, value):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("name", ["fc1_weight.csv", "fc2_weight.csv", "conv_k0.csv"])
+def test_reflowed_weight_file_rejected(workspace, capsys, name):
+    """A weight file with the right number of values in the wrong shape (a
+    transposed matrix, a kernel on one row) is a bad input naming the file,
+    not weights scrambled by a reshape."""
+    tmp, idx, weights_dir, _, _ = workspace
+    values = np.loadtxt(weights_dir / name, delimiter=",", ndmin=2)
+    reflowed = values.reshape(1, -1) if name == "conv_k0.csv" else values.T
+    np.savetxt(weights_dir / name, reflowed, delimiter=",")
+    argv = ["verify", "--images", str(idx), "--weights-dir", str(weights_dir), "--slots", "2048", "--limit", "4"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{name}: expected shape" in err and f"got shape {reflowed.shape}" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_bench_report(tmp_path, capsys):
     report = tmp_path / "bench.txt"
     assert main(["bench", "--matmul-grid", "4,4,2;3,4,2", "--conv-grid", "4,4,2", "--report", str(report)]) == 0

@@ -104,3 +104,28 @@ def test_weights_csv_dimension_mismatch(tmp_path, rng):
     (tmp_path / "fc2_weight.csv").write_text("1,2\n3,4\n")
     with pytest.raises(ValueError):
         load_weights_csv(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("fc1_weight.csv", (2704, 64)), ("fc2_weight.csv", (64, 10)), ("conv_k0.csv", (1, 9)), ("act1.csv", (2, 2))],
+    ids=["fc1-transposed", "fc2-transposed", "kernel-one-row", "vector-as-grid"],
+)
+def test_weights_csv_rejects_a_reflowed_file(tmp_path, rng, name, shape):
+    """The right number of values in the wrong shape is not reshaped into
+    scrambled weights: the error names the file and both shapes."""
+    save_weights_csv(tmp_path, random_weights(rng))
+    values = np.loadtxt(tmp_path / name, delimiter=",", ndmin=2)
+    np.savetxt(tmp_path / name, values.T if values.shape[::-1] == shape else values.reshape(shape), delimiter=",")
+    with pytest.raises(ValueError, match=rf"{name}: expected .*got shape \({shape[0]}, {shape[1]}\)"):
+        load_weights_csv(tmp_path)
+
+
+def test_weights_csv_vectors_load_from_a_row_or_a_column(tmp_path, rng):
+    weights = random_weights(rng)
+    save_weights_csv(tmp_path, weights)
+    np.savetxt(tmp_path / "fc1_bias.csv", weights.fc1_bias[:, None], delimiter=",")
+    np.savetxt(tmp_path / "conv_bias.csv", [[k.bias] for k in weights.conv_kernels], delimiter=",")
+    loaded = load_weights_csv(tmp_path)
+    np.testing.assert_array_equal(loaded.fc1_bias, weights.fc1_bias)
+    assert [k.bias for k in loaded.conv_kernels] == [k.bias for k in weights.conv_kernels]

@@ -245,6 +245,25 @@ def test_accumulator_rejects_another_engines_ciphertext():
     assert eng.meter_snapshot() == OpMeter(enc_count=1)
 
 
+@pytest.mark.parametrize("offset", [0, 3], ids=["unrotated", "rotated"])
+@pytest.mark.parametrize("lone", ["init", "added"])
+def test_accumulator_returns_a_lone_term_without_copying(lone, offset):
+    """A sum of one term shares that term's stored vector (no copy), but its
+    ``slots`` is built privately: it shares no memory with the term's."""
+    eng = make_engine(16)
+    ct = eng.rot(eng.enc(np.arange(16.0)), offset) if offset else eng.enc(np.arange(16.0))
+    if lone == "init":
+        out = eng.accumulator(ct).result()
+    else:
+        acc = eng.accumulator()
+        acc.add(ct)
+        out = acc.result()
+    assert out._vec is ct._vec
+    assert out.slots.tobytes() == ct.slots.tobytes() and out.depth == ct.depth
+    assert not np.shares_memory(out.slots, ct.slots) and not out.slots.flags.writeable
+    assert eng.meter_snapshot().add_count == 0
+
+
 def test_mask_checks_non_boolean_filters_and_trusts_boolean_patterns(rng):
     eng = make_engine(16)
     for values in (np.array([0.0, 1.0, 2.0]), [1, 0, -1], np.array([0, 1, 3], dtype=np.int64), [0.5]):

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from packedhe.conv import ImageShape, Kernel, conv, kernel_spanner
+from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import SlotEngine
+from packedhe.matmul import MatmulPlan, matmul
 from packedhe.multicipher import conv_columns, encode_image_columns, encode_left, encode_right, matmul_outer
 from packedhe.pipeline import batch_layout, encode_model, forward_encoded, pack_batch
+from packedhe.virtual import VirtualLayout, batched_conv, tile_kernel_span, vrot
 
 from conftest import make_engine, rand_int_matrix
 from test_pipeline import random_weights
@@ -50,6 +53,20 @@ def calls(monkeypatch) -> Counter:
 
         monkeypatch.setattr(SlotEngine, name, shim)
     return counted
+
+
+@pytest.fixture
+def masks(monkeypatch) -> list:
+    """Every PlainMask built through ``SlotEngine.mask``, in order."""
+    built = []
+    orig = SlotEngine.mask
+
+    def shim(engine, *args, **kwargs):
+        built.append(orig(engine, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(SlotEngine, "mask", shim)
+    return built
 
 
 def metered(eng) -> Counter:
@@ -97,3 +114,54 @@ def test_conv_calls_equal_meter(rng, calls):
     conv(eng, eng.enc(rand_int_matrix(rng, 7, 8).reshape(-1)), span, shape)
     assert calls == metered(eng)
     assert calls == Counter(mul=9, add=9 * 5, cmul=9, rot=9 * 6)
+
+
+@pytest.mark.parametrize(
+    "slots, m, n, p, fast",
+    [(64, 8, 8, 8, True), (64, 8, 8, 2, True), (64, 6, 8, 4, False), (128, 5, 16, 3, False)],
+    ids=["single-rotation", "single-rotation-p<n", "row-cycle", "row-cycle-p-odd"],
+)
+def test_matmul_calls_equal_meter(rng, calls, masks, slots, m, n, p, fast):
+    """The paper's loop makes every op through its primitive and builds each
+    filter it uses once: the column-0 filter, the p result filters and, on
+    the general row cycle, two row-band filters per iteration."""
+    eng = make_engine(slots)
+    a, b = rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, p)
+    ct_a, ct_b = encode_row_major(eng, a), encode_revolver(eng, b, target_m=max(m, p))
+    assert MatmulPlan.plan(eng, m, n, p).fast_path is fast
+    masks.clear()
+    out = matmul(eng, ct_a, ct_b)
+    np.testing.assert_array_equal(out.decode(eng)[:m, :p], a @ b)
+    assert calls == metered(eng)
+    log_n = n.bit_length() - 1
+    cycle_rot, cycle_cmul, cycle_add = (1, 0, 0) if fast else (2, 2, 1)
+    assert calls == Counter(
+        rot=p * (cycle_rot + 2 * log_n),
+        mul=p,
+        cmul=p * (2 + cycle_cmul),
+        add=p * (2 * log_n + 1 + cycle_add),
+    )
+    assert len(masks) == 1 + p + (0 if fast else 2 * p)
+    assert all(mask.role == "filter" for mask in masks)
+
+
+def test_vrot_calls_equal_meter(rng, calls, masks):
+    eng = make_engine(64)
+    lay = VirtualLayout(4, 16, 4, 3)
+    rows = rand_int_matrix(rng, 4, 12)
+    grid = np.zeros((4, 16))
+    grid[:, :12] = rows
+    out = vrot(eng, eng.enc(grid.reshape(-1)), lay, 5)
+    np.testing.assert_array_equal(eng.dec(out).reshape(4, 16)[:, :12], np.roll(rows, -5, axis=1))
+    assert calls == metered(eng) == Counter(rot=2, cmul=2, add=1)
+    assert len(masks) == 2
+
+
+def test_batched_conv_calls_equal_meter(rng, calls):
+    eng = make_engine(64)
+    lay = VirtualLayout(2, 32, 4, 4)
+    ct = pack_batch(eng, rng.integers(-2, 5, size=(2, 4, 4)).astype(float), lay)
+    span = tile_kernel_span(eng, Kernel(rand_int_matrix(rng, 2, 2), bias=1.0), lay)
+    batched_conv(eng, ct, lay, span)
+    assert calls == metered(eng)
+    assert calls["mul"] == 4 and calls["rot"] > 0
