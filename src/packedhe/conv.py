@@ -109,14 +109,21 @@ def bias_matrix(kernel: Kernel, shape: ImageShape) -> np.ndarray:
     return grid
 
 
+def _tile_rows(rows: np.ndarray, m: int, f: int) -> np.ndarray:
+    """Repeat each row of an (n, size) pattern array into each of m blocks
+    of stride f: an (n, m*f) array of the rows' dtype (boolean for filters)."""
+    n, size = rows.shape
+    if size > f:
+        raise CapacityError(f"{size}-slot pattern exceeds block stride {f}")
+    full = np.zeros((n, m, f), dtype=rows.dtype)
+    full[:, :, :size] = rows[:, None, :]
+    return full.reshape(n, -1)
+
+
 def _tile(block: np.ndarray, m: int, f: int) -> np.ndarray:
     """Repeat a per-image prefix pattern into each of m blocks of stride f,
     keeping the pattern's dtype (boolean for filters)."""
-    if block.size > f:
-        raise CapacityError(f"{block.size}-slot pattern exceeds block stride {f}")
-    full = np.zeros((m, f), dtype=block.dtype)
-    full[:, : block.size] = block.reshape(-1)
-    return full.reshape(-1)
+    return _tile_rows(block.reshape(1, -1), m, f)[0]
 
 
 def _span_blocks(engine: SlotEngine, kernel: Kernel, shape: ImageShape, m: int, f: int) -> KernelSpan:
@@ -157,11 +164,14 @@ def window_cascade(engine: SlotEngine, ct: Ciphertext, w: int, k: int) -> Cipher
     return row_acc.result()
 
 
-def _offset_keep(shape: ImageShape, k: int, offset_i: int, offset_j: int) -> np.ndarray:
-    """Boolean h x w grid of the positions build_offset_filter keeps."""
-    ys, xs = np.arange(shape.h)[:, None], np.arange(shape.w)[None, :]
-    on_y = ((ys - offset_j) % k == 0) & (ys + k <= shape.h)
-    return on_y & ((xs - offset_i) % k == 0) & (xs + k <= shape.w)
+def _offset_keeps(shape: ImageShape, k: int, offsets_i: np.ndarray, offsets_j: np.ndarray) -> np.ndarray:
+    """The boolean patterns build_offset_filter keeps for the offset pairs
+    (offsets_i[s], offsets_j[s]), one row of h*w slots each, built in one
+    numpy pass."""
+    ys, xs = np.arange(shape.h)[:, None], np.arange(shape.w)
+    on_y = ((ys - offsets_j[:, None, None]) % k == 0) & (ys + k <= shape.h)
+    on_x = ((xs - offsets_i[:, None, None]) % k == 0) & (xs + k <= shape.w)
+    return (on_y & on_x).reshape(offsets_i.size, -1)
 
 
 def build_offset_filter(
@@ -171,7 +181,8 @@ def build_offset_filter(
     whose k-window stays inside the image."""
     if not (0 <= offset_i < k and 0 <= offset_j < k):
         raise EngineError(f"offsets must be in [0, {k}), got ({offset_i}, {offset_j})")
-    return engine.mask(_offset_keep(shape, k, offset_i, offset_j).reshape(-1), role="filter")
+    (keep,) = _offset_keeps(shape, k, np.array([offset_i]), np.array([offset_j]))
+    return engine.mask(keep, role="filter")
 
 
 def sum_for_conv(engine: SlotEngine, ct: Ciphertext, shape: ImageShape, k: int) -> Ciphertext:
@@ -193,13 +204,16 @@ def _conv_blocks(engine: SlotEngine, ct: Ciphertext, spans, m: int, f: int) -> l
     k*k iterations over the offset classes; each builds its offset filter
     once, then for every kernel multiplies by the span, runs the cascade,
     applies the filter and accumulates onto that kernel's bias-seeded
-    result.  Returns one result per span, in order.
+    result.  The k*k filter patterns are built in one numpy pass before
+    the loop.  Returns one result per span, in order.
     """
     k, shape = spans[0].k, spans[0].shape
+    offsets = np.arange(k)
+    keeps = _tile_rows(_offset_keeps(shape, k, np.repeat(offsets, k), np.tile(offsets, k)), m, f)
     accs = [engine.accumulator(span.bias_ct) for span in spans]
     for i in range(k):
         for j in range(k):
-            keep = engine.mask(_tile(_offset_keep(shape, k, i, j), m, f), role="filter")
+            keep = engine.mask(keeps[i * k + j], role="filter")
             for s, span in enumerate(spans):
                 with engine.scope("conv.span_multiply"):
                     t = engine.mul(ct, span.span_cts[i * k + j])

@@ -8,10 +8,12 @@ ciphertext of S slots holds S // 1024 images at a stride of 1024 slots,
 file loaders in ``serial`` all take their layout from it.
 
 Layout strategy after the convolution: each activated feature map is
-compacted to a contiguous 676-slot prefix per image, and the four map
-ciphertexts then serve directly as the four inner-dimension chunks of the
-first FC product (weight columns are mapped chunk-wise, preserving the
-map-major flatten order).  FC output neurons are evaluated in
+compacted to a contiguous 676-slot prefix per image by ``reform_maps``,
+whose 26 rows move in baby and giant steps of g = 4 rows:
+(g - 1) + (ceil(26/g) - 1) = 9 rotations per map, 36 per batch.  The
+four map ciphertexts then serve directly as the four inner-dimension
+chunks of the first FC product (weight columns are mapped chunk-wise,
+preserving the map-major flatten order).  FC output neurons are evaluated in
 power-of-two blocks no wider than the batch row count, which keeps every
 product on its single-rotation row-cycling path.  A layer is one chunked
 product (``matmul_chunked``) whose B neuron blocks are interleaved across
@@ -216,7 +218,9 @@ def flatten_maps(
     The compacted map ciphertexts are the inner-dimension chunks of the
     following FC layer, in map-major order (row-major within a map); the
     slots after each out_h*out_w prefix are zero padding inside the chunk.
-    One reform pass covers all the maps, so each row mask is built once.
+    One reform pass covers all the maps, so each row mask is built once;
+    it costs (g - 1) + (ceil(out_h/g) - 1) rotations per map, out_h cmuls
+    and out_h - 1 adds (see :func:`reform_maps`).
     """
     flat_cts, _ = reform_maps(engine, map_cts, layout, out_h, out_w)
     return [PackedMatrix(ct, MatrixShape(layout.m, layout.f)) for ct in flat_cts]

@@ -6,17 +6,19 @@ add/mul act per image for free; per-image cyclic rotation (vrot) costs two
 real rotations plus two filters; batched convolution runs the single-image
 loop once and every image block rides along, so real-operation cost is
 independent of m.  reform compacts a valid sub-block into a contiguous
-prefix after a convolution shrinks the spatial dims.  The convolution and
-reform loops each take all the kernels or maps of a layer, so every
-plaintext filter is built once and serves them all; batched_conv and
-reform are their one-kernel and one-map cases.
+prefix after a convolution shrinks the spatial dims; its out_h rows move
+in baby and giant steps of g rows, (g - 1) + (ceil(out_h/g) - 1)
+rotations per map rather than one per row.  The convolution and reform
+loops each take all the kernels or maps of a layer, so every plaintext
+filter is built once and serves them all; batched_conv and reform are
+their one-kernel and one-map cases.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ImageShape, Kernel, KernelSpan, _conv_blocks, _span_blocks, _tile
+from .conv import ImageShape, Kernel, KernelSpan, _conv_blocks, _span_blocks, _tile, _tile_rows
 from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, is_pow2
 
 __all__ = [
@@ -136,33 +138,60 @@ def batched_conv(
     return batched_conv_layer(engine, ct_x, layout, [span])[0]
 
 
+def _reform_step(out_h: int) -> int:
+    """Rows per group of :func:`reform_maps`: the g with the fewest
+    rotations per map, (g - 1) + (ceil(out_h / g) - 1), ties going to the
+    smaller g.  g <= out_h, since g = 1 and g = out_h both cost out_h - 1."""
+    return min(range(1, out_h + 1), key=lambda g: g - (-out_h // g))
+
+
+def _rot(engine: SlotEngine, ct: Ciphertext, l: int) -> Ciphertext:
+    """``ct`` rotated left by l; no rotation, and no key, when l is 0."""
+    return engine.rot(ct, l) if l else ct
+
+
 def reform_maps(
     engine: SlotEngine, cts, layout: VirtualLayout, out_h: int, out_w: int
 ) -> tuple[list[Ciphertext], VirtualLayout]:
     """Compact each map's per-image top-left out_h x out_w block into a
     contiguous prefix of out_h*out_w slots (row-major order preserved).
 
-    Row r of the block is rotated left by r*(w - out_w), which brings it to
-    its destination lanes [r*out_w, (r+1)*out_w) of each image block, then
-    masked to those lanes and added; per map this costs at most out_h
-    rotations, cmuls and adds.  Every slot pairs the same mask and
-    ciphertext values as masking before the rotation would, so the result
-    is the same bits.  The row loop runs once over all the maps, so each
-    row mask is built once.
+    Row r of the block moves left by r*s, s = w - out_w, to its destination
+    lanes [r*out_w, (r+1)*out_w) of each image block.  The rows take baby
+    and giant steps: with r = g*a + b (0 <= b < g, g from
+    :func:`_reform_step`), each map is rotated once by b*s for every
+    b > 0, the baby for row r is masked to its destination lanes
+    pre-rotated right by g*a*s, and each group of g rows is summed and
+    rotated once by g*a*s (a > 0) into the result.  Per map this costs
+    (g - 1) + (ceil(out_h/g) - 1) rotations, with keys b*s and g*a*s, and
+    out_h cmuls and out_h - 1 adds; s = 0 needs no rotation at all.  At
+    26 rows g = 4: 3 baby and 6 giant rotations.  Every slot pairs the
+    same mask and ciphertext values as masking row r after one rotation by
+    r*s would, and at most one of its terms is nonzero (the rest are
+    signed zeros, whose sum is -0.0 in any order exactly when all are), so
+    the grouping changes no bit.  Groups run outermost: each group's row
+    masks are built once for all the maps, and one map's group sum is
+    finished before the next map's starts.
     """
     _require_fit(engine, layout)
     if not (1 <= out_h <= layout.h and 1 <= out_w <= layout.w):
         raise EngineError(
             f"{out_h}x{out_w} block must be non-empty and within the {layout.h}x{layout.w} image prefix"
         )
-    lane = np.arange(engine.slots) % layout.f
-    first = np.arange(out_h)[:, None] * out_w
-    dests = (lane >= first) & (lane < first + out_w)
+    s, g = layout.w - out_w, _reform_step(out_h)
+    rows = np.arange(out_h)[:, None]
+    first = rows * out_w + rows // g * g * s  # first kept lane of row r, pre-rotated right by g*a*s
+    lane = np.arange(layout.f)
+    keeps = _tile_rows((lane >= first) & (lane < first + out_w), layout.m, layout.f)
+    babies = [[_rot(engine, ct, b * s) for b in range(g)] for ct in cts]
     accs = [engine.accumulator() for _ in cts]
-    for r, dest in enumerate(dests):
-        keep = engine.mask(dest, role="filter")
-        for acc, ct in zip(accs, cts):
-            acc.cmul(keep, engine.rot(ct, r * (layout.w - out_w)) if r else ct)
+    for top in range(0, out_h, g):
+        masks = [engine.mask(keep, role="filter") for keep in keeps[top : top + g]]
+        for acc, baby in zip(accs, babies):
+            group = engine.accumulator()
+            for mask, ct in zip(masks, baby):
+                group.cmul(mask, ct)
+            acc.add(_rot(engine, group.result(), top * s))
     return [acc.result() for acc in accs], VirtualLayout(layout.m, layout.f, out_h, out_w)
 
 

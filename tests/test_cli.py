@@ -124,7 +124,7 @@ def test_cloud_infer_end_to_end(workspace, monkeypatch):
     assert max(s["max_depth"] for s in stages.values()) == ops["max_depth"]
     fc1_rot, _, _ = fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES))
     assert summary["batches"] == 2 and stages["fc1"]["rot"] == 2 * fc1_rot
-    assert summary["rot_keys"] == ops["rot_keys"] == len(seen) == 48
+    assert summary["rot_keys"] == ops["rot_keys"] == len(seen) == 33
     assert {name: s["rot_keys"] for name, s in stages.items()} == MNIST_STAGE_KEYS
 
 

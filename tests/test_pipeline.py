@@ -57,8 +57,8 @@ def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int) -> tuple:
 
 
 # (rot, mul, cmul) per batch of conv, act1, flatten and act2, which do not
-# depend on the FC layout: conv 216 + flatten 100 rotations.
-NON_FC_COUNTS = (316, 46, 150)
+# depend on the FC layout: conv 216 + flatten 36 rotations.
+NON_FC_COUNTS = (252, 46, 150)
 
 
 def random_weights(rng) -> ModelWeights:
@@ -385,14 +385,15 @@ def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
 
 @pytest.mark.parametrize("slots", [32768, 16384, 8192])
 def test_fc_stages_make_no_rotation_by_zero(rng, slots):
-    """Where the FC row cycle takes giant steps, no FC rotation is by an
-    offset of 0 mod slots: the plain cycle's last shift, by n*p, was one."""
+    """Where the FC row cycle or the flatten reform takes giant steps, no
+    rotation is by an offset of 0 mod slots: the plain FC cycle's last
+    shift, by n*p, was one."""
     layout = batch_layout(slots)
     eng = make_engine(slots)
     model = encode_model(eng, random_weights(rng))
     stage_meters = {}
     forward_encoded(eng, pack_batch(eng, np.zeros((layout.m, IMAGE_SIDE, IMAGE_SIDE)), layout), model, stage_meters)
-    for name in ("fc1", "fc2"):
+    for name in ("flatten", "fc1", "fc2"):
         assert stage_meters[name].rot_offsets and 0 not in stage_meters[name].rot_offsets
 
 

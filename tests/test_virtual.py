@@ -162,6 +162,8 @@ def test_reform_identity_when_full(rng):
     ct = eng.enc(rows.reshape(-1))
     out, _ = reform(eng, ct, lay, 4, 4)
     np.testing.assert_array_equal(eng.dec(out), rows.reshape(-1))
+    # out_w == w: every row is already in place, so nothing rotates
+    assert eng.meter_snapshot().rot_count == 0 and eng.rot_offsets == set()
 
 
 def test_reform_per_image_and_costs(rng):
@@ -179,7 +181,8 @@ def test_reform_per_image_and_costs(rng):
         want = rows[b, :25].reshape(5, 5)[:3, :3].reshape(-1)
         np.testing.assert_array_equal(got[b, :9], want)
         assert np.count_nonzero(got[b, 9:]) == 0
-    assert delta.rot_count <= 3 and delta.cmul_count <= 3 and delta.add_count <= 3
+    # three rows in groups of one: giant steps by 2 and 4 slots
+    assert delta == OpMeter(add_count=2, cmul_count=3, rot_count=2, max_depth=1, rot_offsets={2, 4})
 
 
 def test_reform_block_too_large():
@@ -245,12 +248,65 @@ def test_reform_property(layout, data, seed):
     grid, images = junk_padded(rng, layout)
     out_h = data.draw(st.integers(1, layout.h), label="out_h")
     out_w = data.draw(st.integers(1, layout.w), label="out_w")
-    (out, new_layout), delta = call_delta(eng, reform, eng.enc(grid.reshape(-1)), layout, out_h, out_w)
+    out, new_layout = reform(eng, eng.enc(grid.reshape(-1)), layout, out_h, out_w)
     want = np.zeros_like(grid)
     want[:, : out_h * out_w] = images[:, :out_h, :out_w].reshape(layout.m, -1)
     np.testing.assert_array_equal(eng.dec(out), want.reshape(-1))
     assert new_layout == VirtualLayout(layout.m, layout.f, out_h, out_w)
-    assert (delta.cmul_count, delta.rot_count, delta.add_count, delta.mul_count) == (out_h, out_h - 1, out_h - 1, 0)
+
+
+def per_row_reform(eng, cts, layout, out_h, out_w):
+    """The reform as one rotation per row: row r rotated left by
+    r*(w - out_w), masked to its destination lanes and added in row order."""
+    lane = np.arange(eng.slots) % layout.f
+    first = np.arange(out_h)[:, None] * out_w
+    dests = (lane >= first) & (lane < first + out_w)
+    accs = [eng.accumulator() for _ in cts]
+    for r, dest in enumerate(dests):
+        keep = eng.mask(dest, role="filter")
+        for acc, ct in zip(accs, cts):
+            acc.cmul(keep, eng.rot(ct, r * (layout.w - out_w)) if r else ct)
+    return [acc.result() for acc in accs]
+
+
+def reform_steps(out_h):
+    """(R, g): the fewest rotations per map of a baby-and-giant-step reform
+    of out_h rows, min over g of (g - 1) + (ceil(out_h/g) - 1), and the
+    smallest g that reaches it."""
+    cost, g = min((g - 1 + -(-out_h // g) - 1, g) for g in range(1, out_h + 1))
+    return cost, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts(), maps=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_reform_maps_keeps_the_per_row_bits(layout, maps, data, seed):
+    """Baby and giant steps give the per-row loop's bytes and depths, with
+    maps*R(out_h) rotations (none when out_w == w), maps*out_h cmuls,
+    maps*(out_h - 1) adds and the keys b*s and g*a*s."""
+    rng = np.random.default_rng(seed)
+    grids = [junk_padded(rng, layout)[0] for _ in range(maps)]
+    out_h = data.draw(st.integers(1, layout.h), label="out_h")
+    out_w = data.draw(st.integers(1, layout.w), label="out_w")
+    slots = layout.m * layout.f
+
+    def run(fn):
+        eng = make_engine(slots)
+        outs, delta = call_delta(eng, fn, [eng.enc(g.reshape(-1)) for g in grids], layout, out_h, out_w)
+        return [(o.slots.tobytes(), o.depth) for o in outs], delta
+
+    (got, delta), (want, _) = run(lambda *args: reform_maps(*args)[0]), run(per_row_reform)
+    assert got == want
+    s = layout.w - out_w
+    cost, g = reform_steps(out_h)
+    assert cost <= out_h - 1
+    keys = {b * s for b in range(1, g)} | {g * a * s for a in range(1, -(-out_h // g))} if s else set()
+    assert delta == OpMeter(
+        add_count=maps * (out_h - 1),
+        cmul_count=maps * out_h,
+        rot_count=maps * cost if s else 0,
+        max_depth=1,
+        rot_offsets=keys,
+    )
 
 
 @settings(max_examples=40, deadline=None)
