@@ -18,7 +18,8 @@ giant steps: with s = idx + 1 = g*s2 + s1, the B*C weight tiles are
 rotated once per baby step s1 in 1..g, the inputs once per giant step
 s2, and each giant step's sum is rotated back once, so an FC call pays
 B*C*g + (B*C + 1)*(p/g - 1) row-cycle rotations rather than B*C*p (g = 8
-for FC-1 and 4 for FC-2 at 32768 slots).
+for FC-1 and 4 for FC-2 at 32768 slots), B*C fewer when g = p = rows,
+where the baby step by g rows is no rotation at all.
 """
 
 from dataclasses import dataclass
@@ -350,14 +351,17 @@ def matmul_chunked(
     its result filter once and runs in every frame: the phase masks hold
     in a rotated frame because G divides g, and the group at ``first``
     needs the filter for (first + 1 - g*s2) mod p, the first giant step's.
+    When g = p = rows the baby tiles at s1 = g, rot(B, n*rows) =
+    rot(B, slots), are the tiles themselves and are not rotated.
     Each frame but the first is rotated back once at the end (p/g - 1).
     The giant step g is :meth:`FcFold.giant_step`; it is p (one giant
     step, the plain row cycle) on the general path.  On the
     single-rotation row-cycle path the call costs C*(B-1) + C*[L > 0] +
-    B*C*g + B*C*(p/g - 1) + (p/g - 1) + p*log2 G + (p/G)*log2(F/(B*G))
-    rotations, B*C*p ct-ct multiplies, p + p/G constant multiplies and
-    depth 3; the general path pays two rotations and two masked
-    multiplies per row cycle and one level more.
+    B*C*(g - [g = rows]) + B*C*(p/g - 1) + (p/g - 1) + p*log2 G +
+    (p/G)*log2(F/(B*G)) rotations (rows = max(m, p)), B*C*p ct-ct
+    multiplies, p + p/G constant multiplies and depth 3; the general path
+    pays two rotations and two masked multiplies per row cycle and one
+    level more.
 
     Args:
         a_chunks: C left operands, each m x n and row-major encoded.
@@ -408,7 +412,8 @@ def matmul_chunked(
     for first in range(0, giant, fold.group):
         with engine.scope("matmul.row_cycle"):
             shifts = range(first, first + fold.group)
-            babies = [[row_shifter(engine, tile, p, idx).ct for tile in tiles] for idx in shifts]
+            babies = [[tile.ct if n * (idx + 1) == engine.slots else row_shifter(engine, tile, p, idx).ct
+                       for tile in tiles] for idx in shifts]
         keep = build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, fold.group)
         for frame_inputs, frame in zip(inputs, frames):
             prods = []

@@ -29,6 +29,7 @@ added, and its outputs land in lanes 0..B*p-1 of each row.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,10 @@ __all__ = [
     "PIPELINE_DEPTH",
     "ModelWeights",
     "FcTiles",
+    "FcBlocking",
     "EncodedModel",
     "batch_layout",
+    "fc_blocking",
     "poly_activation",
     "pack_batch",
     "flatten_maps",
@@ -226,27 +229,34 @@ def flatten_maps(
     return [PackedMatrix(ct, MatrixShape(layout.m, layout.f)) for ct in flat_cts]
 
 
-def _fc_blocking(m: int, out_dim: int) -> tuple[int, int]:
-    """Split out_dim into power-of-two neuron blocks no wider than m."""
-    p_pad = next_pow2(out_dim)
-    if p_pad <= m:
-        return p_pad, 1
-    if not is_pow2(m):
-        raise LayoutError(
-            f"{out_dim} outputs with {m} rows need power-of-two rows for blocking"
-        )
-    return m, p_pad // m
+class FcBlocking(NamedTuple):
+    """``blocks`` neuron blocks of width ``block_p`` over ``chunks`` inputs."""
+
+    blocks: int
+    chunks: int
+    block_p: int
+
+
+def fc_blocking(layout: VirtualLayout) -> dict[str, FcBlocking]:
+    """Each FC layer's structure over ``layout``, by name: its outputs in
+    power-of-two neuron blocks no wider than layout.m, over KERNEL_COUNT
+    input chunks (one per feature map) for fc1 and one for fc2.  The model
+    encoder and loader both take it from here; a model records none."""
+    blocking = {}
+    for name, out_dim, chunks in (("fc1", FC1_OUT, KERNEL_COUNT), ("fc2", FC2_OUT, 1)):
+        p_pad = next_pow2(out_dim)
+        if p_pad > layout.m and not is_pow2(layout.m):
+            raise LayoutError(f"{out_dim} outputs with {layout.m} rows need power-of-two rows for blocking")
+        block_p = min(p_pad, layout.m)
+        blocking[name] = FcBlocking(p_pad // block_p, chunks, block_p)
+    return blocking
 
 
 def _encode_fc_tiles(
-    engine: SlotEngine,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    rows: int,
-    chunk_width: int,
-    valid_widths,
+    engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, grid: MatrixShape, valid_widths, blocking: FcBlocking
 ) -> FcTiles:
-    """Encode an FC weight matrix against a chunked input layout.
+    """Encode an FC weight matrix against input chunks of one ``grid``, in
+    the neuron blocks of ``blocking`` (one chunk per entry of ``valid_widths``).
 
     Tile (d, c) is diagonal d of input chunk c in the interleaved layout
     of :func:`encode_interleaved`, so neuron q lands at lane q.  Every
@@ -257,10 +267,9 @@ def _encode_fc_tiles(
     """
     out_dim, in_dim = weight.shape
     if in_dim != sum(valid_widths):
-        raise LayoutError(
-            f"weight expects {in_dim} inputs, chunks provide {sum(valid_widths)}"
-        )
-    block_p, n_blocks = _fc_blocking(rows, out_dim)
+        raise LayoutError(f"weight expects {in_dim} inputs, chunks provide {sum(valid_widths)}")
+    rows, chunk_width = grid.m, grid.n
+    n_blocks, block_p = blocking.blocks, blocking.block_p
     padded = np.zeros((n_blocks * block_p, in_dim), dtype=np.float64)
     padded[:out_dim] = weight
     starts = np.concatenate([[0], np.cumsum(valid_widths)])[:-1]
@@ -302,12 +311,12 @@ def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
     weights.validate()
     layout = batch_layout(engine.slots)
     spans = [tile_kernel_span(engine, kern, layout) for kern in weights.conv_kernels]
+    grid = MatrixShape(layout.m, layout.f)
+    fc1, fc2 = fc_blocking(layout).values()
     return EncodedModel(
         kernel_spans=spans,
-        fc1=_encode_fc_tiles(
-            engine, weights.fc1_weight, weights.fc1_bias, layout.m, layout.f, [MAP_FEATURES] * KERNEL_COUNT
-        ),
-        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, layout.m, layout.f, [FC2_IN]),
+        fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, grid, [MAP_FEATURES] * fc1.chunks, fc1),
+        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, grid, [FC2_IN] * fc2.chunks, fc2),
         act1=tuple(weights.act1),
         act2=tuple(weights.act2),
         layout=layout,

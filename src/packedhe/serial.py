@@ -5,9 +5,10 @@ tagged as such so nobody mistakes the artifact for real encryption:
 magic, a little-endian uint32 header length, a JSON header (format name,
 slot count, depth, metadata) and raw little-endian float64 slots.  Round
 trips are bit-exact.  The header holds no layout of its own: a batch
-records its image layout (m, f, h, w) in its metadata, an FC weight tile
-its revolver grid (rows, cols, revolve_p), and a model its image layout
-in the manifest.
+records its image layout (m, f, h, w) in its metadata, and a model its
+image layout in the manifest.  A model records nothing else of its
+structure: the loader derives the kernels and the FC tiles from the
+layout, as the encoder does (:func:`pipeline.fc_blocking`).
 """
 
 import json
@@ -20,7 +21,7 @@ import numpy as np
 from .conv import ImageShape, KernelSpan
 from .encoding import MatrixShape, PackedMatrix
 from .engine import Ciphertext, EngineError, EngineParams, SlotEngine
-from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcTiles, batch_layout
+from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcBlocking, FcTiles, batch_layout, fc_blocking
 from .virtual import VirtualLayout
 
 __all__ = [
@@ -127,13 +128,11 @@ def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int, fi
     )
 
 
-def _count(path, mapping, key: str, want: int | None = None) -> int:
-    """mapping[key], which must be a positive integer (equal to ``want`` if given)."""
+def _count(path, mapping, key: str) -> int:
+    """mapping[key], which must be a positive integer."""
     value = mapping.get(key) if isinstance(mapping, dict) else None
     if type(value) is not int or value < 1:
         raise SerialError(f"{path}: {key!r} must be a positive integer, got {value!r}")
-    if want is not None and value != want:
-        raise SerialError(f"{path}: {key!r} is {value}, expected {want}")
     return value
 
 
@@ -176,38 +175,27 @@ def _span_paths(directory: Path, ki: int, k: int) -> list:
     return [directory / f"kernel{ki}_span{si}{CT_SUFFIX}" for si in range(k * k)]
 
 
-def _write_fc(directory: Path, name: str, fc: FcTiles) -> None:
-    for b, row in enumerate(fc.tiles):
-        for c, tile in enumerate(row):
-            write_ciphertext(
-                directory / f"{name}_w_b{b}_c{c}{CT_SUFFIX}",
-                tile.ct,
-                meta={"revolve_p": tile.revolve_p, "rows": tile.shape.m, "cols": tile.shape.n},
-            )
-        write_ciphertext(directory / f"{name}_bias_b{b}{CT_SUFFIX}", fc.bias_cts[b])
+def _kernel_bias_path(directory: Path, ki: int) -> Path:
+    return directory / f"kernel{ki}_bias{CT_SUFFIX}"
 
 
-def _load_fc(
-    engine: SlotEngine, directory: Path, manifest_path, manifest: dict, layout: VirtualLayout, name: str
-) -> FcTiles:
-    """Load one FC layer; every weight tile is a revolver grid of the
-    layout's m rows by f columns."""
-    blocks, chunks, block_p = (
-        _count(manifest_path, manifest, f"{name}_{key}") for key in ("blocks", "chunks", "block_p")
-    )
-    tiles, bias_cts = [], []
-    for b in range(blocks):
-        row = []
-        for c in range(chunks):
-            path = directory / f"{name}_w_b{b}_c{c}{CT_SUFFIX}"
-            ct, header = load_ciphertext(engine, path)
-            meta = header.get("meta")
-            rows, cols = _count(path, meta, "rows", layout.m), _count(path, meta, "cols", layout.f)
-            revolve_p = _count(path, meta, "revolve_p", block_p)
-            row.append(PackedMatrix(ct, MatrixShape(rows, cols), revolve_p=revolve_p))
-        tiles.append(row)
-        bias_cts.append(load_ciphertext(engine, directory / f"{name}_bias_b{b}{CT_SUFFIX}")[0])
-    return FcTiles(tiles, bias_cts, block_p)
+def _tile_paths(directory: Path, name: str, b: int, chunks: int) -> list:
+    return [directory / f"{name}_w_b{b}_c{c}{CT_SUFFIX}" for c in range(chunks)]
+
+
+def _fc_bias_path(directory: Path, name: str, b: int) -> Path:
+    return directory / f"{name}_bias_b{b}{CT_SUFFIX}"
+
+
+def _load_fc(engine: SlotEngine, directory: Path, layout: VirtualLayout, name: str, blocking: FcBlocking) -> FcTiles:
+    """Load one FC layer, whose weight tiles are revolver grids of the layout's m x f."""
+    shape = MatrixShape(layout.m, layout.f)
+    tiles = []
+    for b in range(blocking.blocks):
+        cts = [load_ciphertext(engine, path)[0] for path in _tile_paths(directory, name, b, blocking.chunks)]
+        tiles.append([PackedMatrix(ct, shape, revolve_p=blocking.block_p) for ct in cts])
+    bias_cts = [load_ciphertext(engine, _fc_bias_path(directory, name, b))[0] for b in range(blocking.blocks)]
+    return FcTiles(tiles, bias_cts, blocking.block_p)
 
 
 def _coefficients(path, manifest: dict, key: str) -> tuple:
@@ -225,31 +213,27 @@ def write_model(directory, model: EncodedModel) -> int:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for ki, span in enumerate(model.kernel_spans):
-        for si, ct in enumerate(span.span_cts):
-            write_ciphertext(directory / f"kernel{ki}_span{si}{CT_SUFFIX}", ct)
-        write_ciphertext(directory / f"kernel{ki}_bias{CT_SUFFIX}", span.bias_ct)
+        for path, ct in zip(_span_paths(directory, ki, span.k), span.span_cts):
+            write_ciphertext(path, ct)
+        write_ciphertext(_kernel_bias_path(directory, ki), span.bias_ct)
+    for name, fc in (("fc1", model.fc1), ("fc2", model.fc2)):
+        for b, (row, bias_ct) in enumerate(zip(fc.tiles, fc.bias_cts)):
+            for path, tile in zip(_tile_paths(directory, name, b, len(row)), row):
+                write_ciphertext(path, tile.ct)
+            write_ciphertext(_fc_bias_path(directory, name, b), bias_ct)
     manifest = {
         "format": MODEL_FORMAT,
-        "kernel_count": len(model.kernel_spans),
-        "kernel_k": model.kernel_spans[0].k if model.kernel_spans else 0,
+        "act1": list(map(float, model.act1)),
+        "act2": list(map(float, model.act2)),
+        "layout": {"m": model.layout.m, "f": model.layout.f, "h": model.layout.h, "w": model.layout.w},
     }
-    for name, fc in (("fc1", model.fc1), ("fc2", model.fc2)):
-        _write_fc(directory, name, fc)
-        manifest[f"{name}_blocks"] = len(fc.tiles)
-        manifest[f"{name}_chunks"] = len(fc.tiles[0]) if fc.tiles else 0
-        manifest[f"{name}_block_p"] = fc.block_p
-    manifest.update(
-        act1=list(map(float, model.act1)),
-        act2=list(map(float, model.act2)),
-        layout={"m": model.layout.m, "f": model.layout.f, "h": model.layout.h, "w": model.layout.w},
-        ciphertext_count=model.ciphertext_count,
-    )
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return model.ciphertext_count
 
 
-def _read_manifest(directory: Path) -> tuple[Path, dict, VirtualLayout]:
-    """The model manifest as (path, parsed JSON object, image layout)."""
+def _read_manifest(directory: Path, slots: int | None = None) -> tuple[Path, dict, VirtualLayout]:
+    """The model manifest as (path, parsed JSON object, image layout); the
+    layout must be the batch layout of ``slots`` (by default of its m * f)."""
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise SerialError(f"missing model manifest: {manifest_path}")
@@ -264,7 +248,7 @@ def _read_manifest(directory: Path) -> tuple[Path, dict, VirtualLayout]:
             f"{manifest_path}: 'format' is {manifest.get('format')!r}, expected {MODEL_FORMAT!r}; "
             f"re-run provider-encode to write the model in this layout"
         )
-    return manifest_path, manifest, _layout(f"{manifest_path}: 'layout'", manifest.get("layout"))
+    return manifest_path, manifest, _layout(f"{manifest_path}: 'layout'", manifest.get("layout"), slots)
 
 
 def model_params(directory) -> EngineParams:
@@ -278,27 +262,21 @@ def model_params(directory) -> EngineParams:
 
 
 def load_model(engine: SlotEngine, directory) -> EncodedModel:
-    """Load a model directory; a manifest key that is missing, of the wrong
-    type, or disagrees with the network shape or the loaded file count
-    raises SerialError."""
+    """Load a model directory, whose kernels and FC tiles follow from the
+    manifest's layout (the batch layout of the engine's slot count); other
+    manifest keys than format, activations and layout are ignored."""
     directory = Path(directory)
-    manifest_path, manifest, layout = _read_manifest(directory)
+    manifest_path, manifest, layout = _read_manifest(directory, engine.slots)
     shape = ImageShape(layout.h, layout.w)
-    k = _count(manifest_path, manifest, "kernel_k", KERNEL_SIZE)
-
     spans = []
-    for ki in range(_count(manifest_path, manifest, "kernel_count", KERNEL_COUNT)):
-        cts = [load_ciphertext(engine, p)[0] for p in _span_paths(directory, ki, k)]
-        bias_ct, _ = load_ciphertext(engine, directory / f"kernel{ki}_bias{CT_SUFFIX}")
-        spans.append(KernelSpan(cts, bias_ct, k, shape))
-
-    model = EncodedModel(
-        kernel_spans=spans,
-        fc1=_load_fc(engine, directory, manifest_path, manifest, layout, "fc1"),
-        fc2=_load_fc(engine, directory, manifest_path, manifest, layout, "fc2"),
+    for ki in range(KERNEL_COUNT):
+        cts = [load_ciphertext(engine, path)[0] for path in _span_paths(directory, ki, KERNEL_SIZE)]
+        bias_ct, _ = load_ciphertext(engine, _kernel_bias_path(directory, ki))
+        spans.append(KernelSpan(cts, bias_ct, KERNEL_SIZE, shape))
+    return EncodedModel(
+        spans,
+        *(_load_fc(engine, directory, layout, name, blocking) for name, blocking in fc_blocking(layout).items()),
         act1=_coefficients(manifest_path, manifest, "act1"),
         act2=_coefficients(manifest_path, manifest, "act2"),
         layout=layout,
     )
-    _count(manifest_path, manifest, "ciphertext_count", model.ciphertext_count)
-    return model

@@ -239,9 +239,11 @@ def test_cloud_infer_rejects_nan_slot(workspace, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("fc2_block_p", None), ("kernel_k", "3"), ("fc1_chunks", True), ("layout", [32, 1024, 28, 28]),
-     ("act1", [0.0, 1.0, float("nan"), 0.0]), ("kernel_k", 2), ("ciphertext_count", 51),
-     ("layout", {"m": 3, "f": 1024, "h": 28, "w": 28})],
+    [
+        pytest.param("layout", [32, 1024, 28, 28], id="layout-value3"),
+        pytest.param("act1", [0.0, 1.0, float("nan"), 0.0], id="act1-value4"),
+        pytest.param("layout", {"m": 3, "f": 1024, "h": 28, "w": 28}, id="layout-value7"),
+    ],
 )
 def test_cloud_infer_rejects_bad_manifest(workspace, capsys, key, value):
     tmp, idx, weights_dir, _, _ = workspace
@@ -259,6 +261,26 @@ def test_cloud_infer_rejects_bad_manifest(workspace, capsys, key, value):
     assert rc == 1
     err = capsys.readouterr().err
     assert key in err and "manifest.json" in err
+
+
+def test_cloud_infer_ignores_stale_structure_keys(workspace):
+    """A 32768-slot model whose manifest records fc1 as one neuron block and
+    the model as 47 ciphertexts, two records that agree with each other,
+    still loads fc1's two blocks from its layout and verifies, with the
+    predictions of the untouched model."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model = tmp / "b8", tmp / "m8"
+    main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "32"])
+    main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
+    infer = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--verify",
+             "--images", str(idx), "--weights-dir", str(weights_dir)]
+    assert main(infer + ["--out", str(tmp / "fresh.jsonl")]) == 0
+    manifest_path = model / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(fc1_blocks=1, ciphertext_count=47)
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(infer + ["--out", str(tmp / "stale.jsonl")]) == 0
+    assert (tmp / "stale.jsonl").read_bytes() == (tmp / "fresh.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize(

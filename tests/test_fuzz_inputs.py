@@ -222,10 +222,12 @@ def test_cli_rejects_unreadable_inputs(pipeline_files, tmp_path, capsys):
         assert str(named) in _exits_cleanly(capsys, argv)
 
 
-MANIFEST_KEYS = [
-    "format", "kernel_count", "kernel_k", "fc1_blocks", "fc1_chunks", "fc1_block_p",
+MANIFEST_KEYS = ["format", "layout.m", "layout.f", "layout.h", "layout.w"]
+# What older writers also recorded of the model's structure, which follows
+# from the layout and which the loader no longer reads.
+STALE_KEYS = [
+    "kernel_count", "kernel_k", "fc1_blocks", "fc1_chunks", "fc1_block_p",
     "fc2_blocks", "fc2_chunks", "fc2_block_p", "ciphertext_count",
-    "layout.m", "layout.f", "layout.h", "layout.w",
 ]
 MANIFEST_VALUES = st.one_of(
     st.integers(-2, 40), st.integers(-(2**64), 2**64), st.booleans(), st.text(max_size=4),
@@ -285,26 +287,44 @@ def test_model_in_an_older_layout_is_rejected(pipeline_files, tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("rows", 4), ("cols", 512)])
-def test_fc_tile_grid_must_match_the_layout(pipeline_files, tmp_path, capsys, key, value):
-    """An FC weight tile whose meta grid is not the manifest layout's m rows
-    by f columns fails at load, in one error line naming the tile file."""
+@settings(FUZZ, max_examples=15)  # each example runs cloud-infer --verify
+@given(stale=st.dictionaries(st.sampled_from(STALE_KEYS), MANIFEST_VALUES))
+def test_stale_structure_keys_change_nothing(pipeline_files, tmp_path, capsys, stale):
+    """Manifest keys that record the model's structure, at any value or
+    absent, are not read: the model still verifies against the oracle and
+    scores as with the manifest provider-encode wrote."""
+    tmp, _, _ = pipeline_files
+    verify = ["--verify", "--images", str(tmp / "images.idx"), "--weights-dir", str(tmp / "weights")]
+    infer = ["cloud-infer", "--batch-dir", str(tmp / "batches"), *verify]
+    fresh = tmp_path / "fresh.jsonl"
+    if not fresh.exists():  # tmp_path is shared by every example
+        assert main(infer + ["--model-dir", str(tmp / "model"), "--out", str(fresh)]) == 0
+    model = tmp_path / "model"
+    if not model.exists():
+        shutil.copytree(tmp / "model", model)
+    manifest = json.loads((tmp / "model" / "manifest.json").read_text())
+    manifest.update(stale)
+    (model / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "stale.jsonl"
+    assert main(infer + ["--model-dir", str(model), "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["kernel2_span8", "kernel3_bias", "fc1_w_b1_c3", "fc2_bias_b7"])
+def test_model_missing_a_ciphertext_fails_cleanly(pipeline_files, tmp_path, capsys, name):
+    """A model directory without one of its ciphertext files (a kernel
+    span, a kernel bias, an FC weight tile or an FC bias seed) fails at
+    load, in one error line naming the file."""
     tmp, _, _ = pipeline_files
     model = tmp_path / "model"
     shutil.copytree(tmp / "model", model)
-    tile = model / "fc1_w_b3_c2.simct"
-    data = tile.read_bytes()
-    start = len(MAGIC) + 4
-    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
-    header = json.loads(data[start : start + hlen])
-    header["meta"][key] = value
-    blob = json.dumps(header).encode()
-    tile.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + data[start + hlen :])
+    missing = model / f"{name}.simct"
+    missing.unlink()
     out = tmp_path / "preds.jsonl"
     err = _exits_cleanly(
         capsys, ["cloud-infer", "--batch-dir", str(tmp / "batches"), "--model-dir", str(model), "--out", str(out)]
     )
-    assert len(err.splitlines()) == 1 and str(tile) in err and repr(key) in err
+    assert len(err.splitlines()) == 1 and str(missing) in err
     assert not out.exists()
 
 

@@ -68,22 +68,26 @@ def fold_rotations(blocks: int, p: int, w: int, group: int) -> int:
     return p * (group.bit_length() - 1) + p // group * steps
 
 
-def grouped_counts(blocks: int, chunks: int, p: int, w: int, group: int, giant: int, fast: bool = True) -> tuple:
-    """(rot, mul, cmul) of one FC product with groups of G iterations and
-    giant steps of g: C*(B-1) chained lane shifts and C shifts by -L (none
-    when L = 0) once; B*C*g baby row cycles (one rotation on the fast path,
-    two masked ones otherwise), B*C*(p/g - 1) giant shifts of the inputs
-    and p/g - 1 rotations back; in each of the p iterations B*C multiplies,
-    log2 G fold steps at stride B and the phase mask; in each of the p/G
-    groups log2(F/(B*G)) fold steps and the result filter."""
+def grouped_counts(
+    blocks: int, chunks: int, p: int, w: int, group: int, giant: int, rows: int, fast: bool = True
+) -> tuple:
+    """(rot, mul, cmul) of one FC product over a layout of ``rows`` rows with
+    groups of G iterations and giant steps of g: C*(B-1) chained lane shifts
+    and C shifts by -L (none when L = 0) once; B*C*g baby row cycles (one
+    rotation on the fast path, two masked ones otherwise; on the fast path
+    none for s1 = g when g = p = rows, a shift by the whole ciphertext),
+    B*C*(p/g - 1) giant shifts of the inputs and p/g - 1 rotations back; in
+    each of the p iterations B*C multiplies, log2 G fold steps at stride B
+    and the phase mask; in each of the p/G groups log2(F/(B*G)) fold steps
+    and the result filter."""
     offset, _ = fold_layout(blocks, p, w, group)
     tiles = blocks * chunks
-    cycle = 1 if fast else 2
+    babies = giant - (giant == rows) if fast else 2 * giant
     giants = p // giant - 1
     rot = (
         chunks * (blocks - 1)
         + chunks * (offset > 0)
-        + tiles * giant * cycle
+        + tiles * babies
         + tiles * giants
         + giants
         + fold_rotations(blocks, p, w, group)
@@ -111,7 +115,8 @@ def formula_group(blocks: int, chunks: int, p: int, w: int, n: int):
 def formula_giant(blocks: int, chunks: int, p: int, group: int, fast: bool = True) -> int:
     """The multiple g of G dividing p with the fewest row-cycle rotations,
     B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g; p off the
-    single-rotation path."""
+    single-rotation path.  The choice does not count the B*C baby tiles
+    that need no rotation when g = p = rows (see ``grouped_counts``)."""
     if not fast:
         return p
     tiles = blocks * chunks
@@ -138,16 +143,18 @@ def forced_group(group: int, giant: int | None = None):
 def test_fc_fold_group_minimises_the_rotation_formula():
     """fc1 (B = 2, C = 4, p = 32, w = 676) and fc2 (B = 1, C = 1, p = 16,
     w = 64) at 32768 slots: G = 8 and g = 8 for fc1, G = 4 and g = 4 for
-    fc2, whose g = 4 and g = 8 tie at 10 row-cycle rotations."""
+    fc2, whose g = 4 and g = 8 tie at 10 row-cycle rotations.  The plain
+    row cycle (g = p) would cost 376 and 69: fc1's p = 32 is its row
+    count, so its 8 baby tiles at s1 = 32 need no rotation."""
     for (blocks, chunks, p, w), group, giant, rot in (((2, 4, 32, 676), 8, 8, 219), ((1, 1, 16, 64), 4, 4, 63)):
         fold = FcFold.derive(w, blocks, p, 1024)
         assert fold.group == formula_group(blocks, chunks, p, w, 1024) == group
         assert fold.giant_step(chunks, True) == formula_giant(blocks, chunks, p, group) == giant
         assert fold.giant_step(chunks, False) == p
         assert fold.offset == fold_layout(blocks, p, w, group)[0] == blocks * p
-        assert grouped_counts(blocks, chunks, p, w, group, giant)[0] == rot
-        assert grouped_counts(blocks, chunks, p, w, group, p)[0] == {219: 384, 63: 69}[rot]
-    assert grouped_counts(1, 1, 16, 64, 4, 8)[0] == 63
+        assert grouped_counts(blocks, chunks, p, w, group, giant, 32)[0] == rot
+        assert grouped_counts(blocks, chunks, p, w, group, p, 32)[0] == {219: 376, 63: 69}[rot]
+    assert grouped_counts(1, 1, 16, 64, 4, 8, 32)[0] == 63
 
 
 @st.composite
@@ -193,7 +200,7 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     group = formula_group(1, chunks, p, w, n)
     giant = formula_giant(1, chunks, p, group, fast)
     assert eng.scopes["matmul.row_sum"].rot_count == fold_rotations(1, p, w, group)
-    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, giant, fast)
+    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, giant, m, fast)
     assert call.max_depth == (3 if fast else 4)
 
     # matmul on the same weights keeps the paper's 2*log2(n) row sum.
@@ -301,7 +308,7 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
         fast = MatmulPlan.plan(eng, m, n, p).fast_path
         counts = (call.rot_count, call.mul_count, call.cmul_count)
         giant = formula_giant(blocks, chunks, p, group, fast)
-        assert counts == grouped_counts(blocks, chunks, p, w, group, giant, fast)
+        assert counts == grouped_counts(blocks, chunks, p, w, group, giant, max(m, p), fast)
         assert call.max_depth == (3 if fast else 4)
         assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
 
@@ -385,7 +392,7 @@ def test_giant_steps_match_numpy_and_the_plain_row_cycle(shape, seed):
     want = init_grid.copy()
     want[:m, : blocks * p] += sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
     np.testing.assert_array_equal(got, want.reshape(-1))
-    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(blocks, chunks, p, w, group, giant)
+    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(blocks, chunks, p, w, group, giant, rows)
     assert call.max_depth == 3
     assert 0 not in call.rot_offsets
 
@@ -420,6 +427,6 @@ def test_general_row_cycle_takes_no_giant_steps(m, blocks, chunks, n, p, w):
         np.testing.assert_array_equal(got.reshape(-1, n)[:m, : blocks * p], want)
         giant = formula_giant(blocks, chunks, p, group, fast)
         assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(
-            blocks, chunks, p, w, group, giant, fast
+            blocks, chunks, p, w, group, giant, max(m, p), fast
         )
         assert call.max_depth == (3 if fast else 4)

@@ -20,6 +20,7 @@ from packedhe.pipeline import (
     MAP_FEATURES,
     MAP_SIDE,
     PIPELINE_DEPTH,
+    FcBlocking,
     ModelWeights,
     _encode_fc_tiles,
     _fc_from_tiles,
@@ -41,19 +42,19 @@ ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
 
 
 def fc_shape(out_dim: int, chunks: int, in_width: int, rows: int = IMAGES_PER_CT) -> tuple:
-    """(blocks B, chunks C, block width p, row width n, input width w) of an
-    FC layer over ``rows`` images of image-stride rows: power-of-two neuron
-    blocks no wider than the batch."""
+    """(blocks B, chunks C, block width p, row width n, input width w, rows)
+    of an FC layer over ``rows`` images of image-stride rows: power-of-two
+    neuron blocks no wider than the batch."""
     p = min(next_pow2(out_dim), rows)
-    return next_pow2(out_dim) // p, chunks, p, IMAGE_SLOTS, in_width
+    return next_pow2(out_dim) // p, chunks, p, IMAGE_SLOTS, in_width, rows
 
 
-def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int) -> tuple:
+def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int, rows: int) -> tuple:
     """(rot, mul, cmul) of an FC layer: one interleaved product on the
     single-rotation row-cycle path, at the group G and the giant step g
     that minimise the rotation formula; the B bias seeds are only added."""
     group = formula_group(blocks, chunks, p, w, n)
-    return grouped_counts(blocks, chunks, p, w, group, formula_giant(blocks, chunks, p, group))
+    return grouped_counts(blocks, chunks, p, w, group, formula_giant(blocks, chunks, p, group), rows)
 
 
 # (rot, mul, cmul) per batch of conv, act1, flatten and act2, which do not
@@ -189,8 +190,8 @@ def test_flatten_maps_matches_oracle_order(rng):
 def fc_apply(eng, chunks, widths, weight, bias):
     """Encode an FC layer against chunks with the given valid prefix widths
     and evaluate it, as the pipeline does for FC-1 and FC-2."""
-    rows, chunk_width = chunks[0].shape.m, chunks[0].shape.n
-    fc = _encode_fc_tiles(eng, weight, bias, rows, chunk_width, widths)
+    blocks, _, p, *_ = fc_shape(len(bias), len(widths), max(widths), chunks[0].shape.m)
+    fc = _encode_fc_tiles(eng, weight, bias, chunks[0].shape, widths, FcBlocking(blocks, len(widths), p))
     return _fc_from_tiles(eng, chunks, fc, max(widths))
 
 
@@ -342,7 +343,7 @@ def test_forward_fused_fc_exact_counts(rng):
     fc1_shape = fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES)
     fc2_shape = fc_shape(FC2_OUT, 1, model.fc1.out_width)
     for name, fc, shape in (("fc1", model.fc1, fc1_shape), ("fc2", model.fc2, fc2_shape)):
-        blocks, chunks, p, _, _ = shape
+        blocks, chunks, p, _, _, _ = shape
         assert (len(fc.tiles), len(fc.tiles[0]), fc.block_p) == (blocks, chunks, p)
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
@@ -383,11 +384,11 @@ def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
     assert len(eng.rot_offsets) <= UNGROUPED_FC_KEYS[slots] <= parent_keys
 
 
-@pytest.mark.parametrize("slots", [32768, 16384, 8192])
+@pytest.mark.parametrize("slots", [32768, 16384, 8192, 4096, 2048, 1024])
 def test_fc_stages_make_no_rotation_by_zero(rng, slots):
-    """Where the FC row cycle or the flatten reform takes giant steps, no
-    rotation is by an offset of 0 mod slots: the plain FC cycle's last
-    shift, by n*p, was one."""
+    """No FC or flatten rotation is by an offset of 0 mod slots: the plain
+    FC cycle's last shift, by n*p, was one, and so is the baby shift by
+    n*g rows where g = p = rows (at 4096 slots and fewer)."""
     layout = batch_layout(slots)
     eng = make_engine(slots)
     model = encode_model(eng, random_weights(rng))
@@ -416,8 +417,8 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
     monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     forward_encoded(eng, ct, model)
     fc_shapes = (fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES), fc_shape(FC2_OUT, 1, model.fc1.out_width))
-    groups = [formula_group(blocks, chunks, p, w, n) for blocks, chunks, p, n, w in fc_shapes]
-    giants = [formula_giant(blocks, chunks, p, group) for (blocks, chunks, p, _, _), group in zip(fc_shapes, groups)]
+    groups = [formula_group(blocks, chunks, p, w, n) for blocks, chunks, p, n, w, _ in fc_shapes]
+    giants = [formula_giant(blocks, chunks, p, group) for (blocks, chunks, p, *_), group in zip(fc_shapes, groups)]
     assert groups == [8, 4] and giants == [8, 4]
     fc_masks = sum(group + giant // group for group, giant in zip(groups, giants))
     activation_stages = 2

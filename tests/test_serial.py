@@ -113,7 +113,11 @@ def test_model_round_trip_and_count(tmp_path, rng):
     weights = random_weights(rng)
     model = encode_model(eng, weights)
     count = write_model(tmp_path / "model", model)
-    assert count == 52 == model.ciphertext_count
+    assert count == 52 == model.ciphertext_count == len(list((tmp_path / "model").glob("*.simct")))
+    # the structure is derived from the layout on load, so nothing records it
+    manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+    assert sorted(manifest) == ["act1", "act2", "format", "layout"]
+    assert all(read_ciphertext(path)[1]["meta"] == {} for path in (tmp_path / "model").glob("*.simct"))
 
     # fresh engine, loaded model must reproduce inference bit-for-bit
     eng2 = make_engine(32768)
