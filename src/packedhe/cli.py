@@ -246,10 +246,7 @@ def _parse_grid(text: str, arity: int = 3) -> list:
 def _cmd_bench(args) -> int:
     matmul_grid = _parse_grid(args.matmul_grid) if args.matmul_grid else [(4, 4, 2), (3, 4, 2), (8, 8, 8)]
     conv_grid = _parse_grid(args.conv_grid) if args.conv_grid else [(4, 4, 2), (8, 8, 3), (12, 12, 5)]
-    report = format_report(matmul_grid, conv_grid)
-    print(report)
-    if args.report:
-        Path(args.report).write_text(report + "\n")
+    print(format_report(matmul_grid, conv_grid))
     return 0
 
 
@@ -307,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measured vs budgeted operation counts")
     p.add_argument("--matmul-grid", help='semicolon-separated "m,n,p" triples')
     p.add_argument("--conv-grid", help='semicolon-separated "h,w,k" triples')
-    p.add_argument("--report", help="also write the table to this file")
     p.set_defaults(func=_cmd_bench)
     return parser
 

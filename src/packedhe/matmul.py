@@ -8,21 +8,24 @@ and a one-hot-per-row filter keeps exactly the result entry that
 iteration produced.  Rotation/mask costs per iteration are constant, and
 so is the multiplicative depth.
 
-:func:`matmul_chunked` is the FC product.  Its weights are zero past a
-known input width, so it adds the products of C input chunks in each
-iteration, interleaves B neuron blocks across the spare lanes of each row
-and lets a group of iterations share one row fold: each iteration folds
-part way and keeps one phase class of lanes, and the group pays one fold
-to the output lanes and one result filter.  Its row cycle takes baby and
-giant steps: with s = idx + 1 = g*s2 + s1, the B*C weight tiles are
-rotated once per baby step s1 in 1..g, the inputs once per giant step
-s2, and each giant step's sum is rotated back once, so an FC call pays
+:func:`matmul_chunked` is the FC product, laid out by one plan per layer
+(:class:`FcFold`: blocks B, width w, chunks C, group G, offset L and
+giant step g, derived once).  Its weights are zero past the input width
+w, so it adds the products of C input chunks in each iteration,
+interleaves B neuron blocks across the spare lanes of each row and lets a
+group of iterations share one row fold: each iteration folds part way and
+keeps one phase class of lanes, and the group pays one fold to the output
+lanes and one result filter.  Its row cycle takes baby and giant steps:
+with s = idx + 1 = g*s2 + s1, the B*C weight tiles are rotated once per
+baby step s1 in 1..g, the inputs once per giant step s2, and each giant
+step's sum is rotated back once, so an FC call pays
 B*C*g + (B*C + 1)*(p/g - 1) row-cycle rotations rather than B*C*p (g = 8
 for FC-1 and 4 for FC-2 at 32768 slots), B*C fewer when g = p = rows,
-where the baby step by g rows is no rotation at all.
+where the baby step by g rows is no rotation at all.  Its rows must fill
+the ciphertext with p dividing them, so each baby step is one rotation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -160,32 +163,37 @@ def build_result_filter(
 
 @dataclass(frozen=True)
 class FcFold:
-    """Lane layout of the grouped FC row fold of :func:`matmul_chunked`.
+    """The plan of one FC layer: the lane layout and loop shape of its
+    :func:`matmul_chunked` product, derived once per layer.
 
-    B = ``blocks`` interleaved neuron blocks of ``p`` groups over an inner
-    ``width`` w.  The weight tiles start at lane ``offset`` L of each row,
-    so an iteration's products fill lanes [L, L + w + B - 1).  ``group`` G
-    iterations, a power of two dividing p, share one fold.  L is B*p when
-    G > 1 and B*(p - 1) when G = 1, so every output lane B*t + j lies at or
-    below the first lane its iteration keeps.  The row cycle's giant step g
-    (:meth:`giant_step`) is a multiple of G, so a group never straddles
-    two giant steps.
+    B = ``blocks`` interleaved neuron blocks of ``p`` groups over C =
+    ``chunks`` input chunks of inner ``width`` w.  The weight tiles start
+    at lane ``offset`` L of each row, so an iteration's products fill
+    lanes [L, L + w + B - 1).  ``group`` G iterations, a power of two
+    dividing p, share one fold.  L is B*p when G > 1 and B*(p - 1) when
+    G = 1, so every output lane B*t + j lies at or below the first lane
+    its iteration keeps.  The row cycle's ``giant`` step g is a multiple
+    of G dividing p, so a group never straddles two giant steps.
     """
 
     blocks: int
     p: int
     width: int
+    chunks: int
     group: int
     offset: int
+    giant: int
 
     @classmethod
-    def derive(cls, width: int, blocks: int, p: int, n: int) -> "FcFold":
-        """The layout for rows ``n`` wide, shared by the encoder and the
-        evaluator: of the groups whose fold window fits the row, the one
-        with the fewest fold rotations, ties going to the larger group.
-        LayoutError if none fits."""
+    def derive(cls, width: int, blocks: int, p: int, n: int, chunks: int) -> "FcFold":
+        """The plan for rows ``n`` wide, which the encoder and the evaluator
+        share: of the groups whose fold window fits the row, the one with
+        the fewest fold rotations, ties going to the larger group; then the
+        multiple g of G dividing p with the fewest row-cycle rotations,
+        B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g.
+        LayoutError if no group fits."""
         folds = [
-            cls(blocks, p, width, 1 << t, blocks * p if t else blocks * (p - 1))
+            cls(blocks, p, width, chunks, 1 << t, blocks * p if t else blocks * (p - 1), p)
             for t in range((p & -p).bit_length())
         ]
         fits = [fold for fold in folds if width >= 1 and fold.window <= n]
@@ -195,7 +203,10 @@ class FcFold:
                 f"rows {n} wide: the tiles need w + B - 1 = {width + blocks - 1} lanes after an "
                 f"offset of at least B*(p - 1) = {blocks * (p - 1)}"
             )
-        return min(reversed(fits), key=lambda fold: fold.fold_rotations)
+        fold = min(reversed(fits), key=lambda fold: fold.fold_rotations)
+        tiles = blocks * chunks
+        giants = [g for g in range(fold.group, p + 1, fold.group) if p % g == 0]
+        return replace(fold, giant=min(giants, key=lambda g: tiles * g + (tiles + 1) * (p // g - 1)))
 
     @property
     def span(self) -> int:
@@ -218,18 +229,6 @@ class FcFold:
         ``steps`` per group."""
         return self.p * (self.group.bit_length() - 1) + self.p // self.group * self.steps
 
-    def giant_step(self, chunks: int, closes: bool) -> int:
-        """The row cycle's giant step g for ``chunks`` input chunks: the
-        multiple of G dividing p with the fewest row-cycle rotations,
-        B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g.  g is p
-        (no giant steps) when the row cycle does not close on one rotation
-        (``closes`` false, see :class:`MatmulPlan`)."""
-        if not closes:
-            return self.p
-        tiles = self.blocks * chunks
-        giants = [g for g in range(self.group, self.p + 1, self.group) if self.p % g == 0]
-        return min(giants, key=lambda g: tiles * g + (tiles + 1) * (self.p // g - 1))
-
     def phase_masks(self, engine: SlotEngine, rows: int, n: int) -> list[PlainMask]:
         """Mask e (for iterations idx = e mod G) keeps, in row i, the lanes
         x in [B*(p - G), span) with x = B*((i + e + 1) mod G) + j mod B*G,
@@ -245,30 +244,26 @@ class FcFold:
         return [engine.mask(pattern.reshape(-1), role="filter") for pattern in keep]
 
 
-def encode_interleaved(engine: SlotEngine, b, blocks: int, target_m: int, n: int) -> list[PackedMatrix]:
-    """Encode a w x (blocks*p) right operand as ``blocks`` interleaved
-    revolver tiles for :func:`matmul_chunked` with ``width`` w.
+def encode_interleaved(engine: SlotEngine, b, fold: FcFold, target_m: int, n: int) -> list[PackedMatrix]:
+    """Encode a w x (B*p) right operand as the B interleaved revolver tiles
+    of one input chunk of the plan ``fold`` for :func:`matmul_chunked`.
 
-    Output q = blocks*t + j (group t < p, block j < blocks) is to land at
-    lane q.  Tile d (the d-th "diagonal") holds in its layout row r, at
-    lane L + l + d for l < w, the weight b[l, blocks*(r mod p) + (l + d) mod
-    blocks], and zero everywhere else; L is the offset of
-    :meth:`FcFold.derive`, and the left operand the tile meets is shifted
-    right by L + d lanes.  LayoutError if that layout does not fit rows n
-    wide.
+    Output q = B*t + j (group t < p, block j < B) is to land at lane q.
+    Tile d (the d-th "diagonal") holds in its layout row r, at lane
+    L + l + d for l < w, the weight b[l, B*(r mod p) + (l + d) mod B], and
+    zero everywhere else; the left operand the tile meets is shifted right
+    by L + d lanes.  LayoutError if ``b`` is not w x (B*p).
     """
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    w, q = b.shape
-    if blocks < 1 or q % blocks:
-        raise LayoutError(f"{q} outputs do not split into {blocks} interleaved blocks")
-    p = q // blocks
+    blocks, p, w = fold.blocks, fold.p, fold.width
+    if b.shape != (w, blocks * p):
+        raise LayoutError(f"weight chunk is {b.shape[0]}x{b.shape[1]}, the plan needs {w}x{blocks * p}")
     lanes = np.arange(w)
-    offset = FcFold.derive(w, blocks, p, n).offset
     groups = np.arange(target_m)[:, None] % p
     tiles = []
     for d in range(blocks):
         grid = np.zeros((target_m, n), dtype=np.float64)
-        grid[:, offset + lanes + d] = b[lanes, blocks * groups + (lanes + d) % blocks]
+        grid[:, fold.offset + lanes + d] = b[lanes, blocks * groups + (lanes + d) % blocks]
         ct = engine.enc(grid.reshape(-1))
         tiles.append(PackedMatrix(ct, MatrixShape(target_m, n), revolve_p=p))
     return tiles
@@ -321,12 +316,12 @@ def matmul_chunked(
     engine: SlotEngine,
     a_chunks: Sequence[PackedMatrix],
     *b_blocks: Sequence[PackedMatrix],
-    width: int,
+    fold: FcFold,
     init: Ciphertext | None = None,
 ) -> PackedMatrix:
     """FC product: sum over C input chunks c of A_c * W_c, with B neuron
     blocks interleaved across the lanes of each row and groups of
-    iterations sharing one row fold.
+    iterations sharing one row fold, as the plan ``fold`` lays them out.
 
     The B blocks are stored interleaved (:func:`encode_interleaved`):
     output q = B*t + j sits at lane q, and ``b_blocks[d]`` holds diagonal d
@@ -347,31 +342,28 @@ def matmul_chunked(
     each giant step s2 > 0 shifts the B*C shifted inputs by -n*g*s2 once
     (B*C*(p/g - 1) rotations) and sums its groups in that rotated frame.
     Each group of the first giant step makes its B*C*G baby tiles
-    rot(B, n*s1) (B*C*g rotations in all, with :func:`row_shifter`) and
-    its result filter once and runs in every frame: the phase masks hold
-    in a rotated frame because G divides g, and the group at ``first``
-    needs the filter for (first + 1 - g*s2) mod p, the first giant step's.
-    When g = p = rows the baby tiles at s1 = g, rot(B, n*rows) =
-    rot(B, slots), are the tiles themselves and are not rotated.
-    Each frame but the first is rotated back once at the end (p/g - 1).
-    The giant step g is :meth:`FcFold.giant_step`; it is p (one giant
-    step, the plain row cycle) on the general path.  On the
-    single-rotation row-cycle path the call costs C*(B-1) + C*[L > 0] +
-    B*C*(g - [g = rows]) + B*C*(p/g - 1) + (p/g - 1) + p*log2 G +
-    (p/G)*log2(F/(B*G)) rotations (rows = max(m, p)), B*C*p ct-ct
-    multiplies, p + p/G constant multiplies and depth 3; the general path
-    pays two rotations and two masked multiplies per row cycle and one
-    level more.
+    rot(B, n*s1) (B*C*g rotations in all) and its result filter once and
+    runs in every frame: the phase masks hold in a rotated frame because G
+    divides g, and the group at ``first`` needs the filter for
+    (first + 1 - g*s2) mod p, the first giant step's.  When g = p = rows
+    the baby tiles at s1 = g, rot(B, n*rows) = rot(B, slots), are the
+    tiles themselves and are not rotated.  Each frame but the first is
+    rotated back once at the end (p/g - 1).  The call costs C*(B-1) +
+    C*[L > 0] + B*C*(g - [g = rows]) + B*C*(p/g - 1) + (p/g - 1) +
+    p*log2 G + (p/G)*log2(F/(B*G)) rotations (rows = max(m, p)), B*C*p
+    ct-ct multiplies, p + p/G constant multiplies and depth 3.
 
     Args:
         a_chunks: C left operands, each m x n and row-major encoded.
         b_blocks: B sequences of C tiles (one per left chunk), the
             diagonals of :func:`encode_interleaved` tiled to max(m, p)
             rows; every pair shares m, n and p.
-        width: the inner width w.  The result is exact only if the tiles
-            come from :func:`encode_interleaved` of w x (B*p) weights (A_c
-            may hold anything past w); the layout must fit the row
-            (:meth:`FcFold.derive`), else LayoutError.
+        fold: the layer's plan (:meth:`FcFold.derive`), with the B, p and C
+            of the operands and a fold window that fits the row.  The
+            result is exact only if the tiles come from
+            :func:`encode_interleaved` with this plan (A_c may hold
+            anything past w).  The rows must fill the ciphertext with p
+            dividing them, so that one rotation cycles them.
         init: optional accumulator seed (e.g. a packed bias) in the output
             lanes, added once.
 
@@ -393,11 +385,19 @@ def matmul_chunked(
     (plan,) = plans
     p, n, rows = plan.p, plan.n, plan.layout_m
     blocks = len(b_blocks)
-    fold = FcFold.derive(width, blocks, p, n)
-    giant = fold.giant_step(len(a_chunks), plan.fast_path)
+    if (fold.blocks, fold.p, fold.chunks) != (blocks, p, len(a_chunks)) or fold.window > n:
+        raise LayoutError(
+            f"{blocks} neuron blocks of p={p} over {len(a_chunks)} chunks in rows {n} wide "
+            f"do not match the plan {fold}"
+        )
+    if not plan.fast_path:
+        raise LayoutError(
+            f"the FC row cycle needs its rows to fill the ciphertext with p={p} dividing them: "
+            f"{rows} rows of {n} lanes in {engine.slots} slots"
+        )
     phases = fold.phase_masks(engine, rows, n)
 
-    bases = range(0, p, giant)
+    bases = range(0, p, fold.giant)
     with engine.scope("matmul.row_cycle"):
         shifted = [engine.rot(a.ct, -fold.offset) if fold.offset else a.ct for a in a_chunks]
         lefts = list(shifted)  # block-major, as ``tiles``
@@ -406,14 +406,13 @@ def matmul_chunked(
             lefts += shifted
         # rot(A, -n*base) * rot(B, n*s1) is rot(A * rot(B, n*(base + s1)), -n*base)
         inputs = [lefts] + [[engine.rot(ct, -n * base) for ct in lefts] for base in bases[1:]]
-    tiles = [tile for b_chunks in b_blocks for tile in b_chunks]
+    tiles = [tile.ct for b_chunks in b_blocks for tile in b_chunks]
     acc = engine.accumulator(init if init is not None else engine.enc([]))
     frames = [acc] + [engine.accumulator() for _ in bases[1:]]
-    for first in range(0, giant, fold.group):
+    for first in range(0, fold.giant, fold.group):
         with engine.scope("matmul.row_cycle"):
-            shifts = range(first, first + fold.group)
-            babies = [[tile.ct if n * (idx + 1) == engine.slots else row_shifter(engine, tile, p, idx).ct
-                       for tile in tiles] for idx in shifts]
+            babies = [[tile if n * s1 == engine.slots else engine.rot(tile, n * s1) for tile in tiles]
+                      for s1 in range(first + 1, first + fold.group + 1)]
         keep = build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, fold.group)
         for frame_inputs, frame in zip(inputs, frames):
             prods = []

@@ -13,29 +13,31 @@ whose 26 rows move in baby and giant steps of g = 4 rows:
 (g - 1) + (ceil(26/g) - 1) = 9 rotations per map, 36 per batch.  The
 four map ciphertexts then serve directly as the four inner-dimension
 chunks of the first FC product (weight columns are mapped chunk-wise,
-preserving the map-major flatten order).  FC output neurons are evaluated in
+preserving the map-major flatten order).  Each FC layer has one plan, a
+``matmul.FcFold`` that :func:`fc_blocking` derives once from the layout;
+the encoder stores it with the weight tiles (``FcTiles.fold``) and the
+evaluator reads it from there.  FC output neurons are evaluated in
 power-of-two blocks no wider than the batch row count, which keeps every
 product on its single-rotation row-cycling path.  A layer is one chunked
 product (``matmul_chunked``) whose B neuron blocks are interleaved across
 the lanes of each row: neuron q = B*t + j of group t lands at lane q.
 The weight tiles are zero past the layer's input width w (676 for FC-1,
 the 64 FC-1 outputs for FC-2), the p iterations run in groups of G that
-share one row fold (``matmul.FcFold``: G = 8 for FC-1 and 4 for FC-2 at
-32768 slots), and the row cycle takes baby and giant steps of g rows
-(g = 8 for FC-1 and 4 for FC-2).  ``matmul_chunked`` gives the cost
-formula: 219 rotations for FC-1 and 63 for FC-2 at 32768 slots.  A
-layer's B bias seeds already sit at their output lanes and are only
-added, and its outputs land in lanes 0..B*p-1 of each row.
+share one row fold (G = 8 for FC-1 and 4 for FC-2 at 32768 slots), and
+the row cycle takes baby and giant steps of g rows (g = 8 for FC-1 and 4
+for FC-2).  ``matmul_chunked`` gives the cost formula: 219 rotations for
+FC-1 and 63 for FC-2 at 32768 slots.  A layer's B bias seeds already sit
+at their output lanes and are only added, and its outputs land in lanes
+0..B*p-1 of each row.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .encoding import MatrixShape, PackedMatrix
-from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, is_pow2, next_pow2
-from .matmul import encode_interleaved, matmul_chunked
+from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, next_pow2
+from .matmul import FcFold, encode_interleaved, matmul_chunked
 from .virtual import VirtualLayout, batched_conv_layer, reform_maps, tile_kernel_span
 
 __all__ = [
@@ -53,7 +55,6 @@ __all__ = [
     "PIPELINE_DEPTH",
     "ModelWeights",
     "FcTiles",
-    "FcBlocking",
     "EncodedModel",
     "batch_layout",
     "fc_blocking",
@@ -134,17 +135,13 @@ class FcTiles:
 
     ``tiles`` is indexed [diagonal][input_chunk], one diagonal per
     interleaved neuron block; ``bias_cts`` holds one bias seed per neuron
-    block of width ``block_p``, already at its output lanes.
+    block of width ``fold.p``, already at its output lanes.  ``fold`` is
+    the layer's plan, which the tiles were encoded with.
     """
 
     tiles: list
     bias_cts: list
-    block_p: int
-
-    @property
-    def out_width(self) -> int:
-        """Leading slots of each row the layer's output may occupy."""
-        return len(self.tiles) * self.block_p
+    fold: FcFold
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,80 +226,63 @@ def flatten_maps(
     return [PackedMatrix(ct, MatrixShape(layout.m, layout.f)) for ct in flat_cts]
 
 
-class FcBlocking(NamedTuple):
-    """``blocks`` neuron blocks of width ``block_p`` over ``chunks`` inputs."""
-
-    blocks: int
-    chunks: int
-    block_p: int
-
-
-def fc_blocking(layout: VirtualLayout) -> dict[str, FcBlocking]:
-    """Each FC layer's structure over ``layout``, by name: its outputs in
+def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
+    """Each FC layer's plan over ``layout``, by name: its outputs in
     power-of-two neuron blocks no wider than layout.m, over KERNEL_COUNT
-    input chunks (one per feature map) for fc1 and one for fc2.  The model
-    encoder and loader both take it from here; a model records none."""
-    blocking = {}
-    for name, out_dim, chunks in (("fc1", FC1_OUT, KERNEL_COUNT), ("fc2", FC2_OUT, 1)):
+    input chunks of MAP_FEATURES (one per feature map) for fc1 and one of
+    FC2_IN for fc2, in rows of layout.f lanes.  The model encoder and
+    loader both take it from here; a model records none."""
+    plans = {}
+    for name, width, out_dim, chunks in (("fc1", MAP_FEATURES, FC1_OUT, KERNEL_COUNT), ("fc2", FC2_IN, FC2_OUT, 1)):
         p_pad = next_pow2(out_dim)
-        if p_pad > layout.m and not is_pow2(layout.m):
-            raise LayoutError(f"{out_dim} outputs with {layout.m} rows need power-of-two rows for blocking")
-        block_p = min(p_pad, layout.m)
-        blocking[name] = FcBlocking(p_pad // block_p, chunks, block_p)
-    return blocking
+        p = min(p_pad, layout.m)
+        plans[name] = FcFold.derive(width, p_pad // p, p, layout.f, chunks)
+    return plans
 
 
 def _encode_fc_tiles(
-    engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, grid: MatrixShape, valid_widths, blocking: FcBlocking
+    engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, rows: int, n: int, fold: FcFold
 ) -> FcTiles:
-    """Encode an FC weight matrix against input chunks of one ``grid``, in
-    the neuron blocks of ``blocking`` (one chunk per entry of ``valid_widths``).
+    """Encode an FC weight matrix in the plan ``fold``, against input chunks
+    of ``rows`` rows ``n`` wide: chunk c is weight columns [c*w, (c+1)*w).
 
     Tile (d, c) is diagonal d of input chunk c in the interleaved layout
-    of :func:`encode_interleaved`, so neuron q lands at lane q.  Every
-    chunk is encoded over the widest chunk's width, zero past its own, so
-    all tiles share the lane offset the layer is evaluated with.  Bias
-    seed b holds neurons b*p..b*p+p-1 at their output lanes; the seeds are
-    the matmul accumulator seed once added.
+    of :func:`encode_interleaved`, so neuron q lands at lane q.  Bias seed
+    b holds neurons b*p..b*p+p-1 at their output lanes; the seeds are the
+    matmul accumulator seed once added.
     """
     out_dim, in_dim = weight.shape
-    if in_dim != sum(valid_widths):
-        raise LayoutError(f"weight expects {in_dim} inputs, chunks provide {sum(valid_widths)}")
-    rows, chunk_width = grid.m, grid.n
-    n_blocks, block_p = blocking.blocks, blocking.block_p
-    padded = np.zeros((n_blocks * block_p, in_dim), dtype=np.float64)
+    w = fold.width
+    if in_dim != fold.chunks * w:
+        raise LayoutError(f"weight expects {in_dim} inputs, the plan's {fold.chunks} chunks provide {fold.chunks * w}")
+    padded = np.zeros((fold.blocks * fold.p, in_dim), dtype=np.float64)
     padded[:out_dim] = weight
-    starts = np.concatenate([[0], np.cumsum(valid_widths)])[:-1]
-    per_chunk = []
-    for start, width in zip(starts, valid_widths):
-        chunk = np.zeros((max(valid_widths), n_blocks * block_p), dtype=np.float64)
-        chunk[:width] = padded[:, start : start + width].T
-        per_chunk.append(encode_interleaved(engine, chunk, n_blocks, rows, chunk_width))
+    chunks = [padded[:, c * w : (c + 1) * w].T for c in range(fold.chunks)]
+    per_chunk = [encode_interleaved(engine, chunk, fold, rows, n) for chunk in chunks]
     bias_cts = []
-    for b in range(n_blocks):
-        bias_grid = np.zeros((rows, chunk_width), dtype=np.float64)
-        lanes = slice(b * block_p, min((b + 1) * block_p, out_dim))
+    for b in range(fold.blocks):
+        bias_grid = np.zeros((rows, n), dtype=np.float64)
+        lanes = slice(b * fold.p, min((b + 1) * fold.p, out_dim))
         bias_grid[:, lanes] = bias[lanes]
         bias_cts.append(engine.enc(bias_grid.reshape(-1)))
-    return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], bias_cts, block_p)
+    return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], bias_cts, fold)
 
 
-def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles, in_width: int) -> PackedMatrix:
+def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> PackedMatrix:
     """Evaluate an FC layer given encoded weight tiles.
 
-    One chunked product over the interleaved neuron blocks, seeded with the
-    sum of the block biases: the input chunks' products are added inside
-    each iteration, so the layer pays one partial fold per iteration and
-    one row fold per group of iterations however many chunks and blocks it
-    has.  ``in_width`` is the layer's input width, the widest chunk's:
-    every weight tile is zero past it (``_encode_fc_tiles`` pads with
-    zeros) and starts at the lane offset it derives, so the row fold only
-    covers it.  Neuron q lands at lane q.
+    One chunked product over the interleaved neuron blocks, in the plan the
+    tiles were encoded with, seeded with the sum of the block biases: the
+    input chunks' products are added inside each iteration, so the layer
+    pays one partial fold per iteration and one row fold per group of
+    iterations however many chunks and blocks it has.  Every weight tile is
+    zero past the plan's input width, so the row fold only covers it.
+    Neuron q lands at lane q.
     """
     seed = engine.accumulator()
     for bias_ct in fc.bias_cts:
         seed.add(bias_ct)
-    return matmul_chunked(engine, chunks, *fc.tiles, init=seed.result(), width=in_width)
+    return matmul_chunked(engine, chunks, *fc.tiles, fold=fc.fold, init=seed.result())
 
 
 def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
@@ -311,12 +291,11 @@ def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
     weights.validate()
     layout = batch_layout(engine.slots)
     spans = [tile_kernel_span(engine, kern, layout) for kern in weights.conv_kernels]
-    grid = MatrixShape(layout.m, layout.f)
     fc1, fc2 = fc_blocking(layout).values()
     return EncodedModel(
         kernel_spans=spans,
-        fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, grid, [MAP_FEATURES] * fc1.chunks, fc1),
-        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, grid, [FC2_IN] * fc2.chunks, fc2),
+        fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, layout.m, layout.f, fc1),
+        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, layout.m, layout.f, fc2),
         act1=tuple(weights.act1),
         act2=tuple(weights.act2),
         layout=layout,
@@ -345,12 +324,12 @@ def forward_encoded(
     with engine.scope("flatten", stage_meters):
         chunks = flatten_maps(engine, maps, layout, out_h, out_w)
     with engine.scope("fc1", stage_meters):
-        hidden = _fc_from_tiles(engine, chunks, model.fc1, out_h * out_w)
+        hidden = _fc_from_tiles(engine, chunks, model.fc1)
     with engine.scope("act2", stage_meters):
         (activated,) = poly_activation(engine, [hidden.ct], model.act2)
         hidden = PackedMatrix(activated, hidden.shape)
     with engine.scope("fc2", stage_meters):
-        scores = _fc_from_tiles(engine, [hidden], model.fc2, model.fc1.out_width)
+        scores = _fc_from_tiles(engine, [hidden], model.fc2)
     return scores
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from .conv import ImageShape, KernelSpan
 from .encoding import MatrixShape, PackedMatrix
 from .engine import Ciphertext, EngineError, EngineParams, SlotEngine
-from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcBlocking, FcTiles, batch_layout, fc_blocking
+from .matmul import FcFold
+from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcTiles, batch_layout, fc_blocking
 from .virtual import VirtualLayout
 
 __all__ = [
@@ -187,15 +188,16 @@ def _fc_bias_path(directory: Path, name: str, b: int) -> Path:
     return directory / f"{name}_bias_b{b}{CT_SUFFIX}"
 
 
-def _load_fc(engine: SlotEngine, directory: Path, layout: VirtualLayout, name: str, blocking: FcBlocking) -> FcTiles:
-    """Load one FC layer, whose weight tiles are revolver grids of the layout's m x f."""
+def _load_fc(engine: SlotEngine, directory: Path, layout: VirtualLayout, name: str, fold: FcFold) -> FcTiles:
+    """Load one FC layer of plan ``fold``, whose weight tiles are revolver
+    grids of the layout's m x f."""
     shape = MatrixShape(layout.m, layout.f)
     tiles = []
-    for b in range(blocking.blocks):
-        cts = [load_ciphertext(engine, path)[0] for path in _tile_paths(directory, name, b, blocking.chunks)]
-        tiles.append([PackedMatrix(ct, shape, revolve_p=blocking.block_p) for ct in cts])
-    bias_cts = [load_ciphertext(engine, _fc_bias_path(directory, name, b))[0] for b in range(blocking.blocks)]
-    return FcTiles(tiles, bias_cts, blocking.block_p)
+    for b in range(fold.blocks):
+        cts = [load_ciphertext(engine, path)[0] for path in _tile_paths(directory, name, b, fold.chunks)]
+        tiles.append([PackedMatrix(ct, shape, revolve_p=fold.p) for ct in cts])
+    bias_cts = [load_ciphertext(engine, _fc_bias_path(directory, name, b))[0] for b in range(fold.blocks)]
+    return FcTiles(tiles, bias_cts, fold)
 
 
 def _coefficients(path, manifest: dict, key: str) -> tuple:
@@ -275,7 +277,7 @@ def load_model(engine: SlotEngine, directory) -> EncodedModel:
         spans.append(KernelSpan(cts, bias_ct, KERNEL_SIZE, shape))
     return EncodedModel(
         spans,
-        *(_load_fc(engine, directory, layout, name, blocking) for name, blocking in fc_blocking(layout).items()),
+        *(_load_fc(engine, directory, layout, name, fold) for name, fold in fc_blocking(layout).items()),
         act1=_coefficients(manifest_path, manifest, "act1"),
         act2=_coefficients(manifest_path, manifest, "act2"),
         layout=layout,

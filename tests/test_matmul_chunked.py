@@ -2,8 +2,7 @@
 interleaved across the lanes of each row, groups of G iterations sharing
 one row fold, and a row cycle in baby and giant steps."""
 
-from contextlib import contextmanager
-from unittest.mock import patch
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import LayoutError, next_pow2
-from packedhe.matmul import FcFold, MatmulPlan, encode_interleaved, matmul, matmul_chunked
+from packedhe.matmul import FcFold, encode_interleaved, matmul, matmul_chunked
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -34,7 +33,7 @@ def mismatches(draw):
 @settings(max_examples=25, deadline=None)
 @given(case=mismatches(), seed=st.integers(0, 2**32 - 1))
 def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
-    """Checked before the FC fold is derived, so any width will do."""
+    """Checked before the plan is read, so any plan will do."""
     m, n, p, kind, other_p = case
     rng = np.random.default_rng(seed)
     eng = make_engine(next_pow2(max(m + 1, p, other_p) * 2 * n))
@@ -50,7 +49,7 @@ def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
         b1 = encode_revolver(eng, rand_int_matrix(rng, width, other_p), target_m=max(rows, other_p))
         a_chunks, b_chunks = [a0, a1], [b0, b1]
     with pytest.raises(LayoutError, match="one right operand per left chunk|chunks disagree"):
-        matmul_chunked(eng, a_chunks, b_chunks, width=1)
+        matmul_chunked(eng, a_chunks, b_chunks, fold=FcFold.derive(1, 1, p, n, 1))
 
 
 def fold_layout(blocks: int, p: int, w: int, group: int) -> tuple:
@@ -68,32 +67,27 @@ def fold_rotations(blocks: int, p: int, w: int, group: int) -> int:
     return p * (group.bit_length() - 1) + p // group * steps
 
 
-def grouped_counts(
-    blocks: int, chunks: int, p: int, w: int, group: int, giant: int, rows: int, fast: bool = True
-) -> tuple:
+def grouped_counts(blocks: int, chunks: int, p: int, w: int, group: int, giant: int, rows: int) -> tuple:
     """(rot, mul, cmul) of one FC product over a layout of ``rows`` rows with
     groups of G iterations and giant steps of g: C*(B-1) chained lane shifts
-    and C shifts by -L (none when L = 0) once; B*C*g baby row cycles (one
-    rotation on the fast path, two masked ones otherwise; on the fast path
-    none for s1 = g when g = p = rows, a shift by the whole ciphertext),
-    B*C*(p/g - 1) giant shifts of the inputs and p/g - 1 rotations back; in
-    each of the p iterations B*C multiplies, log2 G fold steps at stride B
-    and the phase mask; in each of the p/G groups log2(F/(B*G)) fold steps
-    and the result filter."""
+    and C shifts by -L (none when L = 0) once; B*C*g baby row cycles of one
+    rotation each (none for s1 = g when g = p = rows, a shift by the whole
+    ciphertext), B*C*(p/g - 1) giant shifts of the inputs and p/g - 1
+    rotations back; in each of the p iterations B*C multiplies, log2 G fold
+    steps at stride B and the phase mask; in each of the p/G groups
+    log2(F/(B*G)) fold steps and the result filter."""
     offset, _ = fold_layout(blocks, p, w, group)
     tiles = blocks * chunks
-    babies = giant - (giant == rows) if fast else 2 * giant
     giants = p // giant - 1
     rot = (
         chunks * (blocks - 1)
         + chunks * (offset > 0)
-        + tiles * babies
+        + tiles * (giant - (giant == rows))
         + tiles * giants
         + giants
         + fold_rotations(blocks, p, w, group)
     )
-    cmul = p + p // group + (0 if fast else 2 * tiles * p)
-    return rot, tiles * p, cmul
+    return rot, tiles * p, p + p // group
 
 
 def fitting_groups(blocks: int, p: int, w: int, n: int) -> list:
@@ -112,32 +106,22 @@ def formula_group(blocks: int, chunks: int, p: int, w: int, n: int):
     )
 
 
-def formula_giant(blocks: int, chunks: int, p: int, group: int, fast: bool = True) -> int:
+def formula_giant(blocks: int, chunks: int, p: int, group: int) -> int:
     """The multiple g of G dividing p with the fewest row-cycle rotations,
-    B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g; p off the
-    single-rotation path.  The choice does not count the B*C baby tiles
-    that need no rotation when g = p = rows (see ``grouped_counts``)."""
-    if not fast:
-        return p
+    B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g.  The choice
+    does not count the B*C baby tiles that need no rotation when
+    g = p = rows (see ``grouped_counts``)."""
     tiles = blocks * chunks
     costs = {g: tiles * g + (tiles + 1) * (p // g - 1) for g in range(group, p + 1, group) if p % g == 0}
     return min(sorted(costs), key=costs.get)
 
 
-@contextmanager
-def forced_group(group: int, giant: int | None = None):
-    """Make the encoder and the evaluator, which both ask FcFold.derive,
-    use ``group``, and the evaluator the giant step ``giant`` (when given)."""
-    def derive(cls, width, blocks, p, n):
-        offset, _ = fold_layout(blocks, p, width, group)
-        return cls(blocks, p, width, group, offset)
-
-    with patch.object(FcFold, "derive", classmethod(derive)):
-        if giant is None:
-            yield
-        else:
-            with patch.object(FcFold, "giant_step", lambda fold, chunks, closes: giant):
-                yield
+def forced_plan(blocks: int, chunks: int, p: int, w: int, n: int, group: int, giant: int | None = None) -> FcFold:
+    """The derived plan with the group G (and its offset) forced, and the
+    giant step ``giant``, by default the one ``formula_giant`` picks for G."""
+    giant = formula_giant(blocks, chunks, p, group) if giant is None else giant
+    fold = FcFold.derive(w, blocks, p, n, chunks)
+    return replace(fold, group=group, offset=fold_layout(blocks, p, w, group)[0], giant=giant)
 
 
 def test_fc_fold_group_minimises_the_rotation_formula():
@@ -147,10 +131,10 @@ def test_fc_fold_group_minimises_the_rotation_formula():
     row cycle (g = p) would cost 376 and 69: fc1's p = 32 is its row
     count, so its 8 baby tiles at s1 = 32 need no rotation."""
     for (blocks, chunks, p, w), group, giant, rot in (((2, 4, 32, 676), 8, 8, 219), ((1, 1, 16, 64), 4, 4, 63)):
-        fold = FcFold.derive(w, blocks, p, 1024)
+        fold = FcFold.derive(w, blocks, p, 1024, chunks)
+        assert (fold.blocks, fold.chunks, fold.p, fold.width) == (blocks, chunks, p, w)
         assert fold.group == formula_group(blocks, chunks, p, w, 1024) == group
-        assert fold.giant_step(chunks, True) == formula_giant(blocks, chunks, p, group) == giant
-        assert fold.giant_step(chunks, False) == p
+        assert fold.giant == formula_giant(blocks, chunks, p, group) == giant
         assert fold.offset == fold_layout(blocks, p, w, group)[0] == blocks * p
         assert grouped_counts(blocks, chunks, p, w, group, giant, 32)[0] == rot
         assert grouped_counts(blocks, chunks, p, w, group, p, 32)[0] == {219: 376, 63: 69}[rot]
@@ -159,16 +143,14 @@ def test_fc_fold_group_minimises_the_rotation_formula():
 
 @st.composite
 def fc_shapes(draw):
-    """(m, n, p, w, slots): one-block FC products with p <= min(m, n), an
-    input width w that fits beside the p outputs (w + p - 1 <= n), and a
-    ciphertext that fits the layout exactly or has slack, so both
-    row-cycle paths occur."""
+    """(m, n, p, w, slots): one-block FC products whose m x n layout fills
+    the ciphertext, with p a power of two dividing m, p <= n, and an input
+    width w that fits beside the p outputs (w + p - 1 <= n)."""
     n = 1 << draw(st.integers(0, 5))
-    m = draw(st.integers(1, 9))
-    p = draw(st.integers(1, min(m, n)))
+    m = 1 << draw(st.integers(0 if n > 1 else 1, 3))
+    p = 1 << draw(st.integers(0, min(m, n).bit_length() - 1))
     w = draw(st.integers(1, n - p + 1))
-    slack = draw(st.integers(0, 1))
-    return m, n, p, w, next_pow2(max(2, m * n)) << slack
+    return m, n, p, w, m * n
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,12 +161,13 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     # A holds junk past w; the weights cover only the w inputs.
     a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
     b_mats = [rand_int_matrix(rng, w, p) for _ in range(chunks)]
+    fold = FcFold.derive(w, 1, p, n, chunks)
     eng = make_engine(slots)
     a_cts = [encode_row_major(eng, a) for a in a_mats]
-    b_cts = [encode_interleaved(eng, b, 1, m, n)[0] for b in b_mats]
+    b_cts = [encode_interleaved(eng, b, fold, m, n)[0] for b in b_mats]
     spent = {}
     with eng.scope("call", spent):
-        out = matmul_chunked(eng, a_cts, b_cts, width=w)
+        out = matmul_chunked(eng, a_cts, b_cts, fold=fold)
     call = spent["call"]
 
     want = np.zeros(slots)
@@ -194,14 +177,12 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     np.testing.assert_array_equal(eng.dec(out.ct), want)
 
     # log2 G fold steps per iteration and log2(F/G) per group, at the G
-    # the formula picks; the row cycle costs one rotation per chunk on the
-    # fast path and two on the general path, which also adds a level.
-    fast = MatmulPlan.plan(eng, m, n, p).fast_path
+    # the formula picks; the row cycle costs one rotation per chunk.
     group = formula_group(1, chunks, p, w, n)
-    giant = formula_giant(1, chunks, p, group, fast)
+    assert (fold.group, fold.giant) == (group, formula_giant(1, chunks, p, group))
     assert eng.scopes["matmul.row_sum"].rot_count == fold_rotations(1, p, w, group)
-    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, giant, m, fast)
-    assert call.max_depth == (3 if fast else 4)
+    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, fold.giant, m)
+    assert call.max_depth == 3
 
     # matmul on the same weights keeps the paper's 2*log2(n) row sum.
     padded = np.zeros((n, p))
@@ -213,55 +194,68 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
 
 
 def test_fc_row_sum_rejects_widths_outside_the_row():
-    eng = make_engine(64)
+    eng = make_engine(32)
     a = encode_row_major(eng, np.ones((4, 8)))
-    tiles = encode_interleaved(eng, np.ones((5, 4)), 1, 4, 8)  # L = 3: 3 + 5 lanes fill the row
+    fold = FcFold.derive(5, 1, 4, 8, 1)
+    assert (fold.group, fold.offset) == (1, 3)  # L = 3: 3 + 5 lanes fill the row
+    tiles = encode_interleaved(eng, np.ones((5, 4)), fold, 4, 8)
     for width in (0, 6, 9):  # widths no fold fits, or whose tiles would leave the row
-        with pytest.raises(LayoutError, match="neuron blocks"):
-            matmul_chunked(eng, [a], tiles, width=width)
-    with pytest.raises(LayoutError, match="w \\+ B - 1"):
-        encode_interleaved(eng, np.ones((6, 4)), 1, 4, 8)
+        with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
+            FcFold.derive(width, 1, 4, 8, 1)
+    # a plan whose fold window leaves the row, or whose B, C or p the operands do not have
+    for plan in (replace(fold, width=6), replace(fold, blocks=2), replace(fold, chunks=2), replace(fold, p=2)):
+        with pytest.raises(LayoutError, match="do not match the plan"):
+            matmul_chunked(eng, [a], tiles, fold=plan)
     narrow = encode_row_major(eng, np.ones((2, 2)))
     with pytest.raises(LayoutError):  # p = 4 > n = 2
-        matmul_chunked(eng, [narrow], [encode_revolver(eng, np.ones((2, 4)), target_m=4)], width=2)
+        matmul_chunked(eng, [narrow], [encode_revolver(eng, np.ones((2, 4)), target_m=4)], fold=fold)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 5), (5, 8), (1, 20)], ids=["wider", "transposed", "two-blocks", "flat"])
+def test_encode_interleaved_takes_one_chunk_of_the_plan(shape):
+    """A weight chunk must be w x (B*p) of its plan (here 5 x 4), or the
+    tiles would place weights at lanes the plan does not cover."""
+    fold = FcFold.derive(5, 1, 4, 8, 1)
+    with pytest.raises(LayoutError, match=f"^weight chunk is {shape[0]}x{shape[1]}, the plan needs 5x4$"):
+        encode_interleaved(make_engine(32), np.ones(shape), fold, 4, 8)
 
 
 @st.composite
 def fused_shapes(draw):
     """(m, B, C, n, p, w, slots): B interleaved neuron blocks of C chunks
-    each, B a power of two and B*p <= n.  p need not be a power of two;
-    B*p + w - 1 = n (the widest w that fits), wider w that no group fits,
-    p = 1 and B > m all occur, and the ciphertext fits the layout exactly
-    or has slack, so both row-cycle paths occur."""
+    each, B and p powers of two with B*p <= n, over rows = max(m, p), a
+    multiple of p, whose layout fills the ciphertext.  B*p + w - 1 = n (the
+    widest w that fits), wider w that no group fits, p = 1 and B > m all
+    occur."""
     n = 1 << draw(st.integers(0, 5))
     blocks = 1 << draw(st.integers(0, n.bit_length() - 1))
-    p = draw(st.one_of(st.just(n // blocks), st.integers(1, n // blocks)))
+    p = 1 << draw(st.integers(0, (n // blocks).bit_length() - 1))
     widest = n - blocks * p + 1
     w = draw(st.one_of(st.just(widest), st.integers(1, widest), st.integers(1, n - blocks + 1)))
-    m = draw(st.integers(1, 9))
+    rows = p << draw(st.integers(0 if p * n > 1 else 1, 2))
+    m = rows if rows > p else draw(st.integers(1, p))
     chunks = draw(st.integers(1, 3))
-    slack = draw(st.integers(0, 1))
-    return m, blocks, chunks, n, p, w, next_pow2(max(2, max(m, p) * n)) << slack
+    return m, blocks, chunks, n, p, w, rows * n
 
 
 @settings(max_examples=40, deadline=None)
 @given(shape=fused_shapes(), seed=st.integers(0, 2**32 - 1))
-@example(shape=(4, 2, 2, 16, 4, 9, 64), seed=1)  # B*p + w - 1 = n, fast path
-@example(shape=(3, 4, 1, 4, 1, 1, 16), seed=2)  # p = 1, B > m, L = 0, general path
-@example(shape=(2, 8, 2, 8, 1, 1, 16), seed=3)  # B > m and B*p = n, fast path
-@example(shape=(6, 2, 3, 16, 3, 11, 128), seed=4)  # non-power-of-two p, general path
-@example(shape=(8, 2, 2, 32, 8, 10, 256), seed=5)  # every G of 1..8 fits, fast path
+@example(shape=(4, 2, 2, 16, 4, 9, 64), seed=1)  # B*p + w - 1 = n
+@example(shape=(2, 4, 1, 4, 1, 1, 8), seed=2)  # p = 1, B > m, L = 0
+@example(shape=(2, 8, 2, 8, 1, 1, 16), seed=3)  # B > m and B*p = n
+@example(shape=(8, 2, 2, 32, 8, 10, 256), seed=5)  # every G of 1..8 fits
 @example(shape=(4, 2, 2, 8, 4, 5, 32), seed=6)  # w + B - 1 fits the row, but not beside the outputs
 def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
     """Every G dividing p whose window fits: exact against numpy, and the
     rotation, multiply and depth counts of the formula.  The derived G is
     the formula's minimiser, and a shape no G fits is rejected."""
     m, blocks, chunks, n, p, w, slots = shape
+    rows = max(m, p)
     rng = np.random.default_rng(seed)
     # A holds junk past w; the weights cover only the w inputs.
     a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
     b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
-    seed_grid = np.zeros((max(m, p), n))
+    seed_grid = np.zeros((rows, n))
     seed_grid[:m, : blocks * p] = rand_int_matrix(rng, m, blocks * p)
     want = seed_grid.copy()
     want[:m, : blocks * p] += sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
@@ -270,46 +264,39 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
 
     groups = fitting_groups(blocks, p, w, n)
     if not groups:
-        eng = make_engine(slots)
-        with pytest.raises(LayoutError, match="w \\+ B - 1"):
-            encode_interleaved(eng, b_mats[0], blocks, max(m, p), n)
-        tiles = [encode_revolver(eng, np.zeros((n, p)), max(m, p))] * chunks
-        with pytest.raises(LayoutError, match="neuron blocks"):
-            matmul_chunked(eng, [encode_row_major(eng, a) for a in a_mats], *[tiles] * blocks, width=w)
+        with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
+            FcFold.derive(w, blocks, p, n, chunks)
         return
-    assert FcFold.derive(w, blocks, p, n).group == formula_group(blocks, chunks, p, w, n)
+    assert FcFold.derive(w, blocks, p, n, chunks).group == formula_group(blocks, chunks, p, w, n)
     for group in groups:
         eng = make_engine(slots)
-        with forced_group(group):
-            a_cts = [encode_row_major(eng, a) for a in a_mats]
-            per_chunk = [encode_interleaved(eng, b, blocks, max(m, p), n) for b in b_mats]
-            offset, _ = fold_layout(blocks, p, w, group)
-            for tiles, b in zip(per_chunk, b_mats):  # the per-lane layout rule, as a loop
-                for d, tile in enumerate(tiles):
-                    grid = np.zeros((max(m, p), n))
-                    for r in range(max(m, p)):
-                        for lane in range(w):
-                            grid[r, offset + lane + d] = b[lane, blocks * (r % p) + (lane + d) % blocks]
-                    assert eng.dec(tile.ct).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
-            if blocks == 1:  # one block is the revolver encoding of B placed at lanes L..L+w-1
-                for (tile,), b in zip(per_chunk, b_mats):
-                    placed = np.zeros((n, p))
-                    placed[offset : offset + w] = b
-                    revolver = encode_revolver(eng, placed, max(m, p))
-                    assert eng.dec(tile.ct).tobytes() == eng.dec(revolver.ct).tobytes()
-            diagonals = [list(d) for d in zip(*per_chunk)]
-            init = eng.enc(seed_grid.reshape(-1))
-            spent = {}
-            with eng.scope("call", spent):
-                out = matmul_chunked(eng, a_cts, *diagonals, init=init, width=w)
-            call = spent["call"]
+        fold = forced_plan(blocks, chunks, p, w, n, group)
+        a_cts = [encode_row_major(eng, a) for a in a_mats]
+        per_chunk = [encode_interleaved(eng, b, fold, rows, n) for b in b_mats]
+        for tiles, b in zip(per_chunk, b_mats):  # the per-lane layout rule, as a loop
+            for d, tile in enumerate(tiles):
+                grid = np.zeros((rows, n))
+                for r in range(rows):
+                    for lane in range(w):
+                        grid[r, fold.offset + lane + d] = b[lane, blocks * (r % p) + (lane + d) % blocks]
+                assert eng.dec(tile.ct).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
+        if blocks == 1:  # one block is the revolver encoding of B placed at lanes L..L+w-1
+            for (tile,), b in zip(per_chunk, b_mats):
+                placed = np.zeros((n, p))
+                placed[fold.offset : fold.offset + w] = b
+                revolver = encode_revolver(eng, placed, rows)
+                assert eng.dec(tile.ct).tobytes() == eng.dec(revolver.ct).tobytes()
+        diagonals = [list(d) for d in zip(*per_chunk)]
+        init = eng.enc(seed_grid.reshape(-1))
+        spent = {}
+        with eng.scope("call", spent):
+            out = matmul_chunked(eng, a_cts, *diagonals, fold=fold, init=init)
+        call = spent["call"]
 
         np.testing.assert_array_equal(eng.dec(out.ct), expected)
-        fast = MatmulPlan.plan(eng, m, n, p).fast_path
         counts = (call.rot_count, call.mul_count, call.cmul_count)
-        giant = formula_giant(blocks, chunks, p, group, fast)
-        assert counts == grouped_counts(blocks, chunks, p, w, group, giant, max(m, p), fast)
-        assert call.max_depth == (3 if fast else 4)
+        assert counts == grouped_counts(blocks, chunks, p, w, group, fold.giant, rows)
+        assert call.max_depth == 3
         assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
 
 
@@ -321,31 +308,32 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
 def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
     """B*p > n would wrap blocks into the next row, and with
     B*(p - 1) + w + B - 1 > n the tiles, shifted past the p output groups,
-    would leave the row."""
+    would leave the row: no plan is derived, and a plan made by hand is
+    refused."""
+    with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
+        FcFold.derive(width, blocks, p, n, 1)
     eng = make_engine(8 * n)
     a = encode_row_major(eng, np.ones((8, n)))
     b = encode_revolver(eng, np.ones((n, p)), target_m=8)
-    with pytest.raises(LayoutError, match="neuron blocks"):
-        matmul_chunked(eng, [a], *[[b]] * blocks, width=width)
+    fold = FcFold(blocks, p, width, 1, 1, blocks * (p - 1), p)
+    with pytest.raises(LayoutError, match="do not match the plan"):
+        matmul_chunked(eng, [a], *[[b]] * blocks, fold=fold)
     for bad in ([], [[b], [b, b]]):  # no block; blocks of unequal chunk counts
         with pytest.raises(LayoutError, match="one right operand per left chunk"):
-            matmul_chunked(eng, [a], *bad, width=width)
-    with pytest.raises(LayoutError, match="w \\+ B - 1"):
-        encode_interleaved(eng, np.ones((width, blocks * p)), blocks, 8, n)
+            matmul_chunked(eng, [a], *bad, fold=fold)
 
 
-def run_fc(slots, a_mats, b_mats, blocks, w, init_grid=None):
-    """Encode and run one FC product; returns the engine, the decoded output
-    and the call's meter."""
+def run_fc(slots, a_mats, b_mats, fold, init_grid=None):
+    """Encode and run one FC product in the plan ``fold``; returns the
+    engine, the decoded output and the call's meter."""
     m, n = a_mats[0].shape
-    p = b_mats[0].shape[1] // blocks
     eng = make_engine(slots)
     a_cts = [encode_row_major(eng, a) for a in a_mats]
-    diagonals = [list(d) for d in zip(*[encode_interleaved(eng, b, blocks, max(m, p), n) for b in b_mats])]
+    diagonals = [list(d) for d in zip(*[encode_interleaved(eng, b, fold, max(m, fold.p), n) for b in b_mats])]
     init = None if init_grid is None else eng.enc(init_grid.reshape(-1))
     spent = {}
     with eng.scope("call", spent):
-        out = matmul_chunked(eng, a_cts, *diagonals, init=init, width=w)
+        out = matmul_chunked(eng, a_cts, *diagonals, fold=fold, init=init)
     return eng, eng.dec(out.ct), spent["call"]
 
 
@@ -386,9 +374,8 @@ def test_giant_steps_match_numpy_and_the_plain_row_cycle(shape, seed):
     b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
     init_grid = np.zeros((rows, n))
     init_grid[:m, : blocks * p] = rand_int_matrix(rng, m, blocks * p)
-    with forced_group(group, giant):
-        eng, got, call = run_fc(slots, a_mats, b_mats, blocks, w, init_grid)
-    assert MatmulPlan.plan(eng, m, n, p).fast_path
+    fold = forced_plan(blocks, chunks, p, w, n, group, giant)
+    eng, got, call = run_fc(slots, a_mats, b_mats, fold, init_grid)
     want = init_grid.copy()
     want[:m, : blocks * p] += sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
     np.testing.assert_array_equal(got, want.reshape(-1))
@@ -398,10 +385,8 @@ def test_giant_steps_match_numpy_and_the_plain_row_cycle(shape, seed):
 
     a_mats = [rng.standard_normal((m, n)) for _ in range(chunks)]
     b_mats = [rng.standard_normal((w, blocks * p)) for _ in range(chunks)]
-    with forced_group(group, giant):
-        _, stepped, _ = run_fc(slots, a_mats, b_mats, blocks, w)
-    with forced_group(group, p):
-        _, plain, _ = run_fc(slots, a_mats, b_mats, blocks, w)
+    _, stepped, _ = run_fc(slots, a_mats, b_mats, fold)
+    _, plain, _ = run_fc(slots, a_mats, b_mats, replace(fold, giant=p))
     assert stepped.tobytes() == plain.tobytes()
 
 
@@ -409,24 +394,19 @@ def test_giant_steps_match_numpy_and_the_plain_row_cycle(shape, seed):
     "m, blocks, chunks, n, p, w",
     [(8, 1, 1, 16, 8, 5), (8, 2, 2, 32, 8, 9), (16, 1, 2, 16, 16, 1)],
 )
-def test_general_row_cycle_takes_no_giant_steps(m, blocks, chunks, n, p, w):
-    """A layout with slack slots cycles its rows with two masked rotations,
-    which no giant step can share, so g = p there, although the same shape
-    takes g < p when its layout fills the ciphertext."""
+def test_fc_product_rejects_a_row_cycle_that_does_not_close(m, blocks, chunks, n, p, w):
+    """The FC product cycles its rows with one rotation, which needs the
+    rows to fill the ciphertext with p dividing them.  With slack slots, or
+    with rows that p does not divide, it raises and names the rows, the
+    lanes and the slots, where the paper's ``matmul`` would take its masked
+    two-rotation path."""
     rng = np.random.default_rng(7)
     a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
     b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
-    group = formula_group(blocks, chunks, p, w, n)
-    fold = FcFold.derive(w, blocks, p, n)
-    assert fold.giant_step(chunks, False) == formula_giant(blocks, chunks, p, group, False) == p
-    assert fold.giant_step(chunks, True) == formula_giant(blocks, chunks, p, group) < p
-    want = sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
-    for slots, fast in ((max(m, p) * n, True), (2 * max(m, p) * n, False)):
-        eng, got, call = run_fc(slots, a_mats, b_mats, blocks, w)
-        assert MatmulPlan.plan(eng, m, n, p).fast_path == fast
-        np.testing.assert_array_equal(got.reshape(-1, n)[:m, : blocks * p], want)
-        giant = formula_giant(blocks, chunks, p, group, fast)
-        assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(
-            blocks, chunks, p, w, group, giant, max(m, p), fast
-        )
-        assert call.max_depth == (3 if fast else 4)
+    fold = FcFold.derive(w, blocks, p, n, chunks)
+    _, got, call = run_fc(m * n, a_mats, b_mats, fold)
+    np.testing.assert_array_equal(got.reshape(-1, n)[:, : blocks * p], sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats)))
+    assert call.max_depth == 3
+    for slots, rows in ((2 * m * n, m), (2 * m * n, m + 1)):
+        with pytest.raises(LayoutError, match=f"p={p} dividing them: {rows} rows of {n} lanes in {slots} slots$"):
+            run_fc(slots, [np.pad(a, ((0, rows - m), (0, 0))) for a in a_mats], b_mats, fold)

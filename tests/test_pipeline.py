@@ -7,10 +7,12 @@ import pytest
 from packedhe.conv import Kernel
 from packedhe.encoding import MatrixShape, PackedMatrix, encode_row_major
 from packedhe.engine import EngineError, LayoutError, OpMeter, SlotEngine, next_pow2
+from packedhe.matmul import FcFold
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
 from packedhe.pipeline import (
     FC1_IN,
     FC1_OUT,
+    FC2_IN,
     FC2_OUT,
     IMAGE_SIDE,
     IMAGE_SLOTS,
@@ -20,13 +22,13 @@ from packedhe.pipeline import (
     MAP_FEATURES,
     MAP_SIDE,
     PIPELINE_DEPTH,
-    FcBlocking,
     ModelWeights,
     _encode_fc_tiles,
     _fc_from_tiles,
     argmax_decide,
     batch_layout,
     encode_model,
+    fc_blocking,
     flatten_maps,
     forward_encoded,
     pack_batch,
@@ -35,7 +37,7 @@ from packedhe.pipeline import (
 from packedhe.virtual import VirtualLayout, batched_conv_layer, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
-from test_matmul_chunked import formula_giant, formula_group, grouped_counts
+from test_matmul_chunked import fitting_groups, formula_giant, formula_group, grouped_counts
 
 ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
@@ -187,12 +189,13 @@ def test_flatten_maps_matches_oracle_order(rng):
             assert np.count_nonzero(chunk.decode(eng)[b, 36:]) == 0
 
 
-def fc_apply(eng, chunks, widths, weight, bias):
-    """Encode an FC layer against chunks with the given valid prefix widths
-    and evaluate it, as the pipeline does for FC-1 and FC-2."""
-    blocks, _, p, *_ = fc_shape(len(bias), len(widths), max(widths), chunks[0].shape.m)
-    fc = _encode_fc_tiles(eng, weight, bias, chunks[0].shape, widths, FcBlocking(blocks, len(widths), p))
-    return _fc_from_tiles(eng, chunks, fc, max(widths))
+def fc_apply(eng, chunks, width, weight, bias):
+    """Encode an FC layer against chunks that each hold ``width`` valid
+    inputs per row and evaluate it, as the pipeline does for FC-1 and FC-2."""
+    rows, n = chunks[0].shape.m, chunks[0].shape.n
+    blocks, _, p, *_ = fc_shape(len(bias), len(chunks), width, rows)
+    fold = FcFold.derive(width, blocks, p, n, len(chunks))
+    return _fc_from_tiles(eng, chunks, _encode_fc_tiles(eng, weight, bias, rows, n, fold))
 
 
 def test_fc_layer_identity(rng):
@@ -202,10 +205,10 @@ def test_fc_layer_identity(rng):
     eng = make_engine(64)
     x = rand_int_matrix(rng, 4, 16)
     pm = encode_row_major(eng, x)
-    out = fc_apply(eng, [pm], [7], np.eye(7), np.zeros(7)).decode(eng)
+    out = fc_apply(eng, [pm], 7, np.eye(7), np.zeros(7)).decode(eng)
     np.testing.assert_array_equal(out[:, :7], x[:, :7])
     with pytest.raises(LayoutError, match="w \\+ B - 1"):  # 6 + 10 + 1 lanes > 16
-        fc_apply(eng, [pm], [10], np.eye(7, 10), np.zeros(7))
+        fc_apply(eng, [pm], 10, np.eye(7, 10), np.zeros(7))
 
 
 def test_fc_layer_random_affine(rng):
@@ -213,24 +216,23 @@ def test_fc_layer_random_affine(rng):
     x = rand_int_matrix(rng, 4, 16)
     w = rng.uniform(-1, 1, size=(4, 8))
     b = rng.uniform(-1, 1, size=4)
-    out = fc_apply(eng, [encode_row_major(eng, x)], [8], w, b).decode(eng)
+    out = fc_apply(eng, [encode_row_major(eng, x)], 8, w, b).decode(eng)
     np.testing.assert_allclose(out[:, :4], x[:, :8] @ w.T + b, rtol=1e-12, atol=1e-12)
 
 
 def test_fc_layer_chunked_input(rng):
+    """Chunk c meets weight columns [c*w, (c+1)*w); each chunk's lanes past
+    w hold junk the weights never read."""
     eng = make_engine(32)
-    left = rand_int_matrix(rng, 4, 5)
-    right = rand_int_matrix(rng, 4, 3)
-    chunks = []
-    for part, width in ((left, 5), (right, 3)):
-        grid = np.zeros((4, 8))
-        grid[:, :width] = part
-        chunks.append(PackedMatrix(eng.enc(grid.reshape(-1)), MatrixShape(4, 8)))
-    w = rng.uniform(-1, 1, size=(4, 8))
+    parts = [rand_int_matrix(rng, 4, 8) for _ in range(3)]
+    chunks = [PackedMatrix(eng.enc(part.reshape(-1)), MatrixShape(4, 8)) for part in parts]
+    w = rng.uniform(-1, 1, size=(4, 9))
     b = rng.uniform(-1, 1, size=4)
-    out = fc_apply(eng, chunks, [5, 3], w, b).decode(eng)
-    x = np.hstack([left, right])
+    out = fc_apply(eng, chunks, 3, w, b).decode(eng)
+    x = np.hstack([part[:, :3] for part in parts])
     np.testing.assert_allclose(out[:, :4], x @ w.T + b, rtol=1e-12, atol=1e-12)
+    with pytest.raises(LayoutError, match="weight expects 8 inputs, the plan's 3 chunks provide 9"):
+        fc_apply(eng, chunks, 3, w[:, :8], b)
 
 
 def test_fc_layer_blocks_wider_than_rows(rng):
@@ -241,10 +243,10 @@ def test_fc_layer_blocks_wider_than_rows(rng):
     pm = encode_row_major(eng, x)
     w = rng.uniform(-1, 1, size=(8, 9))
     b = rng.uniform(-1, 1, size=8)
-    out = fc_apply(eng, [pm], [9], w, b).decode(eng)
+    out = fc_apply(eng, [pm], 9, w, b).decode(eng)
     np.testing.assert_allclose(out[:, :8], x[:, :9] @ w.T + b, rtol=1e-12, atol=1e-12)
     with pytest.raises(LayoutError, match="w \\+ B - 1"):  # the full-row shape
-        fc_apply(eng, [pm], [16], rng.uniform(-1, 1, size=(8, 16)), b)
+        fc_apply(eng, [pm], 16, rng.uniform(-1, 1, size=(8, 16)), b)
 
 
 def test_model_weights_validation(rng):
@@ -341,13 +343,14 @@ def test_forward_fused_fc_exact_counts(rng):
     total = spent["call"]
     # fc1 reads the 676-slot map prefixes; fc2 reads fc1's B*p outputs.
     fc1_shape = fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES)
-    fc2_shape = fc_shape(FC2_OUT, 1, model.fc1.out_width)
+    fc2_shape = fc_shape(FC2_OUT, 1, FC2_IN)
     for name, fc, shape in (("fc1", model.fc1, fc1_shape), ("fc2", model.fc2, fc2_shape)):
-        blocks, chunks, p, _, _, _ = shape
-        assert (len(fc.tiles), len(fc.tiles[0]), fc.block_p) == (blocks, chunks, p)
+        blocks, chunks, p, _, w, _ = shape
+        assert (len(fc.tiles), len(fc.tiles[0]), len(fc.bias_cts)) == (blocks, chunks, blocks)
+        assert (fc.fold.blocks, fc.fold.chunks, fc.fold.p, fc.fold.width) == (blocks, chunks, p, w)
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
-    assert model.fc1.out_width == next_pow2(FC1_OUT) == 64
+    assert model.fc1.fold.blocks * model.fc1.fold.p == next_pow2(FC1_OUT) == FC2_IN == 64
     want = np.add(NON_FC_COUNTS, np.add(fc_counts(*fc1_shape), fc_counts(*fc2_shape)))
     assert (total.rot_count, total.mul_count, total.cmul_count) == tuple(want)
     assert total.max_depth == PIPELINE_DEPTH == 13
@@ -376,7 +379,7 @@ def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
     np.testing.assert_array_equal(argmax_decide(eng, scores), np.argmax(want, axis=1))
     for name, shape in (
         ("fc1", fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES, layout.m)),
-        ("fc2", fc_shape(FC2_OUT, 1, model.fc1.out_width, layout.m)),
+        ("fc2", fc_shape(FC2_OUT, 1, FC2_IN, layout.m)),
     ):
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
@@ -398,6 +401,40 @@ def test_fc_stages_make_no_rotation_by_zero(rng, slots):
         assert stage_meters[name].rot_offsets and 0 not in stage_meters[name].rot_offsets
 
 
+# fc1 and fc2 rotations per batch at the plan fc_blocking derives, by slot
+# count (fc1 at 32768 slots ties between G = 4 and G = 8, both with g = 8).
+FC_PLAN_ROTATIONS = {
+    1024: (256, 18),
+    2048: (262, 21),
+    4096: (268, 27),
+    8192: (219, 37),
+    16384: (187, 63),
+    32768: (219, 63),
+}
+
+
+@pytest.mark.parametrize("slots", sorted(FC_PLAN_ROTATIONS))
+def test_fc_plan_is_the_rotation_optimum(slots):
+    """Each FC layer's plan costs exactly the fewest rotations of any
+    fitting fold group G and giant step g (a multiple of G dividing p), by
+    the cost formula; it is also the choice of the two-stage rule (G by the
+    fold rotations, then g), which fixes the fold's summation order."""
+    layout = batch_layout(slots)
+    plans = fc_blocking(layout)
+    assert list(plans) == ["fc1", "fc2"]
+    for fold, want in zip(plans.values(), FC_PLAN_ROTATIONS[slots]):
+        blocks, chunks, p, w = fold.blocks, fold.chunks, fold.p, fold.width
+        costs = [
+            grouped_counts(blocks, chunks, p, w, group, giant, layout.m)[0]
+            for group in fitting_groups(blocks, p, w, layout.f)
+            for giant in range(group, p + 1, group)
+            if p % giant == 0
+        ]
+        assert grouped_counts(blocks, chunks, p, w, fold.group, fold.giant, layout.m)[0] == min(costs) == want
+        assert fold.group == formula_group(blocks, chunks, p, w, layout.f)
+        assert fold.giant == formula_giant(blocks, chunks, p, fold.group)
+
+
 def test_forward_builds_each_mask_once(rng, monkeypatch):
     """One pass builds every plaintext mask once for all its consumers: k*k
     offset filters shared by the kernels, out_h reform row masks shared by
@@ -416,7 +453,7 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
 
     monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     forward_encoded(eng, ct, model)
-    fc_shapes = (fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES), fc_shape(FC2_OUT, 1, model.fc1.out_width))
+    fc_shapes = (fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES), fc_shape(FC2_OUT, 1, FC2_IN))
     groups = [formula_group(blocks, chunks, p, w, n) for blocks, chunks, p, n, w, _ in fc_shapes]
     giants = [formula_giant(blocks, chunks, p, group) for (blocks, chunks, p, *_), group in zip(fc_shapes, groups)]
     assert groups == [8, 4] and giants == [8, 4]

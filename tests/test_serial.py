@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from packedhe.matmul import FcFold
 from packedhe.pipeline import batch_layout, encode_model, forward_encoded, pack_batch
 from packedhe.serial import (
     SerialError,
@@ -128,6 +129,41 @@ def test_model_round_trip_and_count(tmp_path, rng):
     s1 = forward_encoded(eng, ct1, model).decode(eng)
     s2 = forward_encoded(eng2, ct2, loaded).decode(eng2)
     np.testing.assert_array_equal(s1, s2)
+
+
+@pytest.mark.parametrize("slots", [1024, 2048, 4096, 8192, 16384, 32768])
+def test_loaded_model_carries_the_encoder_plans(tmp_path, rng, slots):
+    """The loader derives each FC layer's plan from the layout, as the
+    encoder does, so a loaded model evaluates in the plan it was encoded in."""
+    eng = make_engine(slots)
+    model = encode_model(eng, random_weights(rng))
+    write_model(tmp_path, model)
+    loaded = load_model(make_engine(slots), tmp_path)
+    assert (loaded.fc1.fold, loaded.fc2.fold) == (model.fc1.fold, model.fc2.fold)
+    for fc in (loaded.fc1, loaded.fc2):
+        assert {tile.revolve_p for row in fc.tiles for tile in row} == {fc.fold.p}
+
+
+def test_fc_plans_are_derived_once_per_layer_and_never_per_batch(tmp_path, rng, monkeypatch):
+    """``FcFold.derive`` runs once per FC layer when a model is encoded and
+    when it is loaded, and not at all in a forward pass."""
+    calls = []
+    derive = FcFold.derive.__func__
+
+    def counting_derive(cls, *args):
+        calls.append(args)
+        return derive(cls, *args)
+
+    monkeypatch.setattr(FcFold, "derive", classmethod(counting_derive))
+    eng = make_engine(2048)
+    model = encode_model(eng, random_weights(rng))
+    assert len(calls) == 2
+    write_model(tmp_path, model)
+    loaded = load_model(eng, tmp_path)
+    assert len(calls) == 4
+    for _ in range(2):
+        forward_encoded(eng, pack_batch(eng, np.zeros((2, 28, 28))), loaded)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize(
