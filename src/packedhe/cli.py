@@ -42,6 +42,13 @@ def _engine_params(args) -> EngineParams:
 def _cmd_owner_encode(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
+    out_dir = Path(args.out_dir)
+    # cloud-infer scores every batch file in the directory, so old batches
+    # would be scored with the new ones
+    stale = len(list(out_dir.glob(f"*{CT_SUFFIX}")))
+    if stale:
+        print(f"error: {out_dir} already holds {stale} {CT_SUFFIX} files; choose an empty --out-dir", file=sys.stderr)
+        return 1
     engine = SlotEngine(_engine_params(args))
     layout = batch_layout(engine.slots)
     images, _ = load_mnist_idx(args.images)
@@ -51,7 +58,6 @@ def _cmd_owner_encode(args) -> int:
     if n == 0:
         print("error: no images to encode", file=sys.stderr)
         return 1
-    out_dir = Path(args.out_dir)
     firsts = range(0, n, layout.m)
     for b, first in enumerate(firsts):
         chunk = images[first : first + layout.m]

@@ -9,20 +9,22 @@ iteration produced.  Rotation/mask costs per iteration are constant, and
 so is the multiplicative depth.
 
 :func:`matmul_chunked` is the FC product, laid out by one plan per layer
-(:class:`FcFold`: blocks B, width w, chunks C, group G, offset L and
-giant step g, derived once).  Its weights are zero past the input width
-w, so it adds the products of C input chunks in each iteration,
-interleaves B neuron blocks across the spare lanes of each row and lets a
-group of iterations share one row fold: each iteration folds part way and
-keeps one phase class of lanes, and the group pays one fold to the output
-lanes and one result filter.  Its row cycle takes baby and giant steps:
+(:class:`FcFold`: blocks B, width w, chunks C, rows x lanes, group G,
+offset L and giant step g, derived once).  Its weights are zero past the
+input width w, so it adds the products of C input chunks in each
+iteration, interleaves B neuron blocks across the spare lanes of each row
+and lets a group of iterations share one row fold: each iteration folds
+part way and keeps one phase class of lanes, and the group pays one fold
+to the output lanes and one result filter.  Its row cycle takes baby and giant steps:
 with s = idx + 1 = g*s2 + s1, the B*C weight tiles are rotated once per
 baby step s1 in 1..g, the inputs once per giant step s2, and each giant
 step's sum is rotated back once, so an FC call pays
 B*C*g + (B*C + 1)*(p/g - 1) row-cycle rotations rather than B*C*p (g = 8
 for FC-1 and 4 for FC-2 at 32768 slots), B*C fewer when g = p = rows,
-where the baby step by g rows is no rotation at all.  Its rows must fill
-the ciphertext with p dividing them, so each baby step is one rotation.
+where the baby step by g rows is no rotation at all.  Its operands are
+bare ciphertexts: the plan holds their geometry, ``rows`` x ``lanes``,
+which must fill the ciphertext with p dividing the rows, so each baby
+step is one rotation.  It opens no scopes; its caller's scope is charged.
 """
 
 from dataclasses import dataclass, replace
@@ -167,40 +169,44 @@ class FcFold:
     :func:`matmul_chunked` product, derived once per layer.
 
     B = ``blocks`` interleaved neuron blocks of ``p`` groups over C =
-    ``chunks`` input chunks of inner ``width`` w.  The weight tiles start
-    at lane ``offset`` L of each row, so an iteration's products fill
-    lanes [L, L + w + B - 1).  ``group`` G iterations, a power of two
-    dividing p, share one fold.  L is B*p when G > 1 and B*(p - 1) when
-    G = 1, so every output lane B*t + j lies at or below the first lane
-    its iteration keeps.  The row cycle's ``giant`` step g is a multiple
-    of G dividing p, so a group never straddles two giant steps.
+    ``chunks`` input chunks of inner ``width`` w, in ciphertexts of
+    ``rows`` rows ``lanes`` wide (row i at slots [i*lanes, (i+1)*lanes)).
+    The weight tiles start at lane ``offset`` L of each row, so an
+    iteration's products fill lanes [L, L + w + B - 1).  ``group`` G
+    iterations, a power of two dividing p, share one fold.  L is B*p when
+    G > 1 and B*(p - 1) when G = 1, so every output lane B*t + j lies at
+    or below the first lane its iteration keeps.  The row cycle's
+    ``giant`` step g is a multiple of G dividing p, so a group never
+    straddles two giant steps.
     """
 
     blocks: int
     p: int
     width: int
     chunks: int
+    rows: int
+    lanes: int
     group: int
     offset: int
     giant: int
 
     @classmethod
-    def derive(cls, width: int, blocks: int, p: int, n: int, chunks: int) -> "FcFold":
-        """The plan for rows ``n`` wide, which the encoder and the evaluator
-        share: of the groups whose fold window fits the row, the one with
-        the fewest fold rotations, ties going to the larger group; then the
-        multiple g of G dividing p with the fewest row-cycle rotations,
-        B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g.
-        LayoutError if no group fits."""
+    def derive(cls, width: int, blocks: int, p: int, rows: int, lanes: int, chunks: int) -> "FcFold":
+        """The plan for ``rows`` rows ``lanes`` wide, which the encoder and
+        the evaluator share: of the groups whose fold window fits the row,
+        the one with the fewest fold rotations, ties going to the larger
+        group; then the multiple g of G dividing p with the fewest
+        row-cycle rotations, B*C*g + (B*C + 1)*(p/g - 1), ties going to the
+        smaller g.  LayoutError if no group fits."""
         folds = [
-            cls(blocks, p, width, chunks, 1 << t, blocks * p if t else blocks * (p - 1), p)
+            cls(blocks, p, width, chunks, rows, lanes, 1 << t, blocks * p if t else blocks * (p - 1), p)
             for t in range((p & -p).bit_length())
         ]
-        fits = [fold for fold in folds if width >= 1 and fold.window <= n]
+        fits = [fold for fold in folds if width >= 1 and fold.window <= lanes]
         if not fits:
             raise LayoutError(
                 f"{blocks} interleaved neuron blocks of p={p} over inner width {width} do not fit "
-                f"rows {n} wide: the tiles need w + B - 1 = {width + blocks - 1} lanes after an "
+                f"rows {lanes} wide: the tiles need w + B - 1 = {width + blocks - 1} lanes after an "
                 f"offset of at least B*(p - 1) = {blocks * (p - 1)}"
             )
         fold = min(reversed(fits), key=lambda fold: fold.fold_rotations)
@@ -229,12 +235,12 @@ class FcFold:
         ``steps`` per group."""
         return self.p * (self.group.bit_length() - 1) + self.p // self.group * self.steps
 
-    def phase_masks(self, engine: SlotEngine, rows: int, n: int) -> list[PlainMask]:
+    def phase_masks(self, engine: SlotEngine) -> list[PlainMask]:
         """Mask e (for iterations idx = e mod G) keeps, in row i, the lanes
         x in [B*(p - G), span) with x = B*((i + e + 1) mod G) + j mod B*G,
         j < B."""
-        lane = np.arange(n)
-        row = np.arange(rows)[:, None]
+        lane = np.arange(self.lanes)
+        row = np.arange(self.rows)[:, None]
         phase = np.arange(self.group)[:, None, None]
         keep = (
             (lane >= self.blocks * (self.p - self.group))
@@ -244,28 +250,28 @@ class FcFold:
         return [engine.mask(pattern.reshape(-1), role="filter") for pattern in keep]
 
 
-def encode_interleaved(engine: SlotEngine, b, fold: FcFold, target_m: int, n: int) -> list[PackedMatrix]:
+def encode_interleaved(engine: SlotEngine, b, fold: FcFold) -> list[Ciphertext]:
     """Encode a w x (B*p) right operand as the B interleaved revolver tiles
     of one input chunk of the plan ``fold`` for :func:`matmul_chunked`.
 
     Output q = B*t + j (group t < p, block j < B) is to land at lane q.
-    Tile d (the d-th "diagonal") holds in its layout row r, at lane
-    L + l + d for l < w, the weight b[l, B*(r mod p) + (l + d) mod B], and
-    zero everywhere else; the left operand the tile meets is shifted right
-    by L + d lanes.  LayoutError if ``b`` is not w x (B*p).
+    Tile d (the d-th "diagonal") is a ciphertext of the plan's rows x
+    lanes that holds in row r, at lane L + l + d for l < w, the weight
+    b[l, B*(r mod p) + (l + d) mod B], and zero everywhere else; the input
+    the tile meets is shifted right by L + d lanes.  LayoutError if ``b``
+    is not w x (B*p).
     """
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     blocks, p, w = fold.blocks, fold.p, fold.width
     if b.shape != (w, blocks * p):
         raise LayoutError(f"weight chunk is {b.shape[0]}x{b.shape[1]}, the plan needs {w}x{blocks * p}")
-    lanes = np.arange(w)
-    groups = np.arange(target_m)[:, None] % p
+    inner = np.arange(w)
+    groups = np.arange(fold.rows)[:, None] % p
     tiles = []
     for d in range(blocks):
-        grid = np.zeros((target_m, n), dtype=np.float64)
-        grid[:, fold.offset + lanes + d] = b[lanes, blocks * groups + (lanes + d) % blocks]
-        ct = engine.enc(grid.reshape(-1))
-        tiles.append(PackedMatrix(ct, MatrixShape(target_m, n), revolve_p=p))
+        grid = np.zeros((fold.rows, fold.lanes), dtype=np.float64)
+        grid[:, fold.offset + inner + d] = b[inner, blocks * groups + (inner + d) % blocks]
+        tiles.append(engine.enc(grid.reshape(-1)))
     return tiles
 
 
@@ -314,27 +320,29 @@ def _grouped_fold(engine: SlotEngine, fold: FcFold, prods, phases) -> Ciphertext
 
 def matmul_chunked(
     engine: SlotEngine,
-    a_chunks: Sequence[PackedMatrix],
-    *b_blocks: Sequence[PackedMatrix],
+    inputs: Sequence[Ciphertext],
+    tiles: Sequence[Sequence[Ciphertext]],
     fold: FcFold,
     init: Ciphertext | None = None,
-) -> PackedMatrix:
+) -> Ciphertext:
     """FC product: sum over C input chunks c of A_c * W_c, with B neuron
     blocks interleaved across the lanes of each row and groups of
     iterations sharing one row fold, as the plan ``fold`` lays them out.
 
-    The B blocks are stored interleaved (:func:`encode_interleaved`):
-    output q = B*t + j sits at lane q, and ``b_blocks[d]`` holds diagonal d
-    of every chunk from lane L on, which meets A_c shifted right by L + d
-    lanes.  The shifts are made once per call: rot(A_c, -L) (skipped when
-    L = 0), then chained rotations by -1, C*[L > 0] + C*(B-1) rotations.
-    The iterations run in groups of G (:class:`FcFold`); each iteration
-    adds its B*C products, folds log2 G steps at stride B and keeps one
-    phase class of lanes, and each group adds its G masked sums, folds at
-    stride B*G up to the window F, applies one result filter
-    (:func:`build_result_filter` with ``blocks`` and ``group``) and
-    accumulates once.  Row summation and the result filter are linear, so
-    the chunk products of an iteration are added before any fold.
+    The operands are bare ciphertexts of the plan's rows x lanes (n =
+    lanes); row i of A_c is slots [i*n, (i+1)*n).  The B blocks are stored
+    interleaved (:func:`encode_interleaved`): output q = B*t + j sits at
+    lane q, and ``tiles[d]`` holds diagonal d of every chunk from lane L
+    on, which meets A_c shifted right by L + d lanes.  The shifts are made
+    once per call: rot(A_c, -L) (skipped when L = 0), then chained
+    rotations by -1, C*[L > 0] + C*(B-1) rotations.  The iterations run in
+    groups of G (:class:`FcFold`); each iteration adds its B*C products,
+    folds log2 G steps at stride B and keeps one phase class of lanes, and
+    each group adds its G masked sums, folds at stride B*G up to the window
+    F, applies one result filter (:func:`build_result_filter` with
+    ``blocks`` and ``group``) and accumulates once.  Row summation and the
+    result filter are linear, so the chunk products of an iteration are
+    added before any fold.
 
     The row cycle takes baby and giant steps (Halevi-Shoup, CRYPTO 2018).
     Iteration idx shifts by s = idx + 1 = g*s2 + s1 with s1 in 1..g, and
@@ -350,88 +358,69 @@ def matmul_chunked(
     tiles themselves and are not rotated.  Each frame but the first is
     rotated back once at the end (p/g - 1).  The call costs C*(B-1) +
     C*[L > 0] + B*C*(g - [g = rows]) + B*C*(p/g - 1) + (p/g - 1) +
-    p*log2 G + (p/G)*log2(F/(B*G)) rotations (rows = max(m, p)), B*C*p
-    ct-ct multiplies, p + p/G constant multiplies and depth 3.
+    p*log2 G + (p/G)*log2(F/(B*G)) rotations, B*C*p ct-ct multiplies,
+    p + p/G constant multiplies and depth 3.  It opens no scopes.
 
     Args:
-        a_chunks: C left operands, each m x n and row-major encoded.
-        b_blocks: B sequences of C tiles (one per left chunk), the
-            diagonals of :func:`encode_interleaved` tiled to max(m, p)
-            rows; every pair shares m, n and p.
-        fold: the layer's plan (:meth:`FcFold.derive`), with the B, p and C
-            of the operands and a fold window that fits the row.  The
-            result is exact only if the tiles come from
-            :func:`encode_interleaved` with this plan (A_c may hold
-            anything past w).  The rows must fill the ciphertext with p
-            dividing them, so that one rotation cycles them.
+        inputs: the C input chunks A_c.  Lanes past w may hold anything.
+        tiles: B lists of C tile ciphertexts, diagonal d of chunk c at
+            ``tiles[d][c]``, from :func:`encode_interleaved` in this plan.
+        fold: the layer's plan (:meth:`FcFold.derive`).
         init: optional accumulator seed (e.g. a packed bias) in the output
             lanes, added once.
 
     Returns:
-        PackedMatrix over the working layout; output (i, q) of the m x B*p
-        sum sits at slot i*n + q, so row i's outputs fill lanes 0..B*p-1,
-        and every slot outside them decodes to zero.
+        The ciphertext whose row i holds output q of A_i at lane q, for
+        q < B*p; every other slot decodes to zero (plus ``init``).
+
+    Raises:
+        LayoutError, naming the rows, lanes and slots, unless the operand
+        counts are the plan's, rows * lanes is the slot count, p divides
+        the rows and the fold window fits the row: one rotation then
+        cycles the rows.
     """
-    counts = sorted({len(b_chunks) for b_chunks in b_blocks})
-    if not a_chunks or counts != [len(a_chunks)]:
+    blocks, p, rows, n = fold.blocks, fold.p, fold.rows, fold.lanes
+    counts = [len(chunk_tiles) for chunk_tiles in tiles]
+    if not (
+        len(inputs) == fold.chunks
+        and counts == [fold.chunks] * blocks
+        and rows * n == engine.slots
+        and rows % p == 0
+        and fold.window <= n
+    ):
         raise LayoutError(
-            f"need one right operand per left chunk (at least one) in every block, "
-            f"got {len(a_chunks)} left chunks and blocks of {counts}"
+            f"the FC plan takes {fold.chunks} inputs and {blocks} tile lists of {fold.chunks}, p={p} "
+            f"dividing its {rows} rows of {n} lanes in {engine.slots} slots and a fold window of "
+            f"{fold.window} lanes: got {len(inputs)} inputs and tile lists of {counts}"
         )
-    plans = {_plan_product(engine, a, b) for b_chunks in b_blocks for a, b in zip(a_chunks, b_chunks)}
-    if len(plans) != 1:
-        shapes = sorted((pl.m, pl.n, pl.p) for pl in plans)
-        raise LayoutError(f"chunks disagree on (m, n, p): {shapes}")
-    (plan,) = plans
-    p, n, rows = plan.p, plan.n, plan.layout_m
-    blocks = len(b_blocks)
-    if (fold.blocks, fold.p, fold.chunks) != (blocks, p, len(a_chunks)) or fold.window > n:
-        raise LayoutError(
-            f"{blocks} neuron blocks of p={p} over {len(a_chunks)} chunks in rows {n} wide "
-            f"do not match the plan {fold}"
-        )
-    if not plan.fast_path:
-        raise LayoutError(
-            f"the FC row cycle needs its rows to fill the ciphertext with p={p} dividing them: "
-            f"{rows} rows of {n} lanes in {engine.slots} slots"
-        )
-    phases = fold.phase_masks(engine, rows, n)
+    phases = fold.phase_masks(engine)
 
     bases = range(0, p, fold.giant)
-    with engine.scope("matmul.row_cycle"):
-        shifted = [engine.rot(a.ct, -fold.offset) if fold.offset else a.ct for a in a_chunks]
-        lefts = list(shifted)  # block-major, as ``tiles``
-        for _ in range(1, blocks):
-            shifted = [engine.rot(ct, -1) for ct in shifted]
-            lefts += shifted
-        # rot(A, -n*base) * rot(B, n*s1) is rot(A * rot(B, n*(base + s1)), -n*base)
-        inputs = [lefts] + [[engine.rot(ct, -n * base) for ct in lefts] for base in bases[1:]]
-    tiles = [tile.ct for b_chunks in b_blocks for tile in b_chunks]
+    shifted = [engine.rot(ct, -fold.offset) if fold.offset else ct for ct in inputs]
+    lefts = list(shifted)  # block-major, as ``flat``
+    for _ in range(1, blocks):
+        shifted = [engine.rot(ct, -1) for ct in shifted]
+        lefts += shifted
+    # rot(A, -n*base) * rot(B, n*s1) is rot(A * rot(B, n*(base + s1)), -n*base)
+    frame_lefts = [lefts] + [[engine.rot(ct, -n * base) for ct in lefts] for base in bases[1:]]
+    flat = [tile for chunk_tiles in tiles for tile in chunk_tiles]
     acc = engine.accumulator(init if init is not None else engine.enc([]))
     frames = [acc] + [engine.accumulator() for _ in bases[1:]]
     for first in range(0, fold.giant, fold.group):
-        with engine.scope("matmul.row_cycle"):
-            babies = [[tile if n * s1 == engine.slots else engine.rot(tile, n * s1) for tile in tiles]
-                      for s1 in range(first + 1, first + fold.group + 1)]
+        babies = [[tile if n * s1 == engine.slots else engine.rot(tile, n * s1) for tile in flat]
+                  for s1 in range(first + 1, first + fold.group + 1)]
         keep = build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, fold.group)
-        for frame_inputs, frame in zip(inputs, frames):
+        for frame_inputs, frame in zip(frame_lefts, frames):
             prods = []
             for baby_tiles in babies:
-                with engine.scope("matmul.row_cycle"):
-                    prod = engine.accumulator()
-                    for ct_a, baby in zip(frame_inputs, baby_tiles):
-                        prod.mul(ct_a, baby)
+                prod = engine.accumulator()
+                for ct_a, baby in zip(frame_inputs, baby_tiles):
+                    prod.mul(ct_a, baby)
                 prods.append(prod.result())
-            with engine.scope("matmul.row_sum"):
-                sums = _grouped_fold(engine, fold, prods, phases)
-            with engine.scope("matmul.result_filter"):
-                kept = engine.cmul(keep, sums)
-            with engine.scope("matmul.accumulate"):
-                frame.add(kept)
-    with engine.scope("matmul.accumulate"):
-        for base, frame in zip(bases[1:], frames[1:]):
-            acc.add(engine.rot(frame.result(), n * base))
-    return PackedMatrix(acc.result(), MatrixShape(rows, n))
+            frame.add(engine.cmul(keep, _grouped_fold(engine, fold, prods, phases)))
+    for base, frame in zip(bases[1:], frames[1:]):
+        acc.add(engine.rot(frame.result(), n * base))
+    return acc.result()
 
 
 def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> PackedMatrix:

@@ -16,7 +16,9 @@ chunks of the first FC product (weight columns are mapped chunk-wise,
 preserving the map-major flatten order).  Each FC layer has one plan, a
 ``matmul.FcFold`` that :func:`fc_blocking` derives once from the layout;
 the encoder stores it with the weight tiles (``FcTiles.fold``) and the
-evaluator reads it from there.  FC output neurons are evaluated in
+evaluator reads it from there.  The plan also holds the layer's row
+geometry (the layout's m rows of f lanes), so the FC inputs, tiles and
+outputs are bare ciphertexts.  FC output neurons are evaluated in
 power-of-two blocks no wider than the batch row count, which keeps every
 product on its single-rotation row-cycling path.  A layer is one chunked
 product (``matmul_chunked``) whose B neuron blocks are interleaved across
@@ -60,7 +62,6 @@ __all__ = [
     "fc_blocking",
     "poly_activation",
     "pack_batch",
-    "flatten_maps",
     "encode_model",
     "forward_encoded",
     "argmax_decide",
@@ -133,10 +134,11 @@ class ModelWeights:
 class FcTiles:
     """One FC layer in encoded form.
 
-    ``tiles`` is indexed [diagonal][input_chunk], one diagonal per
-    interleaved neuron block; ``bias_cts`` holds one bias seed per neuron
-    block of width ``fold.p``, already at its output lanes.  ``fold`` is
-    the layer's plan, which the tiles were encoded with.
+    ``tiles`` holds ciphertexts indexed [diagonal][input_chunk], one
+    diagonal per interleaved neuron block; ``bias_cts`` holds one bias seed
+    per neuron block of width ``fold.p``, already at its output lanes.
+    ``fold`` is the layer's plan, which the tiles were encoded with; it
+    alone gives the ciphertexts their rows x lanes geometry.
     """
 
     tiles: list
@@ -210,41 +212,23 @@ def pack_batch(engine: SlotEngine, images, layout: VirtualLayout | None = None) 
     return engine.enc(grid.reshape(-1))
 
 
-def flatten_maps(
-    engine: SlotEngine, map_cts, layout: VirtualLayout, out_h: int, out_w: int
-) -> list[PackedMatrix]:
-    """Compact each feature map to a contiguous per-image prefix.
-
-    The compacted map ciphertexts are the inner-dimension chunks of the
-    following FC layer, in map-major order (row-major within a map); the
-    slots after each out_h*out_w prefix are zero padding inside the chunk.
-    One reform pass covers all the maps, so each row mask is built once;
-    it costs (g - 1) + (ceil(out_h/g) - 1) rotations per map, out_h cmuls
-    and out_h - 1 adds (see :func:`reform_maps`).
-    """
-    flat_cts, _ = reform_maps(engine, map_cts, layout, out_h, out_w)
-    return [PackedMatrix(ct, MatrixShape(layout.m, layout.f)) for ct in flat_cts]
-
-
 def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
     """Each FC layer's plan over ``layout``, by name: its outputs in
     power-of-two neuron blocks no wider than layout.m, over KERNEL_COUNT
     input chunks of MAP_FEATURES (one per feature map) for fc1 and one of
-    FC2_IN for fc2, in rows of layout.f lanes.  The model encoder and
-    loader both take it from here; a model records none."""
+    FC2_IN for fc2, in layout.m rows of layout.f lanes.  The model encoder
+    and loader both take it from here; a model records none."""
     plans = {}
     for name, width, out_dim, chunks in (("fc1", MAP_FEATURES, FC1_OUT, KERNEL_COUNT), ("fc2", FC2_IN, FC2_OUT, 1)):
         p_pad = next_pow2(out_dim)
         p = min(p_pad, layout.m)
-        plans[name] = FcFold.derive(width, p_pad // p, p, layout.f, chunks)
+        plans[name] = FcFold.derive(width, p_pad // p, p, layout.m, layout.f, chunks)
     return plans
 
 
-def _encode_fc_tiles(
-    engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, rows: int, n: int, fold: FcFold
-) -> FcTiles:
-    """Encode an FC weight matrix in the plan ``fold``, against input chunks
-    of ``rows`` rows ``n`` wide: chunk c is weight columns [c*w, (c+1)*w).
+def _encode_fc_tiles(engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, fold: FcFold) -> FcTiles:
+    """Encode an FC weight matrix in the plan ``fold``: input chunk c meets
+    weight columns [c*w, (c+1)*w).
 
     Tile (d, c) is diagonal d of input chunk c in the interleaved layout
     of :func:`encode_interleaved`, so neuron q lands at lane q.  Bias seed
@@ -258,17 +242,17 @@ def _encode_fc_tiles(
     padded = np.zeros((fold.blocks * fold.p, in_dim), dtype=np.float64)
     padded[:out_dim] = weight
     chunks = [padded[:, c * w : (c + 1) * w].T for c in range(fold.chunks)]
-    per_chunk = [encode_interleaved(engine, chunk, fold, rows, n) for chunk in chunks]
+    per_chunk = [encode_interleaved(engine, chunk, fold) for chunk in chunks]
     bias_cts = []
     for b in range(fold.blocks):
-        bias_grid = np.zeros((rows, n), dtype=np.float64)
+        bias_grid = np.zeros((fold.rows, fold.lanes), dtype=np.float64)
         lanes = slice(b * fold.p, min((b + 1) * fold.p, out_dim))
         bias_grid[:, lanes] = bias[lanes]
         bias_cts.append(engine.enc(bias_grid.reshape(-1)))
     return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], bias_cts, fold)
 
 
-def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> PackedMatrix:
+def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> Ciphertext:
     """Evaluate an FC layer given encoded weight tiles.
 
     One chunked product over the interleaved neuron blocks, in the plan the
@@ -282,7 +266,7 @@ def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> PackedMatrix:
     seed = engine.accumulator()
     for bias_ct in fc.bias_cts:
         seed.add(bias_ct)
-    return matmul_chunked(engine, chunks, *fc.tiles, fold=fc.fold, init=seed.result())
+    return matmul_chunked(engine, chunks, fc.tiles, fc.fold, init=seed.result())
 
 
 def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
@@ -294,8 +278,8 @@ def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
     fc1, fc2 = fc_blocking(layout).values()
     return EncodedModel(
         kernel_spans=spans,
-        fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, layout.m, layout.f, fc1),
-        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, layout.m, layout.f, fc2),
+        fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, fc1),
+        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, fc2),
         act1=tuple(weights.act1),
         act2=tuple(weights.act2),
         layout=layout,
@@ -312,7 +296,8 @@ def forward_encoded(
 
     Pass a dict as ``stage_meters`` to collect per-stage operation-count
     deltas under keys conv/act1/flatten/fc1/act2/fc2; each key is set once,
-    as its stage ends.
+    as its stage ends.  The flatten stage is one ``reform_maps`` pass,
+    whose compacted maps are fc1's input chunks in map-major order.
     """
     layout = model.layout
     k = model.kernel_spans[0].k
@@ -322,15 +307,14 @@ def forward_encoded(
     with engine.scope("act1", stage_meters):
         maps = poly_activation(engine, maps, model.act1)
     with engine.scope("flatten", stage_meters):
-        chunks = flatten_maps(engine, maps, layout, out_h, out_w)
+        chunks, _ = reform_maps(engine, maps, layout, out_h, out_w)
     with engine.scope("fc1", stage_meters):
         hidden = _fc_from_tiles(engine, chunks, model.fc1)
     with engine.scope("act2", stage_meters):
-        (activated,) = poly_activation(engine, [hidden.ct], model.act2)
-        hidden = PackedMatrix(activated, hidden.shape)
+        (hidden,) = poly_activation(engine, [hidden], model.act2)
     with engine.scope("fc2", stage_meters):
         scores = _fc_from_tiles(engine, [hidden], model.fc2)
-    return scores
+    return PackedMatrix(scores, MatrixShape(layout.m, layout.f))
 
 
 def argmax_decide(engine: SlotEngine, scores: PackedMatrix) -> np.ndarray:

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .conv import ImageShape, KernelSpan
-from .encoding import MatrixShape, PackedMatrix
 from .engine import Ciphertext, EngineError, EngineParams, SlotEngine
 from .matmul import FcFold
 from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcTiles, batch_layout, fc_blocking
@@ -188,14 +187,12 @@ def _fc_bias_path(directory: Path, name: str, b: int) -> Path:
     return directory / f"{name}_bias_b{b}{CT_SUFFIX}"
 
 
-def _load_fc(engine: SlotEngine, directory: Path, layout: VirtualLayout, name: str, fold: FcFold) -> FcTiles:
-    """Load one FC layer of plan ``fold``, whose weight tiles are revolver
-    grids of the layout's m x f."""
-    shape = MatrixShape(layout.m, layout.f)
-    tiles = []
-    for b in range(fold.blocks):
-        cts = [load_ciphertext(engine, path)[0] for path in _tile_paths(directory, name, b, fold.chunks)]
-        tiles.append([PackedMatrix(ct, shape, revolve_p=fold.p) for ct in cts])
+def _load_fc(engine: SlotEngine, directory: Path, name: str, fold: FcFold) -> FcTiles:
+    """Load one FC layer of plan ``fold``: its weight tiles and bias seeds."""
+    tiles = [
+        [load_ciphertext(engine, path)[0] for path in _tile_paths(directory, name, b, fold.chunks)]
+        for b in range(fold.blocks)
+    ]
     bias_cts = [load_ciphertext(engine, _fc_bias_path(directory, name, b))[0] for b in range(fold.blocks)]
     return FcTiles(tiles, bias_cts, fold)
 
@@ -221,7 +218,7 @@ def write_model(directory, model: EncodedModel) -> int:
     for name, fc in (("fc1", model.fc1), ("fc2", model.fc2)):
         for b, (row, bias_ct) in enumerate(zip(fc.tiles, fc.bias_cts)):
             for path, tile in zip(_tile_paths(directory, name, b, len(row)), row):
-                write_ciphertext(path, tile.ct)
+                write_ciphertext(path, tile)
             write_ciphertext(_fc_bias_path(directory, name, b), bias_ct)
     manifest = {
         "format": MODEL_FORMAT,
@@ -277,7 +274,7 @@ def load_model(engine: SlotEngine, directory) -> EncodedModel:
         spans.append(KernelSpan(cts, bias_ct, KERNEL_SIZE, shape))
     return EncodedModel(
         spans,
-        *(_load_fc(engine, directory, layout, name, fold) for name, fold in fc_blocking(layout).items()),
+        *(_load_fc(engine, directory, name, fold) for name, fold in fc_blocking(layout).items()),
         act1=_coefficients(manifest_path, manifest, "act1"),
         act2=_coefficients(manifest_path, manifest, "act2"),
         layout=layout,

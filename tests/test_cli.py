@@ -55,6 +55,25 @@ def test_owner_encode_empty_input_fails(workspace):
     assert not out.exists()
 
 
+def test_owner_encode_refuses_a_directory_that_holds_batches(workspace, capsys):
+    """Encoding 4 images where 12 were encoded before would leave the old
+    batches beside the new one, and cloud-infer would score all of them:
+    owner-encode exits 1 before it writes, naming the directory and the
+    count, and leaves the old files as they are."""
+    tmp, idx, _, _, _ = workspace
+    out = tmp / "batches"
+    small = ["--slots", "2048"]
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(out), "--limit", "12"] + small) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(before) == 6
+    capsys.readouterr()
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(out), "--limit", "4"] + small) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out} already holds 6 .simct files; choose an empty --out-dir\n"
+    assert "packed" not in captured.out
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_owner_encode_wrong_image_shape_leaves_no_output(tmp_path, rng, capsys):
     idx = tmp_path / "small.idx"
     write_idx_images(idx, rng.integers(0, 256, size=(5, 16, 16)).astype(np.uint8))

@@ -15,41 +15,41 @@ from packedhe.matmul import FcFold, encode_interleaved, matmul, matmul_chunked
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
-from test_matmul import encode_pair
-from test_scopes import MATMUL_SCOPES
 
 
 @st.composite
 def mismatches(draw):
-    """A valid (m, n, p) and one way for a second chunk to disagree with it."""
+    """A plan of B blocks of p over C chunks in rows x n, and one way for
+    the operands to disagree with its counts."""
     n = 1 << draw(st.integers(1, 4))
-    p = draw(st.integers(1, n))
-    m = draw(st.integers(1, 2 * p + 3))
-    kind = draw(st.sampled_from(["count", "empty", "rows", "width", "p"]))
-    other_p = draw(st.integers(1, n).filter(lambda q: q != p)) if kind == "p" else p
-    return m, n, p, kind, other_p
+    blocks = 1 << draw(st.integers(0, n.bit_length() - 1))
+    p = 1 << draw(st.integers(0, (n // blocks).bit_length() - 1))
+    rows = p << draw(st.integers(0 if p * n > 1 else 1, 2))
+    chunks = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["inputs", "empty", "tiles", "blocks"]))
+    return blocks, chunks, p, rows, n, kind
 
 
 @settings(max_examples=25, deadline=None)
-@given(case=mismatches(), seed=st.integers(0, 2**32 - 1))
-def test_matmul_chunked_rejects_mismatched_chunks(case, seed):
-    """Checked before the plan is read, so any plan will do."""
-    m, n, p, kind, other_p = case
-    rng = np.random.default_rng(seed)
-    eng = make_engine(next_pow2(max(m + 1, p, other_p) * 2 * n))
-    a0, b0 = encode_pair(eng, rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, p))
-    if kind == "count":
-        a_chunks, b_chunks = [a0], [b0, b0]
+@given(case=mismatches())
+def test_matmul_chunked_rejects_mismatched_chunks(case):
+    """The operands are bare ciphertexts, so all they can disagree on with
+    the plan is their counts: C inputs and B tile lists of C tiles."""
+    blocks, chunks, p, rows, n, kind = case
+    eng = make_engine(rows * n)
+    fold = FcFold.derive(1, blocks, p, rows, n, chunks)
+    ct = eng.enc([])
+    inputs, tiles = [ct] * chunks, [[ct] * chunks for _ in range(blocks)]
+    if kind == "inputs":
+        inputs.append(ct)
     elif kind == "empty":
-        a_chunks, b_chunks = [], []
+        inputs, tiles = [], []
+    elif kind == "tiles":
+        tiles[-1].pop()
     else:
-        rows = m + 1 if kind == "rows" else m
-        width = 2 * n if kind == "width" else n
-        a1 = encode_row_major(eng, rand_int_matrix(rng, rows, width))
-        b1 = encode_revolver(eng, rand_int_matrix(rng, width, other_p), target_m=max(rows, other_p))
-        a_chunks, b_chunks = [a0, a1], [b0, b1]
-    with pytest.raises(LayoutError, match="one right operand per left chunk|chunks disagree"):
-        matmul_chunked(eng, a_chunks, b_chunks, fold=FcFold.derive(1, 1, p, n, 1))
+        tiles.append(tiles[0])
+    with pytest.raises(LayoutError, match=f"^the FC plan takes {chunks} inputs and {blocks} tile lists of {chunks}, "):
+        matmul_chunked(eng, inputs, tiles, fold)
 
 
 def fold_layout(blocks: int, p: int, w: int, group: int) -> tuple:
@@ -116,11 +116,13 @@ def formula_giant(blocks: int, chunks: int, p: int, group: int) -> int:
     return min(sorted(costs), key=costs.get)
 
 
-def forced_plan(blocks: int, chunks: int, p: int, w: int, n: int, group: int, giant: int | None = None) -> FcFold:
+def forced_plan(
+    blocks: int, chunks: int, p: int, w: int, rows: int, n: int, group: int, giant: int | None = None
+) -> FcFold:
     """The derived plan with the group G (and its offset) forced, and the
     giant step ``giant``, by default the one ``formula_giant`` picks for G."""
     giant = formula_giant(blocks, chunks, p, group) if giant is None else giant
-    fold = FcFold.derive(w, blocks, p, n, chunks)
+    fold = FcFold.derive(w, blocks, p, rows, n, chunks)
     return replace(fold, group=group, offset=fold_layout(blocks, p, w, group)[0], giant=giant)
 
 
@@ -131,8 +133,8 @@ def test_fc_fold_group_minimises_the_rotation_formula():
     row cycle (g = p) would cost 376 and 69: fc1's p = 32 is its row
     count, so its 8 baby tiles at s1 = 32 need no rotation."""
     for (blocks, chunks, p, w), group, giant, rot in (((2, 4, 32, 676), 8, 8, 219), ((1, 1, 16, 64), 4, 4, 63)):
-        fold = FcFold.derive(w, blocks, p, 1024, chunks)
-        assert (fold.blocks, fold.chunks, fold.p, fold.width) == (blocks, chunks, p, w)
+        fold = FcFold.derive(w, blocks, p, 32, 1024, chunks)
+        assert (fold.blocks, fold.chunks, fold.p, fold.width, fold.rows, fold.lanes) == (blocks, chunks, p, w, 32, 1024)
         assert fold.group == formula_group(blocks, chunks, p, w, 1024) == group
         assert fold.giant == formula_giant(blocks, chunks, p, group) == giant
         assert fold.offset == fold_layout(blocks, p, w, group)[0] == blocks * p
@@ -161,26 +163,27 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     # A holds junk past w; the weights cover only the w inputs.
     a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
     b_mats = [rand_int_matrix(rng, w, p) for _ in range(chunks)]
-    fold = FcFold.derive(w, 1, p, n, chunks)
+    fold = FcFold.derive(w, 1, p, m, n, chunks)
     eng = make_engine(slots)
-    a_cts = [encode_row_major(eng, a) for a in a_mats]
-    b_cts = [encode_interleaved(eng, b, fold, m, n)[0] for b in b_mats]
+    a_cts = [eng.enc(a.reshape(-1)) for a in a_mats]
+    b_cts = [encode_interleaved(eng, b, fold)[0] for b in b_mats]
     spent = {}
     with eng.scope("call", spent):
-        out = matmul_chunked(eng, a_cts, b_cts, fold=fold)
+        out = matmul_chunked(eng, a_cts, [b_cts], fold)
     call = spent["call"]
 
     want = np.zeros(slots)
     block = sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
     for i in range(m):
         want[i * n : i * n + p] = block[i]
-    np.testing.assert_array_equal(eng.dec(out.ct), want)
+    np.testing.assert_array_equal(eng.dec(out), want)
 
     # log2 G fold steps per iteration and log2(F/G) per group, at the G
-    # the formula picks; the row cycle costs one rotation per chunk.
+    # the formula picks; the row cycle costs one rotation per chunk.  The
+    # call opens no scopes of its own.
     group = formula_group(1, chunks, p, w, n)
     assert (fold.group, fold.giant) == (group, formula_giant(1, chunks, p, group))
-    assert eng.scopes["matmul.row_sum"].rot_count == fold_rotations(1, p, w, group)
+    assert eng.scopes == {}
     assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, fold.giant, m)
     assert call.max_depth == 3
 
@@ -195,29 +198,32 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
 
 def test_fc_row_sum_rejects_widths_outside_the_row():
     eng = make_engine(32)
-    a = encode_row_major(eng, np.ones((4, 8)))
-    fold = FcFold.derive(5, 1, 4, 8, 1)
+    a = eng.enc(np.ones(32))
+    fold = FcFold.derive(5, 1, 4, 4, 8, 1)
     assert (fold.group, fold.offset) == (1, 3)  # L = 3: 3 + 5 lanes fill the row
-    tiles = encode_interleaved(eng, np.ones((5, 4)), fold, 4, 8)
+    tiles = encode_interleaved(eng, np.ones((5, 4)), fold)
     for width in (0, 6, 9):  # widths no fold fits, or whose tiles would leave the row
         with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
-            FcFold.derive(width, 1, 4, 8, 1)
-    # a plan whose fold window leaves the row, or whose B, C or p the operands do not have
-    for plan in (replace(fold, width=6), replace(fold, blocks=2), replace(fold, chunks=2), replace(fold, p=2)):
-        with pytest.raises(LayoutError, match="do not match the plan"):
-            matmul_chunked(eng, [a], tiles, fold=plan)
-    narrow = encode_row_major(eng, np.ones((2, 2)))
-    with pytest.raises(LayoutError):  # p = 4 > n = 2
-        matmul_chunked(eng, [narrow], [encode_revolver(eng, np.ones((2, 4)), target_m=4)], fold=fold)
+            FcFold.derive(width, 1, 4, 4, 8, 1)
+    # a plan whose fold window leaves the row, in rows of 8 or 4 lanes, or
+    # whose B or C the operands do not have
+    for plan in (
+        replace(fold, width=6),
+        replace(fold, rows=8, lanes=4),
+        replace(fold, blocks=2),
+        replace(fold, chunks=2),
+    ):
+        with pytest.raises(LayoutError, match=f"^the FC plan takes .* {plan.rows} rows of {plan.lanes} lanes in 32 slots"):
+            matmul_chunked(eng, [a], [tiles], plan)
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (4, 5), (5, 8), (1, 20)], ids=["wider", "transposed", "two-blocks", "flat"])
 def test_encode_interleaved_takes_one_chunk_of_the_plan(shape):
     """A weight chunk must be w x (B*p) of its plan (here 5 x 4), or the
     tiles would place weights at lanes the plan does not cover."""
-    fold = FcFold.derive(5, 1, 4, 8, 1)
+    fold = FcFold.derive(5, 1, 4, 4, 8, 1)
     with pytest.raises(LayoutError, match=f"^weight chunk is {shape[0]}x{shape[1]}, the plan needs 5x4$"):
-        encode_interleaved(make_engine(32), np.ones(shape), fold, 4, 8)
+        encode_interleaved(make_engine(32), np.ones(shape), fold)
 
 
 @st.composite
@@ -265,39 +271,39 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
     groups = fitting_groups(blocks, p, w, n)
     if not groups:
         with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
-            FcFold.derive(w, blocks, p, n, chunks)
+            FcFold.derive(w, blocks, p, rows, n, chunks)
         return
-    assert FcFold.derive(w, blocks, p, n, chunks).group == formula_group(blocks, chunks, p, w, n)
+    assert FcFold.derive(w, blocks, p, rows, n, chunks).group == formula_group(blocks, chunks, p, w, n)
     for group in groups:
         eng = make_engine(slots)
-        fold = forced_plan(blocks, chunks, p, w, n, group)
-        a_cts = [encode_row_major(eng, a) for a in a_mats]
-        per_chunk = [encode_interleaved(eng, b, fold, rows, n) for b in b_mats]
+        fold = forced_plan(blocks, chunks, p, w, rows, n, group)
+        a_cts = [eng.enc(a.reshape(-1)) for a in a_mats]
+        per_chunk = [encode_interleaved(eng, b, fold) for b in b_mats]
         for tiles, b in zip(per_chunk, b_mats):  # the per-lane layout rule, as a loop
             for d, tile in enumerate(tiles):
                 grid = np.zeros((rows, n))
                 for r in range(rows):
                     for lane in range(w):
                         grid[r, fold.offset + lane + d] = b[lane, blocks * (r % p) + (lane + d) % blocks]
-                assert eng.dec(tile.ct).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
+                assert eng.dec(tile).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
         if blocks == 1:  # one block is the revolver encoding of B placed at lanes L..L+w-1
             for (tile,), b in zip(per_chunk, b_mats):
                 placed = np.zeros((n, p))
                 placed[fold.offset : fold.offset + w] = b
                 revolver = encode_revolver(eng, placed, rows)
-                assert eng.dec(tile.ct).tobytes() == eng.dec(revolver.ct).tobytes()
+                assert eng.dec(tile).tobytes() == eng.dec(revolver.ct).tobytes()
         diagonals = [list(d) for d in zip(*per_chunk)]
         init = eng.enc(seed_grid.reshape(-1))
         spent = {}
         with eng.scope("call", spent):
-            out = matmul_chunked(eng, a_cts, *diagonals, fold=fold, init=init)
+            out = matmul_chunked(eng, a_cts, diagonals, fold, init=init)
         call = spent["call"]
 
-        np.testing.assert_array_equal(eng.dec(out.ct), expected)
+        np.testing.assert_array_equal(eng.dec(out), expected)
         counts = (call.rot_count, call.mul_count, call.cmul_count)
         assert counts == grouped_counts(blocks, chunks, p, w, group, fold.giant, rows)
         assert call.max_depth == 3
-        assert sorted(eng.scopes) == sorted(MATMUL_SCOPES)
+        assert eng.scopes == {}
 
 
 @pytest.mark.parametrize(
@@ -311,30 +317,28 @@ def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
     would leave the row: no plan is derived, and a plan made by hand is
     refused."""
     with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
-        FcFold.derive(width, blocks, p, n, 1)
+        FcFold.derive(width, blocks, p, 8, n, 1)
     eng = make_engine(8 * n)
-    a = encode_row_major(eng, np.ones((8, n)))
-    b = encode_revolver(eng, np.ones((n, p)), target_m=8)
-    fold = FcFold(blocks, p, width, 1, 1, blocks * (p - 1), p)
-    with pytest.raises(LayoutError, match="do not match the plan"):
-        matmul_chunked(eng, [a], *[[b]] * blocks, fold=fold)
-    for bad in ([], [[b], [b, b]]):  # no block; blocks of unequal chunk counts
-        with pytest.raises(LayoutError, match="one right operand per left chunk"):
-            matmul_chunked(eng, [a], *bad, fold=fold)
+    ct = eng.enc(np.ones(8 * n))
+    fold = FcFold(blocks, p, width, 1, 8, n, 1, blocks * (p - 1), p)
+    assert fold.window > n
+    # the plan's counts, whose window leaves the row; no block; blocks of unequal chunk counts
+    for tiles in ([[ct]] * blocks, [], [[ct], [ct, ct]]):
+        with pytest.raises(LayoutError, match=f"^the FC plan takes 1 inputs and {blocks} tile lists of 1, "):
+            matmul_chunked(eng, [ct], tiles, fold)
 
 
 def run_fc(slots, a_mats, b_mats, fold, init_grid=None):
     """Encode and run one FC product in the plan ``fold``; returns the
     engine, the decoded output and the call's meter."""
-    m, n = a_mats[0].shape
     eng = make_engine(slots)
-    a_cts = [encode_row_major(eng, a) for a in a_mats]
-    diagonals = [list(d) for d in zip(*[encode_interleaved(eng, b, fold, max(m, fold.p), n) for b in b_mats])]
+    a_cts = [eng.enc(a.reshape(-1)) for a in a_mats]
+    diagonals = [list(d) for d in zip(*[encode_interleaved(eng, b, fold) for b in b_mats])]
     init = None if init_grid is None else eng.enc(init_grid.reshape(-1))
     spent = {}
     with eng.scope("call", spent):
-        out = matmul_chunked(eng, a_cts, *diagonals, fold=fold, init=init)
-    return eng, eng.dec(out.ct), spent["call"]
+        out = matmul_chunked(eng, a_cts, diagonals, fold, init=init)
+    return eng, eng.dec(out), spent["call"]
 
 
 @st.composite
@@ -374,7 +378,7 @@ def test_giant_steps_match_numpy_and_the_plain_row_cycle(shape, seed):
     b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
     init_grid = np.zeros((rows, n))
     init_grid[:m, : blocks * p] = rand_int_matrix(rng, m, blocks * p)
-    fold = forced_plan(blocks, chunks, p, w, n, group, giant)
+    fold = forced_plan(blocks, chunks, p, w, rows, n, group, giant)
     eng, got, call = run_fc(slots, a_mats, b_mats, fold, init_grid)
     want = init_grid.copy()
     want[:m, : blocks * p] += sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats))
@@ -396,17 +400,17 @@ def test_giant_steps_match_numpy_and_the_plain_row_cycle(shape, seed):
 )
 def test_fc_product_rejects_a_row_cycle_that_does_not_close(m, blocks, chunks, n, p, w):
     """The FC product cycles its rows with one rotation, which needs the
-    rows to fill the ciphertext with p dividing them.  With slack slots, or
-    with rows that p does not divide, it raises and names the rows, the
-    lanes and the slots, where the paper's ``matmul`` would take its masked
-    two-rotation path."""
+    plan's rows to fill the ciphertext with p dividing them.  A plan with
+    slack slots, or with rows that p does not divide, raises one error that
+    names the rows, the lanes and the slots, where the paper's ``matmul``
+    would take its masked two-rotation path."""
     rng = np.random.default_rng(7)
     a_mats = [rand_int_matrix(rng, m, n) for _ in range(chunks)]
     b_mats = [rand_int_matrix(rng, w, blocks * p) for _ in range(chunks)]
-    fold = FcFold.derive(w, blocks, p, n, chunks)
+    fold = FcFold.derive(w, blocks, p, m, n, chunks)
     _, got, call = run_fc(m * n, a_mats, b_mats, fold)
     np.testing.assert_array_equal(got.reshape(-1, n)[:, : blocks * p], sum(a[:, :w] @ b for a, b in zip(a_mats, b_mats)))
     assert call.max_depth == 3
-    for slots, rows in ((2 * m * n, m), (2 * m * n, m + 1)):
-        with pytest.raises(LayoutError, match=f"p={p} dividing them: {rows} rows of {n} lanes in {slots} slots$"):
-            run_fc(slots, [np.pad(a, ((0, rows - m), (0, 0))) for a in a_mats], b_mats, fold)
+    for plan, slots in ((fold, 2 * m * n), (replace(fold, rows=m // 2, lanes=2 * n), m * n)):
+        with pytest.raises(LayoutError, match=f"p={p} dividing its {plan.rows} rows of {plan.lanes} lanes in {slots} slots"):
+            run_fc(slots, a_mats, b_mats, plan)

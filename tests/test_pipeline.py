@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from packedhe.conv import Kernel
-from packedhe.encoding import MatrixShape, PackedMatrix, encode_row_major
+from packedhe.encoding import MatrixShape, PackedMatrix
 from packedhe.engine import EngineError, LayoutError, OpMeter, SlotEngine, next_pow2
 from packedhe.matmul import FcFold
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
@@ -29,12 +29,11 @@ from packedhe.pipeline import (
     batch_layout,
     encode_model,
     fc_blocking,
-    flatten_maps,
     forward_encoded,
     pack_batch,
     poly_activation,
 )
-from packedhe.virtual import VirtualLayout, batched_conv_layer, tile_kernel_span
+from packedhe.virtual import VirtualLayout, batched_conv_layer, reform_maps, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
 from test_matmul_chunked import fitting_groups, formula_giant, formula_group, grouped_counts
@@ -176,26 +175,26 @@ def test_flatten_maps_matches_oracle_order(rng):
             img[:6, :6] = maps_plain[c, b]
             grid[b, :64] = img.reshape(-1)
         map_cts.append(eng.enc(grid.reshape(-1)))
-    chunks = flatten_maps(eng, map_cts, lay, 6, 6)
-    assert [chunk.shape for chunk in chunks] == [MatrixShape(4, 128)] * 2
+    chunks, _ = reform_maps(eng, map_cts, lay, 6, 6)
+    grids = [eng.dec(chunk).reshape(4, 128) for chunk in chunks]
     for b in range(4):
         want = oracle_flatten([maps_plain[0, b], maps_plain[1, b]])
-        got = np.concatenate(
-            [chunk.decode(eng)[b, :36] for chunk in chunks]
-        )
+        got = np.concatenate([grid[b, :36] for grid in grids])
         np.testing.assert_array_equal(got, want)
         # bijection: nothing outside the valid prefixes
-        for chunk in chunks:
-            assert np.count_nonzero(chunk.decode(eng)[b, 36:]) == 0
+        for grid in grids:
+            assert np.count_nonzero(grid[b, 36:]) == 0
 
 
-def fc_apply(eng, chunks, width, weight, bias):
-    """Encode an FC layer against chunks that each hold ``width`` valid
-    inputs per row and evaluate it, as the pipeline does for FC-1 and FC-2."""
-    rows, n = chunks[0].shape.m, chunks[0].shape.n
-    blocks, _, p, *_ = fc_shape(len(bias), len(chunks), width, rows)
-    fold = FcFold.derive(width, blocks, p, n, len(chunks))
-    return _fc_from_tiles(eng, chunks, _encode_fc_tiles(eng, weight, bias, rows, n, fold))
+def fc_apply(eng, parts, width, weight, bias):
+    """Encode an FC layer against input matrices that each hold ``width``
+    valid inputs per row, evaluate it as the pipeline does for FC-1 and
+    FC-2, and decode its rows x lanes output."""
+    rows, n = parts[0].shape
+    blocks, _, p, *_ = fc_shape(len(bias), len(parts), width, rows)
+    fold = FcFold.derive(width, blocks, p, rows, n, len(parts))
+    chunks = [eng.enc(part.reshape(-1)) for part in parts]
+    return eng.dec(_fc_from_tiles(eng, chunks, _encode_fc_tiles(eng, weight, bias, fold))).reshape(rows, n)
 
 
 def test_fc_layer_identity(rng):
@@ -204,11 +203,10 @@ def test_fc_layer_identity(rng):
     # 7..15 of the input hold junk the weights never read.
     eng = make_engine(64)
     x = rand_int_matrix(rng, 4, 16)
-    pm = encode_row_major(eng, x)
-    out = fc_apply(eng, [pm], 7, np.eye(7), np.zeros(7)).decode(eng)
+    out = fc_apply(eng, [x], 7, np.eye(7), np.zeros(7))
     np.testing.assert_array_equal(out[:, :7], x[:, :7])
     with pytest.raises(LayoutError, match="w \\+ B - 1"):  # 6 + 10 + 1 lanes > 16
-        fc_apply(eng, [pm], 10, np.eye(7, 10), np.zeros(7))
+        fc_apply(eng, [x], 10, np.eye(7, 10), np.zeros(7))
 
 
 def test_fc_layer_random_affine(rng):
@@ -216,7 +214,7 @@ def test_fc_layer_random_affine(rng):
     x = rand_int_matrix(rng, 4, 16)
     w = rng.uniform(-1, 1, size=(4, 8))
     b = rng.uniform(-1, 1, size=4)
-    out = fc_apply(eng, [encode_row_major(eng, x)], 8, w, b).decode(eng)
+    out = fc_apply(eng, [x], 8, w, b)
     np.testing.assert_allclose(out[:, :4], x[:, :8] @ w.T + b, rtol=1e-12, atol=1e-12)
 
 
@@ -225,14 +223,13 @@ def test_fc_layer_chunked_input(rng):
     w hold junk the weights never read."""
     eng = make_engine(32)
     parts = [rand_int_matrix(rng, 4, 8) for _ in range(3)]
-    chunks = [PackedMatrix(eng.enc(part.reshape(-1)), MatrixShape(4, 8)) for part in parts]
     w = rng.uniform(-1, 1, size=(4, 9))
     b = rng.uniform(-1, 1, size=4)
-    out = fc_apply(eng, chunks, 3, w, b).decode(eng)
+    out = fc_apply(eng, parts, 3, w, b)
     x = np.hstack([part[:, :3] for part in parts])
     np.testing.assert_allclose(out[:, :4], x @ w.T + b, rtol=1e-12, atol=1e-12)
     with pytest.raises(LayoutError, match="weight expects 8 inputs, the plan's 3 chunks provide 9"):
-        fc_apply(eng, chunks, 3, w[:, :8], b)
+        fc_apply(eng, parts, 3, w[:, :8], b)
 
 
 def test_fc_layer_blocks_wider_than_rows(rng):
@@ -240,13 +237,12 @@ def test_fc_layer_blocks_wider_than_rows(rng):
     # inputs, whose tiles fill lanes 6..15 of each row
     eng = make_engine(64)
     x = rand_int_matrix(rng, 4, 16)
-    pm = encode_row_major(eng, x)
     w = rng.uniform(-1, 1, size=(8, 9))
     b = rng.uniform(-1, 1, size=8)
-    out = fc_apply(eng, [pm], 9, w, b).decode(eng)
+    out = fc_apply(eng, [x], 9, w, b)
     np.testing.assert_allclose(out[:, :8], x[:, :9] @ w.T + b, rtol=1e-12, atol=1e-12)
     with pytest.raises(LayoutError, match="w \\+ B - 1"):  # the full-row shape
-        fc_apply(eng, [pm], 16, rng.uniform(-1, 1, size=(8, 16)), b)
+        fc_apply(eng, [x], 16, rng.uniform(-1, 1, size=(8, 16)), b)
 
 
 def test_model_weights_validation(rng):
@@ -348,6 +344,7 @@ def test_forward_fused_fc_exact_counts(rng):
         blocks, chunks, p, _, w, _ = shape
         assert (len(fc.tiles), len(fc.tiles[0]), len(fc.bias_cts)) == (blocks, chunks, blocks)
         assert (fc.fold.blocks, fc.fold.chunks, fc.fold.p, fc.fold.width) == (blocks, chunks, p, w)
+        assert (fc.fold.rows, fc.fold.lanes) == (IMAGES_PER_CT, IMAGE_SLOTS)
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
     assert model.fc1.fold.blocks * model.fc1.fold.p == next_pow2(FC1_OUT) == FC2_IN == 64
@@ -470,7 +467,11 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
 # that order keeps these bytes.  At 8192 slots fc1 takes two giant steps.
 SCORE_SHA256 = {
     32768: "f072e14c1d4cbcfeb0950a34dcfd377a74e30accbb1d893f01cda2a897cf56e1",
+    16384: "443d39e5e8303e7fbc1e6d4f5b20aa8b33c2a704813eeb31dd7f31be00de6ecc",
     8192: "7fe18f0faf37ca2e9642884d4c98193ce74946f4ee1abb1eb6d57362c3422f0f",
+    4096: "02095cb606326fc8fe20de777a75344f296243b95cbed8acbca61a2a9d923e4b",
+    2048: "099c0ac10248cdcb42ceb28ae67c5c96c9e7c72e36be1657fceed41681fe87a2",
+    1024: "52062934c3f464b316cb305170aedbbb9fc16bd2b66035623e2e84912d0c84b0",
 }
 
 

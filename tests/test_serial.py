@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from packedhe.engine import Ciphertext
 from packedhe.matmul import FcFold
 from packedhe.pipeline import batch_layout, encode_model, forward_encoded, pack_batch
 from packedhe.serial import (
@@ -131,17 +133,46 @@ def test_model_round_trip_and_count(tmp_path, rng):
     np.testing.assert_array_equal(s1, s2)
 
 
+# SHA-256 over the sorted (file name, file bytes) of the model directory
+# ``write_model`` writes for the seeded weights of
+# ``test_model_files_keep_their_bits``.  A change that keeps these keeps
+# every model file a provider has written loadable, byte for byte.
+MODEL_SHA256 = {
+    1024: "4aa4e0c0d935706b04f3950fcfcec1573dba85968976722af26c476678f5280e",
+    2048: "2890c1ef7503d1ff5087c32dfd5c6693e153bd4dbb0833364b507813166e1663",
+    4096: "f07db833182e8accb8ef4c52127cf0923fd29491692b7a8d24e86539656d8331",
+    8192: "0521d6fe7e66a012465ac92e764c5d617718eda0c17b7f818966c2e3c7f5fefd",
+    16384: "6350c31c34d16fe683c14e3f50bcdd46fc8ffd493e8a2979911c957fb97132c9",
+    32768: "b91078598a080a4ecc7166cddf7a405b6ce974ca1ac70d1c8be015c5b3fbe4d0",
+}
+
+
+@pytest.mark.parametrize("slots", sorted(MODEL_SHA256))
+def test_model_files_keep_their_bits(tmp_path, slots):
+    eng = make_engine(slots)
+    write_model(tmp_path, encode_model(eng, random_weights(np.random.default_rng(17))))
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == MODEL_SHA256[slots]
+
+
 @pytest.mark.parametrize("slots", [1024, 2048, 4096, 8192, 16384, 32768])
 def test_loaded_model_carries_the_encoder_plans(tmp_path, rng, slots):
     """The loader derives each FC layer's plan from the layout, as the
-    encoder does, so a loaded model evaluates in the plan it was encoded in."""
+    encoder does, so a loaded model evaluates in the plan it was encoded in;
+    its tiles are the encoder's ciphertexts, byte for byte."""
     eng = make_engine(slots)
     model = encode_model(eng, random_weights(rng))
     write_model(tmp_path, model)
     loaded = load_model(make_engine(slots), tmp_path)
     assert (loaded.fc1.fold, loaded.fc2.fold) == (model.fc1.fold, model.fc2.fold)
-    for fc in (loaded.fc1, loaded.fc2):
-        assert {tile.revolve_p for row in fc.tiles for tile in row} == {fc.fold.p}
+    for fc, encoded in ((loaded.fc1, model.fc1), (loaded.fc2, model.fc2)):
+        assert [len(row) for row in fc.tiles] == [fc.fold.chunks] * fc.fold.blocks
+        for row, encoded_row in zip(fc.tiles, encoded.tiles):
+            for tile, encoded_tile in zip(row, encoded_row):
+                assert type(tile) is Ciphertext
+                assert tile.slots.tobytes() == encoded_tile.slots.tobytes()
 
 
 def test_fc_plans_are_derived_once_per_layer_and_never_per_batch(tmp_path, rng, monkeypatch):
