@@ -20,7 +20,8 @@ with s = idx + 1 = g*s2 + s1, the B*C weight tiles are rotated once per
 baby step s1 in 1..g, the inputs once per giant step s2, and each giant
 step's sum is rotated back once, so an FC call pays
 B*C*g + (B*C + 1)*(p/g - 1) row-cycle rotations rather than B*C*p (g = 8
-for FC-1 and 4 for FC-2 at 32768 slots), B*C fewer when g = p = rows,
+for FC-1 and 4 for FC-2 at 32768 slots, chosen with G by the call's
+rotations, :attr:`FcFold.rotations`), B*C fewer when g = p = rows,
 where the baby step by g rows is no rotation at all.  Its operands are
 bare ciphertexts: the plan holds their geometry, ``rows`` x ``lanes``,
 which must fill the ciphertext with p dividing the rows, so each baby
@@ -193,11 +194,11 @@ class FcFold:
     @classmethod
     def derive(cls, width: int, blocks: int, p: int, rows: int, lanes: int, chunks: int) -> "FcFold":
         """The plan for ``rows`` rows ``lanes`` wide, which the encoder and
-        the evaluator share: of the groups whose fold window fits the row,
-        the one with the fewest fold rotations, ties going to the larger
-        group; then the multiple g of G dividing p with the fewest
-        row-cycle rotations, B*C*g + (B*C + 1)*(p/g - 1), ties going to the
-        smaller g.  LayoutError if no group fits."""
+        the evaluator share: of the groups G whose fold window fits the row
+        and the multiples g of G dividing p, the (G, g) with the fewest
+        rotations (:attr:`rotations`), ties going to the fewer constant
+        multiplies (the larger G) and then to the smaller g.  LayoutError
+        if no group fits."""
         folds = [
             cls(blocks, p, width, chunks, rows, lanes, 1 << t, blocks * p if t else blocks * (p - 1), p)
             for t in range((p & -p).bit_length())
@@ -209,10 +210,8 @@ class FcFold:
                 f"rows {lanes} wide: the tiles need w + B - 1 = {width + blocks - 1} lanes after an "
                 f"offset of at least B*(p - 1) = {blocks * (p - 1)}"
             )
-        fold = min(reversed(fits), key=lambda fold: fold.fold_rotations)
-        tiles = blocks * chunks
-        giants = [g for g in range(fold.group, p + 1, fold.group) if p % g == 0]
-        return replace(fold, giant=min(giants, key=lambda g: tiles * g + (tiles + 1) * (p // g - 1)))
+        plans = [replace(fold, giant=g) for fold in fits for g in range(fold.group, p + 1, fold.group) if p % g == 0]
+        return min(plans, key=lambda plan: (plan.rotations, plan.cmuls, plan.giant))
 
     @property
     def span(self) -> int:
@@ -234,6 +233,26 @@ class FcFold:
         """Rotations of one call's folds: log2 G per iteration plus
         ``steps`` per group."""
         return self.p * (self.group.bit_length() - 1) + self.p // self.group * self.steps
+
+    @property
+    def rotations(self) -> int:
+        """Rotations of one :func:`matmul_chunked` call in this plan: the
+        lane shifts, B*C*(g - [g = rows]) baby and B*C*(p/g - 1) giant
+        shifts, p/g - 1 rotations back and the folds."""
+        tiles = self.blocks * self.chunks
+        giants = self.p // self.giant - 1
+        return (
+            self.chunks * (self.blocks - 1 + (self.offset > 0))
+            + tiles * (self.giant - (self.giant == self.rows))
+            + (tiles + 1) * giants
+            + self.fold_rotations
+        )
+
+    @property
+    def cmuls(self) -> int:
+        """Constant multiplies of one call: a phase mask per iteration and
+        a result filter per group, p + p/G."""
+        return self.p + self.p // self.group
 
     def phase_masks(self, engine: SlotEngine) -> list[PlainMask]:
         """Mask e (for iterations idx = e mod G) keeps, in row i, the lanes

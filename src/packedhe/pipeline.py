@@ -18,22 +18,26 @@ preserving the map-major flatten order).  Each FC layer has one plan, a
 the encoder stores it with the weight tiles (``FcTiles.fold``) and the
 evaluator reads it from there.  The plan also holds the layer's row
 geometry (the layout's m rows of f lanes), so the FC inputs, tiles and
-outputs are bare ciphertexts.  FC output neurons are evaluated in
-power-of-two blocks no wider than the batch row count, which keeps every
-product on its single-rotation row-cycling path.  A layer is one chunked
-product (``matmul_chunked``) whose B neuron blocks are interleaved across
-the lanes of each row: neuron q = B*t + j of group t lands at lane q.
-The weight tiles are zero past the layer's input width w (676 for FC-1,
-the 64 FC-1 outputs for FC-2), the p iterations run in groups of G that
-share one row fold (G = 8 for FC-1 and 4 for FC-2 at 32768 slots), and
-the row cycle takes baby and giant steps of g rows (g = 8 for FC-1 and 4
-for FC-2).  ``matmul_chunked`` gives the cost formula: 219 rotations for
-FC-1 and 63 for FC-2 at 32768 slots.  A layer's B bias seeds already sit
-at their output lanes and are only added, and its outputs land in lanes
-0..B*p-1 of each row.
+outputs are bare ciphertexts.  FC output neurons are evaluated in B
+power-of-two blocks of p, with p dividing the batch row count, which
+keeps every product on its single-rotation row-cycling path;
+:func:`fc_blocking` picks both layers' p by rotation cost within the
+model's ciphertext budget (p = 32 for FC-1 and 8 for FC-2 at 32768
+slots).  A layer is one chunked product (``matmul_chunked``) whose B
+neuron blocks are interleaved across the lanes of each row: neuron
+q = B*t + j of group t lands at lane q.  The weight tiles are zero past
+the layer's input width w (676 for FC-1, the 64 FC-1 outputs for FC-2),
+the p iterations run in groups of G that share one row fold (G = 8 for
+FC-1 and 4 for FC-2 at 32768 slots), and the row cycle takes baby and
+giant steps of g rows (g = 8 for FC-1 and 4 for FC-2).
+``matmul_chunked`` gives the cost formula (:attr:`FcFold.rotations`):
+219 rotations for FC-1 and 37 for FC-2 at 32768 slots.  A layer has one
+bias seed, every bias at its output lane, which is the product's
+accumulator seed, and its outputs land in lanes 0..B*p-1 of each row.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -135,14 +139,14 @@ class FcTiles:
     """One FC layer in encoded form.
 
     ``tiles`` holds ciphertexts indexed [diagonal][input_chunk], one
-    diagonal per interleaved neuron block; ``bias_cts`` holds one bias seed
-    per neuron block of width ``fold.p``, already at its output lanes.
-    ``fold`` is the layer's plan, which the tiles were encoded with; it
-    alone gives the ciphertexts their rows x lanes geometry.
+    diagonal per interleaved neuron block; ``bias_ct`` is the layer's one
+    bias seed, every bias already at its output lane.  ``fold`` is the
+    layer's plan, which the tiles were encoded with; it alone gives the
+    ciphertexts their rows x lanes geometry.
     """
 
     tiles: list
-    bias_cts: list
+    bias_ct: Ciphertext
     fold: FcFold
 
 
@@ -164,7 +168,7 @@ class EncodedModel:
     def ciphertext_count(self) -> int:
         n = sum(len(s.span_cts) + 1 for s in self.kernel_spans)
         for fc in (self.fc1, self.fc2):
-            n += sum(len(row) for row in fc.tiles) + len(fc.bias_cts)
+            n += sum(len(row) for row in fc.tiles) + 1
         return n
 
 
@@ -212,18 +216,40 @@ def pack_batch(engine: SlotEngine, images, layout: VirtualLayout | None = None) 
     return engine.enc(grid.reshape(-1))
 
 
+def _layer_plans(layout: VirtualLayout, width: int, out_dim: int, chunks: int) -> list[FcFold]:
+    """Every plan of one FC layer: B neuron blocks of p with B*p =
+    next_pow2(out_dim), p a power of two dividing layout.m, and the (G, g)
+    that :meth:`FcFold.derive` picks for them."""
+    p_pad = next_pow2(out_dim)
+    return [
+        FcFold.derive(width, p_pad // p, p, layout.m, layout.f, chunks)
+        for p in (1 << t for t in range(p_pad.bit_length()))
+        if layout.m % p == 0
+    ]
+
+
 def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
-    """Each FC layer's plan over ``layout``, by name: its outputs in
-    power-of-two neuron blocks no wider than layout.m, over KERNEL_COUNT
+    """Each FC layer's plan over ``layout``, by name: over KERNEL_COUNT
     input chunks of MAP_FEATURES (one per feature map) for fc1 and one of
     FC2_IN for fc2, in layout.m rows of layout.f lanes.  The model encoder
-    and loader both take it from here; a model records none."""
-    plans = {}
-    for name, width, out_dim, chunks in (("fc1", MAP_FEATURES, FC1_OUT, KERNEL_COUNT), ("fc2", FC2_IN, FC2_OUT, 1)):
-        p_pad = next_pow2(out_dim)
-        p = min(p_pad, layout.m)
-        plans[name] = FcFold.derive(width, p_pad // p, p, layout.m, layout.f, chunks)
-    return plans
+    and loader both take it from here; a model records none.
+
+    The layers' neuron blocks are chosen together.  A layer of B blocks
+    over C chunks stores B*C weight tiles and one bias seed, and the two
+    layers may store no more than the sum of B_min*(C + 1) ciphertexts,
+    B_min being the layer's fewest blocks: what its widest plan would
+    store with a bias seed per block (12 at 32768 slots).  Of the pairs
+    within that budget the rule takes the fewest rotations
+    (:attr:`FcFold.rotations`), then the fewest constant multiplies, then
+    the larger p, fc1's first."""
+    layers = (("fc1", MAP_FEATURES, FC1_OUT, KERNEL_COUNT), ("fc2", FC2_IN, FC2_OUT, 1))
+    options = [_layer_plans(layout, width, out_dim, chunks) for _, width, out_dim, chunks in layers]
+    budget = sum(min(fold.blocks for fold in plans) * (chunks + 1) for plans, (*_, chunks) in zip(options, layers))
+    best = min(
+        (pair for pair in product(*options) if sum(fold.blocks * fold.chunks + 1 for fold in pair) <= budget),
+        key=lambda pair: (sum(f.rotations for f in pair), sum(f.cmuls for f in pair), [-f.p for f in pair]),
+    )
+    return {name: fold for (name, *_), fold in zip(layers, best)}
 
 
 def _encode_fc_tiles(engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, fold: FcFold) -> FcTiles:
@@ -231,9 +257,8 @@ def _encode_fc_tiles(engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, f
     weight columns [c*w, (c+1)*w).
 
     Tile (d, c) is diagonal d of input chunk c in the interleaved layout
-    of :func:`encode_interleaved`, so neuron q lands at lane q.  Bias seed
-    b holds neurons b*p..b*p+p-1 at their output lanes; the seeds are the
-    matmul accumulator seed once added.
+    of :func:`encode_interleaved`, so neuron q lands at lane q.  The bias
+    seed holds bias q at lane q of every row: the matmul accumulator seed.
     """
     out_dim, in_dim = weight.shape
     w = fold.width
@@ -243,30 +268,23 @@ def _encode_fc_tiles(engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, f
     padded[:out_dim] = weight
     chunks = [padded[:, c * w : (c + 1) * w].T for c in range(fold.chunks)]
     per_chunk = [encode_interleaved(engine, chunk, fold) for chunk in chunks]
-    bias_cts = []
-    for b in range(fold.blocks):
-        bias_grid = np.zeros((fold.rows, fold.lanes), dtype=np.float64)
-        lanes = slice(b * fold.p, min((b + 1) * fold.p, out_dim))
-        bias_grid[:, lanes] = bias[lanes]
-        bias_cts.append(engine.enc(bias_grid.reshape(-1)))
-    return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], bias_cts, fold)
+    bias_grid = np.zeros((fold.rows, fold.lanes), dtype=np.float64)
+    bias_grid[:, :out_dim] = bias
+    return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], engine.enc(bias_grid.reshape(-1)), fold)
 
 
 def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> Ciphertext:
     """Evaluate an FC layer given encoded weight tiles.
 
     One chunked product over the interleaved neuron blocks, in the plan the
-    tiles were encoded with, seeded with the sum of the block biases: the
+    tiles were encoded with, seeded with the layer's bias seed: the
     input chunks' products are added inside each iteration, so the layer
     pays one partial fold per iteration and one row fold per group of
     iterations however many chunks and blocks it has.  Every weight tile is
     zero past the plan's input width, so the row fold only covers it.
     Neuron q lands at lane q.
     """
-    seed = engine.accumulator()
-    for bias_ct in fc.bias_cts:
-        seed.add(bias_ct)
-    return matmul_chunked(engine, chunks, fc.tiles, fc.fold, init=seed.result())
+    return matmul_chunked(engine, chunks, fc.tiles, fc.fold, init=fc.bias_ct)
 
 
 def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:

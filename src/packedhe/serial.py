@@ -42,10 +42,11 @@ MAGIC = b"SIMCT\x01"
 FORMAT_NAME = "simulated-plaintext-slots-v1"
 # The model manifest's own format: FC weight tiles hold interleaved neuron
 # blocks (neuron q at lane q) from the lane offset of their grouped row
-# fold, and each bias seed sits at its output lanes.  A model written in
-# an older layout would load and score wrong, so the name changes whenever
+# fold, in the blocks ``fc_blocking`` chooses by rotation cost, and each
+# layer's one bias seed holds bias q at lane q.  A model written in an
+# older layout would load and score wrong, so the name changes whenever
 # the tile or bias layout does.
-MODEL_FORMAT = "simulated-model-grouped-fc-v3"
+MODEL_FORMAT = "simulated-model-costed-fc-v4"
 CT_SUFFIX = ".simct"  # SIMulated CipherText; contents are NOT encrypted
 
 
@@ -183,18 +184,17 @@ def _tile_paths(directory: Path, name: str, b: int, chunks: int) -> list:
     return [directory / f"{name}_w_b{b}_c{c}{CT_SUFFIX}" for c in range(chunks)]
 
 
-def _fc_bias_path(directory: Path, name: str, b: int) -> Path:
-    return directory / f"{name}_bias_b{b}{CT_SUFFIX}"
+def _fc_bias_path(directory: Path, name: str) -> Path:
+    return directory / f"{name}_bias{CT_SUFFIX}"
 
 
 def _load_fc(engine: SlotEngine, directory: Path, name: str, fold: FcFold) -> FcTiles:
-    """Load one FC layer of plan ``fold``: its weight tiles and bias seeds."""
+    """Load one FC layer of plan ``fold``: its weight tiles and bias seed."""
     tiles = [
         [load_ciphertext(engine, path)[0] for path in _tile_paths(directory, name, b, fold.chunks)]
         for b in range(fold.blocks)
     ]
-    bias_cts = [load_ciphertext(engine, _fc_bias_path(directory, name, b))[0] for b in range(fold.blocks)]
-    return FcTiles(tiles, bias_cts, fold)
+    return FcTiles(tiles, load_ciphertext(engine, _fc_bias_path(directory, name))[0], fold)
 
 
 def _coefficients(path, manifest: dict, key: str) -> tuple:
@@ -216,10 +216,10 @@ def write_model(directory, model: EncodedModel) -> int:
             write_ciphertext(path, ct)
         write_ciphertext(_kernel_bias_path(directory, ki), span.bias_ct)
     for name, fc in (("fc1", model.fc1), ("fc2", model.fc2)):
-        for b, (row, bias_ct) in enumerate(zip(fc.tiles, fc.bias_cts)):
+        for b, row in enumerate(fc.tiles):
             for path, tile in zip(_tile_paths(directory, name, b, len(row)), row):
                 write_ciphertext(path, tile)
-            write_ciphertext(_fc_bias_path(directory, name, b), bias_ct)
+        write_ciphertext(_fc_bias_path(directory, name), fc.bias_ct)
     manifest = {
         "format": MODEL_FORMAT,
         "act1": list(map(float, model.act1)),

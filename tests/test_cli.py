@@ -12,12 +12,12 @@ from packedhe.cli import _infer_batches, main
 from packedhe.datafiles import save_weights_csv
 from packedhe.engine import EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
-from packedhe.pipeline import FC1_OUT, KERNEL_COUNT, MAP_FEATURES, pack_batch
+from packedhe.pipeline import pack_batch
 from packedhe.serial import MAGIC, load_model, write_batch
 from packedhe.virtual import VirtualLayout
 
 from test_datafiles import write_idx_images
-from test_pipeline import fc_counts, fc_shape, random_weights
+from test_pipeline import fc_counts, mnist_fc_shapes, random_weights
 from test_primitive_calls import MNIST_STAGE_KEYS
 
 
@@ -141,9 +141,9 @@ def test_cloud_infer_end_to_end(workspace, monkeypatch):
     for key in ("add", "mul", "cmul", "rot", "enc"):
         assert sum(s[key] for s in stages.values()) == ops[key]
     assert max(s["max_depth"] for s in stages.values()) == ops["max_depth"]
-    fc1_rot, _, _ = fc_counts(*fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES))
+    fc1_rot, _, _ = fc_counts(*mnist_fc_shapes()[0])
     assert summary["batches"] == 2 and stages["fc1"]["rot"] == 2 * fc1_rot
-    assert summary["rot_keys"] == ops["rot_keys"] == len(seen) == 33
+    assert summary["rot_keys"] == ops["rot_keys"] == len(seen) == 31
     assert {name: s["rot_keys"] for name, s in stages.items()} == MNIST_STAGE_KEYS
 
 

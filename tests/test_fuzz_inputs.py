@@ -262,14 +262,16 @@ def test_tampered_manifest_fails_cleanly(pipeline_files, tmp_path, capsys, key, 
 
 @pytest.mark.parametrize(
     "fmt",
-    [None, "simulated-plaintext-slots-v1", "simulated-model-interleaved-fc-v2"],
-    ids=["missing", "block-separated-fc", "ungrouped-fc"],
+    [None, "simulated-plaintext-slots-v1", "simulated-model-interleaved-fc-v2", "simulated-model-grouped-fc-v3"],
+    ids=["missing", "block-separated-fc", "ungrouped-fc", "bias-seed-per-block"],
 )
 def test_model_in_an_older_layout_is_rejected(pipeline_files, tmp_path, capsys, fmt):
     """A manifest without this layout's format name (one written before the
-    FC neuron blocks were interleaved, or before their tiles moved to the
-    grouped fold's lane offset, whose tiles would load and score wrong)
-    fails at load, in one line that says to re-encode the model."""
+    FC neuron blocks were interleaved, before their tiles moved to the
+    grouped fold's lane offset, or before the blocks were chosen by cost
+    with one bias seed per layer, whose files would load and score wrong
+    or not at all) fails at load, in one line that names the manifest and
+    says to re-encode the model."""
     tmp, _, _ = pipeline_files
     model = tmp_path / "model"
     shutil.copytree(tmp / "model", model)
@@ -284,6 +286,7 @@ def test_model_in_an_older_layout_is_rejected(pipeline_files, tmp_path, capsys, 
         capsys, ["cloud-infer", "--batch-dir", str(tmp / "batches"), "--model-dir", str(model), "--out", str(out)]
     )
     assert len(err.splitlines()) == 1 and "'format'" in err and "re-run provider-encode" in err
+    assert str(model / "manifest.json") in err
     assert not out.exists()
 
 
@@ -310,7 +313,7 @@ def test_stale_structure_keys_change_nothing(pipeline_files, tmp_path, capsys, s
     assert out.read_bytes() == fresh.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["kernel2_span8", "kernel3_bias", "fc1_w_b1_c3", "fc2_bias_b7"])
+@pytest.mark.parametrize("name", ["kernel2_span8", "kernel3_bias", "fc1_w_b1_c3", "fc2_bias"])
 def test_model_missing_a_ciphertext_fails_cleanly(pipeline_files, tmp_path, capsys, name):
     """A model directory without one of its ciphertext files (a kernel
     span, a kernel bias, an FC weight tile or an FC bias seed) fails at

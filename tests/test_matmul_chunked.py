@@ -95,25 +95,22 @@ def fitting_groups(blocks: int, p: int, w: int, n: int) -> list:
     return [g for g in (1 << t for t in range(p.bit_length())) if p % g == 0 and fold_layout(blocks, p, w, g)[1] <= n]
 
 
-def formula_group(blocks: int, chunks: int, p: int, w: int, n: int):
-    """The G that minimises the fold rotations, ties going to the larger G;
-    None when no G fits.  (The row cycle's rotations are then minimised
-    over the giant step, see ``formula_giant``.)"""
-    return max(
-        fitting_groups(blocks, p, w, n),
-        key=lambda g: (-fold_rotations(blocks, p, w, g), g),
-        default=None,
+def formula_giant(blocks: int, chunks: int, p: int, w: int, group: int, rows: int) -> int:
+    """The multiple g of G dividing p with the fewest rotations by
+    ``grouped_counts``, ties going to the smaller g."""
+    giants = [g for g in range(group, p + 1, group) if p % g == 0]
+    return min(giants, key=lambda g: grouped_counts(blocks, chunks, p, w, group, g, rows)[0])
+
+
+def formula_plan(blocks: int, chunks: int, p: int, w: int, n: int, rows: int) -> tuple:
+    """(G, g): of the groups that fit rows n wide, each at its
+    ``formula_giant``, the one with the fewest rotations by
+    ``grouped_counts``, ties going to the larger G (the fewer constant
+    multiplies); (None, None) when no G fits."""
+    plans = [(group, formula_giant(blocks, chunks, p, w, group, rows)) for group in fitting_groups(blocks, p, w, n)]
+    return min(
+        plans, key=lambda plan: (grouped_counts(blocks, chunks, p, w, *plan, rows)[0], -plan[0]), default=(None, None)
     )
-
-
-def formula_giant(blocks: int, chunks: int, p: int, group: int) -> int:
-    """The multiple g of G dividing p with the fewest row-cycle rotations,
-    B*C*g + (B*C + 1)*(p/g - 1), ties going to the smaller g.  The choice
-    does not count the B*C baby tiles that need no rotation when
-    g = p = rows (see ``grouped_counts``)."""
-    tiles = blocks * chunks
-    costs = {g: tiles * g + (tiles + 1) * (p // g - 1) for g in range(group, p + 1, group) if p % g == 0}
-    return min(sorted(costs), key=costs.get)
 
 
 def forced_plan(
@@ -121,26 +118,32 @@ def forced_plan(
 ) -> FcFold:
     """The derived plan with the group G (and its offset) forced, and the
     giant step ``giant``, by default the one ``formula_giant`` picks for G."""
-    giant = formula_giant(blocks, chunks, p, group) if giant is None else giant
+    giant = formula_giant(blocks, chunks, p, w, group, rows) if giant is None else giant
     fold = FcFold.derive(w, blocks, p, rows, n, chunks)
     return replace(fold, group=group, offset=fold_layout(blocks, p, w, group)[0], giant=giant)
 
 
 def test_fc_fold_group_minimises_the_rotation_formula():
-    """fc1 (B = 2, C = 4, p = 32, w = 676) and fc2 (B = 1, C = 1, p = 16,
+    """fc1 (B = 2, C = 4, p = 32, w = 676) and fc2 (B = 2, C = 1, p = 8,
     w = 64) at 32768 slots: G = 8 and g = 8 for fc1, G = 4 and g = 4 for
-    fc2, whose g = 4 and g = 8 tie at 10 row-cycle rotations.  The plain
-    row cycle (g = p) would cost 376 and 69: fc1's p = 32 is its row
+    fc2; fc2 in one block of p = 16 takes G = 4 and g = 4 too, whose g = 4
+    and g = 8 tie at 10 row-cycle rotations.  fc1's G = 4 ties with G = 8
+    at 219 rotations and takes the fewer constant multiplies.  The plain
+    row cycle (g = p) would cost 376, 42 and 69: fc1's p = 32 is its row
     count, so its 8 baby tiles at s1 = 32 need no rotation."""
-    for (blocks, chunks, p, w), group, giant, rot in (((2, 4, 32, 676), 8, 8, 219), ((1, 1, 16, 64), 4, 4, 63)):
+    for (blocks, chunks, p, w), group, giant, rot, plain in (
+        ((2, 4, 32, 676), 8, 8, 219, 376),
+        ((2, 1, 8, 64), 4, 4, 37, 42),
+        ((1, 1, 16, 64), 4, 4, 63, 69),
+    ):
         fold = FcFold.derive(w, blocks, p, 32, 1024, chunks)
         assert (fold.blocks, fold.chunks, fold.p, fold.width, fold.rows, fold.lanes) == (blocks, chunks, p, w, 32, 1024)
-        assert fold.group == formula_group(blocks, chunks, p, w, 1024) == group
-        assert fold.giant == formula_giant(blocks, chunks, p, group) == giant
+        assert (fold.group, fold.giant) == formula_plan(blocks, chunks, p, w, 1024, 32) == (group, giant)
         assert fold.offset == fold_layout(blocks, p, w, group)[0] == blocks * p
-        assert grouped_counts(blocks, chunks, p, w, group, giant, 32)[0] == rot
-        assert grouped_counts(blocks, chunks, p, w, group, p, 32)[0] == {219: 376, 63: 69}[rot]
+        assert grouped_counts(blocks, chunks, p, w, group, giant, 32)[0] == fold.rotations == rot
+        assert grouped_counts(blocks, chunks, p, w, group, p, 32)[0] == plain
     assert grouped_counts(1, 1, 16, 64, 4, 8, 32)[0] == 63
+    assert grouped_counts(2, 4, 32, 676, 4, 8, 32) == (219, 256, 40)
 
 
 @st.composite
@@ -178,13 +181,11 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
         want[i * n : i * n + p] = block[i]
     np.testing.assert_array_equal(eng.dec(out), want)
 
-    # log2 G fold steps per iteration and log2(F/G) per group, at the G
-    # the formula picks; the row cycle costs one rotation per chunk.  The
-    # call opens no scopes of its own.
-    group = formula_group(1, chunks, p, w, n)
-    assert (fold.group, fold.giant) == (group, formula_giant(1, chunks, p, group))
+    # log2 G fold steps per iteration and log2(F/G) per group, at the
+    # (G, g) the formula picks; the call opens no scopes of its own.
+    assert (fold.group, fold.giant) == formula_plan(1, chunks, p, w, n, m)
     assert eng.scopes == {}
-    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, group, fold.giant, m)
+    assert (call.rot_count, call.mul_count, call.cmul_count) == grouped_counts(1, chunks, p, w, fold.group, fold.giant, m)
     assert call.max_depth == 3
 
     # matmul on the same weights keeps the paper's 2*log2(n) row sum.
@@ -253,8 +254,8 @@ def fused_shapes(draw):
 @example(shape=(4, 2, 2, 8, 4, 5, 32), seed=6)  # w + B - 1 fits the row, but not beside the outputs
 def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
     """Every G dividing p whose window fits: exact against numpy, and the
-    rotation, multiply and depth counts of the formula.  The derived G is
-    the formula's minimiser, and a shape no G fits is rejected."""
+    rotation, multiply and depth counts of the formula.  The derived
+    (G, g) is the formula's minimiser, and a shape no G fits is rejected."""
     m, blocks, chunks, n, p, w, slots = shape
     rows = max(m, p)
     rng = np.random.default_rng(seed)
@@ -273,7 +274,8 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
         with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
             FcFold.derive(w, blocks, p, rows, n, chunks)
         return
-    assert FcFold.derive(w, blocks, p, rows, n, chunks).group == formula_group(blocks, chunks, p, w, n)
+    derived = FcFold.derive(w, blocks, p, rows, n, chunks)
+    assert (derived.group, derived.giant) == formula_plan(blocks, chunks, p, w, n, rows)
     for group in groups:
         eng = make_engine(slots)
         fold = forced_plan(blocks, chunks, p, w, rows, n, group)
@@ -302,6 +304,7 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
         np.testing.assert_array_equal(eng.dec(out), expected)
         counts = (call.rot_count, call.mul_count, call.cmul_count)
         assert counts == grouped_counts(blocks, chunks, p, w, group, fold.giant, rows)
+        assert (call.rot_count, call.cmul_count) == (fold.rotations, fold.cmuls)
         assert call.max_depth == 3
         assert eng.scopes == {}
 

@@ -1,5 +1,6 @@
 import hashlib
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -33,29 +34,45 @@ from packedhe.pipeline import (
     pack_batch,
     poly_activation,
 )
+from packedhe.serial import load_model, write_model
 from packedhe.virtual import VirtualLayout, batched_conv_layer, reform_maps, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
-from test_matmul_chunked import fitting_groups, formula_giant, formula_group, grouped_counts
+from test_matmul_chunked import fitting_groups, formula_plan, grouped_counts
 
 ACT1 = (-0.00015120704, 0.4610149, 2.0225089, -1.4511951)
 ACT2 = (-1.5650465, -0.9943767, 1.6794522, 0.5350255)
 
 
-def fc_shape(out_dim: int, chunks: int, in_width: int, rows: int = IMAGES_PER_CT) -> tuple:
+def fc_shape(out_dim: int, chunks: int, in_width: int, rows: int = IMAGES_PER_CT, p: int | None = None) -> tuple:
     """(blocks B, chunks C, block width p, row width n, input width w, rows)
-    of an FC layer over ``rows`` images of image-stride rows: power-of-two
-    neuron blocks no wider than the batch."""
-    p = min(next_pow2(out_dim), rows)
+    of an FC layer over ``rows`` images of image-stride rows in
+    power-of-two neuron blocks of width ``p``, by default the widest that
+    fits the batch (the fewest blocks)."""
+    p = min(next_pow2(out_dim), rows) if p is None else p
     return next_pow2(out_dim) // p, chunks, p, IMAGE_SLOTS, in_width, rows
+
+
+# The neuron block width p of the (fc1, fc2) plans fc_blocking picks, by
+# batch rows: fc1 always takes its widest block, while fc2 takes blocks
+# narrower than the batch at 8, 16 and 32 rows, which the one bias seed
+# per layer leaves room for.
+FC_BLOCK_P = {1: (1, 1), 2: (2, 2), 4: (4, 4), 8: (8, 2), 16: (16, 4), 32: (32, 8)}
+
+
+def mnist_fc_shapes(rows: int = IMAGES_PER_CT) -> tuple:
+    """The ``fc_shape`` of fc1 and fc2 at the block widths fc_blocking
+    picks over ``rows`` images."""
+    p1, p2 = FC_BLOCK_P[rows]
+    return fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES, rows, p1), fc_shape(FC2_OUT, 1, FC2_IN, rows, p2)
 
 
 def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int, rows: int) -> tuple:
     """(rot, mul, cmul) of an FC layer: one interleaved product on the
     single-rotation row-cycle path, at the group G and the giant step g
-    that minimise the rotation formula; the B bias seeds are only added."""
-    group = formula_group(blocks, chunks, p, w, n)
-    return grouped_counts(blocks, chunks, p, w, group, formula_giant(blocks, chunks, p, group), rows)
+    that minimise the rotation formula (``formula_plan``); the layer's one
+    bias seed is the product's accumulator seed, at no cost."""
+    return grouped_counts(blocks, chunks, p, w, *formula_plan(blocks, chunks, p, w, n, rows), rows)
 
 
 # (rot, mul, cmul) per batch of conv, act1, flatten and act2, which do not
@@ -338,11 +355,11 @@ def test_forward_fused_fc_exact_counts(rng):
         forward_encoded(eng, ct, model, stage_meters=stage_meters)
     total = spent["call"]
     # fc1 reads the 676-slot map prefixes; fc2 reads fc1's B*p outputs.
-    fc1_shape = fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES)
-    fc2_shape = fc_shape(FC2_OUT, 1, FC2_IN)
+    fc1_shape, fc2_shape = mnist_fc_shapes()
+    assert (fc1_shape[:3], fc2_shape[:3]) == ((2, 4, 32), (2, 1, 8))
     for name, fc, shape in (("fc1", model.fc1, fc1_shape), ("fc2", model.fc2, fc2_shape)):
         blocks, chunks, p, _, w, _ = shape
-        assert (len(fc.tiles), len(fc.tiles[0]), len(fc.bias_cts)) == (blocks, chunks, blocks)
+        assert (len(fc.tiles), len(fc.tiles[0])) == (blocks, chunks)
         assert (fc.fold.blocks, fc.fold.chunks, fc.fold.p, fc.fold.width) == (blocks, chunks, p, w)
         assert (fc.fold.rows, fc.fold.lanes) == (IMAGES_PER_CT, IMAGE_SLOTS)
         spent = stage_meters[name]
@@ -374,10 +391,7 @@ def test_forward_interleaved_fc_at_each_batch_height(rng, slots, parent_keys):
     want = oracle_forward(weights, imgs)
     np.testing.assert_allclose(scores.decode(eng)[:, :FC2_OUT], want, rtol=0.0, atol=1e-6)
     np.testing.assert_array_equal(argmax_decide(eng, scores), np.argmax(want, axis=1))
-    for name, shape in (
-        ("fc1", fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES, layout.m)),
-        ("fc2", fc_shape(FC2_OUT, 1, FC2_IN, layout.m)),
-    ):
+    for name, shape in zip(("fc1", "fc2"), mnist_fc_shapes(layout.m)):
         spent = stage_meters[name]
         assert (spent.rot_count, spent.mul_count, spent.cmul_count) == fc_counts(*shape)
     assert eng.meter_snapshot().max_depth == PIPELINE_DEPTH
@@ -398,38 +412,78 @@ def test_fc_stages_make_no_rotation_by_zero(rng, slots):
         assert stage_meters[name].rot_offsets and 0 not in stage_meters[name].rot_offsets
 
 
-# fc1 and fc2 rotations per batch at the plan fc_blocking derives, by slot
-# count (fc1 at 32768 slots ties between G = 4 and G = 8, both with g = 8).
+# fc1 and fc2 rotations per batch at the plans fc_blocking derives, and
+# the ciphertexts of the model they give, by slot count.
 FC_PLAN_ROTATIONS = {
     1024: (256, 18),
     2048: (262, 21),
     4096: (268, 27),
-    8192: (219, 37),
-    16384: (187, 63),
-    32768: (219, 63),
+    8192: (219, 29),
+    16384: (187, 29),
+    32768: (219, 37),
 }
+MODEL_CIPHERTEXTS = {1024: 314, 2048: 178, 4096: 110, 8192: 82, 16384: 62, 32768: 52}
+
+
+def layer_candidates(out_dim: int, chunks: int, w: int, layout: VirtualLayout) -> list:
+    """(rot, cmul, blocks, p, G, g) of every plan of one FC layer by the
+    cost formula: B*p = next_pow2(out_dim) with p a power of two dividing
+    the rows, every group G whose fold fits the row and every multiple g
+    of G dividing p."""
+    out = []
+    for p in (1 << t for t in range(next_pow2(out_dim).bit_length())):
+        if layout.m % p:
+            continue
+        blocks = next_pow2(out_dim) // p
+        for group in fitting_groups(blocks, p, w, layout.f):
+            for giant in range(group, p + 1, group):
+                if p % giant == 0:
+                    rot, _, cmul = grouped_counts(blocks, chunks, p, w, group, giant, layout.m)
+                    out.append((rot, cmul, blocks, p, group, giant))
+    return out
 
 
 @pytest.mark.parametrize("slots", sorted(FC_PLAN_ROTATIONS))
-def test_fc_plan_is_the_rotation_optimum(slots):
-    """Each FC layer's plan costs exactly the fewest rotations of any
-    fitting fold group G and giant step g (a multiple of G dividing p), by
-    the cost formula; it is also the choice of the two-stage rule (G by the
-    fold rotations, then g), which fixes the fold's summation order."""
+def test_fc_plan_is_the_rotation_optimum(slots, tmp_path):
+    """The pair of FC plans is the one pair of fitting (p, G, g), by the
+    cost formula, with the fewest FC rotations and then the fewest
+    constant multiplies among the pairs within the model's budget: each
+    layer stores B*C weight tiles and one bias seed, and the two may store
+    no more than sum B_min*(C + 1), B_min being the layer's fewest blocks.
+    The model then holds 4*(9 + 1) kernel ciphertexts plus those, and
+    ``encode_model`` and ``load_model`` both carry the plans."""
     layout = batch_layout(slots)
     plans = fc_blocking(layout)
     assert list(plans) == ["fc1", "fc2"]
-    for fold, want in zip(plans.values(), FC_PLAN_ROTATIONS[slots]):
-        blocks, chunks, p, w = fold.blocks, fold.chunks, fold.p, fold.width
-        costs = [
-            grouped_counts(blocks, chunks, p, w, group, giant, layout.m)[0]
-            for group in fitting_groups(blocks, p, w, layout.f)
-            for giant in range(group, p + 1, group)
-            if p % giant == 0
-        ]
-        assert grouped_counts(blocks, chunks, p, w, fold.group, fold.giant, layout.m)[0] == min(costs) == want
-        assert fold.group == formula_group(blocks, chunks, p, w, layout.f)
-        assert fold.giant == formula_giant(blocks, chunks, p, fold.group)
+    shapes = ((FC1_OUT, KERNEL_COUNT, MAP_FEATURES), (FC2_OUT, 1, FC2_IN))
+    layers = [layer_candidates(out_dim, chunks, w, layout) for out_dim, chunks, w in shapes]
+    budget = sum(min(c[2] for c in cands) * (chunks + 1) for cands, (_, chunks, _) in zip(layers, shapes))
+    within = [
+        pair
+        for pair in product(*layers)
+        if sum(c[2] * chunks + 1 for c, (_, chunks, _) in zip(pair, shapes)) <= budget
+    ]
+
+    def cost(pair):
+        return sum(c[0] for c in pair), sum(c[1] for c in pair)
+
+    best = min(map(cost, within))
+    chosen = []
+    for f in plans.values():
+        rot, _, cmul = grouped_counts(f.blocks, f.chunks, f.p, f.width, f.group, f.giant, layout.m)
+        chosen.append((rot, cmul, f.blocks, f.p, f.group, f.giant))
+    chosen = tuple(chosen)
+    assert [pair for pair in within if cost(pair) == best] == [chosen]
+    assert tuple(c[0] for c in chosen) == FC_PLAN_ROTATIONS[slots]
+
+    model = encode_model(make_engine(slots), random_weights(np.random.default_rng(0)))
+    fc_cts = sum(f.blocks * f.chunks + 1 for f in plans.values())
+    assert model.ciphertext_count == KERNEL_COUNT * (KERNEL_SIZE**2 + 1) + fc_cts == MODEL_CIPHERTEXTS[slots]
+    write_model(tmp_path, model)
+    loaded = load_model(make_engine(slots), tmp_path)
+    for fc in (model.fc1, model.fc2, loaded.fc1, loaded.fc2):
+        assert len(fc.tiles) == fc.fold.blocks
+    assert [model.fc1.fold, model.fc2.fold] == [loaded.fc1.fold, loaded.fc2.fold] == list(plans.values())
 
 
 def test_forward_builds_each_mask_once(rng, monkeypatch):
@@ -450,10 +504,9 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
 
     monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     forward_encoded(eng, ct, model)
-    fc_shapes = (fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES), fc_shape(FC2_OUT, 1, FC2_IN))
-    groups = [formula_group(blocks, chunks, p, w, n) for blocks, chunks, p, n, w, _ in fc_shapes]
-    giants = [formula_giant(blocks, chunks, p, group) for (blocks, chunks, p, *_), group in zip(fc_shapes, groups)]
-    assert groups == [8, 4] and giants == [8, 4]
+    fc_shapes = mnist_fc_shapes()
+    groups, giants = zip(*(formula_plan(blocks, chunks, p, w, n, rows) for blocks, chunks, p, n, w, rows in fc_shapes))
+    assert groups == (8, 4) and giants == (8, 4)
     fc_masks = sum(group + giant // group for group, giant in zip(groups, giants))
     activation_stages = 2
     filters = KERNEL_SIZE**2 + MAP_SIDE + fc_masks
@@ -464,11 +517,12 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
 # SHA-256 of the decoded score ciphertext of one forward pass over the
 # seeded fixture of ``test_forward_scores_keep_their_bits``.  Every sum in
 # the pipeline adds its terms in a fixed order, so a loop change that keeps
-# that order keeps these bytes.  At 8192 slots fc1 takes two giant steps.
+# that order keeps these bytes.  At 8192 slots fc1 takes two giant steps,
+# and at 8192, 16384 and 32768 slots fc2 runs in 8, 4 and 2 neuron blocks.
 SCORE_SHA256 = {
-    32768: "f072e14c1d4cbcfeb0950a34dcfd377a74e30accbb1d893f01cda2a897cf56e1",
-    16384: "443d39e5e8303e7fbc1e6d4f5b20aa8b33c2a704813eeb31dd7f31be00de6ecc",
-    8192: "7fe18f0faf37ca2e9642884d4c98193ce74946f4ee1abb1eb6d57362c3422f0f",
+    32768: "181c6f2f232ddae2ebe6ab62cbcf2d0af0d019ae6190727cc7dc7e1a995ff549",
+    16384: "679a55772baf39e045686f23cd46844189dab9b1658eda44e3287a8ec627d515",
+    8192: "4d4abebb36e6da87b2b35038eea5e9e8ba350e222b2e7ed5c6f317ffc94ddd02",
     4096: "02095cb606326fc8fe20de777a75344f296243b95cbed8acbca61a2a9d923e4b",
     2048: "099c0ac10248cdcb42ceb28ae67c5c96c9e7c72e36be1657fceed41681fe87a2",
     1024: "52062934c3f464b316cb305170aedbbb9fc16bd2b66035623e2e84912d0c84b0",

@@ -138,12 +138,12 @@ def test_model_round_trip_and_count(tmp_path, rng):
 # ``test_model_files_keep_their_bits``.  A change that keeps these keeps
 # every model file a provider has written loadable, byte for byte.
 MODEL_SHA256 = {
-    1024: "4aa4e0c0d935706b04f3950fcfcec1573dba85968976722af26c476678f5280e",
-    2048: "2890c1ef7503d1ff5087c32dfd5c6693e153bd4dbb0833364b507813166e1663",
-    4096: "f07db833182e8accb8ef4c52127cf0923fd29491692b7a8d24e86539656d8331",
-    8192: "0521d6fe7e66a012465ac92e764c5d617718eda0c17b7f818966c2e3c7f5fefd",
-    16384: "6350c31c34d16fe683c14e3f50bcdd46fc8ffd493e8a2979911c957fb97132c9",
-    32768: "b91078598a080a4ecc7166cddf7a405b6ce974ca1ac70d1c8be015c5b3fbe4d0",
+    1024: "ae882adb287912d443b28145ce21703395a41265fd1ac415d44ce40e731513f5",
+    2048: "145794d2889224692a363a2123056ee7f9cfc4358b45c3981fa5d9858f75e665",
+    4096: "7dd325409d438f7decbc517c29545bcce586da7e2d36b4a1d951b1569d36a156",
+    8192: "4e534b95cdc0bc7c06b926150adbd423c95e0e668edbe3878d2e4096f55aa7db",
+    16384: "f29ceb1fc41f8f4a36a0355795879dbea97450b91c828cbe98435af96250449e",
+    32768: "52933c081c03738a36c2ff98626a6d4deab755d6273edd47ce414a588368c89a",
 }
 
 
@@ -176,8 +176,10 @@ def test_loaded_model_carries_the_encoder_plans(tmp_path, rng, slots):
 
 
 def test_fc_plans_are_derived_once_per_layer_and_never_per_batch(tmp_path, rng, monkeypatch):
-    """``FcFold.derive`` runs once per FC layer when a model is encoded and
-    when it is loaded, and not at all in a forward pass."""
+    """Each FC layer's plan is derived once when a model is encoded and
+    once when it is loaded, one ``FcFold.derive`` per candidate block
+    width p (a power of two up to the batch's two rows, so 1 and 2 for
+    each layer), and not at all in a forward pass."""
     calls = []
     derive = FcFold.derive.__func__
 
@@ -188,13 +190,13 @@ def test_fc_plans_are_derived_once_per_layer_and_never_per_batch(tmp_path, rng, 
     monkeypatch.setattr(FcFold, "derive", classmethod(counting_derive))
     eng = make_engine(2048)
     model = encode_model(eng, random_weights(rng))
-    assert len(calls) == 2
+    assert [(width, blocks, p) for width, blocks, p, *_ in calls] == [(676, 64, 1), (676, 32, 2), (64, 16, 1), (64, 8, 2)]
     write_model(tmp_path, model)
     loaded = load_model(eng, tmp_path)
-    assert len(calls) == 4
+    assert calls[4:] == calls[:4]
     for _ in range(2):
         forward_encoded(eng, pack_batch(eng, np.zeros((2, 28, 28))), loaded)
-    assert len(calls) == 4
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize(
