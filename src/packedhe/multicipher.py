@@ -126,7 +126,9 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
     j'+q shifted up by p rows.  Shifts are plain rotations; the kernel
     weight is folded into the per-block validity mask, so each term costs
     one cmul.  The rotations, the k*k weighted masks and the bias
-    ciphertext are shared across output columns.
+    ciphertext are shared across output columns.  Every term is metered,
+    a zero weight too, so a call costs (k - 1)*w rotations and k*k*out_w
+    cmuls and adds whatever the weights are.
     """
     k = kernel.k
     if k > img.h or k > img.w:
@@ -153,7 +155,6 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
         (q, p): engine.mask(kernel.weights[p, q] * valid)
         for q in range(k)
         for p in range(k)
-        if kernel.weights[p, q] != 0.0
     }
 
     out_cts = []

@@ -7,33 +7,38 @@ ciphertext of S slots holds S // 1024 images at a stride of 1024 slots,
 32 of them at 32768 slots.  The batch packer, the model encoder and the
 file loaders in ``serial`` all take their layout from it.
 
-Layout strategy after the convolution: each activated feature map is
-compacted to a contiguous 676-slot prefix per image by ``reform_maps``,
-whose 26 rows move in baby and giant steps of g = 4 rows:
-(g - 1) + (ceil(26/g) - 1) = 9 rotations per map, 36 per batch.  The
-four map ciphertexts then serve directly as the four inner-dimension
-chunks of the first FC product (weight columns are mapped chunk-wise,
-preserving the map-major flatten order).  Each FC layer has one plan, a
-``matmul.FcFold`` that :func:`fc_blocking` derives once from the layout;
-the encoder stores it with the weight tiles (``FcTiles.fold``) and the
-evaluator reads it from there.  The plan also holds the layer's row
-geometry (the layout's m rows of f lanes), so the FC inputs, tiles and
-outputs are bare ciphertexts.  FC output neurons are evaluated in B
-power-of-two blocks of p, with p dividing the batch row count, which
-keeps every product on its single-rotation row-cycling path;
-:func:`fc_blocking` picks both layers' p by rotation cost within the
-model's ciphertext budget (p = 32 for FC-1 and 8 for FC-2 at 32768
-slots).  A layer is one chunked product (``matmul_chunked``) whose B
-neuron blocks are interleaved across the lanes of each row: neuron
-q = B*t + j of group t lands at lane q.  The weight tiles are zero past
-the layer's input width w (676 for FC-1, the 64 FC-1 outputs for FC-2),
-the p iterations run in groups of G that share one row fold (G = 8 for
-FC-1 and 4 for FC-2 at 32768 slots), and the row cycle takes baby and
-giant steps of g rows (g = 8 for FC-1 and 4 for FC-2).
-``matmul_chunked`` gives the cost formula (:attr:`FcFold.rotations`):
-219 rotations for FC-1 and 37 for FC-2 at 32768 slots.  A layer has one
-bias seed, every bias at its output lane, which is the product's
-accumulator seed, and its outputs land in lanes 0..B*p-1 of each row.
+Layout strategy after the convolution: an operand spread over n
+ciphertexts costs n slot-wise products per FC iteration, so fc1's 2704
+inputs are packed into three ciphertexts, not four
+(:func:`flatten_lanes`).  Maps 0-2 stay where the convolution put them,
+each valid 26x26 block filling lanes 28r + x < 726 of its image block,
+and the last map is cut into three pieces of 226 features placed in the
+lanes from 726 on, by one ``reform_maps`` pass whose 26 rows move in
+baby and giant steps of g = 4 rows: 3 baby, 6 giant and 3 piece
+rotations, 12 per batch (:func:`flatten`).  The three chunk ciphertexts
+are the inner-dimension chunks of the first FC product, whose weight
+columns are scattered to the same lanes, preserving the map-major
+flatten order.  Each FC layer has one plan, a ``matmul.FcFold`` that
+:func:`fc_blocking` derives once from the layout; the encoder stores it
+with the weight tiles (``FcTiles.fold``) and the evaluator reads it from
+there.  The plan also holds the layer's row geometry (the layout's m
+rows of f lanes), so the FC inputs, tiles and outputs are bare
+ciphertexts.  FC output neurons are evaluated in B power-of-two blocks
+of p, with p dividing the batch row count, which keeps every product on
+its single-rotation row-cycling path; :func:`fc_blocking` picks both
+layers' p by rotation cost within the model's ciphertext budget (p = 32
+for FC-1 and 8 for FC-2 at 32768 slots).  A layer is one chunked product
+(``matmul_chunked``) whose B neuron blocks are interleaved across the
+lanes of each row: neuron q = B*t + j of group t lands at lane q.  The
+weight tiles are zero past the layer's input width w (952 for FC-1, the
+64 FC-1 outputs for FC-2), the p iterations run in groups of G that
+share one row fold (G = 8 for FC-1 and 4 for FC-2 at 32768 slots), and
+the row cycle takes baby and giant steps of g rows (g = 8 for FC-1 and 4
+for FC-2).  ``matmul_chunked`` gives the cost formula
+(:attr:`FcFold.rotations`): 195 rotations for FC-1 and 37 for FC-2 at
+32768 slots.  A layer has one bias seed, every bias at its output lane,
+which is the product's accumulator seed, and its outputs land in lanes
+0..B*p-1 of each row.
 """
 
 from dataclasses import dataclass
@@ -55,6 +60,8 @@ __all__ = [
     "MAP_SIDE",
     "MAP_FEATURES",
     "FC1_IN",
+    "FC1_CHUNKS",
+    "FC1_WIDTH",
     "FC1_OUT",
     "FC2_IN",
     "FC2_OUT",
@@ -63,6 +70,8 @@ __all__ = [
     "FcTiles",
     "EncodedModel",
     "batch_layout",
+    "flatten_lanes",
+    "flatten",
     "fc_blocking",
     "poly_activation",
     "pack_batch",
@@ -79,12 +88,19 @@ KERNEL_SIZE = 3
 MAP_SIDE = IMAGE_SIDE - KERNEL_SIZE + 1  # 26
 MAP_FEATURES = MAP_SIDE * MAP_SIDE  # 676
 FC1_IN = KERNEL_COUNT * MAP_FEATURES  # 2704
+# fc1 reads FC1_CHUNKS input chunks of FC1_WIDTH lanes (see flatten_lanes):
+# a map's valid block ends at lane MAP_BLOCK, and the last map is cut into
+# FC1_CHUNKS pieces of FC1_PIECE features placed from that lane on.
+MAP_BLOCK = IMAGE_SIDE * (MAP_SIDE - 1) + MAP_SIDE  # 726
+FC1_CHUNKS = KERNEL_COUNT - 1  # 3
+FC1_PIECE = -(-MAP_FEATURES // FC1_CHUNKS)  # 226
+FC1_WIDTH = MAP_BLOCK + FC1_PIECE  # 952
 FC1_OUT = 64
 FC2_IN = 64
 FC2_OUT = 10
 
 # Multiplicative levels on the critical path at the standard layout:
-# conv 2 (mul + offset filter), activation 2, reform 1, fc 3 each
+# conv 2 (mul + offset filter), activation 2, flatten 1, fc 3 each
 # (mul + phase filter + result filter; the row cycle is rotation-only),
 # activation 2.
 PIPELINE_DEPTH = 2 + 2 + 1 + 3 + 2 + 3
@@ -216,6 +232,51 @@ def pack_batch(engine: SlotEngine, images, layout: VirtualLayout | None = None) 
     return engine.enc(grid.reshape(-1))
 
 
+def flatten_lanes() -> tuple[np.ndarray, np.ndarray]:
+    """fc1's input layout: the (chunk, lane) of each of its FC1_IN inputs,
+    in the map-major order of ``oracle.oracle_flatten``.
+
+    Maps 0 .. FC1_CHUNKS - 1 stay where the convolution put them: feature
+    (r, x) of map c is lane IMAGE_SIDE*r + x of chunk c, and the lanes
+    between its rows are no input.  The last map's feature j = MAP_SIDE*r
+    + x goes to the spare lanes past those maps' valid block: chunk
+    j // FC1_PIECE at lane MAP_BLOCK + j mod FC1_PIECE.  So FC1_CHUNKS
+    chunks of FC1_WIDTH lanes hold all KERNEL_COUNT maps.
+    """
+    feature = np.arange(MAP_FEATURES)
+    kept = IMAGE_SIDE * (feature // MAP_SIDE) + feature % MAP_SIDE
+    chunk = np.concatenate([np.repeat(np.arange(FC1_CHUNKS), MAP_FEATURES), feature // FC1_PIECE])
+    lane = np.concatenate([np.tile(kept, FC1_CHUNKS), MAP_BLOCK + feature % FC1_PIECE])
+    return chunk, lane
+
+
+def flatten(engine: SlotEngine, maps, layout: VirtualLayout) -> list[Ciphertext]:
+    """fc1's FC1_CHUNKS input chunks from the KERNEL_COUNT activated maps,
+    every input at its :func:`flatten_lanes` place and every other slot
+    zero, in one multiplicative level.
+
+    Chunk c is map c through one valid-block filter, shared by the maps,
+    which zeroes the lanes outside the map's features (there the activation
+    left its constant term), plus piece c of the last map, which one
+    ``reform_maps`` pass cuts into FC1_CHUNKS pieces of FC1_PIECE features
+    from lane MAP_BLOCK.  At 26 rows this costs 12 rotations (3 baby, 6
+    giant and one per piece) and 31 cmuls (3 filters and 28 row masks, two
+    rows being cut between pieces).
+    """
+    _, lane = flatten_lanes()
+    valid = np.zeros(layout.f, dtype=bool)
+    valid[lane[:MAP_FEATURES]] = True  # map 0's lanes
+    keep = engine.mask(np.tile(valid, layout.m), role="filter")
+    pieces, _ = reform_maps(engine, maps[FC1_CHUNKS:], layout, MAP_SIDE, MAP_SIDE, start=MAP_BLOCK, piece=FC1_PIECE)
+    chunks = []
+    for ct, piece in zip(maps[:FC1_CHUNKS], pieces, strict=True):
+        acc = engine.accumulator()
+        acc.cmul(keep, ct)
+        acc.add(piece)
+        chunks.append(acc.result())
+    return chunks
+
+
 def _layer_plans(layout: VirtualLayout, width: int, out_dim: int, chunks: int) -> list[FcFold]:
     """Every plan of one FC layer: B neuron blocks of p with B*p =
     next_pow2(out_dim), p a power of two dividing layout.m, and the (G, g)
@@ -229,8 +290,8 @@ def _layer_plans(layout: VirtualLayout, width: int, out_dim: int, chunks: int) -
 
 
 def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
-    """Each FC layer's plan over ``layout``, by name: over KERNEL_COUNT
-    input chunks of MAP_FEATURES (one per feature map) for fc1 and one of
+    """Each FC layer's plan over ``layout``, by name: over FC1_CHUNKS
+    input chunks of FC1_WIDTH (:func:`flatten_lanes`) for fc1 and one of
     FC2_IN for fc2, in layout.m rows of layout.f lanes.  The model encoder
     and loader both take it from here; a model records none.
 
@@ -238,11 +299,11 @@ def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
     over C chunks stores B*C weight tiles and one bias seed, and the two
     layers may store no more than the sum of B_min*(C + 1) ciphertexts,
     B_min being the layer's fewest blocks: what its widest plan would
-    store with a bias seed per block (12 at 32768 slots).  Of the pairs
+    store with a bias seed per block (10 at 32768 slots).  Of the pairs
     within that budget the rule takes the fewest rotations
     (:attr:`FcFold.rotations`), then the fewest constant multiplies, then
     the larger p, fc1's first."""
-    layers = (("fc1", MAP_FEATURES, FC1_OUT, KERNEL_COUNT), ("fc2", FC2_IN, FC2_OUT, 1))
+    layers = (("fc1", FC1_WIDTH, FC1_OUT, FC1_CHUNKS), ("fc2", FC2_IN, FC2_OUT, 1))
     options = [_layer_plans(layout, width, out_dim, chunks) for _, width, out_dim, chunks in layers]
     budget = sum(min(fold.blocks for fold in plans) * (chunks + 1) for plans, (*_, chunks) in zip(options, layers))
     best = min(
@@ -252,22 +313,29 @@ def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
     return {name: fold for (name, *_), fold in zip(layers, best)}
 
 
-def _encode_fc_tiles(engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, fold: FcFold) -> FcTiles:
-    """Encode an FC weight matrix in the plan ``fold``: input chunk c meets
-    weight columns [c*w, (c+1)*w).
+def _encode_fc_tiles(
+    engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, fold: FcFold, inputs: tuple | None = None
+) -> FcTiles:
+    """Encode an FC weight matrix in the plan ``fold``: weight column i
+    meets lane ``lane[i]`` of input chunk ``chunk[i]``, (chunk, lane) =
+    ``inputs`` (by default divmod(i, w), so chunk c meets columns
+    [c*w, (c+1)*w)); lanes no column meets get zero weights.
 
     Tile (d, c) is diagonal d of input chunk c in the interleaved layout
     of :func:`encode_interleaved`, so neuron q lands at lane q.  The bias
     seed holds bias q at lane q of every row: the matmul accumulator seed.
     """
     out_dim, in_dim = weight.shape
-    w = fold.width
-    if in_dim != fold.chunks * w:
-        raise LayoutError(f"weight expects {in_dim} inputs, the plan's {fold.chunks} chunks provide {fold.chunks * w}")
-    padded = np.zeros((fold.blocks * fold.p, in_dim), dtype=np.float64)
-    padded[:out_dim] = weight
-    chunks = [padded[:, c * w : (c + 1) * w].T for c in range(fold.chunks)]
-    per_chunk = [encode_interleaved(engine, chunk, fold) for chunk in chunks]
+    if inputs is None:
+        if in_dim != fold.chunks * fold.width:
+            raise LayoutError(
+                f"weight expects {in_dim} inputs, the plan's {fold.chunks} chunks provide {fold.chunks * fold.width}"
+            )
+        inputs = np.divmod(np.arange(in_dim), fold.width)
+    chunk, lane = inputs
+    padded = np.zeros((fold.blocks * fold.p, fold.chunks, fold.width), dtype=np.float64)
+    padded[:out_dim, chunk, lane] = weight
+    per_chunk = [encode_interleaved(engine, padded[:, c].T, fold) for c in range(fold.chunks)]
     bias_grid = np.zeros((fold.rows, fold.lanes), dtype=np.float64)
     bias_grid[:, :out_dim] = bias
     return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], engine.enc(bias_grid.reshape(-1)), fold)
@@ -296,7 +364,7 @@ def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
     fc1, fc2 = fc_blocking(layout).values()
     return EncodedModel(
         kernel_spans=spans,
-        fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, fc1),
+        fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, fc1, flatten_lanes()),
         fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, fc2),
         act1=tuple(weights.act1),
         act2=tuple(weights.act2),
@@ -314,18 +382,16 @@ def forward_encoded(
 
     Pass a dict as ``stage_meters`` to collect per-stage operation-count
     deltas under keys conv/act1/flatten/fc1/act2/fc2; each key is set once,
-    as its stage ends.  The flatten stage is one ``reform_maps`` pass,
-    whose compacted maps are fc1's input chunks in map-major order.
+    as its stage ends.  The flatten stage (:func:`flatten`) packs the four
+    activated maps into fc1's three input chunks.
     """
     layout = model.layout
-    k = model.kernel_spans[0].k
-    out_h, out_w = layout.h - k + 1, layout.w - k + 1
     with engine.scope("conv", stage_meters):
         maps = batched_conv_layer(engine, ct_x, layout, model.kernel_spans)
     with engine.scope("act1", stage_meters):
         maps = poly_activation(engine, maps, model.act1)
     with engine.scope("flatten", stage_meters):
-        chunks, _ = reform_maps(engine, maps, layout, out_h, out_w)
+        chunks = flatten(engine, maps, layout)
     with engine.scope("fc1", stage_meters):
         hidden = _fc_from_tiles(engine, chunks, model.fc1)
     with engine.scope("act2", stage_meters):

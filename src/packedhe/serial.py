@@ -42,11 +42,12 @@ MAGIC = b"SIMCT\x01"
 FORMAT_NAME = "simulated-plaintext-slots-v1"
 # The model manifest's own format: FC weight tiles hold interleaved neuron
 # blocks (neuron q at lane q) from the lane offset of their grouped row
-# fold, in the blocks ``fc_blocking`` chooses by rotation cost, and each
-# layer's one bias seed holds bias q at lane q.  A model written in an
-# older layout would load and score wrong, so the name changes whenever
-# the tile or bias layout does.
-MODEL_FORMAT = "simulated-model-costed-fc-v4"
+# fold, in the blocks ``fc_blocking`` chooses by rotation cost, fc1's over
+# three input chunks that hold all four maps (``pipeline.flatten_lanes``),
+# and each layer's one bias seed holds bias q at lane q.  A model written
+# in an older layout would load and score wrong, so the name changes
+# whenever the tile or bias layout does.
+MODEL_FORMAT = "simulated-model-dense-fc1-v5"
 CT_SUFFIX = ".simct"  # SIMulated CipherText; contents are NOT encrypted
 
 

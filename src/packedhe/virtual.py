@@ -6,19 +6,20 @@ add/mul act per image for free; per-image cyclic rotation (vrot) costs two
 real rotations plus two filters; batched convolution runs the single-image
 loop once and every image block rides along, so real-operation cost is
 independent of m.  reform compacts a valid sub-block into a contiguous
-prefix after a convolution shrinks the spatial dims; its out_h rows move
-in baby and giant steps of g rows, (g - 1) + (ceil(out_h/g) - 1)
-rotations per map rather than one per row.  The convolution and reform
-loops each take all the kernels or maps of a layer, so every plaintext
-filter is built once and serves them all; batched_conv and reform are
-their one-kernel and one-map cases.
+prefix after a convolution shrinks the spatial dims, or into pieces of a
+given size from a given lane; its out_h rows move in baby and giant steps
+of g rows, (g - 1) + (ceil(out_h/g) - 1) rotations per map for a prefix
+rather than one per row, and one more per piece it must move into place.
+The convolution and reform loops each take all the kernels or maps of a
+layer, so every plaintext filter is built once and serves them all;
+batched_conv and reform are their one-kernel and one-map cases.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ImageShape, Kernel, KernelSpan, _conv_blocks, _span_blocks, _tile, _tile_rows
+from .conv import ImageShape, Kernel, KernelSpan, _conv_blocks, _span_blocks, _tile
 from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, is_pow2
 
 __all__ = [
@@ -151,25 +152,39 @@ def _rot(engine: SlotEngine, ct: Ciphertext, l: int) -> Ciphertext:
 
 
 def reform_maps(
-    engine: SlotEngine, cts, layout: VirtualLayout, out_h: int, out_w: int
+    engine: SlotEngine,
+    cts,
+    layout: VirtualLayout,
+    out_h: int,
+    out_w: int,
+    start: int = 0,
+    piece: int | None = None,
 ) -> tuple[list[Ciphertext], VirtualLayout]:
-    """Compact each map's per-image top-left out_h x out_w block into a
-    contiguous prefix of out_h*out_w slots (row-major order preserved).
+    """Compact each map's per-image top-left out_h x out_w block into
+    ``piece``-feature pieces from lane ``start`` (row-major order
+    preserved): feature j = r*out_w + x goes to lane start + j mod piece of
+    piece j // piece.  By default there is one piece at lane 0, a
+    contiguous prefix of out_h*out_w slots.  The result lists each map's
+    pieces in order, map after map; the layout is the block's.
 
-    Row r of the block moves left by r*s, s = w - out_w, to its destination
-    lanes [r*out_w, (r+1)*out_w) of each image block.  The rows take baby
-    and giant steps: with r = g*a + b (0 <= b < g, g from
+    Row r of the block sits at lanes r*w + x, s = w - out_w lanes per row
+    away from its compacted lanes r*out_w + x.  The rows take baby and
+    giant steps: with r = g*a + b (0 <= b < g, g from
     :func:`_reform_step`), each map is rotated once by b*s for every
-    b > 0, the baby for row r is masked to its destination lanes
-    pre-rotated right by g*a*s, and each group of g rows is summed and
-    rotated once by g*a*s (a > 0) into the result.  Per map this costs
+    b > 0, and the baby for row r is masked to the lanes of the piece's
+    features in its row, which sit g*a*s lanes right of their compacted
+    place.  Each group of g rows is summed per piece and rotated once by
+    g*(a - a0)*s (a > a0, a0 the piece's first group), and each piece once
+    by g*a0*s + first - start, first being its first feature (no rotation
+    when that is 0).  With one piece at lane 0 this costs per map
     (g - 1) + (ceil(out_h/g) - 1) rotations, with keys b*s and g*a*s, and
     out_h cmuls and out_h - 1 adds; s = 0 needs no rotation at all.  At
-    26 rows g = 4: 3 baby and 6 giant rotations.  Every slot pairs the
-    same mask and ciphertext values as masking row r after one rotation by
-    r*s would, and at most one of its terms is nonzero (the rest are
-    signed zeros, whose sum is -0.0 in any order exactly when all are), so
-    the grouping changes no bit.  Groups run outermost: each group's row
+    26 rows g = 4: 3 baby and 6 giant rotations.  A row cut between two
+    pieces costs one more cmul.  Every slot pairs the same mask and
+    ciphertext values as masking row r after one rotation by r*s would,
+    and at most one of its terms is nonzero (the rest are signed zeros,
+    whose sum is -0.0 in any order exactly when all are), so the grouping
+    changes no bit.  Groups run outermost within a piece: each group's row
     masks are built once for all the maps, and one map's group sum is
     finished before the next map's starts.
     """
@@ -178,21 +193,34 @@ def reform_maps(
         raise EngineError(
             f"{out_h}x{out_w} block must be non-empty and within the {layout.h}x{layout.w} image prefix"
         )
+    features = out_h * out_w
+    piece = features if piece is None else piece
+    if not (piece >= 1 and start >= 0 and start + min(piece, features) <= layout.f):
+        raise EngineError(f"pieces of {piece} features from lane {start} do not fit block stride {layout.f}")
     s, g = layout.w - out_w, _reform_step(out_h)
-    rows = np.arange(out_h)[:, None]
-    first = rows * out_w + rows // g * g * s  # first kept lane of row r, pre-rotated right by g*a*s
-    lane = np.arange(layout.f)
-    keeps = _tile_rows((lane >= first) & (lane < first + out_w), layout.m, layout.f)
+    feature = np.arange(features)
+    row = feature // out_w
+    lane = feature + row // g * g * s  # feature j in its row's baby, g*a*s lanes right of its compacted lane
     babies = [[_rot(engine, ct, b * s) for b in range(g)] for ct in cts]
-    accs = [engine.accumulator() for _ in cts]
-    for top in range(0, out_h, g):
-        masks = [engine.mask(keep, role="filter") for keep in keeps[top : top + g]]
-        for acc, baby in zip(accs, babies):
-            group = engine.accumulator()
-            for mask, ct in zip(masks, baby):
-                group.cmul(mask, ct)
-            acc.add(_rot(engine, group.result(), top * s))
-    return [acc.result() for acc in accs], VirtualLayout(layout.m, layout.f, out_h, out_w)
+    outs = [[] for _ in cts]
+    for first in range(0, features, piece):
+        rows, lanes = row[first : first + piece], lane[first : first + piece]
+        top = int(rows[0]) // g * g
+        accs = [engine.accumulator() for _ in cts]
+        for group in range(top, rows[-1] + 1, g):
+            kept = range(max(group, rows[0]), min(group + g, rows[-1] + 1))
+            masks = [
+                engine.mask(_tile(np.isin(np.arange(layout.f), lanes[rows == r]), layout.m, layout.f), role="filter")
+                for r in kept
+            ]
+            for acc, baby in zip(accs, babies):
+                total = engine.accumulator()
+                for r, mask in zip(kept, masks):
+                    total.cmul(mask, baby[r % g])
+                acc.add(_rot(engine, total.result(), (group - top) * s))
+        for out, acc in zip(outs, accs):
+            out.append(_rot(engine, acc.result(), top * s + first - start))
+    return [ct for out in outs for ct in out], VirtualLayout(layout.m, layout.f, out_h, out_w)
 
 
 def reform(

@@ -88,8 +88,8 @@ def test_provider_encode_counts(workspace, capsys):
     tmp, _, weights_dir, _, _ = workspace
     out = tmp / "model"
     assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(out)]) == 0
-    assert "52 ciphertext files" in capsys.readouterr().out
-    assert len(sorted(out.glob("*.simct"))) == 52
+    assert "50 ciphertext files" in capsys.readouterr().out
+    assert len(sorted(out.glob("*.simct"))) == 50
 
 
 def test_provider_encode_missing_file(workspace, capsys):

@@ -262,15 +262,22 @@ def test_tampered_manifest_fails_cleanly(pipeline_files, tmp_path, capsys, key, 
 
 @pytest.mark.parametrize(
     "fmt",
-    [None, "simulated-plaintext-slots-v1", "simulated-model-interleaved-fc-v2", "simulated-model-grouped-fc-v3"],
-    ids=["missing", "block-separated-fc", "ungrouped-fc", "bias-seed-per-block"],
+    [
+        None,
+        "simulated-plaintext-slots-v1",
+        "simulated-model-interleaved-fc-v2",
+        "simulated-model-grouped-fc-v3",
+        "simulated-model-costed-fc-v4",
+    ],
+    ids=["missing", "block-separated-fc", "ungrouped-fc", "bias-seed-per-block", "four-fc1-chunks"],
 )
 def test_model_in_an_older_layout_is_rejected(pipeline_files, tmp_path, capsys, fmt):
     """A manifest without this layout's format name (one written before the
     FC neuron blocks were interleaved, before their tiles moved to the
-    grouped fold's lane offset, or before the blocks were chosen by cost
-    with one bias seed per layer, whose files would load and score wrong
-    or not at all) fails at load, in one line that names the manifest and
+    grouped fold's lane offset, before the blocks were chosen by cost
+    with one bias seed per layer, or before fc1 read all four maps from
+    three chunks, whose files would load and score wrong or not at all)
+    fails at load, in one line that names the manifest and
     says to re-encode the model."""
     tmp, _, _ = pipeline_files
     model = tmp_path / "model"
@@ -313,7 +320,7 @@ def test_stale_structure_keys_change_nothing(pipeline_files, tmp_path, capsys, s
     assert out.read_bytes() == fresh.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["kernel2_span8", "kernel3_bias", "fc1_w_b1_c3", "fc2_bias"])
+@pytest.mark.parametrize("name", ["kernel2_span8", "kernel3_bias", "fc1_w_b1_c2", "fc2_bias"])
 def test_model_missing_a_ciphertext_fails_cleanly(pipeline_files, tmp_path, capsys, name):
     """A model directory without one of its ciphertext files (a kernel
     span, a kernel bias, an FC weight tile or an FC bias seed) fails at

@@ -124,15 +124,15 @@ def forced_plan(
 
 
 def test_fc_fold_group_minimises_the_rotation_formula():
-    """fc1 (B = 2, C = 4, p = 32, w = 676) and fc2 (B = 2, C = 1, p = 8,
+    """fc1 (B = 2, C = 3, p = 32, w = 952) and fc2 (B = 2, C = 1, p = 8,
     w = 64) at 32768 slots: G = 8 and g = 8 for fc1, G = 4 and g = 4 for
     fc2; fc2 in one block of p = 16 takes G = 4 and g = 4 too, whose g = 4
     and g = 8 tie at 10 row-cycle rotations.  fc1's G = 4 ties with G = 8
-    at 219 rotations and takes the fewer constant multiplies.  The plain
-    row cycle (g = p) would cost 376, 42 and 69: fc1's p = 32 is its row
-    count, so its 8 baby tiles at s1 = 32 need no rotation."""
+    at 195 rotations and takes the fewer constant multiplies.  The plain
+    row cycle (g = p) would cost 312, 42 and 69: fc1's p = 32 is its row
+    count, so its 6 baby tiles at s1 = 32 need no rotation."""
     for (blocks, chunks, p, w), group, giant, rot, plain in (
-        ((2, 4, 32, 676), 8, 8, 219, 376),
+        ((2, 3, 32, 952), 8, 8, 195, 312),
         ((2, 1, 8, 64), 4, 4, 37, 42),
         ((1, 1, 16, 64), 4, 4, 63, 69),
     ):
@@ -143,7 +143,7 @@ def test_fc_fold_group_minimises_the_rotation_formula():
         assert grouped_counts(blocks, chunks, p, w, group, giant, 32)[0] == fold.rotations == rot
         assert grouped_counts(blocks, chunks, p, w, group, p, 32)[0] == plain
     assert grouped_counts(1, 1, 16, 64, 4, 8, 32)[0] == 63
-    assert grouped_counts(2, 4, 32, 676, 4, 8, 32) == (219, 256, 40)
+    assert grouped_counts(2, 3, 32, 952, 4, 8, 32) == (195, 192, 40)
 
 
 @st.composite

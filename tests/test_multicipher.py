@@ -187,12 +187,32 @@ def test_conv_columns_batch_oracle_and_costs(rng, monkeypatch):
     for b in range(2):
         np.testing.assert_array_equal(re[b], oracle_conv(imgs[b], kern.weights, 0.5))
     k, w, out_w = 3, 16, 14
-    assert delta.cmul_count <= k * k * out_w
-    assert delta.rot_count <= (k - 1) * w
+    assert delta.cmul_count == delta.add_count == k * k * out_w
+    assert delta.rot_count == (k - 1) * w
     assert delta.mul_count == 0
-    # one weighted mask per nonzero weight and one bias ciphertext, shared by the out_w columns
-    assert len(masks) == np.count_nonzero(kern.weights)
+    # one weighted mask per weight and one bias ciphertext, shared by the out_w columns
+    assert len(masks) == k * k
     assert delta.enc_count == 1
+
+
+def test_conv_columns_counts_do_not_depend_on_the_weights(rng):
+    """A kernel with zero weights meters the ops, depth and keys of a dense
+    one, and still matches the oracle."""
+    imgs = rng.integers(-2, 5, size=(2, 10, 10)).astype(float)
+    dense = rng.integers(1, 4, size=(3, 3)).astype(float)
+    sparse = dense * (rng.random((3, 3)) < 0.5)
+    sparse[0, 0] = sparse[2, 1] = 0.0
+
+    def run(weights):
+        eng = make_engine(32)
+        spent = {}
+        with eng.scope("call", spent):
+            out = conv_columns(eng, encode_image_columns(eng, imgs), Kernel(weights, bias=1.0))
+        for b in range(2):
+            np.testing.assert_array_equal(reassemble_columns(eng, out)[b], oracle_conv(imgs[b], weights, 1.0))
+        return spent["call"]
+
+    assert run(sparse) == run(dense) == run(np.zeros((3, 3)))
 
 
 def test_conv_columns_image_larger_than_ciphertext(rng):

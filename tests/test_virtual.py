@@ -309,6 +309,51 @@ def test_reform_maps_keeps_the_per_row_bits(layout, maps, data, seed):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts(), maps=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_reform_maps_cuts_pieces_from_a_start_lane(layout, maps, data, seed):
+    """Feature j = r*out_w + x of each map's block lands at lane
+    start + j mod piece of its piece j // piece, every other slot zero, in
+    one level; each (row, piece) pair costs one cmul, each piece rotates
+    once per group after its first and once into place."""
+    rng = np.random.default_rng(seed)
+    grids = [junk_padded(rng, layout) for _ in range(maps)]
+    out_h = data.draw(st.integers(1, layout.h), label="out_h")
+    out_w = data.draw(st.integers(1, layout.w), label="out_w")
+    features = out_h * out_w
+    piece = data.draw(st.integers(1, features), label="piece")
+    start = data.draw(st.integers(0, layout.f - piece), label="start")
+    eng = make_engine(layout.m * layout.f)
+    cts = [eng.enc(grid.reshape(-1)) for grid, _ in grids]
+    outs, delta = call_delta(eng, lambda *args: reform_maps(*args, start=start, piece=piece)[0], cts, layout, out_h, out_w)
+    firsts = range(0, features, piece)
+    assert len(outs) == maps * len(firsts)
+    for (_, images), pieces in zip(grids, (outs[i : i + len(firsts)] for i in range(0, len(outs), len(firsts)))):
+        block = images[:, :out_h, :out_w].reshape(layout.m, -1)
+        for first, out in zip(firsts, pieces):
+            want = np.zeros((layout.m, layout.f))
+            kept = block[:, first : first + piece]
+            want[:, start : start + kept.shape[1]] = kept
+            np.testing.assert_array_equal(eng.dec(out), want.reshape(-1))
+            assert out.depth == 1
+    s, g = layout.w - out_w, reform_steps(out_h)[1]
+    spans = [(first // out_w, (min(first + piece, features) - 1) // out_w) for first in firsts]
+    rots = (g - 1) * (s > 0) + sum(
+        (top // g - first_row // g) * (s > 0) + (first_row // g * g * s + first - start != 0)
+        for first, (first_row, top) in zip(firsts, spans)
+    )
+    assert (delta.cmul_count, delta.rot_count) == (maps * sum(top - row + 1 for row, top in spans), maps * rots)
+    assert delta.mul_count == 0 and delta.max_depth == 1
+
+
+def test_reform_maps_rejects_pieces_past_the_block():
+    eng = make_engine(32)
+    lay = VirtualLayout(2, 16, 4, 4)
+    for start, piece in ((13, 4), (0, 0), (-1, 2), (8, 9)):
+        with pytest.raises(EngineError, match="do not fit block stride 16"):
+            reform_maps(eng, [eng.enc(np.ones(32))], lay, 3, 3, start=start, piece=piece)
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_batched_conv_property(k, data, seed):
