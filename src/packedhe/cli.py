@@ -25,7 +25,7 @@ import numpy as np
 
 from .bench import format_report
 from .datafiles import IdxFormatError, load_mnist_idx, load_weights_csv
-from .engine import EngineError, EngineParams, OpMeter, SlotEngine
+from .engine import MAX_SLOTS, EngineError, EngineParams, OpMeter, SlotEngine
 from .oracle import oracle_forward
 from .pipeline import FC2_OUT, argmax_decide, batch_layout, encode_model, forward_encoded, pack_batch
 from .serial import CT_SUFFIX, SerialError, load_indexed_batch, load_model, model_params, write_batch, write_model
@@ -274,7 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def slots(p):
         p.add_argument(
-            "--slots", type=int, help=f"slots per ciphertext, a power of two >= 2 (default {EngineParams.slots})"
+            "--slots",
+            type=int,
+            help=f"slots per ciphertext, a power of two from 2 to {MAX_SLOTS} (default {EngineParams.slots})",
         )
 
     p = sub.add_parser("owner-encode", help="pack images into simulated batch ciphertext files")

@@ -37,6 +37,7 @@ __all__ = [
     "CapacityError",
     "LayoutError",
     "EngineParams",
+    "MAX_SLOTS",
     "OpMeter",
     "Ciphertext",
     "PlainMask",
@@ -73,18 +74,25 @@ def next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
+# Twice the paper's 32768 slots.  Every slot vector is allocated in full,
+# so a larger count could ask for more memory than the host has before any
+# other check ran.
+MAX_SLOTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class EngineParams:
     """Engine configuration: the number of plaintext slots per ciphertext,
-    a power of two >= 2.  It is the only parameter the simulated arithmetic
-    reads; a real lattice backend would take its ring degree as 2 * slots.
+    a power of two from 2 to MAX_SLOTS.  It is the only parameter the
+    simulated arithmetic reads; a real lattice backend would take its ring
+    degree as 2 * slots.
     """
 
     slots: int = 32768
 
     def __post_init__(self):
-        if not is_pow2(self.slots) or self.slots < 2:
-            raise EngineError(f"slots must be a power of two >= 2, got {self.slots}")
+        if not is_pow2(self.slots) or not 2 <= self.slots <= MAX_SLOTS:
+            raise EngineError(f"slots must be a power of two from 2 to {MAX_SLOTS}, got {self.slots}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ inputs are packed into three ciphertexts, not four
 (:func:`flatten_lanes`).  Maps 0-2 stay where the convolution put them,
 each valid 26x26 block filling lanes 28r + x < 726 of its image block,
 and the last map is cut into three pieces of 226 features placed in the
-lanes from 726 on, by one ``reform_maps`` pass whose 26 rows move in
+lanes from 726 on, by one ``virtual.reform`` call whose 26 rows move in
 baby and giant steps of g = 4 rows: 3 baby, 6 giant and 3 piece
 rotations, 12 per batch (:func:`flatten`).  The three chunk ciphertexts
 are the inner-dimension chunks of the first FC product, whose weight
@@ -49,7 +49,7 @@ import numpy as np
 from .encoding import MatrixShape, PackedMatrix
 from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, next_pow2
 from .matmul import FcFold, encode_interleaved, matmul_chunked
-from .virtual import VirtualLayout, batched_conv_layer, reform_maps, tile_kernel_span
+from .virtual import VirtualLayout, batched_conv_layer, reform, tile_kernel_span
 
 __all__ = [
     "IMAGE_SIDE",
@@ -258,16 +258,16 @@ def flatten(engine: SlotEngine, maps, layout: VirtualLayout) -> list[Ciphertext]
     Chunk c is map c through one valid-block filter, shared by the maps,
     which zeroes the lanes outside the map's features (there the activation
     left its constant term), plus piece c of the last map, which one
-    ``reform_maps`` pass cuts into FC1_CHUNKS pieces of FC1_PIECE features
-    from lane MAP_BLOCK.  At 26 rows this costs 12 rotations (3 baby, 6
-    giant and one per piece) and 31 cmuls (3 filters and 28 row masks, two
-    rows being cut between pieces).
+    ``virtual.reform`` call cuts into FC1_CHUNKS pieces of FC1_PIECE
+    features from lane MAP_BLOCK.  At 26 rows this costs 12 rotations (3
+    baby, 6 giant and one per piece) and 31 cmuls (3 filters and 28 row
+    masks, two rows being cut between pieces).
     """
     _, lane = flatten_lanes()
     valid = np.zeros(layout.f, dtype=bool)
     valid[lane[:MAP_FEATURES]] = True  # map 0's lanes
     keep = engine.mask(np.tile(valid, layout.m), role="filter")
-    pieces, _ = reform_maps(engine, maps[FC1_CHUNKS:], layout, MAP_SIDE, MAP_SIDE, start=MAP_BLOCK, piece=FC1_PIECE)
+    pieces = reform(engine, maps[FC1_CHUNKS], layout, MAP_SIDE, MAP_SIDE, start=MAP_BLOCK, piece=FC1_PIECE)
     chunks = []
     for ct, piece in zip(maps[:FC1_CHUNKS], pieces, strict=True):
         acc = engine.accumulator()
@@ -341,20 +341,6 @@ def _encode_fc_tiles(
     return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], engine.enc(bias_grid.reshape(-1)), fold)
 
 
-def _fc_from_tiles(engine: SlotEngine, chunks, fc: FcTiles) -> Ciphertext:
-    """Evaluate an FC layer given encoded weight tiles.
-
-    One chunked product over the interleaved neuron blocks, in the plan the
-    tiles were encoded with, seeded with the layer's bias seed: the
-    input chunks' products are added inside each iteration, so the layer
-    pays one partial fold per iteration and one row fold per group of
-    iterations however many chunks and blocks it has.  Every weight tile is
-    zero past the plan's input width, so the row fold only covers it.
-    Neuron q lands at lane q.
-    """
-    return matmul_chunked(engine, chunks, fc.tiles, fc.fold, init=fc.bias_ct)
-
-
 def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
     """Provider-side encoding: kernel spans plus FC weight tiles, against
     the engine's :func:`batch_layout`."""
@@ -383,7 +369,9 @@ def forward_encoded(
     Pass a dict as ``stage_meters`` to collect per-stage operation-count
     deltas under keys conv/act1/flatten/fc1/act2/fc2; each key is set once,
     as its stage ends.  The flatten stage (:func:`flatten`) packs the four
-    activated maps into fc1's three input chunks.
+    activated maps into fc1's three input chunks.  Each FC layer is one
+    ``matmul_chunked`` product in the plan its tiles were encoded with,
+    seeded with the layer's bias seed.
     """
     layout = model.layout
     with engine.scope("conv", stage_meters):
@@ -393,11 +381,11 @@ def forward_encoded(
     with engine.scope("flatten", stage_meters):
         chunks = flatten(engine, maps, layout)
     with engine.scope("fc1", stage_meters):
-        hidden = _fc_from_tiles(engine, chunks, model.fc1)
+        hidden = matmul_chunked(engine, chunks, model.fc1.tiles, model.fc1.fold, init=model.fc1.bias_ct)
     with engine.scope("act2", stage_meters):
         (hidden,) = poly_activation(engine, [hidden], model.act2)
     with engine.scope("fc2", stage_meters):
-        scores = _fc_from_tiles(engine, [hidden], model.fc2)
+        scores = matmul_chunked(engine, [hidden], model.fc2.tiles, model.fc2.fold, init=model.fc2.bias_ct)
     return PackedMatrix(scores, MatrixShape(layout.m, layout.f))
 
 

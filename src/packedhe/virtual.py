@@ -8,11 +8,10 @@ loop once and every image block rides along, so real-operation cost is
 independent of m.  reform compacts a valid sub-block into a contiguous
 prefix after a convolution shrinks the spatial dims, or into pieces of a
 given size from a given lane; its out_h rows move in baby and giant steps
-of g rows, (g - 1) + (ceil(out_h/g) - 1) rotations per map for a prefix
-rather than one per row, and one more per piece it must move into place.
-The convolution and reform loops each take all the kernels or maps of a
-layer, so every plaintext filter is built once and serves them all;
-batched_conv and reform are their one-kernel and one-map cases.
+of g rows, (g - 1) + (ceil(out_h/g) - 1) rotations for a prefix rather
+than one per row, and one more per piece it must move into place.  The
+convolution loop takes all the kernels of a layer, so every offset filter
+is built once and serves them all; batched_conv is its one-kernel case.
 """
 
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ __all__ = [
     "tile_kernel_span",
     "batched_conv_layer",
     "batched_conv",
-    "reform_maps",
     "reform",
 ]
 
@@ -71,9 +69,9 @@ def _require_fit(engine: SlotEngine, layout: VirtualLayout) -> None:
         )
 
 
-def _tiled_mask(engine: SlotEngine, layout: VirtualLayout, block: np.ndarray, role: str) -> PlainMask:
-    """Repeat a per-image prefix pattern into every image block."""
-    return engine.mask(_tile(block, layout.m, layout.f), role=role)
+def _tiled_mask(engine: SlotEngine, layout: VirtualLayout, block: np.ndarray) -> PlainMask:
+    """A 0/1 filter repeating a per-image prefix pattern into every image block."""
+    return engine.mask(_tile(block, layout.m, layout.f), role="filter")
 
 
 def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> Ciphertext:
@@ -91,8 +89,8 @@ def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> C
     head[: hw - r] = True
     tail = np.zeros(layout.f, dtype=bool)
     tail[hw - r : hw] = True
-    t1 = engine.cmul(_tiled_mask(engine, layout, head, "filter"), engine.rot(ct, r))
-    t2 = engine.cmul(_tiled_mask(engine, layout, tail, "filter"), engine.rot(ct, r - hw))
+    t1 = engine.cmul(_tiled_mask(engine, layout, head), engine.rot(ct, r))
+    t2 = engine.cmul(_tiled_mask(engine, layout, tail), engine.rot(ct, r - hw))
     return engine.add(t1, t2)
 
 
@@ -140,8 +138,8 @@ def batched_conv(
 
 
 def _reform_step(out_h: int) -> int:
-    """Rows per group of :func:`reform_maps`: the g with the fewest
-    rotations per map, (g - 1) + (ceil(out_h / g) - 1), ties going to the
+    """Rows per group of :func:`reform`: the g with the fewest
+    rotations, (g - 1) + (ceil(out_h / g) - 1), ties going to the
     smaller g.  g <= out_h, since g = 1 and g = out_h both cost out_h - 1."""
     return min(range(1, out_h + 1), key=lambda g: g - (-out_h // g))
 
@@ -151,32 +149,32 @@ def _rot(engine: SlotEngine, ct: Ciphertext, l: int) -> Ciphertext:
     return engine.rot(ct, l) if l else ct
 
 
-def reform_maps(
+def reform(
     engine: SlotEngine,
-    cts,
+    ct: Ciphertext,
     layout: VirtualLayout,
     out_h: int,
     out_w: int,
     start: int = 0,
     piece: int | None = None,
-) -> tuple[list[Ciphertext], VirtualLayout]:
-    """Compact each map's per-image top-left out_h x out_w block into
+) -> list[Ciphertext]:
+    """Compact each image's top-left out_h x out_w block into
     ``piece``-feature pieces from lane ``start`` (row-major order
     preserved): feature j = r*out_w + x goes to lane start + j mod piece of
     piece j // piece.  By default there is one piece at lane 0, a
-    contiguous prefix of out_h*out_w slots.  The result lists each map's
-    pieces in order, map after map; the layout is the block's.
+    contiguous prefix of out_h*out_w slots.  The result lists the pieces
+    in order.
 
     Row r of the block sits at lanes r*w + x, s = w - out_w lanes per row
     away from its compacted lanes r*out_w + x.  The rows take baby and
     giant steps: with r = g*a + b (0 <= b < g, g from
-    :func:`_reform_step`), each map is rotated once by b*s for every
-    b > 0, and the baby for row r is masked to the lanes of the piece's
-    features in its row, which sit g*a*s lanes right of their compacted
-    place.  Each group of g rows is summed per piece and rotated once by
+    :func:`_reform_step`), the map is rotated once by b*s for every b > 0,
+    and the baby for row r is masked to the lanes of the piece's features
+    in its row, which sit g*a*s lanes right of their compacted place.
+    Each group of g rows is summed per piece and rotated once by
     g*(a - a0)*s (a > a0, a0 the piece's first group), and each piece once
     by g*a0*s + first - start, first being its first feature (no rotation
-    when that is 0).  With one piece at lane 0 this costs per map
+    when that is 0).  With one piece at lane 0 this costs
     (g - 1) + (ceil(out_h/g) - 1) rotations, with keys b*s and g*a*s, and
     out_h cmuls and out_h - 1 adds; s = 0 needs no rotation at all.  At
     26 rows g = 4: 3 baby and 6 giant rotations.  A row cut between two
@@ -184,9 +182,7 @@ def reform_maps(
     ciphertext values as masking row r after one rotation by r*s would,
     and at most one of its terms is nonzero (the rest are signed zeros,
     whose sum is -0.0 in any order exactly when all are), so the grouping
-    changes no bit.  Groups run outermost within a piece: each group's row
-    masks are built once for all the maps, and one map's group sum is
-    finished before the next map's starts.
+    changes no bit.
     """
     _require_fit(engine, layout)
     if not (1 <= out_h <= layout.h and 1 <= out_w <= layout.w):
@@ -201,32 +197,17 @@ def reform_maps(
     feature = np.arange(features)
     row = feature // out_w
     lane = feature + row // g * g * s  # feature j in its row's baby, g*a*s lanes right of its compacted lane
-    babies = [[_rot(engine, ct, b * s) for b in range(g)] for ct in cts]
-    outs = [[] for _ in cts]
+    babies = [_rot(engine, ct, b * s) for b in range(g)]
+    outs = []
     for first in range(0, features, piece):
         rows, lanes = row[first : first + piece], lane[first : first + piece]
         top = int(rows[0]) // g * g
-        accs = [engine.accumulator() for _ in cts]
+        acc = engine.accumulator()
         for group in range(top, rows[-1] + 1, g):
-            kept = range(max(group, rows[0]), min(group + g, rows[-1] + 1))
-            masks = [
-                engine.mask(_tile(np.isin(np.arange(layout.f), lanes[rows == r]), layout.m, layout.f), role="filter")
-                for r in kept
-            ]
-            for acc, baby in zip(accs, babies):
-                total = engine.accumulator()
-                for r, mask in zip(kept, masks):
-                    total.cmul(mask, baby[r % g])
-                acc.add(_rot(engine, total.result(), (group - top) * s))
-        for out, acc in zip(outs, accs):
-            out.append(_rot(engine, acc.result(), top * s + first - start))
-    return [ct for out in outs for ct in out], VirtualLayout(layout.m, layout.f, out_h, out_w)
-
-
-def reform(
-    engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, out_h: int, out_w: int
-) -> tuple[Ciphertext, VirtualLayout]:
-    """Compact each image's top-left out_h x out_w block into a contiguous
-    prefix: the one-map case of :func:`reform_maps`."""
-    (out,), new_layout = reform_maps(engine, [ct], layout, out_h, out_w)
-    return out, new_layout
+            total = engine.accumulator()
+            for r in range(max(group, rows[0]), min(group + g, rows[-1] + 1)):
+                keep = _tiled_mask(engine, layout, np.isin(np.arange(layout.f), lanes[rows == r]))
+                total.cmul(keep, babies[r % g])
+            acc.add(_rot(engine, total.result(), (group - top) * s))
+        outs.append(_rot(engine, acc.result(), top * s + first - start))
+    return outs

@@ -12,7 +12,11 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from packedhe import pipeline
+from packedhe.engine import EngineParams, SlotEngine
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,3 +55,17 @@ def test_workload_module_attributes_exist(perfbench):
     assert ("pipeline", "forward_encoded") in used
     missing = [f"{modules[alias].__name__}.{attr}" for alias, attr in sorted(used) if not hasattr(modules[alias], attr)]
     assert not missing
+
+
+def test_a_traced_forward_pass_counts_the_flatten_reform(perfbench):
+    """The tracer rebinds ``virtual.reform`` under every module-level name
+    bound to it, so the flatten stage's one reform call is counted, as on a
+    traced ``infer`` run."""
+    inputs = perfbench["inputs"]
+    rng = np.random.default_rng(0)
+    engine = SlotEngine(EngineParams(slots=1024))
+    model = pipeline.encode_model(engine, inputs.make_weights(rng))
+    ct = pipeline.pack_batch(engine, inputs.make_images(rng, 1))
+    with perfbench["tracer"].Tracer() as tracer:
+        pipeline.forward_encoded(engine, ct, model)
+    assert tracer.calls[("setup", "virtual.reform")] == 1

@@ -10,7 +10,7 @@ import pytest
 
 from packedhe.cli import _infer_batches, main
 from packedhe.datafiles import save_weights_csv
-from packedhe.engine import EngineParams, SlotEngine
+from packedhe.engine import MAX_SLOTS, EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
 from packedhe.pipeline import pack_batch
 from packedhe.serial import MAGIC, load_model, write_batch
@@ -514,6 +514,32 @@ def test_cli_rejects_bad_slots_flag(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert f"got {value}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["owner-encode", "provider-encode", "verify"])
+def test_cli_rejects_slots_past_the_ceiling(workspace, capsys, command):
+    """A slot count past MAX_SLOTS is refused before any slot vector is
+    allocated or any file written: one error line naming the ceiling, exit 1."""
+    tmp, idx, weights_dir, _, _ = workspace
+    before = sorted(tmp.iterdir())
+    argv = {
+        "owner-encode": [f"--images={idx}", f"--out-dir={tmp / 'out'}"],
+        "provider-encode": [f"--weights-dir={weights_dir}", f"--out-dir={tmp / 'out'}"],
+        "verify": [f"--images={idx}", f"--weights-dir={weights_dir}"],
+    }[command]
+    assert main([command, f"--slots={2 * MAX_SLOTS}", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: slots must be a power of two from 2 to {MAX_SLOTS}, got {2 * MAX_SLOTS}\n"
+    assert sorted(tmp.iterdir()) == before
+
+
+def test_bench_rejects_a_product_past_the_slot_ceiling(capsys):
+    """A 512x512 operand needs 2^18 slots: refused before it is drawn."""
+    assert main(["bench", "--matmul-grid", "512,512,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: slots must be a power of two from 2 to {MAX_SLOTS}, got {1 << 18}\n"
 
 
 # the least each subcommand takes, so an extra flag is the only usage error

@@ -8,7 +8,7 @@ import pytest
 from packedhe.conv import Kernel
 from packedhe.encoding import MatrixShape, PackedMatrix
 from packedhe.engine import EngineError, LayoutError, OpMeter, SlotEngine, next_pow2
-from packedhe.matmul import FcFold
+from packedhe.matmul import FcFold, matmul_chunked
 from packedhe.oracle import oracle_conv, oracle_flatten, oracle_forward, oracle_poly
 from packedhe.pipeline import (
     FC1_CHUNKS,
@@ -27,7 +27,6 @@ from packedhe.pipeline import (
     PIPELINE_DEPTH,
     ModelWeights,
     _encode_fc_tiles,
-    _fc_from_tiles,
     argmax_decide,
     batch_layout,
     encode_model,
@@ -39,7 +38,7 @@ from packedhe.pipeline import (
     poly_activation,
 )
 from packedhe.serial import load_model, write_model
-from packedhe.virtual import VirtualLayout, batched_conv_layer, reform_maps, tile_kernel_span
+from packedhe.virtual import VirtualLayout, batched_conv_layer, reform, tile_kernel_span
 
 from conftest import make_engine, rand_int_matrix
 from test_matmul_chunked import fitting_groups, formula_plan, grouped_counts
@@ -196,7 +195,7 @@ def test_flatten_maps_matches_oracle_order(rng):
             img[:6, :6] = maps_plain[c, b]
             grid[b, :64] = img.reshape(-1)
         map_cts.append(eng.enc(grid.reshape(-1)))
-    chunks, _ = reform_maps(eng, map_cts, lay, 6, 6)
+    chunks = [out for ct in map_cts for out in reform(eng, ct, lay, 6, 6)]
     grids = [eng.dec(chunk).reshape(4, 128) for chunk in chunks]
     for b in range(4):
         want = oracle_flatten([maps_plain[0, b], maps_plain[1, b]])
@@ -248,7 +247,8 @@ def fc_apply(eng, parts, width, weight, bias):
     blocks, _, p, *_ = fc_shape(len(bias), len(parts), width, rows)
     fold = FcFold.derive(width, blocks, p, rows, n, len(parts))
     chunks = [eng.enc(part.reshape(-1)) for part in parts]
-    return eng.dec(_fc_from_tiles(eng, chunks, _encode_fc_tiles(eng, weight, bias, fold))).reshape(rows, n)
+    fc = _encode_fc_tiles(eng, weight, bias, fold)
+    return eng.dec(matmul_chunked(eng, chunks, fc.tiles, fc.fold, init=fc.bias_ct)).reshape(rows, n)
 
 
 def test_fc_layer_identity(rng):

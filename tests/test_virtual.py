@@ -12,7 +12,6 @@ from packedhe.virtual import (
     batched_conv,
     batched_conv_layer,
     reform,
-    reform_maps,
     tile_kernel_span,
     vrot,
 )
@@ -150,9 +149,8 @@ def test_reform_flattens_block():
     lay = VirtualLayout(1, 16, 3, 3)
     vals = np.zeros(16)
     vals[:9] = [11, 12, 0, 21, 22, 0, 0, 0, 0]
-    out, new_lay = reform(eng, eng.enc(vals), lay, 2, 2)
+    (out,) = reform(eng, eng.enc(vals), lay, 2, 2)
     np.testing.assert_array_equal(eng.dec(out)[:6], [11, 12, 21, 22, 0, 0])
-    assert (new_lay.h, new_lay.w) == (2, 2)
 
 
 def test_reform_identity_when_full(rng):
@@ -160,7 +158,7 @@ def test_reform_identity_when_full(rng):
     lay = VirtualLayout(2, 16, 4, 4)
     rows = rand_int_matrix(rng, 2, 16)
     ct = eng.enc(rows.reshape(-1))
-    out, _ = reform(eng, ct, lay, 4, 4)
+    (out,) = reform(eng, ct, lay, 4, 4)
     np.testing.assert_array_equal(eng.dec(out), rows.reshape(-1))
     # out_w == w: every row is already in place, so nothing rotates
     assert eng.meter_snapshot().rot_count == 0 and eng.rot_offsets == set()
@@ -174,7 +172,7 @@ def test_reform_per_image_and_costs(rng):
     ct = eng.enc(rows.reshape(-1))
     spent = {}
     with eng.scope("call", spent):
-        out, _ = reform(eng, ct, lay, 3, 3)
+        (out,) = reform(eng, ct, lay, 3, 3)
     delta = spent["call"]
     got = eng.dec(out).reshape(2, 32)
     for b in range(2):
@@ -193,8 +191,6 @@ def test_reform_block_too_large():
     for out_h, out_w in ((0, 2), (2, 0), (0, 0)):  # empty block
         with pytest.raises(EngineError):
             reform(eng, eng.enc(np.ones(9)), lay, out_h, out_w)
-        with pytest.raises(EngineError):
-            reform_maps(eng, [eng.enc(np.ones(9))] * 2, lay, out_h, out_w)
 
 
 @st.composite
@@ -248,11 +244,10 @@ def test_reform_property(layout, data, seed):
     grid, images = junk_padded(rng, layout)
     out_h = data.draw(st.integers(1, layout.h), label="out_h")
     out_w = data.draw(st.integers(1, layout.w), label="out_w")
-    out, new_layout = reform(eng, eng.enc(grid.reshape(-1)), layout, out_h, out_w)
+    (out,) = reform(eng, eng.enc(grid.reshape(-1)), layout, out_h, out_w)
     want = np.zeros_like(grid)
     want[:, : out_h * out_w] = images[:, :out_h, :out_w].reshape(layout.m, -1)
     np.testing.assert_array_equal(eng.dec(out), want.reshape(-1))
-    assert new_layout == VirtualLayout(layout.m, layout.f, out_h, out_w)
 
 
 def per_row_reform(eng, cts, layout, out_h, out_w):
@@ -267,6 +262,11 @@ def per_row_reform(eng, cts, layout, out_h, out_w):
         for acc, ct in zip(accs, cts):
             acc.cmul(keep, eng.rot(ct, r * (layout.w - out_w)) if r else ct)
     return [acc.result() for acc in accs]
+
+
+def reform_each(eng, cts, *args, **kwargs):
+    """Each map's reform pieces in order, map after map: one call per map."""
+    return [out for ct in cts for out in reform(eng, ct, *args, **kwargs)]
 
 
 def reform_steps(out_h):
@@ -294,7 +294,7 @@ def test_reform_maps_keeps_the_per_row_bits(layout, maps, data, seed):
         outs, delta = call_delta(eng, fn, [eng.enc(g.reshape(-1)) for g in grids], layout, out_h, out_w)
         return [(o.slots.tobytes(), o.depth) for o in outs], delta
 
-    (got, delta), (want, _) = run(lambda *args: reform_maps(*args)[0]), run(per_row_reform)
+    (got, delta), (want, _) = run(reform_each), run(per_row_reform)
     assert got == want
     s = layout.w - out_w
     cost, g = reform_steps(out_h)
@@ -325,7 +325,7 @@ def test_reform_maps_cuts_pieces_from_a_start_lane(layout, maps, data, seed):
     start = data.draw(st.integers(0, layout.f - piece), label="start")
     eng = make_engine(layout.m * layout.f)
     cts = [eng.enc(grid.reshape(-1)) for grid, _ in grids]
-    outs, delta = call_delta(eng, lambda *args: reform_maps(*args, start=start, piece=piece)[0], cts, layout, out_h, out_w)
+    outs, delta = call_delta(eng, lambda *args: reform_each(*args, start=start, piece=piece), cts, layout, out_h, out_w)
     firsts = range(0, features, piece)
     assert len(outs) == maps * len(firsts)
     for (_, images), pieces in zip(grids, (outs[i : i + len(firsts)] for i in range(0, len(outs), len(firsts)))):
@@ -351,7 +351,7 @@ def test_reform_maps_rejects_pieces_past_the_block():
     lay = VirtualLayout(2, 16, 4, 4)
     for start, piece in ((13, 4), (0, 0), (-1, 2), (8, 9)):
         with pytest.raises(EngineError, match="do not fit block stride 16"):
-            reform_maps(eng, [eng.enc(np.ones(32))], lay, 3, 3, start=start, piece=piece)
+            reform(eng, eng.enc(np.ones(32)), lay, 3, 3, start=start, piece=piece)
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,30 +418,6 @@ def test_batched_conv_layer_matches_one_call_per_kernel(k, kernels, data, seed):
     got, want = shared_vs_one_call_each(layout.m * layout.f, shared, one_each)
     assert got == want
     assert len(got[0]) == kernels
-
-
-@settings(max_examples=30, deadline=None)
-@given(layout=layouts(), maps=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_reform_maps_matches_one_call_per_map(layout, maps, data, seed):
-    rng = np.random.default_rng(seed)
-    grids = [junk_padded(rng, layout)[0] for _ in range(maps)]
-    out_h = data.draw(st.integers(1, layout.h), label="out_h")
-    out_w = data.draw(st.integers(1, layout.w), label="out_w")
-    new_layout = VirtualLayout(layout.m, layout.f, out_h, out_w)
-
-    def shared(eng):
-        outs, lay = reform_maps(eng, [eng.enc(g.reshape(-1)) for g in grids], layout, out_h, out_w)
-        assert lay == new_layout
-        return outs
-
-    def one_each(eng):
-        pairs = [reform(eng, eng.enc(g.reshape(-1)), layout, out_h, out_w) for g in grids]
-        assert all(lay == new_layout for _, lay in pairs)
-        return [out for out, _ in pairs]
-
-    got, want = shared_vs_one_call_each(layout.m * layout.f, shared, one_each)
-    assert got == want
-    assert len(got[0]) == maps
 
 
 def test_batched_conv_layer_rejects_mixed_or_missing_kernels(rng):
