@@ -3,11 +3,13 @@
 Three roles share the toolkit: the data owner packs and "encrypts"
 (simulated) image batches, the model provider encodes kernels and FC
 weights, and the cloud side runs inference over the packed files.
-``verify`` runs the three roles in a scratch directory and checks every
-prediction against the plaintext oracle.  The one engine parameter is
-``--slots``, the slot count per ciphertext, taken by ``owner-encode``,
-``provider-encode`` and ``verify``; ``cloud-infer`` reads it from the
-model manifest's layout and rejects batch files that hold another count.
+Given the plaintext images and weights (``--images`` with
+``--weights-dir``), ``cloud-infer`` checks every prediction against the
+plaintext oracle; ``verify`` runs the three roles that way in a scratch
+directory.  The one engine parameter is ``--slots``, the slot count per
+ciphertext, taken by ``owner-encode``, ``provider-encode`` and
+``verify``; ``cloud-infer`` reads it from the model manifest's layout and
+rejects batch files that hold another count.
 
 Exit codes: 0 success, 1 bad input (a usage error or a file or value that
 fails validation), 2 verification mismatch.
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import format_report
-from .datafiles import IdxFormatError, load_mnist_idx, load_weights_csv
+from .datafiles import IdxFormatError, load_idx_images, load_weights_csv
 from .engine import MAX_SLOTS, EngineError, EngineParams, OpMeter, SlotEngine
 from .oracle import oracle_forward
 from .pipeline import FC2_OUT, argmax_decide, batch_layout, encode_model, forward_encoded, pack_batch
@@ -51,7 +53,7 @@ def _cmd_owner_encode(args) -> int:
         return 1
     engine = SlotEngine(_engine_params(args))
     layout = batch_layout(engine.slots)
-    images, _ = load_mnist_idx(args.images)
+    images = load_idx_images(args.images)
     if args.limit is not None:
         images = images[: args.limit]
     n = images.shape[0]
@@ -155,11 +157,18 @@ def _cmd_cloud_infer(args) -> int:
     if not batch_paths:
         print(f"error: no batch files under {args.batch_dir}", file=sys.stderr)
         return 1
-    if args.verify and not (args.images and args.weights_dir):
-        print("error: --verify needs --images and --weights-dir", file=sys.stderr)
+    if (args.images is None) != (args.weights_dir is None):
+        print("error: --images and --weights-dir go together", file=sys.stderr)
         return 1
     params = model_params(args.model_dir)
     model = load_model(SlotEngine(params), args.model_dir)
+    images = None
+    if args.images is not None:  # the oracle's inputs, checked before any inference runs
+        images, weights = load_idx_images(args.images), load_weights_csv(args.weights_dir)
+        h, w = model.layout.h, model.layout.w
+        if images.shape[1:] != (h, w):
+            _, ih, iw = images.shape
+            raise ValueError(f"{args.images}: images are {ih}x{iw}, the model expects {h}x{w}")
     workers = min(len(batch_paths), _available_cpus())
     results = _infer_batches(params, model, batch_paths, workers)
     _check_disjoint(batch_paths, [indices for _, _, indices, *_ in results])
@@ -179,8 +188,7 @@ def _cmd_cloud_infer(args) -> int:
                     "scores": [float(s) for s in mat[row, :FC2_OUT]],
                 }
             )
-    if args.verify:
-        images, _ = load_mnist_idx(args.images)
+    if images is not None:
         indices = [r["index"] for r in records]
         if max(indices) >= images.shape[0]:
             problem = f"predictions reach image {max(indices)} but {args.images} holds {images.shape[0]}"
@@ -188,7 +196,7 @@ def _cmd_cloud_infer(args) -> int:
             problem = _oracle_mismatch(
                 np.array([r["scores"] for r in records]),
                 [r["label"] for r in records],
-                load_weights_csv(args.weights_dir),
+                weights,
                 images[indices],
             )
         if problem:
@@ -216,8 +224,8 @@ def _cmd_cloud_infer(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Run the three roles end to end in a scratch directory: owner-encode,
-    provider-encode, then cloud-infer checking every prediction against the
-    plaintext oracle."""
+    provider-encode, then cloud-infer given the same images and weights, so
+    it checks every prediction against the plaintext oracle."""
     # "--flag=value" keeps a value that starts with "-" from reading as a flag;
     # cloud-infer takes its slot count from the model the provider wrote
     engine_flags = [f"--slots={args.slots}"] if args.slots is not None else []
@@ -228,7 +236,7 @@ def _cmd_verify(args) -> int:
         roles = [
             ["owner-encode", images, f"--out-dir={batches}", *limit, *engine_flags],
             ["provider-encode", weights, f"--out-dir={model}", *engine_flags],
-            ["cloud-infer", f"--batch-dir={batches}", f"--model-dir={model}", f"--out={out}", "--verify", images, weights],
+            ["cloud-infer", f"--batch-dir={batches}", f"--model-dir={model}", f"--out={out}", images, weights],
         ]
         parser = _build_parser()
         for argv in roles:
@@ -297,9 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", required=True)
     p.add_argument("--out", required=True, help="predictions output (JSON lines)")
     p.add_argument("--report", help="write an op-meter report JSON here")
-    p.add_argument("--verify", action="store_true", help="cross-check against the plaintext oracle")
-    p.add_argument("--images", help="IDX images for --verify")
-    p.add_argument("--weights-dir", help="weight CSVs for --verify")
+    p.add_argument("--images", help="IDX images to cross-check against the plaintext oracle (with --weights-dir)")
+    p.add_argument("--weights-dir", help="weight CSVs for the plaintext oracle (with --images)")
     p.set_defaults(func=_cmd_cloud_infer)
 
     p = sub.add_parser("verify", help="run the three roles end to end against the plaintext oracle")

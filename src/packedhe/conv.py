@@ -182,7 +182,7 @@ def build_offset_filter(
     if not (0 <= offset_i < k and 0 <= offset_j < k):
         raise EngineError(f"offsets must be in [0, {k}), got ({offset_i}, {offset_j})")
     (keep,) = _offset_keeps(shape, k, np.array([offset_i]), np.array([offset_j]))
-    return engine.mask(keep, role="filter")
+    return engine.mask(keep)
 
 
 def sum_for_conv(engine: SlotEngine, ct: Ciphertext, shape: ImageShape, k: int) -> Ciphertext:
@@ -213,7 +213,7 @@ def _conv_blocks(engine: SlotEngine, ct: Ciphertext, spans, m: int, f: int) -> l
     accs = [engine.accumulator(span.bias_ct) for span in spans]
     for i in range(k):
         for j in range(k):
-            keep = engine.mask(keeps[i * k + j], role="filter")
+            keep = engine.mask(keeps[i * k + j])
             for s, span in enumerate(spans):
                 with engine.scope("conv.span_multiply"):
                     t = engine.mul(ct, span.span_cts[i * k + j])

@@ -1,7 +1,7 @@
 """Dataset and model-parameter ingestion.
 
-IDX image/label files (big-endian, bit-exact magic validation) and the
-fixed weights-directory CSV schema:
+IDX image files (big-endian, bit-exact magic validation) and the fixed
+weights-directory CSV schema:
 
     conv_k0.csv .. conv_k3.csv   3x3 kernel each
     conv_bias.csv                4 values
@@ -37,14 +37,11 @@ from .pipeline import (
 __all__ = [
     "IdxFormatError",
     "load_idx_images",
-    "load_idx_labels",
-    "load_mnist_idx",
     "load_weights_csv",
     "save_weights_csv",
 ]
 
 IMAGE_MAGIC = 0x00000803
-LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
@@ -76,31 +73,6 @@ def load_idx_images(path) -> np.ndarray:
         raise IdxFormatError(path, len(data), f"truncated pixel data, need {need} bytes")
     pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols, offset=16)
     return pixels.astype(np.float64).reshape(count, rows, cols) / 255.0
-
-
-def load_idx_labels(path) -> np.ndarray:
-    """Read an IDX label file into a uint8 vector."""
-    data = Path(path).read_bytes()
-    magic = _read_u32(data, path, 0)
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(path, 0, f"bad label magic 0x{magic:08x}, want 0x{LABEL_MAGIC:08x}")
-    count = _read_u32(data, path, 4)
-    if len(data) < 8 + count:
-        raise IdxFormatError(path, len(data), f"truncated labels, need {8 + count} bytes")
-    return np.frombuffer(data, dtype=np.uint8, count=count, offset=8).copy()
-
-
-def load_mnist_idx(images_path, labels_path=None):
-    """Load images (and optionally labels, cross-checking the counts)."""
-    images = load_idx_images(images_path)
-    labels = None
-    if labels_path is not None:
-        labels = load_idx_labels(labels_path)
-        if labels.shape[0] != images.shape[0]:
-            raise IdxFormatError(
-                labels_path, 4, f"{labels.shape[0]} labels for {images.shape[0]} images"
-            )
-    return images, labels
 
 
 def _load_csv(directory: Path, name: str, shape: tuple) -> np.ndarray:

@@ -93,7 +93,7 @@ def column0_filter(engine: SlotEngine, m: int, n: int) -> PlainMask:
     """0/1 filter keeping column 0 of every row of an m x n layout."""
     keep = np.zeros((m, n), dtype=bool)
     keep[:, 0] = True
-    return engine.mask(keep.reshape(-1), role="filter")
+    return engine.mask(keep.reshape(-1))
 
 
 def sum_col_vec(engine: SlotEngine, pm: PackedMatrix, col0: PlainMask | None = None) -> PackedMatrix:

@@ -229,36 +229,31 @@ def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int, out: np.ndarray | None
 
 @dataclass(frozen=True, eq=False, init=False)
 class PlainMask:
-    """Plaintext constant vector for cmul.  Filter-role masks are 0/1 only.
+    """Plaintext constant vector for cmul.
 
     ``values`` is a read-only 1-D float64 array the mask owns: the
     constructor copies its input, so no later write to the caller's array
-    reaches a validated mask and one mask can serve any number of cmuls.
+    reaches a built mask and one mask can serve any number of cmuls.
     Input of any other shape raises EngineError.
     """
 
     values: np.ndarray
-    role: str = "constant"
 
-    def __init__(self, values, role: str = "constant"):
-        self._adopt(_frozen(np.array(values, dtype=np.float64)), role)
+    def __init__(self, values):
+        self._adopt(_frozen(np.array(values, dtype=np.float64)))
 
     @classmethod
-    def _owned(cls, vec: np.ndarray, role: str, zero_one: bool = False) -> "PlainMask":
+    def _owned(cls, vec: np.ndarray) -> "PlainMask":
         """A mask over a fresh read-only engine vector (see ``_frozen``),
-        validated like any other but not copied.  ``zero_one`` says ``vec``
-        was converted from a boolean array, so it needs no 0/1 check."""
+        checked like any other but not copied."""
         mask = cls.__new__(cls)
-        mask._adopt(vec, role, zero_one)
+        mask._adopt(vec)
         return mask
 
-    def _adopt(self, vec: np.ndarray, role: str, zero_one: bool = False) -> None:
+    def _adopt(self, vec: np.ndarray) -> None:
         if vec.ndim != 1:
             raise EngineError(f"mask values must be a 1-D vector, got shape {vec.shape}")
-        if role == "filter" and not zero_one and not np.all((vec == 0.0) | (vec == 1.0)):
-            raise EngineError("filter masks may contain only 0.0 and 1.0")
         object.__setattr__(self, "values", vec)
-        object.__setattr__(self, "role", role)
 
 
 class _Scope:
@@ -523,12 +518,10 @@ class SlotEngine:
 
     # -- helpers ---------------------------------------------------------
 
-    def mask(self, values, role: str = "constant") -> PlainMask:
+    def mask(self, values) -> PlainMask:
         """Build a full-length PlainMask, zero-padding short inputs.
 
-        ``values`` may be a boolean pattern; it is converted to 0.0/1.0 in
-        the one copy the mask makes, which is then 0/1 by construction and
-        not checked again.
+        ``values`` may be a boolean pattern; it becomes a 0/1 filter in the
+        one converting copy the mask makes.
         """
-        zero_one = isinstance(values, np.ndarray) and values.dtype == np.bool_
-        return PlainMask._owned(_padded(values, self.slots, "mask payload"), role, zero_one)
+        return PlainMask._owned(_padded(values, self.slots, "mask payload"))

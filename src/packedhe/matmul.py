@@ -92,7 +92,7 @@ def _row_band_mask(engine: SlotEngine, n: int, r0: int, r1: int) -> PlainMask:
     """0/1 filter keeping rows r0..r1-1 of a layout n wide: one slot range."""
     keep = np.zeros(engine.slots, dtype=bool)
     keep[r0 * n : r1 * n] = True
-    return engine.mask(keep, role="filter")
+    return engine.mask(keep)
 
 
 def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> PackedMatrix:
@@ -161,7 +161,7 @@ def build_result_filter(
     if not 1 <= group <= p:
         raise EngineError(f"group must be in [1, {p}], got {group}")
     (keep,) = _result_patterns(engine.slots, m, n, p, np.array([idx]), blocks, group)
-    return engine.mask(keep, role="filter")
+    return engine.mask(keep)
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,9 @@ class FcFold:
     B = ``blocks`` interleaved neuron blocks of ``p`` groups over C =
     ``chunks`` input chunks of inner ``width`` w, in ciphertexts of
     ``rows`` rows ``lanes`` wide (row i at slots [i*lanes, (i+1)*lanes)).
-    The weight tiles start at lane ``offset`` L of each row, so an
+    The weight tiles start at lane :attr:`offset` L of each row, so an
     iteration's products fill lanes [L, L + w + B - 1).  ``group`` G
-    iterations, a power of two dividing p, share one fold.  L is B*p when
-    G > 1 and B*(p - 1) when G = 1, so every output lane B*t + j lies at
-    or below the first lane its iteration keeps.  The row cycle's
+    iterations, a power of two dividing p, share one fold.  The row cycle's
     ``giant`` step g is a multiple of G dividing p, so a group never
     straddles two giant steps.
     """
@@ -188,7 +186,6 @@ class FcFold:
     rows: int
     lanes: int
     group: int
-    offset: int
     giant: int
 
     @classmethod
@@ -200,7 +197,7 @@ class FcFold:
         multiplies (the larger G) and then to the smaller g.  LayoutError
         if no group fits."""
         folds = [
-            cls(blocks, p, width, chunks, rows, lanes, 1 << t, blocks * p if t else blocks * (p - 1), p)
+            cls(blocks, p, width, chunks, rows, lanes, 1 << t, p)
             for t in range((p & -p).bit_length())
         ]
         fits = [fold for fold in folds if width >= 1 and fold.window <= lanes]
@@ -212,6 +209,12 @@ class FcFold:
             )
         plans = [replace(fold, giant=g) for fold in fits for g in range(fold.group, p + 1, fold.group) if p % g == 0]
         return min(plans, key=lambda plan: (plan.rotations, plan.cmuls, plan.giant))
+
+    @property
+    def offset(self) -> int:
+        """L: B*p when G > 1 and B*(p - 1) when G = 1, so every output lane
+        B*t + j lies at or below the first lane its iteration keeps."""
+        return self.blocks * (self.p - (self.group == 1))
 
     @property
     def span(self) -> int:
@@ -266,7 +269,7 @@ class FcFold:
             & (lane < self.span)
             & ((lane // self.blocks) % self.group == (row + phase + 1) % self.group)
         )
-        return [engine.mask(pattern.reshape(-1), role="filter") for pattern in keep]
+        return [engine.mask(pattern.reshape(-1)) for pattern in keep]
 
 
 def encode_interleaved(engine: SlotEngine, b, fold: FcFold) -> list[Ciphertext]:
@@ -342,7 +345,7 @@ def matmul_chunked(
     inputs: Sequence[Ciphertext],
     tiles: Sequence[Sequence[Ciphertext]],
     fold: FcFold,
-    init: Ciphertext | None = None,
+    init: Ciphertext,
 ) -> Ciphertext:
     """FC product: sum over C input chunks c of A_c * W_c, with B neuron
     blocks interleaved across the lanes of each row and groups of
@@ -385,8 +388,8 @@ def matmul_chunked(
         tiles: B lists of C tile ciphertexts, diagonal d of chunk c at
             ``tiles[d][c]``, from :func:`encode_interleaved` in this plan.
         fold: the layer's plan (:meth:`FcFold.derive`).
-        init: optional accumulator seed (e.g. a packed bias) in the output
-            lanes, added once.
+        init: the accumulator seed (the layer's packed bias) in the
+            output lanes, added once.
 
     Returns:
         The ciphertext whose row i holds output q of A_i at lane q, for
@@ -423,7 +426,7 @@ def matmul_chunked(
     # rot(A, -n*base) * rot(B, n*s1) is rot(A * rot(B, n*(base + s1)), -n*base)
     frame_lefts = [lefts] + [[engine.rot(ct, -n * base) for ct in lefts] for base in bases[1:]]
     flat = [tile for chunk_tiles in tiles for tile in chunk_tiles]
-    acc = engine.accumulator(init if init is not None else engine.enc([]))
+    acc = engine.accumulator(init)
     frames = [acc] + [engine.accumulator() for _ in bases[1:]]
     for first in range(0, fold.giant, fold.group):
         babies = [[tile if n * s1 == engine.slots else engine.rot(tile, n * s1) for tile in flat]
@@ -480,7 +483,7 @@ def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> Pac
         with engine.scope("matmul.row_sum"):
             summed = sum_col_vec(engine, PackedMatrix(prod, work_shape), col0).ct
         with engine.scope("matmul.result_filter"):
-            kept = engine.cmul(engine.mask(filters[idx], role="filter"), summed)
+            kept = engine.cmul(engine.mask(filters[idx]), summed)
         with engine.scope("matmul.accumulate"):
             acc.add(kept)
     return PackedMatrix(acc.result(), work_shape)

@@ -266,7 +266,7 @@ def flatten(engine: SlotEngine, maps, layout: VirtualLayout) -> list[Ciphertext]
     _, lane = flatten_lanes()
     valid = np.zeros(layout.f, dtype=bool)
     valid[lane[:MAP_FEATURES]] = True  # map 0's lanes
-    keep = engine.mask(np.tile(valid, layout.m), role="filter")
+    keep = engine.mask(np.tile(valid, layout.m))
     pieces = reform(engine, maps[FC1_CHUNKS], layout, MAP_SIDE, MAP_SIDE, start=MAP_BLOCK, piece=FC1_PIECE)
     chunks = []
     for ct, piece in zip(maps[:FC1_CHUNKS], pieces, strict=True):

@@ -71,7 +71,7 @@ def _require_fit(engine: SlotEngine, layout: VirtualLayout) -> None:
 
 def _tiled_mask(engine: SlotEngine, layout: VirtualLayout, block: np.ndarray) -> PlainMask:
     """A 0/1 filter repeating a per-image prefix pattern into every image block."""
-    return engine.mask(_tile(block, layout.m, layout.f), role="filter")
+    return engine.mask(_tile(block, layout.m, layout.f))
 
 
 def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> Ciphertext:

@@ -182,17 +182,39 @@ def test_cloud_infer_parallel_matches(workspace):
         assert (valid, meter, stages) == (w_valid, w_meter, w_stages)
 
 
-def test_cloud_infer_verify_flag(workspace):
+def test_cloud_infer_verify_flag(workspace, capsys):
     tmp, idx, weights_dir, _, _ = workspace
     batches, model = tmp / "b3", tmp / "m3"
     main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "32"])
     main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
     out = tmp / "p.jsonl"
     args = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out)]
-    assert main(args + ["--verify"]) == 1  # needs the plaintext inputs
-    assert (
-        main(args + ["--verify", "--images", str(idx), "--weights-dir", str(weights_dir)]) == 0
-    )
+    capsys.readouterr()
+    # the cross-check needs both plaintext inputs; one alone is a usage error
+    for given in (["--images", str(idx)], ["--weights-dir", str(weights_dir)]):
+        assert main(args + given) == 1
+        assert capsys.readouterr().err == "error: --images and --weights-dir go together\n"
+    assert not out.exists()
+    assert main(args + ["--images", str(idx), "--weights-dir", str(weights_dir)]) == 0
+    assert "verified 32 predictions" in capsys.readouterr().out
+
+
+def test_cloud_infer_rejects_verify_images_of_another_size(workspace, rng, capsys):
+    """Images to check against that are not the model's size fail by file
+    name before inference, with no traceback and no predictions file."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model, out = tmp / "b2k", tmp / "m2k", tmp / "p2k.jsonl"
+    slots = ["--slots", "2048"]
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "4"] + slots) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + slots) == 0
+    wide = tmp / "images30.idx"
+    write_idx_images(wide, rng.integers(0, 256, size=(4, 30, 30)).astype(np.uint8))
+    capsys.readouterr()
+    argv = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out)]
+    assert main(argv + ["--images", str(wide), "--weights-dir", str(weights_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {wide}: images are 30x30, the model expects 28x28\n"
+    assert not out.exists()
 
 
 def test_cloud_infer_missing_batch_keeps_indices(workspace, rng):
@@ -207,11 +229,11 @@ def test_cloud_infer_missing_batch_keeps_indices(workspace, rng):
     (batches / "batch_00001.simct").unlink()
     out = tmp / "gap.jsonl"
     args = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out)]
-    assert main(args + ["--verify", "--images", str(idx), "--weights-dir", str(weights_dir)]) == 0
+    assert main(args + ["--images", str(idx), "--weights-dir", str(weights_dir)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["index"] for r in records] == list(range(32)) + list(range(64, 72))
     # the 40-image file lacks images 64..71, so the cross-check cannot pass
-    assert main(args + ["--verify", "--images", str(idx40), "--weights-dir", str(weights_dir)]) == 2
+    assert main(args + ["--images", str(idx40), "--weights-dir", str(weights_dir)]) == 2
 
 
 def test_cloud_infer_rejects_overlapping_batches(workspace, capsys):
@@ -291,7 +313,7 @@ def test_cloud_infer_ignores_stale_structure_keys(workspace):
     batches, model = tmp / "b8", tmp / "m8"
     main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "32"])
     main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)])
-    infer = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--verify",
+    infer = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model),
              "--images", str(idx), "--weights-dir", str(weights_dir)]
     assert main(infer + ["--out", str(tmp / "fresh.jsonl")]) == 0
     manifest_path = model / "manifest.json"
@@ -377,7 +399,7 @@ def test_cloud_infer_takes_slots_from_the_model(workspace, capsys):
     small = ["--slots", "16384"]
     assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches)] + small) == 0
     assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + small) == 0
-    infer = ["cloud-infer", "--model-dir", str(model), "--verify", "--images", str(idx), "--weights-dir", str(weights_dir)]
+    infer = ["cloud-infer", "--model-dir", str(model), "--images", str(idx), "--weights-dir", str(weights_dir)]
     out = tmp / "p16.jsonl"
     assert main(infer + ["--batch-dir", str(batches), "--out", str(out)]) == 0
     assert "verified 40 predictions" in capsys.readouterr().out
@@ -412,7 +434,6 @@ def test_verify_detects_tampered_weights(workspace):
             "--batch-dir", str(batches),
             "--model-dir", str(model),
             "--out", str(tmp / "y.jsonl"),
-            "--verify",
             "--images", str(idx),
             "--weights-dir", str(weights_dir),
         ]
@@ -560,8 +581,16 @@ REQUIRED = {
         ["bench", "--slots", "1024"],
         [],
         ["cloud-infer", *REQUIRED["cloud-infer"], "--slots", "16384"],
+        ["cloud-infer", *REQUIRED["cloud-infer"], "--verify"],
     ],
-    ids=["missing-out-dir", *(f"{command}-config" for command in REQUIRED), "bench-slots", "no-command", "cloud-infer-slots"],
+    ids=[
+        "missing-out-dir",
+        *(f"{command}-config" for command in REQUIRED),
+        "bench-slots",
+        "no-command",
+        "cloud-infer-slots",
+        "cloud-infer-verify",
+    ],
 )
 def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
     """A usage error is a bad input (exit 1), not a verification mismatch (2)."""

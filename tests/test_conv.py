@@ -174,8 +174,8 @@ class MaskRecordingEngine(SlotEngine):
         super().__init__(EngineParams(slots=slots))
         self.masks = []
 
-    def mask(self, values, role="constant"):
-        out = super().mask(values, role)
+    def mask(self, values):
+        out = super().mask(values)
         self.masks.append(out)
         return out
 

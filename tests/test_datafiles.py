@@ -6,8 +6,6 @@ import pytest
 from packedhe.datafiles import (
     IdxFormatError,
     load_idx_images,
-    load_idx_labels,
-    load_mnist_idx,
     load_weights_csv,
     save_weights_csv,
 )
@@ -20,12 +18,6 @@ def write_idx_images(path, images: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack(">IIII", 0x00000803, n, h, w))
         fh.write(images.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, labels.size))
-        fh.write(labels.astype(np.uint8).tobytes())
 
 
 def test_idx_round_trip_and_normalization(tmp_path, rng):
@@ -55,25 +47,6 @@ def test_idx_truncated_pixels(tmp_path):
     path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + b"\x00" * 5)
     with pytest.raises(IdxFormatError):
         load_idx_images(path)
-
-
-def test_idx_labels_and_count_mismatch(tmp_path, rng):
-    imgs = tmp_path / "i.idx"
-    labs = tmp_path / "l.idx"
-    write_idx_images(imgs, rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8))
-    write_idx_labels(labs, np.array([1, 2, 3], dtype=np.uint8))
-    images, labels = load_mnist_idx(imgs, labs)
-    np.testing.assert_array_equal(labels, [1, 2, 3])
-    write_idx_labels(labs, np.array([1, 2], dtype=np.uint8))
-    with pytest.raises(IdxFormatError):
-        load_mnist_idx(imgs, labs)
-
-
-def test_idx_label_magic(tmp_path):
-    path = tmp_path / "l.idx"
-    path.write_bytes(struct.pack(">II", 0x00000803, 1) + b"\x07")
-    with pytest.raises(IdxFormatError):
-        load_idx_labels(path)
 
 
 def test_weights_csv_round_trip(tmp_path, rng):

@@ -75,35 +75,30 @@ def test_add_identity_and_mul_identity():
 
 def test_cmul_filter_semantics():
     eng = make_engine(2)
-    out = eng.cmul(eng.mask([1, 0], role="filter"), eng.enc([7, 9]))
+    out = eng.cmul(eng.mask(np.array([True, False])), eng.enc([7, 9]))
     np.testing.assert_array_equal(eng.dec(out), [7, 0])
     assert out.depth == 1
     all_ones = eng.cmul(eng.mask(np.ones(2)), eng.enc([7, 9]))
     np.testing.assert_array_equal(eng.dec(all_ones), [7, 9])
 
 
-def test_filter_mask_rejects_non_binary():
-    with pytest.raises(EngineError):
-        PlainMask(np.array([0.5, 1.0]), role="filter")
-
-
 def test_plain_mask_keeps_its_own_read_only_copy():
     arr = np.array([0.0, 1.0, 1.0, 0.0])
-    mask = PlainMask(arr, role="filter")
-    arr[1] = 0.5  # after validation; the mask must not see it
+    mask = PlainMask(arr)
+    arr[1] = 0.5  # after construction; the mask must not see it
     eng = make_engine(4)
     np.testing.assert_array_equal(eng.dec(eng.cmul(mask, eng.enc([2, 2, 2, 2]))), [0, 2, 2, 0])
     with pytest.raises(ValueError):
         mask.values[0] = 0.5
     pattern = np.array([False, True, True, False])
-    built = eng.mask(pattern, role="filter")
+    built = eng.mask(pattern)
     pattern[0] = True
     assert built.values.dtype == np.float64 and built.values.tolist() == [0.0, 1.0, 1.0, 0.0]
     assert not built.values.flags.writeable
 
 
 def test_plain_mask_accepts_a_list():
-    mask = PlainMask([0.0, 1.0, 1.0, 0.0], role="filter")
+    mask = PlainMask([0.0, 1.0, 1.0, 0.0])
     assert mask.values.dtype == np.float64 and mask.values.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
@@ -265,15 +260,15 @@ def test_accumulator_returns_a_lone_term_without_copying(lone, offset):
 
 
 def test_mask_checks_non_boolean_filters_and_trusts_boolean_patterns(rng):
+    """A boolean pattern becomes a zero-padded 0/1 filter; numeric values
+    are kept as given."""
     eng = make_engine(16)
     for values in (np.array([0.0, 1.0, 2.0]), [1, 0, -1], np.array([0, 1, 3], dtype=np.int64), [0.5]):
-        with pytest.raises(EngineError, match="only 0.0 and 1.0"):
-            eng.mask(values, role="filter")
+        assert eng.mask(values).values.tolist() == [*map(float, values), *[0.0] * (16 - len(values))]
     for size in (16, 11):
         pattern = rng.integers(0, 2, size).astype(bool)
-        built = eng.mask(pattern, role="filter")
-        want = PlainMask(np.pad(pattern, (0, 16 - size)).astype(float), "filter")
-        assert built.role == want.role == "filter"
+        built = eng.mask(pattern)
+        want = PlainMask(np.pad(pattern, (0, 16 - size)).astype(float))
         assert built.values.dtype == np.float64 and built.values.tobytes() == want.values.tobytes()
         assert not built.values.flags.writeable
 
@@ -306,7 +301,7 @@ def test_primitive_results_are_fresh_read_only_values(case, seed):
     short = rng.integers(-9, 9, int(rng.integers(0, slots + 1)))  # int, zero-padded by enc
     bits = rng.integers(0, 2, slots).astype(np.float64)
     a, b = eng.enc(payload), eng.enc(short)
-    mask = eng.mask(bits, role="filter")
+    mask = eng.mask(bits)
 
     rotated = eng.rot(a, l)
     assert rotated.slots.tobytes() == np.roll(payload, -l).tobytes()

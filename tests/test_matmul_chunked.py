@@ -49,7 +49,7 @@ def test_matmul_chunked_rejects_mismatched_chunks(case):
     else:
         tiles.append(tiles[0])
     with pytest.raises(LayoutError, match=f"^the FC plan takes {chunks} inputs and {blocks} tile lists of {chunks}, "):
-        matmul_chunked(eng, inputs, tiles, fold)
+        matmul_chunked(eng, inputs, tiles, fold, ct)
 
 
 def fold_layout(blocks: int, p: int, w: int, group: int) -> tuple:
@@ -116,11 +116,12 @@ def formula_plan(blocks: int, chunks: int, p: int, w: int, n: int, rows: int) ->
 def forced_plan(
     blocks: int, chunks: int, p: int, w: int, rows: int, n: int, group: int, giant: int | None = None
 ) -> FcFold:
-    """The derived plan with the group G (and its offset) forced, and the
-    giant step ``giant``, by default the one ``formula_giant`` picks for G."""
+    """The derived plan with the group G forced (its offset follows from G),
+    and the giant step ``giant``, by default the one ``formula_giant`` picks
+    for G."""
     giant = formula_giant(blocks, chunks, p, w, group, rows) if giant is None else giant
     fold = FcFold.derive(w, blocks, p, rows, n, chunks)
-    return replace(fold, group=group, offset=fold_layout(blocks, p, w, group)[0], giant=giant)
+    return replace(fold, group=group, giant=giant)
 
 
 def test_fc_fold_group_minimises_the_rotation_formula():
@@ -172,7 +173,7 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     b_cts = [encode_interleaved(eng, b, fold)[0] for b in b_mats]
     spent = {}
     with eng.scope("call", spent):
-        out = matmul_chunked(eng, a_cts, [b_cts], fold)
+        out = matmul_chunked(eng, a_cts, [b_cts], fold, eng.enc([]))
     call = spent["call"]
 
     want = np.zeros(slots)
@@ -215,7 +216,7 @@ def test_fc_row_sum_rejects_widths_outside_the_row():
         replace(fold, chunks=2),
     ):
         with pytest.raises(LayoutError, match=f"^the FC plan takes .* {plan.rows} rows of {plan.lanes} lanes in 32 slots"):
-            matmul_chunked(eng, [a], [tiles], plan)
+            matmul_chunked(eng, [a], [tiles], plan, a)
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (4, 5), (5, 8), (1, 20)], ids=["wider", "transposed", "two-blocks", "flat"])
@@ -323,21 +324,22 @@ def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
         FcFold.derive(width, blocks, p, 8, n, 1)
     eng = make_engine(8 * n)
     ct = eng.enc(np.ones(8 * n))
-    fold = FcFold(blocks, p, width, 1, 8, n, 1, blocks * (p - 1), p)
+    fold = FcFold(blocks, p, width, 1, 8, n, 1, p)
     assert fold.window > n
     # the plan's counts, whose window leaves the row; no block; blocks of unequal chunk counts
     for tiles in ([[ct]] * blocks, [], [[ct], [ct, ct]]):
         with pytest.raises(LayoutError, match=f"^the FC plan takes 1 inputs and {blocks} tile lists of 1, "):
-            matmul_chunked(eng, [ct], tiles, fold)
+            matmul_chunked(eng, [ct], tiles, fold, ct)
 
 
 def run_fc(slots, a_mats, b_mats, fold, init_grid=None):
-    """Encode and run one FC product in the plan ``fold``; returns the
-    engine, the decoded output and the call's meter."""
+    """Encode and run one FC product in the plan ``fold``, seeded with
+    ``init_grid`` (zero if omitted); returns the engine, the decoded output
+    and the call's meter."""
     eng = make_engine(slots)
     a_cts = [eng.enc(a.reshape(-1)) for a in a_mats]
     diagonals = [list(d) for d in zip(*[encode_interleaved(eng, b, fold) for b in b_mats])]
-    init = None if init_grid is None else eng.enc(init_grid.reshape(-1))
+    init = eng.enc([] if init_grid is None else init_grid.reshape(-1))
     spent = {}
     with eng.scope("call", spent):
         out = matmul_chunked(eng, a_cts, diagonals, fold, init=init)

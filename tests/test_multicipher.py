@@ -174,9 +174,9 @@ def test_conv_columns_batch_oracle_and_costs(rng, monkeypatch):
     masks = []
     build = SlotEngine.mask
 
-    def counting_mask(engine, values, role="constant"):
-        masks.append(role)
-        return build(engine, values, role)
+    def counting_mask(engine, values):
+        masks.append(values)
+        return build(engine, values)
 
     monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     spent = {}

@@ -535,12 +535,12 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
     eng = make_engine(32768)
     model = encode_model(eng, random_weights(rng))
     ct = pack_batch(eng, rng.uniform(0, 1, size=(32, 28, 28)))
-    roles = []
+    kinds = []  # "filter" for a mask built from a boolean pattern
     build = SlotEngine.mask
 
-    def counting_mask(engine, values, role="constant"):
-        roles.append(role)
-        return build(engine, values, role)
+    def counting_mask(engine, values):
+        kinds.append("filter" if np.asarray(values).dtype == np.bool_ else "constant")
+        return build(engine, values)
 
     monkeypatch.setattr(SlotEngine, "mask", counting_mask)
     forward_encoded(eng, ct, model)
@@ -551,8 +551,8 @@ def test_forward_builds_each_mask_once(rng, monkeypatch):
     activation_stages = 2
     flatten_masks = 1 + MAP_SIDE + FC1_CHUNKS - 1
     filters = KERNEL_SIZE**2 + flatten_masks + fc_masks
-    assert (roles.count("filter"), roles.count("constant")) == (filters, 2 * activation_stages)
-    assert len(roles) == 9 + 29 + 9 + 5 + 4 == 56
+    assert (kinds.count("filter"), kinds.count("constant")) == (filters, 2 * activation_stages)
+    assert len(kinds) == 9 + 29 + 9 + 5 + 4 == 56
 
 
 # SHA-256 of the decoded score ciphertext of one forward pass over the

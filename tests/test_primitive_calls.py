@@ -142,7 +142,7 @@ def test_matmul_calls_equal_meter(rng, calls, masks, slots, m, n, p, fast):
         add=p * (2 * log_n + 1 + cycle_add),
     )
     assert len(masks) == 1 + p + (0 if fast else 2 * p)
-    assert all(mask.role == "filter" for mask in masks)
+    assert all(np.isin(mask.values, (0.0, 1.0)).all() for mask in masks)
 
 
 def test_vrot_calls_equal_meter(rng, calls, masks):

@@ -258,7 +258,7 @@ def per_row_reform(eng, cts, layout, out_h, out_w):
     dests = (lane >= first) & (lane < first + out_w)
     accs = [eng.accumulator() for _ in cts]
     for r, dest in enumerate(dests):
-        keep = eng.mask(dest, role="filter")
+        keep = eng.mask(dest)
         for acc, ct in zip(accs, cts):
             acc.cmul(keep, eng.rot(ct, r * (layout.w - out_w)) if r else ct)
     return [acc.result() for acc in accs]
