@@ -6,7 +6,9 @@ by the iteration count.  The measured counts are compared against the
 documented per-step cost formulas and any overruns are flagged.  The
 row-summation step is the known soft spot: its rotation count scales with
 log2 of the row width n, so a budget quoted in terms of the output-column
-count p undercounts whenever p < n.
+count p undercounts whenever p < n.  The product's row-cycle budget
+follows :func:`~packedhe.matmul.cycle_closes` on its max(m, p)-row layout,
+the test the product itself makes.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 from .conv import ImageShape, Kernel, conv, kernel_spanner, sum_for_conv
 from .encoding import encode_revolver, encode_row_major
 from .engine import SlotEngine, EngineParams, next_pow2
-from .matmul import MatmulPlan, matmul
+from .matmul import cycle_closes, matmul
 
 __all__ = [
     "StepCost",
@@ -67,21 +69,22 @@ def measure_matmul_steps(m: int, n: int, p: int, slots: int | None = None) -> li
 
     With ``slots`` omitted the working layout fills the ciphertext, which
     enables the single-rotation row-cycling path when max(m, p) is a
-    multiple of p.
+    multiple of p.  A negative size raises ValueError naming the entry; a
+    zero one meets the encoders' own checks.
     """
+    if min(m, n, p) < 0:
+        raise ValueError(f"matrix product m={m} n={n} p={p}: no size may be negative")
     layout_m = max(m, p)
     if slots is None:
         slots = next_pow2(max(2, layout_m * n))
     engine = SlotEngine(EngineParams(slots=slots))
-    plan = MatmulPlan.plan(engine, m, n, p)
     rng = np.random.default_rng(7)
     a = encode_row_major(engine, rng.integers(-4, 5, size=(m, n)).astype(float))
-    bbar = encode_revolver(
-        engine, rng.integers(-4, 5, size=(n, p)).astype(float), target_m=plan.layout_m
-    )
+    bbar = encode_revolver(engine, rng.integers(-4, 5, size=(n, p)).astype(float), target_m=layout_m)
     matmul(engine, a, bbar)
     log_n = int(math.log2(n)) if n > 1 else 0
-    cycle = ((0, 0, 1, 1), "single-rotation path") if plan.fast_path else ((1, 2, 2, 1), "masked two-rotation path")
+    fast = cycle_closes(engine, layout_m, n, p)
+    cycle = ((0, 0, 1, 1), "single-rotation path") if fast else ((1, 2, 2, 1), "masked two-rotation path")
     return [
         _step("1 row cycle + multiply", engine, "matmul.row_cycle", p, *cycle),
         _step("2 row summation", engine, "matmul.row_sum", p, (2 * log_n, 1, 2 * log_n, 0), SUMMATION_NOTE),
@@ -92,7 +95,10 @@ def measure_matmul_steps(m: int, n: int, p: int, slots: int | None = None) -> li
 
 def measure_conv_steps(h: int, w: int, k: int) -> list:
     """Per-offset cost of each step of one real k*k-iteration convolution,
-    plus the standalone anchor-masked window sum."""
+    plus the standalone anchor-masked window sum.  A size below 1 raises
+    ValueError naming the entry."""
+    if min(h, w, k) < 1:
+        raise ValueError(f"convolution h={h} w={w} k={k}: every size must be positive")
     slots = max(2, next_pow2(h * w))
     engine = SlotEngine(EngineParams(slots=slots))
     rng = np.random.default_rng(11)

@@ -6,10 +6,13 @@ weights, and the cloud side runs inference over the packed files.
 Given the plaintext images and weights (``--images`` with
 ``--weights-dir``), ``cloud-infer`` checks every prediction against the
 plaintext oracle; ``verify`` runs the three roles that way in a scratch
-directory.  The one engine parameter is ``--slots``, the slot count per
-ciphertext, taken by ``owner-encode``, ``provider-encode`` and
-``verify``; ``cloud-infer`` reads it from the model manifest's layout and
-rejects batch files that hold another count.
+directory.  ``cloud-infer`` loads every batch before any inference runs,
+so batches whose image indices overlap, or reach past the end of the
+``--images`` file, are bad input found up front.  The one engine
+parameter is ``--slots``, the slot count per ciphertext, taken by
+``owner-encode``, ``provider-encode`` and ``verify``; ``cloud-infer``
+reads it from the model manifest's layout and rejects batch files that
+hold another count.
 
 Exit codes: 0 success, 1 bad input (a usage error or a file or value that
 fails validation), 2 verification mismatch.
@@ -102,40 +105,49 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _infer_batches(params: EngineParams, model, batch_paths, workers: int) -> list:
-    """Run forward over batch files against one shared model.
+def _load_batches(params: EngineParams, batch_paths) -> list:
+    """Load every batch file as (path, ct, indices), where ``indices`` is
+    the range of dataset image indices of its valid rows."""
+    engine = SlotEngine(params)
+    loaded = [(path, load_indexed_batch(engine, path)) for path in batch_paths]
+    return [(path, ct, range(first, first + valid)) for path, (ct, _, valid, first) in loaded]
+
+
+def _infer_batches(params: EngineParams, model, batches, workers: int) -> list:
+    """Run forward over loaded batches (see :func:`_load_batches`) against
+    one shared model.
 
     Each batch gets its own engine, so the meters (the pass total and the
-    per-stage ones) can be merged afterwards; results come back in
-    batch_paths order as (scores, labels, indices, meter, stages), where
-    ``indices`` is the range of dataset image indices of the valid rows;
-    every meter carries its distinct rotation offsets.  A batch
-    whose scores are not all finite (its values or the model's overflowed
-    float64) raises SerialError naming the batch file.
+    per-stage ones) can be merged afterwards; results come back in batch
+    order as (scores, labels, indices, meter, stages), the scores and
+    labels of the valid rows only; every meter carries its distinct
+    rotation offsets.  A batch whose scores are not all finite (its values
+    or the model's overflowed float64) raises SerialError naming the batch
+    file.
     """
 
-    def job(path):
+    def job(batch):
+        path, ct, indices = batch
         engine = SlotEngine(params)
-        ct, _, valid, first = load_indexed_batch(engine, path)
         stages = {}
         # an overflow is reported once below, as bad input, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             scores = forward_encoded(engine, ct, model, stage_meters=stages)
-        mat = scores.decode(engine)
-        if not np.isfinite(mat[:valid, :FC2_OUT]).all():
+        valid = len(indices)
+        mat = scores.decode(engine)[:valid, :FC2_OUT]
+        if not np.isfinite(mat).all():
             raise SerialError(f"{path}: non-finite scores: the batch or model values overflow float64")
-        indices = range(first, first + valid)
-        meter = engine.meter_snapshot()
-        return mat, argmax_decide(engine, scores), indices, meter, stages
+        labels = argmax_decide(engine, scores)[:valid]
+        return mat, labels, indices, engine.meter_snapshot(), stages
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, batch_paths))
+        return list(pool.map(job, batches))
 
 
-def _check_disjoint(batch_paths, index_ranges) -> None:
+def _check_disjoint(batches) -> None:
     """Reject two batches that claim an overlapping range of image indices."""
-    claims = sorted(zip(index_ranges, batch_paths), key=lambda claim: claim[0].start)
-    for (prev, prev_path), (cur, path) in zip(claims, claims[1:]):
+    claims = sorted(batches, key=lambda batch: batch[2].start)
+    for (prev_path, _, prev), (path, _, cur) in zip(claims, claims[1:]):
         if cur.start < prev.stop:
             raise SerialError(f"{path}: images from index {cur.start} are also claimed by {prev_path}")
 
@@ -169,9 +181,14 @@ def _cmd_cloud_infer(args) -> int:
         if images.shape[1:] != (h, w):
             _, ih, iw = images.shape
             raise ValueError(f"{args.images}: images are {ih}x{iw}, the model expects {h}x{w}")
-    workers = min(len(batch_paths), _available_cpus())
-    results = _infer_batches(params, model, batch_paths, workers)
-    _check_disjoint(batch_paths, [indices for _, _, indices, *_ in results])
+    # every batch is loaded and its index range checked before any inference runs
+    batches = _load_batches(params, batch_paths)
+    _check_disjoint(batches)
+    if images is not None:
+        reach = max((indices.stop for _, _, indices in batches if indices), default=0)
+        if reach > images.shape[0]:
+            raise ValueError(f"{args.images} holds {images.shape[0]} images, but the batches reach image {reach - 1}")
+    results = _infer_batches(params, model, batches, min(len(batches), _available_cpus()))
 
     records = []
     merged = OpMeter()
@@ -181,24 +198,15 @@ def _cmd_cloud_infer(args) -> int:
         for name, spent in stages.items():
             stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
         for row, index in enumerate(indices):
-            records.append(
-                {
-                    "index": index,
-                    "label": int(labels[row]),
-                    "scores": [float(s) for s in mat[row, :FC2_OUT]],
-                }
-            )
+            records.append({"index": index, "label": int(labels[row]), "scores": [float(s) for s in mat[row]]})
     if images is not None:
         indices = [r["index"] for r in records]
-        if max(indices) >= images.shape[0]:
-            problem = f"predictions reach image {max(indices)} but {args.images} holds {images.shape[0]}"
-        else:
-            problem = _oracle_mismatch(
-                np.array([r["scores"] for r in records]),
-                [r["label"] for r in records],
-                weights,
-                images[indices],
-            )
+        problem = _oracle_mismatch(
+            np.array([r["scores"] for r in records]),
+            [r["label"] for r in records],
+            weights,
+            images[indices],
+        )
         if problem:
             print(f"verification mismatch: {problem}", file=sys.stderr)
             return 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CapacityError, Ciphertext, EngineError, PlainMask, SlotEngine, is_pow2
+from .engine import CapacityError, Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, is_pow2
 
 __all__ = [
     "MatrixShape",
@@ -75,10 +75,13 @@ def encode_revolver(engine: SlotEngine, b, target_m: int) -> PackedMatrix:
     Layout row r holds column (r mod p) of ``b`` read top to bottom, so the
     first p rows are the transpose of ``b`` and further rows repeat the
     columns cyclically.  ``target_m`` is dictated by the left operand (use
-    max(m, p) so every column appears at least once).
+    max(m, p) so every column appears at least once).  A ``b`` with no
+    columns raises LayoutError: the product would have no result column.
     """
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     n, p = b.shape
+    if p < 1:
+        raise LayoutError(f"result needs at least one column, got p={p}")
     if target_m < 1:
         raise EngineError("target_m must be positive")
     _check_fit(engine, target_m, n)

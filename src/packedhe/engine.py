@@ -16,6 +16,8 @@ relative offset, which pairs every slot with the same two values as an
 eager rotation would, so results are bitwise identical.  This is the
 simulator's form of rotation hoisting (Halevi-Shoup, CRYPTO 2018): the
 rotation's data movement is folded into the operation that consumes it.
+A ciphertext is that vector, that offset and its depth, and nothing else:
+its logical slots are rotated out of the stored vector on each read.
 
 Running sums accumulate in place.  :meth:`SlotEngine.accumulator` returns
 an :class:`Accumulator` that owns one running-sum vector and one scratch
@@ -158,35 +160,30 @@ class Ciphertext:
     """Immutable slot vector plus multiplicative-depth counter.
 
     The stored vector holds logical slot j at index ``(j + offset) % n``;
-    ``offset`` is the left rotation still pending from :meth:`SlotEngine.rot`,
-    and ``Ciphertext(vec, depth=...)`` builds one with offset 0 over ``vec``
-    as float64 (converted if it has another dtype).
-    ``slots`` is the logical (rotated) vector, read-only and built at most
-    once per ciphertext; it never shares memory with another ciphertext's
-    ``slots``.  A ciphertext carries no layout: what its slots mean is
-    recorded by the operand that holds it (``PackedMatrix``,
+    ``offset`` is the left rotation still pending from :meth:`SlotEngine.rot`.
+    ``Ciphertext(values, depth=...)`` builds one with offset 0 over its own
+    read-only float64 copy of ``values``, so no later write to the caller's
+    array reaches it.  ``slots`` is the logical (rotated) vector, a fresh
+    read-only copy on each read.  A ciphertext carries no layout: what its
+    slots mean is recorded by the operand that holds it (``PackedMatrix``,
     ``VirtualLayout``, ``ColumnEncodedImage``).  The public fields are
     read-only properties; the engine reads the underscored ones, which are
     plain slots and so cheap to set on every primitive result.
     """
 
-    __slots__ = ("_vec", "_offset", "_depth", "_view")
+    __slots__ = ("_vec", "_offset", "_depth")
 
-    def __init__(self, slots: np.ndarray, depth: int = 0):
-        slots = np.asarray(slots, dtype=np.float64)  # the primitives combine float64 vectors
-        self._vec = slots
+    def __init__(self, slots, depth: int = 0):
+        self._vec = _frozen(np.array(slots, dtype=np.float64))  # the primitives combine float64 vectors
         self._offset = 0
         self._depth = depth
-        self._view = slots
 
     @classmethod
-    def _stored(cls, vec: np.ndarray, offset: int, depth: int, owned: bool) -> "Ciphertext":
-        """A ciphertext over ``vec`` with a pending ``offset``.  ``owned``
-        says ``vec`` is a fresh engine result no other ciphertext stores, so
-        at offset 0 it can serve as ``slots`` itself."""
+    def _stored(cls, vec: np.ndarray, offset: int, depth: int) -> "Ciphertext":
+        """A ciphertext over ``vec`` with a pending ``offset``, not copied:
+        ``vec`` is a read-only float64 vector no caller writes."""
         ct = _new(cls)
         ct._vec, ct._offset, ct._depth = vec, offset, depth
-        ct._view = vec if owned and offset == 0 else None
         return ct
 
     offset = property(attrgetter("_offset"), doc="Pending left rotation of the stored vector.")
@@ -194,16 +191,16 @@ class Ciphertext:
 
     @property
     def slots(self) -> np.ndarray:
-        view = self._view
-        if view is None:
-            v, k = self._vec, self._offset
-            view = _frozen(np.concatenate((v[k:], v[:k])))  # always a new array, even at k = 0
-            # two threads racing here each build an equal view; either may stay
-            self._view = view
-        return view
+        return _frozen(_logical(self))
 
     def __repr__(self) -> str:
         return f"Ciphertext(slots={self.slots!r}, depth={self._depth})"
+
+
+def _logical(ct: Ciphertext) -> np.ndarray:
+    """``ct``'s logical slot vector in a new writable array, even at offset 0."""
+    v, k = ct._vec, ct._offset
+    return np.concatenate((v[k:], v[:k]))
 
 
 def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int, out: np.ndarray | None) -> np.ndarray:
@@ -356,36 +353,32 @@ class Accumulator:
     def result(self) -> Ciphertext:
         """The sum as a read-only ciphertext; closes the accumulator.
 
-        A computed sum is returned over the accumulator's own vector.  A
-        lone term (``init`` or one added ciphertext, never combined) is not
-        copied: the result shares its stored vector, which no primitive
-        writes, and builds its own ``slots`` on demand, so ``slots`` shares
-        no memory with ``init``'s or an operand's."""
+        A computed sum is returned over the accumulator's own vector, made
+        read-only here.  A lone term (``init`` or one added ciphertext,
+        never combined) is returned as it is, uncopied."""
         self._live()
         total = self._sum
         if total is None:
             raise EngineError("accumulator has no terms")
-        owned = total._vec is self._vec
-        if owned:
+        if total._vec is self._vec:
             _frozen(self._vec)
         self._engine = self._sum = self._vec = self._scratch = None
-        return Ciphertext._stored(total._vec, total._offset, total._depth, owned)
+        return total
 
 
 class SlotEngine:
-    """Metered SIMD engine over ``params.slots`` packed slots.
+    """Metered SIMD engine over ``slots`` packed slots, the one field of
+    its :class:`EngineParams` (by default 32768).
 
     Ciphertexts and masks are immutable values and can be shared freely
     between workers; each worker should own its engine and the meters can
     be combined afterwards with :meth:`OpMeter.merged`.  ``rot_offsets`` is
     the set of distinct rotation offsets (mod slots) used so far: the
     rotation keys a real backend would need, and the meter's own set.
-    ``slots`` is ``params.slots``, read once here.
     """
 
     def __init__(self, params: EngineParams | None = None):
-        self.params = params if params is not None else EngineParams()
-        self.slots: int = self.params.slots
+        self.slots: int = (params if params is not None else EngineParams()).slots
         self._meter = OpMeter()
         self.scopes: dict = {}
         self.rot_offsets: set = self._meter.rot_offsets
@@ -407,11 +400,11 @@ class SlotEngine:
         the caller's operand record, not the ciphertext, says what they mean."""
         full = _padded(values, self.slots, "payload")
         self._meter.enc_count += 1
-        return Ciphertext(full, depth=0)
+        return Ciphertext._stored(full, 0, 0)
 
     def dec(self, ct: Ciphertext) -> np.ndarray:
         """Return the full slot vector (a copy)."""
-        return np.array(ct.slots, dtype=np.float64)
+        return _logical(ct)
 
     # ``_out`` is passed only by Accumulator: the result is written into
     # that vector, which the accumulator owns and keeps writable.
@@ -429,9 +422,8 @@ class SlotEngine:
             meter.max_depth = depth
         k = a._offset
         res = _new(Ciphertext)
-        res._vec = vec = _combine(np.add, x, y, (b._offset - k) % n, _out)
+        res._vec = _combine(np.add, x, y, (b._offset - k) % n, _out)
         res._offset, res._depth = k, depth
-        res._view = vec if k == 0 and _out is None else None
         return res
 
     def mul(self, a: Ciphertext, b: Ciphertext, _out: np.ndarray | None = None) -> Ciphertext:
@@ -448,9 +440,8 @@ class SlotEngine:
             meter.max_depth = depth
         k = a._offset
         res = _new(Ciphertext)
-        res._vec = vec = _combine(np.multiply, x, y, (b._offset - k) % n, _out)
+        res._vec = _combine(np.multiply, x, y, (b._offset - k) % n, _out)
         res._offset, res._depth = k, depth
-        res._view = vec if k == 0 and _out is None else None
         return res
 
     def cmul(self, mask: PlainMask, ct: Ciphertext, _out: np.ndarray | None = None) -> Ciphertext:
@@ -468,9 +459,8 @@ class SlotEngine:
         res = _new(Ciphertext)
         # in ct's stored frame the mask is read -offset slots along; IEEE
         # multiplication commutes, so ct * mask equals mask * ct bitwise
-        res._vec = vec = _combine(np.multiply, x, y, -k % n, _out)
+        res._vec = _combine(np.multiply, x, y, -k % n, _out)
         res._offset, res._depth = k, depth
-        res._view = vec if k == 0 and _out is None else None
         return res
 
     def rot(self, ct: Ciphertext, l: int) -> Ciphertext:
@@ -491,7 +481,7 @@ class SlotEngine:
         for keys in self._key_sets:
             keys.add(l)
         res = _new(Ciphertext)
-        res._vec, res._offset, res._depth, res._view = vec, (ct._offset + l) % n, depth, None
+        res._vec, res._offset, res._depth = vec, (ct._offset + l) % n, depth
         return res
 
     def meter_snapshot(self) -> OpMeter:

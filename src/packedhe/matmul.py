@@ -6,7 +6,9 @@ over p iterations.  The right operand is packed in the revolver layout
 idx+1 rows, multiplies slot-wise with A, collapses each row to its sum,
 and a one-hot-per-row filter keeps exactly the result entry that
 iteration produced.  Rotation/mask costs per iteration are constant, and
-so is the multiplicative depth.
+so is the multiplicative depth.  Its shape is read from its operands (m
+and n from A, p from the revolver operand), and :func:`cycle_closes`
+says when one rotation cycles the rows.
 
 :func:`matmul_chunked` is the FC product, laid out by one plan per layer
 (:class:`FcFold`: blocks B, width w, chunks C, rows x lanes, group G,
@@ -37,8 +39,8 @@ from .encoding import MatrixShape, PackedMatrix, column0_filter, sum_col_vec
 from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine
 
 __all__ = [
-    "MatmulPlan",
     "FcFold",
+    "cycle_closes",
     "row_shifter",
     "build_result_filter",
     "encode_interleaved",
@@ -46,46 +48,10 @@ __all__ = [
     "matmul_chunked",
 ]
 
-def _cycle_closes(engine: SlotEngine, rows: int, n: int, p: int) -> bool:
+def cycle_closes(engine: SlotEngine, rows: int, n: int, p: int) -> bool:
     """Single-rotation row cycling is exact: rows is a multiple of p and the
     rows x n layout fills the ciphertext."""
     return rows % p == 0 and rows * n == engine.slots
-
-
-@dataclass(frozen=True)
-class MatmulPlan:
-    """Shape bookkeeping for one product: layout height and fast-path flag.
-
-    ``layout_m`` is max(m, p): with fewer rows than output columns the
-    revolver layout could not carry every column of B, so the left operand
-    is treated as zero-padded to layout_m rows (free: its trailing slots
-    are already zero).  The single-rotation fast path needs the row cycle
-    to close on itself, i.e. layout_m a multiple of p and the layout
-    filling the ciphertext exactly.
-    """
-
-    m: int
-    n: int
-    p: int
-    layout_m: int
-    fast_path: bool
-
-    @classmethod
-    def plan(cls, engine: SlotEngine, m: int, n: int, p: int) -> "MatmulPlan":
-        if p < 1:
-            raise LayoutError(f"result needs at least one column, got p={p}")
-        layout_m = max(m, p)
-        if p > n:
-            raise LayoutError(
-                f"result needs {p} columns but rows are {n} wide; "
-                f"re-encode the operands with row width >= {p}"
-            )
-        if layout_m * n > engine.slots:
-            raise LayoutError(
-                f"{layout_m}x{n} working layout needs {layout_m * n} slots, "
-                f"engine has {engine.slots}"
-            )
-        return cls(m=m, n=n, p=p, layout_m=layout_m, fast_path=_cycle_closes(engine, layout_m, n, p))
 
 
 def _row_band_mask(engine: SlotEngine, n: int, r0: int, r1: int) -> PlainMask:
@@ -95,28 +61,27 @@ def _row_band_mask(engine: SlotEngine, n: int, r0: int, r1: int) -> PlainMask:
     return engine.mask(keep)
 
 
-def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> PackedMatrix:
-    """Cycle the revolver layout up by idx+1 rows.
+def row_shifter(engine: SlotEngine, bbar: PackedMatrix, idx: int) -> PackedMatrix:
+    """Cycle the revolver layout up by idx+1 rows, for p = ``bbar.revolve_p``.
 
     Always applied to the originally encoded operand, so depth stays constant over
     the iteration loop.  Fast path: one rotation by n*(idx+1) (valid when
-    the cycle closes, see MatmulPlan).  General path: one left rotation
-    brings rows shift..m-1 into place, one right rotation by (p-shift)
-    rows refills the freed bottom rows with the columns that wrapped
-    around, each side isolated by a 0/1 row-band filter (a contiguous
-    slot range, filled directly).
+    the cycle closes, see :func:`cycle_closes`).  General path: one left
+    rotation brings rows shift..m-1 into place, one right rotation by
+    (p-shift) rows refills the freed bottom rows with the columns that
+    wrapped around, each side isolated by a 0/1 row-band filter (a
+    contiguous slot range, filled directly).
     """
-    if bbar.revolve_p is None:
+    p = bbar.revolve_p
+    if p is None:
         raise LayoutError("row_shifter needs a revolver-encoded operand")
-    if bbar.revolve_p != p:
-        raise EngineError(f"operand was encoded for p={bbar.revolve_p}, got p={p}")
     if not 0 <= idx < p:
         raise EngineError(f"idx must be in [0, {p}), got {idx}")
     rows, n = bbar.shape.m, bbar.shape.n
     if rows < p:
         raise LayoutError(f"revolver layout has {rows} rows but needs at least p={p}")
     shift = idx + 1
-    if _cycle_closes(engine, rows, n, p):
+    if cycle_closes(engine, rows, n, p):
         out = engine.rot(bbar.ct, n * shift)
     else:
         top = engine.cmul(
@@ -128,7 +93,7 @@ def row_shifter(engine: SlotEngine, bbar: PackedMatrix, p: int, idx: int) -> Pac
             engine.rot(bbar.ct, n * (shift - p)),
         )
         out = engine.add(top, bottom)
-    return PackedMatrix(out, bbar.shape, bbar.revolve_p)
+    return PackedMatrix(out, bbar.shape, p)
 
 
 def _result_patterns(
@@ -297,24 +262,32 @@ def encode_interleaved(engine: SlotEngine, b, fold: FcFold) -> list[Ciphertext]:
     return tiles
 
 
-def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> MatmulPlan:
-    """Check one (A, revolver B) operand pair and plan its product."""
+def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> int:
+    """Check one (A, revolver B) operand pair; return the working layout's
+    rows, max(m, p).
+
+    With fewer rows than output columns the revolver layout could not
+    carry every column of B, so the left operand is treated as zero-padded
+    to max(m, p) rows (free: its trailing slots are already zero).
+    """
     if ct_a.revolve_p is not None:
         raise LayoutError("left operand must be row-major encoded")
-    if ct_bbar.revolve_p is None:
+    p = ct_bbar.revolve_p
+    if p is None:
         raise LayoutError("right operand must be revolver encoded")
     m, n = ct_a.shape.m, ct_a.shape.n
     if ct_bbar.shape.n != n:
-        raise LayoutError(
-            f"operand widths differ: A is {n} wide, encoded B is {ct_bbar.shape.n}"
-        )
-    plan = MatmulPlan.plan(engine, m, n, ct_bbar.revolve_p)
-    if ct_bbar.shape.m != plan.layout_m:
-        raise LayoutError(
-            f"revolver operand tiled to {ct_bbar.shape.m} rows; "
-            f"this product needs target_m={plan.layout_m}"
-        )
-    return plan
+        raise LayoutError(f"operand widths differ: A is {n} wide, encoded B is {ct_bbar.shape.n}")
+    if p < 1:
+        raise LayoutError(f"result needs at least one column, got p={p}")
+    if p > n:
+        raise LayoutError(f"result needs {p} columns but rows are {n} wide; re-encode the operands with row width >= {p}")
+    rows = max(m, p)
+    if rows * n > engine.slots:
+        raise LayoutError(f"{rows}x{n} working layout needs {rows * n} slots, engine has {engine.slots}")
+    if ct_bbar.shape.m != rows:
+        raise LayoutError(f"revolver operand tiled to {ct_bbar.shape.m} rows; this product needs target_m={rows}")
+    return rows
 
 
 def _grouped_fold(engine: SlotEngine, fold: FcFold, prods, phases) -> Ciphertext:
@@ -471,15 +444,15 @@ def matmul(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> Pac
         product sits at slot i*n + j and every slot outside that block
         decodes to zero.
     """
-    plan = _plan_product(engine, ct_a, ct_bbar)
-    p, n, rows = plan.p, plan.n, plan.layout_m
+    rows = _plan_product(engine, ct_a, ct_bbar)
+    p, n = ct_bbar.revolve_p, ct_a.shape.n
     work_shape = MatrixShape(rows, n)
     col0 = column0_filter(engine, rows, n)
     filters = _result_patterns(engine.slots, rows, n, p, np.arange(1, p + 1) % p)
     acc = engine.accumulator(engine.enc([]))
     for idx in range(p):
         with engine.scope("matmul.row_cycle"):
-            prod = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, p, idx).ct)
+            prod = engine.mul(ct_a.ct, row_shifter(engine, ct_bbar, idx).ct)
         with engine.scope("matmul.row_sum"):
             summed = sum_col_vec(engine, PackedMatrix(prod, work_shape), col0).ct
         with engine.scope("matmul.result_filter"):

@@ -56,14 +56,15 @@ class SerialError(ValueError):
 
 
 def write_ciphertext(path, ct: Ciphertext, meta: dict | None = None) -> None:
+    slots = ct.slots
     header = {
         "format": FORMAT_NAME,
-        "slots": int(ct.slots.size),
+        "slots": int(slots.size),
         "depth": int(ct.depth),
         "meta": meta or {},
     }
     blob = json.dumps(header).encode("utf-8")
-    payload = np.asarray(ct.slots, dtype="<f8").tobytes()
+    payload = np.asarray(slots, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
@@ -109,7 +110,7 @@ def load_ciphertext(engine: SlotEngine, path) -> tuple[Ciphertext, dict]:
             f"{path}: file has {vec.size} slots, engine expects {engine.slots}"
         )
     vec.flags.writeable = False
-    return Ciphertext(vec, depth=header["depth"]), header
+    return Ciphertext._stored(vec, 0, header["depth"]), header
 
 
 def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int, first_index: int) -> None:

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from packedhe.cli import _infer_batches, main
+from packedhe.cli import _infer_batches, _load_batches, main
 from packedhe.datafiles import save_weights_csv
 from packedhe.engine import MAX_SLOTS, EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
-from packedhe.pipeline import pack_batch
+from packedhe.pipeline import forward_encoded, pack_batch
 from packedhe.serial import MAGIC, load_model, write_batch
 from packedhe.virtual import VirtualLayout
 
@@ -157,10 +157,10 @@ def test_cloud_infer_parallel_matches(workspace):
     assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model_dir)] + small) == 0
     params = EngineParams(slots=8192)
     model = load_model(SlotEngine(params), model_dir)
-    paths = sorted(batches.glob("*.simct"))
+    loaded = _load_batches(params, sorted(batches.glob("*.simct")))
     workers = (os.cpu_count() or 1) + 2
-    jobs = [paths[i % len(paths)] for i in range(max(workers, len(paths)))]
-    want = _infer_batches(params, model, paths, 1)
+    jobs = [loaded[i % len(loaded)] for i in range(max(workers, len(loaded)))]
+    want = _infer_batches(params, model, loaded, 1)
 
     got = []
     interval = sys.getswitchinterval()
@@ -176,7 +176,7 @@ def test_cloud_infer_parallel_matches(workspace):
     assert not worker.is_alive()
     assert len(got) == len(jobs)
     for i, (mat, labels, valid, meter, stages) in enumerate(got):
-        w_mat, w_labels, w_valid, w_meter, w_stages = want[i % len(paths)]
+        w_mat, w_labels, w_valid, w_meter, w_stages = want[i % len(loaded)]
         assert mat.tobytes() == w_mat.tobytes()
         np.testing.assert_array_equal(labels, w_labels)
         assert (valid, meter, stages) == (w_valid, w_meter, w_stages)
@@ -217,7 +217,7 @@ def test_cloud_infer_rejects_verify_images_of_another_size(workspace, rng, capsy
     assert not out.exists()
 
 
-def test_cloud_infer_missing_batch_keeps_indices(workspace, rng):
+def test_cloud_infer_missing_batch_keeps_indices(workspace, rng, capsys):
     # a middle batch file gone: the others keep their own image indices
     tmp, idx40, weights_dir, _, _ = workspace
     images = rng.integers(0, 256, size=(72, 28, 28)).astype(np.uint8)
@@ -232,8 +232,46 @@ def test_cloud_infer_missing_batch_keeps_indices(workspace, rng):
     assert main(args + ["--images", str(idx), "--weights-dir", str(weights_dir)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["index"] for r in records] == list(range(32)) + list(range(64, 72))
-    # the 40-image file lacks images 64..71, so the cross-check cannot pass
-    assert main(args + ["--images", str(idx40), "--weights-dir", str(weights_dir)]) == 2
+    # the 40-image file lacks images 64..71: bad input, found before inference
+    capsys.readouterr()
+    assert main(args + ["--images", str(idx40), "--weights-dir", str(weights_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {idx40} holds 40 images, but the batches reach image 71\n"
+
+
+def test_cloud_infer_checks_batch_indices_before_inference(workspace, rng, monkeypatch, capsys):
+    """The batch headers give every index range, so an --images file too
+    short for them and overlapping batches fail before any forward pass,
+    with one error line and no predictions file."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model, out = tmp / "b2k", tmp / "m2k", tmp / "p2k.jsonl"
+    slots = ["--slots", "2048"]  # two batches of 2 images: indices 0..3
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "4"] + slots) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + slots) == 0
+    short = tmp / "images2.idx"
+    write_idx_images(short, rng.integers(0, 256, size=(2, 28, 28)).astype(np.uint8))
+    passes = []
+
+    def counting_forward(*args, **kwargs):
+        passes.append(args[1])
+        return forward_encoded(*args, **kwargs)
+
+    monkeypatch.setattr("packedhe.cli.forward_encoded", counting_forward)
+    capsys.readouterr()
+    argv = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out)]
+    assert main(argv + ["--images", str(short), "--weights-dir", str(weights_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {short} holds 2 images, but the batches reach image 3\n"
+    assert passes == [] and not out.exists()
+
+    copy = batches / "batch_00007.simct"
+    copy.write_bytes((batches / "batch_00001.simct").read_bytes())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {copy}: images from index 2") and len(err.splitlines()) == 1
+    assert passes == [] and not out.exists()
+
+    copy.unlink()  # the counter sees the passes of a run that goes ahead
+    assert main(argv + ["--images", str(idx), "--weights-dir", str(weights_dir)]) == 0
+    assert len(passes) == 2 and out.exists()
 
 
 def test_cloud_infer_rejects_overlapping_batches(workspace, capsys):
@@ -525,6 +563,26 @@ def test_bench_rejects_a_product_with_no_columns(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: result needs at least one column, got p=0\n"
+
+
+@pytest.mark.parametrize("entry", ["8,8,-1", "8,8,0", "0,8,3", "8,-2,3"])
+def test_bench_rejects_a_convolution_with_a_non_positive_size(capsys, entry):
+    """One error line naming the entry and exit 1, not numpy's message or
+    the kernel's."""
+    assert main(["bench", f"--conv-grid={entry}"]) == 1
+    h, w, k = entry.split(",")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: convolution h={h} w={w} k={k}: every size must be positive\n"
+
+
+@pytest.mark.parametrize("entry", ["4,4,-3", "-1,4,2", "4,-1,2"])
+def test_bench_rejects_a_product_with_a_negative_size(capsys, entry):
+    assert main(["bench", f"--matmul-grid={entry}"]) == 1
+    m, n, p = entry.split(",")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: matrix product m={m} n={n} p={p}: no size may be negative\n"
 
 
 @pytest.mark.parametrize("value", ["1000", "0", "-4"])

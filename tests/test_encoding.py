@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from packedhe.encoding import PackedMatrix, encode_revolver, encode_row_major, sum_col_vec
-from packedhe.engine import CapacityError, EngineError
+from packedhe.engine import CapacityError, EngineError, LayoutError
 
 from conftest import make_engine, rand_int_matrix
 
@@ -79,6 +79,13 @@ def test_revolver_third_row_repeats_first_column():
     got = pm.decode(eng)
     np.testing.assert_array_equal(got[2], got[0])
     np.testing.assert_array_equal(got[2], b[:, 0])
+
+
+def test_encode_revolver_rejects_a_matrix_with_no_columns():
+    """B's columns are the product's result columns: none is bad input."""
+    eng = make_engine(16)
+    with pytest.raises(LayoutError, match="result needs at least one column, got p=0"):
+        encode_revolver(eng, np.zeros((4, 0)), 4)
 
 
 def test_revolver_property_grid(rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from packedhe.engine import (
     CapacityError,
+    Ciphertext,
     EngineError,
     EngineParams,
     OpMeter,
@@ -95,6 +96,17 @@ def test_plain_mask_keeps_its_own_read_only_copy():
     pattern[0] = True
     assert built.values.dtype == np.float64 and built.values.tolist() == [0.0, 1.0, 1.0, 0.0]
     assert not built.values.flags.writeable
+
+
+def test_ciphertext_keeps_its_own_read_only_copy():
+    arr = np.arange(4.0)
+    ct = Ciphertext(arr)
+    arr[0] = 99  # after construction; the ciphertext must not see it
+    eng = make_engine(4)
+    assert eng.dec(eng.add(ct, ct)).tolist() == [0.0, 2.0, 4.0, 6.0]
+    assert not np.shares_memory(ct.slots, arr) and not ct.slots.flags.writeable
+    with pytest.raises(ValueError):
+        ct.slots[0] = 5.0
 
 
 def test_plain_mask_accepts_a_list():
@@ -379,7 +391,7 @@ def test_lazy_rotation_equals_eager_rotation(program, seed, tmp_path_factory):
             pool.append(eng.cmul(eng.mask(consts), pool[i]))
             model.append((consts * x, dx + 1))
         counts[op] += 1
-        if peek:  # build some views mid-program, so later steps read cached ones
+        if peek:  # read some slots mid-program, before later steps use the ciphertext
             assert pool[-1].slots.tobytes() == model[-1][0].tobytes()
 
     for ct, (want, depth) in zip(pool, model):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from packedhe.encoding import encode_revolver, encode_row_major
+from packedhe.encoding import PackedMatrix, encode_revolver, encode_row_major
 from packedhe.engine import EngineError, LayoutError
-from packedhe.matmul import MatmulPlan, build_result_filter, matmul, row_shifter
+from packedhe.matmul import build_result_filter, cycle_closes, matmul, row_shifter
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -29,7 +29,7 @@ def test_row_shifter_single_step():
     eng = make_engine(8)
     b = np.array([[1, 2], [3, 4], [5, 6], [7, 8]], dtype=float)
     bbar = encode_revolver(eng, b, target_m=2)
-    out = row_shifter(eng, bbar, p=2, idx=0)
+    out = row_shifter(eng, bbar, idx=0)
     np.testing.assert_array_equal(out.decode(eng), [[2, 4, 6, 8], [1, 3, 5, 7]])
 
 
@@ -39,7 +39,7 @@ def test_row_shifter_fast_path_is_single_rotation(rng):
     bbar = encode_revolver(eng, b, target_m=4)
     spent = {}
     with eng.scope("call", spent):
-        out = row_shifter(eng, bbar, p=2, idx=0)
+        out = row_shifter(eng, bbar, idx=0)
     delta = spent["call"]
     assert (delta.rot_count, delta.cmul_count, delta.add_count) == (1, 0, 0)
     np.testing.assert_array_equal(eng.dec(out.ct), np.roll(eng.dec(bbar.ct), -4))
@@ -51,7 +51,7 @@ def test_row_shifter_general_path_costs(rng):
     bbar = encode_revolver(eng, b, target_m=3)
     spent = {}
     with eng.scope("call", spent):
-        row_shifter(eng, bbar, p=3, idx=1)
+        row_shifter(eng, bbar, idx=1)
     delta = spent["call"]
     assert (delta.rot_count, delta.cmul_count, delta.add_count) == (2, 2, 1)
 
@@ -60,7 +60,7 @@ def test_row_shifter_p1_keeps_values(rng):
     eng = make_engine(32)
     b = rand_int_matrix(rng, 4, 1)
     bbar = encode_revolver(eng, b, target_m=3)
-    out = row_shifter(eng, bbar, p=1, idx=0)
+    out = row_shifter(eng, bbar, idx=0)
     np.testing.assert_array_equal(out.decode(eng), bbar.decode(eng))
 
 
@@ -68,7 +68,7 @@ def test_row_shifter_idx_range():
     eng = make_engine(8)
     bbar = encode_revolver(eng, np.ones((4, 2)), target_m=2)
     with pytest.raises(EngineError):
-        row_shifter(eng, bbar, p=2, idx=2)
+        row_shifter(eng, bbar, idx=2)
 
 
 def test_result_filter_placement():
@@ -192,20 +192,24 @@ def test_matmul_checks_operand_roles(rng):
 
 def test_matmul_rejects_width_smaller_than_p(rng):
     eng = make_engine(64)
+    ca = encode_row_major(eng, rand_int_matrix(rng, 2, 2))
+    bbar = encode_revolver(eng, rand_int_matrix(rng, 2, 2), target_m=4)
     with pytest.raises(LayoutError):
-        MatmulPlan.plan(eng, m=2, n=2, p=4)
+        matmul(eng, ca, PackedMatrix(bbar.ct, bbar.shape, 4))
 
 
 @pytest.mark.parametrize("p", [0, -3])
 def test_plan_rejects_fewer_than_one_column(p):
     eng = make_engine(64)
+    ca = encode_row_major(eng, np.ones((4, 4)))
+    bbar = encode_revolver(eng, np.ones((4, 4)), target_m=4)
     with pytest.raises(LayoutError, match="at least one column"):
-        MatmulPlan.plan(eng, m=4, n=4, p=p)
+        matmul(eng, ca, PackedMatrix(bbar.ct, bbar.shape, p))
 
 
 def test_plan_fast_requires_full_pack():
     eng = make_engine(32)
-    assert not MatmulPlan.plan(eng, 4, 4, 2).fast_path
+    assert not cycle_closes(eng, 4, 4, 2)
     eng = make_engine(16)
-    assert MatmulPlan.plan(eng, 4, 4, 2).fast_path
-    assert not MatmulPlan.plan(eng, 3, 4, 2).fast_path  # 3 % 2 != 0 at any fill
+    assert cycle_closes(eng, 4, 4, 2)
+    assert not cycle_closes(eng, 3, 4, 2)  # 3 % 2 != 0 at any fill

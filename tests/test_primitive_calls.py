@@ -14,7 +14,7 @@ import pytest
 from packedhe.conv import ImageShape, Kernel, conv, kernel_spanner
 from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import SlotEngine
-from packedhe.matmul import MatmulPlan, matmul
+from packedhe.matmul import cycle_closes, matmul
 from packedhe.multicipher import conv_columns, encode_image_columns, encode_left, encode_right, matmul_outer
 from packedhe.pipeline import batch_layout, encode_model, forward_encoded, pack_batch
 from packedhe.virtual import VirtualLayout, batched_conv, tile_kernel_span, vrot
@@ -128,7 +128,7 @@ def test_matmul_calls_equal_meter(rng, calls, masks, slots, m, n, p, fast):
     eng = make_engine(slots)
     a, b = rand_int_matrix(rng, m, n), rand_int_matrix(rng, n, p)
     ct_a, ct_b = encode_row_major(eng, a), encode_revolver(eng, b, target_m=max(m, p))
-    assert MatmulPlan.plan(eng, m, n, p).fast_path is fast
+    assert cycle_closes(eng, max(m, p), n, p) is fast
     masks.clear()
     out = matmul(eng, ct_a, ct_b)
     np.testing.assert_array_equal(out.decode(eng)[:m, :p], a @ b)
