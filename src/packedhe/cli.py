@@ -32,16 +32,12 @@ from .bench import format_report
 from .datafiles import IdxFormatError, load_idx_images, load_weights_csv
 from .engine import MAX_SLOTS, EngineError, EngineParams, OpMeter, SlotEngine
 from .oracle import oracle_forward
-from .pipeline import FC2_OUT, argmax_decide, batch_layout, encode_model, forward_encoded, pack_batch
+from .pipeline import FC2_OUT, batch_layout, encode_model, forward_encoded, pack_batch
 from .serial import CT_SUFFIX, SerialError, load_indexed_batch, load_model, model_params, write_batch, write_model
 
 SCORE_TOLERANCE = 1e-6
 
 __all__ = ["main"]
-
-
-def _engine_params(args) -> EngineParams:
-    return EngineParams() if args.slots is None else EngineParams(slots=args.slots)
 
 
 def _cmd_owner_encode(args) -> int:
@@ -54,7 +50,7 @@ def _cmd_owner_encode(args) -> int:
     if stale:
         print(f"error: {out_dir} already holds {stale} {CT_SUFFIX} files; choose an empty --out-dir", file=sys.stderr)
         return 1
-    engine = SlotEngine(_engine_params(args))
+    engine = SlotEngine(EngineParams(slots=args.slots))
     layout = batch_layout(engine.slots)
     images = load_idx_images(args.images)
     if args.limit is not None:
@@ -80,7 +76,7 @@ def _cmd_owner_encode(args) -> int:
 
 
 def _cmd_provider_encode(args) -> int:
-    engine = SlotEngine(_engine_params(args))
+    engine = SlotEngine(EngineParams(slots=args.slots))
     weights = load_weights_csv(args.weights_dir)
     model = encode_model(engine, weights)
     count = write_model(args.out_dir, model)
@@ -113,17 +109,16 @@ def _load_batches(params: EngineParams, batch_paths) -> list:
     return [(path, ct, range(first, first + valid)) for path, (ct, _, valid, first) in loaded]
 
 
-def _infer_batches(params: EngineParams, model, batches, workers: int) -> list:
+def _infer_batches(params: EngineParams, model, batches, workers: int) -> tuple:
     """Run forward over loaded batches (see :func:`_load_batches`) against
     one shared model.
 
     Each batch gets its own engine, so the meters (the pass total and the
-    per-stage ones) can be merged afterwards; results come back in batch
-    order as (scores, labels, indices, meter, stages), the scores and
-    labels of the valid rows only; every meter carries its distinct
-    rotation offsets.  A batch whose scores are not all finite (its values
-    or the model's overflowed float64) raises SerialError naming the batch
-    file.
+    per-stage ones) are merged afterwards.  Returns the valid rows' FC2_OUT
+    scores of every batch, stacked in batch order, the merged meter and
+    the merged stage meters; every meter carries its distinct rotation
+    offsets.  A batch whose scores are not all finite (its values or the
+    model's overflowed float64) raises SerialError naming the batch file.
     """
 
     def job(batch):
@@ -133,15 +128,19 @@ def _infer_batches(params: EngineParams, model, batches, workers: int) -> list:
         # an overflow is reported once below, as bad input, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             scores = forward_encoded(engine, ct, model, stage_meters=stages)
-        valid = len(indices)
-        mat = scores.decode(engine)[:valid, :FC2_OUT]
+        mat = scores.decode(engine)[: len(indices), :FC2_OUT]
         if not np.isfinite(mat).all():
             raise SerialError(f"{path}: non-finite scores: the batch or model values overflow float64")
-        labels = argmax_decide(engine, scores)[:valid]
-        return mat, labels, indices, engine.meter_snapshot(), stages
+        return mat, engine.meter_snapshot(), stages
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, batches))
+        results = list(pool.map(job, batches))
+    merged, stage_totals = OpMeter(), {}
+    for _, meter, stages in results:
+        merged = merged.merged(meter)
+        for name, spent in stages.items():
+            stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
+    return np.concatenate([mat for mat, _, _ in results]), merged, stage_totals
 
 
 def _check_disjoint(batches) -> None:
@@ -188,39 +187,25 @@ def _cmd_cloud_infer(args) -> int:
         reach = max((indices.stop for _, _, indices in batches if indices), default=0)
         if reach > images.shape[0]:
             raise ValueError(f"{args.images} holds {images.shape[0]} images, but the batches reach image {reach - 1}")
-    results = _infer_batches(params, model, batches, min(len(batches), _available_cpus()))
-
-    records = []
-    merged = OpMeter()
-    stage_totals = {}
-    for mat, labels, indices, meter, stages in results:
-        merged = merged.merged(meter)
-        for name, spent in stages.items():
-            stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
-        for row, index in enumerate(indices):
-            records.append({"index": index, "label": int(labels[row]), "scores": [float(s) for s in mat[row]]})
+    scores, merged, stage_totals = _infer_batches(params, model, batches, min(len(batches), _available_cpus()))
+    labels = np.argmax(scores, axis=1)
+    indices = [index for _, _, batch_indices in batches for index in batch_indices]
     if images is not None:
-        indices = [r["index"] for r in records]
-        problem = _oracle_mismatch(
-            np.array([r["scores"] for r in records]),
-            [r["label"] for r in records],
-            weights,
-            images[indices],
-        )
+        problem = _oracle_mismatch(scores, labels, weights, images[indices])
         if problem:
             print(f"verification mismatch: {problem}", file=sys.stderr)
             return 2
-        print(f"verified {len(records)} predictions against the plaintext oracle")
+        print(f"verified {len(scores)} predictions against the plaintext oracle")
 
     out_path = Path(args.out)
     with open(out_path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-    print(f"wrote {len(records)} predictions to {out_path}")
+        for index, label, row in zip(indices, labels, scores):
+            fh.write(json.dumps({"index": index, "label": int(label), "scores": row.tolist()}) + "\n")
+    print(f"wrote {len(scores)} predictions to {out_path}")
     if args.report:
         report = {
-            "batches": len(results),
-            "predictions": len(records),
+            "batches": len(batches),
+            "predictions": len(scores),
             "ops": _ops_json(merged),
             "rot_keys": len(merged.rot_offsets),
             "stages": {name: _ops_json(spent) for name, spent in stage_totals.items()},
@@ -236,14 +221,13 @@ def _cmd_verify(args) -> int:
     it checks every prediction against the plaintext oracle."""
     # "--flag=value" keeps a value that starts with "-" from reading as a flag;
     # cloud-infer takes its slot count from the model the provider wrote
-    engine_flags = [f"--slots={args.slots}"] if args.slots is not None else []
     limit = [f"--limit={args.limit}"] if args.limit is not None else []
     with tempfile.TemporaryDirectory(prefix="packedhe-verify-") as tmp:
         batches, model, out = (Path(tmp) / name for name in ("batches", "model", "predictions.jsonl"))
         images, weights = f"--images={args.images}", f"--weights-dir={args.weights_dir}"
         roles = [
-            ["owner-encode", images, f"--out-dir={batches}", *limit, *engine_flags],
-            ["provider-encode", weights, f"--out-dir={model}", *engine_flags],
+            ["owner-encode", images, f"--out-dir={batches}", *limit, f"--slots={args.slots}"],
+            ["provider-encode", weights, f"--out-dir={model}", f"--slots={args.slots}"],
             ["cloud-infer", f"--batch-dir={batches}", f"--model-dir={model}", f"--out={out}", images, weights],
         ]
         parser = _build_parser()
@@ -255,13 +239,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _parse_grid(text: str, arity: int = 3) -> list:
+def _parse_grid(text: str) -> list:
     grid = []
     for part in text.split(";"):
-        nums = tuple(int(x) for x in part.split(","))
-        if len(nums) != arity:
-            raise ValueError(f"grid entries need {arity} integers, got {part!r}")
-        grid.append(nums)
+        try:
+            a, b, c = (int(x) for x in part.split(","))
+        except ValueError:
+            raise ValueError(f"grid entry {part!r} needs 3 integers") from None
+        grid.append((a, b, c))
     return grid
 
 
@@ -292,6 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--slots",
             type=int,
+            default=EngineParams.slots,
             help=f"slots per ciphertext, a power of two from 2 to {MAX_SLOTS} (default {EngineParams.slots})",
         )
 

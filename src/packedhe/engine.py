@@ -159,32 +159,24 @@ def _padded(values, slots: int, what: str) -> np.ndarray:
 class Ciphertext:
     """Immutable slot vector plus multiplicative-depth counter.
 
-    The stored vector holds logical slot j at index ``(j + offset) % n``;
-    ``offset`` is the left rotation still pending from :meth:`SlotEngine.rot`.
-    ``Ciphertext(values, depth=...)`` builds one with offset 0 over its own
-    read-only float64 copy of ``values``, so no later write to the caller's
-    array reaches it.  ``slots`` is the logical (rotated) vector, a fresh
-    read-only copy on each read.  A ciphertext carries no layout: what its
-    slots mean is recorded by the operand that holds it (``PackedMatrix``,
-    ``VirtualLayout``, ``ColumnEncodedImage``).  The public fields are
-    read-only properties; the engine reads the underscored ones, which are
-    plain slots and so cheap to set on every primitive result.
+    ``Ciphertext(vec, offset, depth)`` holds ``vec`` as it is, uncopied:
+    a read-only float64 vector no caller writes.  Only the engine
+    (:meth:`SlotEngine.enc` and the primitives) and ``serial``'s loader
+    build one.  The stored vector holds logical slot j at index
+    ``(j + offset) % n``; ``offset`` is the left rotation still pending
+    from :meth:`SlotEngine.rot`.  ``slots`` is the logical (rotated)
+    vector, a fresh read-only copy on each read.  A ciphertext carries no
+    layout: what its slots mean is recorded by the operand that holds it
+    (``PackedMatrix``, ``VirtualLayout``, ``ColumnEncodedImage``).  The
+    public fields are read-only properties; the engine reads the
+    underscored ones, which are plain slots and so cheap to set on every
+    primitive result.
     """
 
     __slots__ = ("_vec", "_offset", "_depth")
 
-    def __init__(self, slots, depth: int = 0):
-        self._vec = _frozen(np.array(slots, dtype=np.float64))  # the primitives combine float64 vectors
-        self._offset = 0
-        self._depth = depth
-
-    @classmethod
-    def _stored(cls, vec: np.ndarray, offset: int, depth: int) -> "Ciphertext":
-        """A ciphertext over ``vec`` with a pending ``offset``, not copied:
-        ``vec`` is a read-only float64 vector no caller writes."""
-        ct = _new(cls)
-        ct._vec, ct._offset, ct._depth = vec, offset, depth
-        return ct
+    def __init__(self, vec: np.ndarray, offset: int, depth: int):
+        self._vec, self._offset, self._depth = vec, offset, depth
 
     offset = property(attrgetter("_offset"), doc="Pending left rotation of the stored vector.")
     depth = property(attrgetter("_depth"), doc="Multiplicative depth.")
@@ -224,33 +216,16 @@ def _combine(ufunc, x: np.ndarray, y: np.ndarray, d: int, out: np.ndarray | None
     return out
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class PlainMask:
     """Plaintext constant vector for cmul.
 
-    ``values`` is a read-only 1-D float64 array the mask owns: the
-    constructor copies its input, so no later write to the caller's array
-    reaches a built mask and one mask can serve any number of cmuls.
-    Input of any other shape raises EngineError.
+    ``values`` is a read-only full-length float64 vector, built only by
+    :meth:`SlotEngine.mask` in its one converting copy, so no caller's
+    array reaches a mask and one mask can serve any number of cmuls.
     """
 
     values: np.ndarray
-
-    def __init__(self, values):
-        self._adopt(_frozen(np.array(values, dtype=np.float64)))
-
-    @classmethod
-    def _owned(cls, vec: np.ndarray) -> "PlainMask":
-        """A mask over a fresh read-only engine vector (see ``_frozen``),
-        checked like any other but not copied."""
-        mask = cls.__new__(cls)
-        mask._adopt(vec)
-        return mask
-
-    def _adopt(self, vec: np.ndarray) -> None:
-        if vec.ndim != 1:
-            raise EngineError(f"mask values must be a 1-D vector, got shape {vec.shape}")
-        object.__setattr__(self, "values", vec)
 
 
 class _Scope:
@@ -400,7 +375,7 @@ class SlotEngine:
         the caller's operand record, not the ciphertext, says what they mean."""
         full = _padded(values, self.slots, "payload")
         self._meter.enc_count += 1
-        return Ciphertext._stored(full, 0, 0)
+        return Ciphertext(full, 0, 0)
 
     def dec(self, ct: Ciphertext) -> np.ndarray:
         """Return the full slot vector (a copy)."""
@@ -514,4 +489,4 @@ class SlotEngine:
         ``values`` may be a boolean pattern; it becomes a 0/1 filter in the
         one converting copy the mask makes.
         """
-        return PlainMask._owned(_padded(values, self.slots, "mask payload"))
+        return PlainMask(_padded(values, self.slots, "mask payload"))

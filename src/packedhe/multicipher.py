@@ -18,7 +18,7 @@ import numpy as np
 
 from .encoding import MatrixShape, PackedMatrix
 from .conv import Kernel
-from .engine import CapacityError, Ciphertext, EngineError, LayoutError, SlotEngine
+from .engine import CapacityError, EngineError, LayoutError, SlotEngine
 
 __all__ = [
     "ColumnEncodedMatrix",
@@ -138,15 +138,8 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
     valid[:, :out_h] = 1.0
     valid = valid.reshape(-1)
 
-    rotated: dict[tuple[int, int], Ciphertext] = {}
-
-    def shifted(j: int, p: int) -> Ciphertext:
-        if p == 0:
-            return img.cts[j]
-        key = (j, p)
-        if key not in rotated:
-            rotated[key] = engine.rot(img.cts[j], p)
-        return rotated[key]
+    # shifted[j][p] is source column j shifted up by p rows
+    shifted = [[ct, *(engine.rot(ct, p) for p in range(1, k))] for ct in img.cts]
 
     bias = np.zeros((img.m, img.stride), dtype=np.float64)
     bias[:, :out_h] = kernel.bias
@@ -161,7 +154,7 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
     for jp in range(out_w):
         acc = engine.accumulator(bias_ct)
         for (q, p), mask in weighted.items():
-            acc.cmul(mask, shifted(jp + q, p))
+            acc.cmul(mask, shifted[jp + q][p])
         out_cts.append(acc.result())
     return ColumnEncodedImage(out_cts, out_h, out_w, img.m, img.stride)
 

@@ -314,24 +314,17 @@ def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
 
 
 def _encode_fc_tiles(
-    engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, fold: FcFold, inputs: tuple | None = None
+    engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, fold: FcFold, inputs: tuple
 ) -> FcTiles:
     """Encode an FC weight matrix in the plan ``fold``: weight column i
     meets lane ``lane[i]`` of input chunk ``chunk[i]``, (chunk, lane) =
-    ``inputs`` (by default divmod(i, w), so chunk c meets columns
-    [c*w, (c+1)*w)); lanes no column meets get zero weights.
+    ``inputs``; lanes no column meets get zero weights.
 
     Tile (d, c) is diagonal d of input chunk c in the interleaved layout
     of :func:`encode_interleaved`, so neuron q lands at lane q.  The bias
     seed holds bias q at lane q of every row: the matmul accumulator seed.
     """
-    out_dim, in_dim = weight.shape
-    if inputs is None:
-        if in_dim != fold.chunks * fold.width:
-            raise LayoutError(
-                f"weight expects {in_dim} inputs, the plan's {fold.chunks} chunks provide {fold.chunks * fold.width}"
-            )
-        inputs = np.divmod(np.arange(in_dim), fold.width)
+    out_dim = weight.shape[0]
     chunk, lane = inputs
     padded = np.zeros((fold.blocks * fold.p, fold.chunks, fold.width), dtype=np.float64)
     padded[:out_dim, chunk, lane] = weight
@@ -351,7 +344,7 @@ def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
     return EncodedModel(
         kernel_spans=spans,
         fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, fc1, flatten_lanes()),
-        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, fc2),
+        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, fc2, np.divmod(np.arange(FC2_IN), FC2_IN)),
         act1=tuple(weights.act1),
         act2=tuple(weights.act2),
         layout=layout,

@@ -110,7 +110,7 @@ def load_ciphertext(engine: SlotEngine, path) -> tuple[Ciphertext, dict]:
             f"{path}: file has {vec.size} slots, engine expects {engine.slots}"
         )
     vec.flags.writeable = False
-    return Ciphertext._stored(vec, 0, header["depth"]), header
+    return Ciphertext(vec, 0, header["depth"]), header
 
 
 def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int, first_index: int) -> None:

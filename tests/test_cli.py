@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -12,7 +13,7 @@ from packedhe.cli import _infer_batches, _load_batches, main
 from packedhe.datafiles import save_weights_csv
 from packedhe.engine import MAX_SLOTS, EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
-from packedhe.pipeline import forward_encoded, pack_batch
+from packedhe.pipeline import FC2_OUT, forward_encoded, pack_batch
 from packedhe.serial import MAGIC, load_model, write_batch
 from packedhe.virtual import VirtualLayout
 
@@ -160,26 +161,66 @@ def test_cloud_infer_parallel_matches(workspace):
     loaded = _load_batches(params, sorted(batches.glob("*.simct")))
     workers = (os.cpu_count() or 1) + 2
     jobs = [loaded[i % len(loaded)] for i in range(max(workers, len(loaded)))]
-    want = _infer_batches(params, model, loaded, 1)
+    want_scores, want_meter, want_stages = _infer_batches(params, model, jobs, 1)
+    assert want_scores.shape == (sum(len(indices) for _, _, indices in jobs), FC2_OUT)
 
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         worker = threading.Thread(
-            target=lambda: got.extend(_infer_batches(params, model, jobs, workers)), daemon=True
+            target=lambda: got.append(_infer_batches(params, model, jobs, workers)), daemon=True
         )
         worker.start()
         worker.join(timeout=300)
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
-    assert len(got) == len(jobs)
-    for i, (mat, labels, valid, meter, stages) in enumerate(got):
-        w_mat, w_labels, w_valid, w_meter, w_stages = want[i % len(loaded)]
-        assert mat.tobytes() == w_mat.tobytes()
-        np.testing.assert_array_equal(labels, w_labels)
-        assert (valid, meter, stages) == (w_valid, w_meter, w_stages)
+    ((scores, meter, stages),) = got
+    assert scores.tobytes() == want_scores.tobytes()
+    assert (meter, stages) == (want_meter, want_stages)
+    assert list(stages) == ["conv", "act1", "flatten", "fc1", "act2", "fc2"]
+
+
+def test_cloud_infer_decodes_each_batch_once(workspace, monkeypatch):
+    """A batch's scores and labels come from one decode of its score
+    ciphertext."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model_dir = tmp / "b", tmp / "m"
+    small = ["--slots", "2048"]
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "6"] + small) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model_dir)] + small) == 0
+    params = EngineParams(slots=2048)
+    model = load_model(SlotEngine(params), model_dir)
+    loaded = _load_batches(params, sorted(batches.glob("*.simct")))
+    decoded = []
+    dec = SlotEngine.dec
+    monkeypatch.setattr(SlotEngine, "dec", lambda engine, ct: decoded.append(ct) or dec(engine, ct))
+    scores, _, _ = _infer_batches(params, model, loaded, 1)
+    assert len(decoded) == len(loaded) == 3
+    assert scores.shape == (6, FC2_OUT)
+
+
+# sha256 of the predictions file and the --report JSON of the run below
+CLOUD_INFER_SHA256 = {
+    "predictions": "498379f38380ac01ba95252b25d41ff2776fc91235196e4ae65ae8c206206f5d",
+    "report": "d4fb19c5cdd0e585fcb416a46ee9d4a654d5734e79fa0d3700c917903ccb1db8",
+}
+
+
+def test_cloud_infer_output_is_pinned(workspace, capsys):
+    """A 2048-slot run over the 40 workspace images (20 batches), checked
+    against the oracle: its predictions and report, byte for byte."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model_dir, preds, report = tmp / "b", tmp / "m", tmp / "p.jsonl", tmp / "r.json"
+    small = ["--slots", "2048"]
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches)] + small) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model_dir)] + small) == 0
+    argv = ["cloud-infer", f"--batch-dir={batches}", f"--model-dir={model_dir}", f"--out={preds}", f"--report={report}"]
+    assert main(argv + [f"--images={idx}", f"--weights-dir={weights_dir}"]) == 0
+    assert "verified 40 predictions" in capsys.readouterr().out
+    written = {"predictions": preds, "report": report}
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in written.items()} == CLOUD_INFER_SHA256
 
 
 def test_cloud_infer_verify_flag(workspace, capsys):
@@ -583,6 +624,24 @@ def test_bench_rejects_a_product_with_a_negative_size(capsys, entry):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: matrix product m={m} n={n} p={p}: no size may be negative\n"
+
+
+@pytest.mark.parametrize(
+    "flag, grid, entry",
+    [
+        ("--matmul-grid", "4,x,2", "4,x,2"),
+        ("--matmul-grid", "4,4,2;", ""),
+        ("--matmul-grid", "4,4", "4,4"),
+        ("--conv-grid", "8,8,3;8,8,3,1", "8,8,3,1"),
+    ],
+    ids=["not-an-integer", "empty-entry", "two-sizes", "four-sizes"],
+)
+def test_bench_rejects_a_malformed_grid_entry(capsys, flag, grid, entry):
+    """One error line naming the malformed entry, exit 1."""
+    assert main(["bench", f"{flag}={grid}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid entry {entry!r} needs 3 integers\n"
 
 
 @pytest.mark.parametrize("value", ["1000", "0", "-4"])

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from packedhe.engine import (
     CapacityError,
-    Ciphertext,
     EngineError,
     EngineParams,
     OpMeter,
-    PlainMask,
 )
 from packedhe.serial import read_ciphertext, write_ciphertext
 
@@ -84,40 +82,25 @@ def test_cmul_filter_semantics():
 
 
 def test_plain_mask_keeps_its_own_read_only_copy():
-    arr = np.array([0.0, 1.0, 1.0, 0.0])
-    mask = PlainMask(arr)
-    arr[1] = 0.5  # after construction; the mask must not see it
     eng = make_engine(4)
-    np.testing.assert_array_equal(eng.dec(eng.cmul(mask, eng.enc([2, 2, 2, 2]))), [0, 2, 2, 0])
-    with pytest.raises(ValueError):
-        mask.values[0] = 0.5
     pattern = np.array([False, True, True, False])
     built = eng.mask(pattern)
-    pattern[0] = True
+    pattern[0] = True  # after construction; the mask must not see it
     assert built.values.dtype == np.float64 and built.values.tolist() == [0.0, 1.0, 1.0, 0.0]
     assert not built.values.flags.writeable
+    with pytest.raises(ValueError):
+        built.values[0] = 0.5
 
 
 def test_ciphertext_keeps_its_own_read_only_copy():
-    arr = np.arange(4.0)
-    ct = Ciphertext(arr)
-    arr[0] = 99  # after construction; the ciphertext must not see it
     eng = make_engine(4)
+    arr = np.arange(4.0)  # full length, so enc pads nothing
+    ct = eng.enc(arr)
+    arr[0] = 99  # after construction; the ciphertext must not see it
     assert eng.dec(eng.add(ct, ct)).tolist() == [0.0, 2.0, 4.0, 6.0]
     assert not np.shares_memory(ct.slots, arr) and not ct.slots.flags.writeable
     with pytest.raises(ValueError):
         ct.slots[0] = 5.0
-
-
-def test_plain_mask_accepts_a_list():
-    mask = PlainMask([0.0, 1.0, 1.0, 0.0])
-    assert mask.values.dtype == np.float64 and mask.values.tolist() == [0.0, 1.0, 1.0, 0.0]
-
-
-@pytest.mark.parametrize("values", [np.ones((2, 2)), 1.0], ids=["2-D", "scalar"])
-def test_plain_mask_rejects_non_vectors(values):
-    with pytest.raises(EngineError, match="1-D"):
-        PlainMask(values)
 
 
 def test_rot_cyclic_left():
@@ -280,8 +263,8 @@ def test_mask_checks_non_boolean_filters_and_trusts_boolean_patterns(rng):
     for size in (16, 11):
         pattern = rng.integers(0, 2, size).astype(bool)
         built = eng.mask(pattern)
-        want = PlainMask(np.pad(pattern, (0, 16 - size)).astype(float))
-        assert built.values.dtype == np.float64 and built.values.tobytes() == want.values.tobytes()
+        want = np.pad(pattern, (0, 16 - size)).astype(float)
+        assert built.values.dtype == np.float64 and built.values.tobytes() == want.tobytes()
         assert not built.values.flags.writeable
 
 

@@ -241,13 +241,14 @@ def test_flatten_puts_each_input_where_fc1_reads_it(rng, slots):
 
 def fc_apply(eng, parts, width, weight, bias):
     """Encode an FC layer against input matrices that each hold ``width``
-    valid inputs per row, evaluate it as the pipeline does for FC-1 and
-    FC-2, and decode its rows x lanes output."""
+    valid inputs per row (weight column i meets lane i mod width of chunk
+    i // width), evaluate it as the pipeline does for FC-1 and FC-2, and
+    decode its rows x lanes output."""
     rows, n = parts[0].shape
     blocks, _, p, *_ = fc_shape(len(bias), len(parts), width, rows)
     fold = FcFold.derive(width, blocks, p, rows, n, len(parts))
     chunks = [eng.enc(part.reshape(-1)) for part in parts]
-    fc = _encode_fc_tiles(eng, weight, bias, fold)
+    fc = _encode_fc_tiles(eng, weight, bias, fold, np.divmod(np.arange(weight.shape[1]), width))
     return eng.dec(matmul_chunked(eng, chunks, fc.tiles, fc.fold, init=fc.bias_ct)).reshape(rows, n)
 
 
@@ -282,8 +283,9 @@ def test_fc_layer_chunked_input(rng):
     out = fc_apply(eng, parts, 3, w, b)
     x = np.hstack([part[:, :3] for part in parts])
     np.testing.assert_allclose(out[:, :4], x @ w.T + b, rtol=1e-12, atol=1e-12)
-    with pytest.raises(LayoutError, match="weight expects 8 inputs, the plan's 3 chunks provide 9"):
-        fc_apply(eng, parts, 3, w[:, :8], b)
+    # 8 columns leave lane 2 of chunk 2 unread: its weights are zero
+    out = fc_apply(eng, parts, 3, w[:, :8], b)
+    np.testing.assert_allclose(out[:, :4], x[:, :8] @ w[:, :8].T + b, rtol=1e-12, atol=1e-12)
 
 
 def test_fc_layer_blocks_wider_than_rows(rng):
