@@ -1,15 +1,14 @@
 """Dataset and model-parameter ingestion.
 
-IDX image files (big-endian, bit-exact magic validation) and the fixed
+IDX image files (big-endian, bit-exact magic validation; a file must end
+where its header's image count and size say its pixels end) and the fixed
 weights-directory CSV schema:
 
     conv_k0.csv .. conv_k3.csv   3x3 kernel each
     conv_bias.csv                4 values
-    fc1_weight.csv               64 x 2704
-    fc1_bias.csv                 64 values
-    fc2_weight.csv               10 x 64
-    fc2_bias.csv                 10 values
-    act1.csv, act2.csv           4 coefficients, constant term first
+    <name>.csv                   for each ``pipeline.WEIGHT_SHAPES`` entry
+                                 (fc1/fc2 weight and bias, act1/act2 with
+                                 the constant term first), in its shape
 
 All CSVs are row-major plain decimal and every entry must be finite.  A
 matrix must have exactly its rows and columns (a transposed or reflowed
@@ -24,15 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .conv import Kernel
-from .pipeline import (
-    FC1_IN,
-    FC1_OUT,
-    FC2_IN,
-    FC2_OUT,
-    KERNEL_COUNT,
-    KERNEL_SIZE,
-    ModelWeights,
-)
+from .pipeline import KERNEL_COUNT, KERNEL_SIZE, WEIGHT_SHAPES, ModelWeights
 
 __all__ = [
     "IdxFormatError",
@@ -68,10 +59,10 @@ def load_idx_images(path) -> np.ndarray:
     count = _read_u32(data, path, 4)
     rows = _read_u32(data, path, 8)
     cols = _read_u32(data, path, 12)
-    need = 16 + count * rows * cols
-    if len(data) < need:
-        raise IdxFormatError(path, len(data), f"truncated pixel data, need {need} bytes")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols, offset=16)
+    end = 16 + count * rows * cols
+    if len(data) != end:
+        raise IdxFormatError(path, end, f"{count} images of {rows}x{cols} end here, file has {len(data)} bytes")
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
     return pixels.astype(np.float64).reshape(count, rows, cols) / 255.0
 
 
@@ -104,9 +95,10 @@ def _load_csv(directory: Path, name: str, shape: tuple) -> np.ndarray:
 
 
 def load_weights_csv(directory) -> ModelWeights:
-    """Load the full model from the fixed CSV schema."""
+    """Load the full model from the fixed CSV schema; each file's shape is
+    checked as it is read."""
     directory = Path(directory)
-    conv_bias = _load_csv(directory, "conv_bias.csv", (KERNEL_COUNT,)).reshape(-1)
+    conv_bias = _load_csv(directory, "conv_bias.csv", (KERNEL_COUNT,))
     kernels = [
         Kernel(
             _load_csv(directory, f"conv_k{i}.csv", (KERNEL_SIZE, KERNEL_SIZE)),
@@ -114,17 +106,9 @@ def load_weights_csv(directory) -> ModelWeights:
         )
         for i in range(KERNEL_COUNT)
     ]
-    weights = ModelWeights(
-        conv_kernels=kernels,
-        fc1_weight=_load_csv(directory, "fc1_weight.csv", (FC1_OUT, FC1_IN)),
-        fc1_bias=_load_csv(directory, "fc1_bias.csv", (FC1_OUT,)).reshape(-1),
-        fc2_weight=_load_csv(directory, "fc2_weight.csv", (FC2_OUT, FC2_IN)),
-        fc2_bias=_load_csv(directory, "fc2_bias.csv", (FC2_OUT,)).reshape(-1),
-        act1=tuple(_load_csv(directory, "act1.csv", (4,)).reshape(-1)),
-        act2=tuple(_load_csv(directory, "act2.csv", (4,)).reshape(-1)),
+    return ModelWeights(
+        kernels, **{name: _load_csv(directory, f"{name}.csv", shape) for name, shape in WEIGHT_SHAPES.items()}
     )
-    weights.validate()
-    return weights
 
 
 def save_weights_csv(directory, weights: ModelWeights) -> None:
@@ -133,14 +117,6 @@ def save_weights_csv(directory, weights: ModelWeights) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for i, kern in enumerate(weights.conv_kernels):
         np.savetxt(directory / f"conv_k{i}.csv", kern.weights, delimiter=",")
-    np.savetxt(
-        directory / "conv_bias.csv",
-        np.asarray([k.bias for k in weights.conv_kernels])[None, :],
-        delimiter=",",
-    )
-    np.savetxt(directory / "fc1_weight.csv", weights.fc1_weight, delimiter=",")
-    np.savetxt(directory / "fc1_bias.csv", np.asarray(weights.fc1_bias)[None, :], delimiter=",")
-    np.savetxt(directory / "fc2_weight.csv", weights.fc2_weight, delimiter=",")
-    np.savetxt(directory / "fc2_bias.csv", np.asarray(weights.fc2_bias)[None, :], delimiter=",")
-    np.savetxt(directory / "act1.csv", np.asarray(weights.act1)[None, :], delimiter=",")
-    np.savetxt(directory / "act2.csv", np.asarray(weights.act2)[None, :], delimiter=",")
+    np.savetxt(directory / "conv_bias.csv", np.atleast_2d([k.bias for k in weights.conv_kernels]), delimiter=",")
+    for name in WEIGHT_SHAPES:
+        np.savetxt(directory / f"{name}.csv", np.atleast_2d(getattr(weights, name)), delimiter=",")

@@ -34,12 +34,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ColumnEncodedMatrix:
-    """n ciphertexts holding one matmul operand in broadcast form."""
+    """n ciphertexts holding one matmul operand in broadcast form; n is
+    ``len(cts)``, the operand's inner dimension."""
 
     cts: list
     role: str  # "left" or "right"
     m: int
-    n: int
     p: int
 
 
@@ -54,9 +54,12 @@ class ColumnEncodedImage:
 
     cts: list
     h: int
-    w: int
     m: int
     stride: int
+
+    @property
+    def w(self) -> int:
+        return len(self.cts)
 
 
 def encode_left(engine: SlotEngine, a, p: int) -> ColumnEncodedMatrix:
@@ -69,7 +72,7 @@ def encode_left(engine: SlotEngine, a, p: int) -> ColumnEncodedMatrix:
     for k in range(n):
         grid = np.repeat(a[:, k], p)
         cts.append(engine.enc(grid))
-    return ColumnEncodedMatrix(cts, "left", m, n, p)
+    return ColumnEncodedMatrix(cts, "left", m, p)
 
 
 def encode_right(engine: SlotEngine, b, m: int) -> ColumnEncodedMatrix:
@@ -82,7 +85,7 @@ def encode_right(engine: SlotEngine, b, m: int) -> ColumnEncodedMatrix:
     for k in range(n):
         grid = np.tile(b[k, :], m)
         cts.append(engine.enc(grid))
-    return ColumnEncodedMatrix(cts, "right", m, n, p)
+    return ColumnEncodedMatrix(cts, "right", m, p)
 
 
 def matmul_outer(
@@ -91,11 +94,9 @@ def matmul_outer(
     """Sum of the n slot-wise products; no rotations, depth + 1."""
     if left.role != "left" or right.role != "right":
         raise LayoutError("operands must be a (left, right) column-encoded pair")
-    if (left.n, left.m, left.p) != (right.n, right.m, right.p):
-        raise LayoutError(
-            f"operand dims differ: left {(left.m, left.n, left.p)}, "
-            f"right {(right.m, right.n, right.p)}"
-        )
+    dims = [(op.m, len(op.cts), op.p) for op in (left, right)]
+    if dims[0] != dims[1]:
+        raise LayoutError(f"operand dims (m, n, p) differ: left {dims[0]}, right {dims[1]}")
     acc = engine.accumulator()
     for lk, rk in zip(left.cts, right.cts):
         acc.mul(lk, rk)
@@ -116,7 +117,7 @@ def encode_image_columns(engine: SlotEngine, images) -> ColumnEncodedImage:
     for j in range(w):
         stacked = arr[:, :, j].reshape(-1)
         cts.append(engine.enc(stacked))
-    return ColumnEncodedImage(cts, h, w, m, stride=h)
+    return ColumnEncodedImage(cts, h, m, stride=h)
 
 
 def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) -> ColumnEncodedImage:
@@ -156,7 +157,7 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
         for (q, p), mask in weighted.items():
             acc.cmul(mask, shifted[jp + q][p])
         out_cts.append(acc.result())
-    return ColumnEncodedImage(out_cts, out_h, out_w, img.m, img.stride)
+    return ColumnEncodedImage(out_cts, out_h, img.m, img.stride)
 
 
 def reassemble_columns(engine: SlotEngine, img: ColumnEncodedImage) -> np.ndarray:

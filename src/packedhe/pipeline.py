@@ -47,7 +47,7 @@ from itertools import product
 import numpy as np
 
 from .encoding import MatrixShape, PackedMatrix
-from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, next_pow2
+from .engine import Ciphertext, EngineError, EngineParams, LayoutError, SlotEngine, next_pow2
 from .matmul import FcFold, encode_interleaved, matmul_chunked
 from .virtual import VirtualLayout, batched_conv_layer, reform, tile_kernel_span
 
@@ -66,6 +66,7 @@ __all__ = [
     "FC2_IN",
     "FC2_OUT",
     "PIPELINE_DEPTH",
+    "WEIGHT_SHAPES",
     "ModelWeights",
     "FcTiles",
     "EncodedModel",
@@ -82,7 +83,7 @@ __all__ = [
 
 IMAGE_SIDE = 28
 IMAGE_SLOTS = 1024
-IMAGES_PER_CT = 32
+IMAGES_PER_CT = EngineParams.slots // IMAGE_SLOTS  # 32
 KERNEL_COUNT = 4
 KERNEL_SIZE = 3
 MAP_SIDE = IMAGE_SIDE - KERNEL_SIZE + 1  # 26
@@ -96,7 +97,7 @@ FC1_CHUNKS = KERNEL_COUNT - 1  # 3
 FC1_PIECE = -(-MAP_FEATURES // FC1_CHUNKS)  # 226
 FC1_WIDTH = MAP_BLOCK + FC1_PIECE  # 952
 FC1_OUT = 64
-FC2_IN = 64
+FC2_IN = FC1_OUT
 FC2_OUT = 10
 
 # Multiplicative levels on the critical path at the standard layout:
@@ -104,6 +105,17 @@ FC2_OUT = 10
 # (mul + phase filter + result filter; the row cycle is rotation-only),
 # activation 2.
 PIPELINE_DEPTH = 2 + 2 + 1 + 3 + 2 + 3
+
+# The shape of each parameter besides the conv kernels, keyed by its
+# ModelWeights field; the activations are cubics, constant term first.
+WEIGHT_SHAPES = {
+    "fc1_weight": (FC1_OUT, FC1_IN),
+    "fc1_bias": (FC1_OUT,),
+    "fc2_weight": (FC2_OUT, FC2_IN),
+    "fc2_bias": (FC2_OUT,),
+    "act1": (4,),
+    "act2": (4,),
+}
 
 
 def batch_layout(slots: int) -> VirtualLayout:
@@ -122,15 +134,16 @@ def batch_layout(slots: int) -> VirtualLayout:
 
 @dataclass(frozen=True, eq=False)
 class ModelWeights:
-    """Plaintext model parameters (ingested, not trained here)."""
+    """Plaintext model parameters (ingested, not trained here); every field
+    but the kernels is array-like in its ``WEIGHT_SHAPES`` shape."""
 
     conv_kernels: list
     fc1_weight: np.ndarray
     fc1_bias: np.ndarray
     fc2_weight: np.ndarray
     fc2_bias: np.ndarray
-    act1: tuple
-    act2: tuple
+    act1: np.ndarray
+    act2: np.ndarray
 
     def validate(self) -> None:
         if len(self.conv_kernels) != KERNEL_COUNT:
@@ -138,16 +151,9 @@ class ModelWeights:
         for kern in self.conv_kernels:
             if kern.k != KERNEL_SIZE:
                 raise EngineError(f"expected {KERNEL_SIZE}x{KERNEL_SIZE} kernels, got k={kern.k}")
-        if self.fc1_weight.shape != (FC1_OUT, FC1_IN):
-            raise EngineError(f"fc1 weight must be {FC1_OUT}x{FC1_IN}, got {self.fc1_weight.shape}")
-        if self.fc1_bias.shape != (FC1_OUT,):
-            raise EngineError(f"fc1 bias must have {FC1_OUT} entries")
-        if self.fc2_weight.shape != (FC2_OUT, FC2_IN):
-            raise EngineError(f"fc2 weight must be {FC2_OUT}x{FC2_IN}, got {self.fc2_weight.shape}")
-        if self.fc2_bias.shape != (FC2_OUT,):
-            raise EngineError(f"fc2 bias must have {FC2_OUT} entries")
-        if len(self.act1) != 4 or len(self.act2) != 4:
-            raise EngineError("activation polynomials take exactly 4 coefficients")
+        for name, shape in WEIGHT_SHAPES.items():
+            if (got := np.shape(getattr(self, name))) != shape:
+                raise EngineError(f"{name} must have shape {shape}, got {got}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,15 +5,18 @@ tagged as such so nobody mistakes the artifact for real encryption:
 magic, a little-endian uint32 header length, a JSON header (format name,
 slot count, depth, metadata) and raw little-endian float64 slots.  Round
 trips are bit-exact.  The header holds no layout of its own: a batch
-records its image layout (m, f, h, w) in its metadata, and a model its
-image layout in the manifest.  A model records nothing else of its
-structure: the loader derives the kernels and the FC tiles from the
-layout, as the encoder does (:func:`pipeline.fc_blocking`).
+records its image layout in its metadata, and a model its image layout
+in the manifest, each under the keys of ``VirtualLayout``'s fields (m, f,
+h, w).  A model records nothing else of its structure: the loader
+derives the kernels and the FC tiles from the layout, as the encoder
+does (:func:`pipeline.fc_blocking`), and its activations must have their
+``pipeline.WEIGHT_SHAPES`` lengths.
 """
 
 import json
 import math
 import struct
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from .conv import ImageShape, KernelSpan
 from .engine import Ciphertext, EngineError, EngineParams, SlotEngine
 from .matmul import FcFold
-from .pipeline import KERNEL_COUNT, KERNEL_SIZE, EncodedModel, FcTiles, batch_layout, fc_blocking
+from .pipeline import KERNEL_COUNT, KERNEL_SIZE, WEIGHT_SHAPES, EncodedModel, FcTiles, batch_layout, fc_blocking
 from .virtual import VirtualLayout
 
 __all__ = [
@@ -123,10 +126,7 @@ def write_batch(path, ct: Ciphertext, layout: VirtualLayout, valid_rows: int, fi
             "kind": "image-batch",
             "valid_rows": int(valid_rows),
             "first_index": int(first_index),
-            "m": layout.m,
-            "f": layout.f,
-            "h": layout.h,
-            "w": layout.w,
+            **asdict(layout),
         },
     )
 
@@ -140,16 +140,18 @@ def _count(path, mapping, key: str) -> int:
 
 
 def _layout(path, mapping, slots: int | None = None) -> VirtualLayout:
-    """The image layout recorded under mapping's m, f, h and w, which must be
-    the batch layout of ``slots`` slots (by default of its own m * f)."""
-    recorded = tuple(_count(path, mapping, key) for key in ("m", "f", "h", "w"))
+    """The image layout recorded under mapping's keys named for the
+    ``VirtualLayout`` fields, which must be the batch layout of ``slots``
+    slots (by default of its own m * f)."""
+    keys = [field.name for field in fields(VirtualLayout)]
+    recorded = tuple(_count(path, mapping, key) for key in keys)
     slots = recorded[0] * recorded[1] if slots is None else slots
     try:
         layout = batch_layout(slots)
     except EngineError as exc:
         raise SerialError(f"{path}: {exc}") from exc
-    if recorded != (layout.m, layout.f, layout.h, layout.w):
-        raise SerialError(f"{path}: (m, f, h, w) is {recorded}, not {layout}, the batch layout of {slots} slots")
+    if recorded != astuple(layout):
+        raise SerialError(f"{path}: ({', '.join(keys)}) is {recorded}, not {layout}, the batch layout of {slots} slots")
     return layout
 
 
@@ -200,9 +202,11 @@ def _load_fc(engine: SlotEngine, directory: Path, name: str, fold: FcFold) -> Fc
 
 
 def _coefficients(path, manifest: dict, key: str) -> tuple:
-    values = manifest.get(key)
-    if not (isinstance(values, list) and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
-        raise SerialError(f"{path}: {key!r} must be a list of finite numbers, got {values!r}")
+    """manifest[key], a list of as many finite numbers as its ``WEIGHT_SHAPES`` entry."""
+    values, (size,) = manifest.get(key), WEIGHT_SHAPES[key]
+    finite = isinstance(values, list) and all(type(v) in (int, float) and math.isfinite(v) for v in values)
+    if not (finite and len(values) == size):
+        raise SerialError(f"{path}: {key!r} must be a list of {size} finite numbers, got {values!r}")
     return tuple(values)
 
 
@@ -226,7 +230,7 @@ def write_model(directory, model: EncodedModel) -> int:
         "format": MODEL_FORMAT,
         "act1": list(map(float, model.act1)),
         "act2": list(map(float, model.act2)),
-        "layout": {"m": model.layout.m, "f": model.layout.f, "h": model.layout.h, "w": model.layout.w},
+        "layout": asdict(model.layout),
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return model.ciphertext_count

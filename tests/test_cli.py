@@ -363,6 +363,8 @@ def test_cloud_infer_rejects_nan_slot(workspace, capsys):
         pytest.param("layout", [32, 1024, 28, 28], id="layout-value3"),
         pytest.param("act1", [0.0, 1.0, float("nan"), 0.0], id="act1-value4"),
         pytest.param("layout", {"m": 3, "f": 1024, "h": 28, "w": 28}, id="layout-value7"),
+        pytest.param("act1", [0.0, 1.0, 0.5], id="act1-three-coefficients"),
+        pytest.param("act2", [0.0, 1.0, 0.5, 0.25, 0.125], id="act2-five-coefficients"),
     ],
 )
 def test_cloud_infer_rejects_bad_manifest(workspace, capsys, key, value):

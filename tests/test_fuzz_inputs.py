@@ -103,10 +103,14 @@ def test_corrupt_batch_ciphertext_fails_cleanly(pipeline_files, tmp_path, capsys
 
 
 def _corrupt_idx(data: bytes, kind: str, fields: int, draw) -> bytes:
-    """Truncate, break the magic or blow up one header count (far past the
-    bytes the file holds) of an IDX file with ``fields`` u32 header words."""
+    """Truncate, break the magic, blow up one header count (far past the
+    bytes the file holds) of an IDX file with ``fields`` u32 header words, or
+    lower its item count, leaving pixels past the end the header gives."""
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "lowered_count":
+        (count,) = struct.unpack_from(">I", data, 4)
+        return data[:4] + struct.pack(">I", draw(st.integers(0, count - 1))) + data[8:]
     if kind == "magic":
         magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != data[:4]))
         return magic + data[4:]
@@ -116,7 +120,7 @@ def _corrupt_idx(data: bytes, kind: str, fields: int, draw) -> bytes:
 
 
 @FUZZ
-@given(kind=st.sampled_from(["truncate", "magic", "huge_count"]), data=st.data())
+@given(kind=st.sampled_from(["truncate", "magic", "huge_count", "lowered_count"]), data=st.data())
 def test_corrupt_idx_images_fail_cleanly(pipeline_files, tmp_path, capsys, kind, data):
     tmp, idx, _ = pipeline_files
     path = tmp_path / "images.idx"

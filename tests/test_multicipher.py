@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import CapacityError, LayoutError, SlotEngine
 from packedhe.matmul import matmul
 from packedhe.multicipher import (
+    ColumnEncodedImage,
+    ColumnEncodedMatrix,
     conv_columns,
     encode_image_columns,
     encode_left,
@@ -104,6 +108,12 @@ def test_matmul_outer_dim_mismatch(rng):
             encode_left(eng, rand_int_matrix(rng, 2, 2), p=2),
             encode_left(eng, rand_int_matrix(rng, 2, 2), p=2),
         )
+    # an operand's n is the number of ciphertexts it holds: a left operand
+    # cut to 2 of its 3 columns is not zipped with a 3-ciphertext right one
+    left = encode_left(eng, rand_int_matrix(rng, 2, 3), p=2)
+    with pytest.raises(LayoutError, match=r"left \(2, 2, 2\), right \(2, 3, 2\)"):
+        matmul_outer(eng, replace(left, cts=left.cts[:2]), encode_right(eng, rand_int_matrix(rng, 3, 2), m=2))
+    assert "n" not in {f.name for f in fields(ColumnEncodedMatrix)}
 
 
 def test_three_way_matmul_agreement(rng):
@@ -130,7 +140,19 @@ def test_encode_image_columns_example():
     np.testing.assert_array_equal(eng.dec(cei.cts[0])[:3], [1, 4, 7])
     np.testing.assert_array_equal(eng.dec(cei.cts[1])[:3], [2, 5, 8])
     np.testing.assert_array_equal(eng.dec(cei.cts[2])[:3], [3, 6, 9])
-    assert cei.w == 3 and cei.m == 1
+    assert cei.w == len(cei.cts) == 3 and cei.m == 1
+    assert "w" not in {f.name for f in fields(ColumnEncodedImage)}
+
+
+def test_reassemble_columns_holds_only_the_columns_it_has(rng):
+    """w is the number of column ciphertexts, so dropping one narrows the
+    reassembled images rather than leaving an unwritten column."""
+    eng = make_engine(16)
+    imgs = rng.integers(0, 9, size=(2, 3, 4)).astype(float)
+    cei = encode_image_columns(eng, imgs)
+    cut = replace(cei, cts=cei.cts[:3])
+    assert cut.w == 3
+    np.testing.assert_array_equal(reassemble_columns(eng, cut), imgs[:, :, :3])
 
 
 def test_encode_image_columns_single_column():
@@ -152,7 +174,7 @@ def test_conv_columns_ones():
     eng = make_engine(4)
     cei = encode_image_columns(eng, np.ones((3, 3)))
     out = conv_columns(eng, cei, Kernel(np.ones((2, 2))))
-    assert out.h == 2 and out.w == 2
+    assert out.h == 2 and out.w == len(out.cts) == 2
     for ct in out.cts:
         np.testing.assert_array_equal(eng.dec(ct)[:2], [4, 4])
 

@@ -1,4 +1,6 @@
 import hashlib
+import re
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 
@@ -25,6 +27,7 @@ from packedhe.pipeline import (
     MAP_FEATURES,
     MAP_SIDE,
     PIPELINE_DEPTH,
+    WEIGHT_SHAPES,
     ModelWeights,
     _encode_fc_tiles,
     argmax_decide,
@@ -324,8 +327,20 @@ def test_model_weights_validation(rng):
         act1=ACT1,
         act2=ACT2,
     )
-    with pytest.raises(EngineError, match="fc2 bias"):
+    with pytest.raises(EngineError, match="fc2_bias"):
         short_bias.validate()
+
+
+@pytest.mark.parametrize("name", list(WEIGHT_SHAPES))
+def test_validate_rejects_a_wrong_shape_for_each_entry(rng, name):
+    """Every WEIGHT_SHAPES entry is checked, a vector given as a one-row
+    matrix too, and the message names the entry and both shapes."""
+    weights = random_weights(rng)
+    shape = WEIGHT_SHAPES[name]
+    for wrong in ((1, *shape), shape[:-1] + (shape[-1] - 1,)):
+        bad = replace(weights, **{name: np.ones(wrong)})
+        with pytest.raises(EngineError, match=rf"^{name} must have shape {re.escape(str(shape))}, got {re.escape(str(wrong))}$"):
+            bad.validate()
 
 
 def test_encode_model_ciphertext_count(rng):
