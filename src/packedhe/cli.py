@@ -8,7 +8,8 @@ Given the plaintext images and weights (``--images`` with
 plaintext oracle; ``verify`` runs the three roles that way in a scratch
 directory.  ``cloud-infer`` loads every batch before any inference runs,
 so batches whose image indices overlap, or reach past the end of the
-``--images`` file, are bad input found up front.  The one engine
+``--images`` file, are bad input found up front, and so are ``--out`` and
+``--report`` paths that name a directory or lie in none.  The one engine
 parameter is ``--slots``, the slot count per ciphertext, taken by
 ``owner-encode``, ``provider-encode`` and ``verify``; ``cloud-infer``
 reads it from the model manifest's layout and rejects batch files that
@@ -171,6 +172,9 @@ def _cmd_cloud_infer(args) -> int:
     if (args.images is None) != (args.weights_dir is None):
         print("error: --images and --weights-dir go together", file=sys.stderr)
         return 1
+    for path in filter(None, (args.out, args.report)):  # outputs are written after every batch has run
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ValueError(f"{path}: cannot write here: it must name a file in an existing directory")
     params = model_params(args.model_dir)
     model = load_model(SlotEngine(params), args.model_dir)
     images = None

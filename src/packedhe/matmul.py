@@ -28,6 +28,10 @@ where the baby step by g rows is no rotation at all.  Its operands are
 bare ciphertexts: the plan holds their geometry, ``rows`` x ``lanes``,
 which must fill the ciphertext with p dividing the rows, so each baby
 step is one rotation.  It opens no scopes; its caller's scope is charged.
+A layer is one value, :class:`FcTiles` (the B x C tile grid, the bias
+seed and the plan), which :func:`encode_fc_tiles` builds from a weight
+matrix and the (chunk, lane) of each input, and :func:`matmul_chunked`
+takes whole.
 """
 
 from dataclasses import dataclass, replace
@@ -40,10 +44,11 @@ from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine
 
 __all__ = [
     "FcFold",
+    "FcTiles",
     "cycle_closes",
     "row_shifter",
     "build_result_filter",
-    "encode_interleaved",
+    "encode_fc_tiles",
     "matmul",
     "matmul_chunked",
 ]
@@ -237,29 +242,63 @@ class FcFold:
         return [engine.mask(pattern.reshape(-1)) for pattern in keep]
 
 
-def encode_interleaved(engine: SlotEngine, b, fold: FcFold) -> list[Ciphertext]:
-    """Encode a w x (B*p) right operand as the B interleaved revolver tiles
-    of one input chunk of the plan ``fold`` for :func:`matmul_chunked`.
+@dataclass(frozen=True, eq=False)
+class FcTiles:
+    """One FC layer in encoded form, the operand of :func:`matmul_chunked`.
+
+    ``tiles`` holds ciphertexts indexed [diagonal][input_chunk], one
+    diagonal per interleaved neuron block; ``bias_ct`` is the layer's one
+    bias seed, every bias already at its output lane.  ``fold`` is the
+    layer's plan, which the tiles were encoded with; it alone gives the
+    ciphertexts their rows x lanes geometry and the grid its B x C shape.
+    """
+
+    tiles: list
+    bias_ct: Ciphertext
+    fold: FcFold
+
+
+def encode_fc_tiles(engine: SlotEngine, weight, bias, fold: FcFold, inputs) -> FcTiles:
+    """Encode an FC layer's weight matrix and bias in the plan ``fold``:
+    weight column i meets lane ``lane[i]`` of input chunk ``chunk[i]``,
+    (chunk, lane) = ``inputs``; lanes no column meets get zero weights.
 
     Output q = B*t + j (group t < p, block j < B) is to land at lane q.
-    Tile d (the d-th "diagonal") is a ciphertext of the plan's rows x
-    lanes that holds in row r, at lane L + l + d for l < w, the weight
-    b[l, B*(r mod p) + (l + d) mod B], and zero everywhere else; the input
-    the tile meets is shifted right by L + d lanes.  LayoutError if ``b``
-    is not w x (B*p).
+    Tile (d, c), the d-th "diagonal" of chunk c, is a ciphertext of the
+    plan's rows x lanes that holds in row r, at lane L + l + d for l < w,
+    the weight of output B*(r mod p) + (l + d) mod B for the input at lane
+    l of chunk c, and zero everywhere else; the input the tile meets is
+    shifted right by L + d lanes.  The bias seed holds bias q at lane q of
+    every row: the product's accumulator seed.  LayoutError unless the
+    weight has at most B*p rows and one column per mapped input, and every
+    input lies in the plan's C chunks of w lanes.
     """
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    weight = np.atleast_2d(np.asarray(weight, dtype=np.float64))
+    chunk, lane = (np.asarray(a) for a in inputs)
+    out_dim, in_dim = weight.shape
     blocks, p, w = fold.blocks, fold.p, fold.width
-    if b.shape != (w, blocks * p):
-        raise LayoutError(f"weight chunk is {b.shape[0]}x{b.shape[1]}, the plan needs {w}x{blocks * p}")
+    inside = (0 <= chunk) & (chunk < fold.chunks) & (0 <= lane) & (lane < w)
+    if not (out_dim <= blocks * p and len(chunk) == len(lane) == in_dim and inside.all()):
+        raise LayoutError(
+            f"FC weight is {out_dim}x{in_dim} with a lane map of {len(chunk)} chunk and {len(lane)} lane entries; "
+            f"the plan takes at most {blocks * p} rows, one column per map entry and entries in {fold.chunks} "
+            f"chunks of {w} lanes"
+        )
+    # padded[c] is chunk c's w x (B*p) weight block, input lane by output
+    padded = np.zeros((fold.chunks, w, blocks * p))
+    padded[chunk, lane, :out_dim] = weight.T
     inner = np.arange(w)
     groups = np.arange(fold.rows)[:, None] % p
-    tiles = []
-    for d in range(blocks):
-        grid = np.zeros((fold.rows, fold.lanes), dtype=np.float64)
-        grid[:, fold.offset + inner + d] = b[inner, blocks * groups + (inner + d) % blocks]
-        tiles.append(engine.enc(grid.reshape(-1)))
-    return tiles
+
+    def tile(block, d):
+        grid = np.zeros((fold.rows, fold.lanes))
+        grid[:, fold.offset + inner + d] = block[inner, blocks * groups + (inner + d) % blocks]
+        return engine.enc(grid.reshape(-1))
+
+    tiles = [[tile(block, d) for block in padded] for d in range(blocks)]
+    bias_grid = np.zeros((fold.rows, fold.lanes))
+    bias_grid[:, :out_dim] = bias
+    return FcTiles(tiles, engine.enc(bias_grid.reshape(-1)), fold)
 
 
 def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> int:
@@ -313,22 +352,17 @@ def _grouped_fold(engine: SlotEngine, fold: FcFold, prods, phases) -> Ciphertext
     return total
 
 
-def matmul_chunked(
-    engine: SlotEngine,
-    inputs: Sequence[Ciphertext],
-    tiles: Sequence[Sequence[Ciphertext]],
-    fold: FcFold,
-    init: Ciphertext,
-) -> Ciphertext:
+def matmul_chunked(engine: SlotEngine, inputs: Sequence[Ciphertext], fc: FcTiles) -> Ciphertext:
     """FC product: sum over C input chunks c of A_c * W_c, with B neuron
     blocks interleaved across the lanes of each row and groups of
-    iterations sharing one row fold, as the plan ``fold`` lays them out.
+    iterations sharing one row fold, as the layer's plan ``fc.fold`` lays
+    them out.
 
     The operands are bare ciphertexts of the plan's rows x lanes (n =
     lanes); row i of A_c is slots [i*n, (i+1)*n).  The B blocks are stored
-    interleaved (:func:`encode_interleaved`): output q = B*t + j sits at
-    lane q, and ``tiles[d]`` holds diagonal d of every chunk from lane L
-    on, which meets A_c shifted right by L + d lanes.  The shifts are made
+    interleaved (:func:`encode_fc_tiles`): output q = B*t + j sits at lane
+    q, and ``fc.tiles[d]`` holds diagonal d of every chunk from lane L on,
+    which meets A_c shifted right by L + d lanes.  The shifts are made
     once per call: rot(A_c, -L) (skipped when L = 0), then chained
     rotations by -1, C*[L > 0] + C*(B-1) rotations.  The iterations run in
     groups of G (:class:`FcFold`); each iteration adds its B*C products,
@@ -358,35 +392,26 @@ def matmul_chunked(
 
     Args:
         inputs: the C input chunks A_c.  Lanes past w may hold anything.
-        tiles: B lists of C tile ciphertexts, diagonal d of chunk c at
-            ``tiles[d][c]``, from :func:`encode_interleaved` in this plan.
-        fold: the layer's plan (:meth:`FcFold.derive`).
-        init: the accumulator seed (the layer's packed bias) in the
-            output lanes, added once.
+        fc: the encoded layer (:func:`encode_fc_tiles`, or the model
+            loader, which builds the same B x C grid from the plan): its
+            tiles, its bias seed, the accumulator seed added once, and its
+            plan (:meth:`FcFold.derive`).
 
     Returns:
         The ciphertext whose row i holds output q of A_i at lane q, for
-        q < B*p; every other slot decodes to zero (plus ``init``).
+        q < B*p; every other slot decodes to zero (plus the bias seed).
 
     Raises:
-        LayoutError, naming the rows, lanes and slots, unless the operand
-        counts are the plan's, rows * lanes is the slot count, p divides
-        the rows and the fold window fits the row: one rotation then
-        cycles the rows.
+        LayoutError, naming the rows, lanes and slots, unless there are C
+        inputs, rows * lanes is the slot count, p divides the rows and the
+        fold window fits the row: one rotation then cycles the rows.
     """
+    fold = fc.fold
     blocks, p, rows, n = fold.blocks, fold.p, fold.rows, fold.lanes
-    counts = [len(chunk_tiles) for chunk_tiles in tiles]
-    if not (
-        len(inputs) == fold.chunks
-        and counts == [fold.chunks] * blocks
-        and rows * n == engine.slots
-        and rows % p == 0
-        and fold.window <= n
-    ):
+    if not (len(inputs) == fold.chunks and rows * n == engine.slots and rows % p == 0 and fold.window <= n):
         raise LayoutError(
-            f"the FC plan takes {fold.chunks} inputs and {blocks} tile lists of {fold.chunks}, p={p} "
-            f"dividing its {rows} rows of {n} lanes in {engine.slots} slots and a fold window of "
-            f"{fold.window} lanes: got {len(inputs)} inputs and tile lists of {counts}"
+            f"the FC plan takes {fold.chunks} inputs, p={p} dividing its {rows} rows of {n} lanes in "
+            f"{engine.slots} slots and a fold window of {fold.window} lanes: got {len(inputs)} inputs"
         )
     phases = fold.phase_masks(engine)
 
@@ -398,8 +423,8 @@ def matmul_chunked(
         lefts += shifted
     # rot(A, -n*base) * rot(B, n*s1) is rot(A * rot(B, n*(base + s1)), -n*base)
     frame_lefts = [lefts] + [[engine.rot(ct, -n * base) for ct in lefts] for base in bases[1:]]
-    flat = [tile for chunk_tiles in tiles for tile in chunk_tiles]
-    acc = engine.accumulator(init)
+    flat = [tile for diagonal in fc.tiles for tile in diagonal]
+    acc = engine.accumulator(fc.bias_ct)
     frames = [acc] + [engine.accumulator() for _ in bases[1:]]
     for first in range(0, fold.giant, fold.group):
         babies = [[tile if n * s1 == engine.slots else engine.rot(tile, n * s1) for tile in flat]

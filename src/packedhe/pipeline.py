@@ -18,16 +18,20 @@ baby and giant steps of g = 4 rows: 3 baby, 6 giant and 3 piece
 rotations, 12 per batch (:func:`flatten`).  The three chunk ciphertexts
 are the inner-dimension chunks of the first FC product, whose weight
 columns are scattered to the same lanes, preserving the map-major
-flatten order.  Each FC layer has one plan, a ``matmul.FcFold`` that
-:func:`fc_blocking` derives once from the layout; the encoder stores it
-with the weight tiles (``FcTiles.fold``) and the evaluator reads it from
-there.  The plan also holds the layer's row geometry (the layout's m
-rows of f lanes), so the FC inputs, tiles and outputs are bare
-ciphertexts.  FC output neurons are evaluated in B power-of-two blocks
-of p, with p dividing the batch row count, which keeps every product on
-its single-rotation row-cycling path; :func:`fc_blocking` picks both
-layers' p by rotation cost within the model's ciphertext budget (p = 32
-for FC-1 and 8 for FC-2 at 32768 slots).  A layer is one chunked product
+flatten order.  Each FC layer is stated once, in ``FC_LAYERS``, as its
+output count and the (chunk, lane) of each input, and has one plan, a
+``matmul.FcFold`` that :func:`fc_blocking` derives once from the layout
+and that map (its input width and chunk count are the map's reach).
+``matmul.encode_fc_tiles`` encodes the layer from the same map into one
+``matmul.FcTiles`` value that holds the plan with the weight tiles and
+bias seed, and the evaluator reads the plan from there.  The plan also
+holds the layer's row geometry (the layout's m rows of f lanes), so the
+FC inputs, tiles and outputs are bare ciphertexts.  FC output neurons
+are evaluated in B power-of-two blocks of p, with p dividing the batch
+row count, which keeps every product on its single-rotation row-cycling
+path; :func:`fc_blocking` picks both layers' p by rotation cost within
+the model's ciphertext budget (p = 32 for FC-1 and 8 for FC-2 at 32768
+slots).  A layer is one chunked product
 (``matmul_chunked``) whose B neuron blocks are interleaved across the
 lanes of each row: neuron q = B*t + j of group t lands at lane q.  The
 weight tiles are zero past the layer's input width w (952 for FC-1, the
@@ -48,7 +52,7 @@ import numpy as np
 
 from .encoding import MatrixShape, PackedMatrix
 from .engine import Ciphertext, EngineError, EngineParams, LayoutError, SlotEngine, next_pow2
-from .matmul import FcFold, encode_interleaved, matmul_chunked
+from .matmul import FcFold, FcTiles, encode_fc_tiles, matmul_chunked
 from .virtual import VirtualLayout, batched_conv_layer, reform, tile_kernel_span
 
 __all__ = [
@@ -61,17 +65,16 @@ __all__ = [
     "MAP_FEATURES",
     "FC1_IN",
     "FC1_CHUNKS",
-    "FC1_WIDTH",
     "FC1_OUT",
     "FC2_IN",
     "FC2_OUT",
     "PIPELINE_DEPTH",
     "WEIGHT_SHAPES",
     "ModelWeights",
-    "FcTiles",
     "EncodedModel",
     "batch_layout",
     "flatten_lanes",
+    "FC_LAYERS",
     "flatten",
     "fc_blocking",
     "poly_activation",
@@ -89,13 +92,13 @@ KERNEL_SIZE = 3
 MAP_SIDE = IMAGE_SIDE - KERNEL_SIZE + 1  # 26
 MAP_FEATURES = MAP_SIDE * MAP_SIDE  # 676
 FC1_IN = KERNEL_COUNT * MAP_FEATURES  # 2704
-# fc1 reads FC1_CHUNKS input chunks of FC1_WIDTH lanes (see flatten_lanes):
-# a map's valid block ends at lane MAP_BLOCK, and the last map is cut into
-# FC1_CHUNKS pieces of FC1_PIECE features placed from that lane on.
+# fc1 reads FC1_CHUNKS input chunks (see flatten_lanes): a map's valid
+# block ends at lane MAP_BLOCK, and the last map is cut into FC1_CHUNKS
+# pieces of FC1_PIECE features placed from that lane on, so fc1 reads
+# MAP_BLOCK + FC1_PIECE = 952 lanes of each chunk.
 MAP_BLOCK = IMAGE_SIDE * (MAP_SIDE - 1) + MAP_SIDE  # 726
 FC1_CHUNKS = KERNEL_COUNT - 1  # 3
 FC1_PIECE = -(-MAP_FEATURES // FC1_CHUNKS)  # 226
-FC1_WIDTH = MAP_BLOCK + FC1_PIECE  # 952
 FC1_OUT = 64
 FC2_IN = FC1_OUT
 FC2_OUT = 10
@@ -154,22 +157,6 @@ class ModelWeights:
         for name, shape in WEIGHT_SHAPES.items():
             if (got := np.shape(getattr(self, name))) != shape:
                 raise EngineError(f"{name} must have shape {shape}, got {got}")
-
-
-@dataclass(frozen=True, eq=False)
-class FcTiles:
-    """One FC layer in encoded form.
-
-    ``tiles`` holds ciphertexts indexed [diagonal][input_chunk], one
-    diagonal per interleaved neuron block; ``bias_ct`` is the layer's one
-    bias seed, every bias already at its output lane.  ``fold`` is the
-    layer's plan, which the tiles were encoded with; it alone gives the
-    ciphertexts their rows x lanes geometry.
-    """
-
-    tiles: list
-    bias_ct: Ciphertext
-    fold: FcFold
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +234,22 @@ def flatten_lanes() -> tuple[np.ndarray, np.ndarray]:
     between its rows are no input.  The last map's feature j = MAP_SIDE*r
     + x goes to the spare lanes past those maps' valid block: chunk
     j // FC1_PIECE at lane MAP_BLOCK + j mod FC1_PIECE.  So FC1_CHUNKS
-    chunks of FC1_WIDTH lanes hold all KERNEL_COUNT maps.
+    chunks of MAP_BLOCK + FC1_PIECE = 952 lanes hold all KERNEL_COUNT maps.
     """
     feature = np.arange(MAP_FEATURES)
     kept = IMAGE_SIDE * (feature // MAP_SIDE) + feature % MAP_SIDE
     chunk = np.concatenate([np.repeat(np.arange(FC1_CHUNKS), MAP_FEATURES), feature // FC1_PIECE])
     lane = np.concatenate([np.tile(kept, FC1_CHUNKS), MAP_BLOCK + feature % FC1_PIECE])
     return chunk, lane
+
+
+# Each FC layer, by name: its output count and the (chunk, lane) of each of
+# its inputs, fc1's from flatten_lanes and fc2's the FC2_IN lanes of one
+# chunk.  A layer's input width and chunk count are read off its map.
+FC_LAYERS = {
+    "fc1": (FC1_OUT, flatten_lanes()),
+    "fc2": (FC2_OUT, np.divmod(np.arange(FC2_IN), FC2_IN)),
+}
 
 
 def flatten(engine: SlotEngine, maps, layout: VirtualLayout) -> list[Ciphertext]:
@@ -283,10 +279,13 @@ def flatten(engine: SlotEngine, maps, layout: VirtualLayout) -> list[Ciphertext]
     return chunks
 
 
-def _layer_plans(layout: VirtualLayout, width: int, out_dim: int, chunks: int) -> list[FcFold]:
-    """Every plan of one FC layer: B neuron blocks of p with B*p =
+def _layer_plans(layout: VirtualLayout, out_dim: int, inputs: tuple) -> list[FcFold]:
+    """Every plan of one FC layer over its (chunk, lane) ``inputs``: w =
+    max lane + 1 and C = max chunk + 1, B neuron blocks of p with B*p =
     next_pow2(out_dim), p a power of two dividing layout.m, and the (G, g)
     that :meth:`FcFold.derive` picks for them."""
+    chunk, lane = inputs
+    width, chunks = int(lane.max()) + 1, int(chunk.max()) + 1
     p_pad = next_pow2(out_dim)
     return [
         FcFold.derive(width, p_pad // p, p, layout.m, layout.f, chunks)
@@ -296,10 +295,10 @@ def _layer_plans(layout: VirtualLayout, width: int, out_dim: int, chunks: int) -
 
 
 def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
-    """Each FC layer's plan over ``layout``, by name: over FC1_CHUNKS
-    input chunks of FC1_WIDTH (:func:`flatten_lanes`) for fc1 and one of
-    FC2_IN for fc2, in layout.m rows of layout.f lanes.  The model encoder
-    and loader both take it from here; a model records none.
+    """Each FC layer's plan over ``layout``, by name, in layout.m rows of
+    layout.f lanes, with the width and chunks its ``FC_LAYERS`` input map
+    reaches (3 chunks of 952 lanes for fc1, one of FC2_IN for fc2).  The
+    model encoder and loader both take it from here; a model records none.
 
     The layers' neuron blocks are chosen together.  A layer of B blocks
     over C chunks stores B*C weight tiles and one bias seed, and the two
@@ -309,35 +308,13 @@ def fc_blocking(layout: VirtualLayout) -> dict[str, FcFold]:
     within that budget the rule takes the fewest rotations
     (:attr:`FcFold.rotations`), then the fewest constant multiplies, then
     the larger p, fc1's first."""
-    layers = (("fc1", FC1_WIDTH, FC1_OUT, FC1_CHUNKS), ("fc2", FC2_IN, FC2_OUT, 1))
-    options = [_layer_plans(layout, width, out_dim, chunks) for _, width, out_dim, chunks in layers]
-    budget = sum(min(fold.blocks for fold in plans) * (chunks + 1) for plans, (*_, chunks) in zip(options, layers))
+    options = [_layer_plans(layout, out_dim, inputs) for out_dim, inputs in FC_LAYERS.values()]
+    budget = sum(min(fold.blocks for fold in plans) * (plans[0].chunks + 1) for plans in options)
     best = min(
         (pair for pair in product(*options) if sum(fold.blocks * fold.chunks + 1 for fold in pair) <= budget),
         key=lambda pair: (sum(f.rotations for f in pair), sum(f.cmuls for f in pair), [-f.p for f in pair]),
     )
-    return {name: fold for (name, *_), fold in zip(layers, best)}
-
-
-def _encode_fc_tiles(
-    engine: SlotEngine, weight: np.ndarray, bias: np.ndarray, fold: FcFold, inputs: tuple
-) -> FcTiles:
-    """Encode an FC weight matrix in the plan ``fold``: weight column i
-    meets lane ``lane[i]`` of input chunk ``chunk[i]``, (chunk, lane) =
-    ``inputs``; lanes no column meets get zero weights.
-
-    Tile (d, c) is diagonal d of input chunk c in the interleaved layout
-    of :func:`encode_interleaved`, so neuron q lands at lane q.  The bias
-    seed holds bias q at lane q of every row: the matmul accumulator seed.
-    """
-    out_dim = weight.shape[0]
-    chunk, lane = inputs
-    padded = np.zeros((fold.blocks * fold.p, fold.chunks, fold.width), dtype=np.float64)
-    padded[:out_dim, chunk, lane] = weight
-    per_chunk = [encode_interleaved(engine, padded[:, c].T, fold) for c in range(fold.chunks)]
-    bias_grid = np.zeros((fold.rows, fold.lanes), dtype=np.float64)
-    bias_grid[:, :out_dim] = bias
-    return FcTiles([list(diagonal) for diagonal in zip(*per_chunk)], engine.enc(bias_grid.reshape(-1)), fold)
+    return dict(zip(FC_LAYERS, best))
 
 
 def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
@@ -349,8 +326,8 @@ def encode_model(engine: SlotEngine, weights: ModelWeights) -> EncodedModel:
     fc1, fc2 = fc_blocking(layout).values()
     return EncodedModel(
         kernel_spans=spans,
-        fc1=_encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, fc1, flatten_lanes()),
-        fc2=_encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, fc2, np.divmod(np.arange(FC2_IN), FC2_IN)),
+        fc1=encode_fc_tiles(engine, weights.fc1_weight, weights.fc1_bias, fc1, FC_LAYERS["fc1"][1]),
+        fc2=encode_fc_tiles(engine, weights.fc2_weight, weights.fc2_bias, fc2, FC_LAYERS["fc2"][1]),
         act1=tuple(weights.act1),
         act2=tuple(weights.act2),
         layout=layout,
@@ -369,8 +346,8 @@ def forward_encoded(
     deltas under keys conv/act1/flatten/fc1/act2/fc2; each key is set once,
     as its stage ends.  The flatten stage (:func:`flatten`) packs the four
     activated maps into fc1's three input chunks.  Each FC layer is one
-    ``matmul_chunked`` product in the plan its tiles were encoded with,
-    seeded with the layer's bias seed.
+    ``matmul_chunked`` product of its encoded layer, in the plan its tiles
+    were encoded with and seeded with its bias seed.
     """
     layout = model.layout
     with engine.scope("conv", stage_meters):
@@ -380,11 +357,11 @@ def forward_encoded(
     with engine.scope("flatten", stage_meters):
         chunks = flatten(engine, maps, layout)
     with engine.scope("fc1", stage_meters):
-        hidden = matmul_chunked(engine, chunks, model.fc1.tiles, model.fc1.fold, init=model.fc1.bias_ct)
+        hidden = matmul_chunked(engine, chunks, model.fc1)
     with engine.scope("act2", stage_meters):
         (hidden,) = poly_activation(engine, [hidden], model.act2)
     with engine.scope("fc2", stage_meters):
-        scores = matmul_chunked(engine, [hidden], model.fc2.tiles, model.fc2.fold, init=model.fc2.bias_ct)
+        scores = matmul_chunked(engine, [hidden], model.fc2)
     return PackedMatrix(scores, MatrixShape(layout.m, layout.f))
 
 

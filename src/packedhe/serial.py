@@ -23,8 +23,8 @@ import numpy as np
 
 from .conv import ImageShape, KernelSpan
 from .engine import Ciphertext, EngineError, EngineParams, SlotEngine
-from .matmul import FcFold
-from .pipeline import KERNEL_COUNT, KERNEL_SIZE, WEIGHT_SHAPES, EncodedModel, FcTiles, batch_layout, fc_blocking
+from .matmul import FcFold, FcTiles
+from .pipeline import KERNEL_COUNT, KERNEL_SIZE, WEIGHT_SHAPES, EncodedModel, batch_layout, fc_blocking
 from .virtual import VirtualLayout
 
 __all__ = [

@@ -315,6 +315,40 @@ def test_cloud_infer_checks_batch_indices_before_inference(workspace, rng, monke
     assert len(passes) == 2 and out.exists()
 
 
+def test_cloud_infer_checks_output_paths_before_inference(workspace, monkeypatch, capsys):
+    """An --out or --report path in a missing directory, or naming a
+    directory, fails before any forward pass, with one error line naming
+    the path and no predictions file."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model, out = tmp / "b2k", tmp / "m2k", tmp / "p2k.jsonl"
+    slots = ["--slots", "2048"]  # two batches of 2 images
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "4"] + slots) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + slots) == 0
+    passes = []
+
+    def counting_forward(*args, **kwargs):
+        passes.append(args[1])
+        return forward_encoded(*args, **kwargs)
+
+    monkeypatch.setattr("packedhe.cli.forward_encoded", counting_forward)
+    capsys.readouterr()
+    argv = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model)]
+    missing = tmp / "nodir"
+    for outputs, bad in (
+        (["--out", str(out), "--report", str(missing / "r.json")], missing / "r.json"),
+        (["--out", str(missing / "p.jsonl")], missing / "p.jsonl"),
+        (["--out", str(tmp)], tmp),
+        (["--out", str(out), "--report", str(model)], model),
+    ):
+        assert main(argv + outputs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: cannot write here") and len(err.splitlines()) == 1
+        assert passes == [] and not out.exists() and not missing.exists()
+
+    assert main(argv + ["--out", str(out), "--report", str(tmp / "r.json")]) == 0
+    assert len(passes) == 2 and out.exists() and (tmp / "r.json").exists()
+
+
 def test_cloud_infer_rejects_overlapping_batches(workspace, capsys):
     tmp, idx, weights_dir, _, _ = workspace
     batches, model = tmp / "b11", tmp / "m11"

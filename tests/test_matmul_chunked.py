@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from packedhe.encoding import encode_revolver, encode_row_major
 from packedhe.engine import LayoutError, next_pow2
-from packedhe.matmul import FcFold, encode_interleaved, matmul, matmul_chunked
+from packedhe.matmul import FcFold, FcTiles, encode_fc_tiles, matmul, matmul_chunked
 from packedhe.oracle import oracle_matmul
 
 from conftest import make_engine, rand_int_matrix
@@ -20,36 +20,40 @@ from conftest import make_engine, rand_int_matrix
 @st.composite
 def mismatches(draw):
     """A plan of B blocks of p over C chunks in rows x n, and one way for
-    the operands to disagree with its counts."""
+    the inputs to disagree with its count."""
     n = 1 << draw(st.integers(1, 4))
     blocks = 1 << draw(st.integers(0, n.bit_length() - 1))
     p = 1 << draw(st.integers(0, (n // blocks).bit_length() - 1))
     rows = p << draw(st.integers(0 if p * n > 1 else 1, 2))
     chunks = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["inputs", "empty", "tiles", "blocks"]))
+    kind = draw(st.sampled_from(["inputs", "empty"]))
     return blocks, chunks, p, rows, n, kind
 
 
 @settings(max_examples=25, deadline=None)
 @given(case=mismatches())
 def test_matmul_chunked_rejects_mismatched_chunks(case):
-    """The operands are bare ciphertexts, so all they can disagree on with
-    the plan is their counts: C inputs and B tile lists of C tiles."""
+    """The inputs are bare ciphertexts, so all they can disagree on with
+    the plan is their count, C.  The layer's B x C tile grid is built from
+    the plan by the encoder and the loader, and is not checked again."""
     blocks, chunks, p, rows, n, kind = case
     eng = make_engine(rows * n)
     fold = FcFold.derive(1, blocks, p, rows, n, chunks)
     ct = eng.enc([])
-    inputs, tiles = [ct] * chunks, [[ct] * chunks for _ in range(blocks)]
-    if kind == "inputs":
-        inputs.append(ct)
-    elif kind == "empty":
-        inputs, tiles = [], []
-    elif kind == "tiles":
-        tiles[-1].pop()
-    else:
-        tiles.append(tiles[0])
-    with pytest.raises(LayoutError, match=f"^the FC plan takes {chunks} inputs and {blocks} tile lists of {chunks}, "):
-        matmul_chunked(eng, inputs, tiles, fold, ct)
+    inputs = [ct] * (chunks + 1) if kind == "inputs" else []
+    fc = FcTiles([[ct] * chunks for _ in range(blocks)], ct, fold)
+    with pytest.raises(LayoutError, match=f"^the FC plan takes {chunks} inputs, .*: got {len(inputs)} inputs$"):
+        matmul_chunked(eng, inputs, fc)
+
+
+def encode_layer(eng, b_mats, fold: FcFold, init=None) -> FcTiles:
+    """The layer whose chunk c meets ``b_mats[c]`` (w x B*p, input lane by
+    output) in lanes 0..w-1, encoded by ``encode_fc_tiles`` and seeded with
+    ``init``, a zero bias if omitted."""
+    weight = np.vstack(b_mats).T
+    inputs = np.divmod(np.arange(weight.shape[1]), fold.width)
+    fc = encode_fc_tiles(eng, weight, np.zeros(len(weight)), fold, inputs)
+    return fc if init is None else replace(fc, bias_ct=init)
 
 
 def fold_layout(blocks: int, p: int, w: int, group: int) -> tuple:
@@ -170,10 +174,10 @@ def test_fc_row_sum_folds_over_width_and_p(shape, chunks, seed):
     fold = FcFold.derive(w, 1, p, m, n, chunks)
     eng = make_engine(slots)
     a_cts = [eng.enc(a.reshape(-1)) for a in a_mats]
-    b_cts = [encode_interleaved(eng, b, fold)[0] for b in b_mats]
+    fc = encode_layer(eng, b_mats, fold)
     spent = {}
     with eng.scope("call", spent):
-        out = matmul_chunked(eng, a_cts, [b_cts], fold, eng.enc([]))
+        out = matmul_chunked(eng, a_cts, fc)
     call = spent["call"]
 
     want = np.zeros(slots)
@@ -203,12 +207,12 @@ def test_fc_row_sum_rejects_widths_outside_the_row():
     a = eng.enc(np.ones(32))
     fold = FcFold.derive(5, 1, 4, 4, 8, 1)
     assert (fold.group, fold.offset) == (1, 3)  # L = 3: 3 + 5 lanes fill the row
-    tiles = encode_interleaved(eng, np.ones((5, 4)), fold)
+    fc = encode_layer(eng, [np.ones((5, 4))], fold)
     for width in (0, 6, 9):  # widths no fold fits, or whose tiles would leave the row
         with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
             FcFold.derive(width, 1, 4, 4, 8, 1)
-    # a plan whose fold window leaves the row, in rows of 8 or 4 lanes, or
-    # whose B or C the operands do not have
+    # a plan whose fold window leaves the row (in rows of 8 lanes, or of 4,
+    # or with two blocks), or whose C the inputs do not have
     for plan in (
         replace(fold, width=6),
         replace(fold, rows=8, lanes=4),
@@ -216,16 +220,66 @@ def test_fc_row_sum_rejects_widths_outside_the_row():
         replace(fold, chunks=2),
     ):
         with pytest.raises(LayoutError, match=f"^the FC plan takes .* {plan.rows} rows of {plan.lanes} lanes in 32 slots"):
-            matmul_chunked(eng, [a], [tiles], plan, a)
+            matmul_chunked(eng, [a], replace(fc, fold=plan))
 
 
-@pytest.mark.parametrize("shape", [(6, 4), (4, 5), (5, 8), (1, 20)], ids=["wider", "transposed", "two-blocks", "flat"])
-def test_encode_interleaved_takes_one_chunk_of_the_plan(shape):
-    """A weight chunk must be w x (B*p) of its plan (here 5 x 4), or the
-    tiles would place weights at lanes the plan does not cover."""
+@pytest.mark.parametrize(
+    "rows, chunk, lane",
+    [
+        (5, [0] * 5, range(5)),
+        (4, [0] * 4, range(4)),
+        (4, [0] * 5, range(1, 6)),
+        (4, [0, 0, 0, 0, 1], range(5)),
+    ],
+    ids=["too-many-rows", "short-lane-map", "lane-past-w", "chunk-past-c"],
+)
+def test_encode_fc_tiles_rejects_a_layer_outside_the_plan(rows, chunk, lane):
+    """The plan (B*p = 4 outputs over C = 1 chunk of w = 5 lanes) takes a
+    weight of at most 4 rows with one column per mapped input, and every
+    input inside its chunks and lanes, or the tiles would place weights
+    where the product does not read them."""
     fold = FcFold.derive(5, 1, 4, 4, 8, 1)
-    with pytest.raises(LayoutError, match=f"^weight chunk is {shape[0]}x{shape[1]}, the plan needs 5x4$"):
-        encode_interleaved(make_engine(32), np.ones(shape), fold)
+    chunk, lane = np.array(chunk), np.array(lane)
+    with pytest.raises(
+        LayoutError,
+        match=rf"^FC weight is {rows}x5 with a lane map of {len(chunk)} chunk and {len(lane)} lane entries; "
+        r"the plan takes at most 4 rows, one column per map entry and entries in 1 chunks of 5 lanes$",
+    ):
+        encode_fc_tiles(make_engine(32), np.ones((rows, 5)), np.zeros(rows), fold, (chunk, lane))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 8, 64])
+def test_encode_fc_tiles_places_each_weight_by_the_lane_rule(blocks):
+    """Tile by tile, against the per-lane layout rule as a loop: tile (d, c)
+    holds in row r, at lane L + l + d for l < w, the weight of output
+    B*(r mod p) + (l + d) mod B for the input mapped to lane l of chunk c,
+    zero where no input is mapped or the output is past the weight's rows;
+    the bias seed holds bias q at lane q of every row.  The lane map is
+    scattered over two chunks and leaves lanes unmapped, as fc1's does."""
+    rng = np.random.default_rng(blocks)
+    p, rows, n, w, chunks = 2, 4, 256, 20, 2
+    fold = FcFold.derive(w, blocks, p, rows, n, chunks)
+    out_dim = blocks * p - 1
+    places = rng.permutation(chunks * w)[: chunks * w - 7]
+    chunk, lane = np.divmod(places, w)
+    weight = rand_int_matrix(rng, out_dim, len(places))
+    bias = rand_int_matrix(rng, 1, out_dim)[0]
+    eng = make_engine(rows * n)
+    fc = encode_fc_tiles(eng, weight, bias, fold, (chunk, lane))
+    assert (len(fc.tiles), {len(diagonal) for diagonal in fc.tiles}, fc.fold) == (blocks, {chunks}, fold)
+    column = {(c, l): i for i, (c, l) in enumerate(zip(chunk, lane))}
+    for d, diagonal in enumerate(fc.tiles):
+        for c, tile in enumerate(diagonal):
+            grid = np.zeros((rows, n))
+            for r in range(rows):
+                for l in range(w):
+                    q = blocks * (r % p) + (l + d) % blocks
+                    if (c, l) in column and q < out_dim:
+                        grid[r, fold.offset + l + d] = weight[q, column[c, l]]
+            assert eng.dec(tile).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
+    seed = np.zeros((rows, n))
+    seed[:, :out_dim] = bias
+    assert eng.dec(fc.bias_ct).tobytes() == seed.tobytes()
 
 
 @st.composite
@@ -281,25 +335,16 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
         eng = make_engine(slots)
         fold = forced_plan(blocks, chunks, p, w, rows, n, group)
         a_cts = [eng.enc(a.reshape(-1)) for a in a_mats]
-        per_chunk = [encode_interleaved(eng, b, fold) for b in b_mats]
-        for tiles, b in zip(per_chunk, b_mats):  # the per-lane layout rule, as a loop
-            for d, tile in enumerate(tiles):
-                grid = np.zeros((rows, n))
-                for r in range(rows):
-                    for lane in range(w):
-                        grid[r, fold.offset + lane + d] = b[lane, blocks * (r % p) + (lane + d) % blocks]
-                assert eng.dec(tile).tobytes() == eng.enc(grid.reshape(-1)).slots.tobytes()
+        fc = encode_layer(eng, b_mats, fold, eng.enc(seed_grid.reshape(-1)))
         if blocks == 1:  # one block is the revolver encoding of B placed at lanes L..L+w-1
-            for (tile,), b in zip(per_chunk, b_mats):
+            for tile, b in zip(fc.tiles[0], b_mats):
                 placed = np.zeros((n, p))
                 placed[fold.offset : fold.offset + w] = b
                 revolver = encode_revolver(eng, placed, rows)
                 assert eng.dec(tile).tobytes() == eng.dec(revolver.ct).tobytes()
-        diagonals = [list(d) for d in zip(*per_chunk)]
-        init = eng.enc(seed_grid.reshape(-1))
         spent = {}
         with eng.scope("call", spent):
-            out = matmul_chunked(eng, a_cts, diagonals, fold, init=init)
+            out = matmul_chunked(eng, a_cts, fc)
         call = spent["call"]
 
         np.testing.assert_array_equal(eng.dec(out), expected)
@@ -318,18 +363,16 @@ def test_fused_blocks_match_numpy_and_cost_formula(shape, seed):
 def test_fused_blocks_reject_layouts_that_smear(blocks, n, p, width):
     """B*p > n would wrap blocks into the next row, and with
     B*(p - 1) + w + B - 1 > n the tiles, shifted past the p output groups,
-    would leave the row: no plan is derived, and a plan made by hand is
-    refused."""
+    would leave the row: no plan is derived, and a layer in a plan made by
+    hand is refused, its fold window leaving the row."""
     with pytest.raises(LayoutError, match="neuron blocks .* w \\+ B - 1"):
         FcFold.derive(width, blocks, p, 8, n, 1)
     eng = make_engine(8 * n)
     ct = eng.enc(np.ones(8 * n))
     fold = FcFold(blocks, p, width, 1, 8, n, 1, p)
     assert fold.window > n
-    # the plan's counts, whose window leaves the row; no block; blocks of unequal chunk counts
-    for tiles in ([[ct]] * blocks, [], [[ct], [ct, ct]]):
-        with pytest.raises(LayoutError, match=f"^the FC plan takes 1 inputs and {blocks} tile lists of 1, "):
-            matmul_chunked(eng, [ct], tiles, fold, ct)
+    with pytest.raises(LayoutError, match=f"^the FC plan takes 1 inputs, .* a fold window of {fold.window} lanes: "):
+        matmul_chunked(eng, [ct], FcTiles([[ct]] * blocks, ct, fold))
 
 
 def run_fc(slots, a_mats, b_mats, fold, init_grid=None):
@@ -338,11 +381,10 @@ def run_fc(slots, a_mats, b_mats, fold, init_grid=None):
     and the call's meter."""
     eng = make_engine(slots)
     a_cts = [eng.enc(a.reshape(-1)) for a in a_mats]
-    diagonals = [list(d) for d in zip(*[encode_interleaved(eng, b, fold) for b in b_mats])]
-    init = eng.enc([] if init_grid is None else init_grid.reshape(-1))
+    fc = encode_layer(eng, b_mats, fold, None if init_grid is None else eng.enc(init_grid.reshape(-1)))
     spent = {}
     with eng.scope("call", spent):
-        out = matmul_chunked(eng, a_cts, diagonals, fold, init=init)
+        out = matmul_chunked(eng, a_cts, fc)
     return eng, eng.dec(out), spent["call"]
 
 

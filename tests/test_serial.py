@@ -144,6 +144,7 @@ MODEL_SHA256 = {
     8192: "1695f19fb93c7d5888cb5add3d00f2d1e19d7f39f2ac71e02d8cc3e81c138d4c",
     16384: "4be672bdae339496d5ff79bd66b099d679e61c99fac9d5889cf8442a6c8cf9c7",
     32768: "9f57bd57742a5352426ce62bb202773016d2d2c7daa5cbd703a3fc73f62c8da3",
+    65536: "cbb5019e91228ae90e53d241fd60e3aadbf19fd535621b47e14a7ae89501f3b3",
 }
 
 
@@ -157,7 +158,7 @@ def test_model_files_keep_their_bits(tmp_path, slots):
     assert digest.hexdigest() == MODEL_SHA256[slots]
 
 
-@pytest.mark.parametrize("slots", [1024, 2048, 4096, 8192, 16384, 32768])
+@pytest.mark.parametrize("slots", [1024, 2048, 4096, 8192, 16384, 32768, 65536])
 def test_loaded_model_carries_the_encoder_plans(tmp_path, rng, slots):
     """The loader derives each FC layer's plan from the layout, as the
     encoder does, so a loaded model evaluates in the plan it was encoded in;
