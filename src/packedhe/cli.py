@@ -25,13 +25,14 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .bench import format_report
-from .datafiles import IdxFormatError, load_idx_images, load_weights_csv
-from .engine import MAX_SLOTS, EngineError, EngineParams, OpMeter, SlotEngine
+from .datafiles import load_idx_images, load_weights_csv
+from .engine import MAX_SLOTS, EngineParams, OpMeter, SlotEngine
 from .oracle import oracle_forward
 from .pipeline import FC2_OUT, batch_layout, encode_model, forward_encoded, pack_batch
 from .serial import CT_SUFFIX, SerialError, load_indexed_batch, load_model, model_params, write_batch, write_model
@@ -49,8 +50,7 @@ def _cmd_owner_encode(args) -> int:
     # would be scored with the new ones
     stale = len(list(out_dir.glob(f"*{CT_SUFFIX}")))
     if stale:
-        print(f"error: {out_dir} already holds {stale} {CT_SUFFIX} files; choose an empty --out-dir", file=sys.stderr)
-        return 1
+        raise ValueError(f"{out_dir} already holds {stale} {CT_SUFFIX} files; choose an empty --out-dir")
     engine = SlotEngine(EngineParams(slots=args.slots))
     layout = batch_layout(engine.slots)
     images = load_idx_images(args.images)
@@ -58,8 +58,7 @@ def _cmd_owner_encode(args) -> int:
         images = images[: args.limit]
     n = images.shape[0]
     if n == 0:
-        print("error: no images to encode", file=sys.stderr)
-        return 1
+        raise ValueError("no images to encode")
     firsts = range(0, n, layout.m)
     for b, first in enumerate(firsts):
         chunk = images[first : first + layout.m]
@@ -114,12 +113,13 @@ def _infer_batches(params: EngineParams, model, batches, workers: int) -> tuple:
     """Run forward over loaded batches (see :func:`_load_batches`) against
     one shared model.
 
-    Each batch gets its own engine, so the meters (the pass total and the
-    per-stage ones) are merged afterwards.  Returns the valid rows' FC2_OUT
-    scores of every batch, stacked in batch order, the merged meter and
-    the merged stage meters; every meter carries its distinct rotation
-    offsets.  A batch whose scores are not all finite (its values or the
-    model's overflowed float64) raises SerialError naming the batch file.
+    Each batch gets its own engine, so the per-stage meters are merged
+    afterwards.  Returns the valid rows' FC2_OUT scores of every batch,
+    stacked in batch order, and the merged stage meters; every meter
+    carries its distinct rotation offsets, and every op of a pass falls
+    inside one stage.  A batch whose scores are not all finite (its values
+    or the model's overflowed float64) raises SerialError naming the batch
+    file.
     """
 
     def job(batch):
@@ -132,16 +132,15 @@ def _infer_batches(params: EngineParams, model, batches, workers: int) -> tuple:
         mat = scores.decode(engine)[: len(indices), :FC2_OUT]
         if not np.isfinite(mat).all():
             raise SerialError(f"{path}: non-finite scores: the batch or model values overflow float64")
-        return mat, engine.meter_snapshot(), stages
+        return mat, stages
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(job, batches))
-    merged, stage_totals = OpMeter(), {}
-    for _, meter, stages in results:
-        merged = merged.merged(meter)
+    stage_totals = {}
+    for _, stages in results:
         for name, spent in stages.items():
             stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
-    return np.concatenate([mat for mat, _, _ in results]), merged, stage_totals
+    return np.concatenate([mat for mat, _ in results]), stage_totals
 
 
 def _check_disjoint(batches) -> None:
@@ -167,11 +166,9 @@ def _ops_json(meter: OpMeter) -> dict:
 def _cmd_cloud_infer(args) -> int:
     batch_paths = sorted(Path(args.batch_dir).glob(f"*{CT_SUFFIX}"))
     if not batch_paths:
-        print(f"error: no batch files under {args.batch_dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no batch files under {args.batch_dir}")
     if (args.images is None) != (args.weights_dir is None):
-        print("error: --images and --weights-dir go together", file=sys.stderr)
-        return 1
+        raise ValueError("--images and --weights-dir go together")
     for path in filter(None, (args.out, args.report)):  # outputs are written after every batch has run
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise ValueError(f"{path}: cannot write here: it must name a file in an existing directory")
@@ -191,7 +188,7 @@ def _cmd_cloud_infer(args) -> int:
         reach = max((indices.stop for _, _, indices in batches if indices), default=0)
         if reach > images.shape[0]:
             raise ValueError(f"{args.images} holds {images.shape[0]} images, but the batches reach image {reach - 1}")
-    scores, merged, stage_totals = _infer_batches(params, model, batches, min(len(batches), _available_cpus()))
+    scores, stage_totals = _infer_batches(params, model, batches, min(len(batches), _available_cpus()))
     labels = np.argmax(scores, axis=1)
     indices = [index for _, _, batch_indices in batches for index in batch_indices]
     if images is not None:
@@ -207,6 +204,7 @@ def _cmd_cloud_infer(args) -> int:
             fh.write(json.dumps({"index": index, "label": int(label), "scores": row.tolist()}) + "\n")
     print(f"wrote {len(scores)} predictions to {out_path}")
     if args.report:
+        merged = reduce(OpMeter.merged, stage_totals.values())
         report = {
             "batches": len(batches),
             "predictions": len(scores),
@@ -326,7 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EngineError, SerialError, IdxFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # EngineError, SerialError and IdxFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

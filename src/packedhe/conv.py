@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CapacityError, Ciphertext, EngineError, PlainMask, SlotEngine
+from .encoding import tile_blocks
+from .engine import Ciphertext, EngineError, PlainMask, SlotEngine
 
 __all__ = [
     "ImageShape",
@@ -109,23 +110,6 @@ def bias_matrix(kernel: Kernel, shape: ImageShape) -> np.ndarray:
     return grid
 
 
-def _tile_rows(rows: np.ndarray, m: int, f: int) -> np.ndarray:
-    """Repeat each row of an (n, size) pattern array into each of m blocks
-    of stride f: an (n, m*f) array of the rows' dtype (boolean for filters)."""
-    n, size = rows.shape
-    if size > f:
-        raise CapacityError(f"{size}-slot pattern exceeds block stride {f}")
-    full = np.zeros((n, m, f), dtype=rows.dtype)
-    full[:, :, :size] = rows[:, None, :]
-    return full.reshape(n, -1)
-
-
-def _tile(block: np.ndarray, m: int, f: int) -> np.ndarray:
-    """Repeat a per-image prefix pattern into each of m blocks of stride f,
-    keeping the pattern's dtype (boolean for filters)."""
-    return _tile_rows(block.reshape(1, -1), m, f)[0]
-
-
 def _span_blocks(engine: SlotEngine, kernel: Kernel, shape: ImageShape, m: int, f: int) -> KernelSpan:
     """Encrypt the k*k span matrices and the bias layout into m blocks of stride f."""
     k = kernel.k
@@ -135,7 +119,7 @@ def _span_blocks(engine: SlotEngine, kernel: Kernel, shape: ImageShape, m: int, 
         )
 
     def enc(grid: np.ndarray) -> Ciphertext:
-        return engine.enc(_tile(grid, m, f))
+        return engine.enc(tile_blocks(grid.reshape(-1), m, f))
 
     spans = [enc(span_matrix(kernel, shape, i, j)) for i in range(k) for j in range(k)]
     return KernelSpan(spans, enc(bias_matrix(kernel, shape)), k, shape)
@@ -209,7 +193,7 @@ def _conv_blocks(engine: SlotEngine, ct: Ciphertext, spans, m: int, f: int) -> l
     """
     k, shape = spans[0].k, spans[0].shape
     offsets = np.arange(k)
-    keeps = _tile_rows(_offset_keeps(shape, k, np.repeat(offsets, k), np.tile(offsets, k)), m, f)
+    keeps = tile_blocks(_offset_keeps(shape, k, np.repeat(offsets, k), np.tile(offsets, k)), m, f)
     accs = [engine.accumulator(span.bias_ct) for span in spans]
     for i in range(k):
         for j in range(k):

@@ -7,7 +7,8 @@ layout) so each layout row carries one column of the original matrix and
 the rows can be cycled with rotations.  On the row-major pack the paper's
 column and row shifts are single rotations (by 1 and by the row width),
 so they need no function of their own.  Also provides the rotate-and-add
-row summation used by the evaluation algorithms.
+row summation used by the evaluation algorithms, and :func:`tile_blocks`,
+which lays a per-block slot pattern into every block of a batched layout.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ __all__ = [
     "PackedMatrix",
     "encode_row_major",
     "encode_revolver",
+    "tile_blocks",
     "column0_filter",
     "sum_col_vec",
 ]
@@ -92,11 +94,24 @@ def encode_revolver(engine: SlotEngine, b, target_m: int) -> PackedMatrix:
     return PackedMatrix(ct, MatrixShape(target_m, n), revolve_p=p)
 
 
+def tile_blocks(pattern, m: int, f: int) -> np.ndarray:
+    """Lay ``pattern`` at the head of each of m blocks of stride f, with
+    zeros after it, in the pattern's dtype (boolean for filters).  A stack
+    of patterns (leading axes, the last running along each pattern) gives
+    the stack of their (..., m*f) slot vectors.  CapacityError for a
+    pattern longer than f."""
+    pattern = np.asarray(pattern)
+    size = pattern.shape[-1]
+    if size > f:
+        raise CapacityError(f"{size}-slot pattern exceeds block stride {f}")
+    full = np.zeros((*pattern.shape[:-1], m, f), dtype=pattern.dtype)
+    full[..., :size] = pattern[..., None, :]
+    return full.reshape(*pattern.shape[:-1], m * f)
+
+
 def column0_filter(engine: SlotEngine, m: int, n: int) -> PlainMask:
     """0/1 filter keeping column 0 of every row of an m x n layout."""
-    keep = np.zeros((m, n), dtype=bool)
-    keep[:, 0] = True
-    return engine.mask(keep.reshape(-1))
+    return engine.mask(tile_blocks([True], m, n))
 
 
 def sum_col_vec(engine: SlotEngine, pm: PackedMatrix, col0: PlainMask | None = None) -> PackedMatrix:

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import MatrixShape, PackedMatrix, column0_filter, sum_col_vec
+from .encoding import MatrixShape, PackedMatrix, column0_filter, sum_col_vec, tile_blocks
 from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine
 
 __all__ = [
@@ -270,19 +270,23 @@ def encode_fc_tiles(engine: SlotEngine, weight, bias, fold: FcFold, inputs) -> F
     l of chunk c, and zero everywhere else; the input the tile meets is
     shifted right by L + d lanes.  The bias seed holds bias q at lane q of
     every row: the product's accumulator seed.  LayoutError unless the
-    weight has at most B*p rows and one column per mapped input, and every
-    input lies in the plan's C chunks of w lanes.
+    weight has at most B*p rows, the bias one entry per weight row and the
+    weight one column per mapped input, and the map's (chunk, lane) entries
+    are distinct and lie in the plan's C chunks of w lanes: two columns
+    mapped to one lane would meet one input, and the tiles hold one of them.
     """
     weight = np.atleast_2d(np.asarray(weight, dtype=np.float64))
+    bias = np.asarray(bias, dtype=np.float64)
     chunk, lane = (np.asarray(a) for a in inputs)
     out_dim, in_dim = weight.shape
     blocks, p, w = fold.blocks, fold.p, fold.width
-    inside = (0 <= chunk) & (chunk < fold.chunks) & (0 <= lane) & (lane < w)
-    if not (out_dim <= blocks * p and len(chunk) == len(lane) == in_dim and inside.all()):
+    inside = len(chunk) == len(lane) == in_dim and ((0 <= chunk) & (chunk < fold.chunks) & (0 <= lane) & (lane < w)).all()
+    distinct = inside and np.bincount(chunk * w + lane, minlength=1).max() <= 1
+    if not (out_dim <= blocks * p and bias.shape == (out_dim,) and distinct):
         raise LayoutError(
-            f"FC weight is {out_dim}x{in_dim} with a lane map of {len(chunk)} chunk and {len(lane)} lane entries; "
-            f"the plan takes at most {blocks * p} rows, one column per map entry and entries in {fold.chunks} "
-            f"chunks of {w} lanes"
+            f"FC weight is {out_dim}x{in_dim} with {bias.size} biases and a lane map of {len(chunk)} chunk and "
+            f"{len(lane)} lane entries; the plan takes at most {blocks * p} rows, one bias per row, one column per "
+            f"map entry and distinct entries in {fold.chunks} chunks of {w} lanes"
         )
     # padded[c] is chunk c's w x (B*p) weight block, input lane by output
     padded = np.zeros((fold.chunks, w, blocks * p))
@@ -296,9 +300,7 @@ def encode_fc_tiles(engine: SlotEngine, weight, bias, fold: FcFold, inputs) -> F
         return engine.enc(grid.reshape(-1))
 
     tiles = [[tile(block, d) for block in padded] for d in range(blocks)]
-    bias_grid = np.zeros((fold.rows, fold.lanes))
-    bias_grid[:, :out_dim] = bias
-    return FcTiles(tiles, engine.enc(bias_grid.reshape(-1)), fold)
+    return FcTiles(tiles, engine.enc(tile_blocks(bias, fold.rows, fold.lanes)), fold)
 
 
 def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import MatrixShape, PackedMatrix
+from .encoding import MatrixShape, PackedMatrix, tile_blocks
 from .conv import Kernel
 from .engine import CapacityError, EngineError, LayoutError, SlotEngine
 
@@ -83,8 +83,7 @@ def encode_right(engine: SlotEngine, b, m: int) -> ColumnEncodedMatrix:
         raise CapacityError(f"{m}x{p} tiling needs {m * p} slots, engine has {engine.slots}")
     cts = []
     for k in range(n):
-        grid = np.tile(b[k, :], m)
-        cts.append(engine.enc(grid))
+        cts.append(engine.enc(tile_blocks(b[k], m, p)))
     return ColumnEncodedMatrix(cts, "right", m, p)
 
 
@@ -135,16 +134,12 @@ def conv_columns(engine: SlotEngine, img: ColumnEncodedImage, kernel: Kernel) ->
     if k > img.h or k > img.w:
         raise EngineError(f"{k}x{k} kernel larger than {img.h}x{img.w} image")
     out_h, out_w = img.h - k + 1, img.w - k + 1
-    valid = np.zeros((img.m, img.stride), dtype=np.float64)
-    valid[:, :out_h] = 1.0
-    valid = valid.reshape(-1)
+    valid = tile_blocks(np.ones(out_h), img.m, img.stride)
 
     # shifted[j][p] is source column j shifted up by p rows
     shifted = [[ct, *(engine.rot(ct, p) for p in range(1, k))] for ct in img.cts]
 
-    bias = np.zeros((img.m, img.stride), dtype=np.float64)
-    bias[:, :out_h] = kernel.bias
-    bias_ct = engine.enc(bias.reshape(-1))
+    bias_ct = engine.enc(tile_blocks(np.full(out_h, kernel.bias), img.m, img.stride))
     weighted = {
         (q, p): engine.mask(kernel.weights[p, q] * valid)
         for q in range(k)

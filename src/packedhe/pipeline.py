@@ -50,7 +50,7 @@ from itertools import product
 
 import numpy as np
 
-from .encoding import MatrixShape, PackedMatrix
+from .encoding import MatrixShape, PackedMatrix, tile_blocks
 from .engine import Ciphertext, EngineError, EngineParams, LayoutError, SlotEngine, next_pow2
 from .matmul import FcFold, FcTiles, encode_fc_tiles, matmul_chunked
 from .virtual import VirtualLayout, batched_conv_layer, reform, tile_kernel_span
@@ -265,10 +265,10 @@ def flatten(engine: SlotEngine, maps, layout: VirtualLayout) -> list[Ciphertext]
     baby, 6 giant and one per piece) and 31 cmuls (3 filters and 28 row
     masks, two rows being cut between pieces).
     """
-    _, lane = flatten_lanes()
-    valid = np.zeros(layout.f, dtype=bool)
+    _, (_, lane) = FC_LAYERS["fc1"]
+    valid = np.zeros(MAP_BLOCK, dtype=bool)
     valid[lane[:MAP_FEATURES]] = True  # map 0's lanes
-    keep = engine.mask(np.tile(valid, layout.m))
+    keep = engine.mask(tile_blocks(valid, layout.m, layout.f))
     pieces = reform(engine, maps[FC1_CHUNKS], layout, MAP_SIDE, MAP_SIDE, start=MAP_BLOCK, piece=FC1_PIECE)
     chunks = []
     for ct, piece in zip(maps[:FC1_CHUNKS], pieces, strict=True):

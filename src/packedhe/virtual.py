@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ImageShape, Kernel, KernelSpan, _conv_blocks, _span_blocks, _tile
-from .engine import Ciphertext, EngineError, LayoutError, PlainMask, SlotEngine, is_pow2
+from .conv import ImageShape, Kernel, KernelSpan, _conv_blocks, _span_blocks
+from .encoding import tile_blocks
+from .engine import Ciphertext, EngineError, LayoutError, SlotEngine, is_pow2
 
 __all__ = [
     "VirtualLayout",
@@ -69,11 +70,6 @@ def _require_fit(engine: SlotEngine, layout: VirtualLayout) -> None:
         )
 
 
-def _tiled_mask(engine: SlotEngine, layout: VirtualLayout, block: np.ndarray) -> PlainMask:
-    """A 0/1 filter repeating a per-image prefix pattern into every image block."""
-    return engine.mask(_tile(block, layout.m, layout.f))
-
-
 def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> Ciphertext:
     """Rotate every image prefix cyclically left by r; pad slots stay zero.
 
@@ -85,12 +81,10 @@ def vrot(engine: SlotEngine, ct: Ciphertext, layout: VirtualLayout, r: int) -> C
     hw = layout.image_slots
     if not 0 <= r < hw:
         raise EngineError(f"rotation must be in [0, {hw}), got {r}")
-    head = np.zeros(layout.f, dtype=bool)
-    head[: hw - r] = True
-    tail = np.zeros(layout.f, dtype=bool)
-    tail[hw - r : hw] = True
-    t1 = engine.cmul(_tiled_mask(engine, layout, head), engine.rot(ct, r))
-    t2 = engine.cmul(_tiled_mask(engine, layout, tail), engine.rot(ct, r - hw))
+    head = np.arange(hw) < hw - r
+    heads, tails = tile_blocks(np.stack([head, ~head]), layout.m, layout.f)
+    t1 = engine.cmul(engine.mask(heads), engine.rot(ct, r))
+    t2 = engine.cmul(engine.mask(tails), engine.rot(ct, r - hw))
     return engine.add(t1, t2)
 
 
@@ -202,12 +196,14 @@ def reform(
     for first in range(0, features, piece):
         rows, lanes = row[first : first + piece], lane[first : first + piece]
         top = int(rows[0]) // g * g
+        keeps = np.zeros((rows[-1] - rows[0] + 1, layout.image_slots), dtype=bool)
+        keeps[rows - rows[0], lanes] = True  # row r's lanes, in pattern r - rows[0]
+        keeps = tile_blocks(keeps, layout.m, layout.f)
         acc = engine.accumulator()
         for group in range(top, rows[-1] + 1, g):
             total = engine.accumulator()
             for r in range(max(group, rows[0]), min(group + g, rows[-1] + 1)):
-                keep = _tiled_mask(engine, layout, np.isin(np.arange(layout.f), lanes[rows == r]))
-                total.cmul(keep, babies[r % g])
+                total.cmul(engine.mask(keeps[r - rows[0]]), babies[r % g])
             acc.add(_rot(engine, total.result(), (group - top) * s))
         outs.append(_rot(engine, acc.result(), top * s + first - start))
     return outs

@@ -161,7 +161,7 @@ def test_cloud_infer_parallel_matches(workspace):
     loaded = _load_batches(params, sorted(batches.glob("*.simct")))
     workers = (os.cpu_count() or 1) + 2
     jobs = [loaded[i % len(loaded)] for i in range(max(workers, len(loaded)))]
-    want_scores, want_meter, want_stages = _infer_batches(params, model, jobs, 1)
+    want_scores, want_stages = _infer_batches(params, model, jobs, 1)
     assert want_scores.shape == (sum(len(indices) for _, _, indices in jobs), FC2_OUT)
 
     got = []
@@ -176,9 +176,9 @@ def test_cloud_infer_parallel_matches(workspace):
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
-    ((scores, meter, stages),) = got
+    ((scores, stages),) = got
     assert scores.tobytes() == want_scores.tobytes()
-    assert (meter, stages) == (want_meter, want_stages)
+    assert stages == want_stages
     assert list(stages) == ["conv", "act1", "flatten", "fc1", "act2", "fc2"]
 
 
@@ -196,7 +196,7 @@ def test_cloud_infer_decodes_each_batch_once(workspace, monkeypatch):
     decoded = []
     dec = SlotEngine.dec
     monkeypatch.setattr(SlotEngine, "dec", lambda engine, ct: decoded.append(ct) or dec(engine, ct))
-    scores, _, _ = _infer_batches(params, model, loaded, 1)
+    scores, _ = _infer_batches(params, model, loaded, 1)
     assert len(decoded) == len(loaded) == 3
     assert scores.shape == (6, FC2_OUT)
 

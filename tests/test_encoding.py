@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from packedhe.encoding import PackedMatrix, encode_revolver, encode_row_major, sum_col_vec
+from packedhe.encoding import PackedMatrix, encode_revolver, encode_row_major, sum_col_vec, tile_blocks
 from packedhe.engine import CapacityError, EngineError, LayoutError
 
 from conftest import make_engine, rand_int_matrix
@@ -188,3 +188,28 @@ def test_sum_col_vec_rejects_non_pow2():
     with pytest.raises(EngineError):
         sum_col_vec(eng, encode_row_major(eng, np.ones((2, 3))))
 
+
+@pytest.mark.parametrize("size", [1, 5, 8], ids=["one-slot", "prefix", "whole-block"])
+@pytest.mark.parametrize("dtype", [bool, np.float64], ids=["bool", "float"])
+def test_tile_blocks_matches_the_hand_rolled_forms(rng, dtype, size):
+    """One pattern, or a stack of them, at the head of each of m = 3 blocks
+    of stride f = 8 with zeros after it, in the pattern's dtype, against
+    the forms it replaced: a zero (m, f) grid with its leading columns set,
+    and a stack's rows zero-padded to f and repeated m times."""
+    m, f = 3, 8
+    stack = rng.integers(-3, 4, size=(4, size)).astype(dtype)
+    grid = np.zeros((m, f), dtype=dtype)
+    grid[:, :size] = stack[0]
+    one = tile_blocks(stack[0], m, f)
+    assert (one.dtype, one.tobytes()) == (np.dtype(dtype), grid.reshape(-1).tobytes())
+    padded = np.zeros((4, f), dtype=dtype)
+    padded[:, :size] = stack
+    many = tile_blocks(stack, m, f)
+    assert (many.dtype, many.shape) == (np.dtype(dtype), (4, m * f))
+    assert many.tobytes() == np.tile(padded, m).tobytes()
+
+
+def test_tile_blocks_rejects_a_pattern_past_the_block_stride():
+    for pattern in (np.ones(9), np.ones((2, 9), dtype=bool)):
+        with pytest.raises(CapacityError, match=r"^9-slot pattern exceeds block stride 8$"):
+            tile_blocks(pattern, 3, 8)

@@ -224,28 +224,39 @@ def test_fc_row_sum_rejects_widths_outside_the_row():
 
 
 @pytest.mark.parametrize(
-    "rows, chunk, lane",
+    "rows, chunk, lane, biases",
     [
-        (5, [0] * 5, range(5)),
-        (4, [0] * 4, range(4)),
-        (4, [0] * 5, range(1, 6)),
-        (4, [0, 0, 0, 0, 1], range(5)),
+        (5, [0] * 5, range(5), 5),
+        (4, [0] * 4, range(4), 4),
+        (4, [0] * 5, range(1, 6), 4),
+        (4, [0, 0, 0, 0, 1], range(5), 4),
+        (2, [0] * 5, [0, 0, 1, 2, 3], 2),
+        (2, [0] * 5, range(5), 3),
+        (2, [0] * 5, range(5), 1),
+        (2, [0] * 5, range(4), 2),
     ],
-    ids=["too-many-rows", "short-lane-map", "lane-past-w", "chunk-past-c"],
+    ids=[
+        "too-many-rows", "short-lane-map", "lane-past-w", "chunk-past-c",
+        "repeated-entry", "long-bias", "short-bias", "uneven-lane-map",
+    ],
 )
-def test_encode_fc_tiles_rejects_a_layer_outside_the_plan(rows, chunk, lane):
+def test_encode_fc_tiles_rejects_a_layer_outside_the_plan(rows, chunk, lane, biases):
     """The plan (B*p = 4 outputs over C = 1 chunk of w = 5 lanes) takes a
-    weight of at most 4 rows with one column per mapped input, and every
-    input inside its chunks and lanes, or the tiles would place weights
-    where the product does not read them."""
+    weight of at most 4 rows with one bias per row and one column per
+    mapped input, and every input at its own place inside the plan's chunks
+    and lanes, or the tiles would place weights where the product does not
+    read them, keep one of two columns mapped to one lane, or pad or
+    broadcast a bias of the wrong length; a chunk map and a lane map of
+    different lengths are refused with the same error."""
     fold = FcFold.derive(5, 1, 4, 4, 8, 1)
     chunk, lane = np.array(chunk), np.array(lane)
     with pytest.raises(
         LayoutError,
-        match=rf"^FC weight is {rows}x5 with a lane map of {len(chunk)} chunk and {len(lane)} lane entries; "
-        r"the plan takes at most 4 rows, one column per map entry and entries in 1 chunks of 5 lanes$",
+        match=rf"^FC weight is {rows}x5 with {biases} biases and a lane map of {len(chunk)} chunk and {len(lane)} "
+        r"lane entries; the plan takes at most 4 rows, one bias per row, one column per map entry and distinct "
+        r"entries in 1 chunks of 5 lanes$",
     ):
-        encode_fc_tiles(make_engine(32), np.ones((rows, 5)), np.zeros(rows), fold, (chunk, lane))
+        encode_fc_tiles(make_engine(32), np.ones((rows, 5)), np.zeros(biases), fold, (chunk, lane))
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 8, 64])

@@ -6,6 +6,7 @@ tracer does) must therefore see exactly the counts the engine meters, also
 where the program sums in place through an accumulator.
 """
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from packedhe.engine import SlotEngine
 from packedhe.matmul import cycle_closes, matmul
 from packedhe.multicipher import conv_columns, encode_image_columns, encode_left, encode_right, matmul_outer
 from packedhe.pipeline import batch_layout, encode_model, forward_encoded, pack_batch
-from packedhe.virtual import VirtualLayout, batched_conv, tile_kernel_span, vrot
+from packedhe.virtual import VirtualLayout, batched_conv, reform, tile_kernel_span, vrot
 
 from conftest import make_engine, rand_int_matrix
 from test_pipeline import random_weights
@@ -165,3 +166,82 @@ def test_batched_conv_calls_equal_meter(rng, calls):
     batched_conv(eng, ct, lay, span)
     assert calls == metered(eng)
     assert calls["mul"] == 4 and calls["rot"] > 0
+
+
+def _forward(slots):
+    rng = np.random.default_rng(17)
+    eng = make_engine(slots)
+    model = encode_model(eng, random_weights(rng))
+    forward_encoded(eng, pack_batch(eng, rng.uniform(0, 1, size=(batch_layout(slots).m, 28, 28))), model)
+
+
+def _vrot():
+    eng = make_engine(64)
+    lay = VirtualLayout(4, 16, 4, 3)
+    ct = eng.enc(np.arange(64.0))
+    for r in range(12):
+        vrot(eng, ct, lay, r)
+
+
+def _conv():
+    rng = np.random.default_rng(17)
+    eng = make_engine(64)
+    shape = ImageShape(7, 8)
+    span = kernel_spanner(eng, Kernel(rand_int_matrix(rng, 3, 3)), shape)
+    conv(eng, eng.enc(rand_int_matrix(rng, 7, 8).reshape(-1)), span, shape)
+
+
+def _conv_columns():
+    rng = np.random.default_rng(17)
+    eng = make_engine(32)
+    cei = encode_image_columns(eng, rng.integers(-2, 5, size=(2, 8, 8)).astype(float))
+    cei = conv_columns(eng, cei, Kernel(rand_int_matrix(rng, 3, 3), bias=0.5))
+    conv_columns(eng, cei, Kernel(rand_int_matrix(rng, 2, 2), bias=-1.0))
+
+
+def _reform():
+    eng = make_engine(64)
+    lay = VirtualLayout(2, 32, 5, 5)
+    ct = eng.enc(np.arange(64.0))
+    reform(eng, ct, lay, 3, 4)
+    reform(eng, ct, lay, 4, 3, start=13, piece=5)
+
+
+def _matmul():
+    rng = np.random.default_rng(17)
+    eng = make_engine(128)
+    a, b = rand_int_matrix(rng, 5, 16), rand_int_matrix(rng, 16, 3)
+    matmul(eng, encode_row_major(eng, a), encode_revolver(eng, b, target_m=5))
+
+
+MASK_CASES = {
+    "forward-2048": lambda: _forward(2048),
+    "forward-32768": lambda: _forward(32768),
+    "vrot": _vrot,
+    "conv": _conv,
+    "conv_columns": _conv_columns,
+    "reform": _reform,
+    "matmul-general": _matmul,
+}
+
+# SHA-256 of the values of every PlainMask each MASK_CASES entry builds, in
+# build order: a change to how a filter is laid out that keeps its bytes and
+# its place in the build order keeps these.
+MASK_SHA256 = {
+    "forward-2048": "bf2f2b618666a1bf8e8422fc7fe9765580e9f8e2536a16423db2f144bda150e8",
+    "forward-32768": "213a8670c24b814373f94ad3b4c67ee509780c04f99e6e8edf27b8d66315e1c3",
+    "vrot": "2eaafc19ac204238ad14f6359e2637b8ab85ffeb7c98bf992c279616b9cb901b",
+    "conv": "27c74a9124fd28717c84be78bf130bc5f2613ceaec480399c1b9aa263be81cf7",
+    "conv_columns": "28039d91b35adf9d3d5d165b2f2807d137e812b8de366535354a9c837a2dbfbb",
+    "reform": "1981fe9c344bb46359aeb2637b4fb0b606064ae99ea706cf501b26c66177c554",
+    "matmul-general": "53d5cebac74fb3244d06c71f8a669c21c0bb313689b2591e02548bea29eb7bfb",
+}
+
+
+@pytest.mark.parametrize("case", MASK_CASES)
+def test_built_masks_keep_their_bytes(masks, case):
+    MASK_CASES[case]()
+    digest = hashlib.sha256()
+    for mask in masks:
+        digest.update(mask.values.tobytes())
+    assert masks and digest.hexdigest() == MASK_SHA256[case]
