@@ -6,10 +6,12 @@ weights, and the cloud side runs inference over the packed files.
 Given the plaintext images and weights (``--images`` with
 ``--weights-dir``), ``cloud-infer`` checks every prediction against the
 plaintext oracle; ``verify`` runs the three roles that way in a scratch
-directory.  ``cloud-infer`` loads every batch before any inference runs,
-so batches whose image indices overlap, or reach past the end of the
-``--images`` file, are bad input found up front, and so are ``--out`` and
-``--report`` paths that name a directory or lie in none.  The one engine
+directory.  ``cloud-infer`` loads the model once and every batch before
+any inference runs, so batches whose image indices overlap, or reach past
+the end of the ``--images`` file, are bad input found up front, and so are
+``--out`` and ``--report`` paths that name a directory, lie in none, name
+each other or name a file the run reads.  It then runs the batches one
+after the other, each on its own engine.  The one engine
 parameter is ``--slots``, the slot count per ciphertext, taken by
 ``owner-encode``, ``provider-encode`` and ``verify``; ``cloud-infer``
 reads it from the model manifest's layout and rejects batch files that
@@ -21,10 +23,8 @@ fails validation), 2 verification mismatch.
 
 import argparse
 import json
-import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from pathlib import Path
 
@@ -95,12 +95,6 @@ def _oracle_mismatch(scores: np.ndarray, labels, weights, images) -> str | None:
     return None
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _load_batches(params: EngineParams, batch_paths) -> list:
     """Load every batch file as (path, ct, indices), where ``indices`` is
     the range of dataset image indices of its valid rows."""
@@ -109,38 +103,30 @@ def _load_batches(params: EngineParams, batch_paths) -> list:
     return [(path, ct, range(first, first + valid)) for path, (ct, _, valid, first) in loaded]
 
 
-def _infer_batches(params: EngineParams, model, batches, workers: int) -> tuple:
-    """Run forward over loaded batches (see :func:`_load_batches`) against
-    one shared model.
+def _infer_batches(params: EngineParams, model, batches) -> tuple:
+    """Run forward over loaded batches (see :func:`_load_batches`), one
+    after the other, against one shared model.
 
-    Each batch gets its own engine, so the per-stage meters are merged
-    afterwards.  Returns the valid rows' FC2_OUT scores of every batch,
-    stacked in batch order, and the merged stage meters; every meter
-    carries its distinct rotation offsets, and every op of a pass falls
-    inside one stage.  A batch whose scores are not all finite (its values
-    or the model's overflowed float64) raises SerialError naming the batch
-    file.
+    Each batch gets its own engine, so each stage's recorded depth is its
+    own; the stage meters are shared, so a stage re-entered by the next
+    batch adds its counts and unites its rotation offsets.  Returns the
+    valid rows' FC2_OUT scores of every batch, stacked in batch order, and
+    the stage meters; every meter carries its distinct rotation offsets,
+    and every op of a pass falls inside one stage.  A batch whose scores
+    are not all finite (its values or the model's overflowed float64)
+    raises SerialError naming the batch file.
     """
-
-    def job(batch):
-        path, ct, indices = batch
+    stages, scores = {}, []
+    for path, ct, indices in batches:
         engine = SlotEngine(params)
-        stages = {}
         # an overflow is reported once below, as bad input, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = forward_encoded(engine, ct, model, stage_meters=stages)
-        mat = scores.decode(engine)[: len(indices), :FC2_OUT]
+            out = forward_encoded(engine, ct, model, stage_meters=stages)
+        mat = out.decode(engine)[: len(indices), :FC2_OUT]
         if not np.isfinite(mat).all():
             raise SerialError(f"{path}: non-finite scores: the batch or model values overflow float64")
-        return mat, stages
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(job, batches))
-    stage_totals = {}
-    for _, stages in results:
-        for name, spent in stages.items():
-            stage_totals[name] = stage_totals.get(name, OpMeter()).merged(spent)
-    return np.concatenate([mat for mat, _ in results]), stage_totals
+        scores.append(mat)
+    return np.concatenate(scores), stages
 
 
 def _check_disjoint(batches) -> None:
@@ -149,6 +135,29 @@ def _check_disjoint(batches) -> None:
     for (prev_path, _, prev), (path, _, cur) in zip(claims, claims[1:]):
         if cur.start < prev.stop:
             raise SerialError(f"{path}: images from index {cur.start} are also claimed by {prev_path}")
+
+
+def _check_outputs(args, batch_paths) -> None:
+    """Reject an --out or --report path that names a directory, lies in
+    none, names a file the run reads (a batch file, a file of the model
+    directory, the --images IDX or a weight CSV), or names the other
+    output.  Outputs are written after every batch has run, so these are
+    checked first; paths are compared resolved, so a relative path or a
+    symlink names its target."""
+    reads = [*batch_paths, *Path(args.model_dir).glob("*")]
+    if args.images is not None:
+        reads += [Path(args.images), *Path(args.weights_dir).glob("*.csv")]
+    inputs = {path.resolve(): path for path in reads}
+    for flag, path in (("--out", args.out), ("--report", args.report)):
+        if path is None:
+            continue
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ValueError(f"{path}: cannot write here: it must name a file in an existing directory")
+        target = Path(path).resolve()
+        if target in inputs:
+            raise ValueError(f"{flag} {path} names {inputs[target]}, a file this run reads")
+    if args.report is not None and Path(args.report).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--out {args.out} and --report {args.report} name the same file")
 
 
 def _ops_json(meter: OpMeter) -> dict:
@@ -169,9 +178,7 @@ def _cmd_cloud_infer(args) -> int:
         raise ValueError(f"no batch files under {args.batch_dir}")
     if (args.images is None) != (args.weights_dir is None):
         raise ValueError("--images and --weights-dir go together")
-    for path in filter(None, (args.out, args.report)):  # outputs are written after every batch has run
-        if Path(path).is_dir() or not Path(path).parent.is_dir():
-            raise ValueError(f"{path}: cannot write here: it must name a file in an existing directory")
+    _check_outputs(args, batch_paths)
     params = model_params(args.model_dir)
     model = load_model(SlotEngine(params), args.model_dir)
     images = None
@@ -188,7 +195,7 @@ def _cmd_cloud_infer(args) -> int:
         reach = max((indices.stop for _, _, indices in batches if indices), default=0)
         if reach > images.shape[0]:
             raise ValueError(f"{args.images} holds {images.shape[0]} images, but the batches reach image {reach - 1}")
-    scores, stage_totals = _infer_batches(params, model, batches, min(len(batches), _available_cpus()))
+    scores, stage_totals = _infer_batches(params, model, batches)
     labels = np.argmax(scores, axis=1)
     indices = [index for _, _, batch_indices in batches for index in batch_indices]
     if images is not None:

@@ -13,7 +13,8 @@ kernel is a layer of one.  The offset filter depends only on the offset
 class and the layout, so the loop runs the offset classes outside and the
 kernels inside and builds each filter once for all kernels.  The loop
 stays serial: even whole batches on 2 threads side by side ran only
-1.04-1.24x faster than one thread on a 2-CPU host.
+1.04-1.24x faster than one thread on a 2-CPU host, and ``cloud-infer``
+runs its batches one after the other for the same reason.
 """
 
 from dataclasses import dataclass

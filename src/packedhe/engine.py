@@ -105,7 +105,7 @@ class OpMeter:
     rotation offsets (mod slots) used: the rotation keys a real backend
     would need.  Two meters combine by summing counters, taking the max of
     depths and the union of offsets, which is associative and commutative,
-    so per-worker meters can be merged in any order.
+    so meters can be merged in any order.
     """
 
     add_count: int = 0
@@ -346,10 +346,11 @@ class SlotEngine:
     its :class:`EngineParams` (by default 32768).
 
     Ciphertexts and masks are immutable values and can be shared freely
-    between workers; each worker should own its engine and the meters can
-    be combined afterwards with :meth:`OpMeter.merged`.  ``rot_offsets`` is
-    the set of distinct rotation offsets (mod slots) used so far: the
-    rotation keys a real backend would need, and the meter's own set.
+    between engines, so one loaded model serves every batch, each on its
+    own engine; meters combine with :meth:`OpMeter.merged`.
+    ``rot_offsets`` is the set of distinct rotation offsets (mod slots)
+    used so far: the rotation keys a real backend would need, and the
+    meter's own set.
     """
 
     def __init__(self, params: EngineParams | None = None):

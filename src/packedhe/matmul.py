@@ -331,29 +331,6 @@ def _plan_product(engine: SlotEngine, ct_a: PackedMatrix, ct_bbar: PackedMatrix)
     return rows
 
 
-def _grouped_fold(engine: SlotEngine, fold: FcFold, prods, phases) -> Ciphertext:
-    """Sum the products of a group of G iterations into their output lanes.
-
-    Each product folds log2 G steps at stride B, so lane x holds lanes x,
-    x + B, ..., x + (G-1)*B, and keeps its phase class (``phases[k]`` for
-    the k-th iteration of the group).  In every row the G iterations keep
-    distinct classes mod B*G, so their sum folds once at stride B*G over
-    ``fold.steps`` steps; output lane B*t + j of a row then holds the sum
-    of its class over the iteration that targets group t.  The products are
-    zero outside [L, span) because the tiles are, and the fold window stops
-    before the next row's kept lanes, so nothing crosses a row.
-    """
-    kept = engine.accumulator()
-    for prod, phase in zip(prods, phases):
-        for t in range(fold.group.bit_length() - 1):
-            prod = engine.add(prod, engine.rot(prod, fold.blocks << t))
-        kept.cmul(phase, prod)
-    total = kept.result()
-    for t in range(fold.steps):
-        total = engine.add(total, engine.rot(total, (fold.blocks * fold.group) << t))
-    return total
-
-
 def matmul_chunked(engine: SlotEngine, inputs: Sequence[Ciphertext], fc: FcTiles) -> Ciphertext:
     """FC product: sum over C input chunks c of A_c * W_c, with B neuron
     blocks interleaved across the lanes of each row and groups of
@@ -367,13 +344,20 @@ def matmul_chunked(engine: SlotEngine, inputs: Sequence[Ciphertext], fc: FcTiles
     which meets A_c shifted right by L + d lanes.  The shifts are made
     once per call: rot(A_c, -L) (skipped when L = 0), then chained
     rotations by -1, C*[L > 0] + C*(B-1) rotations.  The iterations run in
-    groups of G (:class:`FcFold`); each iteration adds its B*C products,
-    folds log2 G steps at stride B and keeps one phase class of lanes, and
-    each group adds its G masked sums, folds at stride B*G up to the window
-    F, applies one result filter (:func:`build_result_filter` with
-    ``blocks`` and ``group``) and accumulates once.  Row summation and the
-    result filter are linear, so the chunk products of an iteration are
-    added before any fold.
+    groups of G (:class:`FcFold`).  Each iteration adds its B*C products
+    and folds the sum as soon as it is made: log2 G steps at stride B, so
+    lane x holds lanes x, x + B, ..., x + (G-1)*B.  It then adds the lanes
+    of its phase class (``phases[k]`` for the k-th iteration of the group)
+    into the group's sum.  In every row the G iterations keep distinct
+    classes mod B*G, so the group's sum folds once at stride B*G over
+    ``fold.steps`` steps, up to the window F; output lane B*t + j of a row
+    then holds the sum of its class over the iteration that targets group
+    t.  The products are zero outside [L, span) because the tiles are, and
+    the window stops before the next row's kept lanes, so nothing crosses
+    a row.  Each group then applies one result filter
+    (:func:`build_result_filter` with ``blocks`` and ``group``) and
+    accumulates once.  Row summation and the result filter are linear, so
+    the chunk products of an iteration are added before any fold.
 
     The row cycle takes baby and giant steps (Halevi-Shoup, CRYPTO 2018).
     Iteration idx shifts by s = idx + 1 = g*s2 + s1 with s1 in 1..g, and
@@ -433,13 +417,19 @@ def matmul_chunked(engine: SlotEngine, inputs: Sequence[Ciphertext], fc: FcTiles
                   for s1 in range(first + 1, first + fold.group + 1)]
         keep = build_result_filter(engine, rows, n, p, (first + 1) % p, blocks, fold.group)
         for frame_inputs, frame in zip(frame_lefts, frames):
-            prods = []
-            for baby_tiles in babies:
-                prod = engine.accumulator()
+            kept = engine.accumulator()
+            for baby_tiles, phase in zip(babies, phases):
+                terms = engine.accumulator()
                 for ct_a, baby in zip(frame_inputs, baby_tiles):
-                    prod.mul(ct_a, baby)
-                prods.append(prod.result())
-            frame.add(engine.cmul(keep, _grouped_fold(engine, fold, prods, phases)))
+                    terms.mul(ct_a, baby)
+                prod = terms.result()
+                for t in range(fold.group.bit_length() - 1):
+                    prod = engine.add(prod, engine.rot(prod, blocks << t))
+                kept.cmul(phase, prod)
+            total = kept.result()
+            for t in range(fold.steps):
+                total = engine.add(total, engine.rot(total, (blocks * fold.group) << t))
+            frame.add(engine.cmul(keep, total))
     for base, frame in zip(bases[1:], frames[1:]):
         acc.add(engine.rot(frame.result(), n * base))
     return acc.result()

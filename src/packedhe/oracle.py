@@ -6,14 +6,20 @@ computation path.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "oracle_matmul",
     "oracle_conv",
+    "oracle_conv_batched",
     "oracle_poly",
     "oracle_flatten",
     "oracle_forward",
 ]
+
+# images per conv pass in oracle_forward: its working set is about ten
+# (_CHUNK, h-k+1, w-k+1) arrays, whatever the number of images
+_CHUNK = 64
 
 
 def oracle_matmul(a, b) -> np.ndarray:
@@ -49,6 +55,46 @@ def oracle_conv(image, weights, bias: float = 0.0) -> np.ndarray:
     return out
 
 
+def _pairwise_sum(term, start: int, stop: int) -> np.ndarray:
+    """Sum ``term(t)`` for t in [start, stop) in the order ``np.sum`` adds
+    a contiguous float64 run (numpy's pairwise summation): under 8 terms in
+    sequence from 0.0; up to 128 in eight running sums over strides of 8,
+    combined pairwise, then the rest in sequence; above 128 as two halves
+    split at n/2 rounded down to a multiple of 8."""
+    n = stop - start
+    if n < 8:
+        total = np.zeros_like(term(start))
+        for t in range(start, stop):
+            total += term(t)
+        return total
+    if n <= 128:
+        runs = [term(start + j) for j in range(8)]
+        whole = stop - n % 8
+        for t in range(start + 8, whole):
+            runs[(t - start) % 8] += term(t)
+        total = ((runs[0] + runs[1]) + (runs[2] + runs[3])) + ((runs[4] + runs[5]) + (runs[6] + runs[7]))
+        for t in range(whole, stop):
+            total += term(t)
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(term, start, start + half) + _pairwise_sum(term, start + half, stop)
+
+
+def oracle_conv_batched(images, weights, bias: float = 0.0) -> np.ndarray:
+    """:func:`oracle_conv` of every image in a (batch, h, w) stack, bit for
+    bit: each output adds its window's k*k products in ``np.sum``'s order,
+    for all windows of all images at once."""
+    images = np.asarray(images, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    _, h, w = images.shape
+    k = weights.shape[0]
+    if weights.shape != (k, k) or k > h or k > w:
+        raise ValueError(f"bad kernel shape {weights.shape} for images {images.shape[1:]}")
+    windows = sliding_window_view(images, (k, k), axis=(1, 2))
+    # np.sum starts from its identity, 0.0, which turns a -0.0 sum into +0.0
+    return bias + (0.0 + _pairwise_sum(lambda t: windows[..., t // k, t % k] * weights[t // k, t % k], 0, k * k))
+
+
 def oracle_poly(x, coeffs) -> np.ndarray:
     """Evaluate c0 + c1 x + c2 x^2 + c3 x^3 element-wise."""
     x = np.asarray(x, dtype=np.float64)
@@ -66,17 +112,22 @@ def oracle_forward(weights, images) -> np.ndarray:
 
     ``weights`` carries conv_kernels (list of Kernel-likes with .weights
     and .bias), fc1_weight/fc1_bias, fc2_weight/fc2_bias and the two
-    4-coefficient activation tuples; ``images`` is (batch, h, w).
+    4-coefficient activation tuples; ``images`` is (batch, h, w).  The
+    conv maps are computed for _CHUNK images at a time
+    (:func:`oracle_conv_batched`), so the extra memory does not grow with
+    the batch; each FC layer stays one matrix-vector product per image,
+    since a batched matrix product rounds differently.
     """
     images = np.asarray(images, dtype=np.float64)
     scores = []
-    for img in images:
+    for start in range(0, len(images), _CHUNK):
+        chunk = images[start : start + _CHUNK]
         maps = [
-            oracle_poly(oracle_conv(img, kern.weights, kern.bias), weights.act1)
+            oracle_poly(oracle_conv_batched(chunk, kern.weights, kern.bias), weights.act1)
             for kern in weights.conv_kernels
         ]
-        flat = oracle_flatten(maps)
-        h1 = weights.fc1_weight @ flat + weights.fc1_bias
-        h1 = oracle_poly(h1, weights.act2)
-        scores.append(weights.fc2_weight @ h1 + weights.fc2_bias)
+        for image_maps in zip(*maps):
+            h1 = weights.fc1_weight @ oracle_flatten(image_maps) + weights.fc1_bias
+            h1 = oracle_poly(h1, weights.act2)
+            scores.append(weights.fc2_weight @ h1 + weights.fc2_bias)
     return np.stack(scores)

@@ -343,9 +343,10 @@ def forward_encoded(
     """Run the full pipeline on one packed batch of images.
 
     Pass a dict as ``stage_meters`` to collect per-stage operation-count
-    deltas under keys conv/act1/flatten/fc1/act2/fc2; each key is set once,
-    as its stage ends.  The flatten stage (:func:`flatten`) packs the four
-    activated maps into fc1's three input chunks.  Each FC layer is one
+    deltas under keys conv/act1/flatten/fc1/act2/fc2; each key is set as
+    its stage ends, and a dict passed to several passes adds their counts
+    (:meth:`SlotEngine.scope`).  The flatten stage (:func:`flatten`) packs
+    the four activated maps into fc1's three input chunks.  Each FC layer is one
     ``matmul_chunked`` product of its encoded layer, in the plan its tiles
     were encoded with and seeded with its bias seed.
     """

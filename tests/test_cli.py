@@ -1,9 +1,6 @@
 import hashlib
 import json
-import os
 import struct
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -148,40 +145,6 @@ def test_cloud_infer_end_to_end(workspace, monkeypatch):
     assert {name: s["rot_keys"] for name, s in stages.items()} == MNIST_STAGE_KEYS
 
 
-def test_cloud_infer_parallel_matches(workspace):
-    # Stress for the shared-model loop: more worker threads than cores and
-    # frequent thread switches must give the one-worker results, in order.
-    tmp, idx, weights_dir, _, _ = workspace
-    batches, model_dir = tmp / "b2", tmp / "m2"
-    small = ["--slots", "8192"]  # 5 batches of 8 images, about 0.3 s each
-    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches)] + small) == 0
-    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model_dir)] + small) == 0
-    params = EngineParams(slots=8192)
-    model = load_model(SlotEngine(params), model_dir)
-    loaded = _load_batches(params, sorted(batches.glob("*.simct")))
-    workers = (os.cpu_count() or 1) + 2
-    jobs = [loaded[i % len(loaded)] for i in range(max(workers, len(loaded)))]
-    want_scores, want_stages = _infer_batches(params, model, jobs, 1)
-    assert want_scores.shape == (sum(len(indices) for _, _, indices in jobs), FC2_OUT)
-
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        worker = threading.Thread(
-            target=lambda: got.append(_infer_batches(params, model, jobs, workers)), daemon=True
-        )
-        worker.start()
-        worker.join(timeout=300)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not worker.is_alive()
-    ((scores, stages),) = got
-    assert scores.tobytes() == want_scores.tobytes()
-    assert stages == want_stages
-    assert list(stages) == ["conv", "act1", "flatten", "fc1", "act2", "fc2"]
-
-
 def test_cloud_infer_decodes_each_batch_once(workspace, monkeypatch):
     """A batch's scores and labels come from one decode of its score
     ciphertext."""
@@ -196,7 +159,7 @@ def test_cloud_infer_decodes_each_batch_once(workspace, monkeypatch):
     decoded = []
     dec = SlotEngine.dec
     monkeypatch.setattr(SlotEngine, "dec", lambda engine, ct: decoded.append(ct) or dec(engine, ct))
-    scores, _ = _infer_batches(params, model, loaded, 1)
+    scores, _ = _infer_batches(params, model, loaded)
     assert len(decoded) == len(loaded) == 3
     assert scores.shape == (6, FC2_OUT)
 
@@ -347,6 +310,58 @@ def test_cloud_infer_checks_output_paths_before_inference(workspace, monkeypatch
 
     assert main(argv + ["--out", str(out), "--report", str(tmp / "r.json")]) == 0
     assert len(passes) == 2 and out.exists() and (tmp / "r.json").exists()
+
+
+ORACLE_INPUTS = ["--images", "images.idx", "--weights-dir", "weights"]
+
+
+@pytest.mark.parametrize(
+    "outputs, links, error",
+    [
+        (["--out", "p.jsonl", "--report", "p.jsonl"], {}, "--out p.jsonl and --report p.jsonl name the same file"),
+        (["--out", "p.jsonl", "--report", "./p.jsonl"], {}, "--out p.jsonl and --report ./p.jsonl name the same file"),
+        (["--out", "p.jsonl", "--report", "r.link"], {"r.link": "p.jsonl"}, "--out p.jsonl and --report r.link name the same file"),
+        (["--out", "m2k/manifest.json"], {}, "--out m2k/manifest.json names m2k/manifest.json, a file this run reads"),
+        (["--out", "./b2k/../m2k/manifest.json"], {}, "--out ./b2k/../m2k/manifest.json names m2k/manifest.json, a file this run reads"),
+        (["--out", "p.jsonl", "--report", "m2k/fc1_bias.simct"], {}, "--report m2k/fc1_bias.simct names m2k/fc1_bias.simct, a file this run reads"),
+        (["--out", "b2k/batch_00001.simct"], {}, "--out b2k/batch_00001.simct names b2k/batch_00001.simct, a file this run reads"),
+        (["--out", "p.link"], {"p.link": "b2k/batch_00000.simct"}, "--out p.link names b2k/batch_00000.simct, a file this run reads"),
+        (["--out", "p.jsonl", "--report", "images.idx"] + ORACLE_INPUTS, {}, "--report images.idx names images.idx, a file this run reads"),
+        (["--out", "weights/fc1_weight.csv"] + ORACLE_INPUTS, {}, "--out weights/fc1_weight.csv names weights/fc1_weight.csv, a file this run reads"),
+    ],
+    ids=[
+        "out-is-report",
+        "out-is-report-relative",
+        "report-links-to-out",
+        "out-is-the-manifest",
+        "out-is-the-manifest-relative",
+        "report-is-a-model-tile",
+        "out-is-a-batch",
+        "out-links-to-a-batch",
+        "report-is-the-images",
+        "out-is-a-weight-csv",
+    ],
+)
+def test_cloud_infer_refuses_outputs_that_collide(workspace, monkeypatch, capsys, outputs, links, error):
+    """--out and --report naming one file, or either naming a file the run
+    reads (compared resolved, so relative paths and symlinks count), exit 1
+    before any batch loads, with one error line naming both paths; no file
+    is written and every input keeps its bytes."""
+    tmp, idx, weights_dir, _, _ = workspace
+    slots = ["--slots", "2048"]  # two batches of 2 images
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(tmp / "b2k"), "--limit", "4"] + slots) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(tmp / "m2k")] + slots) == 0
+    for name, target in links.items():
+        (tmp / name).symlink_to(target)
+    monkeypatch.chdir(tmp)
+    before = {path: path.read_bytes() for path in tmp.rglob("*") if path.is_file()}
+    loads = []
+    monkeypatch.setattr("packedhe.cli.load_indexed_batch", lambda *args: loads.append(args))
+    capsys.readouterr()
+    assert main(["cloud-infer", "--batch-dir", "b2k", "--model-dir", "m2k"] + outputs) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert loads == []
+    assert {path: path.read_bytes() for path in tmp.rglob("*") if path.is_file()} == before
 
 
 def test_cloud_infer_rejects_overlapping_batches(workspace, capsys):
