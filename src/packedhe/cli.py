@@ -10,7 +10,8 @@ directory.  ``cloud-infer`` loads the model once and every batch before
 any inference runs, so batches whose image indices overlap, or reach past
 the end of the ``--images`` file, are bad input found up front, and so are
 ``--out`` and ``--report`` paths that name a directory, lie in none, name
-each other or name a file the run reads.  It then runs the batches one
+each other, name a file the run reads or would add a batch-suffixed file
+to ``--batch-dir``.  It then runs the batches one
 after the other, each on its own engine.  The one engine
 parameter is ``--slots``, the slot count per ciphertext, taken by
 ``owner-encode``, ``provider-encode`` and ``verify``; ``cloud-infer``
@@ -140,10 +141,12 @@ def _check_disjoint(batches) -> None:
 def _check_outputs(args, batch_paths) -> None:
     """Reject an --out or --report path that names a directory, lies in
     none, names a file the run reads (a batch file, a file of the model
-    directory, the --images IDX or a weight CSV), or names the other
+    directory, the --images IDX or a weight CSV), would add a file to
+    --batch-dir that the next run reads as a batch, or names the other
     output.  Outputs are written after every batch has run, so these are
     checked first; paths are compared resolved, so a relative path or a
     symlink names its target."""
+    batch_dir = Path(args.batch_dir).resolve()
     reads = [*batch_paths, *Path(args.model_dir).glob("*")]
     if args.images is not None:
         reads += [Path(args.images), *Path(args.weights_dir).glob("*.csv")]
@@ -156,6 +159,8 @@ def _check_outputs(args, batch_paths) -> None:
         target = Path(path).resolve()
         if target in inputs:
             raise ValueError(f"{flag} {path} names {inputs[target]}, a file this run reads")
+        if target.parent == batch_dir and target.name.endswith(CT_SUFFIX):
+            raise ValueError(f"{flag} {path} is a {CT_SUFFIX} file in --batch-dir, which the next run would read as a batch")
     if args.report is not None and Path(args.report).resolve() == Path(args.out).resolve():
         raise ValueError(f"--out {args.out} and --report {args.report} name the same file")
 

@@ -174,11 +174,18 @@ class EncodedModel:
     layout: VirtualLayout
 
     @property
-    def ciphertext_count(self) -> int:
-        n = sum(len(s.span_cts) + 1 for s in self.kernel_spans)
+    def ciphertexts(self) -> list[Ciphertext]:
+        """Every ciphertext of the model, in the order of its files: each
+        kernel's k*k spans and then its bias, then each FC layer's B x C
+        tiles block by block and then its bias seed."""
+        cts = [ct for span in self.kernel_spans for ct in (*span.span_cts, span.bias_ct)]
         for fc in (self.fc1, self.fc2):
-            n += sum(len(row) for row in fc.tiles) + 1
-        return n
+            cts += [tile for row in fc.tiles for tile in row] + [fc.bias_ct]
+        return cts
+
+    @property
+    def ciphertext_count(self) -> int:
+        return len(self.ciphertexts)
 
 
 def poly_activation(engine: SlotEngine, cts, coeffs) -> list[Ciphertext]:

@@ -313,6 +313,7 @@ def test_cloud_infer_checks_output_paths_before_inference(workspace, monkeypatch
 
 
 ORACLE_INPUTS = ["--images", "images.idx", "--weights-dir", "weights"]
+ADDS_A_BATCH = "is a .simct file in --batch-dir, which the next run would read as a batch"
 
 
 @pytest.mark.parametrize(
@@ -328,6 +329,9 @@ ORACLE_INPUTS = ["--images", "images.idx", "--weights-dir", "weights"]
         (["--out", "p.link"], {"p.link": "b2k/batch_00000.simct"}, "--out p.link names b2k/batch_00000.simct, a file this run reads"),
         (["--out", "p.jsonl", "--report", "images.idx"] + ORACLE_INPUTS, {}, "--report images.idx names images.idx, a file this run reads"),
         (["--out", "weights/fc1_weight.csv"] + ORACLE_INPUTS, {}, "--out weights/fc1_weight.csv names weights/fc1_weight.csv, a file this run reads"),
+        (["--out", "b2k/preds.simct"], {}, f"--out b2k/preds.simct {ADDS_A_BATCH}"),
+        (["--out", "p.jsonl", "--report", "./b2k/r.simct"], {}, f"--report ./b2k/r.simct {ADDS_A_BATCH}"),
+        (["--out", "p.link"], {"p.link": "b2k/p.simct"}, f"--out p.link {ADDS_A_BATCH}"),
     ],
     ids=[
         "out-is-report",
@@ -340,13 +344,17 @@ ORACLE_INPUTS = ["--images", "images.idx", "--weights-dir", "weights"]
         "out-links-to-a-batch",
         "report-is-the-images",
         "out-is-a-weight-csv",
+        "out-adds-a-batch",
+        "report-adds-a-batch",
+        "out-links-to-a-new-batch",
     ],
 )
 def test_cloud_infer_refuses_outputs_that_collide(workspace, monkeypatch, capsys, outputs, links, error):
-    """--out and --report naming one file, or either naming a file the run
-    reads (compared resolved, so relative paths and symlinks count), exit 1
-    before any batch loads, with one error line naming both paths; no file
-    is written and every input keeps its bytes."""
+    """--out and --report naming one file, either naming a file the run
+    reads, or either adding a .simct file to --batch-dir, which the next
+    run would take for a batch (compared resolved, so relative paths and
+    symlinks count), exit 1 before any batch loads, with one error line
+    naming the paths; no file is written and every input keeps its bytes."""
     tmp, idx, weights_dir, _, _ = workspace
     slots = ["--slots", "2048"]  # two batches of 2 images
     assert main(["owner-encode", "--images", str(idx), "--out-dir", str(tmp / "b2k"), "--limit", "4"] + slots) == 0
@@ -362,6 +370,20 @@ def test_cloud_infer_refuses_outputs_that_collide(workspace, monkeypatch, capsys
     assert capsys.readouterr().err == f"error: {error}\n"
     assert loads == []
     assert {path: path.read_bytes() for path in tmp.rglob("*") if path.is_file()} == before
+
+
+def test_cloud_infer_writes_other_names_in_the_batch_dir(workspace):
+    """--out and --report may name files in --batch-dir that are no batch
+    files, and the next run over that directory scores the same batches."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model = tmp / "b2k", tmp / "m2k"
+    slots = ["--slots", "2048"]  # two batches of 2 images
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "4"] + slots) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + slots) == 0
+    argv = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model)]
+    assert main(argv + ["--out", str(batches / "preds.jsonl"), "--report", str(batches / "report.json")]) == 0
+    assert main(argv + ["--out", str(tmp / "again.jsonl")]) == 0
+    assert (tmp / "again.jsonl").read_bytes() == (batches / "preds.jsonl").read_bytes()
 
 
 def test_cloud_infer_rejects_overlapping_batches(workspace, capsys):

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from packedhe.engine import Ciphertext
 from packedhe.matmul import FcFold
-from packedhe.pipeline import batch_layout, encode_model, forward_encoded, pack_batch
+from packedhe.pipeline import KERNEL_COUNT, KERNEL_SIZE, batch_layout, encode_model, forward_encoded, pack_batch
 from packedhe.serial import (
+    MAGIC,
     SerialError,
     load_batch,
     load_ciphertext,
@@ -22,7 +24,7 @@ from packedhe.serial import (
 from packedhe.virtual import VirtualLayout
 
 from conftest import make_engine
-from test_pipeline import random_weights
+from test_pipeline import MODEL_CIPHERTEXTS, random_weights
 
 
 def test_ciphertext_round_trip_bit_exact(tmp_path, rng):
@@ -38,6 +40,24 @@ def test_ciphertext_round_trip_bit_exact(tmp_path, rng):
     assert header["depth"] == 1 and header["meta"]["kind"] == "test"
     loaded, _ = load_ciphertext(eng, path)
     assert loaded.depth == 1 and "layout" not in header
+
+
+def test_read_returns_an_aligned_read_only_copy(tmp_path, rng):
+    """Whatever byte the payload starts at (the header's length sets it),
+    the slots read back as an aligned, read-only float64 vector: a view of
+    the file's bytes would be unaligned and slow every op that reads it."""
+    eng = make_engine(64)
+    ct = eng.enc(rng.uniform(-1, 1, size=64))
+    path = tmp_path / "a.simct"
+    starts = set()
+    for pad in range(8):
+        write_ciphertext(path, ct, meta={"pad": "x" * pad})
+        (hlen,) = struct.unpack_from("<I", path.read_bytes(), len(MAGIC))
+        starts.add((len(MAGIC) + 4 + hlen) % 8)
+        vec, _ = read_ciphertext(path)
+        assert vec.dtype == np.float64 and vec.flags.aligned and vec.ctypes.data % 8 == 0
+        assert not vec.flags.writeable and vec.tobytes() == ct.slots.tobytes()
+    assert starts == set(range(8))
 
 
 def test_read_rejects_garbage(tmp_path):
@@ -158,22 +178,47 @@ def test_model_files_keep_their_bits(tmp_path, slots):
     assert digest.hexdigest() == MODEL_SHA256[slots]
 
 
-@pytest.mark.parametrize("slots", [1024, 2048, 4096, 8192, 16384, 32768, 65536])
+def named_ciphertexts(model) -> dict:
+    """Each ciphertext of an encoded model by the stem of its file name,
+    read off the model's fields in the order the files are written."""
+    named = {}
+    for ki, span in enumerate(model.kernel_spans):
+        named.update({f"kernel{ki}_span{si}": ct for si, ct in enumerate(span.span_cts)})
+        named[f"kernel{ki}_bias"] = span.bias_ct
+    for name, fc in (("fc1", model.fc1), ("fc2", model.fc2)):
+        named.update({f"{name}_w_b{b}_c{c}": tile for b, row in enumerate(fc.tiles) for c, tile in enumerate(row)})
+        named[f"{name}_bias"] = fc.bias_ct
+    return named
+
+
+@pytest.mark.parametrize("slots", sorted(MODEL_CIPHERTEXTS))
 def test_loaded_model_carries_the_encoder_plans(tmp_path, rng, slots):
     """The loader derives each FC layer's plan from the layout, as the
-    encoder does, so a loaded model evaluates in the plan it was encoded in;
-    its tiles are the encoder's ciphertexts, byte for byte."""
+    encoder does, so a loaded model evaluates in the plan it was encoded in.
+    ``EncodedModel.ciphertexts`` lists each kernel's spans and then its
+    bias, then each FC layer's tiles block by block and then its bias seed;
+    ``write_model`` writes each to the file named for it and returns how many
+    it wrote, and every ciphertext of the loaded model is the encoder's, byte
+    for byte, at its place in that list."""
     eng = make_engine(slots)
     model = encode_model(eng, random_weights(rng))
-    write_model(tmp_path, model)
+    named = named_ciphertexts(model)
+    assert [id(ct) for ct in model.ciphertexts] == [id(ct) for ct in named.values()]
+    count = write_model(tmp_path, model)
+    files = sorted(tmp_path.glob("*.simct"))
+    assert count == len(files) == len(named) == model.ciphertext_count == MODEL_CIPHERTEXTS[slots]
+    assert {path.stem for path in files} == set(named)
+    for path in files:
+        assert read_ciphertext(path)[0].tobytes() == named[path.stem].slots.tobytes()
+
     loaded = load_model(make_engine(slots), tmp_path)
     assert (loaded.fc1.fold, loaded.fc2.fold) == (model.fc1.fold, model.fc2.fold)
-    for fc, encoded in ((loaded.fc1, model.fc1), (loaded.fc2, model.fc2)):
+    assert [len(span.span_cts) for span in loaded.kernel_spans] == [KERNEL_SIZE**2] * KERNEL_COUNT
+    for fc in (loaded.fc1, loaded.fc2):
         assert [len(row) for row in fc.tiles] == [fc.fold.chunks] * fc.fold.blocks
-        for row, encoded_row in zip(fc.tiles, encoded.tiles):
-            for tile, encoded_tile in zip(row, encoded_row):
-                assert type(tile) is Ciphertext
-                assert tile.slots.tobytes() == encoded_tile.slots.tobytes()
+    for ct, encoded in zip(loaded.ciphertexts, model.ciphertexts, strict=True):
+        assert type(ct) is Ciphertext and ct.depth == encoded.depth
+        assert ct.slots.tobytes() == encoded.slots.tobytes()
 
 
 def test_fc_plans_are_derived_once_per_layer_and_never_per_batch(tmp_path, rng, monkeypatch):
