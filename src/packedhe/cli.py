@@ -6,17 +6,19 @@ weights, and the cloud side runs inference over the packed files.
 Given the plaintext images and weights (``--images`` with
 ``--weights-dir``), ``cloud-infer`` checks every prediction against the
 plaintext oracle; ``verify`` runs the three roles that way in a scratch
-directory.  ``cloud-infer`` loads the model once and every batch before
-any inference runs, so batches whose image indices overlap, or reach past
-the end of the ``--images`` file, are bad input found up front, and so are
-``--out`` and ``--report`` paths that name a directory, lie in none, name
-each other, name a file the run reads or would add a batch-suffixed file
-to ``--batch-dir``.  It then runs the batches one
-after the other, each on its own engine.  The one engine
-parameter is ``--slots``, the slot count per ciphertext, taken by
-``owner-encode``, ``provider-encode`` and ``verify``; ``cloud-infer``
-reads it from the model manifest's layout and rejects batch files that
-hold another count.
+directory.  ``cloud-infer`` loads the model once and checks every batch
+file in full before any inference runs, so a corrupt or non-finite batch,
+batches whose image indices overlap, or reach past the end of the
+``--images`` file, are bad input found up front, and so are ``--out`` and
+``--report`` paths that name a directory, lie in none, name each other,
+name a file the run reads or would add a batch-suffixed file to
+``--batch-dir``.  It keeps only each batch's index range, then reads the
+batches again one after the other, each on its own engine, so it holds
+one batch at a time; a batch whose index range changed in between is bad
+input too.  The one engine parameter is ``--slots``, the slot count per
+ciphertext, taken by ``owner-encode``, ``provider-encode`` and
+``verify``; ``cloud-infer`` reads it from the model manifest's layout and
+rejects batch files that hold another count.
 
 Exit codes: 0 success, 1 bad input (a usage error or a file or value that
 fails validation), 2 verification mismatch.
@@ -97,33 +99,40 @@ def _oracle_mismatch(scores: np.ndarray, labels, weights, images) -> str | None:
 
 
 def _load_batches(params: EngineParams, batch_paths) -> list:
-    """Load every batch file as (path, ct, indices), where ``indices`` is
-    the range of dataset image indices of its valid rows."""
+    """Check every batch file in full and return (path, indices) pairs,
+    where ``indices`` is the range of dataset image indices of its valid
+    rows; each ciphertext is dropped once it is checked."""
     engine = SlotEngine(params)
-    loaded = [(path, load_indexed_batch(engine, path)) for path in batch_paths]
-    return [(path, ct, range(first, first + valid)) for path, (ct, _, valid, first) in loaded]
+    loaded = ((path, load_indexed_batch(engine, path)) for path in batch_paths)
+    return [(path, range(first, first + valid)) for path, (_, _, valid, first) in loaded]
 
 
 def _infer_batches(params: EngineParams, model, batches) -> tuple:
-    """Run forward over loaded batches (see :func:`_load_batches`), one
+    """Run forward over checked batches (see :func:`_load_batches`), one
     after the other, against one shared model.
 
-    Each batch gets its own engine, so each stage's recorded depth is its
-    own; the stage meters are shared, so a stage re-entered by the next
-    batch adds its counts and unites its rotation offsets.  Returns the
-    valid rows' FC2_OUT scores of every batch, stacked in batch order, and
-    the stage meters; every meter carries its distinct rotation offsets,
-    and every op of a pass falls inside one stage.  A batch whose scores
-    are not all finite (its values or the model's overflowed float64)
-    raises SerialError naming the batch file.
+    Each batch is read again on its own engine, so each stage's recorded
+    depth is its own, and only that batch's ciphertext is held; a file
+    whose index range is no longer the checked one raises SerialError
+    naming it.  The stage meters are shared, so a stage re-entered by the
+    next batch adds its counts and unites its rotation offsets.  Returns
+    the valid rows' FC2_OUT scores of every batch, stacked in batch order,
+    and the stage meters; every meter carries its distinct rotation
+    offsets, and every op of a pass falls inside one stage.  A batch whose
+    scores are not all finite (its values or the model's overflowed
+    float64) raises SerialError naming the batch file.
     """
     stages, scores = {}, []
-    for path, ct, indices in batches:
+    for path, indices in batches:
         engine = SlotEngine(params)
+        ct, _, valid, first = load_indexed_batch(engine, path)
+        if range(first, first + valid) != indices:
+            raise SerialError(f"{path}: changed during the run: it now holds images {first}..{first + valid - 1}")
         # an overflow is reported once below, as bad input, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             out = forward_encoded(engine, ct, model, stage_meters=stages)
-        mat = out.decode(engine)[: len(indices), :FC2_OUT]
+        # a copy, so the decoded slot vector is not kept alive by a view
+        mat = out.decode(engine)[: len(indices), :FC2_OUT].copy()
         if not np.isfinite(mat).all():
             raise SerialError(f"{path}: non-finite scores: the batch or model values overflow float64")
         scores.append(mat)
@@ -132,8 +141,8 @@ def _infer_batches(params: EngineParams, model, batches) -> tuple:
 
 def _check_disjoint(batches) -> None:
     """Reject two batches that claim an overlapping range of image indices."""
-    claims = sorted(batches, key=lambda batch: batch[2].start)
-    for (prev_path, _, prev), (path, _, cur) in zip(claims, claims[1:]):
+    claims = sorted(batches, key=lambda batch: batch[1].start)
+    for (prev_path, prev), (path, cur) in zip(claims, claims[1:]):
         if cur.start < prev.stop:
             raise SerialError(f"{path}: images from index {cur.start} are also claimed by {prev_path}")
 
@@ -193,16 +202,14 @@ def _cmd_cloud_infer(args) -> int:
         if images.shape[1:] != (h, w):
             _, ih, iw = images.shape
             raise ValueError(f"{args.images}: images are {ih}x{iw}, the model expects {h}x{w}")
-    # every batch is loaded and its index range checked before any inference runs
+    # every batch is checked before any inference runs, then read again one at a time
     batches = _load_batches(params, batch_paths)
     _check_disjoint(batches)
-    if images is not None:
-        reach = max((indices.stop for _, _, indices in batches if indices), default=0)
-        if reach > images.shape[0]:
-            raise ValueError(f"{args.images} holds {images.shape[0]} images, but the batches reach image {reach - 1}")
+    indices = [index for _, batch_indices in batches for index in batch_indices]
+    if images is not None and max(indices) >= images.shape[0]:
+        raise ValueError(f"{args.images} holds {images.shape[0]} images, but the batches reach image {max(indices)}")
     scores, stage_totals = _infer_batches(params, model, batches)
     labels = np.argmax(scores, axis=1)
-    indices = [index for _, _, batch_indices in batches for index in batch_indices]
     if images is not None:
         problem = _oracle_mismatch(scores, labels, weights, images[indices])
         if problem:

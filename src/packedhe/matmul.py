@@ -394,7 +394,7 @@ def matmul_chunked(engine: SlotEngine, inputs: Sequence[Ciphertext], fc: FcTiles
     """
     fold = fc.fold
     blocks, p, rows, n = fold.blocks, fold.p, fold.rows, fold.lanes
-    if not (len(inputs) == fold.chunks and rows * n == engine.slots and rows % p == 0 and fold.window <= n):
+    if not (len(inputs) == fold.chunks and cycle_closes(engine, rows, n, p) and fold.window <= n):
         raise LayoutError(
             f"the FC plan takes {fold.chunks} inputs, p={p} dividing its {rows} rows of {n} lanes in "
             f"{engine.slots} slots and a fold window of {fold.window} lanes: got {len(inputs)} inputs"

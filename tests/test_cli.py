@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from packedhe.cli import _infer_batches, _load_batches, main
 from packedhe.datafiles import save_weights_csv
 from packedhe.engine import MAX_SLOTS, EngineParams, SlotEngine
 from packedhe.oracle import oracle_forward
-from packedhe.pipeline import FC2_OUT, forward_encoded, pack_batch
-from packedhe.serial import MAGIC, load_model, write_batch
+from packedhe.pipeline import FC2_OUT, batch_layout, forward_encoded, pack_batch
+from packedhe.serial import MAGIC, load_batch, load_model, write_batch
 from packedhe.virtual import VirtualLayout
 
 from test_datafiles import write_idx_images
@@ -426,6 +427,101 @@ def test_cloud_infer_rejects_nan_slot(workspace, capsys):
     assert rc == 1
     assert victim.name in capsys.readouterr().err
     assert not out.exists()
+
+
+def _counted_forward(monkeypatch, after=None):
+    """Count cloud-infer's forward passes; ``after(n)`` runs once pass n is done."""
+    passes = []
+
+    def counting_forward(*args, **kwargs):
+        out = forward_encoded(*args, **kwargs)
+        if after is not None:
+            after(len(passes))
+        passes.append(args[1])
+        return out
+
+    monkeypatch.setattr("packedhe.cli.forward_encoded", counting_forward)
+    return passes
+
+
+def test_cloud_infer_checks_every_payload_before_inference(workspace, monkeypatch, capsys):
+    """A NaN in the last batch's payload fails, naming that file, before
+    any forward pass and with nothing written: every file is read in full
+    up front, not only when its turn comes."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model, out, report = tmp / "b2k", tmp / "m2k", tmp / "p.jsonl", tmp / "r.json"
+    slots = ["--slots", "2048"]  # three batches of 2 images
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "6"] + slots) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + slots) == 0
+    victim = sorted(batches.glob("*.simct"))[-1]
+    data = victim.read_bytes()
+    victim.write_bytes(data[:-8] + struct.pack("<d", float("nan")))
+    passes = _counted_forward(monkeypatch)
+    capsys.readouterr()
+    argv = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out), "--report", str(report)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {victim}: 1 non-finite slot values") and len(err.splitlines()) == 1
+    assert passes == [] and not out.exists() and not report.exists()
+
+
+def test_cloud_infer_rejects_a_batch_changed_during_the_run(workspace, monkeypatch, capsys):
+    """Each batch is read again when its turn comes; one rewritten with
+    another first index after the first forward pass fails naming the
+    file, and nothing is written."""
+    tmp, idx, weights_dir, _, _ = workspace
+    batches, model, out, report = tmp / "b2k", tmp / "m2k", tmp / "p.jsonl", tmp / "r.json"
+    slots = ["--slots", "2048"]  # three batches of 2 images
+    assert main(["owner-encode", "--images", str(idx), "--out-dir", str(batches), "--limit", "6"] + slots) == 0
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)] + slots) == 0
+    victim = batches / "batch_00001.simct"
+
+    def rewrite(n):
+        if n == 0:
+            ct, layout, valid = load_batch(SlotEngine(EngineParams(slots=2048)), victim)
+            write_batch(victim, ct, layout, valid_rows=valid, first_index=100)
+
+    passes = _counted_forward(monkeypatch, rewrite)
+    capsys.readouterr()
+    argv = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(out), "--report", str(report)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {victim}: changed during the run: it now holds images 100..101\n"
+    assert len(passes) == 1 and not out.exists() and not report.exists()
+
+
+def test_cloud_infer_holds_one_batch_at_a_time(workspace):
+    """What cloud-infer holds does not grow with the input: over 32
+    one-image batches at 32768 slots its tracemalloc peak is less than one
+    256 KB batch above its peak over the first 4."""
+    tmp, _, weights_dir, _, images = workspace
+    batches, held, model = tmp / "b", tmp / "held", tmp / "m"
+    assert main(["provider-encode", "--weights-dir", str(weights_dir), "--out-dir", str(model)]) == 0
+    engine = SlotEngine()
+    layout = batch_layout(engine.slots)
+    batches.mkdir()
+    held.mkdir()
+    for i in range(32):
+        ct = pack_batch(engine, images[i : i + 1] / 255.0, layout)
+        write_batch(batches / f"batch_{i:05d}.simct", ct, layout, valid_rows=1, first_index=i)
+    argv = ["cloud-infer", "--batch-dir", str(batches), "--model-dir", str(model), "--out", str(tmp / "p.jsonl")]
+    # an untraced first run interns every path name the measured runs parse,
+    # so a resize of the interpreter's interned-string table (about 2 MB late
+    # in a test session) falls in neither peak
+    assert main(argv) == 0
+    for path in sorted(batches.iterdir())[4:]:
+        path.rename(held / path.name)
+    peaks = {}
+    for count in (4, 32):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for path in held.iterdir():  # the other 28 join the first 4
+            path.rename(batches / path.name)
+    assert peaks[32] - peaks[4] < 8 * engine.slots, peaks
 
 
 @pytest.mark.parametrize(

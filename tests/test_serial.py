@@ -67,13 +67,23 @@ def test_read_rejects_garbage(tmp_path):
         read_ciphertext(path)
 
 
-def test_read_rejects_truncated_payload(tmp_path, rng):
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda data: data[:-8], id="8-bytes-short"),
+        pytest.param(lambda data: data[:-1], id="1-byte-short"),
+        pytest.param(lambda data: data + b"\0", id="1-byte-long"),
+        pytest.param(lambda data: data + bytes(8), id="8-bytes-long"),
+    ],
+)
+def test_read_rejects_truncated_payload(tmp_path, rng, change):
+    """A payload of any other length than 8 bytes per slot is a SerialError,
+    not numpy's ValueError from reading a partial float64."""
     eng = make_engine(16)
     path = tmp_path / "t.simct"
     write_ciphertext(path, eng.enc(rng.uniform(size=16)))
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(SerialError):
+    path.write_bytes(change(path.read_bytes()))
+    with pytest.raises(SerialError, match="payload size mismatch"):
         read_ciphertext(path)
 
 
